@@ -14,7 +14,10 @@
 //! timed at several length caps to expose per-token scaling — the
 //! reference path's per-token cost grows with the prefix, the
 //! incremental path's stays flat — and beam-8 at the serving length cap
-//! is the headline batched-speedup number. Results go to
+//! is the headline batched-speedup number. One more row times the
+//! serving shape itself (beam 5 on `TransformerConfig::small` at the
+//! bench_e2e model's vocabulary and mean source length, cap 32), the
+//! in-process counterpart of `bench_e2e`'s `nn.decode_us`. Results go to
 //! `BENCH_decode.json` at the repo root (or
 //! `target/BENCH_decode_smoke.json` under `--smoke`).
 
@@ -53,10 +56,22 @@ fn bench_model(smoke: bool) -> (Params, Transformer) {
     (params, model)
 }
 
+/// The serving configuration's decode load (`bench_e2e`'s model):
+/// `TransformerConfig::small` over a ≈ 130-token vocabulary.
+fn serving_model() -> (Params, Transformer) {
+    let mut params = Params::new();
+    let mut rng = StdRng::seed_from_u64(42);
+    let model = Transformer::new(&mut params, TransformerConfig::small(130), &mut rng);
+    (params, model)
+}
+
 struct Scenario {
     label: &'static str,
     strategy: Strategy,
     max_len: usize,
+    /// Run on [`serving_model`] with a 20-token source instead of on
+    /// [`bench_model`] with the 7-token one.
+    serving_shape: bool,
 }
 
 fn scenarios(smoke: bool) -> Vec<Scenario> {
@@ -66,11 +81,13 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
                 label: "smoke greedy",
                 strategy: Strategy::Greedy,
                 max_len: 4,
+                serving_shape: false,
             },
             Scenario {
                 label: "smoke beam-4",
                 strategy: Strategy::Beam { width: 4 },
                 max_len: 6,
+                serving_shape: false,
             },
         ];
     }
@@ -79,21 +96,31 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
             label: "greedy len 16",
             strategy: Strategy::Greedy,
             max_len: 16,
+            serving_shape: false,
         },
         Scenario {
             label: "greedy len 32",
             strategy: Strategy::Greedy,
             max_len: 32,
+            serving_shape: false,
         },
         Scenario {
             label: "greedy len 64",
             strategy: Strategy::Greedy,
             max_len: 64,
+            serving_shape: false,
         },
         Scenario {
             label: "beam-8 len 64",
             strategy: Strategy::Beam { width: 8 },
             max_len: 64,
+            serving_shape: false,
+        },
+        Scenario {
+            label: "beam-5 small len 32",
+            strategy: Strategy::Beam { width: 5 },
+            max_len: 32,
+            serving_shape: true,
         },
     ]
 }
@@ -140,7 +167,11 @@ impl Row {
 }
 
 fn bench_scenario(s: &Scenario, params: &Params, model: &Transformer, smoke: bool) -> Row {
-    let src = [SOS, 4, 9, 5, 7, 3, 2];
+    let src: Vec<usize> = if s.serving_shape {
+        (0..20).map(|i| 3 + (i * 7) % 100).collect()
+    } else {
+        vec![SOS, 4, 9, 5, 7, 3, 2]
+    };
     let seed = 17u64;
 
     // One checked run of each path: identical hypothesis ids or the
@@ -221,12 +252,14 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "bench_decode: mode={}",
         if smoke { "smoke" } else { "full" }
     );
-    let (params, model) = bench_model(smoke);
+    let bench = bench_model(smoke);
+    let serving = serving_model();
 
     let mut rows = Vec::new();
     for s in scenarios(smoke) {
         eprintln!("  timing {} ...", s.label);
-        rows.push(bench_scenario(&s, &params, &model, smoke));
+        let (params, model) = if s.serving_shape { &serving } else { &bench };
+        rows.push(bench_scenario(&s, params, model, smoke));
     }
 
     // Headline numbers the acceptance gate reads: the beam-8 speedup at
@@ -280,12 +313,12 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
     }
 
     println!(
-        "{:<16} {:>6} {:>12} {:>14} {:>9}",
+        "{:<20} {:>6} {:>12} {:>14} {:>9}",
         "scenario", "tokens", "ref (s)", "incr (s)", "speedup"
     );
     for r in &rows {
         println!(
-            "{:<16} {:>6} {:>12.6} {:>14.6} {:>8.2}x",
+            "{:<20} {:>6} {:>12.6} {:>14.6} {:>8.2}x",
             r.label,
             r.tokens,
             r.reference_s(),

@@ -1,7 +1,12 @@
-//! Multi-head scaled dot-product attention.
+//! Multi-head scaled dot-product attention: the graph form the training
+//! forward and the full-prefix decode run ([`MultiHeadAttention::forward`]),
+//! and the fused tape-free kernel the incremental decode step runs
+//! ([`attend_fused`]).
 
 use crate::layers::Linear;
 use crate::params::{Fwd, Params};
+use qrec_tensor::kernel::fmadd;
+use qrec_tensor::tensor::softmax_in_place;
 use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -10,10 +15,10 @@ use serde::{Deserialize, Serialize};
 /// (`d % heads == 0`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiHeadAttention {
-    q: Linear,
-    k: Linear,
-    v: Linear,
-    out: Linear,
+    pub(crate) q: Linear,
+    pub(crate) k: Linear,
+    pub(crate) v: Linear,
+    pub(crate) out: Linear,
     /// Number of heads.
     pub heads: usize,
     /// Model width.
@@ -56,32 +61,9 @@ impl MultiHeadAttention {
         self.out.forward(fwd, ctx)
     }
 
-    /// Project queries only — the incremental decoder projects K/V once
-    /// per cached row and reuses them across steps.
-    pub(crate) fn project_q(&self, fwd: &mut Fwd<'_>, x: NodeId) -> NodeId {
-        self.q.forward(fwd, x)
-    }
-
-    /// Project keys only.
-    pub(crate) fn project_k(&self, fwd: &mut Fwd<'_>, x: NodeId) -> NodeId {
-        self.k.forward(fwd, x)
-    }
-
-    /// Project values only.
-    pub(crate) fn project_v(&self, fwd: &mut Fwd<'_>, x: NodeId) -> NodeId {
-        self.v.forward(fwd, x)
-    }
-
-    /// Output projection over a concatenated head context.
-    pub(crate) fn output(&self, fwd: &mut Fwd<'_>, ctx: NodeId) -> NodeId {
-        self.out.forward(fwd, ctx)
-    }
-
     /// Scaled dot-product attention over already-projected `q`/`k`/`v`
-    /// (full width; heads are sliced by columns here). Shared by the
-    /// teacher-forced path and the incremental decode path so both
-    /// compute bit-for-bit the same context.
-    pub(crate) fn attend(
+    /// (full width; heads are sliced by columns here).
+    fn attend(
         &self,
         fwd: &mut Fwd<'_>,
         q: NodeId,
@@ -115,6 +97,137 @@ impl MultiHeadAttention {
             concat = fwd.graph.hcat(concat, ctx);
         }
         concat
+    }
+}
+
+/// The key and value rows one query attends over: `t` rows of `d`
+/// values each, contiguous, in either resident form of the decode
+/// caches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum KvPair<'a> {
+    /// Full-precision rows.
+    F32 {
+        /// Key rows, row-major.
+        k: &'a [f32],
+        /// Value rows, row-major.
+        v: &'a [f32],
+    },
+    /// Int8 rows with one scale per row; element `(p, c)` of the keys
+    /// reads as `f32::from(k[p·d + c]) * k_scales[p]`, values likewise.
+    I8 {
+        /// Key rows, row-major int8.
+        k: &'a [i8],
+        /// Per-row key dequantization scales.
+        k_scales: &'a [f32],
+        /// Value rows, row-major int8.
+        v: &'a [i8],
+        /// Per-row value dequantization scales.
+        v_scales: &'a [f32],
+    },
+}
+
+/// Fused multi-head attention of one query row over `t` key/value rows,
+/// tape-free: for each head's column range of `q`, dot against the same
+/// columns of every key row, scale by `1/√d_head`, softmax over the `t`
+/// positions, and accumulate the probability-weighted value rows into
+/// the same columns of `ctx`. Heads are walked in place — nothing is
+/// sliced, concatenated or allocated. `scores` is scratch for one
+/// head's `t` probabilities; its length says how many positions to
+/// attend.
+///
+/// Bit for bit the context row [`MultiHeadAttention::forward`] computes
+/// unmasked: each logit is the GEMM's single-accumulator ascending-`k`
+/// [`fmadd`] fold from `0.0` (`matmul_nt`), times the scale; softmax is
+/// the shared [`softmax_in_place`]; each context element is the same
+/// fold over ascending positions (`matmul`). Reading an int8 element as
+/// `f32::from(q) * scale` on the fly yields the value a dequantized copy
+/// of the row would hold, so the folds see identical operands.
+pub(crate) fn attend_fused(
+    q: &[f32],
+    kv: KvPair<'_>,
+    heads: usize,
+    scores: &mut [f32],
+    ctx: &mut [f32],
+) {
+    let d = q.len();
+    match kv {
+        KvPair::F32 { k, v } => attend_rows(
+            q,
+            heads,
+            scores,
+            ctx,
+            |p| (&k[p * d..(p + 1) * d], 1.0),
+            |p| (&v[p * d..(p + 1) * d], 1.0),
+        ),
+        KvPair::I8 {
+            k,
+            k_scales,
+            v,
+            v_scales,
+        } => attend_rows(
+            q,
+            heads,
+            scores,
+            ctx,
+            |p| (&k[p * d..(p + 1) * d], k_scales[p]),
+            |p| (&v[p * d..(p + 1) * d], v_scales[p]),
+        ),
+    }
+}
+
+/// A stored K/V element, read back as the `f32` the folds consume.
+trait KvElem: Copy {
+    fn widen(self, row_scale: f32) -> f32;
+}
+
+impl KvElem for f32 {
+    #[inline(always)]
+    fn widen(self, _: f32) -> f32 {
+        self
+    }
+}
+
+impl KvElem for i8 {
+    #[inline(always)]
+    fn widen(self, row_scale: f32) -> f32 {
+        f32::from(self) * row_scale
+    }
+}
+
+/// [`attend_fused`] over row readers: `key(p)` / `value(p)` return
+/// position `p`'s full-width row and its scale. `scores.len()` is the
+/// number of positions attended.
+#[inline(always)]
+fn attend_rows<'a, T: KvElem + 'a>(
+    q: &[f32],
+    heads: usize,
+    scores: &mut [f32],
+    ctx: &mut [f32],
+    key: impl Fn(usize) -> (&'a [T], f32),
+    value: impl Fn(usize) -> (&'a [T], f32),
+) {
+    let dh = q.len() / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    for h in 0..heads {
+        let cols = h * dh..(h + 1) * dh;
+        let qh = &q[cols.clone()];
+        for (p, score) in scores.iter_mut().enumerate() {
+            let (row, row_scale) = key(p);
+            let mut s = 0.0f32;
+            for (&qv, &kv) in qh.iter().zip(&row[cols.clone()]) {
+                s = fmadd(qv, kv.widen(row_scale), s);
+            }
+            *score = s * scale;
+        }
+        softmax_in_place(scores);
+        let out = &mut ctx[cols.clone()];
+        out.fill(0.0);
+        for (p, &w) in scores.iter().enumerate() {
+            let (row, row_scale) = value(p);
+            for (o, &vv) in out.iter_mut().zip(&row[cols.clone()]) {
+                *o = fmadd(w, vv.widen(row_scale), *o);
+            }
+        }
     }
 }
 
@@ -200,6 +313,101 @@ mod tests {
         let r2 = run(x2);
         let diff: f32 = r1.iter().zip(&r2).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-4, "unmasked attention should see the change");
+    }
+
+    /// The fused kernel against the graph ops it replaces, on the same
+    /// projected q/k/v: bit for bit, for a batch of query rows over a
+    /// shared K/V (the cross-attention shape).
+    #[test]
+    fn fused_attention_matches_the_graph_ops_bitwise() {
+        for (d, heads, t) in [(8, 2, 1), (48, 4, 7), (48, 4, 33), (16, 1, 5)] {
+            let (params, mha, mut rng) = setup(d, heads);
+            let q = init::uniform(3, d, -1.0, 1.0, &mut rng);
+            let k = init::uniform(t, d, -1.0, 1.0, &mut rng);
+            let v = init::uniform(t, d, -1.0, 1.0, &mut rng);
+            let want = forward_eval(&params, &mut rng, |fwd| {
+                let (qn, kn, vn) = (
+                    fwd.constant(q.clone()),
+                    fwd.constant(k.clone()),
+                    fwd.constant(v.clone()),
+                );
+                let ctx = mha.attend(fwd, qn, kn, vn, None);
+                fwd.graph.value(ctx).clone()
+            });
+            let mut scores = vec![0.0; t];
+            for r in 0..3 {
+                let mut ctx = vec![f32::NAN; d];
+                attend_fused(
+                    q.row(r),
+                    KvPair::F32 {
+                        k: k.data(),
+                        v: v.data(),
+                    },
+                    heads,
+                    &mut scores,
+                    &mut ctx,
+                );
+                let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(want.row(r)), bits(&ctx), "d {d} heads {heads} t {t}");
+            }
+        }
+    }
+
+    /// Dequantizing int8 rows on the fly inside the folds equals
+    /// attending over a dequantized f32 copy of the same rows.
+    #[test]
+    fn fused_attention_over_int8_rows_equals_dequantize_then_attend() {
+        use qrec_tensor::qi8;
+        let (d, heads, t) = (48, 4, 9);
+        let mut rng = StdRng::seed_from_u64(4);
+        let q = init::uniform(1, d, -1.0, 1.0, &mut rng);
+        let quantize = |x: &Tensor| {
+            let mut data = Vec::new();
+            let mut scales = Vec::new();
+            for r in 0..t {
+                // Row magnitudes differ so per-row scales do.
+                let row: Vec<f32> = x.row(r).iter().map(|v| v * (r + 1) as f32).collect();
+                let s = qi8::calibrate(&row);
+                scales.push(s);
+                data.extend(qi8::quantize(&row, s));
+            }
+            (data, scales)
+        };
+        let (kq, ks) = quantize(&init::uniform(t, d, -1.0, 1.0, &mut rng));
+        let (vq, vs) = quantize(&init::uniform(t, d, -1.0, 1.0, &mut rng));
+        let dequant = |data: &[i8], scales: &[f32]| -> Vec<f32> {
+            data.chunks_exact(d)
+                .zip(scales)
+                .flat_map(|(row, &s)| row.iter().map(move |&x| f32::from(x) * s))
+                .collect()
+        };
+        let mut scores = vec![0.0; t];
+        let mut want = vec![0.0; d];
+        attend_fused(
+            q.row(0),
+            KvPair::F32 {
+                k: &dequant(&kq, &ks),
+                v: &dequant(&vq, &vs),
+            },
+            heads,
+            &mut scores,
+            &mut want,
+        );
+        let mut got = vec![0.0; d];
+        attend_fused(
+            q.row(0),
+            KvPair::I8 {
+                k: &kq,
+                k_scales: &ks,
+                v: &vq,
+                v_scales: &vs,
+            },
+            heads,
+            &mut scores,
+            &mut got,
+        );
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&want), bits(&got));
     }
 
     #[test]

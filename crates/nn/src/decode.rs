@@ -8,10 +8,12 @@
 //! architecture carries a [`DecodeState`] of per-layer caches (see
 //! [`crate::incremental`]), and every step runs **one batched
 //! `B × vocab` forward** across all live hypotheses instead of one
-//! full-prefix forward per hypothesis. The batched logits are bitwise
-//! identical to the serial full-prefix path — [`decode_reference`]
-//! keeps that path alive as the equivalence-suite ground truth and the
-//! pre-optimisation benchmark baseline.
+//! full-prefix forward per hypothesis — for the transformer a tape-free
+//! one that builds no autograd graph at all. The batched logits are
+//! bitwise identical to the serial full-prefix path —
+//! [`decode_reference`] keeps that graph-based path alive as the
+//! equivalence-suite ground truth and the pre-optimisation benchmark
+//! baseline.
 //!
 //! All strategies return [`Hypothesis`] lists carrying per-token
 //! probabilities, from which the recommender aggregates fragment
@@ -21,6 +23,7 @@
 use crate::incremental::DecodeState;
 use crate::params::{Binding, Fwd, Params};
 use crate::seq2seq::Seq2Seq;
+use qrec_tensor::tensor::softmax_in_place;
 use qrec_tensor::{Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -436,6 +439,9 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
         // would flood the 32-stage trace cap, so steps are attributed as
         // a count plus a histogram sample.
         let t0 = qrec_obs::enabled().then(std::time::Instant::now);
+        // The ConvS2S and GRU steps record their forward on this
+        // per-step graph; the transformer's tape-free step reads only
+        // `fwd.params` and leaves it empty.
         let mut graph = Graph::new();
         let mut bind = Binding::new(self.params.len());
         let mut fwd = Fwd {
@@ -445,8 +451,10 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
             rng: self.rng,
             training: false,
         };
-        let logits = self.model.step_logits(&mut fwd, state, last_toks);
-        let probs = logits.softmax_rows();
+        let mut probs = self.model.step_logits(&mut fwd, state, last_toks);
+        for r in 0..probs.rows() {
+            softmax_in_place(probs.row_mut(r));
+        }
         if let Some(t0) = t0 {
             step_hist().record_duration(t0.elapsed());
             qrec_obs::trace::note_decode_step();

@@ -8,10 +8,14 @@
 //! instead of `B` separate full-prefix forwards. What each architecture
 //! caches:
 //!
-//! * **Transformer** — per layer, per hypothesis, the self-attention K/V
-//!   rows of every position decoded so far (one row appended per step),
-//!   plus the cross-attention K/V of the source projected *once* in
-//!   `begin_decode` instead of once per step.
+//! * **Transformer** — per layer, one contiguous arena of the
+//!   self-attention K/V rows of every hypothesis and every position
+//!   decoded so far ([`KvArena`], one row appended per hypothesis per
+//!   step), the cross-attention K/V of the source projected *once* in
+//!   `begin_decode` instead of once per step, and the scratch buffers
+//!   every step writes its intermediates into ([`StepScratch`]) — the
+//!   transformer step builds no autograd graph and allocates nothing
+//!   but the logits it returns.
 //! * **ConvS2S** — per decoder layer, the rolling window of the last
 //!   `kernel - 1` block-input rows per hypothesis (what the causal
 //!   convolution at the next position will see).
@@ -27,8 +31,10 @@
 //! of the surviving hypotheses (indices may repeat when one parent
 //! spawns several children) so caches follow their hypotheses.
 
+use crate::attention::KvPair;
 use crate::params::Fwd;
 use crate::seq2seq::Seq2Seq;
+use qrec_tensor::qi8::{self, QScratch};
 use qrec_tensor::Tensor;
 use std::sync::Arc;
 
@@ -47,10 +53,11 @@ fn reorder_hist() -> &'static Arc<qrec_obs::Histogram> {
 /// [`crate::seq2seq::Seq2Seq::step_logits`]; reordered after beam
 /// pruning with [`DecodeState::reorder`].
 ///
-/// Cloning is cheap: the per-architecture caches are behind [`Arc`]s or
-/// small matrices, and appends copy-on-write. Stochastic decoding clones
-/// the post-first-step state once per rollout so the first-step
-/// distribution is computed exactly once per source.
+/// Cloning copies the filled cache rows only (a transformer state one
+/// step deep is a few hundred bytes per layer; source-side tensors are
+/// behind [`Arc`]s). Stochastic decoding clones the post-first-step
+/// state once per rollout so the first-step distribution is computed
+/// exactly once per source.
 #[derive(Debug, Clone)]
 pub struct DecodeState {
     pub(crate) kind: StateKind,
@@ -66,8 +73,9 @@ pub struct DecodeState {
     /// target ids with `take(max_len)`, so last-row logits freeze once
     /// `steps` reaches it and further steps replay [`Self::last_logits`].
     pub(crate) arch_max_len: usize,
-    /// Logits of the most recent step (`B × vocab`), replayed verbatim
-    /// once the position cap freezes the distribution.
+    /// Logits of the step at the last position the architecture can
+    /// compute (`B × vocab`), replayed verbatim by every later step.
+    /// `None` until `steps` reaches `arch_max_len`.
     pub(crate) last_logits: Option<Tensor>,
 }
 
@@ -78,28 +86,33 @@ pub(crate) enum StateKind {
     /// default for any [`crate::seq2seq::Seq2Seq`] implementation that
     /// does not override the incremental API.
     FullPrefix,
-    /// Transformer per-layer K/V caches.
-    Transformer(TransformerState),
+    /// Transformer per-layer K/V arenas and step scratch (boxed: an
+    /// order of magnitude larger than the other variants).
+    Transformer(Box<TransformerState>),
     /// ConvS2S per-layer causal-convolution windows.
     ConvS2S(ConvState),
     /// GRU hidden state.
     Gru(GruState),
 }
 
-/// Per-layer, per-hypothesis Transformer decoder caches.
+/// Transformer decoder caches and per-decode scratch.
 #[derive(Debug, Clone)]
 pub(crate) struct TransformerState {
     pub(crate) layers: Vec<TransformerLayerState>,
+    /// Buffers every step writes its intermediates into.
+    pub(crate) scratch: StepScratch,
+    /// The sinusoidal encoding's per-column divisors
+    /// ([`crate::layers::positional_divisors`]), computed once per decode
+    /// instead of one `powf` per column per step.
+    pub(crate) pe_div: Vec<f32>,
 }
 
 /// One Transformer decoder layer's caches.
 #[derive(Debug, Clone)]
 pub(crate) struct TransformerLayerState {
-    /// Self-attention keys per hypothesis: `t × d_model`, full width
-    /// (head slicing happens by columns, exactly as in the full path).
-    pub(crate) self_k: KvCache,
-    /// Self-attention values per hypothesis: `t × d_model`.
-    pub(crate) self_v: KvCache,
+    /// Self-attention keys and values, full width (heads are column
+    /// ranges, exactly as in the full path).
+    pub(crate) self_kv: KvArena,
     /// Cross-attention keys of the source (`m × d_model`), projected
     /// once per source in `begin_decode` and shared by every step and
     /// every hypothesis.
@@ -108,96 +121,274 @@ pub(crate) struct TransformerLayerState {
     pub(crate) cross_v: Arc<Tensor>,
 }
 
-/// Per-hypothesis self-attention K/V rows in one of two resident forms.
-///
-/// `F32` is the bitwise-reference representation: full-precision rows,
-/// appended copy-on-write behind `Arc`s, exactly what the full-prefix
-/// path recomputes. `Quant` stores each row as int8 plus a per-row scale
-/// ([`qrec_tensor::qi8::QRows`]) — ~4× smaller resident state — and
-/// dequantizes on attention read. A state is built quantized when the
-/// parameter store carries an int8 sidecar at `begin_decode` time, so
-/// the whole decode takes one representation; the f32 form is bitwise
-/// untouched by the quantized one's existence.
-#[derive(Debug, Clone)]
-pub(crate) enum KvCache {
-    /// Full-precision rows, one growing `t × d_model` tensor per
-    /// hypothesis.
-    F32(Vec<Arc<Tensor>>),
-    /// Int8 rows with per-row scales, one growing store per hypothesis.
-    Quant(Vec<Arc<qrec_tensor::qi8::QRows>>),
+/// Scratch of one transformer decode: every intermediate of a step is
+/// written into these buffers, sized on the first step (and again only
+/// when a reorder grows the batch), so a step allocates nothing but the
+/// logits tensor it returns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StepScratch {
+    /// Residual stream, `B × d_model`.
+    pub(crate) x: Vec<f32>,
+    /// Queries, `B × d_model`.
+    pub(crate) q: Vec<f32>,
+    /// This step's key rows, `B × d_model`.
+    pub(crate) k: Vec<f32>,
+    /// This step's value rows, `B × d_model`.
+    pub(crate) v: Vec<f32>,
+    /// Concatenated head contexts, `B × d_model`.
+    pub(crate) ctx: Vec<f32>,
+    /// A sub-layer's output before the residual add, `B × d_model`.
+    pub(crate) y: Vec<f32>,
+    /// Feed-forward hidden activations, `B × d_ff`.
+    pub(crate) h: Vec<f32>,
+    /// One (row, head) attention distribution: `max(positions, source
+    /// length)` values.
+    pub(crate) scores: Vec<f32>,
+    /// This step's positional-encoding row, `d_model` values.
+    pub(crate) pe: Vec<f32>,
+    /// Activation-quantization buffers of the int8 projections.
+    pub(crate) q8: QScratch,
 }
 
-impl KvCache {
-    /// An empty cache of `batch` hypotheses with `d`-wide rows, in the
+impl StepScratch {
+    /// Size every buffer for a `batch`-row step (no-op, and no
+    /// allocation, when already that size).
+    pub(crate) fn ensure(&mut self, batch: usize, d: usize, d_ff: usize, positions: usize) {
+        for buf in [
+            &mut self.x,
+            &mut self.q,
+            &mut self.k,
+            &mut self.v,
+            &mut self.ctx,
+            &mut self.y,
+        ] {
+            buf.resize(batch * d, 0.0);
+        }
+        self.h.resize(batch * d_ff, 0.0);
+        self.pe.resize(d, 0.0);
+        if self.scores.len() < positions {
+            self.scores.resize(positions, 0.0);
+        }
+    }
+}
+
+/// Positions a [`KvArena`] hypothesis has room for before its first
+/// regrow. Serving decodes average 14 steps (cap 32): most never regrow.
+const KV_INITIAL_POSITIONS: usize = 16;
+
+/// One layer's self-attention K and V rows for every live hypothesis, in
+/// contiguous buffers laid out `[hypothesis][position][d_model]`: a
+/// hypothesis's history is one contiguous run the fused attention kernel
+/// walks in place, and a step appends one row per hypothesis at the
+/// shared fill position. Each hypothesis has room for `cap` positions;
+/// the buffers double (one re-layout copy) when they run out.
+///
+/// Two resident forms, chosen for the whole decode at `begin_decode`:
+/// full-precision rows — bitwise what the full-prefix path recomputes —
+/// or, when the parameter store carries an int8 sidecar, int8 rows with
+/// one scale per row (~4× smaller), dequantized on attention read.
+#[derive(Debug)]
+pub(crate) struct KvArena {
+    d: usize,
+    batch: usize,
+    /// Filled positions (the same for every hypothesis).
+    len: usize,
+    /// Positions each hypothesis has room for.
+    cap: usize,
+    rows: KvRows,
+}
+
+#[derive(Debug)]
+enum KvRows {
+    F32 {
+        k: Vec<f32>,
+        v: Vec<f32>,
+    },
+    /// Int8 values `[hypothesis][position][d]` and their per-row scales
+    /// `[hypothesis][position]`.
+    I8 {
+        k: Vec<i8>,
+        k_scales: Vec<f32>,
+        v: Vec<i8>,
+        v_scales: Vec<f32>,
+    },
+}
+
+/// A `[row][position][width]` buffer with room for `cap` positions per
+/// row whose row `i` holds the first `len` positions of row `parents[i]`
+/// of `src` (row capacity `src_cap`); the rest is zero.
+fn relay<T: Copy + Default>(
+    src: &[T],
+    src_cap: usize,
+    width: usize,
+    len: usize,
+    parents: impl ExactSizeIterator<Item = usize>,
+    cap: usize,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(parents.len() * cap * width);
+    for p in parents {
+        out.extend_from_slice(&src[p * src_cap * width..][..len * width]);
+        out.resize(out.len() + (cap - len) * width, T::default());
+    }
+    out
+}
+
+impl KvArena {
+    /// An empty arena of `batch` hypotheses with `d`-wide rows, in the
     /// representation `quantized` selects.
-    pub(crate) fn empty(batch: usize, d: usize, quantized: bool) -> KvCache {
-        if quantized {
-            KvCache::Quant(
-                (0..batch)
-                    .map(|_| Arc::new(qrec_tensor::qi8::QRows::new(d)))
-                    .collect(),
-            )
+    pub(crate) fn new(batch: usize, d: usize, quantized: bool) -> KvArena {
+        let cap = KV_INITIAL_POSITIONS;
+        let rows = if quantized {
+            KvRows::I8 {
+                k: vec![0; batch * cap * d],
+                k_scales: vec![0.0; batch * cap],
+                v: vec![0; batch * cap * d],
+                v_scales: vec![0.0; batch * cap],
+            }
         } else {
-            KvCache::F32((0..batch).map(|_| Arc::new(Tensor::zeros(0, d))).collect())
+            KvRows::F32 {
+                k: vec![0.0; batch * cap * d],
+                v: vec![0.0; batch * cap * d],
+            }
+        };
+        KvArena {
+            d,
+            batch,
+            len: 0,
+            cap,
+            rows,
         }
     }
 
-    /// Number of hypothesis rows tracked.
-    pub(crate) fn batch(&self) -> usize {
-        match self {
-            KvCache::F32(rows) => rows.len(),
-            KvCache::Quant(rows) => rows.len(),
-        }
+    /// Filled positions per hypothesis.
+    pub(crate) fn positions(&self) -> usize {
+        self.len
     }
 
-    /// Append row `i` of `rows` (`B × d`) to hypothesis `i`'s cache,
-    /// copy-on-write. Quantized caches calibrate each row on append.
-    pub(crate) fn append_rows(&mut self, rows: &Tensor) {
-        match self {
-            KvCache::F32(caches) => {
-                for (i, cache) in caches.iter_mut().enumerate() {
-                    Arc::make_mut(cache).append_row(rows.row(i));
+    /// Append row `i` of `k_rows` / `v_rows` (`batch × d` each) at
+    /// hypothesis `i`'s next position. Quantized arenas calibrate each
+    /// row on append.
+    pub(crate) fn append(&mut self, k_rows: &[f32], v_rows: &[f32]) {
+        assert_eq!(
+            k_rows.len(),
+            self.batch * self.d,
+            "one key row per hypothesis"
+        );
+        assert_eq!(
+            v_rows.len(),
+            self.batch * self.d,
+            "one value row per hypothesis"
+        );
+        if self.len == self.cap {
+            // Out of room: re-lay every hypothesis out at twice the capacity.
+            self.rows = self.relaid(0..self.batch, 2 * self.cap);
+            self.cap *= 2;
+        }
+        let (d, cap, pos) = (self.d, self.cap, self.len);
+        let store_f32 = |dst: &mut [f32], rows: &[f32]| {
+            for (i, row) in rows.chunks_exact(d).enumerate() {
+                dst[(i * cap + pos) * d..][..d].copy_from_slice(row);
+            }
+        };
+        let store_i8 = |dst: &mut [i8], scales: &mut [f32], rows: &[f32]| {
+            for (i, row) in rows.chunks_exact(d).enumerate() {
+                let s = qi8::calibrate(row);
+                scales[i * cap + pos] = s;
+                for (q, &x) in dst[(i * cap + pos) * d..][..d].iter_mut().zip(row) {
+                    *q = qi8::quantize_one(x, s);
                 }
             }
-            KvCache::Quant(caches) => {
-                for (i, cache) in caches.iter_mut().enumerate() {
-                    Arc::make_mut(cache).push_row(rows.row(i));
-                }
+        };
+        match &mut self.rows {
+            KvRows::F32 { k, v } => {
+                store_f32(k, k_rows);
+                store_f32(v, v_rows);
             }
+            KvRows::I8 {
+                k,
+                k_scales,
+                v,
+                v_scales,
+            } => {
+                store_i8(k, k_scales, k_rows);
+                store_i8(v, v_scales, v_rows);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Buffers with room for `cap` positions per hypothesis, hypothesis
+    /// `i` holding the filled rows of hypothesis `parents[i]` of this
+    /// arena — the one re-layout behind regrow, gather and clone.
+    fn relaid(&self, parents: impl ExactSizeIterator<Item = usize> + Clone, cap: usize) -> KvRows {
+        let (d, len, src_cap) = (self.d, self.len, self.cap);
+        match &self.rows {
+            KvRows::F32 { k, v } => KvRows::F32 {
+                k: relay(k, src_cap, d, len, parents.clone(), cap),
+                v: relay(v, src_cap, d, len, parents, cap),
+            },
+            KvRows::I8 {
+                k,
+                k_scales,
+                v,
+                v_scales,
+            } => KvRows::I8 {
+                k: relay(k, src_cap, d, len, parents.clone(), cap),
+                k_scales: relay(k_scales, src_cap, 1, len, parents.clone(), cap),
+                v: relay(v, src_cap, d, len, parents.clone(), cap),
+                v_scales: relay(v_scales, src_cap, 1, len, parents, cap),
+            },
         }
     }
 
-    /// Hypothesis `i`'s cached rows as a graph constant: shared without
-    /// copy for f32, dequantized into a fresh `t × d` tensor for int8.
-    pub(crate) fn node(&self, fwd: &mut Fwd<'_>, i: usize) -> qrec_tensor::NodeId {
-        match self {
-            KvCache::F32(caches) => fwd.constant_shared(Arc::clone(&caches[i])),
-            KvCache::Quant(caches) => {
-                let qr = &caches[i];
-                fwd.constant(Tensor::from_vec(qr.rows(), qr.cols(), qr.dequant()))
-            }
+    /// Hypothesis `i`'s filled key and value rows, for the attention
+    /// kernel.
+    pub(crate) fn history(&self, i: usize) -> KvPair<'_> {
+        let (d, cap, len) = (self.d, self.cap, self.len);
+        match &self.rows {
+            KvRows::F32 { k, v } => KvPair::F32 {
+                k: &k[i * cap * d..][..len * d],
+                v: &v[i * cap * d..][..len * d],
+            },
+            KvRows::I8 {
+                k,
+                k_scales,
+                v,
+                v_scales,
+            } => KvPair::I8 {
+                k: &k[i * cap * d..][..len * d],
+                k_scales: &k_scales[i * cap..][..len],
+                v: &v[i * cap * d..][..len * d],
+                v_scales: &v_scales[i * cap..][..len],
+            },
         }
     }
 
-    /// Gather hypothesis caches by `parents` (beam pruning): refcount
-    /// bumps only, in either representation.
+    /// Gather hypotheses by `parents` (beam pruning): hypothesis `i`
+    /// becomes a copy of the filled rows of hypothesis `parents[i]`.
     pub(crate) fn gather(&mut self, parents: &[usize]) {
-        match self {
-            KvCache::F32(caches) => {
-                *caches = parents.iter().map(|&p| Arc::clone(&caches[p])).collect();
-            }
-            KvCache::Quant(caches) => {
-                *caches = parents.iter().map(|&p| Arc::clone(&caches[p])).collect();
-            }
-        }
+        self.rows = self.relaid(parents.iter().copied(), self.cap);
+        self.batch = parents.len();
     }
 
-    /// Resident bytes across all hypotheses (tensor data or int8 rows
-    /// plus scales), for memory accounting.
+    /// Resident bytes of the filled K and V rows across all hypotheses
+    /// (f32 values, or int8 values plus one f32 scale per row).
     pub(crate) fn resident_bytes(&self) -> usize {
-        match self {
-            KvCache::F32(caches) => caches.iter().map(|t| t.len() * 4).sum(),
-            KvCache::Quant(caches) => caches.iter().map(|q| q.resident_bytes()).sum(),
+        let rows = 2 * self.batch * self.len;
+        match self.rows {
+            KvRows::F32 { .. } => rows * self.d * 4,
+            KvRows::I8 { .. } => rows * (self.d + 4),
+        }
+    }
+}
+
+impl Clone for KvArena {
+    /// Copies the filled rows only (unfilled capacity is re-zeroed, not
+    /// read).
+    fn clone(&self) -> KvArena {
+        KvArena {
+            rows: self.relaid(0..self.batch, self.cap),
+            ..*self
         }
     }
 }
@@ -297,26 +488,29 @@ impl DecodeState {
         }
     }
 
-    /// Store this step's logits (for freeze replay) and hand back an
-    /// owned copy for the caller.
+    /// Hand this step's logits back to the caller, keeping a copy for
+    /// the freeze replay only when the step just taken was the last the
+    /// architecture can compute — serving decodes stop at 32–64 steps
+    /// and never reach a 160-position cap, so they never pay the copy.
     pub(crate) fn remember_logits(&mut self, logits: Tensor) -> Tensor {
-        self.last_logits = Some(logits.clone());
+        if self.steps >= self.arch_max_len {
+            self.last_logits = Some(logits.clone());
+        }
         logits
     }
 
     /// Resident bytes of the architecture's decode caches — the
-    /// transformer's per-hypothesis KV rows (f32 or int8 depending on
-    /// the representation chosen at `begin_decode`), the ConvS2S
-    /// windows, or the GRU carry. Cross-attention K/V and the encoder
-    /// output are shared per source and excluded.
+    /// transformer's filled KV rows (f32 or int8 depending on the
+    /// representation chosen at `begin_decode`), the ConvS2S windows, or
+    /// the GRU carry. Cross-attention K/V and the encoder output are
+    /// shared per source and excluded, as are unfilled arena capacity
+    /// and step scratch.
     pub fn resident_cache_bytes(&self) -> usize {
         match &self.kind {
             StateKind::FullPrefix => 0,
-            StateKind::Transformer(ts) => ts
-                .layers
-                .iter()
-                .map(|l| l.self_k.resident_bytes() + l.self_v.resident_bytes())
-                .sum(),
+            StateKind::Transformer(ts) => {
+                ts.layers.iter().map(|l| l.self_kv.resident_bytes()).sum()
+            }
             StateKind::ConvS2S(cs) => cs.windows.iter().map(|w| w.len() * 4).sum(),
             StateKind::Gru(gs) => gs.h.len() * 4,
         }
@@ -344,8 +538,7 @@ impl DecodeState {
             StateKind::FullPrefix => {}
             StateKind::Transformer(ts) => {
                 for layer in &mut ts.layers {
-                    layer.self_k.gather(parents);
-                    layer.self_v.gather(parents);
+                    layer.self_kv.gather(parents);
                 }
             }
             StateKind::ConvS2S(cs) => {
@@ -385,8 +578,8 @@ pub(crate) fn full_prefix_step<M: Seq2Seq + ?Sized>(
     state.remember_logits(out)
 }
 
-/// `count` stacked copies of a single row (broadcast a positional
-/// encoding row across a batch).
+/// `count` stacked copies of a single row (the GRU's initial hidden
+/// state, one copy of the final encoder row per hypothesis).
 pub(crate) fn repeat_row(row: &[f32], count: usize) -> Tensor {
     let mut data = Vec::with_capacity(row.len() * count);
     for _ in 0..count {
@@ -470,6 +663,139 @@ mod tests {
             }
             other => unreachable!("kind changed: {other:?}"),
         }
+    }
+
+    /// `[hypothesis][position]` (key row, value row) pairs of an arena,
+    /// dequantized.
+    fn arena_rows(arena: &KvArena) -> Vec<Vec<(Vec<f32>, Vec<f32>)>> {
+        let d = arena.d;
+        let dequant = |data: &[i8], scales: &[f32]| -> Vec<Vec<f32>> {
+            data.chunks_exact(d)
+                .zip(scales)
+                .map(|(row, &s)| row.iter().map(|&q| f32::from(q) * s).collect())
+                .collect()
+        };
+        (0..arena.batch)
+            .map(|i| {
+                let (k, v) = match arena.history(i) {
+                    KvPair::F32 { k, v } => (
+                        k.chunks_exact(d).map(<[f32]>::to_vec).collect(),
+                        v.chunks_exact(d).map(<[f32]>::to_vec).collect(),
+                    ),
+                    KvPair::I8 {
+                        k,
+                        k_scales,
+                        v,
+                        v_scales,
+                    } => (dequant(k, k_scales), dequant(v, v_scales)),
+                };
+                Vec::into_iter(k).zip(v).collect()
+            })
+            .collect()
+    }
+
+    /// The `batch × d` key rows of step `step` (values are their
+    /// negation): distinct per (step, hypothesis, column), magnitudes
+    /// drifting upward across steps.
+    fn step_rows(step: usize, batch: usize, d: usize) -> Vec<f32> {
+        (0..batch * d)
+            .map(|j| ((step * 100 + j) as f32 * 0.25 - 3.0) * (step + 1) as f32)
+            .collect()
+    }
+
+    fn append_step(arena: &mut KvArena, step: usize, batch: usize, d: usize) {
+        let k = step_rows(step, batch, d);
+        let v: Vec<f32> = k.iter().map(|x| -x).collect();
+        arena.append(&k, &v);
+    }
+
+    #[test]
+    fn kv_arena_appends_regrows_gathers_and_clones_filled_rows() {
+        let d = 3;
+        let mut arena = KvArena::new(2, d, false);
+        // Past the initial capacity, so one regrow re-lays the rows out.
+        let steps = KV_INITIAL_POSITIONS + 3;
+        for step in 0..steps {
+            append_step(&mut arena, step, 2, d);
+        }
+        assert_eq!(arena.positions(), steps);
+        assert_eq!(arena.cap, 2 * KV_INITIAL_POSITIONS);
+        assert_eq!(arena.resident_bytes(), 2 * 2 * steps * d * 4);
+        let rows = arena_rows(&arena);
+        for (i, hyp) in rows.iter().enumerate() {
+            for (step, (k, v)) in hyp.iter().enumerate() {
+                let want = &step_rows(step, 2, d)[i * d..(i + 1) * d];
+                assert_eq!(k, want, "hypothesis {i} step {step} key");
+                let negated: Vec<f32> = want.iter().map(|x| -x).collect();
+                assert_eq!(v, &negated, "hypothesis {i} step {step} value");
+            }
+        }
+
+        // Duplicate, permute and grow the batch; then shrink it.
+        let snapshot = arena.clone();
+        arena.gather(&[1, 0, 1]);
+        assert_eq!(
+            arena_rows(&arena),
+            vec![rows[1].clone(), rows[0].clone(), rows[1].clone()]
+        );
+        append_step(&mut arena, 99, 3, d);
+        arena.gather(&[2]);
+        let shrunk = arena_rows(&arena);
+        assert_eq!(shrunk.len(), 1);
+        assert_eq!(shrunk[0][..steps], rows[1][..]);
+        assert_eq!(shrunk[0][steps].0, step_rows(99, 3, d)[2 * d..]);
+
+        // The clone took the filled rows and is unaffected by all that.
+        assert_eq!(arena_rows(&snapshot), rows);
+        assert_eq!(snapshot.resident_bytes(), 2 * 2 * steps * d * 4);
+    }
+
+    #[test]
+    fn kv_arena_int8_rows_round_trip_within_half_a_step_at_a_quarter_of_the_bytes() {
+        let d = 16;
+        let mut arena = KvArena::new(2, d, true);
+        let steps = KV_INITIAL_POSITIONS + 1;
+        // Magnitudes drift upward across steps: per-row scales must keep
+        // early rows accurate anyway.
+        for step in 0..steps {
+            append_step(&mut arena, step, 2, d);
+        }
+        arena.gather(&[1, 1, 0]);
+        for (hyp, parent) in arena_rows(&arena).iter().zip([1usize, 1, 0]) {
+            for (step, (k, v)) in hyp.iter().enumerate() {
+                let rows = step_rows(step, 2, d);
+                let want = &rows[parent * d..(parent + 1) * d];
+                let scale = qi8::calibrate(want);
+                for ((a, k), v) in want.iter().zip(k).zip(v) {
+                    assert!(
+                        (a - k).abs() <= scale * 0.5 + 1e-6,
+                        "step {step}: {a} vs {k}"
+                    );
+                    assert_eq!(*v, -k, "values are the negated keys");
+                }
+            }
+        }
+        // int8 values + one f32 scale per row, vs 4 bytes per f32 value.
+        assert_eq!(arena.resident_bytes(), 2 * 3 * steps * (d + 4));
+        assert!(arena.resident_bytes() * 3 < 2 * 3 * steps * d * 4);
+    }
+
+    #[test]
+    fn logits_are_kept_only_at_the_positional_cap() {
+        let mut s = state_with(StateKind::FullPrefix, 1, 2);
+        let _ = s.advance(&[1]);
+        let _ = s.remember_logits(Tensor::scalar(0.5));
+        assert!(
+            s.last_logits.is_none(),
+            "position 0 of 2 cannot be the last"
+        );
+        let _ = s.advance(&[4]);
+        let _ = s.remember_logits(Tensor::scalar(0.75));
+        assert_eq!(
+            s.frozen_logits().item(),
+            0.75,
+            "position 1 of 2 is the last"
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! position-wise feed-forward, and sinusoidal positional encodings.
 
 use crate::params::{Fwd, ParamId, Params};
-use qrec_tensor::{init, NodeId, Tensor};
+use qrec_tensor::qi8::{self, QScratch};
+use qrec_tensor::tensor::layer_norm_stats;
+use qrec_tensor::{init, kernel, NodeId, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -90,6 +92,37 @@ impl Linear {
             None => y,
         }
     }
+
+    /// Tape-free inference forward: `out` (`n × d_out`, overwritten)
+    /// becomes `x·W + b` for the `n` rows of `x`, reading the weight
+    /// straight from the store — its int8 panels when the store carries
+    /// a sidecar, the f32 tensor otherwise — with no graph node and no
+    /// weight copy. Bit for bit the value [`Linear::forward`] computes
+    /// outside training: the same GEMM dispatch and the same bias add.
+    pub(crate) fn apply(
+        &self,
+        params: &Params,
+        x: &[f32],
+        n: usize,
+        out: &mut [f32],
+        q8: &mut QScratch,
+    ) {
+        match params.quant().and_then(|q| q.weight(self.w)) {
+            Some(qw) => qi8::qgemm_into(x, &qw.packed, n, out, q8),
+            None => {
+                let w = params.value(self.w).data();
+                kernel::gemm_into(x, w, n, self.d_in, self.d_out, out);
+            }
+        }
+        if let Some(b) = self.b {
+            let bias = params.value(b).data();
+            for row in out.chunks_exact_mut(self.d_out) {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
+                }
+            }
+        }
+    }
 }
 
 /// Token embedding table.
@@ -117,25 +150,35 @@ impl Embedding {
 
     /// Look up a sequence of token ids: returns `len(ids) × dim`.
     ///
-    /// When the parameter store carries an int8 sidecar and the pass is
-    /// not training, the looked-up rows are gathered straight from the
-    /// int8 table ([`crate::quant::QEmbed::gather`]) — only the
-    /// requested rows are dequantized, and the f32 table never
-    /// materialises. Training passes and stores without a sidecar take
-    /// the f32 gather bitwise unchanged.
+    /// Training passes bind the table as a graph leaf (its gradient is a
+    /// scatter into the looked-up rows). Every other pass gathers only
+    /// the requested rows into a constant ([`Embedding::gather_into`]) —
+    /// binding the table would copy all `vocab × dim` values into the
+    /// graph to read a handful of rows.
     pub fn forward(&self, fwd: &mut Fwd<'_>, ids: &[usize]) -> NodeId {
-        match (
-            fwd.training,
-            fwd.params.quant().and_then(|q| q.embed(self.weight)),
-        ) {
-            (false, Some(qe)) => {
-                let rows = qe.gather(ids);
-                fwd.constant(Tensor::from_vec(ids.len(), self.dim, rows))
-            }
-            _ => {
-                let w = fwd.param(self.weight);
-                fwd.graph.embedding(w, ids)
-            }
+        if fwd.training {
+            let w = fwd.param(self.weight);
+            return fwd.graph.embedding(w, ids);
+        }
+        let mut rows = vec![0.0; ids.len() * self.dim];
+        self.gather_into(fwd.params, ids, &mut rows);
+        fwd.constant(Tensor::from_vec(ids.len(), self.dim, rows))
+    }
+
+    /// Tape-free lookup: write the rows named by `ids` into `out`
+    /// (`len(ids) × dim`). With an int8 sidecar the rows come from the
+    /// int8 table ([`crate::quant::QEmbed::gather_into`]) — only the
+    /// requested rows are dequantized and the f32 table is not read;
+    /// without one they are copied from the f32 table, bitwise what the
+    /// graph gather returns.
+    pub(crate) fn gather_into(&self, params: &Params, ids: &[usize], out: &mut [f32]) {
+        if let Some(qe) = params.quant().and_then(|q| q.embed(self.weight)) {
+            return qe.gather_into(ids, out);
+        }
+        let table = params.value(self.weight);
+        for (row, &id) in out.chunks_exact_mut(self.dim).zip(ids) {
+            assert!(id < table.rows(), "embedding id {id} out of range");
+            row.copy_from_slice(table.row(id));
         }
     }
 }
@@ -161,6 +204,19 @@ impl LayerNorm {
         let g = fwd.param(self.gamma);
         let b = fwd.param(self.beta);
         fwd.graph.layer_norm(x, g, b)
+    }
+
+    /// Tape-free forward: normalise each `d`-wide row of `x` in place,
+    /// with the arithmetic of [`qrec_tensor::Graph::layer_norm`].
+    pub(crate) fn apply(&self, params: &Params, x: &mut [f32]) {
+        let gamma = params.value(self.gamma).data();
+        let beta = params.value(self.beta).data();
+        for row in x.chunks_exact_mut(gamma.len()) {
+            let (mean, inv_std) = layer_norm_stats(row);
+            for ((x, &g), &b) in row.iter_mut().zip(gamma).zip(beta) {
+                *x = g * ((*x - mean) * inv_std) + b;
+            }
+        }
     }
 }
 
@@ -229,34 +285,58 @@ impl FeedForward {
         let h = self.drop.forward(fwd, h);
         self.lin2.forward(fwd, h)
     }
+
+    /// Tape-free inference forward over the `n` rows of `x`: hidden
+    /// activations go to `h` (`n × d_ff`), the block's output to `out`
+    /// (`n × d`). Dropout is the identity outside training.
+    pub(crate) fn apply(
+        &self,
+        params: &Params,
+        x: &[f32],
+        n: usize,
+        h: &mut [f32],
+        out: &mut [f32],
+        q8: &mut QScratch,
+    ) {
+        self.lin1.apply(params, x, n, h, q8);
+        for v in h.iter_mut() {
+            *v = v.max(0.0);
+        }
+        self.lin2.apply(params, h, n, out, q8);
+    }
+}
+
+/// The sinusoidal encoding's per-column divisors `10000^(2⌊i/2⌋/d)` —
+/// the position-independent half of [`positional_encoding`], which an
+/// incremental decode computes once instead of one `powf` per column per
+/// step.
+pub fn positional_divisors(d: usize) -> Vec<f32> {
+    (0..d)
+        .map(|i| 10_000f32.powf((2 * (i / 2)) as f32 / d as f32))
+        .collect()
+}
+
+/// Write the encoding of position `pos` into `row`, one value per
+/// divisor of `divisors` ([`positional_divisors`]): `sin` of the angle on
+/// even columns, `cos` on odd ones.
+pub fn positional_encoding_row_into(pos: usize, divisors: &[f32], row: &mut [f32]) {
+    for (i, (slot, &div)) in row.iter_mut().zip(divisors).enumerate() {
+        let angle = pos as f32 / div;
+        *slot = if i % 2 == 0 { angle.sin() } else { angle.cos() };
+    }
 }
 
 /// The sinusoidal positional encoding of the transformer paper, for
-/// positions `0..len` and dimension `d`.
+/// positions `0..len` and dimension `d`. Every row is a pure function of
+/// its position, so a row built alone by
+/// [`positional_encoding_row_into`] is bitwise the table's row.
 pub fn positional_encoding(len: usize, d: usize) -> Tensor {
+    let divisors = positional_divisors(d);
     let mut pe = Tensor::zeros(len, d);
     for pos in 0..len {
-        for i in 0..d {
-            let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32);
-            let v = if i % 2 == 0 { angle.sin() } else { angle.cos() };
-            pe.set(pos, i, v);
-        }
+        positional_encoding_row_into(pos, &divisors, pe.row_mut(pos));
     }
     pe
-}
-
-/// A single row of [`positional_encoding`]: the encoding of `pos` alone.
-/// Bitwise identical to `positional_encoding(n, d).row(pos)` for any
-/// `n > pos` (each row is a pure function of its position) — the
-/// incremental decoder uses this to avoid rebuilding the whole table
-/// every step.
-pub fn positional_encoding_row(pos: usize, d: usize) -> Vec<f32> {
-    let mut row = vec![0.0; d];
-    for (i, slot) in row.iter_mut().enumerate() {
-        let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32);
-        *slot = if i % 2 == 0 { angle.sin() } else { angle.cos() };
-    }
-    row
 }
 
 /// A causal attention mask: `len × len` with 0 on/below the diagonal and
@@ -308,6 +388,83 @@ mod tests {
             fwd.graph.value(e).row(0).to_vec()
         });
         assert_eq!(got, row2);
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Move a store's biases/gains off their initial 0/1 so the affine
+    /// halves of Linear and LayerNorm are exercised.
+    fn perturb(params: &mut Params) {
+        for i in 0..params.len() {
+            for (j, v) in params
+                .value_mut(crate::params::ParamId(i))
+                .data_mut()
+                .iter_mut()
+                .enumerate()
+            {
+                *v += ((i * 7 + j * 3) % 11) as f32 * 0.03 - 0.15;
+            }
+        }
+    }
+
+    /// The tape-free forwards against the graph forwards they mirror,
+    /// bit for bit, with f32 weights and with the int8 sidecar.
+    #[test]
+    fn tape_free_forwards_match_the_graph_forwards_bitwise() {
+        let mut params = Params::new();
+        let mut r = rng();
+        let (d, d_ff, n) = (48, 96, 5);
+        let ff = FeedForward::new(&mut params, "ff", d, d_ff, 0.3, &mut r);
+        let ln = LayerNorm::new(&mut params, "ln", d);
+        let emb = Embedding::new(&mut params, "e", 20, d, &mut r);
+        perturb(&mut params);
+        let x = init::uniform(n, d, -2.0, 2.0, &mut r);
+        let ids = [3usize, 19, 3, 0, 7];
+        for quantized in [false, true] {
+            if quantized {
+                params.quantize();
+            }
+            let (want_ff, want_ln, want_emb) = forward_eval(&params, &mut r, |fwd| {
+                let xn = fwd.constant(x.clone());
+                let f = ff.forward(fwd, xn);
+                let l = ln.forward(fwd, xn);
+                let e = emb.forward(fwd, &ids);
+                (
+                    fwd.graph.value(f).clone(),
+                    fwd.graph.value(l).clone(),
+                    fwd.graph.value(e).clone(),
+                )
+            });
+            let mut q8 = QScratch::default();
+            let (mut h, mut out) = (vec![0.0; n * d_ff], vec![0.0; n * d]);
+            ff.apply(&params, x.data(), n, &mut h, &mut out, &mut q8);
+            assert_eq!(bits(want_ff.data()), bits(&out), "ff, int8 {quantized}");
+            let mut normed = x.data().to_vec();
+            ln.apply(&params, &mut normed);
+            assert_eq!(bits(want_ln.data()), bits(&normed), "ln, int8 {quantized}");
+            let mut rows = vec![0.0; ids.len() * d];
+            emb.gather_into(&params, &ids, &mut rows);
+            assert_eq!(bits(want_emb.data()), bits(&rows), "emb, int8 {quantized}");
+        }
+    }
+
+    #[test]
+    fn eval_embedding_gathers_rows_without_binding_the_table() {
+        let mut params = Params::new();
+        let mut r = rng();
+        let emb = Embedding::new(&mut params, "e", 10, 4, &mut r);
+        let table = params.value(crate::params::ParamId(0)).clone();
+        let mut r2 = rng();
+        forward_eval(&params, &mut r2, |fwd| {
+            let e = emb.forward(fwd, &[2, 9, 2]);
+            assert_eq!(fwd.graph.len(), 1, "one 3-row constant, no table leaf");
+            let got = fwd.graph.value(e);
+            assert_eq!(bits(got.row(0)), bits(table.row(2)));
+            assert_eq!(bits(got.row(1)), bits(table.row(9)));
+            assert_eq!(bits(got.row(2)), bits(table.row(2)));
+        });
     }
 
     #[test]
@@ -377,10 +534,21 @@ mod tests {
     }
 
     #[test]
-    fn positional_encoding_row_matches_table_bitwise() {
-        let pe = positional_encoding(9, 6);
-        for pos in 0..9 {
-            assert_eq!(positional_encoding_row(pos, 6), pe.row(pos));
+    fn positional_encoding_matches_the_closed_form_bitwise() {
+        // The table is assembled from shared divisors; each entry must
+        // still be the textbook expression evaluated on its own.
+        let (len, d) = (9, 6);
+        let pe = positional_encoding(len, d);
+        for pos in 0..len {
+            for i in 0..d {
+                let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / d as f32);
+                let want = if i % 2 == 0 { angle.sin() } else { angle.cos() };
+                assert_eq!(
+                    pe.get(pos, i).to_bits(),
+                    want.to_bits(),
+                    "pos {pos} col {i}"
+                );
+            }
         }
     }
 

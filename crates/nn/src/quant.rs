@@ -119,17 +119,17 @@ impl QEmbed {
         &self.scales
     }
 
-    /// Dequantize the rows named by `ids` into a row-major
+    /// Dequantize the rows named by `ids` into `out`, a row-major
     /// `len(ids)×cols` f32 buffer (the embedding lookup).
-    pub fn gather(&self, ids: &[usize]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(ids.len() * self.cols);
-        for &id in ids {
-            debug_assert!(id < self.rows, "embedding id {id} out of {}", self.rows);
+    pub fn gather_into(&self, ids: &[usize], out: &mut [f32]) {
+        for (dst, &id) in out.chunks_exact_mut(self.cols).zip(ids) {
+            assert!(id < self.rows, "embedding id {id} out of {}", self.rows);
             let scale = self.scales[id];
             let row = &self.data[id * self.cols..(id + 1) * self.cols];
-            out.extend(row.iter().map(|&v| scale * v as f32));
+            for (o, &v) in dst.iter_mut().zip(row) {
+                *o = scale * v as f32;
+            }
         }
-        out
     }
 
     /// The raw int8 table, row-major.
@@ -335,8 +335,8 @@ mod tests {
         let p = store();
         let q = QuantParams::build(p.named_tensors());
         let table = q.embed(ParamId(2)).unwrap();
-        let got = table.gather(&[1, 0, 1]);
-        assert_eq!(got.len(), 9);
+        let mut got = vec![0.0; 9];
+        table.gather_into(&[1, 0, 1], &mut got);
         let full = p.value(ParamId(2));
         // Max quantization error of one value is its row's scale/2.
         for (j, v) in got[..3].iter().enumerate() {

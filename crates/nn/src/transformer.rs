@@ -1,14 +1,14 @@
 //! The Transformer seq2seq architecture (Vaswani et al.), sized for the
 //! paper's query-prediction task.
 
-use crate::attention::MultiHeadAttention;
+use crate::attention::{attend_fused, KvPair, MultiHeadAttention};
 use crate::incremental::{
-    full_prefix_step, repeat_row, DecodeState, KvCache, StateKind, TransformerLayerState,
+    full_prefix_step, DecodeState, KvArena, StateKind, StepScratch, TransformerLayerState,
     TransformerState,
 };
 use crate::layers::{
-    causal_mask, positional_encoding, positional_encoding_row, Dropout, Embedding, FeedForward,
-    LayerNorm, Linear,
+    causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into, Dropout,
+    Embedding, FeedForward, LayerNorm, Linear,
 };
 use crate::params::{Fwd, Params};
 use crate::seq2seq::Seq2Seq;
@@ -161,53 +161,60 @@ impl DecoderLayer {
         self.ln3.forward(fwd, x)
     }
 
-    /// One incremental step for a batch of hypothesis rows: `x` is
-    /// `B × d_model` (one new position per row), `ls` carries this
-    /// layer's K/V caches. Appends this step's K/V rows, attends each
-    /// row against its own cache (the only per-hypothesis work — the
-    /// caches differ per row), and runs every projection batched.
+    /// One tape-free incremental step over the `n` hypothesis rows of
+    /// the residual stream `s.x` (`n × d_model`, one new position per
+    /// row, updated in place): append this step's K/V rows to the
+    /// layer's arena, attend each row over its own history (the only
+    /// per-hypothesis work — histories differ per row) and all rows over
+    /// the shared source K/V, and run every projection batched. Weights
+    /// are read from `params` in place; every intermediate lives in `s`.
     ///
     /// The full-prefix path's causal-mask row for the newest position is
     /// all zeros, so attending the new query over exactly the cached
     /// positions — no mask — computes the same softmax term for term.
-    fn step(&self, fwd: &mut Fwd<'_>, x: NodeId, ls: &mut TransformerLayerState) -> NodeId {
-        let q = self.self_attn.project_q(fwd, x);
-        let k_new = self.self_attn.project_k(fwd, x);
-        let v_new = self.self_attn.project_v(fwd, x);
-        let k_rows = fwd.graph.value_shared(k_new);
-        let v_rows = fwd.graph.value_shared(v_new);
-        ls.self_k.append_rows(&k_rows);
-        ls.self_v.append_rows(&v_rows);
-        let batch = ls.self_k.batch();
-        let row_ctx = |fwd: &mut Fwd<'_>, i: usize| {
-            let qi = fwd.graph.slice_rows(q, i, i + 1);
-            let ki = ls.self_k.node(fwd, i);
-            let vi = ls.self_v.node(fwd, i);
-            self.self_attn.attend(fwd, qi, ki, vi, None)
-        };
-        let mut ctx = row_ctx(fwd, 0);
-        for i in 1..batch {
-            let ci = row_ctx(fwd, i);
-            ctx = fwd.graph.vcat(ctx, ci);
+    /// Dropout is the identity outside training.
+    fn step(&self, params: &Params, n: usize, ls: &mut TransformerLayerState, s: &mut StepScratch) {
+        let d = self.self_attn.d;
+        let attn = &self.self_attn;
+        attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
+        attn.k.apply(params, &s.x, n, &mut s.k, &mut s.q8);
+        attn.v.apply(params, &s.x, n, &mut s.v, &mut s.q8);
+        ls.self_kv.append(&s.k, &s.v);
+        let t = ls.self_kv.positions();
+        let rows = s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d));
+        for (i, (q, ctx)) in rows.enumerate() {
+            let history = ls.self_kv.history(i);
+            attend_fused(q, history, attn.heads, &mut s.scores[..t], ctx);
         }
-        let a = self.self_attn.output(fwd, ctx);
-        let a = self.drop.forward(fwd, a);
-        let x = fwd.graph.add(x, a);
-        let x = self.ln1.forward(fwd, x);
+        attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
+        add_assign(&mut s.x, &s.y);
+        self.ln1.apply(params, &mut s.x);
 
-        let qc = self.cross_attn.project_q(fwd, x);
-        let kc = fwd.constant_shared(Arc::clone(&ls.cross_k));
-        let vc = fwd.constant_shared(Arc::clone(&ls.cross_v));
-        let cctx = self.cross_attn.attend(fwd, qc, kc, vc, None);
-        let c = self.cross_attn.output(fwd, cctx);
-        let c = self.drop.forward(fwd, c);
-        let x = fwd.graph.add(x, c);
-        let x = self.ln2.forward(fwd, x);
+        let attn = &self.cross_attn;
+        attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
+        let source = KvPair::F32 {
+            k: ls.cross_k.data(),
+            v: ls.cross_v.data(),
+        };
+        let m = ls.cross_k.rows();
+        for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
+            attend_fused(q, source, attn.heads, &mut s.scores[..m], ctx);
+        }
+        attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
+        add_assign(&mut s.x, &s.y);
+        self.ln2.apply(params, &mut s.x);
 
-        let f = self.ff.forward(fwd, x);
-        let f = self.drop.forward(fwd, f);
-        let x = fwd.graph.add(x, f);
-        self.ln3.forward(fwd, x)
+        self.ff
+            .apply(params, &s.x, n, &mut s.h, &mut s.y, &mut s.q8);
+        add_assign(&mut s.x, &s.y);
+        self.ln3.apply(params, &mut s.x);
+    }
+}
+
+/// Residual add: `x += y`, elementwise.
+fn add_assign(x: &mut [f32], y: &[f32]) {
+    for (x, &y) in x.iter_mut().zip(y) {
+        *x += y;
     }
 }
 
@@ -293,34 +300,51 @@ impl Seq2Seq for Transformer {
     }
 
     fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
-        let enc_node = fwd.constant_shared(Arc::clone(enc));
+        let params = fwd.params;
+        let d = self.cfg.d_model;
         // A quantized parameter store also quantizes the resident KV
         // rows: the whole decode picks one cache representation here.
-        let quantized = fwd.params.is_quantized();
+        let quantized = params.is_quantized();
+        let mut scratch = StepScratch::default();
+        // Cross-attention K/V depend only on the source: project them
+        // once here instead of once per decode step.
+        let mut project = |lin: &Linear| {
+            let mut out = Tensor::zeros(enc.rows(), d);
+            lin.apply(
+                params,
+                enc.data(),
+                enc.rows(),
+                out.data_mut(),
+                &mut scratch.q8,
+            );
+            Arc::new(out)
+        };
         let layers = self
             .dec_layers
             .iter()
-            .map(|layer| {
-                // Cross-attention K/V depend only on the source: project
-                // them once here instead of once per decode step.
-                let k = layer.cross_attn.project_k(fwd, enc_node);
-                let v = layer.cross_attn.project_v(fwd, enc_node);
-                TransformerLayerState {
-                    self_k: KvCache::empty(batch, self.cfg.d_model, quantized),
-                    self_v: KvCache::empty(batch, self.cfg.d_model, quantized),
-                    cross_k: fwd.graph.value_shared(k),
-                    cross_v: fwd.graph.value_shared(v),
-                }
+            .map(|layer| TransformerLayerState {
+                self_kv: KvArena::new(batch, d, quantized),
+                cross_k: project(&layer.cross_attn.k),
+                cross_v: project(&layer.cross_attn.v),
             })
             .collect();
+        let state = TransformerState {
+            layers,
+            scratch,
+            pe_div: positional_divisors(d),
+        };
         DecodeState::with_kind(
-            StateKind::Transformer(TransformerState { layers }),
+            StateKind::Transformer(Box::new(state)),
             enc,
             batch,
             self.cfg.max_len,
         )
     }
 
+    /// The tape-free step: no autograd graph is built (`fwd` supplies
+    /// the parameter store only, and the pass is inference by
+    /// construction — dropout is the identity), weights are read in
+    /// place, and the logits tensor returned is the only allocation.
     fn step_logits(
         &self,
         fwd: &mut Fwd<'_>,
@@ -330,25 +354,31 @@ impl Seq2Seq for Transformer {
         if !matches!(state.kind, StateKind::Transformer(_)) || last_toks.is_empty() {
             return full_prefix_step(self, fwd, state, last_toks);
         }
-        let pos = match state.advance(last_toks) {
-            Some(pos) => pos,
-            None => return state.frozen_logits(),
+        let Some(pos) = state.advance(last_toks) else {
+            return state.frozen_logits();
         };
-        let batch = last_toks.len();
-        let e = self.tgt_embed.forward(fwd, last_toks);
-        let e = fwd.graph.scale(e, (self.cfg.d_model as f32).sqrt());
-        let pe_row = positional_encoding_row(pos, self.cfg.d_model);
-        let pe = fwd.constant(repeat_row(&pe_row, batch));
-        let mut x = fwd.graph.add(e, pe);
-        x = self.embed_drop.forward(fwd, x);
+        let params = fwd.params;
+        let n = last_toks.len();
+        let d = self.cfg.d_model;
+        let mut logits = Tensor::zeros(n, self.cfg.vocab);
         if let StateKind::Transformer(ts) = &mut state.kind {
-            for (layer, ls) in self.dec_layers.iter().zip(&mut ts.layers) {
-                x = layer.step(fwd, x, ls);
+            let s = &mut ts.scratch;
+            s.ensure(n, d, self.cfg.d_ff, (pos + 1).max(state.enc.rows()));
+            self.tgt_embed.gather_into(params, last_toks, &mut s.x);
+            positional_encoding_row_into(pos, &ts.pe_div, &mut s.pe);
+            let sqrt_d = (d as f32).sqrt();
+            for row in s.x.chunks_exact_mut(d) {
+                for (x, &pe) in row.iter_mut().zip(&s.pe) {
+                    *x = *x * sqrt_d + pe;
+                }
             }
+            for (layer, ls) in self.dec_layers.iter().zip(&mut ts.layers) {
+                layer.step(params, n, ls, s);
+            }
+            self.out_proj
+                .apply(params, &s.x, n, logits.data_mut(), &mut s.q8);
         }
-        let logits = self.out_proj.forward(fwd, x);
-        let value = fwd.graph.value(logits).clone();
-        state.remember_logits(value)
+        state.remember_logits(logits)
     }
 
     fn vocab(&self) -> usize {

@@ -10,6 +10,13 @@
 //! architecture's positional capacity (the logit-freeze path), and
 //! re-run the whole suite under 1-, 2-, and 8-thread compute pools
 //! (the pool is process-global, so each size runs in a child process).
+//!
+//! The transformer's tape-free step is additionally driven at the
+//! serving shape (`TransformerConfig::small`: d 48, 4 heads, 2 layers)
+//! with biases and LayerNorm γ/β moved off their initial values, which
+//! the freshly initialised test-config models above leave at 0/1/0.
+
+mod common;
 
 use qrec_nn::decode::{decode, decode_reference, Hypothesis, Strategy, SOS};
 use qrec_nn::params::{forward_eval, Params};
@@ -155,6 +162,147 @@ fn gru_matches_reference() {
     check_strategies("gru");
 }
 
+/// Vocabulary of the serving-shape cases: the bench model's (≈ 130), and
+/// not a multiple of the small-product kernel's 16-column tile, so the
+/// vocabulary projection runs its ragged right edge.
+const SERVING_VOCAB: usize = 130;
+
+fn source(len: usize) -> Vec<usize> {
+    (0..len)
+        .map(|i| 3 + (i * 7) % (SERVING_VOCAB - 3))
+        .collect()
+}
+
+/// The serving shape, perturbed biases/γ/β, the strategies serving and
+/// the experiments use at beam 5, sources of 1, 25 and 80 tokens (one
+/// cross-attention position; the bench's mean; past the 16- and 64-wide
+/// tiles): hypotheses bit for bit those of the full-prefix reference.
+#[test]
+fn transformer_serving_shape_matches_reference() {
+    let (params, model) = common::perturbed_small(SERVING_VOCAB, 2, 23);
+    let cases: [(Strategy, u64); 3] = [
+        (Strategy::Beam { width: 5 }, 0),
+        (
+            Strategy::DiverseBeam {
+                width: 5,
+                groups: 2,
+                penalty: 1.5,
+            },
+            0,
+        ),
+        (
+            Strategy::Sampling {
+                samples: 4,
+                min_prob: 0.004,
+            },
+            7,
+        ),
+    ];
+    for src_len in [1, 25, 80] {
+        let src = source(src_len);
+        for (strategy, seed) in cases {
+            let want = decode_reference(
+                &model,
+                &params,
+                &src,
+                strategy,
+                12,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let got = decode(
+                &model,
+                &params,
+                &src,
+                strategy,
+                12,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_hyps_bitwise(&want, &got, &format!("src {src_len} {strategy:?}"));
+        }
+    }
+}
+
+/// Step-level walk at the serving shape through everything a decode does
+/// to a state: every step's batched logits rows equal the full-prefix
+/// last-row logits of each row's own prefix, across reorders that
+/// duplicate, permute, grow and shrink the batch, across the KV arena's
+/// first regrow (position 16), and in a clone taken mid-walk (the
+/// sampling strategy's rollout clone) that then diverges from its
+/// original.
+#[test]
+fn transformer_serving_shape_steps_follow_reorders_regrow_and_clone() {
+    let (params, model) = common::perturbed_small(SERVING_VOCAB, 2, 23);
+    let src = source(25);
+    let mut rng = StdRng::seed_from_u64(0);
+    let enc: Arc<Tensor> = forward_eval(&params, &mut rng, |fwd| {
+        let e = model.encode(fwd, &src);
+        fwd.graph.value_shared(e)
+    });
+    let check_step = |state: &mut DecodeState, prefixes: &mut [Vec<usize>], t: usize, ctx: &str| {
+        let mut rng = StdRng::seed_from_u64(0);
+        let feed: Vec<usize> = (0..prefixes.len())
+            .map(|r| {
+                if t == 0 {
+                    SOS
+                } else {
+                    3 + (5 * t + 11 * r) % (SERVING_VOCAB - 3)
+                }
+            })
+            .collect();
+        for (prefix, &tok) in prefixes.iter_mut().zip(&feed) {
+            prefix.push(tok);
+        }
+        let got = forward_eval(&params, &mut rng, |fwd| {
+            model.step_logits(fwd, state, &feed)
+        });
+        assert_eq!(
+            got.shape(),
+            (prefixes.len(), SERVING_VOCAB),
+            "{ctx} step {t}: shape"
+        );
+        for (r, prefix) in prefixes.iter().enumerate() {
+            let want = forward_eval(&params, &mut rng, |fwd| {
+                let enc_node = fwd.constant_shared(Arc::clone(&enc));
+                let logits = model.decode_last_logits(fwd, enc_node, prefix);
+                fwd.graph.value(logits).clone()
+            });
+            let got_row = Tensor::from_vec(1, SERVING_VOCAB, got.row(r).to_vec());
+            assert_rows_bitwise(&want, &got_row, &format!("{ctx} step {t} row {r}"));
+        }
+    };
+    // One reorder per step, cycling: fan out from the root, duplicate a
+    // parent, permute, shrink, grow back.
+    let reorders: [&[usize]; 6] = [
+        &[0, 0, 0, 0, 0],
+        &[0, 0, 1, 2, 4],
+        &[4, 3, 2, 1, 0],
+        &[2, 0],
+        &[1, 1, 0, 0, 1],
+        &[0, 1, 2, 3, 4],
+    ];
+    let mut state = forward_eval(&params, &mut rng, |fwd| model.begin_decode(fwd, &enc, 1));
+    let mut prefixes: Vec<Vec<usize>> = vec![Vec::new()];
+    let mut rollout = None;
+    for t in 0..20 {
+        check_step(&mut state, &mut prefixes, t, "walk");
+        if t == 9 {
+            rollout = Some((state.clone(), prefixes.clone()));
+        }
+        let parents = reorders[t % reorders.len()];
+        state.reorder(parents);
+        prefixes = parents.iter().map(|&p| prefixes[p].clone()).collect();
+    }
+    // The clone carries on from step 10 with its own reorders, untouched
+    // by the ten steps its original took since.
+    let (mut state, mut prefixes) = rollout.expect("cloned at step 9");
+    for t in 10..19 {
+        check_step(&mut state, &mut prefixes, t, "clone");
+        let parents: Vec<usize> = (0..prefixes.len()).rev().collect();
+        state.reorder(&parents);
+        prefixes = parents.iter().map(|&p| prefixes[p].clone()).collect();
+    }
+}
+
 /// Step-level equivalence on a forced 70-token walk: every incremental
 /// logits row must equal the reference full-prefix last-row logits,
 /// including past the architecture's positional capacity (64 in the
@@ -254,6 +402,7 @@ fn equivalence_holds_across_pool_sizes() {
         let out = std::process::Command::new(&exe)
             .args([
                 "transformer_matches_reference",
+                "transformer_serving_shape_matches_reference",
                 "convs2s_matches_reference",
                 "gru_matches_reference",
                 "--exact",

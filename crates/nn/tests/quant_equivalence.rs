@@ -14,6 +14,13 @@
 //! the bitwise f32 path (sidecar removal is total), and the quantized
 //! path is deterministic — integer accumulation is associative, so the
 //! same decode yields identical bits at any compute-pool size.
+//!
+//! The transformer's int8 *incremental* step has no bitwise reference in
+//! the tree (the full-prefix path does not quantize KV rows), so its
+//! hypotheses are pinned against a golden recorded from the graph-based
+//! step it replaced (`golden/int8_decode.txt`).
+
+mod common;
 
 use qrec_nn::decode::{decode, Strategy, SOS};
 use qrec_nn::params::{forward_eval, Params};
@@ -281,6 +288,67 @@ fn quantized_decode_is_deterministic() {
             );
         }
     }
+}
+
+/// The tape-free int8 step must reproduce, bit for bit, what the
+/// graph-based step it replaced decoded: ids, `finished` and `log_prob`
+/// bits of every hypothesis, for the six strategy cases, on the test
+/// config and on the serving shape with perturbed biases/γ/β. The golden
+/// holds one section per `fmadd` flavour (`.cargo/config.toml` builds for
+/// the host CPU, so attention folds fuse on FMA hardware and do not
+/// elsewhere); this build checks its own.
+#[test]
+fn int8_transformer_decode_matches_recorded_golden() {
+    use std::fmt::Write as _;
+    let variant = if cfg!(target_feature = "fma") {
+        "fma"
+    } else {
+        "nofma"
+    };
+    let (test_params, test_model) = {
+        let mut params = Params::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let model = Transformer::new(&mut params, TransformerConfig::test(VOCAB), &mut rng);
+        (params, model)
+    };
+    let mut actual = String::new();
+    for (name, (mut params, model)) in [
+        ("test", (test_params, test_model)),
+        ("small", common::perturbed_small(VOCAB, 2, 11)),
+    ] {
+        params.quantize();
+        for (case, (strategy, seed)) in strategy_cases().into_iter().enumerate() {
+            let hyps = decode(
+                &model,
+                &params,
+                &SRC,
+                strategy,
+                MAX_LEN,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            for (h, hyp) in hyps.iter().enumerate() {
+                let ids: Vec<String> = hyp.ids.iter().map(usize::to_string).collect();
+                writeln!(
+                    actual,
+                    "{variant} {name} case{case} hyp{h} finished={} log_prob={:08x} ids={}",
+                    u8::from(hyp.finished),
+                    hyp.log_prob.to_bits(),
+                    ids.join(",")
+                )
+                .expect("write to String");
+            }
+        }
+    }
+    let want: String = include_str!("golden/int8_decode.txt")
+        .lines()
+        .filter(|l| l.starts_with(variant) && l[variant.len()..].starts_with(' '))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert!(
+        want == actual,
+        "int8 decode drifted from the recorded golden ({variant} section).\n\
+         --- golden ---\n{want}--- this build ---\n{actual}"
+    );
 }
 
 /// The quantized transformer KV cache holds int8 rows + one f32 scale

@@ -1,0 +1,148 @@
+//! Allocation bound of the transformer's tape-free decode step.
+//!
+//! The step's contract (DESIGN.md §11) is that it builds no autograd
+//! graph, copies no weight and writes every intermediate into scratch
+//! owned by the `DecodeState` — so the only heap allocation inside one
+//! `step_logits` call is the `B × vocab` logits tensor it returns,
+//! whatever the batch, the position or the depth of the model. This
+//! binary installs a counting global allocator (which is why it is a
+//! test binary of its own) and holds the step to that.
+
+mod common;
+
+use qrec_nn::params::forward_eval;
+use qrec_nn::Seq2Seq;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread while `COUNTING` is set. Per
+    /// thread, so the harness's own threads cannot disturb the count.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// const-initialised thread-locals of `Cell<usize>`/`Cell<bool>`, which
+// have no destructor and never allocate, so the allocator cannot recurse
+// into itself, and `try_with` tolerates a thread that is tearing down.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, who
+        // guarantees `ptr` came from this allocator (i.e. from `System`).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (i.e. from `System`)
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+fn note_allocation() {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (incl. reallocations) made by `f` on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    ALLOCATIONS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (ALLOCATIONS.with(Cell::get), out)
+}
+
+/// Allocations inside the `step_logits` call at position `t` of a
+/// `batch`-row decode on a `layers`-deep serving-shape transformer.
+fn step_allocations(layers: usize, batch: usize, t: usize, quantized: bool) -> usize {
+    let vocab = 130;
+    let (mut params, model) = common::perturbed_small(vocab, layers, 5);
+    if quantized {
+        params.quantize();
+    }
+    let src: Vec<usize> = (0..20).map(|i| 3 + (i * 7) % (vocab - 3)).collect();
+    let mut rng = StdRng::seed_from_u64(0);
+    let enc = forward_eval(&params, &mut rng, |fwd| {
+        let e = model.encode(fwd, &src);
+        fwd.graph.value_shared(e)
+    });
+    let mut state = forward_eval(&params, &mut rng, |fwd| {
+        model.begin_decode(fwd, &enc, batch)
+    });
+    let toks = |pos: usize| -> Vec<usize> { (0..batch).map(|r| 3 + (pos + 5 * r) % 100).collect() };
+    for pos in 0..t {
+        forward_eval(&params, &mut rng, |fwd| {
+            model.step_logits(fwd, &mut state, &toks(pos))
+        });
+    }
+    let feed = toks(t);
+    // `forward_eval` builds the (unused) graph and binding outside the
+    // measured region; only the step itself is counted.
+    let (count, logits) = forward_eval(&params, &mut rng, |fwd| {
+        allocations_in(|| model.step_logits(fwd, &mut state, &feed))
+    });
+    assert_eq!(logits.shape(), (batch, vocab));
+    count
+}
+
+/// One test, so nothing else in this binary allocates on the measuring
+/// thread mid-count.
+///
+/// Positions 1 and 30 sit off the doubling boundaries where amortised
+/// growth legitimately allocates: the KV arena re-lays its rows out at
+/// positions 16 and 32, and each row's consumed-token vector grows at
+/// lengths 4, 8, 16 and 32.
+#[test]
+fn a_transformer_step_allocates_only_its_logits() {
+    let mut counts = Vec::new();
+    for quantized in [false, true] {
+        for layers in [1, 2] {
+            for batch in [1, 5, 8] {
+                for t in [1, 30] {
+                    let n = step_allocations(layers, batch, t, quantized);
+                    counts.push((
+                        n,
+                        format!("int8 {quantized} layers {layers} B {batch} t {t}"),
+                    ));
+                }
+            }
+        }
+    }
+    let (first, _) = counts[0];
+    for (n, case) in &counts {
+        assert!(*n <= 4, "{case}: {n} allocations in one step (bound 4)");
+        assert_eq!(
+            *n, first,
+            "{case}: {n} allocations, but {} has {first} — the count must not depend on \
+             batch, position, depth or precision",
+            counts[0].1
+        );
+    }
+    println!("allocations per transformer step: {first}");
+}

@@ -351,7 +351,6 @@ impl Graph {
     /// (`1 × d` each): `y = γ ⊙ (x - μ)/σ + β`.
     #[allow(clippy::needless_range_loop)] // indices couple several parallel buffers
     pub fn layer_norm(&mut self, a: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
-        const EPS: f32 = 1e-5;
         let av = &self.values[a.0];
         let gv = &self.values[gamma.0];
         let bv = &self.values[beta.0];
@@ -359,14 +358,12 @@ impl Graph {
         assert_eq!(bv.shape(), (1, av.cols()), "beta must be 1 x d");
         let (n, d) = av.shape();
         let mut v = Tensor::zeros(n, d);
-        // Save per-row (mean, inv_std) and the normalised x̂ for backward.
+        // Save per-row inv_std and the normalised x̂ for backward.
         let mut xhat = Tensor::zeros(n, d);
         let mut inv_stds = Vec::with_capacity(n);
         for r in 0..n {
             let row = av.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + EPS).sqrt();
+            let (mean, inv_std) = crate::tensor::layer_norm_stats(row);
             inv_stds.push(inv_std);
             for c in 0..d {
                 let xh = (row[c] - mean) * inv_std;

@@ -13,8 +13,9 @@
 //!
 //! ## Determinism
 //!
-//! Every path — the naive references, the blocked serial kernel, and the
-//! pool-parallel kernel at any thread or chunk count — computes each
+//! Every path — the naive references, the small-product tile, the
+//! blocked serial kernel, and the pool-parallel kernel at any thread or
+//! chunk count — computes each
 //! output element as the *same* fold: `acc = fmadd(a[i][kk], b[kk][j],
 //! acc)` over ascending `kk` with a single accumulator. KC slabs do not
 //! reorder `k`; row partitioning never splits a single element's
@@ -31,8 +32,11 @@
 //!
 //! ## Threshold policy
 //!
-//! [`select`] keeps small products (decode-time 1×d vectors, tiny
-//! training tiles) on [`naive`], whose only overhead is the call itself;
+//! [`select`] keeps small products (decode-time B×d tiles, tiny
+//! training tiles) on the [`KernelPath::Naive`] path: no packing, no
+//! pool — an unpacked register tile over `B` as it lies in memory (the
+//! plain [`naive`] loop when the output is narrower than one tile), so
+//! the only overhead is the call itself;
 //! mid-size products use the blocked serial kernel; large products split
 //! into contiguous row ranges on the shared [`Pool`]. The split depends
 //! only on `(n, threads)` — never on timing — so repeated calls take
@@ -108,8 +112,12 @@ pub fn counters() -> KernelCounters {
 /// Fused multiply-add when the hardware has it, plain `a*b + acc`
 /// otherwise. The cfg split keeps non-FMA builds off the libm softfloat
 /// path while every build stays internally bitwise-consistent.
+///
+/// Public so that kernels outside this module which must reproduce a
+/// GEMM fold bit for bit (the decoder's fused attention) use the one
+/// definition of the fold step.
 #[inline(always)]
-fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
+pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, acc)
@@ -127,7 +135,8 @@ fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 /// The execution path [`gemm`] takes for an `n×k · k×m` product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Small product: plain ikj loop, zero setup cost.
+    /// Small product: no packing and no pool, zero set-up cost — the
+    /// unpacked register tile, or the plain ikj loop under one tile width.
     Naive,
     /// Mid-size product: packed blocked kernel on the calling thread.
     Blocked,
@@ -162,11 +171,16 @@ pub fn select(n: usize, k: usize, m: usize, threads: usize) -> KernelPath {
 
 /// Reference `n×k · k×m` product in canonical accumulation order.
 ///
-/// This is the semantic ground truth the blocked and parallel kernels
-/// are property-tested against (bitwise, not epsilon), and the fast path
-/// for small products.
+/// This is the semantic ground truth every other kernel is
+/// property-tested against (bitwise, not epsilon).
 pub fn naive(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
+    naive_acc(a, b, n, k, m, &mut out);
+    out
+}
+
+/// [`naive`] accumulating into a zeroed `n·m` buffer.
+fn naive_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     for i in 0..n {
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * m..(i + 1) * m];
@@ -177,7 +191,87 @@ pub fn naive(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
             }
         }
     }
-    out
+}
+
+/// Rows per register tile of [`small_acc`].
+const SR: usize = 6;
+/// Columns per register tile of [`small_acc`].
+const SN: usize = 16;
+
+/// The counted small-product dispatch arm: the canonical fold of
+/// [`naive`] with the accumulators of an up-to-`SR`×`SN` output tile held
+/// in registers across the whole `k` loop, reading `B` unpacked (a
+/// row-major `B` row segment is already contiguous), so there is no
+/// set-up cost to amortise. [`naive`]'s loop reloads and restores its output row on
+/// every `kk`, which serialises each row on store-to-load forwarding;
+/// the tile removes that chain and reads each `B` segment once per tile
+/// instead of once per output row. Accumulates into a zeroed `out`.
+fn small_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
+    dispatch().naive.inc();
+    if m < SN {
+        // Narrower than one tile (per-head attention contexts, m = d/heads):
+        // padding every `B` segment costs more than the tile saves.
+        return naive_acc(a, b, n, k, m, out);
+    }
+    let mut i0 = 0;
+    while i0 < n {
+        let rows = SR.min(n - i0);
+        let (full, edge) = (tile_for::<true>(rows), tile_for::<false>(rows));
+        for j0 in (0..m).step_by(SN) {
+            let tile = if j0 + SN <= m { full } else { edge };
+            tile(a, b, k, m, i0, j0, out);
+        }
+        i0 += rows;
+    }
+}
+
+/// A [`small_tile`] of one shape, as [`small_acc`] calls it.
+type SmallTile = fn(&[f32], &[f32], usize, usize, usize, usize, &mut [f32]);
+
+/// The [`small_tile`] instance for a tile of `rows ≤ SR` rows.
+fn tile_for<const FULL: bool>(rows: usize) -> SmallTile {
+    match rows {
+        1 => small_tile::<1, FULL>,
+        2 => small_tile::<2, FULL>,
+        3 => small_tile::<3, FULL>,
+        4 => small_tile::<4, FULL>,
+        5 => small_tile::<5, FULL>,
+        _ => small_tile::<SR, FULL>,
+    }
+}
+
+/// One `R`-row tile of [`small_acc`] at output `(i0, j0)`: `SN` columns
+/// wide when `FULL`, else the `m − j0 < SN` columns of the right edge.
+/// The edge runs full `SN` lanes against a zero-padded copy of each `B`
+/// segment and stores only the live columns, so the discarded lanes
+/// cannot leak.
+fn small_tile<const R: usize, const FULL: bool>(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    i0: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
+    let w = if FULL { SN } else { m - j0 };
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    let mut acc = [[0.0f32; SN]; R];
+    for (kk, brow) in b.chunks_exact(m).take(k).enumerate() {
+        let mut seg = [0.0f32; SN];
+        seg[..w].copy_from_slice(&brow[j0..j0 + w]);
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[kk];
+            for j in 0..SN {
+                accr[j] = fmadd(av, seg[j], accr[j]);
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        let o = (i0 + r) * m + j0;
+        out[o..o + w].copy_from_slice(&accr[..w]);
+    }
 }
 
 /// Reference `A · Bᵀ` where `a` is `n×k` and `b` is `m×k`, in canonical
@@ -235,12 +329,28 @@ fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 ///
 /// Small products never touch (or lazily spawn) the pool at all.
 pub fn gemm(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m];
+    gemm_acc(a, b, n, k, m, &mut out);
+    out
+}
+
+/// [`gemm`] written into a caller-owned `n·m` buffer (overwritten): the
+/// same path selection, dispatch counters and per-element fold, with no
+/// output allocation. The tape-free decode step runs its projections
+/// through this into per-decode scratch.
+pub fn gemm_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), n * m, "gemm_into output must hold n·m values");
+    out.fill(0.0);
+    gemm_acc(a, b, n, k, m, out);
+}
+
+/// Path selection shared by [`gemm`] and [`gemm_into`]; `out` is zeroed.
+fn gemm_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     if select(n, k, m, 1) == KernelPath::Naive {
-        SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
-        dispatch().naive.inc();
-        return naive(a, b, n, k, m);
+        small_acc(a, b, n, k, m, out);
+    } else {
+        gemm_on_acc(Pool::global(), a, b, n, k, m, out);
     }
-    gemm_on(Pool::global(), a, b, n, k, m)
 }
 
 /// `A · Bᵀ` (`a` is `n×k`, `b` is `m×k`) with automatic path selection.
@@ -276,17 +386,16 @@ pub fn gemm_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
 /// [`gemm`] with an explicit pool (tests and benchmarks pin thread
 /// counts through this).
 pub fn gemm_on(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m];
+    gemm_on_acc(pool, a, b, n, k, m, &mut out);
+    out
+}
+
+/// [`gemm_on`] accumulating into a zeroed `n·m` buffer.
+fn gemm_on_acc(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     match select(n, k, m, pool.threads()) {
-        KernelPath::Naive => {
-            SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
-            dispatch().naive.inc();
-            naive(a, b, n, k, m)
-        }
-        KernelPath::Blocked => {
-            SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
-            dispatch().blocked.inc();
-            blocked(a, b, n, k, m)
-        }
+        KernelPath::Naive => small_acc(a, b, n, k, m, out),
+        KernelPath::Blocked => blocked_acc(a, b, n, k, m, out),
         KernelPath::Parallel { chunks } => {
             // Fan-out beyond the machine's physical parallelism only
             // adds context switches and extra packed-panel re-walks (the
@@ -299,14 +408,19 @@ pub fn gemm_on(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) 
             let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
             let chunks = chunks.min(hw);
             if chunks < 2 {
-                SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
-                dispatch().blocked.inc();
-                blocked(a, b, n, k, m)
+                blocked_acc(a, b, n, k, m, out);
             } else {
-                parallel(pool, chunks, hw.saturating_sub(1), a, b, n, k, m)
+                parallel(pool, chunks, hw.saturating_sub(1), a, b, n, k, m, out);
             }
         }
     }
+}
+
+/// The counted blocked-serial dispatch arm; `out` is zeroed.
+fn blocked_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
+    dispatch().blocked.inc();
+    blocked_rows(a, &pack_b(b, k, m), k, m, 0, n, out);
 }
 
 /// Blocked serial kernel: pack `B` once, run every row on the caller.
@@ -334,7 +448,9 @@ pub fn gemm_chunked(
 ) -> Vec<f32> {
     // No hardware cap here: equivalence tests force worker involvement
     // so the claim/gather path is exercised whatever the host machine.
-    parallel(pool, chunks, usize::MAX, a, b, n, k, m)
+    let mut out = vec![0.0f32; n * m];
+    parallel(pool, chunks, usize::MAX, a, b, n, k, m, &mut out);
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -538,9 +654,9 @@ fn partition(n: usize, chunks: usize) -> Vec<(usize, usize)> {
 }
 
 /// Pack `B` once, fan row ranges out over the pool, and assemble the
-/// output: caller-computed ranges are written directly into the result
-/// buffer, worker-computed ranges come back over a bounded channel and
-/// are copied into place.
+/// output in the zeroed `out`: caller-computed ranges are written
+/// directly into it, worker-computed ranges come back over a bounded
+/// channel and are copied into place.
 ///
 /// Work is distributed help-first: the fixed ranges sit behind a shared
 /// claim counter, `threads − 1` pool workers loop claiming ranges, and
@@ -563,7 +679,8 @@ fn parallel(
     n: usize,
     k: usize,
     m: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     PARALLEL_CALLS.fetch_add(1, Ordering::Relaxed);
     dispatch().parallel.inc();
     let ranges = Arc::new(partition(n, chunks));
@@ -599,7 +716,6 @@ fn parallel(
 
     // The caller races the workers for ranges instead of idling, and
     // writes its ranges straight into the output — no splice for them.
-    let mut out = vec![0.0f32; n * m];
     let mut done: Vec<bool> = ranges.iter().map(|_| false).collect();
     let mut pending = ranges.len();
     loop {
@@ -637,7 +753,6 @@ fn parallel(
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -670,6 +785,21 @@ mod tests {
             let a = fill(n * k, 1);
             let b = fill(k * m, 2);
             assert_bitwise(&naive(&a, &b, n, k, m), &blocked(&a, &b, n, k, m));
+        }
+    }
+
+    #[test]
+    fn small_product_tile_matches_naive_bitwise() {
+        // Every row-tile height (1..=SR, then a second tile), exact and
+        // ragged tile widths, and the narrower-than-a-tile fallback.
+        for n in 1..=2 * SR + 1 {
+            for &(k, m) in &[(48, SN), (48, SN + 1), (7, 3 * SN), (96, 130), (33, SN - 1)] {
+                let a = fill(n * k, 14);
+                let b = fill(k * m, 15);
+                let mut out = vec![0.0f32; n * m];
+                small_acc(&a, &b, n, k, m, &mut out);
+                assert_bitwise(&naive(&a, &b, n, k, m), &out);
+            }
         }
     }
 
@@ -742,6 +872,21 @@ mod tests {
                 }
                 assert_eq!(next, n);
             }
+        }
+    }
+
+    #[test]
+    fn gemm_into_overwrites_with_the_same_bits_on_every_path() {
+        // Naive (decode-step) and blocked shapes; stale buffer contents
+        // must not leak into the product.
+        for &(n, k, m) in &[(1, 48, 48), (5, 48, 130), (8, 96, 48), (64, 64, 64)] {
+            let a = fill(n * k, 12);
+            let b = fill(k * m, 13);
+            let mut out = vec![7.5f32; n * m];
+            let before = counters();
+            gemm_into(&a, &b, n, k, m, &mut out);
+            assert!(counters().serial > before.serial, "gemm_into is counted");
+            assert_bitwise(&gemm(&a, &b, n, k, m), &out);
         }
     }
 

@@ -36,12 +36,13 @@
 //!
 //! ## KV rows
 //!
-//! [`QRows`] is the quantized row store behind the decoder's KV cache:
-//! each appended f32 row is stored as int8 plus one per-row scale, a ~4×
-//! footprint reduction, and dequantized on attention read. Per-row (not
-//! per-cache) scales matter here because K/V row magnitudes drift over a
-//! long decode; a single early outlier must not crush the resolution of
-//! every later step.
+//! The decoder's int8 KV arena (`qrec_nn::incremental`) stores each
+//! appended f32 row with the same two primitives — [`calibrate`] for a
+//! per-row scale, [`quantize_one`] per value — a ~4× footprint reduction,
+//! and attention dequantizes on read as `f32::from(q) * scale`. Per-row
+//! (not per-cache) scales matter there because K/V row magnitudes drift
+//! over a long decode; a single early outlier must not crush the
+//! resolution of every later step.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -258,6 +259,16 @@ pub fn qselect(n: usize) -> Qi8Path {
 // Quantized GEMM
 // ---------------------------------------------------------------------
 
+/// Reusable buffers for the per-call activation quantization of
+/// [`qgemm_into`]: the int8 activation rows and their scales. A caller
+/// that runs many products (one decode) keeps one of these so no step
+/// allocates; buffers grow to the largest `n·k` seen and stay there.
+#[derive(Debug, Clone, Default)]
+pub struct QScratch {
+    qa: Vec<i8>,
+    scales: Vec<f32>,
+}
+
 /// `n×k` f32 activations times a pre-packed quantized `k×m` weight,
 /// with dynamic per-row activation quantization: `out[i][j] =
 /// (a_scale[i] · b_scale) · Σ_kk qa[i][kk]·qb[kk][j]`, the inner sum in
@@ -265,54 +276,62 @@ pub fn qselect(n: usize) -> Qi8Path {
 ///
 /// `a.len()` must be `n · qb.k()`; the result is row-major `n × qb.m()`.
 pub fn qgemm(a: &[f32], qb: &QPackedB, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * qb.m];
+    qgemm_into(a, qb, n, &mut out, &mut QScratch::default());
+    out
+}
+
+/// [`qgemm`] written into a caller-owned `n · qb.m()` buffer
+/// (overwritten), quantizing activations into `scratch`: the same path
+/// selection, dispatch counters and bits, with no allocation once
+/// `scratch` has grown to the call's shape.
+pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32], scratch: &mut QScratch) {
     let k = qb.k;
-    let m = qb.m;
+    assert_eq!(a.len(), n * k, "qgemm activations must hold n·k values");
+    assert_eq!(out.len(), n * qb.m, "qgemm output must hold n·m values");
     // Dynamic per-row activation quantization: one scale per row keeps
     // a large logit row from crushing a small one's resolution.
-    let mut qa = vec![0i8; n * k];
-    let mut a_scales = vec![0.0f32; n];
+    scratch.qa.resize(n * k, 0);
+    scratch.scales.resize(n, 0.0);
     for i in 0..n {
         let row = &a[i * k..(i + 1) * k];
         let s = calibrate(row);
-        a_scales[i] = s;
-        for (q, &x) in qa[i * k..(i + 1) * k].iter_mut().zip(row) {
+        scratch.scales[i] = s;
+        for (q, &x) in scratch.qa[i * k..(i + 1) * k].iter_mut().zip(row) {
             *q = quantize_one(x, s);
         }
     }
-
-    let mut acc = vec![0i32; n * m];
+    if k == 0 {
+        out.fill(0.0);
+    }
     match qselect(n) {
         Qi8Path::Serial => {
             SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
             dispatch().serial.inc();
-            q_rows_serial(&qa, qb, 0, n, &mut acc);
+            q_rows_serial(&scratch.qa, &scratch.scales, qb, 0, n, out);
         }
         Qi8Path::Blocked => {
             BLOCKED_CALLS.fetch_add(1, Ordering::Relaxed);
             dispatch().blocked.inc();
-            q_rows_blocked(&qa, qb, 0, n, &mut acc);
+            q_rows_blocked(&scratch.qa, &scratch.scales, qb, n, out);
         }
     }
-
-    let mut out = vec![0.0f32; n * m];
-    for i in 0..n {
-        let c = a_scales[i] * qb.scale;
-        for (o, &v) in out[i * m..(i + 1) * m]
-            .iter_mut()
-            .zip(&acc[i * m..(i + 1) * m])
-        {
-            *o = c * v as f32;
-        }
-    }
-    out
 }
 
-/// Per-row serial loop: each output element is one contiguous dot
-/// product of an activation row against a stored column. No tiling
-/// overhead — this is the 1×d decode fast path, and the plain
-/// `zip`/`sum` shape is exactly what the auto-vectorizer lowers to
-/// widening multiply-adds.
-fn q_rows_serial(qa: &[i8], pb: &QPackedB, r0: usize, r1: usize, acc: &mut [i32]) {
+/// Per-row serial loop over rows `r0..r1`, writing from the start of
+/// `out`: each output element is one contiguous dot product of an
+/// activation row against a stored column, converted to `f32` once at
+/// the edge. No tiling overhead — this is the 1×d decode fast path, and
+/// the plain `zip`/`sum` shape is exactly what the auto-vectorizer
+/// lowers to widening multiply-adds.
+fn q_rows_serial(
+    qa: &[i8],
+    a_scales: &[f32],
+    pb: &QPackedB,
+    r0: usize,
+    r1: usize,
+    out: &mut [f32],
+) {
     let k = pb.k;
     let m = pb.m;
     if k == 0 {
@@ -320,35 +339,38 @@ fn q_rows_serial(qa: &[i8], pb: &QPackedB, r0: usize, r1: usize, acc: &mut [i32]
     }
     for i in r0..r1 {
         let arow = &qa[i * k..(i + 1) * k];
-        let orow = &mut acc[(i - r0) * m..(i - r0 + 1) * m];
+        let c = a_scales[i] * pb.scale;
+        let orow = &mut out[(i - r0) * m..(i - r0 + 1) * m];
         for (o, col) in orow.iter_mut().zip(pb.data.chunks_exact(k)) {
-            *o = arow
+            let acc: i32 = arow
                 .iter()
                 .zip(col)
                 .map(|(&x, &y)| i32::from(x) * i32::from(y))
                 .sum();
+            *o = c * acc as f32;
         }
     }
 }
 
-/// MR-row tile: each stored column is streamed once per tile and dotted
-/// against MR activation rows in lockstep, quartering the traffic over
-/// `B` relative to the per-row loop; leftover rows (fewer than MR) fall
-/// back to the serial loop. Same exact i32 sums, so both paths produce
-/// identical bits.
-fn q_rows_blocked(qa: &[i8], pb: &QPackedB, r0: usize, r1: usize, acc: &mut [i32]) {
+/// MR-row tile over rows `0..n`: each stored column is streamed once per
+/// tile and dotted against MR activation rows in lockstep, quartering
+/// the traffic over `B` relative to the per-row loop; leftover rows
+/// (fewer than MR) fall back to the serial loop. Same exact i32 sums, so
+/// both paths produce identical bits.
+fn q_rows_blocked(qa: &[i8], a_scales: &[f32], pb: &QPackedB, n: usize, out: &mut [f32]) {
     let k = pb.k;
     let m = pb.m;
     if k == 0 {
         return;
     }
-    let mut i = r0;
-    while i + MR <= r1 {
+    let mut i = 0;
+    while i + MR <= n {
         let a0 = &qa[i * k..(i + 1) * k];
         let a1 = &qa[(i + 1) * k..(i + 2) * k];
         let a2 = &qa[(i + 2) * k..(i + 3) * k];
         let a3 = &qa[(i + 3) * k..(i + 4) * k];
-        let o0 = (i - r0) * m;
+        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|r| a_scales[i + r] * pb.scale);
+        let o0 = i * m;
         for (j, col) in pb.data.chunks_exact(k).enumerate() {
             let mut s0 = 0i32;
             let mut s1 = 0i32;
@@ -362,86 +384,15 @@ fn q_rows_blocked(qa: &[i8], pb: &QPackedB, r0: usize, r1: usize, acc: &mut [i32
                 s2 += i32::from(x2) * b;
                 s3 += i32::from(x3) * b;
             }
-            acc[o0 + j] = s0;
-            acc[o0 + m + j] = s1;
-            acc[o0 + 2 * m + j] = s2;
-            acc[o0 + 3 * m + j] = s3;
+            out[o0 + j] = c0 * s0 as f32;
+            out[o0 + m + j] = c1 * s1 as f32;
+            out[o0 + 2 * m + j] = c2 * s2 as f32;
+            out[o0 + 3 * m + j] = c3 * s3 as f32;
         }
         i += MR;
     }
-    if i < r1 {
-        q_rows_serial(qa, pb, i, r1, &mut acc[(i - r0) * m..]);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Quantized KV rows
-// ---------------------------------------------------------------------
-
-/// An append-only store of int8-quantized rows with one scale per row —
-/// the decode KV cache's resident form (~4× smaller than f32 rows).
-///
-/// Rows are quantized on append and dequantized on read; per-row scales
-/// keep each step's K/V projection at full int8 resolution regardless of
-/// magnitude drift across the decode.
-#[derive(Debug, Clone, Default)]
-pub struct QRows {
-    cols: usize,
-    data: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QRows {
-    /// An empty store of `cols`-wide rows.
-    pub fn new(cols: usize) -> QRows {
-        QRows {
-            cols,
-            data: Vec::new(),
-            scales: Vec::new(),
-        }
-    }
-
-    /// Number of resident rows.
-    pub fn rows(&self) -> usize {
-        self.scales.len()
-    }
-
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// True when no rows are resident.
-    pub fn is_empty(&self) -> bool {
-        self.scales.is_empty()
-    }
-
-    /// Quantize `row` (must be `cols` wide) under its own scale and
-    /// append it.
-    pub fn push_row(&mut self, row: &[f32]) {
-        debug_assert_eq!(row.len(), self.cols);
-        let s = calibrate(row);
-        self.scales.push(s);
-        self.data.extend(row.iter().map(|&x| quantize_one(x, s)));
-    }
-
-    /// Dequantize every resident row into a row-major `rows×cols` f32
-    /// buffer (the attention read path).
-    pub fn dequant(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.data.len());
-        for (i, &s) in self.scales.iter().enumerate() {
-            out.extend(
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|&q| f32::from(q) * s),
-            );
-        }
-        out
-    }
-
-    /// Resident bytes (quantized data + per-row scales).
-    pub fn resident_bytes(&self) -> usize {
-        self.data.len() + self.scales.len() * 4
+    if i < n {
+        q_rows_serial(qa, a_scales, pb, i, n, &mut out[i * m..]);
     }
 }
 
@@ -582,34 +533,17 @@ mod tests {
     }
 
     #[test]
-    fn qrows_round_trip_and_footprint() {
-        let mut rows = QRows::new(16);
-        assert!(rows.is_empty());
-        for step in 0..20 {
-            // Magnitudes drift upward across steps: per-row scales must
-            // keep early rows accurate anyway.
-            let row: Vec<f32> = fill(16, step)
-                .iter()
-                .map(|v| v * (step + 1) as f32)
-                .collect();
-            rows.push_row(&row);
+    fn qgemm_into_reuses_scratch_across_shapes_with_the_same_bits() {
+        let mut scratch = QScratch::default();
+        // Growing then shrinking shapes through one scratch; stale output
+        // and stale scratch rows must not leak.
+        for &(n, k, m) in &[(5, 48, 130), (1, 96, 48), (8, 48, 48), (3, 7, 9)] {
+            let a = fill(n * k, 8);
+            let qb = QPackedB::from_f32(&fill(k * m, 9), k, m);
+            let mut out = vec![7.5f32; n * m];
+            qgemm_into(&a, &qb, n, &mut out, &mut scratch);
+            assert_bitwise(&qgemm(&a, &qb, n), &out);
         }
-        assert_eq!(rows.rows(), 20);
-        assert_eq!(rows.cols(), 16);
-        let dq = rows.dequant();
-        assert_eq!(dq.len(), 20 * 16);
-        for step in 0..20 {
-            let row: Vec<f32> = fill(16, step)
-                .iter()
-                .map(|v| v * (step + 1) as f32)
-                .collect();
-            let s = calibrate(&row);
-            for (a, b) in row.iter().zip(&dq[step * 16..(step + 1) * 16]) {
-                assert!((a - b).abs() <= s * 0.5 + 1e-6, "step {step}: {a} vs {b}");
-            }
-        }
-        // int8 data + one f32 scale per row, vs 4 bytes per f32 element.
-        assert!(rows.resident_bytes() * 3 < 20 * 16 * 4);
     }
 
     #[test]

@@ -313,18 +313,7 @@ impl Tensor {
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for x in row.iter_mut() {
-                *x = (*x - max).exp();
-                sum += *x;
-            }
-            if sum > 0.0 {
-                for x in row.iter_mut() {
-                    *x /= sum;
-                }
-            }
+            softmax_in_place(out.row_mut(r));
         }
         out
     }
@@ -431,6 +420,35 @@ impl Tensor {
             other.shape()
         );
     }
+}
+
+/// Numerically stabilised softmax of one row, in place — the one
+/// definition behind [`Tensor::softmax_rows`] and the decoder's tape-free
+/// attention, so both round identically.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
+}
+
+/// Mean and `1/σ` (`σ² = var + 1e-5`) of one row — the statistics half
+/// of layer normalisation, `y = γ ⊙ (x − μ)/σ + β`. The one definition
+/// behind [`crate::Graph::layer_norm`] and the decoder's tape-free step,
+/// so both round identically.
+pub fn layer_norm_stats(row: &[f32]) -> (f32, f32) {
+    const EPS: f32 = 1e-5;
+    let d = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / d;
+    let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / d;
+    (mean, 1.0 / (var + EPS).sqrt())
 }
 
 #[cfg(test)]

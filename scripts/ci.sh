@@ -37,6 +37,18 @@ cargo test --offline -q -p qrec-serve --test restart_recovery
 echo "==> int8 quant equivalence smoke (agreement gate + QREC_THREADS 1/2/8 reruns)"
 cargo test --offline -q -p qrec-nn --test quant_equivalence
 
+echo "==> decode equivalence under the release profile"
+# The suite above ran it unoptimised; the bitwise contract must also hold
+# for the code that ships: optimised and autovectorised.
+cargo test --offline -q --release -p qrec-nn --test decode_equivalence
+
+echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)"
+# `cargo test --workspace` and clippy never compile bench_e2e, so an API
+# break in qrec-nn/qrec-tensor/qrec-serve would otherwise first surface in
+# the benchmark run itself.
+cargo test --offline -q --manifest-path bench_e2e/Cargo.toml
+cargo run --offline --release --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke >/dev/null
+
 echo "==> serve front-end suites vs the event loop (incl. lock-order sanitizer)"
 # The event loop is the default front end, so these suites exercise it
 # end-to-end: protocol integration, framing robustness (partial frames,
