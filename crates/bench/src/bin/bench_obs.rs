@@ -73,11 +73,9 @@ fn train_tiny(seed: u64) -> Recommender {
 /// window so every timed request hits.
 fn server_config() -> ServerConfig {
     ServerConfig {
-        conn_threads: 2,
         engine: EngineConfig {
             workers: 1,
             queue_cap: 64,
-            max_batch: 4,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),

@@ -18,13 +18,15 @@
 //! speedup. Results go to `BENCH_quant.json` at the repo root (or
 //! `target/BENCH_quant_smoke.json` under `--smoke`).
 //!
-//! Each (scenario, path) timing runs in its **own child process**
-//! (`--time-one`): once a process has decoded with the int8 sidecar,
-//! later f32 decodes in that process measure up to ~4× slower (heap
-//! placement shifts, not algorithmic cost), so in-process A/B numbers
-//! are contaminated in whichever order the candidates run. Per-process
-//! isolation also mirrors serving reality: `QuantMode` is fixed at
-//! boot, a server never interleaves the two representations.
+//! Everything is timed in this process, in the order f32 → int8 → f32:
+//! every scenario's f32 decode first (before any int8 decode has run),
+//! then per scenario the int8 decode and the f32 decode once more. The
+//! second f32 pass is a check, not a result: a full run fails when the
+//! geometric mean over scenarios of `f32 best-of after int8 / f32
+//! best-of before` exceeds [`F32_AFTER_INT8_MAX`] — a process that has
+//! decoded with the int8 sidecar must not leave later f32 decodes
+//! slower. (One scenario's ratio alone moves 0.83–1.23× between runs on
+//! a shared 2-vCPU box; the effect looked for would move all of them.)
 
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_nn::decode::{decode, Strategy, SOS};
@@ -40,6 +42,9 @@ use std::process::ExitCode;
 
 const SRC: [usize; 7] = [SOS, 4, 9, 5, 7, 3, 2];
 const TOP_K: usize = 5;
+/// Largest accepted geomean `f32 after int8 / f32 before int8` best-of
+/// ratio.
+const F32_AFTER_INT8_MAX: f64 = 1.15;
 
 /// An untrained model with near-uniform output distributions: decodes
 /// run to the length cap, which is what a throughput benchmark needs.
@@ -203,6 +208,8 @@ struct Row {
     tokens: usize,
     f32_time: RepStats,
     quant_time: RepStats,
+    /// f32 best-of re-timed after the int8 decodes, over `f32_time`'s.
+    f32_after_over_before: f64,
     topk_agreement: f64,
     f32_bytes: usize,
     quant_bytes: usize,
@@ -228,6 +235,7 @@ impl Row {
             "f32_percentiles": self.f32_time.to_json(),
             "quant_percentiles": self.quant_time.to_json(),
             "speedup": self.speedup(),
+            "f32_after_over_before": self.f32_after_over_before,
             "topk_agreement": self.topk_agreement,
             "f32_resident_bytes": self.f32_bytes,
             "quant_resident_bytes": self.quant_bytes,
@@ -236,28 +244,15 @@ impl Row {
     }
 }
 
-/// Child-process entry: time one (scenario, path) pair and print the
-/// `RepStats` JSON fragment on stdout.
-fn time_one(smoke: bool, scenario_idx: usize, quantized: bool) -> Result<(), String> {
-    let (fp, model) = bench_model(smoke);
-    let params = if quantized {
-        let mut qp = fp.clone();
-        qp.quantize();
-        qp
-    } else {
-        fp
-    };
-    let all = scenarios(smoke);
-    let s = all
-        .get(scenario_idx)
-        .ok_or_else(|| format!("scenario index {scenario_idx} out of range"))?;
+/// Best-of and percentiles of one scenario's decode over `params`.
+fn time_decode(s: &Scenario, model: &Transformer, params: &Params, smoke: bool) -> RepStats {
     let budget = if smoke { 0.1 } else { 3.0 };
     let reps = if smoke { 4 } else { 40 };
-    let stats = time_stats(
+    time_stats(
         &mut [&mut || {
             black_box(decode(
-                &model,
-                &params,
+                model,
+                params,
                 &SRC,
                 s.strategy,
                 s.max_len,
@@ -266,58 +261,19 @@ fn time_one(smoke: bool, scenario_idx: usize, quantized: bool) -> Result<(), Str
         }],
         budget,
         reps,
-    )[0];
-    let line = serde_json::to_string(&stats.to_json()).map_err(|e| format!("serialise: {e}"))?;
-    println!("{line}");
-    Ok(())
+    )[0]
 }
 
-/// Run one (scenario, path) timing in a fresh child process and parse
-/// the `RepStats` it prints.
-fn child_time(smoke: bool, scenario_idx: usize, quantized: bool) -> Result<RepStats, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut cmd = std::process::Command::new(exe);
-    cmd.arg("--time-one")
-        .arg(scenario_idx.to_string())
-        .arg(if quantized { "int8" } else { "f32" });
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    let out = cmd.output().map_err(|e| format!("spawn child: {e}"))?;
-    if !out.status.success() {
-        return Err(format!(
-            "child timing failed ({}): {}",
-            out.status,
-            String::from_utf8_lossy(&out.stderr)
-        ));
-    }
-    let v: serde_json::Value =
-        serde_json::from_slice(&out.stdout).map_err(|e| format!("parse child stats: {e}"))?;
-    let f = |key: &str| {
-        v.as_object()
-            .and_then(|o| o.get(key))
-            .and_then(serde_json::Value::as_f64)
-    };
-    match (f("best_s"), f("p50_s"), f("p95_s"), f("p99_s"), f("reps")) {
-        (Some(best_s), Some(p50_s), Some(p95_s), Some(p99_s), Some(reps)) => Ok(RepStats {
-            best_s,
-            p50_s,
-            p95_s,
-            p99_s,
-            reps: reps as u64,
-        }),
-        _ => Err("child stats missing fields".into()),
-    }
-}
-
+/// The int8 half of a scenario, given its f32 timing from before any
+/// int8 decode ran.
 fn bench_scenario(
     s: &Scenario,
-    s_idx: usize,
+    f32_time: RepStats,
     fp: &Params,
     qp: &Params,
     model: &Transformer,
     smoke: bool,
-) -> Result<Row, String> {
+) -> Row {
     let seed = 17u64;
     let f_hyps = decode(
         model,
@@ -349,23 +305,20 @@ fn bench_scenario(
     let f32_bytes = model_resident_bytes(fp) + kv_resident_bytes(model, fp, s.batch, steps);
     let quant_bytes = model_resident_bytes(qp) + kv_resident_bytes(model, qp, s.batch, steps);
 
-    // Each path times in its own child process (see module docs): once
-    // int8 has run in a process, later f32 decodes there measure far
-    // slower than a pure-f32 process would, so in-process A/B minima
-    // are not comparable.
-    let f32_time = child_time(smoke, s_idx, false)?;
-    let quant_time = child_time(smoke, s_idx, true)?;
-    Ok(Row {
+    let quant_time = time_decode(s, model, qp, smoke);
+    let f32_after = time_decode(s, model, fp, smoke);
+    Row {
         label: s.label,
         strategy: format!("{:?}", s.strategy),
         max_len: s.max_len,
         tokens,
         f32_time,
         quant_time,
+        f32_after_over_before: f32_after.best_s / f32_time.best_s,
         topk_agreement: agreement,
         f32_bytes,
         quant_bytes,
-    })
+    }
 }
 
 fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
@@ -380,13 +333,21 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
 
     eprintln!("bench_quant: mode={}", if smoke { "smoke" } else { "full" });
     let (fp, model) = bench_model(smoke);
+
+    let scenarios = scenarios(smoke);
+    let f32_before: Vec<RepStats> = scenarios
+        .iter()
+        .map(|s| {
+            eprintln!("  timing {} (f32) ...", s.label);
+            time_decode(s, &model, &fp, smoke)
+        })
+        .collect();
     let mut qp = fp.clone();
     qp.quantize();
-
     let mut rows = Vec::new();
-    for (s_idx, s) in scenarios(smoke).iter().enumerate() {
-        eprintln!("  timing {} ...", s.label);
-        rows.push(bench_scenario(s, s_idx, &fp, &qp, &model, smoke)?);
+    for (s, &f32_time) in scenarios.iter().zip(&f32_before) {
+        eprintln!("  timing {} (int8, then f32 again) ...", s.label);
+        rows.push(bench_scenario(s, f32_time, &fp, &qp, &model, smoke));
     }
 
     // Headline numbers the acceptance gate reads: beam-8 speedup and
@@ -400,6 +361,11 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         .iter()
         .map(|r| r.topk_agreement)
         .fold(f64::INFINITY, f64::min);
+    let after_over_before = rows
+        .iter()
+        .map(|r| r.f32_after_over_before)
+        .product::<f64>()
+        .powf(1.0 / rows.len() as f64);
 
     let report = json!({
         "benchmark": "qrec-nn int8 weight-quantized decode vs f32",
@@ -408,6 +374,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "beam8_speedup_vs_f32": if smoke { json!(null) } else { json!(beam8_speedup) },
         "beam8_mem_ratio": if smoke { json!(null) } else { json!(beam8_mem_ratio) },
         "min_topk_agreement": min_agreement,
+        "f32_after_over_before_geomean": after_over_before,
     });
 
     if let Some(dir) = out.parent() {
@@ -451,14 +418,21 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         println!("beam-8 model+KV memory ratio: {beam8_mem_ratio:.2}x");
     }
     println!("min top-5 agreement: {min_agreement:.4}");
+    println!("f32 after/before int8 (geomean): {after_over_before:.2}x");
     println!("[results written to {}]", out.display());
+    // Smoke decodes last microseconds; their best-of ratio is noise.
+    if !smoke && after_over_before > F32_AFTER_INT8_MAX {
+        return Err(format!(
+            "f32 decode is {after_over_before:.2}x slower after int8 decodes \
+             in the same process (limit {F32_AFTER_INT8_MAX}x)"
+        ));
+    }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let mut smoke = false;
     let mut out = None;
-    let mut time_one_args: Option<(usize, bool)> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -467,16 +441,6 @@ fn main() -> ExitCode {
                 Some(p) => out = Some(PathBuf::from(p)),
                 None => {
                     eprintln!("missing value for --out");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // Internal child-process mode: time one (scenario, path).
-            "--time-one" => match (it.next().map(|s| s.parse::<usize>()), it.next()) {
-                (Some(Ok(idx)), Some(path)) if path == "f32" || path == "int8" => {
-                    time_one_args = Some((idx, path == "int8"));
-                }
-                _ => {
-                    eprintln!("usage: bench_quant --time-one IDX f32|int8 [--smoke]");
                     return ExitCode::FAILURE;
                 }
             },
@@ -490,11 +454,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let result = match time_one_args {
-        Some((idx, quantized)) => time_one(smoke, idx, quantized),
-        None => run(smoke, out),
-    };
-    match result {
+    match run(smoke, out) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("bench_quant failed: {msg}");

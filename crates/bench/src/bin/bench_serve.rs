@@ -1,10 +1,10 @@
-//! `bench_serve` — front-end connection scaling: event loop versus
-//! thread pool (README "Serving", DESIGN.md §16).
+//! `bench_serve` — connection scaling of the event-loop front end
+//! (README "Serving", DESIGN.md §16).
 //!
 //! ```text
 //! bench_serve [--smoke] [--out PATH]
-//! bench_serve --server-child --frontend F --conn-threads N ...   (internal)
-//! bench_serve --client-child --addr A --conns N ...              (internal)
+//! bench_serve --server-child --max-conns N            (internal)
+//! bench_serve --client-child --addr A --conns N ...   (internal)
 //! ```
 //!
 //! The orchestrator spawns the server and the load as *separate
@@ -14,8 +14,8 @@
 //! - **Connection scaling** (closed loop): N client processes × M
 //!   connections, one outstanding `RECOMMEND` per connection, warmed
 //!   cache. Rows report throughput and p50/p95/p99 latency per
-//!   front end and connection count, plus the server's thread count
-//!   under load — the number the event loop exists to bound.
+//!   connection count, plus the server's thread count under load — the
+//!   number the event loop exists to bound.
 //! - **Open loop**: each connection fires at a fixed interval,
 //!   regardless of responses (pipelined up to the protocol's cap), so
 //!   queueing delay shows up as latency instead of reduced offered
@@ -37,7 +37,7 @@
 
 use polling::{Events, Interest, Poller, Token};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
-use qrec_serve::{EngineConfig, FrameBuf, Frontend, Server, ServerConfig};
+use qrec_serve::{EngineConfig, FrameBuf, Server, ServerConfig};
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
@@ -94,15 +94,12 @@ fn train_tiny(seed: u64) -> Recommender {
 
 /// Child process hosting the server: prints `READY <addr>` once bound,
 /// serves until a client sends SHUTDOWN.
-fn run_server_child(frontend: Frontend, conn_threads: usize, max_conns: usize) -> ExitCode {
+fn run_server_child(max_conns: usize) -> ExitCode {
     let cfg = ServerConfig {
-        frontend,
-        conn_threads,
         max_connections: max_conns,
         engine: EngineConfig {
             workers: 1,
             queue_cap: 4096,
-            max_batch: 16,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
@@ -387,22 +384,10 @@ struct ServerHandle {
     addr: String,
 }
 
-fn spawn_server(
-    frontend: &str,
-    conn_threads: usize,
-    max_conns: usize,
-) -> Result<ServerHandle, String> {
+fn spawn_server(max_conns: usize) -> Result<ServerHandle, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut child = Command::new(exe)
-        .args([
-            "--server-child",
-            "--frontend",
-            frontend,
-            "--conn-threads",
-            &conn_threads.to_string(),
-            "--max-conns",
-            &max_conns.to_string(),
-        ])
+        .args(["--server-child", "--max-conns", &max_conns.to_string()])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -540,18 +525,13 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// One closed- or open-loop scaling row against a fresh server.
-#[allow(clippy::too_many_arguments)]
 fn bench_row(
-    frontend: &str,
     conns: usize,
     duration_ms: u64,
     mode: &str,
     interval_us: u64,
 ) -> Result<serde_json::Value, String> {
-    // The thread pool gets one handler thread per connection — its
-    // fair configuration, and exactly the cost the row documents.
-    let conn_threads = if frontend == "threadpool" { conns } else { 4 };
-    let server = spawn_server(frontend, conn_threads, 32 * 1024)?;
+    let server = spawn_server(32 * 1024)?;
     let processes = if conns >= 64 { 2 } else { 1 };
     let conns_each = conns / processes;
     let warmup_ms = duration_ms / 4;
@@ -574,7 +554,6 @@ fn bench_row(
     lat.sort_unstable();
     let measured_s = (duration_ms - warmup_ms) as f64 / 1e3;
     Ok(json!({
-        "frontend": frontend,
         "mode": mode,
         "conns": conns,
         "client_processes": processes,
@@ -593,7 +572,7 @@ fn bench_row(
 /// The idle herd: `conns` silent connections held open while a probe
 /// keeps getting answers.
 fn bench_idle(conns: usize, hold_ms: u64) -> Result<serde_json::Value, String> {
-    let server = spawn_server("eventloop", 4, conns + 64)?;
+    let server = spawn_server(conns + 64)?;
     let threads_before = server.threads();
     let clients = spawn_clients(&server.addr, 1, conns, hold_ms, 0, "idle", 0)?;
 
@@ -642,7 +621,7 @@ fn bench_idle(conns: usize, hold_ms: u64) -> Result<serde_json::Value, String> {
 /// The slow client: burst DUMPs, never read, expect the typed
 /// disconnect.
 fn bench_slow_client() -> Result<serde_json::Value, String> {
-    let server = spawn_server("eventloop", 4, 1024)?;
+    let server = spawn_server(1024)?;
     let mut stream = TcpStream::connect(&server.addr).map_err(|e| format!("slow connect: {e}"))?;
     // Enough multi-KiB DUMP responses to overflow the kernel socket
     // buffer plus the server's 1 MiB outbox hard cap several times
@@ -690,37 +669,29 @@ fn run(args: &Args) -> Result<(), String> {
         }
     });
 
-    // Thread-pool rows stop at 256 connections (256 OS threads on this
-    // box is already the pathology being documented); the event loop
-    // continues to 4× that.
-    let (tp_conns, el_conns, duration_ms): (&[usize], &[usize], u64) = if args.smoke {
-        (&[4], &[4], 1_000)
+    let (closed_conns, duration_ms): (&[usize], u64) = if args.smoke {
+        (&[4], 1_000)
     } else {
-        (&[16, 64, 256], &[16, 64, 256, 1024], 4_000)
+        (&[16, 64, 256, 1024], 4_000)
     };
 
     let mut rows = Vec::new();
-    for &conns in tp_conns {
-        eprintln!("bench_serve: threadpool, {conns} conns, closed loop ...");
-        rows.push(bench_row("threadpool", conns, duration_ms, "closed", 0)?);
+    for &conns in closed_conns {
+        eprintln!("bench_serve: {conns} conns, closed loop ...");
+        rows.push(bench_row(conns, duration_ms, "closed", 0)?);
     }
-    for &conns in el_conns {
-        eprintln!("bench_serve: eventloop, {conns} conns, closed loop ...");
-        rows.push(bench_row("eventloop", conns, duration_ms, "closed", 0)?);
-    }
-    // One open-loop row per front end at a moderate per-connection
-    // rate: ~200 req/s × 64 conns ≈ 12.8k offered rps.
+    // One open-loop row at a moderate per-connection rate:
+    // ~200 req/s × 64 conns ≈ 12.8k offered rps.
     let open_conns = if args.smoke { 4 } else { 64 };
-    for frontend in ["threadpool", "eventloop"] {
-        eprintln!("bench_serve: {frontend}, {open_conns} conns, open loop ...");
-        rows.push(bench_row(frontend, open_conns, duration_ms, "open", 5_000)?);
-    }
+    eprintln!("bench_serve: {open_conns} conns, open loop ...");
+    rows.push(bench_row(open_conns, duration_ms, "open", 5_000)?);
     for row in &rows {
         println!(
-            "{:<11} {:>5} conns [{}]  {:>9.0} rps  p50 {:>7}us  p95 {:>7}us  p99 {:>7}us  {:>4} threads",
-            field(row, &["frontend"]).and_then(|v| v.as_str()).unwrap_or("?"),
+            "{:>5} conns [{}]  {:>9.0} rps  p50 {:>7}us  p95 {:>7}us  p99 {:>7}us  {:>4} threads",
             field_u64(row, &["conns"]),
-            field(row, &["mode"]).and_then(|v| v.as_str()).unwrap_or("?"),
+            field(row, &["mode"])
+                .and_then(|v| v.as_str())
+                .unwrap_or("?"),
             field_f64(row, &["throughput_rps"]),
             field_u64(row, &["p50_us"]),
             field_u64(row, &["p95_us"]),
@@ -749,7 +720,7 @@ fn run(args: &Args) -> Result<(), String> {
     );
 
     let report = json!({
-        "benchmark": "qrec-serve front-end connection scaling (event loop vs thread pool)",
+        "benchmark": "qrec-serve event-loop front-end connection scaling",
         "smoke": args.smoke,
         "cpus": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         "rows": rows,
@@ -773,20 +744,10 @@ fn main() -> ExitCode {
             .and_then(|i| argv.get(i + 1).cloned())
     };
     if argv.iter().any(|a| a == "--server-child") {
-        let frontend = match Frontend::parse(&get("--frontend").unwrap_or_default()) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("bench_serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let conn_threads = get("--conn-threads")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4);
         let max_conns = get("--max-conns")
             .and_then(|v| v.parse().ok())
             .unwrap_or(8192);
-        return run_server_child(frontend, conn_threads, max_conns);
+        return run_server_child(max_conns);
     }
     if argv.iter().any(|a| a == "--client-child") {
         let addr = get("--addr").unwrap_or_default();

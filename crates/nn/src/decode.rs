@@ -80,7 +80,7 @@ pub fn counters() -> DecodeCounters {
 
 /// A small keyed LRU over encoder outputs.
 ///
-/// qrec-serve's micro-batcher interleaves sessions through one decode
+/// qrec-serve's decode workers interleave sessions through one decode
 /// engine, so a single-entry cache thrashes on every interleave; a few
 /// slots keyed by source tokens keep each session's encoder pass warm.
 /// Entries are `Arc`-shared with decode graphs, so a hit costs a
@@ -308,7 +308,7 @@ pub fn decode<M: Seq2Seq + ?Sized>(
 }
 
 /// [`decode`] against a caller-owned [`EncCache`], so repeated decodes
-/// over interleaved sources (qrec-serve's micro-batcher) reuse encoder
+/// over interleaved sources (qrec-serve's decode workers) reuse encoder
 /// passes across calls.
 #[must_use]
 #[allow(clippy::too_many_arguments)] // mirrors decode() plus the cache

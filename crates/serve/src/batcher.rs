@@ -1,16 +1,14 @@
-//! Micro-batching decode engine.
+//! Decode engine: a bounded queue in front of a pool of decode workers.
 //!
 //! Decode jobs flow through one bounded MPMC channel into a pool of
-//! worker threads. A worker blocks for the first job, then greedily
-//! drains up to `max_batch - 1` more without blocking, and serves the
-//! whole batch against a *single* registry read — one `(epoch, model)`
-//! snapshot per batch amortises registry traffic and keeps a batch
-//! internally consistent across a concurrent hot-swap.
+//! worker threads. A worker takes one job per `recv`, reads the
+//! registry once for it — one `(epoch, model)` snapshot, so the job is
+//! internally consistent across a concurrent hot-swap — and serves it;
+//! whichever worker is idle takes the next job.
 //!
 //! Backpressure is typed: submission uses `try_send`, and a full queue
 //! surfaces as [`ServeError::Overloaded`] immediately instead of
-//! blocking the connection handler — the client decides whether to
-//! retry.
+//! blocking the event loop — the client decides whether to retry.
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use qrec_nn::decode::EncCache;
@@ -35,7 +33,7 @@ pub struct DecodeRequest {
     pub tokens: Vec<String>,
     /// Fragments to return per kind.
     pub n: usize,
-    /// Flight-recorder trace riding with the request across the batcher
+    /// Flight-recorder trace riding with the request across the worker
     /// hand-off (`None` when the obs spine is disabled).
     pub trace: Option<Box<TraceContext>>,
 }
@@ -49,7 +47,7 @@ pub struct Recommendation {
     pub epoch: u64,
     /// True when the ranking came from the LRU cache.
     pub cached: bool,
-    /// The request's trace, carried back so the connection thread can
+    /// The request's trace, carried back so the submitter can
     /// finish it with the end-to-end duration.
     pub trace: Option<Box<TraceContext>>,
 }
@@ -65,33 +63,12 @@ pub type PrepareFn = Box<dyn FnOnce() -> Result<Vec<String>, ServeError> + Send>
 /// once on a worker thread with the job's result.
 pub type ReplyFn = Box<dyn FnOnce(Result<Recommendation, ServeError>) + Send>;
 
-/// How a job's result gets back to its submitter.
-enum Reply {
-    /// Blocking submitters wait on a channel ([`DecodeEngine::submit`]).
-    Channel(Sender<Result<Recommendation, ServeError>>),
-    /// The event loop supplies a callback that posts a completion
-    /// message and wakes the poller — no thread ever blocks.
-    Callback(ReplyFn),
-}
-
-impl Reply {
-    fn deliver(self, result: Result<Recommendation, ServeError>) {
-        match self {
-            // A dropped receiver (client gone) is fine; ignore the error.
-            Reply::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Reply::Callback(f) => f(result),
-        }
-    }
-}
-
 struct Job {
     req: DecodeRequest,
     /// Deferred session step; `None` when the submitter already
-    /// resolved the tokens (the blocking-client path).
+    /// resolved the tokens.
     prepare: Option<PrepareFn>,
-    reply: Reply,
+    reply: ReplyFn,
     enqueued: Instant,
 }
 
@@ -104,8 +81,6 @@ pub struct EngineConfig {
     /// Bounded queue capacity; submissions beyond it are rejected with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
-    /// Maximum jobs a worker drains per batch.
-    pub max_batch: usize,
     /// Decoding strategy used for ranking.
     pub strategy: Strategy,
 }
@@ -115,13 +90,12 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 2,
             queue_cap: 64,
-            max_batch: 8,
             strategy: Strategy::Beam { width: 5 },
         }
     }
 }
 
-/// The micro-batching decode engine. Dropping it (or calling
+/// The decode engine. Dropping it (or calling
 /// [`DecodeEngine::shutdown`]) disconnects the queue and joins the
 /// workers after they finish jobs already accepted.
 pub struct DecodeEngine {
@@ -146,7 +120,6 @@ impl DecodeEngine {
         metrics: Arc<Metrics>,
     ) -> std::io::Result<Self> {
         let (tx, rx) = bounded::<Job>(cfg.queue_cap.max(1));
-        let max_batch = cfg.max_batch.max(1);
         let workers = (0..cfg.workers)
             .map(|i| {
                 let rx = rx.clone();
@@ -165,7 +138,6 @@ impl DecodeEngine {
                         let mut enc_cache = EncCache::new(8);
                         worker_loop(
                             &rx,
-                            max_batch,
                             strategy,
                             &registry,
                             &cache,
@@ -181,32 +153,6 @@ impl DecodeEngine {
             rx,
             workers,
         })
-    }
-
-    /// Submit a job without blocking. On success the returned channel
-    /// yields the result once a worker serves the job.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Overloaded`] when the queue is full;
-    /// [`ServeError::ShuttingDown`] when the engine has shut down.
-    pub fn submit(
-        &self,
-        req: DecodeRequest,
-    ) -> Result<Receiver<Result<Recommendation, ServeError>>, ServeError> {
-        let tx = self.tx.as_ref().ok_or(ServeError::ShuttingDown)?;
-        let (reply_tx, reply_rx) = bounded(1);
-        let job = Job {
-            req,
-            prepare: None,
-            reply: Reply::Channel(reply_tx),
-            enqueued: Instant::now(),
-        };
-        match tx.try_send(job) {
-            Ok(()) => Ok(reply_rx),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-        }
     }
 
     /// Submit a job without blocking and without waiting: `reply` runs
@@ -231,7 +177,7 @@ impl DecodeEngine {
         let job = Job {
             req,
             prepare,
-            reply: Reply::Callback(reply),
+            reply,
             enqueued: Instant::now(),
         };
         match tx.try_send(job) {
@@ -243,7 +189,10 @@ impl DecodeEngine {
 
     /// Submit and wait for the result.
     pub fn recommend(&self, req: DecodeRequest) -> Result<Recommendation, ServeError> {
-        let rx = self.submit(req)?;
+        let (tx, rx) = bounded(1);
+        // A dropped receiver (caller gone) is fine; ignore the error.
+        let reply = Box::new(move |result| drop(tx.send(result)));
+        self.submit_callback(req, None, reply)?;
         rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
@@ -287,10 +236,8 @@ fn beam_width(s: Strategy) -> u64 {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // worker state is deliberately thread-owned, not shared
 fn worker_loop(
     rx: &Receiver<Job>,
-    max_batch: usize,
     strategy: Strategy,
     registry: &ModelRegistry,
     cache: &RecCache,
@@ -298,80 +245,72 @@ fn worker_loop(
     rng: &mut StdRng,
     enc_cache: &mut EncCache,
 ) {
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
+    while let Ok(mut job) = rx.recv() {
+        // One job per hand-off: the two counters move together, and the
+        // STATS/TRACE wire shape keeps both.
         Metrics::bump(&metrics.batches);
-        metrics.batched_jobs.add(batch.len() as u64);
-        let batch_len = batch.len() as u64;
+        Metrics::bump(&metrics.batched_jobs);
 
-        // One registry read per batch: every job in the batch is served
-        // by the same model at the same epoch. Tagging the encoder cache
-        // with the epoch drops stale entries after a hot-swap.
+        // One registry read per job: it is served by one model at one
+        // epoch. Tagging the encoder cache with the epoch drops stale
+        // entries after a hot-swap.
         let (epoch, model) = registry.current();
         enc_cache.set_generation(epoch);
-        for mut job in batch {
-            // Re-install the request's trace on this worker thread so the
-            // spans below (and the per-step attribution inside the model)
-            // land in the right flight record.
-            if let Some(ctx) = job.req.trace.take() {
-                trace::install(ctx);
-            }
-            // Deferred session step (event-loop jobs): resolve the input
-            // tokens here, where blocking on a WAL fsync is allowed.
-            if let Some(prepare) = job.prepare.take() {
-                match Span::in_span_with("session", &metrics.stage_session, prepare) {
-                    Ok(tokens) => job.req.tokens = tokens,
-                    Err(e) => {
-                        trace::uninstall();
-                        job.reply.deliver(Err(e));
-                        continue;
-                    }
-                }
-            }
-            let wait = job.enqueued.elapsed();
-            metrics.stage_batch_wait.record_duration(wait);
-            trace::record_stage("batch_wait", job.enqueued, wait);
-            trace::note_batch(batch_len, epoch);
-            trace::note_strategy(strategy_name(strategy), beam_width(strategy));
-            let key = CacheKey::new(epoch, &job.req.tokens);
-            let lookup = Span::in_span_with("cache", &metrics.stage_cache, || cache.get(&key));
-            let (ranked, cached) = match lookup {
-                Some(hit) => {
-                    Metrics::bump(&metrics.cache_hits);
-                    (hit, true)
-                }
-                None => {
-                    Metrics::bump(&metrics.cache_misses);
-                    let ranked = Span::in_span_with("decode", &metrics.stage_decode, || {
-                        model.ranked_fragments_for_tokens_cached(
-                            &job.req.tokens,
-                            strategy,
-                            rng,
-                            enc_cache,
-                        )
-                    });
-                    cache.put(key, ranked.clone());
-                    (ranked, false)
-                }
-            };
-            trace::note_cache_hit(cached);
-            let fragments = Span::in_span_with("rank", &metrics.stage_rank, || {
-                ranked.map(|_, r| r.iter().take(job.req.n).cloned().collect())
-            });
-            metrics.latency.record(job.enqueued.elapsed());
-            job.reply.deliver(Ok(Recommendation {
-                fragments,
-                epoch,
-                cached,
-                trace: trace::uninstall(),
-            }));
+        // Re-install the request's trace on this worker thread so the
+        // spans below (and the per-step attribution inside the model)
+        // land in the right flight record.
+        if let Some(ctx) = job.req.trace.take() {
+            trace::install(ctx);
         }
+        // Deferred session step: resolve the input tokens here, where
+        // blocking on a WAL fsync is allowed.
+        if let Some(prepare) = job.prepare.take() {
+            match Span::in_span_with("session", &metrics.stage_session, prepare) {
+                Ok(tokens) => job.req.tokens = tokens,
+                Err(e) => {
+                    trace::uninstall();
+                    (job.reply)(Err(e));
+                    continue;
+                }
+            }
+        }
+        let wait = job.enqueued.elapsed();
+        metrics.stage_batch_wait.record_duration(wait);
+        trace::record_stage("batch_wait", job.enqueued, wait);
+        trace::note_batch(1, epoch);
+        trace::note_strategy(strategy_name(strategy), beam_width(strategy));
+        let key = CacheKey::new(epoch, &job.req.tokens);
+        let lookup = Span::in_span_with("cache", &metrics.stage_cache, || cache.get(&key));
+        let (ranked, cached) = match lookup {
+            Some(hit) => {
+                Metrics::bump(&metrics.cache_hits);
+                (hit, true)
+            }
+            None => {
+                Metrics::bump(&metrics.cache_misses);
+                let ranked = Span::in_span_with("decode", &metrics.stage_decode, || {
+                    model.ranked_fragments_for_tokens_cached(
+                        &job.req.tokens,
+                        strategy,
+                        rng,
+                        enc_cache,
+                    )
+                });
+                cache.put(key, ranked.clone());
+                (ranked, false)
+            }
+        };
+        trace::note_cache_hit(cached);
+        let fragments = Span::in_span_with("rank", &metrics.stage_rank, || {
+            ranked.map(|_, r| r.iter().take(job.req.n).cloned().collect())
+        });
+        metrics.latency.record(job.enqueued.elapsed());
+        (job.reply)(Ok(Recommendation {
+            fragments,
+            epoch,
+            cached,
+            trace: trace::uninstall(),
+        }));
     }
 }
 
@@ -379,50 +318,60 @@ fn worker_loop(
 mod tests {
     use super::*;
 
+    /// An engine with no workers (and so no model): jobs queue but are
+    /// never served.
+    fn idle_engine(queue_cap: usize) -> DecodeEngine {
+        let (tx, rx) = bounded::<Job>(queue_cap);
+        DecodeEngine {
+            tx: Some(tx),
+            rx,
+            workers: Vec::new(),
+        }
+    }
+
+    fn request() -> DecodeRequest {
+        DecodeRequest {
+            tokens: vec!["select".into()],
+            n: 3,
+            trace: None,
+        }
+    }
+
+    fn never_called() -> ReplyFn {
+        Box::new(|_| panic!("a rejected or unserved job must not be replied to"))
+    }
+
     /// With zero workers the queue never drains, so capacity + 1
     /// submissions deterministically trip the typed backpressure error.
     #[test]
     fn full_queue_is_typed_overloaded() {
-        // No model needed: jobs are never served. Build the engine parts
-        // that don't require a trained Recommender.
-        let (tx, rx) = bounded::<Job>(2);
-        let engine = DecodeEngine {
-            tx: Some(tx),
-            rx,
-            workers: Vec::new(),
-        };
-        let req = DecodeRequest {
-            tokens: vec!["select".into()],
-            n: 3,
-            trace: None,
-        };
-        assert!(engine.submit(req.clone()).is_ok());
-        assert!(engine.submit(req.clone()).is_ok());
+        let engine = idle_engine(2);
+        assert!(engine
+            .submit_callback(request(), None, never_called())
+            .is_ok());
+        assert!(engine
+            .submit_callback(request(), None, never_called())
+            .is_ok());
         assert_eq!(engine.queued(), 2);
-        match engine.submit(req) {
+        match engine.submit_callback(request(), None, never_called()) {
             Err(ServeError::Overloaded) => {}
-            Err(e) => panic!("expected Overloaded, got error {e}"),
-            Ok(_) => panic!("expected Overloaded, got Ok"),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        // The blocking wrapper reports the same rejection instead of
+        // waiting on a reply that will never come.
+        match engine.recommend(request()) {
+            Err(ServeError::Overloaded) => {}
+            other => panic!("expected Overloaded, got {other:?}"),
         }
     }
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let (tx, rx) = bounded::<Job>(2);
-        let mut engine = DecodeEngine {
-            tx: Some(tx),
-            rx,
-            workers: Vec::new(),
-        };
+        let mut engine = idle_engine(2);
         engine.shutdown();
-        let req = DecodeRequest {
-            tokens: vec![],
-            n: 1,
-            trace: None,
-        };
-        match engine.submit(req) {
+        match engine.submit_callback(request(), None, never_called()) {
             Err(ServeError::ShuttingDown) => {}
-            _ => panic!("expected ShuttingDown"),
+            other => panic!("expected ShuttingDown, got {other:?}"),
         }
     }
 }

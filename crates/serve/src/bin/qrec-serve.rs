@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! qrec-serve [--addr HOST:PORT] [--seed N] [--profile tiny|sqlshare|sdss]
-//!            [--data-dir PATH] [--quant f32|int8]
-//!            [--frontend eventloop|threadpool] [--max-conns N] [--profiler]
+//!            [--data-dir PATH] [--quant f32|int8] [--max-conns N] [--profiler]
 //! ```
 //!
 //! Generates a synthetic workload, trains a small transformer
@@ -16,7 +15,7 @@
 //! instead of training a fresh one.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
-use qrec_serve::{Frontend, QuantMode, Server, ServerConfig};
+use qrec_serve::{QuantMode, Server, ServerConfig};
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
@@ -29,7 +28,6 @@ struct Args {
     profile: String,
     data_dir: Option<std::path::PathBuf>,
     quant: QuantMode,
-    frontend: Frontend,
     max_conns: usize,
     profiler: bool,
 }
@@ -41,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         profile: "tiny".into(),
         data_dir: None,
         quant: QuantMode::F32,
-        frontend: Frontend::EventLoop,
         max_conns: ServerConfig::default().max_connections,
         profiler: false,
     };
@@ -58,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
             "--profile" => args.profile = value("--profile")?,
             "--data-dir" => args.data_dir = Some(value("--data-dir")?.into()),
             "--quant" => args.quant = QuantMode::parse(&value("--quant")?)?,
-            "--frontend" => args.frontend = Frontend::parse(&value("--frontend")?)?,
             "--max-conns" => {
                 args.max_conns = value("--max-conns")?
                     .parse()
@@ -68,8 +64,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: qrec-serve [--addr HOST:PORT] [--seed N] \
                      [--profile tiny|sqlshare|sdss] [--data-dir PATH] \
-                     [--quant f32|int8] [--frontend eventloop|threadpool] \
-                     [--max-conns N] [--profiler]"
+                     [--quant f32|int8] [--max-conns N] [--profiler]"
                     .into());
             }
             other => return Err(format!("unknown flag {other:?}")),
@@ -129,7 +124,6 @@ fn main() -> ExitCode {
     let server_cfg = ServerConfig {
         data_dir: args.data_dir.clone(),
         quant: args.quant,
-        frontend: args.frontend,
         max_connections: args.max_conns,
         profiler: args.profiler,
         ..ServerConfig::default()

@@ -5,7 +5,7 @@
 //! [`FrameBuf`] for incremental JSONL reassembly, a bounded outbox for
 //! buffered writes, and an ordering queue so pipelined requests answer
 //! in arrival order. Request *execution* never happens here: RECOMMEND
-//! jobs go to the batcher worker pool via
+//! jobs go to the decode worker pool via
 //! [`crate::batcher::DecodeEngine::submit_callback`] — with the durable
 //! session push deferred to the worker, because a WAL fsync on the loop
 //! thread would stall every connection — and completions come back
@@ -18,8 +18,7 @@
 //!    and backpressure propagates to the sender.
 //! 2. outbox over the hard cap → typed [`ServeError::SlowConsumer`]
 //!    disconnect; the server never buffers a client without bound.
-//! 3. decode queue full → typed `Overloaded` response, exactly as the
-//!    thread-pool front end.
+//! 3. decode queue full → typed `Overloaded` response.
 //!
 //! Idle connections cost one slab slot and one timer-wheel entry; the
 //! idle timeout reclaims them. Transient accept errors (EMFILE/ENFILE)
@@ -54,9 +53,8 @@ const TOKEN_CONN_BASE: usize = 2;
 /// beyond this the loop stops reading from it (ladder rung 1).
 const PENDING_MAX: usize = 64;
 
-/// How long a transient accept error parks the listener (and how long
-/// the thread-pool accept thread sleeps on the same classification).
-pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+/// How long a transient accept error parks the listener.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Timer-wheel granularity. Idle timeouts are second-scale; 100ms slots
 /// keep the worst-case overshoot invisible.
@@ -74,7 +72,7 @@ pub(crate) struct LoopLimits {
     pub drain_timeout: Duration,
 }
 
-/// A finished request coming back from a batcher worker.
+/// A finished request coming back from a decode worker.
 pub(crate) struct Completion {
     slot: usize,
     /// Generation of the connection that submitted the request; a
@@ -87,7 +85,7 @@ pub(crate) struct Completion {
 
 /// What to do after a failed `accept(2)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AcceptAction {
+enum AcceptAction {
     /// The failed connection is consumed; keep accepting this tick.
     Retry,
     /// Resource pressure (or an unknown error): park the listener and
@@ -97,7 +95,7 @@ pub(crate) enum AcceptAction {
 
 /// Classify an `accept(2)` error. `WouldBlock` never reaches here (the
 /// caller treats it as "accept queue drained").
-pub(crate) fn accept_error_action(e: &std::io::Error) -> AcceptAction {
+fn accept_error_action(e: &std::io::Error) -> AcceptAction {
     const ENFILE: i32 = 23;
     const EMFILE: i32 = 24;
     const ECONNABORTED: i32 = 103;
@@ -566,7 +564,7 @@ impl EventLoop {
             }
         };
         if line.is_empty() {
-            return; // blank lines are ignored, as in the thread pool
+            return; // blank lines are ignored
         }
         let shared = Arc::clone(&self.shared);
         match crate::server::dispatch_parsed(line, &shared) {
@@ -614,9 +612,9 @@ impl EventLoop {
         }
     }
 
-    /// Hand a RECOMMEND to the batcher: the worker runs the durable
-    /// session push (`prepare`), decodes, serialises the response, and
-    /// posts a [`Completion`] through the waker.
+    /// Validate a RECOMMEND and hand it to the decode engine: the worker
+    /// runs the session push (`prepare`), decodes, serialises the
+    /// response, and posts a [`Completion`] through the waker.
     fn start_recommend(&mut self, slot: usize, req: Request) {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             let resp = Response::err(&ServeError::ShuttingDown);
@@ -638,7 +636,6 @@ impl EventLoop {
             return;
         };
         let n = req.n.map(|n| n as usize).unwrap_or(DEFAULT_N);
-        Metrics::bump(&self.shared.metrics.recommends);
 
         // Start the flight trace on the loop thread (stable request id,
         // queue depth at submission); it rides the DecodeRequest to the
@@ -691,6 +688,7 @@ impl EventLoop {
             .submit_callback(dreq, Some(prepare), reply)
         {
             Ok(()) => {
+                Metrics::bump(&self.shared.metrics.recommends);
                 if let Some(conn) = self.conns.get_mut(slot).and_then(|s| s.as_mut()) {
                     conn.inflight = true;
                 }
@@ -951,7 +949,7 @@ impl EventLoop {
     }
 
     /// Shutdown state machine: stop accepting, let in-flight requests
-    /// finish and flush (as the thread pool does), close the rest.
+    /// finish and flush, close the rest.
     /// Returns true when the loop should exit.
     fn tick_shutdown(&mut self, now: Instant) -> bool {
         if !self.shared.shutdown.load(Ordering::SeqCst) {
@@ -967,8 +965,7 @@ impl EventLoop {
         for slot in 0..self.conns.len() {
             let keep = match self.conns.get(slot).and_then(|s| s.as_ref()) {
                 // In-flight requests were accepted: they get their
-                // reply. Everything else closes now, like a pool
-                // handler noticing the flag on its next read timeout.
+                // reply. Everything else closes now.
                 Some(conn) => conn.inflight || conn.outbox_len() > 0,
                 None => true,
             };

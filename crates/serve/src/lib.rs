@@ -8,19 +8,18 @@
 //!
 //! * [`session_store`] — sharded, RwLock-per-shard store of live
 //!   [`SessionContext`](qrec_core::SessionContext)s with TTL eviction.
-//! * [`batcher`] — micro-batching decode engine: a bounded queue feeds
-//!   worker threads that drain up to `max_batch` jobs per tick; a full
-//!   queue is typed backpressure ([`ServeError::Overloaded`]).
+//! * [`batcher`] — decode engine: a bounded queue feeds worker
+//!   threads, one job per hand-off; a full queue is typed backpressure
+//!   ([`ServeError::Overloaded`]).
 //! * [`cache`] — LRU cache keyed on *(model epoch, normalized input
 //!   window)*, so repeated windows skip the decoder entirely.
 //! * [`registry`] — atomic hot-swap of the serving model; in-flight
 //!   requests finish on the model they started with.
 //! * [`server`] / [`client`] / [`protocol`] — the TCP front end
 //!   (`RECOMMEND` / `STATS` / `PING` / `SHUTDOWN`), graceful shutdown,
-//!   and an in-process client. Two interchangeable front ends serve the
-//!   same protocol: a readiness-based event loop (the default — one
-//!   thread, thousands of connections; see `eventloop` and DESIGN.md
-//!   §16) and the original connection thread pool (`threaded`).
+//!   and an in-process client. The front end is a readiness-based
+//!   event loop — one thread, thousands of connections; see `eventloop`
+//!   and DESIGN.md §16.
 //! * [`framing`] — incremental JSONL frame reassembly for non-blocking
 //!   reads: partial lines accumulate across reads, oversized lines are
 //!   typed errors instead of unbounded buffers.
@@ -30,8 +29,8 @@
 //!   windows of metric deltas, a SpaceSaving sketch of query-template
 //!   ids, and drift scores per sealed window, served via `HISTORY`
 //!   (the in-memory ring, durable across restarts through a capped
-//!   telemetry log), `WATCH` (one streamed line per sealed window on
-//!   the event-loop front end), and `PROF` (sampling profiler report).
+//!   telemetry log), `WATCH` (one streamed line per sealed window),
+//!   and `PROF` (sampling profiler report).
 //! * [`zoo`] — versioned on-disk model persistence: each hot-swap writes
 //!   a checksummed weight blob plus an atomically-updated `CURRENT`
 //!   pointer, so a restarted server resumes serving the exact model (and
@@ -63,7 +62,6 @@ pub mod registry;
 pub mod server;
 pub mod session_store;
 pub mod telemetry;
-mod threaded;
 mod timer;
 pub mod zoo;
 
@@ -75,7 +73,7 @@ pub use framing::{FrameBuf, FrameError};
 pub use metrics::{ComputeSnapshot, FrontendSnapshot, Metrics, MetricsSnapshot, WindowSummary};
 pub use protocol::{HistoryReply, Request, Response, StatsReply};
 pub use registry::ModelRegistry;
-pub use server::{Frontend, QuantMode, Server, ServerConfig};
+pub use server::{QuantMode, Server, ServerConfig};
 pub use session_store::{SessionStore, SweeperHandle};
 pub use telemetry::{Telemetry, WindowFrame};
 pub use zoo::ModelZoo;

@@ -189,8 +189,8 @@ impl Response {
     }
 
     /// Serialise to one JSON line (no trailing newline). A `Response`
-    /// always serialises; the fallback mirrors the hand-written error
-    /// line the connection handlers use for the same impossibility.
+    /// always serialises; the fallback is a hand-written error line
+    /// for that impossibility.
     pub fn to_json_line(&self) -> String {
         serde_json::to_string(self)
             .unwrap_or_else(|_| r#"{"ok":false,"code":"io_error","error":"serialize"}"#.to_string())

@@ -1,10 +1,10 @@
 //! Model registry with atomic hot-swap.
 //!
 //! The serving model lives behind an `Arc`; workers take a clone of
-//! that `Arc` per batch, so a [`ModelRegistry::swap`] — installing a
+//! that `Arc` per job, so a [`ModelRegistry::swap`] — installing a
 //! freshly trained [`Recommender`] — never blocks or invalidates
 //! in-flight decodes. Requests that already hold the old `Arc` finish
-//! against the old weights; the next batch picks up the new model. Each
+//! against the old weights; the next job picks up the new model. Each
 //! swap bumps a monotonically increasing *epoch* that the
 //! recommendation cache keys on, so stale entries die with their model.
 

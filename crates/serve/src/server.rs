@@ -1,37 +1,28 @@
 //! Server lifecycle, configuration, and request dispatch.
 //!
-//! Two TCP front ends share everything below the socket layer:
+//! One thread multiplexes every connection over readiness polling (see
+//! [`crate::eventloop`]); it speaks the JSON-lines protocol of
+//! [`crate::protocol`], answers control verbs inline through
+//! [`dispatch_parsed`], and hands RECOMMENDs to the decode engine.
 //!
-//! * [`Frontend::EventLoop`] (the default) — one thread multiplexes
-//!   every connection over readiness polling; see [`crate::eventloop`].
-//! * [`Frontend::ThreadPool`] — the original blocking design: an accept
-//!   thread feeds a fixed pool of connection handlers; see
-//!   [`crate::threaded`].
-//!
-//! Both speak the JSON-lines protocol of [`crate::protocol`] through
-//! the same [`dispatch_parsed`] routing, record into the same
-//! [`Metrics`], and execute RECOMMENDs on the same batcher, so `STATS`,
-//! `TRACE`, and `DUMP` are byte-compatible across front ends.
-//!
-//! Shutdown is graceful and race-free in both modes: the flag stops
-//! accepting, every request accepted before the flag flipped still gets
-//! its response, and only then is the decode engine disconnected.
+//! Shutdown is graceful and race-free: the flag stops accepting, every
+//! request accepted before the flag flipped still gets its response,
+//! and only then is the decode engine disconnected.
 
-use crossbeam::channel::unbounded;
 use qrec_core::Recommender;
-use qrec_obs::{flight, trace, Span, TraceContext};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use qrec_obs::flight;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::batcher::{DecodeEngine, DecodeRequest, EngineConfig};
+use crate::batcher::{DecodeEngine, EngineConfig};
 use crate::cache::RecCache;
 use crate::error::ServeError;
 use crate::eventloop::{EventLoop, LoopLimits};
 use crate::metrics::Metrics;
-use crate::protocol::{Request, Response, StatsReply, DEFAULT_N, DEFAULT_PROF_N, DEFAULT_TRACE_N};
+use crate::protocol::{Request, Response, StatsReply, DEFAULT_PROF_N, DEFAULT_TRACE_N};
 use crate::registry::ModelRegistry;
 use crate::session_store::{SessionStore, SweeperHandle};
 use crate::telemetry::Telemetry;
@@ -66,62 +57,25 @@ impl QuantMode {
     }
 }
 
-/// Which TCP front end serves connections.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// One thread multiplexes every connection over readiness polling
-    /// (DESIGN.md §16). Connection count is bounded by
-    /// [`ServerConfig::max_connections`], not by threads.
-    #[default]
-    EventLoop,
-    /// The original blocking design: [`ServerConfig::conn_threads`]
-    /// handler threads, each serving one connection at a time.
-    ThreadPool,
-}
-
-impl Frontend {
-    /// Parse a CLI value (`"eventloop"` or `"threadpool"`).
-    ///
-    /// # Errors
-    ///
-    /// A descriptive message for any other spelling.
-    pub fn parse(s: &str) -> Result<Frontend, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "eventloop" | "event-loop" => Ok(Frontend::EventLoop),
-            "threadpool" | "thread-pool" => Ok(Frontend::ThreadPool),
-            other => Err(format!(
-                "unknown frontend {other:?} (use eventloop or threadpool)"
-            )),
-        }
-    }
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which TCP front end serves connections.
-    pub frontend: Frontend,
-    /// Connection handler threads ([`Frontend::ThreadPool`] only; each
-    /// serves one connection at a time).
-    pub conn_threads: usize,
-    /// Open-connection cap ([`Frontend::EventLoop`] only). Connections
-    /// beyond it get a best-effort `overloaded` line and are dropped.
+    /// Open-connection cap. Connections beyond it get a best-effort
+    /// `overloaded` line and are dropped.
     pub max_connections: usize,
-    /// Longest accepted request line in bytes ([`Frontend::EventLoop`]
-    /// only); longer lines get a typed `bad_request` and a disconnect.
+    /// Longest accepted request line in bytes; longer lines get a typed
+    /// `bad_request` and a disconnect.
     pub max_line_bytes: usize,
-    /// Outbox size above which the loop stops reading from a connection
-    /// ([`Frontend::EventLoop`] only): backpressure rung 1.
+    /// Outbox size above which the loop stops reading from a
+    /// connection: backpressure rung 1.
     pub outbox_soft_bytes: usize,
     /// Outbox size at which a client is disconnected with
-    /// [`ServeError::SlowConsumer`] ([`Frontend::EventLoop`] only):
-    /// backpressure rung 2.
+    /// [`ServeError::SlowConsumer`]: backpressure rung 2.
     pub outbox_hard_bytes: usize,
-    /// Idle time after which a connection is closed
-    /// ([`Frontend::EventLoop`] only).
+    /// Idle time after which a connection is closed.
     pub idle_timeout: Duration,
     /// How long shutdown waits for in-flight requests to finish and
-    /// flush ([`Frontend::EventLoop`] only).
+    /// flush.
     pub drain_timeout: Duration,
     /// Decode engine settings.
     pub engine: EngineConfig,
@@ -169,8 +123,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            frontend: Frontend::EventLoop,
-            conn_threads: 4,
             max_connections: 8192,
             max_line_bytes: 256 * 1024,
             outbox_soft_bytes: 64 * 1024,
@@ -200,8 +152,7 @@ impl Default for ServerConfig {
 // qrec-lint: allow(shim-surface-drift) -- parking_lot shim has no Condvar; std Mutex+Condvar is the only wait/notify pair available offline
 type ShutdownMutex = std::sync::Mutex<bool>;
 
-/// State shared by every connection handler (pool thread or event
-/// loop).
+/// State the event loop shares with the owning [`Server`].
 pub(crate) struct Shared {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) store: Arc<SessionStore>,
@@ -217,9 +168,6 @@ pub(crate) struct Shared {
     /// Numeric mode applied to every installed model.
     quant: QuantMode,
     pub(crate) shutdown: AtomicBool,
-    /// Open connections in the thread-pool front end (the event loop
-    /// tracks its own slab count); feeds the `conns_open` gauge.
-    pub(crate) pool_open: std::sync::atomic::AtomicU64,
     /// Signalled when a client issues the SHUTDOWN verb; see
     /// [`ShutdownMutex`].
     shutdown_requested: ShutdownMutex,
@@ -244,12 +192,9 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Thread-pool front end: accept thread + handler pool.
-    accept_handle: Option<thread::JoinHandle<()>>,
-    conn_handles: Vec<thread::JoinHandle<()>>,
-    /// Event-loop front end: the loop thread and its wakeup handle.
+    /// The event-loop thread and its wakeup handle.
     loop_handle: Option<thread::JoinHandle<()>>,
-    loop_waker: Option<Arc<polling::Waker>>,
+    loop_waker: Arc<polling::Waker>,
     sweeper: Option<SweeperHandle>,
     engine: Option<Arc<DecodeEngine>>,
     /// Telemetry ticker thread: seals windows and appends them to the
@@ -279,7 +224,6 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let store_err = |e: qrec_store::StoreError| std::io::Error::other(e.to_string());
         let mut durable: Option<Arc<Store>> = None;
@@ -352,8 +296,7 @@ impl Server {
             tlog = Some(log);
         }
         {
-            // Every parsed query feeds the template sketch, whichever
-            // front end carried it.
+            // Every parsed query feeds the template sketch.
             let telemetry = Arc::clone(&telemetry);
             store.set_template_sink(move |id| telemetry.note_template(id));
         }
@@ -402,68 +345,28 @@ impl Server {
             zoo,
             quant: cfg.quant,
             shutdown: AtomicBool::new(false),
-            pool_open: std::sync::atomic::AtomicU64::new(0),
             shutdown_requested: ShutdownMutex::new(false),
             shutdown_cv: std::sync::Condvar::new(),
         });
 
-        let mut accept_handle = None;
-        let mut conn_handles = Vec::new();
-        let mut loop_handle = None;
-        let mut loop_waker = None;
-        match cfg.frontend {
-            Frontend::EventLoop => {
-                let limits = LoopLimits {
-                    max_connections: cfg.max_connections.max(1),
-                    max_line_bytes: cfg.max_line_bytes.max(1024),
-                    outbox_soft_bytes: cfg.outbox_soft_bytes.max(1024),
-                    outbox_hard_bytes: cfg.outbox_hard_bytes.max(cfg.outbox_soft_bytes.max(1024)),
-                    idle_timeout: cfg.idle_timeout,
-                    drain_timeout: cfg.drain_timeout,
-                };
-                let (mut lp, waker) = EventLoop::new(listener, Arc::clone(&shared), limits)?;
-                loop_waker = Some(waker);
-                loop_handle = Some(
-                    thread::Builder::new()
-                        .name("qrec-serve-loop".into())
-                        .spawn(move || lp.run())?,
-                );
-            }
-            Frontend::ThreadPool => {
-                let (conn_tx, conn_rx) = unbounded::<TcpStream>();
-                conn_handles = (0..cfg.conn_threads.max(1))
-                    .map(|i| {
-                        let rx = conn_rx.clone();
-                        let shared = Arc::clone(&shared);
-                        thread::Builder::new()
-                            .name(format!("qrec-serve-conn-{i}"))
-                            .spawn(move || {
-                                qrec_obs::prof::register_thread(&format!("conn-{i}"));
-                                while let Ok(stream) = rx.recv() {
-                                    crate::threaded::handle_connection(stream, &shared);
-                                }
-                            })
-                    })
-                    .collect::<std::io::Result<Vec<_>>>()?;
-
-                accept_handle = {
-                    let shared = Arc::clone(&shared);
-                    Some(
-                        thread::Builder::new()
-                            .name("qrec-serve-accept".into())
-                            .spawn(move || {
-                                crate::threaded::accept_loop(listener, conn_tx, &shared)
-                            })?,
-                    )
-                };
-            }
-        }
+        let limits = LoopLimits {
+            max_connections: cfg.max_connections.max(1),
+            max_line_bytes: cfg.max_line_bytes.max(1024),
+            outbox_soft_bytes: cfg.outbox_soft_bytes.max(1024),
+            outbox_hard_bytes: cfg.outbox_hard_bytes.max(cfg.outbox_soft_bytes.max(1024)),
+            idle_timeout: cfg.idle_timeout,
+            drain_timeout: cfg.drain_timeout,
+        };
+        let (mut lp, loop_waker) = EventLoop::new(listener, Arc::clone(&shared), limits)?;
+        let loop_handle = Some(
+            thread::Builder::new()
+                .name("qrec-serve-loop".into())
+                .spawn(move || lp.run())?,
+        );
 
         Ok(Server {
             addr: local,
             shared,
-            accept_handle,
-            conn_handles,
             loop_handle,
             loop_waker,
             sweeper: Some(sweeper),
@@ -583,21 +486,11 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.request_shutdown();
-        // Event loop: the waker interrupts the poll so the loop sees the
-        // flag now rather than on its next timeout; it then drains
-        // in-flight requests and exits.
-        if let Some(w) = &self.loop_waker {
-            let _ = w.wake();
-        }
+        // The waker interrupts the poll so the loop sees the flag now
+        // rather than on its next timeout; it then drains in-flight
+        // requests and exits.
+        let _ = self.loop_waker.wake();
         if let Some(h) = self.loop_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        // The accept thread owned the stream sender; with it gone the
-        // pool drains remaining connections and exits.
-        for h in self.conn_handles.drain(..) {
             let _ = h.join();
         }
         if let Some(s) = self.sweeper.take() {
@@ -635,21 +528,18 @@ fn apply_quant_mode(model: &mut Recommender, mode: QuantMode) {
 /// Where a parsed request line goes next.
 ///
 /// Control verbs resolve inline (they only read atomics, registries,
-/// and snapshots), so both front ends answer them on the spot.
-/// RECOMMEND is the one verb that runs a model: the thread pool blocks
-/// its handler thread on it, the event loop hands it to the batcher and
-/// keeps polling.
+/// and snapshots), so the loop answers them on the spot. RECOMMEND is
+/// the one verb that runs a model: the loop hands it to the decode
+/// engine and keeps polling.
 pub(crate) enum Dispatch {
     /// The response is ready (boxed: a STATS snapshot dwarfs a
     /// `Request`); the bool asks the caller to close the connection
     /// after flushing it (SHUTDOWN acknowledgement).
     Done(Box<Response>, bool),
-    /// A well-formed RECOMMEND for the caller to execute its own way.
+    /// A RECOMMEND for the loop to validate and submit.
     Recommend(Request),
-    /// A `WATCH` subscription: the event loop marks the connection as a
-    /// watcher and streams one line per sealed window; the thread-pool
-    /// front end (one blocking thread per connection, no broadcast
-    /// point) rejects it with a typed error.
+    /// A `WATCH` subscription: the loop marks the connection as a
+    /// watcher and streams one line per sealed window.
     Watch,
 }
 
@@ -690,82 +580,6 @@ pub(crate) fn dispatch_parsed(line: &str, shared: &Shared) -> Dispatch {
                 )))),
                 false,
             )
-        }
-    }
-}
-
-/// Handle one request line synchronously (thread-pool front end);
-/// returns the response and whether the connection should close
-/// afterwards.
-pub(crate) fn dispatch(line: &str, shared: &Shared) -> (Response, bool) {
-    match dispatch_parsed(line, shared) {
-        Dispatch::Done(resp, close_after) => (*resp, close_after),
-        Dispatch::Recommend(req) => (recommend(&req, shared), false),
-        Dispatch::Watch => {
-            Metrics::bump(&shared.metrics.errors);
-            (
-                Response::err(&ServeError::BadRequest(
-                    "WATCH requires the event-loop front end".into(),
-                )),
-                false,
-            )
-        }
-    }
-}
-
-fn recommend(req: &Request, shared: &Shared) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::err(&ServeError::ShuttingDown);
-    }
-    let (session, sql) = match (&req.session, &req.sql) {
-        (Some(s), Some(q)) => (s, q),
-        _ => {
-            Metrics::bump(&shared.metrics.errors);
-            return Response::err(&ServeError::BadRequest(
-                "RECOMMEND needs `session` and `sql`".into(),
-            ));
-        }
-    };
-    // Start the flight trace once the request is known to be well
-    // formed; it rides the DecodeRequest across the batcher hand-off
-    // and comes back on the Recommendation for flight recording.
-    let t0 = Instant::now();
-    if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
-        trace::install(ctx);
-    }
-    let tokens = match Span::in_span_with("session", &shared.metrics.stage_session, || {
-        shared.store.push_sql(session, sql)
-    }) {
-        Ok(t) => t,
-        Err(e) => {
-            trace::uninstall();
-            Metrics::bump(&shared.metrics.errors);
-            return Response::err(&e);
-        }
-    };
-    let n = req.n.map(|n| n as usize).unwrap_or(DEFAULT_N);
-    Metrics::bump(&shared.metrics.recommends);
-    trace::note_queue_depth(shared.engine.queued() as u64);
-    let trace_ctx = trace::uninstall();
-    match shared.engine.recommend(DecodeRequest {
-        tokens,
-        n,
-        trace: trace_ctx,
-    }) {
-        Ok(rec) => {
-            // Only completed requests land in the flight recorder; the
-            // total covers queue wait, decode, and the reply hand-off.
-            if let Some(ctx) = rec.trace {
-                flight::global().record(ctx, t0.elapsed());
-            }
-            Response::recommendation(rec.fragments, rec.epoch, rec.cached)
-        }
-        Err(e) => {
-            match e {
-                ServeError::Overloaded => Metrics::bump(&shared.metrics.overloaded),
-                _ => Metrics::bump(&shared.metrics.errors),
-            }
-            Response::err(&e)
         }
     }
 }

@@ -8,7 +8,7 @@
 //!   per-window deltas when a window seals;
 //! * a [`qrec_obs::TemplateSketch`] counts query-template ids observed
 //!   on the request path ([`Telemetry::note_template`] is wired into
-//!   the session store, so both front ends feed it);
+//!   the session store);
 //! * a [`qrec_obs::DriftDetector`] scores each sealed window against
 //!   its predecessor and publishes the scores as gauges.
 //!

@@ -34,7 +34,6 @@ fn quiet_config() -> ServerConfig {
         engine: EngineConfig {
             workers: 1,
             queue_cap: 32,
-            max_batch: 4,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),

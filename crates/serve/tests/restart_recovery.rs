@@ -39,7 +39,6 @@ fn train_tiny(seed: u64) -> Recommender {
 
 fn durable_config(dir: &Path) -> ServerConfig {
     ServerConfig {
-        conn_threads: 2,
         session_ttl: Duration::from_secs(600),
         sweep_interval: Duration::from_secs(600),
         data_dir: Some(dir.to_path_buf()),

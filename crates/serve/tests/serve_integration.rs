@@ -4,7 +4,10 @@
 //! Covers the full story in one pass (training is the expensive part,
 //! so the scenario reuses one server): parallel clients, cache hits on
 //! repeated windows, STATS accounting, typed backpressure from a
-//! saturated queue, model hot-swap mid-serve, and graceful shutdown.
+//! saturated queue, two workers serving two queued jobs concurrently,
+//! model hot-swap mid-serve, and graceful shutdown. A second, smaller
+//! scenario checks over the wire that a rejected RECOMMEND is not
+//! counted as accepted.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{
@@ -15,8 +18,11 @@ use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Train a small-but-real recommender; two epochs is plenty for a
 /// serving test (we exercise plumbing, not model quality).
@@ -32,11 +38,9 @@ fn train_tiny(seed: u64) -> Recommender {
 
 fn server_config() -> ServerConfig {
     ServerConfig {
-        conn_threads: 6,
         engine: EngineConfig {
             workers: 2,
             queue_cap: 32,
-            max_batch: 4,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
@@ -139,12 +143,58 @@ fn serve_end_to_end() {
             n: 3,
             trace: None,
         };
-        assert!(idle.submit(req.clone()).is_ok());
-        assert!(idle.submit(req.clone()).is_ok());
-        match idle.submit(req) {
+        let unserved = || Box::new(|_| panic!("an idle engine never replies"));
+        assert!(idle.submit_callback(req.clone(), None, unserved()).is_ok());
+        assert!(idle.submit_callback(req.clone(), None, unserved()).is_ok());
+        match idle.submit_callback(req, None, unserved()) {
             Err(ServeError::Overloaded) => {}
-            Err(e) => panic!("expected Overloaded, got {e}"),
-            Ok(_) => panic!("expected Overloaded, got Ok"),
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+    }
+
+    // --- two workers serve two queued jobs concurrently ---------------
+    // Each job's `prepare` waits (2 s at most) for the other's to have
+    // started. A worker that took both jobs off the queue and served
+    // them in turn would time the first one out.
+    {
+        let engine = DecodeEngine::start(
+            EngineConfig {
+                workers: 2,
+                queue_cap: 4,
+                ..EngineConfig::default()
+            },
+            Arc::clone(server.registry()),
+            Arc::new(RecCache::new(4)),
+            Arc::new(Metrics::new()),
+        )
+        .unwrap();
+        let (a_started, a_seen) = mpsc::channel::<()>();
+        let (b_started, b_seen) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        for (name, started, other) in [("a", a_started, b_seen), ("b", b_started, a_seen)] {
+            let prepare = Box::new(move || {
+                let _ = started.send(());
+                other
+                    .recv_timeout(Duration::from_secs(2))
+                    .map(|()| vec!["select".into(), "a".into()])
+                    .map_err(|_| ServeError::BadRequest(format!("job {name} ran alone")))
+            });
+            let done = done_tx.clone();
+            let reply = Box::new(move |result| drop(done.send((name, result))));
+            let req = DecodeRequest {
+                tokens: Vec::new(),
+                n: 3,
+                trace: None,
+            };
+            engine
+                .submit_callback(req, Some(prepare), reply)
+                .expect("queue has room");
+        }
+        for _ in 0..2 {
+            let (name, result) = done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("both jobs reply");
+            assert!(result.is_ok(), "job {name}: {result:?}");
         }
     }
 
@@ -179,4 +229,43 @@ fn serve_end_to_end() {
         Ok(mut late) => late.ping().is_err(),
     };
     assert!(refused, "server must stop accepting after shutdown");
+}
+
+/// `recommends` counts RECOMMENDs *accepted into the decode queue*: one
+/// the full queue turned away is `overloaded`, not both.
+#[test]
+fn rejected_recommend_is_counted_overloaded_not_accepted() {
+    // No workers, room for one job: the first RECOMMEND is accepted and
+    // never served, the second finds the queue full.
+    let cfg = ServerConfig {
+        engine: EngineConfig {
+            workers: 0,
+            queue_cap: 1,
+            ..EngineConfig::default()
+        },
+        drain_timeout: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(train_tiny(3), "127.0.0.1:0", cfg).expect("start");
+
+    // Raw socket: the reply to this request never comes.
+    let mut parked = TcpStream::connect(server.local_addr()).expect("connect");
+    parked
+        .write_all(b"{\"verb\":\"RECOMMEND\",\"session\":\"p\",\"sql\":\"SELECT a FROM t\"}\n")
+        .expect("send");
+
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while c.stats().expect("stats").metrics.recommends < 1 {
+        assert!(Instant::now() < deadline, "first RECOMMEND never queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    match c.recommend("q", "SELECT b FROM t", 3) {
+        Err(ServeError::Overloaded) => {}
+        other => panic!("expected overloaded, got {other:?}"),
+    }
+    let m = c.stats().expect("stats").metrics;
+    assert_eq!(m.recommends, 1, "only the queued request was accepted");
+    assert_eq!(m.overloaded, 1);
+    assert_eq!(m.errors, 0);
 }

@@ -1,6 +1,6 @@
 //! Telemetry-engine integration tests: the `WATCH` stream, `HISTORY`
-//! durability across SIGKILL, slow-watcher disconnects, the
-//! thread-pool rejection path, and deterministic drift detection.
+//! durability across SIGKILL, slow-watcher disconnects, the polling
+//! verbs (`HISTORY`, `PROF`), and deterministic drift detection.
 //!
 //! The restart test reuses the child-process pattern from
 //! `restart_recovery.rs`: the child is this binary re-executed with the
@@ -9,7 +9,7 @@
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::telemetry::Telemetry;
-use qrec_serve::{Client, EngineConfig, Frontend, Metrics, Response, Server, ServerConfig};
+use qrec_serve::{Client, EngineConfig, Metrics, Response, Server, ServerConfig};
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
@@ -40,7 +40,6 @@ fn windowed_config() -> ServerConfig {
         engine: EngineConfig {
             workers: 1,
             queue_cap: 32,
-            max_batch: 4,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
@@ -189,36 +188,23 @@ fn slow_watcher_gets_typed_disconnect() {
     assert_eq!(resp.code.as_deref(), Some("slow_consumer"));
 }
 
-/// The thread-pool front end has no broadcast point (one blocking
-/// thread per connection), so `WATCH` is a typed `bad_request` there —
-/// while `HISTORY` and `PROF` work on both front ends.
+/// The polling verbs over the wire: `HISTORY` fills as windows seal,
+/// and `PROF` reports an idle profiler unless the config turned it on.
 #[test]
-fn threadpool_rejects_watch_but_serves_history_and_prof() {
-    let cfg = ServerConfig {
-        frontend: Frontend::ThreadPool,
-        conn_threads: 2,
-        ..windowed_config()
-    };
-    let server = Server::start(train_tiny(33), "127.0.0.1:0", cfg).expect("start");
+fn history_and_prof_serve_over_the_wire() {
+    let server = Server::start(train_tiny(33), "127.0.0.1:0", windowed_config()).expect("start");
     let mut c = Client::connect(server.local_addr()).expect("connect");
-    match c.watch() {
-        Err(qrec_serve::ServeError::BadRequest(msg)) => {
-            assert!(msg.contains("event-loop"), "error names the fix: {msg}")
-        }
-        other => panic!("expected typed bad_request, got {other:?}"),
-    }
-    // The same connection keeps working, and the polling verbs serve.
-    c.recommend("tp", "SELECT a FROM t1", 3).expect("recommend");
+    c.recommend("hp", "SELECT a FROM t1", 3).expect("recommend");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let h = c.history(10).expect("history over thread pool");
+        let h = c.history(10).expect("history");
         if !h.windows.is_empty() {
             break;
         }
         assert!(Instant::now() < deadline, "no window sealed");
         std::thread::sleep(Duration::from_millis(20));
     }
-    let report = c.prof(8).expect("prof over thread pool");
+    let report = c.prof(8).expect("prof");
     assert!(!report.running, "profiler off unless configured on");
 }
 

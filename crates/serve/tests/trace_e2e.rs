@@ -29,11 +29,9 @@ fn train_tiny(seed: u64) -> Recommender {
 
 fn server_config() -> ServerConfig {
     ServerConfig {
-        conn_threads: 2,
         engine: EngineConfig {
             workers: 1,
             queue_cap: 32,
-            max_batch: 4,
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),

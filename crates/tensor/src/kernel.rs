@@ -44,7 +44,7 @@
 
 use crate::pool::Pool;
 use crossbeam::channel;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,13 +70,10 @@ const MIN_ROWS_PER_CHUNK: usize = 32;
 /// back to recomputing missing chunks inline.
 const GATHER_TIMEOUT: Duration = Duration::from_secs(30);
 
-static SERIAL_CALLS: AtomicU64 = AtomicU64::new(0);
-static PARALLEL_CALLS: AtomicU64 = AtomicU64::new(0);
-
 /// Per-path dispatch counters in the process-wide observability
-/// registry: the legacy serial/parallel pair folds naive and blocked
-/// together, but the size-class split is what tuning the
-/// `NAIVE_MAX_FLOPS` / `PAR_MIN_FLOPS` thresholds actually needs.
+/// registry, one per size class — the split that tuning the
+/// `NAIVE_MAX_FLOPS` / `PAR_MIN_FLOPS` thresholds needs. [`counters`]
+/// folds naive and blocked into `serial`.
 struct DispatchCounters {
     naive: Arc<qrec_obs::Counter>,
     blocked: Arc<qrec_obs::Counter>,
@@ -103,9 +100,10 @@ pub struct KernelCounters {
 
 /// Snapshot the dispatch counters (monotonic since process start).
 pub fn counters() -> KernelCounters {
+    let d = dispatch();
     KernelCounters {
-        serial: SERIAL_CALLS.load(Ordering::Relaxed),
-        parallel: PARALLEL_CALLS.load(Ordering::Relaxed),
+        serial: d.naive.get() + d.blocked.get(),
+        parallel: d.parallel.get(),
     }
 }
 
@@ -207,7 +205,6 @@ const SN: usize = 16;
 /// the tile removes that chain and reads each `B` segment once per tile
 /// instead of once per output row. Accumulates into a zeroed `out`.
 fn small_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
     dispatch().naive.inc();
     if m < SN {
         // Narrower than one tile (per-head attention contexts, m = d/heads):
@@ -360,7 +357,6 @@ fn gemm_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32])
 /// Both compute the identical ascending-`k` fold per element.
 pub fn gemm_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     if select(n, k, m, 1) == KernelPath::Naive {
-        SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
         dispatch().naive.inc();
         return naive_nt(a, b, n, k, m);
     }
@@ -375,7 +371,6 @@ pub fn gemm_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
 /// ascending-`k` fold per element.
 pub fn gemm_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     if select(n, k, m, 1) == KernelPath::Naive {
-        SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
         dispatch().naive.inc();
         return naive_tn(a, b, n, k, m);
     }
@@ -418,7 +413,6 @@ fn gemm_on_acc(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, 
 
 /// The counted blocked-serial dispatch arm; `out` is zeroed.
 fn blocked_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
     dispatch().blocked.inc();
     blocked_rows(a, &pack_b(b, k, m), k, m, 0, n, out);
 }
@@ -681,7 +675,6 @@ fn parallel(
     m: usize,
     out: &mut [f32],
 ) {
-    PARALLEL_CALLS.fetch_add(1, Ordering::Relaxed);
     dispatch().parallel.inc();
     let ranges = Arc::new(partition(n, chunks));
     let pb = Arc::new(pack_b(b, k, m));

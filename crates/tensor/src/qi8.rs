@@ -44,7 +44,6 @@
 //! over a long decode; a single early outlier must not crush the
 //! resolution of every later step.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Rows per register tile in the blocked path (mirrors the f32 kernel).
@@ -52,9 +51,6 @@ const MR: usize = 4;
 
 /// Largest quantized magnitude: symmetric `[-127, 127]`.
 const Q_MAX: f32 = 127.0;
-
-static SERIAL_CALLS: AtomicU64 = AtomicU64::new(0);
-static BLOCKED_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Per-path dispatch counters in the process-wide observability
 /// registry, one per size class, same idiom as the f32 kernel's
@@ -83,9 +79,10 @@ pub struct Qi8Counters {
 
 /// Snapshot the dispatch counters (monotonic since process start).
 pub fn counters() -> Qi8Counters {
+    let d = dispatch();
     Qi8Counters {
-        serial: SERIAL_CALLS.load(Ordering::Relaxed),
-        blocked: BLOCKED_CALLS.load(Ordering::Relaxed),
+        serial: d.serial.get(),
+        blocked: d.blocked.get(),
     }
 }
 
@@ -306,12 +303,10 @@ pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32], scratch: 
     }
     match qselect(n) {
         Qi8Path::Serial => {
-            SERIAL_CALLS.fetch_add(1, Ordering::Relaxed);
             dispatch().serial.inc();
             q_rows_serial(&scratch.qa, &scratch.scales, qb, 0, n, out);
         }
         Qi8Path::Blocked => {
-            BLOCKED_CALLS.fetch_add(1, Ordering::Relaxed);
             dispatch().blocked.inc();
             q_rows_blocked(&scratch.qa, &scratch.scales, qb, n, out);
         }

@@ -93,33 +93,39 @@ for row in quant["rows"]:
             sys.exit(f"quant row {row.get('label')}: no {key!r} object")
         check_pct(obj, f"quant row {row.get('label')} {key}")
 
-serve = json.load(open("target/BENCH_serve_smoke.json"))
-SERVE_ROW_KEYS = {"frontend", "mode", "conns", "throughput_rps",
+SERVE_ROW_KEYS = {"mode", "conns", "throughput_rps",
                   "p50_us", "p95_us", "p99_us", "server_threads",
                   "sent", "received", "errors"}
-if not serve["rows"]:
-    sys.exit("serve report has no rows")
-frontends = set()
-for row in serve["rows"]:
-    missing = SERVE_ROW_KEYS - set(row)
-    if missing:
-        sys.exit(f"serve row {row.get('frontend')}/{row.get('conns')}: "
-                 f"missing keys {sorted(missing)}")
-    if not 0 <= row["p50_us"] <= row["p95_us"] <= row["p99_us"]:
-        sys.exit(f"serve row {row['frontend']}/{row['conns']}: "
-                 f"quantiles not monotone: {row}")
-    if row["mode"] == "closed" and row["received"] == 0:
-        sys.exit(f"serve row {row['frontend']}/{row['conns']}: no responses")
-    frontends.add(row["frontend"])
-if frontends != {"eventloop", "threadpool"}:
-    sys.exit(f"serve rows must cover both front ends, got {sorted(frontends)}")
-idle = serve["idle"]
-if idle["held"] < idle["conns"]:
-    sys.exit(f"serve idle herd dropped connections: {idle}")
-if idle["server_threads_held"] > idle["server_threads_before"] + 2:
-    sys.exit(f"serve idle herd grew the thread count: {idle}")
-if not serve["slow_client"]["disconnected"]:
-    sys.exit(f"serve slow client was not disconnected: {serve['slow_client']}")
+
+def check_serve(path, closed_conns):
+    """Closed-loop rows at exactly `closed_conns`, plus one open-loop row."""
+    serve = json.load(open(path))
+    for row in serve["rows"]:
+        where = f"{path} row {row.get('mode')}/{row.get('conns')}"
+        missing = SERVE_ROW_KEYS - set(row)
+        if missing:
+            sys.exit(f"{where}: missing keys {sorted(missing)}")
+        if not 0 <= row["p50_us"] <= row["p95_us"] <= row["p99_us"]:
+            sys.exit(f"{where}: quantiles not monotone: {row}")
+        if row["mode"] == "closed" and row["received"] == 0:
+            sys.exit(f"{where}: no responses")
+    closed = sorted(r["conns"] for r in serve["rows"] if r["mode"] == "closed")
+    opened = [r for r in serve["rows"] if r["mode"] == "open"]
+    if closed != closed_conns or len(opened) != 1:
+        sys.exit(f"{path}: want closed rows at {closed_conns} and one open row, "
+                 f"got closed {closed} and {len(opened)} open")
+    idle = serve["idle"]
+    if idle["held"] < idle["conns"]:
+        sys.exit(f"{path}: idle herd dropped connections: {idle}")
+    if idle["server_threads_held"] > idle["server_threads_before"] + 2:
+        sys.exit(f"{path}: idle herd grew the thread count: {idle}")
+    if not serve["slow_client"]["disconnected"]:
+        sys.exit(f"{path}: slow client was not disconnected: {serve['slow_client']}")
+    return serve
+
+serve = check_serve("target/BENCH_serve_smoke.json", [4])
+# The committed baseline is a full run: the connection-scaling ladder.
+check_serve("BENCH_serve.json", [16, 64, 256, 1024])
 
 obs = json.load(open("target/BENCH_obs_smoke.json"))
 OBS_TOP_KEYS = {"scenarios", "geomean_ratio", "overhead", "pass", "micro", "threshold"}

@@ -49,52 +49,18 @@ echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)
 cargo test --offline -q --manifest-path bench_e2e/Cargo.toml
 cargo run --offline --release --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke >/dev/null
 
-echo "==> serve front-end suites vs the event loop (incl. lock-order sanitizer)"
-# The event loop is the default front end, so these suites exercise it
-# end-to-end: protocol integration, framing robustness (partial frames,
-# pipelining, slowloris, slow consumers), tracing, and crash recovery.
-cargo test --offline -q -p qrec-serve --test serve_integration
-cargo test --offline -q -p qrec-serve --test frontend_robustness
-QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve \
-    --test serve_integration --test frontend_robustness \
-    --test trace_e2e --test restart_recovery
+echo "==> qrec-serve suites (protocol, framing robustness, tracing, telemetry, recovery)"
+cargo test --offline -q -p qrec-serve
 
 echo "==> bench --smoke"
 ./scripts/bench.sh --smoke >/dev/null
-python3 -m json.tool target/BENCH_tensor_smoke.json >/dev/null \
-    || { echo "BENCH_tensor_smoke.json is not well-formed JSON"; exit 1; }
-python3 -m json.tool target/BENCH_decode_smoke.json >/dev/null \
-    || { echo "BENCH_decode_smoke.json is not well-formed JSON"; exit 1; }
-python3 -m json.tool target/BENCH_store_smoke.json >/dev/null \
-    || { echo "BENCH_store_smoke.json is not well-formed JSON"; exit 1; }
-python3 -m json.tool target/BENCH_quant_smoke.json >/dev/null \
-    || { echo "BENCH_quant_smoke.json is not well-formed JSON"; exit 1; }
-python3 -m json.tool target/BENCH_serve_smoke.json >/dev/null \
-    || { echo "BENCH_serve_smoke.json is not well-formed JSON"; exit 1; }
-if [ -f BENCH_tensor.json ]; then
-    python3 -m json.tool BENCH_tensor.json >/dev/null \
-        || { echo "BENCH_tensor.json is not well-formed JSON"; exit 1; }
-fi
-if [ -f BENCH_decode.json ]; then
-    python3 -m json.tool BENCH_decode.json >/dev/null \
-        || { echo "BENCH_decode.json is not well-formed JSON"; exit 1; }
-fi
-if [ -f BENCH_store.json ]; then
-    python3 -m json.tool BENCH_store.json >/dev/null \
-        || { echo "BENCH_store.json is not well-formed JSON"; exit 1; }
-fi
-if [ -f BENCH_quant.json ]; then
-    python3 -m json.tool BENCH_quant.json >/dev/null \
-        || { echo "BENCH_quant.json is not well-formed JSON"; exit 1; }
-fi
-if [ -f BENCH_serve.json ]; then
-    python3 -m json.tool BENCH_serve.json >/dev/null \
-        || { echo "BENCH_serve.json is not well-formed JSON"; exit 1; }
-fi
-if [ -f BENCH_obs.json ]; then
-    python3 -m json.tool BENCH_obs.json >/dev/null \
-        || { echo "BENCH_obs.json is not well-formed JSON"; exit 1; }
-fi
+# Every smoke report, and every committed baseline, must be well-formed.
+for name in tensor decode store quant serve obs; do
+    for f in "target/BENCH_${name}_smoke.json" "BENCH_${name}.json"; do
+        python3 -m json.tool "$f" >/dev/null \
+            || { echo "$f is not well-formed JSON"; exit 1; }
+    done
+done
 
 echo "==> obs overhead gate (bench_obs, budget ${QREC_OBS_OVERHEAD_MAX:-0.03})"
 cargo build --offline --release -q -p qrec-bench --bin bench_obs
