@@ -10,11 +10,20 @@
 //! under four kernels: the seed's branchy naive loop (kept verbatim
 //! below as the fixed baseline), the canonical naive reference, the
 //! blocked serial kernel, and the pool-parallel kernel at 1 and 8
-//! threads. Also measures mean end-to-end `decode()` latency on a
+//! threads. The model's narrow widths (`n×48×48`, `n×96×48`, `n×48×130`:
+//! one full panel and an edge, or an edge of two columns) get rows of
+//! their own, flagged `narrow_shape`; every row is also timed under the
+//! small-product tile (`small_tile_s`), and `scripts/bench.sh` fails when
+//! the blocked kernel is more than 1.5× slower than that on a narrow row
+//! — the cliff its scalar edge loop used to be. Also
+//! measures mean end-to-end `decode()` latency on a
 //! freshly trained tiny model. Results go to `BENCH_tensor.json` at the
 //! repo root (or `target/BENCH_tensor_smoke.json` under `--smoke`,
 //! which shrinks shapes and budgets so CI can validate the harness in
 //! seconds).
+
+// One `json!` object per shape row, wider than the macro's default depth.
+#![recursion_limit = "256"]
 
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
@@ -67,17 +76,46 @@ struct Shape {
     m: usize,
     /// Decode-path shape: must stay serial, gated by the ≤10% rule.
     decode: bool,
+    /// Narrow-width shape: `scripts/bench.sh` holds the blocked kernel to
+    /// 1.5× the small-product tile here.
+    narrow: bool,
+}
+
+/// `n×k×m` rows of the model's narrow widths, `n` from one beam's worth
+/// of rows to two full-length sequences.
+fn narrow_shapes(rows: &[usize], skip: &[(usize, usize, usize)]) -> Vec<Shape> {
+    let mut out = Vec::new();
+    for (k, m, label) in [
+        (48, 48, "narrow nxd.dxd"),
+        (96, 48, "narrow nxff.ffxd"),
+        (48, 130, "narrow nxd.dxvocab130"),
+    ] {
+        for &n in rows {
+            if !skip.contains(&(n, k, m)) {
+                out.push(Shape {
+                    label,
+                    n,
+                    k,
+                    m,
+                    decode: false,
+                    narrow: true,
+                });
+            }
+        }
+    }
+    out
 }
 
 fn shapes(smoke: bool) -> Vec<Shape> {
     if smoke {
-        return vec![
+        let mut shapes = vec![
             Shape {
                 label: "smoke 1x16.16x32",
                 n: 1,
                 k: 16,
                 m: 32,
                 decode: true,
+                narrow: false,
             },
             Shape {
                 label: "smoke 8x16.16x16",
@@ -85,25 +123,22 @@ fn shapes(smoke: bool) -> Vec<Shape> {
                 k: 16,
                 m: 16,
                 decode: false,
-            },
-            Shape {
-                label: "smoke 48x48.48x48",
-                n: 48,
-                k: 48,
-                m: 48,
-                decode: false,
+                narrow: false,
             },
         ];
+        shapes.extend(narrow_shapes(&[48], &[]));
+        return shapes;
     }
     let cfg = TransformerConfig::small(2000);
     let (d, ff, vocab, len) = (cfg.d_model, cfg.d_ff, cfg.vocab, cfg.max_len);
-    vec![
+    let mut shapes = vec![
         Shape {
             label: "decode 1xd.dxd (attention proj)",
             n: 1,
             k: d,
             m: d,
             decode: true,
+            narrow: false,
         },
         Shape {
             label: "decode 1xd.dxff (ffn expand)",
@@ -111,6 +146,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             k: d,
             m: ff,
             decode: true,
+            narrow: false,
         },
         Shape {
             label: "decode 1xd.dxvocab (vocab proj)",
@@ -118,6 +154,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             k: d,
             m: vocab,
             decode: true,
+            narrow: false,
         },
         Shape {
             label: "train Lxd.dxd (attention proj)",
@@ -125,6 +162,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             k: d,
             m: d,
             decode: false,
+            narrow: true,
         },
         Shape {
             label: "train Lxd.dxvocab (vocab proj)",
@@ -132,6 +170,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             k: d,
             m: vocab,
             decode: false,
+            narrow: false,
         },
         Shape {
             label: "scale 512x512x512",
@@ -139,8 +178,11 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             k: 512,
             m: 512,
             decode: false,
+            narrow: false,
         },
-    ]
+    ];
+    shapes.extend(narrow_shapes(&[8, 24, 80, len, 2 * len], &[(len, d, d)]));
+    shapes
 }
 
 /// Measured timings for one shape (best-of-N plus rep percentiles per
@@ -155,6 +197,9 @@ struct ShapeRow {
     seed: RepStats,
     naive: RepStats,
     blocked: RepStats,
+    /// The small-product tile forced onto the shape.
+    small: RepStats,
+    narrow: bool,
     gemm_1t: RepStats,
     gemm_8t: RepStats,
 }
@@ -177,6 +222,7 @@ impl ShapeRow {
             "seed_naive": self.seed.to_json(),
             "naive": self.naive.to_json(),
             "blocked": self.blocked.to_json(),
+            "small_tile": self.small.to_json(),
             "gemm_1t": self.gemm_1t.to_json(),
             "gemm_8t": self.gemm_8t.to_json(),
         });
@@ -189,9 +235,11 @@ impl ShapeRow {
             "seed_naive_s": self.seed.best_s,
             "naive_s": self.naive.best_s,
             "blocked_s": self.blocked.best_s,
+            "small_tile_s": self.small.best_s,
+            "narrow_shape": self.narrow,
+            "percentiles": percentiles,
             "gemm_1t_s": self.gemm_1t.best_s,
             "gemm_8t_s": self.gemm_8t.best_s,
-            "percentiles": percentiles,
             "speedup_1t_vs_seed": self.seed.best_s / self.gemm_1t.best_s,
             "speedup_8t_vs_seed": self.seed.best_s / self.gemm_8t.best_s,
         })
@@ -219,6 +267,7 @@ fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
             &mut || drop(black_box(kernel::blocked(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::gemm_on(pool1, &a, &b, n, k, m))),
             &mut || drop(black_box(kernel::gemm_on(pool8, &a, &b, n, k, m))),
+            &mut || drop(black_box(kernel::small(&a, &b, n, k, m))),
         ],
         budget,
         reps,
@@ -233,6 +282,8 @@ fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
         seed: times[0],
         naive: times[1],
         blocked: times[2],
+        small: times[5],
+        narrow: s.narrow,
         gemm_1t: times[3],
         gemm_8t: times[4],
     }
@@ -341,9 +392,14 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "shape", "seed (s)", "gemm 1t (s)", "gemm 8t (s)", "speedup"
     );
     for r in &rows {
+        let label = if r.narrow {
+            format!("{} ({}x{}x{})", r.label, r.n, r.k, r.m)
+        } else {
+            r.label.to_string()
+        };
         println!(
             "{:<36} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x",
-            r.label,
+            label,
             r.seed_s(),
             r.gemm_1t_s(),
             r.gemm_8t_s(),

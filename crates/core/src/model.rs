@@ -126,6 +126,14 @@ impl Seq2Seq for AnyModel {
         }
     }
 
+    fn encoder_output(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> Arc<Tensor> {
+        match self {
+            AnyModel::Transformer(m) => m.encoder_output(fwd, src),
+            AnyModel::ConvS2S(m) => m.encoder_output(fwd, src),
+            AnyModel::Gru(m) => m.encoder_output(fwd, src),
+        }
+    }
+
     fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
         match self {
             AnyModel::Transformer(m) => m.begin_decode(fwd, enc, batch),

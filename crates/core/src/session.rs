@@ -4,24 +4,38 @@
 //! `S* = (Q'_1 … Q'_i)`; the paper's solution uses only `Q'_i` but notes
 //! that seq2seq inputs extend naturally by concatenating the preceding
 //! queries into one sequence (Section 2). [`SessionContext`] implements
-//! that: it accumulates the user's queries and exposes either the last
-//! query or a windowed concatenation as model input.
+//! that: it exposes either the last query or a windowed concatenation as
+//! model input.
+//!
+//! A context holds its *window*, not its history: the model never reads
+//! past the last `window` queries, nor anything of a query but its
+//! tokens, so that is what is kept — the token sequences of the last
+//! `window` queries and a count of all of them. A session's memory is
+//! therefore bounded by its window however long it lives; a server
+//! keeping every parsed statement of every session (template, fragment
+//! sets and both spellings of the SQL included) grew by kilobytes per
+//! request for nothing.
 
 use crate::predict::PerKind;
 use crate::recommender::Recommender;
 use qrec_nn::Strategy;
 use qrec_sql::ParseError;
 use qrec_workload::QueryRecord;
+use std::collections::VecDeque;
 
 /// Separator token placed between concatenated queries. Out-of-vocabulary
 /// by construction, so it encodes as `<UNK>` — a consistent boundary
 /// marker for the model.
 pub const SEP_TOKEN: &str = "<SEP>";
 
-/// A live user session: the queries issued so far, oldest first.
-#[derive(Debug, Clone, Default)]
+/// A live user session: the token sequences of the last `window`
+/// queries, oldest first, and a count of every query seen.
+#[derive(Debug, Clone)]
 pub struct SessionContext {
-    history: Vec<QueryRecord>,
+    /// At most `window` token sequences.
+    recent: VecDeque<Vec<String>>,
+    /// Queries recorded over the session's life, dropped ones included.
+    seen: usize,
     window: usize,
 }
 
@@ -29,9 +43,11 @@ impl SessionContext {
     /// A context that feeds models the last `window` queries
     /// (`window = 1` reproduces the paper's configuration).
     pub fn new(window: usize) -> Self {
+        let window = window.max(1);
         SessionContext {
-            history: Vec::new(),
-            window: window.max(1),
+            recent: VecDeque::with_capacity(window),
+            seen: 0,
+            window,
         }
     }
 
@@ -42,50 +58,43 @@ impl SessionContext {
     /// Returns the parse error if the statement is not valid SQL in the
     /// `qrec` dialect (the session is left unchanged).
     pub fn push_sql(&mut self, sql: &str) -> Result<(), ParseError> {
-        let record = QueryRecord::new(sql)?;
-        self.history.push(record);
+        self.push(QueryRecord::new(sql)?);
         Ok(())
     }
 
-    /// Record an already-parsed query.
+    /// Record an already-parsed query: its tokens enter the window, the
+    /// query that falls out of the window is dropped.
     pub fn push(&mut self, record: QueryRecord) {
-        self.history.push(record);
+        if self.recent.len() == self.window {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(record.tokens);
+        self.seen += 1;
     }
 
-    /// Number of queries recorded.
+    /// Number of queries recorded, including those no longer held.
     pub fn len(&self) -> usize {
-        self.history.len()
+        self.seen
     }
 
     /// True if the session has no queries yet.
     pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
+        self.seen == 0
     }
 
-    /// The most recent query, if any.
-    pub fn last(&self) -> Option<&QueryRecord> {
-        self.history.last()
+    /// The model input, borrowed: the tokens of the last `window`
+    /// queries with a [`SEP_TOKEN`] between consecutive queries (just the
+    /// last query's tokens when `window = 1`).
+    pub fn window_tokens(&self) -> impl Iterator<Item = &str> {
+        self.recent.iter().enumerate().flat_map(|(i, tokens)| {
+            let sep = (i > 0).then_some(SEP_TOKEN);
+            sep.into_iter().chain(tokens.iter().map(String::as_str))
+        })
     }
 
-    /// The full history, oldest first.
-    pub fn history(&self) -> &[QueryRecord] {
-        &self.history
-    }
-
-    /// The model input tokens: the last `window` queries concatenated
-    /// with [`SEP_TOKEN`] boundaries (just the last query when
-    /// `window = 1`).
+    /// [`SessionContext::window_tokens`], owned.
     pub fn input_tokens(&self) -> Vec<String> {
-        let n = self.history.len();
-        let start = n.saturating_sub(self.window);
-        let mut out = Vec::new();
-        for (i, q) in self.history[start..].iter().enumerate() {
-            if i > 0 {
-                out.push(SEP_TOKEN.to_string());
-            }
-            out.extend(q.tokens.iter().cloned());
-        }
-        out
+        self.window_tokens().map(str::to_string).collect()
     }
 
     /// Recommend up to `n` fragments per kind for the next query, using
@@ -97,7 +106,7 @@ impl SessionContext {
         n: usize,
         strategy: Strategy,
     ) -> Option<PerKind<Vec<String>>> {
-        if self.history.is_empty() {
+        if self.is_empty() {
             return None;
         }
         let tokens = self.input_tokens();
@@ -118,7 +127,6 @@ mod tests {
         ctx.push_sql("SELECT b FROM t").unwrap();
         ctx.push_sql("SELECT c FROM t").unwrap();
         assert_eq!(ctx.len(), 3);
-        assert_eq!(ctx.last().unwrap().sql, "SELECT c FROM t");
         let toks = ctx.input_tokens();
         // Window 2: queries b and c with one separator.
         assert_eq!(toks.iter().filter(|t| *t == SEP_TOKEN).count(), 1);
@@ -134,7 +142,7 @@ mod tests {
         ctx.push_sql("SELECT b FROM u").unwrap();
         let toks = ctx.input_tokens();
         assert!(!toks.contains(&SEP_TOKEN.to_string()));
-        assert_eq!(toks, ctx.last().unwrap().tokens);
+        assert_eq!(toks, QueryRecord::new("SELECT b FROM u").unwrap().tokens);
     }
 
     #[test]
@@ -143,6 +151,40 @@ mod tests {
         ctx.push_sql("SELECT a FROM t").unwrap();
         assert!(ctx.push_sql("NOT SQL").is_err());
         assert_eq!(ctx.len(), 1);
+    }
+
+    /// The model input of the implementation that kept every record:
+    /// the last `window` of all of them, `SEP_TOKEN`-joined.
+    fn unbounded_input_tokens(all: &[QueryRecord], window: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, q) in all[all.len().saturating_sub(window)..].iter().enumerate() {
+            if i > 0 {
+                out.push(SEP_TOKEN.to_string());
+            }
+            out.extend(q.tokens.iter().cloned());
+        }
+        out
+    }
+
+    #[test]
+    fn a_long_session_holds_its_window_and_counts_the_rest() {
+        for window in 1..=3 {
+            let mut ctx = SessionContext::new(window);
+            let mut all = Vec::new();
+            for i in 0..1000 {
+                let sql = format!("SELECT c{} FROM t{} WHERE x < {i}", i % 7, i % 5);
+                all.push(QueryRecord::new(&sql).unwrap());
+                ctx.push_sql(&sql).unwrap();
+                assert!(
+                    ctx.recent.len() <= window,
+                    "push {i} holds {}",
+                    ctx.recent.len()
+                );
+                assert_eq!(ctx.input_tokens(), unbounded_input_tokens(&all, window));
+            }
+            assert_eq!(ctx.len(), 1000);
+            assert_eq!(ctx.recent.len(), window);
+        }
     }
 
     #[test]

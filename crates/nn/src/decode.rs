@@ -8,9 +8,11 @@
 //! architecture carries a [`DecodeState`] of per-layer caches (see
 //! [`crate::incremental`]), and every step runs **one batched
 //! `B × vocab` forward** across all live hypotheses instead of one
-//! full-prefix forward per hypothesis — for the transformer a tape-free
-//! one that builds no autograd graph at all. The batched logits are
-//! bitwise identical to the serial full-prefix path —
+//! full-prefix forward per hypothesis. For the transformer neither the
+//! encoder pass nor the step builds an autograd graph at all
+//! ([`Seq2Seq::encoder_output`], [`Seq2Seq::step_logits`]); ConvS2S and
+//! GRU record theirs on a graph the decoder rebuilds after each use. The
+//! batched logits are bitwise identical to the serial full-prefix path —
 //! [`decode_reference`] keeps that graph-based path alive as the
 //! equivalence-suite ground truth and the pre-optimisation benchmark
 //! baseline.
@@ -326,6 +328,8 @@ pub fn decode_with_cache<M: Seq2Seq + ?Sized>(
         params,
         rng,
         cache,
+        graph: Graph::new(),
+        bind: Binding::new(params.len()),
     };
     let hyps = match strategy {
         Strategy::Greedy => vec![dec.greedy(src, max_len)],
@@ -393,41 +397,46 @@ struct Decoder<'m, M: Seq2Seq + ?Sized> {
     params: &'m Params,
     rng: &'m mut StdRng,
     cache: &'m mut EncCache,
+    /// The tape the model's graph-based calls record on: the ConvS2S and
+    /// GRU encoder passes and steps. The transformer's tape-free calls
+    /// read only the parameter store and leave it empty, so it is
+    /// replaced only after a call that used it — a transformer decode
+    /// builds this one graph and binding, not a pair per step.
+    graph: Graph,
+    bind: Binding,
 }
 
 impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
+    /// Run one inference call of the model with a forward context.
+    fn with_fwd<T>(&mut self, call: impl FnOnce(&M, &mut Fwd<'_>) -> T) -> T {
+        let mut fwd = Fwd {
+            graph: &mut self.graph,
+            params: self.params,
+            bind: &mut self.bind,
+            rng: self.rng,
+            training: false,
+        };
+        let out = call(self.model, &mut fwd);
+        if !self.graph.is_empty() {
+            self.graph = Graph::new();
+            self.bind = Binding::new(self.params.len());
+        }
+        out
+    }
+
     fn encoder_output(&mut self, src: &[usize]) -> Arc<Tensor> {
         if let Some(enc) = self.cache.lookup(src) {
             return enc; // refcount bump, no data copy
         }
         let _span = qrec_obs::Span::enter_with("encode", encode_hist());
-        let mut graph = Graph::new();
-        let mut bind = Binding::new(self.params.len());
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params: self.params,
-            bind: &mut bind,
-            rng: self.rng,
-            training: false,
-        };
-        let enc = self.model.encode(&mut fwd, src);
-        let out = graph.value_shared(enc);
+        let out = self.with_fwd(|model, fwd| model.encoder_output(fwd, src));
         self.cache.insert(src.to_vec(), Arc::clone(&out));
         out
     }
 
     /// Start a decode state for `batch` hypothesis rows.
     fn begin(&mut self, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
-        let mut graph = Graph::new();
-        let mut bind = Binding::new(self.params.len());
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params: self.params,
-            bind: &mut bind,
-            rng: self.rng,
-            training: false,
-        };
-        self.model.begin_decode(&mut fwd, enc, batch)
+        self.with_fwd(|model, fwd| model.begin_decode(fwd, enc, batch))
     }
 
     /// One batched decode step: feed one token per live row, return the
@@ -439,19 +448,7 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
         // would flood the 32-stage trace cap, so steps are attributed as
         // a count plus a histogram sample.
         let t0 = qrec_obs::enabled().then(std::time::Instant::now);
-        // The ConvS2S and GRU steps record their forward on this
-        // per-step graph; the transformer's tape-free step reads only
-        // `fwd.params` and leaves it empty.
-        let mut graph = Graph::new();
-        let mut bind = Binding::new(self.params.len());
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params: self.params,
-            bind: &mut bind,
-            rng: self.rng,
-            training: false,
-        };
-        let mut probs = self.model.step_logits(&mut fwd, state, last_toks);
+        let mut probs = self.with_fwd(|model, fwd| model.step_logits(fwd, state, last_toks));
         for r in 0..probs.rows() {
             softmax_in_place(probs.row_mut(r));
         }

@@ -36,6 +36,21 @@ pub trait Seq2Seq {
         fwd.graph.slice_rows(logits, rows - 1, rows)
     }
 
+    /// The encoder output of `src` for inference (`len(src) × d_model`,
+    /// shared): what the decoders run once per source and keep in their
+    /// [`crate::decode::EncCache`]. Not for training passes — dropout is
+    /// the identity and no gradient can flow from the result.
+    ///
+    /// The default records [`Seq2Seq::encode`] on `fwd`'s graph and takes
+    /// the node's value. An architecture may override it with a pass that
+    /// builds no graph and reads the weights in place — the transformer
+    /// does — as long as the result is bitwise what the default returns;
+    /// the decode equivalence suite enforces that.
+    fn encoder_output(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> Arc<Tensor> {
+        let enc = self.encode(fwd, src);
+        fwd.graph.value_shared(enc)
+    }
+
     /// Start an incremental decode against a frozen encoder output,
     /// with `batch` hypothesis rows (all starting from an empty prefix).
     ///

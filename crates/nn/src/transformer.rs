@@ -102,6 +102,33 @@ impl EncoderLayer {
         let x = fwd.graph.add(x, f);
         self.ln2.forward(fwd, x)
     }
+
+    /// [`EncoderLayer::forward`] outside training, tape-free, over the
+    /// `m` source rows of the residual stream `s.x` (`m × d_model`,
+    /// updated in place): every projection batched over the rows, each
+    /// row's query attended over the K/V rows of all `m` — the graph
+    /// path's unmasked `m × m` attention, one query row at a time.
+    /// Weights are read from `params` in place; every intermediate lives
+    /// in `s`.
+    fn apply(&self, params: &Params, m: usize, s: &mut StepScratch) {
+        let attn = &self.attn;
+        let d = attn.d;
+        attn.q.apply(params, &s.x, m, &mut s.q, &mut s.q8);
+        attn.k.apply(params, &s.x, m, &mut s.k, &mut s.q8);
+        attn.v.apply(params, &s.x, m, &mut s.v, &mut s.q8);
+        let source = KvPair::F32 { k: &s.k, v: &s.v };
+        for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
+            attend_fused(q, source, attn.heads, &mut s.scores[..m], ctx);
+        }
+        attn.out.apply(params, &s.ctx, m, &mut s.y, &mut s.q8);
+        add_assign(&mut s.x, &s.y);
+        self.ln1.apply(params, &mut s.x);
+
+        self.ff
+            .apply(params, &s.x, m, &mut s.h, &mut s.y, &mut s.q8);
+        add_assign(&mut s.x, &s.y);
+        self.ln2.apply(params, &mut s.x);
+    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -218,6 +245,14 @@ fn add_assign(x: &mut [f32], y: &[f32]) {
     }
 }
 
+/// An embedding row into a residual-stream row: `row ← row·√d + pe`, the
+/// two roundings of the graph's `scale` then `add`.
+fn scale_and_position(row: &mut [f32], sqrt_d: f32, pe: &[f32]) {
+    for (x, &pe) in row.iter_mut().zip(pe) {
+        *x = *x * sqrt_d + pe;
+    }
+}
+
 /// A full Transformer encoder–decoder.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Transformer {
@@ -299,6 +334,33 @@ impl Seq2Seq for Transformer {
         self.out_proj.forward(fwd, last)
     }
 
+    /// The tape-free encoder pass: the `m = min(len(src), max_len)`
+    /// source rows go through embedding, positions and every encoder
+    /// layer on one `StepScratch` sized for `m` rows — no autograd
+    /// graph (`fwd` supplies the parameter store only), no weight copied,
+    /// no per-head slice or concatenation. The allocations are the
+    /// scratch buffers and the divisor table, whatever `m` or the depth;
+    /// the residual stream itself becomes the returned tensor.
+    fn encoder_output(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> Arc<Tensor> {
+        let params = fwd.params;
+        let d = self.cfg.d_model;
+        let src = &src[..src.len().min(self.cfg.max_len)];
+        let m = src.len();
+        let mut s = StepScratch::default();
+        s.ensure(m, d, self.cfg.d_ff, m);
+        self.src_embed.gather_into(params, src, &mut s.x);
+        let pe_div = positional_divisors(d);
+        let sqrt_d = (d as f32).sqrt();
+        for (pos, row) in s.x.chunks_exact_mut(d).enumerate() {
+            positional_encoding_row_into(pos, &pe_div, &mut s.pe);
+            scale_and_position(row, sqrt_d, &s.pe);
+        }
+        for layer in &self.enc_layers {
+            layer.apply(params, m, &mut s);
+        }
+        Arc::new(Tensor::from_vec(m, d, s.x))
+    }
+
     fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
         let params = fwd.params;
         let d = self.cfg.d_model;
@@ -368,9 +430,7 @@ impl Seq2Seq for Transformer {
             positional_encoding_row_into(pos, &ts.pe_div, &mut s.pe);
             let sqrt_d = (d as f32).sqrt();
             for row in s.x.chunks_exact_mut(d) {
-                for (x, &pe) in row.iter_mut().zip(&s.pe) {
-                    *x = *x * sqrt_d + pe;
-                }
+                scale_and_position(row, sqrt_d, &s.pe);
             }
             for (layer, ls) in self.dec_layers.iter().zip(&mut ts.layers) {
                 layer.step(params, n, ls, s);

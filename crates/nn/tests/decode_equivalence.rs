@@ -222,6 +222,39 @@ fn transformer_serving_shape_matches_reference() {
     }
 }
 
+/// The transformer's tape-free encoder pass against the graph `encode`
+/// it replaces, bit for bit, at the serving shape with f32 weights and
+/// with the int8 sidecar. Source lengths: one row; the bench's short and
+/// mean windows; 28 and 29 rows, either side of the row count at which
+/// the `m×48·48×48` projections move from the small-product tile to the
+/// blocked kernel; 64; and three tokens past the positional table, which
+/// both passes truncate to `max_len` rows.
+#[test]
+fn transformer_tape_free_encoder_matches_the_graph_encoder() {
+    let (mut params, model) = common::perturbed_small(SERVING_VOCAB, 2, 23);
+    let max_len = model.config().max_len;
+    for quantized in [false, true] {
+        if quantized {
+            params.quantize();
+        }
+        for m in [1, 5, 28, 29, 64, max_len + 3] {
+            let src = source(m);
+            let mut rng = StdRng::seed_from_u64(0);
+            let want = forward_eval(&params, &mut rng, |fwd| {
+                let e = model.encode(fwd, &src);
+                fwd.graph.value(e).clone()
+            });
+            let got = forward_eval(&params, &mut rng, |fwd| {
+                let out = model.encoder_output(fwd, &src);
+                assert!(fwd.graph.is_empty(), "the pass builds no graph");
+                out
+            });
+            assert_eq!(got.rows(), m.min(max_len));
+            assert_rows_bitwise(&want, &got, &format!("int8 {quantized} m {m}"));
+        }
+    }
+}
+
 /// Step-level walk at the serving shape through everything a decode does
 /// to a state: every step's batched logits rows equal the full-prefix
 /// last-row logits of each row's own prefix, across reorders that

@@ -1,12 +1,15 @@
-//! Allocation bound of the transformer's tape-free decode step.
+//! Allocation bounds of the transformer's tape-free decode step and
+//! encoder pass.
 //!
 //! The step's contract (DESIGN.md §11) is that it builds no autograd
 //! graph, copies no weight and writes every intermediate into scratch
 //! owned by the `DecodeState` — so the only heap allocation inside one
 //! `step_logits` call is the `B × vocab` logits tensor it returns,
-//! whatever the batch, the position or the depth of the model. This
-//! binary installs a counting global allocator (which is why it is a
-//! test binary of its own) and holds the step to that.
+//! whatever the batch, the position or the depth of the model. The
+//! encoder pass makes the same promise per source: its scratch buffers
+//! and nothing that grows with the source length or the layer count.
+//! This binary installs a counting global allocator (which is why it is
+//! a test binary of its own) and holds both to that.
 
 mod common;
 
@@ -111,8 +114,8 @@ fn step_allocations(layers: usize, batch: usize, t: usize, quantized: bool) -> u
     count
 }
 
-/// One test, so nothing else in this binary allocates on the measuring
-/// thread mid-count.
+/// One test for every step case, so nothing else allocates on the
+/// measuring thread mid-count (counts are per thread).
 ///
 /// Positions 1 and 30 sit off the doubling boundaries where amortised
 /// growth legitimately allocates: the KV arena re-lays its rows out at
@@ -145,4 +148,51 @@ fn a_transformer_step_allocates_only_its_logits() {
         );
     }
     println!("allocations per transformer step: {first}");
+}
+
+/// Allocations inside one `encoder_output` call over an `m`-token source
+/// on a `layers`-deep serving-shape transformer.
+fn encoder_allocations(layers: usize, m: usize, quantized: bool) -> usize {
+    let vocab = 130;
+    let (mut params, model) = common::perturbed_small(vocab, layers, 5);
+    if quantized {
+        params.quantize();
+    }
+    let src: Vec<usize> = (0..m).map(|i| 3 + (i * 7) % (vocab - 3)).collect();
+    let mut rng = StdRng::seed_from_u64(0);
+    let (count, enc) = forward_eval(&params, &mut rng, |fwd| {
+        allocations_in(|| model.encoder_output(fwd, &src))
+    });
+    assert_eq!(enc.shape(), (m, 48));
+    count
+}
+
+/// A graph encoder pass allocates per layer (every weight it binds is
+/// copied, every op output is a fresh tensor) and per head; the
+/// tape-free pass allocates its scratch once, whatever the source length
+/// or the depth. Lengths sit on both sides of the switches from the
+/// small-product tile to the blocked kernel (15 rows for the `d_ff`
+/// products, 29 for the `d_model` ones): the blocked kernel packs `B`
+/// into a buffer its thread keeps, so after the first pass at the longest
+/// length has sized that buffer it allocates nothing either.
+#[test]
+fn a_transformer_encoder_pass_allocates_only_its_scratch() {
+    for quantized in [false, true] {
+        encoder_allocations(2, 64, quantized);
+        let counts: Vec<usize> = [1, 2]
+            .iter()
+            .flat_map(|&layers| {
+                [1, 5, 25, 29, 64].map(|m| encoder_allocations(layers, m, quantized))
+            })
+            .collect();
+        assert!(
+            counts.iter().all(|&n| n == counts[0] && n <= 16),
+            "int8 {quantized}: {counts:?} allocations — the count must not depend on the \
+             source length or the depth"
+        );
+        println!(
+            "allocations per encoder pass (int8 {quantized}): {}",
+            counts[0]
+        );
+    }
 }

@@ -9,8 +9,17 @@
 //! Backpressure is typed: submission uses `try_send`, and a full queue
 //! surfaces as [`ServeError::Overloaded`] immediately instead of
 //! blocking the event loop — the client decides whether to retry.
+//!
+//! Not every RECOMMEND gets this far. The event loop resolves the
+//! session window of a memory-only store itself and answers a cache hit
+//! on its own thread through `answer_cached` — the same lookup → count
+//! → rank sequence a worker runs, so both feed one set of counters,
+//! stage histograms and flight records. What reaches the queue is what
+//! needs a worker: a window to decode, or — with a durable session tier
+//! — any request, because its WAL write may block ([`PrepareFn`]).
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use qrec_core::predict::PerKind;
 use qrec_nn::decode::EncCache;
 use qrec_nn::Strategy;
 use qrec_obs::{trace, Span, TraceContext};
@@ -20,7 +29,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use crate::cache::{CacheKey, RecCache};
+use crate::cache::{CacheKey, CachedRanking, RecCache};
 use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::registry::ModelRegistry;
@@ -42,7 +51,7 @@ pub struct DecodeRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// Top-`n` fragments per kind, ranked by aggregated probability.
-    pub fragments: qrec_core::predict::PerKind<Vec<String>>,
+    pub fragments: PerKind<Vec<String>>,
     /// Epoch of the model that produced (or cached) the ranking.
     pub epoch: u64,
     /// True when the ranking came from the LRU cache.
@@ -279,32 +288,14 @@ fn worker_loop(
         trace::record_stage("batch_wait", job.enqueued, wait);
         trace::note_batch(1, epoch);
         trace::note_strategy(strategy_name(strategy), beam_width(strategy));
+        // The worker looks the window up itself even when the loop's
+        // probe missed a moment ago: a window another job filled while
+        // this one queued is still a hit.
         let key = CacheKey::new(epoch, &job.req.tokens);
-        let lookup = Span::in_span_with("cache", &metrics.stage_cache, || cache.get(&key));
-        let (ranked, cached) = match lookup {
-            Some(hit) => {
-                Metrics::bump(&metrics.cache_hits);
-                (hit, true)
-            }
-            None => {
-                Metrics::bump(&metrics.cache_misses);
-                let ranked = Span::in_span_with("decode", &metrics.stage_decode, || {
-                    model.ranked_fragments_for_tokens_cached(
-                        &job.req.tokens,
-                        strategy,
-                        rng,
-                        enc_cache,
-                    )
-                });
-                cache.put(key, ranked.clone());
-                (ranked, false)
-            }
-        };
-        trace::note_cache_hit(cached);
-        let fragments = Span::in_span_with("rank", &metrics.stage_rank, || {
-            ranked.map(|_, r| r.iter().take(job.req.n).cloned().collect())
-        });
-        metrics.latency.record(job.enqueued.elapsed());
+        let decode =
+            || model.ranked_fragments_for_tokens_cached(&job.req.tokens, strategy, rng, enc_cache);
+        let (fragments, cached) =
+            serve_window(cache, metrics, key, job.req.n, job.enqueued, decode);
         (job.reply)(Ok(Recommendation {
             fragments,
             epoch,
@@ -312,6 +303,61 @@ fn worker_loop(
             trace: trace::uninstall(),
         }));
     }
+}
+
+/// Cut the top `n` of every kind out of a ranking (the `"rank"` span)
+/// and close the request's latency sample, measured from `since`.
+fn rank_top_n(
+    metrics: &Metrics,
+    ranked: &CachedRanking,
+    n: usize,
+    since: Instant,
+) -> PerKind<Vec<String>> {
+    let fragments = Span::in_span_with("rank", &metrics.stage_rank, || {
+        ranked.map(|_, r| r.iter().take(n).cloned().collect())
+    });
+    metrics.latency.record(since.elapsed());
+    fragments
+}
+
+/// The cache-hit answer to a resolved window, wherever it is computed —
+/// a decode worker or the event-loop thread: look the key up (the
+/// `"cache"` span) and, on a hit, count it and rank. `None` on a miss,
+/// with **no counter moved**: whoever goes on to decode the window
+/// ([`serve_window`]) counts it, so `cache_hits + cache_misses` moves
+/// exactly once per request however many threads probed.
+pub(crate) fn answer_cached(
+    cache: &RecCache,
+    metrics: &Metrics,
+    key: &CacheKey,
+    n: usize,
+    since: Instant,
+) -> Option<PerKind<Vec<String>>> {
+    let hit = Span::in_span_with("cache", &metrics.stage_cache, || cache.get_shared(key))?;
+    Metrics::bump(&metrics.cache_hits);
+    trace::note_cache_hit(true);
+    Some(rank_top_n(metrics, &hit, n, since))
+}
+
+/// Serve a resolved window on a thread that can decode: the cached
+/// answer if there is one, else `decode` (the `"decode"` span), whose
+/// ranking is cached and ranked the same way. Returns the top-`n`
+/// fragments and whether the cache supplied them.
+fn serve_window(
+    cache: &RecCache,
+    metrics: &Metrics,
+    key: CacheKey,
+    n: usize,
+    since: Instant,
+    decode: impl FnOnce() -> CachedRanking,
+) -> (PerKind<Vec<String>>, bool) {
+    if let Some(fragments) = answer_cached(cache, metrics, &key, n, since) {
+        return (fragments, true);
+    }
+    Metrics::bump(&metrics.cache_misses);
+    let ranked = Arc::new(Span::in_span_with("decode", &metrics.stage_decode, decode));
+    cache.put(key, Arc::clone(&ranked));
+    (rank_top_n(metrics, &ranked, n, since), false)
 }
 
 #[cfg(test)]

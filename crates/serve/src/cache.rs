@@ -38,10 +38,21 @@ pub struct CacheKey {
 impl CacheKey {
     /// Build a key from a model epoch and the window's parser tokens.
     pub fn new(epoch: u64, tokens: &[String]) -> Self {
-        CacheKey {
-            epoch,
-            window: tokens.join("\u{1f}"),
+        CacheKey::from_window(epoch, tokens.iter().map(String::as_str))
+    }
+
+    /// [`CacheKey::new`] over borrowed tokens
+    /// ([`SessionContext::window_tokens`](qrec_core::SessionContext::window_tokens)):
+    /// the key's one string is the only allocation.
+    pub fn from_window<'a>(epoch: u64, tokens: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut window = String::new();
+        for (i, token) in tokens.into_iter().enumerate() {
+            if i > 0 {
+                window.push('\u{1f}');
+            }
+            window.push_str(token);
         }
+        CacheKey { epoch, window }
     }
 }
 
@@ -50,7 +61,7 @@ impl CacheKey {
 pub type CachedRanking = PerKind<Vec<String>>;
 
 struct Inner {
-    map: HashMap<CacheKey, (CachedRanking, u64)>,
+    map: HashMap<CacheKey, (Arc<CachedRanking>, u64)>,
     /// Recency index: logical tick -> key. The smallest tick is the
     /// least recently used entry.
     order: BTreeMap<u64, CacheKey>,
@@ -59,9 +70,12 @@ struct Inner {
 
 /// A bounded LRU cache of ranked recommendations.
 ///
-/// `get` refreshes recency; `put` evicts the least recently used entry
-/// once `capacity` is exceeded. Both are `O(log n)` under a single
-/// mutex, which is negligible next to a model decode.
+/// A lookup refreshes recency; `put` evicts the least recently used
+/// entry once `capacity` is exceeded. Both are `O(log n)` under a single
+/// mutex, and rankings are stored behind an [`Arc`], so a hit copies
+/// nothing while the mutex is held — the event loop answers hits from
+/// its own thread (DESIGN.md §8) and must never wait on a worker that is
+/// deep-cloning a ranking.
 pub struct RecCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -80,27 +94,31 @@ impl RecCache {
         }
     }
 
-    /// Look up a key, refreshing its recency on hit.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedRanking> {
+    /// Look up a key, refreshing its recency on hit: a refcount bump
+    /// under the mutex, the ranking itself shared.
+    pub fn get_shared(&self, key: &CacheKey) -> Option<Arc<CachedRanking>> {
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
-        let old = match g.map.get_mut(key) {
-            Some((value, entry_tick)) => {
-                let prev = *entry_tick;
-                *entry_tick = tick;
-                Some((value.clone(), prev))
-            }
-            None => None,
-        };
-        let (value, prev) = old?;
-        g.order.remove(&prev);
-        g.order.insert(tick, key.clone());
+        let (value, entry_tick) = g.map.get_mut(key)?;
+        let value = Arc::clone(value);
+        let prev = std::mem::replace(entry_tick, tick);
+        // Move the recency entry (and its copy of the key) to the new tick.
+        if let Some(key) = g.order.remove(&prev) {
+            g.order.insert(tick, key);
+        }
         Some(value)
     }
 
+    /// [`RecCache::get_shared`] returning a copy of the ranking, made
+    /// after the mutex is released.
+    pub fn get(&self, key: &CacheKey) -> Option<CachedRanking> {
+        self.get_shared(key).map(|shared| (*shared).clone())
+    }
+
     /// Insert or refresh an entry, evicting the LRU entry if full.
-    pub fn put(&self, key: CacheKey, value: CachedRanking) {
+    pub fn put(&self, key: CacheKey, value: impl Into<Arc<CachedRanking>>) {
+        let value = value.into();
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
@@ -181,6 +199,28 @@ mod tests {
         c.put(key(1, "a"), ranking("a2"));
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(&key(1, "a")).unwrap().table, vec!["a2"]);
+    }
+
+    #[test]
+    fn a_hit_shares_the_stored_ranking() {
+        let c = RecCache::new(2);
+        let stored = Arc::new(ranking("t"));
+        c.put(key(1, "a"), Arc::clone(&stored));
+        let hit = c.get_shared(&key(1, "a")).unwrap();
+        assert!(Arc::ptr_eq(&stored, &hit), "a hit is a refcount bump");
+        assert_eq!(c.get(&key(1, "a")).unwrap(), *stored);
+    }
+
+    #[test]
+    fn borrowed_window_builds_the_same_key() {
+        let tokens: Vec<String> = ["select", "a", "<SEP>", "from", "t"]
+            .iter()
+            .map(|t| t.to_string())
+            .collect();
+        let borrowed = CacheKey::from_window(7, tokens.iter().map(String::as_str));
+        assert_eq!(borrowed, CacheKey::new(7, &tokens));
+        assert_eq!(borrowed.window, tokens.join("\u{1f}"));
+        assert_eq!(CacheKey::from_window(1, []).window, "");
     }
 
     #[test]

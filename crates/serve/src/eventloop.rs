@@ -4,12 +4,23 @@
 //! are non-blocking; each connection is a small state machine holding a
 //! [`FrameBuf`] for incremental JSONL reassembly, a bounded outbox for
 //! buffered writes, and an ordering queue so pipelined requests answer
-//! in arrival order. Request *execution* never happens here: RECOMMEND
-//! jobs go to the decode worker pool via
-//! [`crate::batcher::DecodeEngine::submit_callback`] — with the durable
-//! session push deferred to the worker, because a WAL fsync on the loop
-//! thread would stall every connection — and completions come back
-//! through a channel plus a [`polling::Waker`] that interrupts the poll.
+//! in arrival order.
+//!
+//! The loop executes what it can finish in microseconds without ever
+//! blocking, and nothing else. Control verbs answer inline. A RECOMMEND
+//! is answered inline when it hits the recommendation cache: with a
+//! memory-only session store the loop parses the statement (at most
+//! `LOOP_PARSE_MAX_BYTES` of it), pushes it, probes the cache on the
+//! session's window and ranks the reply on the spot
+//! (`EventLoop::try_on_loop`) — the most common request of a warm server
+//! never leaves this thread. Everything else goes to the decode worker
+//! pool via [`crate::batcher::DecodeEngine::submit_callback`]: a window
+//! the cache does not hold (the model runs there), any statement longer
+//! than the cap, and — when a data directory is configured — every
+//! request, with the session push deferred to the worker, because the
+//! WAL write that must precede the acknowledgement may fsync and a
+//! blocked loop stalls every connection. Completions come back through a
+//! channel plus a [`polling::Waker`] that interrupts the poll.
 //!
 //! The backpressure ladder, outside-in:
 //!
@@ -28,7 +39,7 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Events, Interest, Poller, Token, Waker};
-use qrec_obs::{flight, trace, TraceContext};
+use qrec_obs::{flight, trace, Span, TraceContext};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -36,7 +47,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::batcher::{DecodeRequest, Recommendation};
+use crate::batcher::{answer_cached, DecodeRequest, PrepareFn, Recommendation};
+use crate::cache::CacheKey;
 use crate::error::ServeError;
 use crate::framing::{FrameBuf, FrameError};
 use crate::metrics::Metrics;
@@ -52,6 +64,14 @@ const TOKEN_CONN_BASE: usize = 2;
 /// Pipelined frames a connection may queue behind an in-flight request;
 /// beyond this the loop stops reading from it (ladder rung 1).
 const PENDING_MAX: usize = 64;
+
+/// Longest statement the loop parses itself. Parsing is linear in the
+/// statement, and a typical one (a few hundred bytes) costs ~10 µs; a
+/// 256 KiB line — the frame limit — would hold every other connection
+/// for milliseconds. This is a property of the input the loop can see,
+/// not a setting: longer statements ride to a worker as all statements
+/// once did.
+pub const LOOP_PARSE_MAX_BYTES: usize = 8 * 1024;
 
 /// How long a transient accept error parks the listener.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
@@ -81,6 +101,20 @@ pub(crate) struct Completion {
     /// Serialised response line (newline included), built on the worker
     /// so the loop only copies bytes.
     payload: Vec<u8>,
+}
+
+/// What the loop's own attempt at a RECOMMEND came to
+/// ([`EventLoop::try_on_loop`]).
+enum LoopSide {
+    /// The reply line is ready: a cache hit, or a statement that does
+    /// not parse.
+    Done(Vec<u8>),
+    /// The window is resolved and the cache has no ranking for it: a
+    /// worker decodes these tokens.
+    Decode(Vec<String>),
+    /// Not the loop's to touch — a durable session tier, or a statement
+    /// over [`LOOP_PARSE_MAX_BYTES`]: a worker runs the push too.
+    Defer,
 }
 
 /// What to do after a failed `accept(2)`.
@@ -612,25 +646,25 @@ impl EventLoop {
         }
     }
 
-    /// Validate a RECOMMEND and hand it to the decode engine: the worker
-    /// runs the session push (`prepare`), decodes, serialises the
-    /// response, and posts a [`Completion`] through the waker.
+    /// Serve a RECOMMEND: answer it here when the loop can
+    /// ([`EventLoop::try_on_loop`]: a cache hit, or a statement that does
+    /// not parse), else hand it to the decode engine — the worker decodes
+    /// (and, when the loop could not, runs the session push as
+    /// `prepare`), serialises the response, and posts a [`Completion`]
+    /// through the waker.
     fn start_recommend(&mut self, slot: usize, req: Request) {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             let resp = Response::err(&ServeError::ShuttingDown);
             self.enqueue_response(slot, &resp, false);
             return;
         }
-        let (session, sql) = match (&req.session, &req.sql) {
-            (Some(s), Some(q)) => (s.clone(), q.clone()),
-            _ => {
-                Metrics::bump(&self.shared.metrics.errors);
-                let resp = Response::err(&ServeError::BadRequest(
-                    "RECOMMEND needs `session` and `sql`".into(),
-                ));
-                self.enqueue_response(slot, &resp, false);
-                return;
-            }
+        let (Some(session), Some(sql)) = (req.session, req.sql) else {
+            Metrics::bump(&self.shared.metrics.errors);
+            let resp = Response::err(&ServeError::BadRequest(
+                "RECOMMEND needs `session` and `sql`".into(),
+            ));
+            self.enqueue_response(slot, &resp, false);
+            return;
         };
         let Some(gen) = self.conns.get(slot).and_then(|s| s.as_ref()).map(|c| c.gen) else {
             return;
@@ -638,17 +672,31 @@ impl EventLoop {
         let n = req.n.map(|n| n as usize).unwrap_or(DEFAULT_N);
 
         // Start the flight trace on the loop thread (stable request id,
-        // queue depth at submission); it rides the DecodeRequest to the
-        // worker, which records every stage.
+        // queue depth at submission). A request answered here finishes it
+        // here; otherwise it rides the DecodeRequest to the worker, which
+        // records the remaining stages.
         let t0 = Instant::now();
         if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
             trace::install(ctx);
         }
         trace::note_queue_depth(self.shared.engine.queued() as u64);
-        let trace_ctx = trace::uninstall();
 
-        let store = Arc::clone(&self.shared.store);
-        let prepare = Box::new(move || store.push_sql(&session, &sql));
+        let (tokens, prepare): (Vec<String>, Option<PrepareFn>) =
+            match self.try_on_loop(&session, &sql, n, t0) {
+                LoopSide::Done(line) => {
+                    Metrics::bump(&self.shared.metrics.recommends);
+                    // `inflight` stays false: `tick_frames` goes straight
+                    // on to the connection's next pipelined frame.
+                    self.enqueue_bytes(slot, &line, false);
+                    return;
+                }
+                LoopSide::Decode(tokens) => (tokens, None),
+                LoopSide::Defer => {
+                    let store = Arc::clone(&self.shared.store);
+                    let prepare = Box::new(move || store.push_sql(&session, &sql));
+                    (Vec::new(), Some(prepare))
+                }
+            };
 
         let metrics = Arc::clone(&self.shared.metrics);
         let completion_tx = self.completion_tx.clone();
@@ -662,15 +710,11 @@ impl EventLoop {
                     Response::recommendation(rec.fragments, rec.epoch, rec.cached)
                 }
                 Err(e) => {
-                    match e {
-                        ServeError::Overloaded => Metrics::bump(&metrics.overloaded),
-                        _ => Metrics::bump(&metrics.errors),
-                    }
+                    Metrics::bump(&metrics.errors);
                     Response::err(&e)
                 }
             };
-            let mut payload = response.to_json_line().into_bytes();
-            payload.push(b'\n');
+            let payload = response_line(&response);
             // A send after loop teardown just drops the completion; the
             // connection is gone with the loop anyway.
             let _ = completion_tx.send(Completion { slot, gen, payload });
@@ -678,15 +722,11 @@ impl EventLoop {
         });
 
         let dreq = DecodeRequest {
-            tokens: Vec::new(), // resolved by `prepare` on the worker
+            tokens,
             n,
-            trace: trace_ctx,
+            trace: trace::uninstall(),
         };
-        match self
-            .shared
-            .engine
-            .submit_callback(dreq, Some(prepare), reply)
-        {
+        match self.shared.engine.submit_callback(dreq, prepare, reply) {
             Ok(()) => {
                 Metrics::bump(&self.shared.metrics.recommends);
                 if let Some(conn) = self.conns.get_mut(slot).and_then(|s| s.as_mut()) {
@@ -700,6 +740,58 @@ impl EventLoop {
                 }
                 let resp = Response::err(&e);
                 self.enqueue_response(slot, &resp, false);
+            }
+        }
+    }
+
+    /// The part of a RECOMMEND the loop does itself, with the trace
+    /// started by [`EventLoop::start_recommend`] installed: push the
+    /// statement into a memory-only session store (the `"session"`
+    /// stage), key the recommendation cache on the borrowed window, and
+    /// on a hit rank the reply right here — no job, no boxed closures, no
+    /// channel, no waker write, no second poll iteration. The flight
+    /// record of such a request has `cache_hit` set, batch size 0, and no
+    /// `batch_wait` or `decode` stage.
+    ///
+    /// Everything reachable from here must be non-blocking: the push is
+    /// [`MemoryOnly`](crate::session_store::MemoryOnly)'s, which cannot
+    /// reach the durable store, and statement length is capped by
+    /// [`LOOP_PARSE_MAX_BYTES`].
+    fn try_on_loop(&self, session: &str, sql: &str, n: usize, t0: Instant) -> LoopSide {
+        let shared = &self.shared;
+        let Some(sessions) = shared
+            .store
+            .memory_only()
+            .filter(|_| sql.len() <= LOOP_PARSE_MAX_BYTES)
+        else {
+            return LoopSide::Defer;
+        };
+        let epoch = shared.registry.epoch();
+        let session_stage = Span::enter_with("session", &shared.metrics.stage_session);
+        let pushed = sessions.push_sql(session, sql, |ctx| {
+            // The push is applied; what follows under the shard lock —
+            // so that a miss takes the tokens of this very window — is
+            // the cache and rank stages.
+            drop(session_stage);
+            let key = CacheKey::from_window(epoch, ctx.window_tokens());
+            answer_cached(&shared.cache, &shared.metrics, &key, n, t0)
+                .ok_or_else(|| ctx.input_tokens())
+        });
+        match pushed {
+            Ok(Ok(fragments)) => {
+                trace::note_batch(0, epoch);
+                if let Some(ctx) = trace::uninstall() {
+                    flight::global().record(ctx, t0.elapsed());
+                }
+                LoopSide::Done(response_line(&Response::recommendation(
+                    fragments, epoch, true,
+                )))
+            }
+            Ok(Err(tokens)) => LoopSide::Decode(tokens),
+            Err(e) => {
+                trace::uninstall();
+                Metrics::bump(&shared.metrics.errors);
+                LoopSide::Done(response_line(&Response::err(&e)))
             }
         }
     }
@@ -776,9 +868,7 @@ impl EventLoop {
 
     /// Serialise and enqueue a response line.
     fn enqueue_response(&mut self, slot: usize, resp: &Response, close_after: bool) {
-        let mut payload = resp.to_json_line().into_bytes();
-        payload.push(b'\n');
-        self.enqueue_bytes(slot, &payload, close_after);
+        self.enqueue_bytes(slot, &response_line(resp), close_after);
     }
 
     /// Append bytes to a connection's outbox, enforce the hard cap, and
@@ -976,6 +1066,13 @@ impl EventLoop {
         let deadline_passed = self.drain_deadline.is_some_and(|d| now >= d);
         self.open == 0 || deadline_passed
     }
+}
+
+/// A response as it goes on the wire: one JSON line, newline included.
+fn response_line(resp: &Response) -> Vec<u8> {
+    let mut line = resp.to_json_line().into_bytes();
+    line.push(b'\n');
+    line
 }
 
 /// Pack a slab slot and the low generation bits into a timer key.

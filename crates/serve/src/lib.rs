@@ -69,11 +69,12 @@ pub use batcher::{DecodeEngine, DecodeRequest, EngineConfig, Recommendation};
 pub use cache::{CacheKey, RecCache};
 pub use client::Client;
 pub use error::ServeError;
+pub use eventloop::LOOP_PARSE_MAX_BYTES;
 pub use framing::{FrameBuf, FrameError};
 pub use metrics::{ComputeSnapshot, FrontendSnapshot, Metrics, MetricsSnapshot, WindowSummary};
 pub use protocol::{HistoryReply, Request, Response, StatsReply};
 pub use registry::ModelRegistry;
 pub use server::{QuantMode, Server, ServerConfig};
-pub use session_store::{SessionStore, SweeperHandle};
+pub use session_store::{MemoryOnly, SessionStore, SweeperHandle};
 pub use telemetry::{Telemetry, WindowFrame};
 pub use zoo::ModelZoo;

@@ -101,7 +101,9 @@ pub struct HistogramSnapshot {
 pub struct Metrics {
     /// Protocol requests of any verb.
     pub requests: Arc<Counter>,
-    /// RECOMMEND requests accepted into the decode queue.
+    /// RECOMMEND requests accepted: answered on the event loop or queued
+    /// for a decode worker (not those refused as malformed, overloaded
+    /// or during shutdown).
     pub recommends: Arc<Counter>,
     /// Recommendations answered from the LRU cache.
     pub cache_hits: Arc<Counter>,
@@ -121,7 +123,8 @@ pub struct Metrics {
     pub swaps: Arc<Counter>,
     /// Sessions evicted by the TTL sweeper.
     pub sessions_evicted: Arc<Counter>,
-    /// End-to-end RECOMMEND latency (queue wait + decode).
+    /// End-to-end RECOMMEND latency, from arrival on the loop (a request
+    /// answered there) or from enqueue (queue wait + decode).
     pub latency: LatencyHistogram,
     /// Session lookup + push time per RECOMMEND (`"session"` span).
     pub stage_session: Arc<Histogram>,

@@ -3,7 +3,8 @@
 //! One thread multiplexes every connection over readiness polling (see
 //! [`crate::eventloop`]); it speaks the JSON-lines protocol of
 //! [`crate::protocol`], answers control verbs inline through
-//! [`dispatch_parsed`], and hands RECOMMENDs to the decode engine.
+//! [`dispatch_parsed`], answers a RECOMMEND that hits the cache itself,
+//! and hands the rest to the decode engine.
 //!
 //! Shutdown is graceful and race-free: the flag stops accepting, every
 //! request accepted before the flag flipped still gets its response,
@@ -529,14 +530,14 @@ fn apply_quant_mode(model: &mut Recommender, mode: QuantMode) {
 ///
 /// Control verbs resolve inline (they only read atomics, registries,
 /// and snapshots), so the loop answers them on the spot. RECOMMEND is
-/// the one verb that runs a model: the loop hands it to the decode
-/// engine and keeps polling.
+/// the one verb that may run a model: the loop answers it from the cache
+/// when it can, else hands it to the decode engine and keeps polling.
 pub(crate) enum Dispatch {
     /// The response is ready (boxed: a STATS snapshot dwarfs a
     /// `Request`); the bool asks the caller to close the connection
     /// after flushing it (SHUTDOWN acknowledgement).
     Done(Box<Response>, bool),
-    /// A RECOMMEND for the loop to validate and submit.
+    /// A RECOMMEND for the loop to validate and serve or submit.
     Recommend(Request),
     /// A `WATCH` subscription: the loop marks the connection as a
     /// watcher and streams one line per sealed window.

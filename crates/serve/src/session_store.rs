@@ -9,16 +9,31 @@
 //! sessions idle longer than the configured TTL — abandoned sessions
 //! would otherwise accumulate without bound under real workloads.
 //!
-//! With a durable tier ([`SessionStore::with_durable`]) every push is
-//! **write-through**: the session's raw SQL history is persisted to the
-//! [`qrec_store::Store`] *before* the in-memory context is updated, so
-//! a request is acknowledged only once its session update is WAL'd.
-//! TTL eviction then becomes *tiering*: the sweeper drops the memory
-//! copy but the disk record remains, and a later request for the same
-//! id rehydrates the context by re-parsing the persisted statements
-//! (parsing is deterministic, so the rebuilt window matches the
-//! original). A `SIGKILL`ed server therefore comes back with its
-//! sessions intact — the restart integration test pins this end to end.
+//! A push is three steps — parse the statement, write it through to the
+//! durable tier, apply it to the in-memory context — and the two kinds
+//! of store differ in the middle one only:
+//!
+//! * **Memory only** ([`SessionStore::new`]): there is no second step,
+//!   so a push never blocks. [`SessionStore::memory_only`] hands out the
+//!   [`MemoryOnly`] entry point, from which the durable tier is
+//!   unreachable; the serve event loop pushes through it on its own
+//!   thread and reads the window it needs under the shard lock.
+//! * **Durable** ([`SessionStore::with_durable`]): every push is
+//!   **write-through** — the session's raw SQL history is persisted to
+//!   the [`qrec_store::Store`] *before* the in-memory context is updated,
+//!   so a request is acknowledged only once its session update is WAL'd.
+//!   That write may fsync, so [`SessionStore::push_sql`] belongs on a
+//!   decode worker. TTL eviction then becomes *tiering*: the sweeper
+//!   drops the memory copy but the disk record remains, and a later
+//!   request for the same id rehydrates the context by re-parsing the
+//!   persisted statements (parsing is deterministic, so the rebuilt
+//!   window matches the original). A `SIGKILL`ed server therefore comes
+//!   back with its sessions intact — the restart integration test pins
+//!   this end to end.
+//!
+//! Either way a resident session costs its window, not its history: a
+//! [`SessionContext`] keeps the tokens of its last `window` queries and
+//! a count.
 
 use parking_lot::RwLock;
 use qrec_core::SessionContext;
@@ -54,6 +69,14 @@ struct Entry {
     last_seen: Instant,
 }
 
+impl Entry {
+    /// Step three of a push: the in-memory apply.
+    fn apply(&mut self, record: QueryRecord) {
+        self.ctx.push(record);
+        self.last_seen = Instant::now();
+    }
+}
+
 /// Concurrent map of live sessions.
 pub struct SessionStore {
     shards: Box<[RwLock<HashMap<String, Entry>>]>,
@@ -65,6 +88,33 @@ pub struct SessionStore {
     /// Observer for the template id of every successfully parsed push
     /// (the telemetry sketch in serve); set once at server start.
     template_sink: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
+}
+
+/// A [`SessionStore`] with no durable tier ([`SessionStore::memory_only`]):
+/// the entry point whose pushes never leave memory. Nothing reachable
+/// from here calls [`Store::put`], so a thread that must not block on the
+/// disk — the event loop — can push through it by construction
+/// (qrec-lint R10), not by remembering to check.
+pub struct MemoryOnly<'a>(&'a SessionStore);
+
+impl MemoryOnly<'_> {
+    /// Parse `sql`, append it to session `id` (created on first use) and
+    /// hand the updated context to `read` under the shard lock — `read`
+    /// sees the window this push produced and no later one.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Sql`] when the statement does not parse; nothing is
+    /// applied and `read` is not called.
+    pub fn push_sql<T>(
+        &self,
+        id: &str,
+        sql: &str,
+        read: impl FnOnce(&SessionContext) -> T,
+    ) -> Result<T, ServeError> {
+        let record = self.0.parse(sql)?;
+        Ok(self.0.apply_in_memory(id, record, read))
+    }
 }
 
 /// FNV-1a, stable across runs (unlike `DefaultHasher`'s random keys),
@@ -173,27 +223,81 @@ impl SessionStore {
         Ok(Some((ctx, kept)))
     }
 
-    /// Append a SQL statement to a session, creating the session on
-    /// first use. Parsing happens *outside* the shard lock, so a slow or
-    /// invalid statement never blocks other sessions on this shard.
-    ///
-    /// With a durable tier: an absent session is first rehydrated from
-    /// disk, and the updated statement list is persisted (and WAL-
-    /// acknowledged) *before* the in-memory context changes — a
-    /// [`ServeError::Store`] means nothing was applied.
-    ///
-    /// Returns the session's windowed model-input tokens after the push.
-    pub fn push_sql(&self, id: &str, sql: &str) -> Result<Vec<String>, ServeError> {
+    /// Step one of a push: parse the statement (outside any lock, so a
+    /// slow or invalid statement never blocks other sessions) and show
+    /// its template to the telemetry sink.
+    fn parse(&self, sql: &str) -> Result<QueryRecord, ServeError> {
         let record = QueryRecord::new(sql).map_err(|e| ServeError::Sql(e.to_string()))?;
         if let Some(sink) = self.template_sink.get() {
             sink(record.template.id());
         }
+        Ok(record)
+    }
+
+    /// Append a SQL statement to a session, creating the session on
+    /// first use: parse, then — with a durable tier — the durable write,
+    /// then the in-memory apply.
+    ///
+    /// With a durable tier: an absent session is first rehydrated from
+    /// disk, and the updated statement list is persisted (and WAL-
+    /// acknowledged) *before* the in-memory context changes — a
+    /// [`ServeError::Store`] means nothing was applied. The write may
+    /// block on an fsync, so this entry point belongs on a decode worker,
+    /// never on the event loop.
+    ///
+    /// Returns the session's windowed model-input tokens after the push.
+    pub fn push_sql(&self, id: &str, sql: &str) -> Result<Vec<String>, ServeError> {
+        let record = self.parse(sql)?;
+        match &self.durable {
+            Some(disk) => self.push_durable(disk, id, sql, record),
+            None => Ok(self.apply_in_memory(id, record, SessionContext::input_tokens)),
+        }
+    }
+
+    /// This store as the event loop may use it: `Some` only without a
+    /// durable tier. With one, an acknowledged push must be WAL'd first,
+    /// which is [`SessionStore::push_sql`]'s job on a worker.
+    pub fn memory_only(&self) -> Option<MemoryOnly<'_>> {
+        self.durable.is_none().then_some(MemoryOnly(self))
+    }
+
+    /// The in-memory apply of a store without a durable tier. The id is
+    /// copied only when the session is new.
+    fn apply_in_memory<T>(
+        &self,
+        id: &str,
+        record: QueryRecord,
+        read: impl FnOnce(&SessionContext) -> T,
+    ) -> T {
+        let apply = |entry: &mut Entry| {
+            entry.apply(record);
+            read(&entry.ctx)
+        };
+        let mut shard = self.shard(id).write();
+        match shard.get_mut(id) {
+            Some(entry) => apply(entry),
+            None => apply(shard.entry(id.to_string()).or_insert_with(|| Entry {
+                ctx: SessionContext::new(self.window),
+                raws: Vec::new(),
+                last_seen: Instant::now(),
+            })),
+        }
+    }
+
+    /// The durable write of a push, then its in-memory apply.
+    fn push_durable(
+        &self,
+        disk: &Store,
+        id: &str,
+        sql: &str,
+        record: QueryRecord,
+    ) -> Result<Vec<String>, ServeError> {
         // Tiered miss: rebuild the context from disk before taking the
         // shard lock, so re-parsing history never blocks the shard.
-        let mut resurrected = if self.durable.is_some() && !self.resident(id) {
-            self.rehydrate(id)?
-        } else {
+        let mut resurrected = if self.resident(id) {
             None
+        } else {
+            self.rehydrate(id)?
         };
         let mut shard = self.shard(id).write();
         let entry = match shard.entry(id.to_string()) {
@@ -214,22 +318,18 @@ impl SessionStore {
                 })
             }
         };
-        if let Some(store) = &self.durable {
-            let mut raws = entry.raws.clone();
-            raws.push(sql.to_string());
-            if raws.len() > MAX_PERSISTED_QUERIES {
-                let excess = raws.len() - MAX_PERSISTED_QUERIES;
-                raws.drain(..excess);
-            }
-            let bytes = serde_json::to_vec(&raws)
-                .map_err(|e| ServeError::Store(format!("serialise session record: {e}")))?;
-            store
-                .put(&SessionStore::durable_key(id), &bytes)
-                .map_err(|e| ServeError::Store(e.to_string()))?;
-            entry.raws = raws;
+        let mut raws = entry.raws.clone();
+        raws.push(sql.to_string());
+        if raws.len() > MAX_PERSISTED_QUERIES {
+            let excess = raws.len() - MAX_PERSISTED_QUERIES;
+            raws.drain(..excess);
         }
-        entry.ctx.push(record);
-        entry.last_seen = Instant::now();
+        let bytes = serde_json::to_vec(&raws)
+            .map_err(|e| ServeError::Store(format!("serialise session record: {e}")))?;
+        disk.put(&SessionStore::durable_key(id), &bytes)
+            .map_err(|e| ServeError::Store(e.to_string()))?;
+        entry.raws = raws;
+        entry.apply(record);
         Ok(entry.ctx.input_tokens())
     }
 

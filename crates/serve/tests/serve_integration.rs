@@ -7,18 +7,20 @@
 //! saturated queue, two workers serving two queued jobs concurrently,
 //! model hot-swap mid-serve, and graceful shutdown. A second, smaller
 //! scenario checks over the wire that a rejected RECOMMEND is not
-//! counted as accepted.
+//! counted as accepted; two more pin where a request is served — a
+//! cache hit on the event-loop thread (no decode worker involved, replies
+//! still in request order), anything durable or oversized on a worker.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{
-    Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, RecCache, ServeError, Server,
-    ServerConfig,
+    Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, MetricsSnapshot, RecCache,
+    Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
 };
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -231,8 +233,9 @@ fn serve_end_to_end() {
     assert!(refused, "server must stop accepting after shutdown");
 }
 
-/// `recommends` counts RECOMMENDs *accepted into the decode queue*: one
-/// the full queue turned away is `overloaded`, not both.
+/// `recommends` counts RECOMMENDs *accepted* — answered on the loop or
+/// queued for a worker: one the full queue turned away is `overloaded`,
+/// not both.
 #[test]
 fn rejected_recommend_is_counted_overloaded_not_accepted() {
     // No workers, room for one job: the first RECOMMEND is accepted and
@@ -268,4 +271,143 @@ fn rejected_recommend_is_counted_overloaded_not_accepted() {
     assert_eq!(m.recommends, 1, "only the queued request was accepted");
     assert_eq!(m.overloaded, 1);
     assert_eq!(m.errors, 0);
+}
+
+fn metrics(c: &mut Client) -> MetricsSnapshot {
+    c.stats().expect("stats").metrics
+}
+
+/// A RECOMMEND that hits the cache is answered by the event loop: no
+/// job reaches a decode worker (`batches` is the count of worker
+/// hand-offs), yet the request is counted, and pipelined replies keep
+/// their order when hits (answered at once) and misses (answered when a
+/// worker is done) alternate. A statement over `LOOP_PARSE_MAX_BYTES` is
+/// the loop's one exception: it rides to a worker even for a hit.
+#[test]
+fn cache_hits_are_answered_on_the_loop() {
+    let server = Server::start(train_tiny(4), "127.0.0.1:0", server_config()).expect("start");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+
+    // --- (a) a repeated window ----------------------------------------
+    let first = c.recommend("u", "SELECT a FROM t", 5).expect("first");
+    assert_eq!(first.cached, Some(false));
+    let before = metrics(&mut c);
+    let repeat = c.recommend("u", "SELECT a FROM t", 5).expect("repeat");
+    let after = metrics(&mut c);
+    assert_eq!(repeat.cached, Some(true));
+    assert_eq!(repeat.fragments, first.fragments);
+    assert_eq!(repeat.epoch, Some(1));
+    assert_eq!(after.batches, before.batches, "no worker hand-off");
+    assert_eq!(after.batched_jobs, before.batched_jobs);
+    assert_eq!(after.cache_hits, before.cache_hits + 1);
+    assert_eq!(after.cache_misses, before.cache_misses);
+    assert_eq!(after.recommends, before.recommends + 1);
+    assert_eq!(after.latency.count, before.latency.count + 1);
+
+    // A statement that does not parse is answered from the loop too.
+    match c.recommend("u", "NOT SQL AT ALL", 5) {
+        Err(ServeError::Sql(_)) => {}
+        other => panic!("expected a typed SQL error, got {other:?}"),
+    }
+    let rejected = metrics(&mut c);
+    assert_eq!(rejected.batches, after.batches);
+    assert_eq!(rejected.errors, after.errors + 1);
+    assert_eq!(rejected.recommends, after.recommends + 1);
+
+    // --- (b) eight pipelined frames, new and repeated alternating ------
+    let new_sql = |i: usize| format!("SELECT b FROM t WHERE a > {i} ORDER BY c{i}");
+    let mut batch = String::new();
+    for i in 0..8 {
+        let sql = if i % 2 == 0 {
+            new_sql(i)
+        } else {
+            "SELECT a FROM t".to_string()
+        };
+        let line = format!(r#"{{"verb":"RECOMMEND","session":"pipe","sql":"{sql}","n":5}}"#);
+        batch.push_str(&line);
+        batch.push('\n');
+    }
+    let before = metrics(&mut c);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(batch.as_bytes()).expect("write pipeline");
+    let mut reader = BufReader::new(stream);
+    let replies: Vec<Response> = (0..8)
+        .map(|i| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read reply");
+            let resp: Response = serde_json::from_str(&line).expect("reply parses");
+            assert!(resp.ok, "pipelined request {i} failed: {resp:?}");
+            resp
+        })
+        .collect();
+    for (i, resp) in replies.iter().enumerate() {
+        // A hit that overtook the miss in front of it would show here.
+        assert_eq!(resp.cached, Some(i % 2 == 1), "reply {i} out of order");
+        if i % 2 == 1 {
+            assert_eq!(resp.fragments, first.fragments, "reply {i}");
+        } else {
+            let again = c.recommend("check", &new_sql(i), 5).expect("re-ask");
+            assert_eq!(again.cached, Some(true));
+            assert_eq!(resp.fragments, again.fragments, "reply {i}");
+        }
+    }
+    let after = metrics(&mut c);
+    assert_eq!(after.batches, before.batches + 4, "the four new windows");
+    assert_eq!(after.cache_misses, before.cache_misses + 4);
+    assert_eq!(
+        after.cache_hits,
+        before.cache_hits + 4 + 4,
+        "four piped, four re-asked"
+    );
+
+    // --- (c) the statement-length rule --------------------------------
+    // Trailing blanks change a statement's length, not its window.
+    let padded = |len: usize| format!("{:<len$}", "SELECT a FROM t");
+    let before = metrics(&mut c);
+    let at_cap = c
+        .recommend("long", &padded(LOOP_PARSE_MAX_BYTES), 5)
+        .expect("statement at the cap");
+    let on_loop = metrics(&mut c);
+    assert_eq!(at_cap.cached, Some(true));
+    assert_eq!(on_loop.batches, before.batches, "at the cap: the loop's");
+    let over_cap = c
+        .recommend("long", &padded(LOOP_PARSE_MAX_BYTES + 1), 5)
+        .expect("statement over the cap");
+    let on_worker = metrics(&mut c);
+    assert_eq!(over_cap.cached, Some(true));
+    assert_eq!(over_cap.fragments, first.fragments);
+    assert_eq!(
+        on_worker.batches,
+        on_loop.batches + 1,
+        "over it: a worker's"
+    );
+    assert_eq!(on_worker.cache_hits, on_loop.cache_hits + 1);
+    assert_eq!(on_worker.recommends, before.recommends + 2);
+    assert_eq!(server.sessions().session_len("long"), Some(2));
+}
+
+/// With a data directory the WAL write must precede the acknowledgement,
+/// and it may block: every request — a cache hit included — still rides
+/// to a worker.
+#[test]
+fn durable_hits_still_ride_to_a_worker() {
+    let dir = std::env::temp_dir().join(format!("qrec-serve-loop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..server_config()
+    };
+    let server = Server::start(train_tiny(5), "127.0.0.1:0", cfg).expect("start");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    c.recommend("u", "SELECT a FROM t", 5).expect("first");
+    let before = metrics(&mut c);
+    let repeat = c.recommend("u", "SELECT a FROM t", 5).expect("repeat");
+    let after = metrics(&mut c);
+    assert_eq!(repeat.cached, Some(true));
+    assert_eq!(after.batches, before.batches + 1, "served by a worker");
+    assert_eq!(after.store.wal_appends, before.store.wal_appends + 1);
+    assert_eq!(after.cache_hits, before.cache_hits + 1);
+    assert_eq!(after.recommends, before.recommends + 1);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,8 +1,10 @@
 //! End-to-end flight-recorder test: drive real `RECOMMEND` requests
 //! through the TCP server and assert that `TRACE` returns complete
 //! per-request stage chains — proving the trace context survives the
-//! conn-thread → batcher-worker hand-off with a stable request id —
-//! and that `DUMP` exposes the stage histograms those spans fed.
+//! loop-thread → batcher-worker hand-off with a stable request id, and
+//! that a cache hit answered on the loop thread records the same chain
+//! minus the hand-off — and that `DUMP` exposes the stage histograms
+//! those spans fed.
 //!
 //! Lives in its own test binary on purpose: the flight recorder and
 //! metric registry are process-global, so a dedicated process keeps
@@ -77,7 +79,7 @@ fn flight_records_carry_full_stage_chains_end_to_end() {
     let decoded = &reply.recent[1];
 
     // --- stable request identity across the batcher hand-off ---------
-    // The "session" stage is recorded on the conn thread, "decode" on
+    // The "session" stage is recorded on the loop thread, "decode" on
     // the batcher worker; both appearing in one record proves the
     // context kept its identity through the queue.
     let ids: HashSet<u64> = reply.recent.iter().map(|r| r.request_id).collect();
@@ -112,14 +114,14 @@ fn flight_records_carry_full_stage_chains_end_to_end() {
     assert!(decoded.batch_size >= 1, "batch size recorded");
     assert_eq!(decoded.epoch, 1, "served by the first model epoch");
 
-    // --- cache-hit record: same chain minus decode --------------------
+    // --- cache-hit record: answered on the loop — the same chain minus
+    // the hand-off and the decode -------------------------------------
     assert!(cached.cache_hit, "repeat request is a cache hit");
-    assert!(cached.stages.iter().any(|s| s.name == "cache"));
-    assert!(
-        !cached.stages.iter().any(|s| s.name == "decode"),
-        "cache hit never reaches the decoder: {cached:?}"
-    );
+    let names: Vec<&str> = cached.stages.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["session", "cache", "rank"], "{cached:?}");
     assert_eq!(cached.decode_steps, 0);
+    assert_eq!(cached.batch_size, 0, "no worker served it");
+    assert_eq!(cached.epoch, 1);
 
     // --- slowest reservoir: sorted, and holds the decode request ------
     assert!(!reply.slowest.is_empty(), "slowest reservoir populated");

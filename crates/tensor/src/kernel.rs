@@ -11,6 +11,18 @@
 //! branch-free FMA lanes. Row tiles are grouped MC at a time so the
 //! active slice of `A` stays L2-resident across panels.
 //!
+//! Whatever is not a full MR×NR tile — the last rows of a row count that
+//! is not a multiple of MR, and the right-edge panel of a column count
+//! that is not a multiple of NR — runs through the same loop
+//! instantiated for its own row and lane counts (`micro_tile::<R, L>`,
+//! lanes in steps of 8), so it is a register tile too, not a scalar
+//! remainder loop. The model's widths are mostly edge: `d_model` 48 is
+//! one full panel and a 16-lane edge. An edge of at most NR/2 lanes is
+//! swept 2·MR rows at a time — the same register budget as the full
+//! tile, and enough independent accumulator chains to keep the FMA units
+//! busy. The serial path packs `B` into a per-thread buffer it reuses,
+//! so a blocked product allocates nothing but its output.
+//!
 //! ## Determinism
 //!
 //! Every path — the naive references, the small-product tile, the
@@ -414,14 +426,27 @@ fn gemm_on_acc(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, 
 /// The counted blocked-serial dispatch arm; `out` is zeroed.
 fn blocked_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     dispatch().blocked.inc();
-    blocked_rows(a, &pack_b(b, k, m), k, m, 0, n, out);
+    PACKED.with(|pb| {
+        let mut pb = pb.borrow_mut();
+        pb.pack(b, k, m);
+        blocked_rows(a, &pb, k, m, 0, n, out);
+    });
 }
 
-/// Blocked serial kernel: pack `B` once, run every row on the caller.
+/// Blocked serial kernel on any shape, bypassing the shape thresholds:
+/// pack `B` once, run every row on the caller.
 pub fn blocked(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    let pb = pack_b(b, k, m);
     let mut out = vec![0.0f32; n * m];
-    blocked_rows(a, &pb, k, m, 0, n, &mut out);
+    blocked_acc(a, b, n, k, m, &mut out);
+    out
+}
+
+/// The small-product register tile on any shape, bypassing the shape
+/// thresholds: what `bench_tensor` holds the blocked kernel's narrow
+/// shapes against, and the equivalence suite pins to [`naive`].
+pub fn small(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; n * m];
+    small_acc(a, b, n, k, m, &mut out);
     out
 }
 
@@ -451,50 +476,56 @@ pub fn gemm_chunked(
 // Packed-B layout
 // ---------------------------------------------------------------------
 
-/// One KC-deep slab of the packed `B`.
-struct BBlock {
-    /// First `k` index this slab covers.
-    k0: usize,
-    /// Depth of the slab (`<= KC`).
-    kc: usize,
-    /// Start of the slab's panels in `PackedB::data`.
-    offset: usize,
-}
-
-/// `B` repacked into NR-wide panels per KC slab: panel-major, row-major
-/// inside a panel, right edge zero-padded to NR.
+/// `B` repacked into NR-wide panels per KC slab: slab-major, panel-major
+/// inside a slab, row-major inside a panel, right edge zero-padded to NR.
+#[derive(Default)]
 struct PackedB {
     data: Vec<f32>,
-    npanels: usize,
-    blocks: Vec<BBlock>,
+}
+
+impl PackedB {
+    /// Repack `b` (`k×m`) into this buffer, reusing its allocation.
+    fn pack(&mut self, b: &[f32], k: usize, m: usize) {
+        // Every lane is written below — live columns copied, the edge
+        // panel's padding zeroed — so what a reused buffer held is moot.
+        self.data.resize(k * m.div_ceil(NR) * NR, 0.0);
+        let mut rows = self.data.chunks_exact_mut(NR);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            for j0 in (0..m).step_by(NR) {
+                let w = NR.min(m - j0);
+                for (r, dst) in (k0..k0 + kc).zip(&mut rows) {
+                    dst[..w].copy_from_slice(&b[r * m + j0..r * m + j0 + w]);
+                    dst[w..].fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// The KC slabs in ascending-`k` order: each slab's first `k` index,
+    /// its depth, and its `npanels` panels of `depth × NR` values.
+    fn slabs(&self, k: usize, m: usize) -> impl Iterator<Item = (usize, usize, &[f32])> {
+        let row = m.div_ceil(NR) * NR;
+        (0..k).step_by(KC).map(move |k0| {
+            let kc = KC.min(k - k0);
+            (k0, kc, &self.data[k0 * row..(k0 + kc) * row])
+        })
+    }
 }
 
 fn pack_b(b: &[f32], k: usize, m: usize) -> PackedB {
-    let npanels = m.div_ceil(NR);
-    let mut data = vec![0.0f32; k * npanels * NR];
-    let mut blocks = Vec::with_capacity(k.div_ceil(KC.max(1)).max(1));
-    let mut k0 = 0;
-    let mut offset = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        for p in 0..npanels {
-            let j0 = p * NR;
-            let w = NR.min(m - j0);
-            for r in 0..kc {
-                let dst0 = offset + p * kc * NR + r * NR;
-                let src0 = (k0 + r) * m + j0;
-                data[dst0..dst0 + w].copy_from_slice(&b[src0..src0 + w]);
-            }
-        }
-        blocks.push(BBlock { k0, kc, offset });
-        offset += kc * npanels * NR;
-        k0 += kc;
-    }
-    PackedB {
-        data,
-        npanels,
-        blocks,
-    }
+    let mut pb = PackedB::default();
+    pb.pack(b, k, m);
+    pb
+}
+
+thread_local! {
+    /// The serial blocked path's packed `B`, reused by every call on the
+    /// thread: a blocked product allocates nothing but its output, so a
+    /// caller that runs many of them at a stable shape — a training step,
+    /// an encoder pass over a long source — does not pay (or count) a
+    /// buffer per product. Holds the largest `B` the thread has packed.
+    static PACKED: std::cell::RefCell<PackedB> = std::cell::RefCell::default();
 }
 
 // ---------------------------------------------------------------------
@@ -517,30 +548,75 @@ fn blocked_rows(
     r1: usize,
     out: &mut [f32],
 ) {
-    let npanels = pb.npanels;
-    for blk in &pb.blocks {
+    // Full-width panels first, MR rows at a time; then the right-edge
+    // panel, if `m` leaves one, in its own sweep over the same rows.
+    let full_panels = m / NR;
+    let (edge_j0, edge_w) = (full_panels * NR, m % NR);
+    let edge_rows = edge_tile_rows(edge_w);
+    for (k0, kc, slab) in pb.slabs(k, m) {
+        let panel = |p: usize| &slab[p * kc * NR..(p + 1) * kc * NR];
         let mut ii = r0;
         while ii < r1 {
             let mc = MC.min(r1 - ii);
-            let mut i = 0;
-            while i < mc {
-                let mr = MR.min(mc - i);
-                let i0 = ii + i;
-                for p in 0..npanels {
-                    let j0 = p * NR;
-                    let w = NR.min(m - j0);
-                    let bstart = blk.offset + p * blk.kc * NR;
-                    let bp = &pb.data[bstart..bstart + blk.kc * NR];
-                    if mr == MR && w == NR {
-                        micro_full(a, bp, out, i0, r0, blk.k0, blk.kc, k, m, j0);
+            for i in (0..mc).step_by(MR) {
+                let (i0, mr) = (ii + i, MR.min(mc - i));
+                for p in 0..full_panels {
+                    if mr == MR {
+                        micro_full(a, panel(p), out, i0, r0, k0, kc, k, m, p * NR);
                     } else {
-                        micro_edge(a, bp, out, i0, r0, mr, blk.k0, k, m, j0, w);
+                        micro_for(mr, NR)(a, panel(p), out, i0, r0, k0, k, m, p * NR, NR);
                     }
                 }
-                i += MR;
+            }
+            if edge_w > 0 {
+                let bp = panel(full_panels);
+                for i in (0..mc).step_by(edge_rows) {
+                    let rows = edge_rows.min(mc - i);
+                    let micro = micro_for(rows, edge_w);
+                    micro(a, bp, out, ii + i, r0, k0, k, m, edge_j0, edge_w);
+                }
             }
             ii += MC;
         }
+    }
+}
+
+/// Rows per register tile on a right-edge panel of `w` live columns. A
+/// tile of MR rows over at most 16 lanes is MR accumulator chains —
+/// fewer than the FMA units can keep in flight, so it runs at the latency
+/// of the chain, not the throughput of the units; twice the rows at half
+/// the lanes is the same register budget and twice the chains.
+fn edge_tile_rows(w: usize) -> usize {
+    if w <= NR / 2 {
+        2 * MR
+    } else {
+        MR
+    }
+}
+
+/// A [`micro_tile`] of one shape, as [`blocked_rows`] calls it.
+type MicroTile = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, usize, usize, usize, usize);
+
+/// The [`micro_tile`] instance for `rows ≤ 2·MR` rows and `w ≤ NR` live
+/// columns: lanes are `w` rounded up to the next multiple of 8.
+fn micro_for(rows: usize, w: usize) -> MicroTile {
+    fn lanes_for<const R: usize>(w: usize) -> MicroTile {
+        match w.div_ceil(8) {
+            1 => micro_tile::<R, 8>,
+            2 => micro_tile::<R, 16>,
+            3 => micro_tile::<R, 24>,
+            _ => micro_tile::<R, NR>,
+        }
+    }
+    match rows {
+        1 => lanes_for::<1>(w),
+        2 => lanes_for::<2>(w),
+        3 => lanes_for::<3>(w),
+        4 => lanes_for::<4>(w),
+        5 => lanes_for::<5>(w),
+        6 => lanes_for::<6>(w),
+        7 => lanes_for::<7>(w),
+        _ => lanes_for::<8>(w),
     }
 }
 
@@ -590,18 +666,22 @@ fn micro_full(
     }
 }
 
-/// Edge tile: fewer than MR rows and/or a right-edge panel narrower than
-/// NR. Runs full NR lanes against the zero-padded panel and stores only
-/// the live `w` columns, so the discarded lanes cannot leak.
-#[inline(always)]
+/// Every tile that is not the full MR×NR one — a short last row tile, a
+/// right-edge panel, or both: `R` rows of `A`, read as contiguous
+/// unpacked slices, against the first `L ≤ NR` lanes of each row of one
+/// packed panel slab, of which `w ≤ L` are live columns. Row count and
+/// lane count are compile-time, as in [`small_tile`], so the
+/// accumulators stay in registers and the lanes compile branch-free: a
+/// 48-column product is one full panel and a 16-lane edge, not one full
+/// panel and a scalar loop. Lanes past `w` multiply the panel's zero
+/// padding and are never stored, so they cannot leak.
 #[allow(clippy::too_many_arguments)]
-fn micro_edge(
+fn micro_tile<const R: usize, const L: usize>(
     a: &[f32],
     bp: &[f32],
     out: &mut [f32],
     i0: usize,
     r0: usize,
-    mr: usize,
     kk: usize,
     k: usize,
     m: usize,
@@ -609,21 +689,23 @@ fn micro_edge(
     w: usize,
 ) {
     let o0 = (i0 - r0) * m + j0;
-    let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..mr {
-        acc[r][..w].copy_from_slice(&out[o0 + r * m..o0 + r * m + w]);
+    let kc = bp.len() / NR;
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k + kk..(i0 + r) * k + kk + kc]);
+    let mut acc = [[0.0f32; L]; R];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        accr[..w].copy_from_slice(&out[o0 + r * m..o0 + r * m + w]);
     }
     for (kr, brow) in bp.chunks_exact(NR).enumerate() {
-        for r in 0..mr {
-            let av = a[(i0 + r) * k + kk + kr];
-            let accr = &mut acc[r];
-            for j in 0..NR {
-                accr[j] = fmadd(av, brow[j], accr[j]);
+        let lanes = &brow[..L];
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[kr];
+            for j in 0..L {
+                accr[j] = fmadd(av, lanes[j], accr[j]);
             }
         }
     }
-    for r in 0..mr {
-        out[o0 + r * m..o0 + r * m + w].copy_from_slice(&acc[r][..w]);
+    for (r, accr) in acc.iter().enumerate() {
+        out[o0 + r * m..o0 + r * m + w].copy_from_slice(&accr[..w]);
     }
 }
 

@@ -29,6 +29,49 @@ fn assert_bitwise(want: &[f32], got: &[f32]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The model's narrow widths — 48 (`d_model`: one full panel and a
+/// 16-lane edge), 96 (`d_ff`: full panels only) and 130 (the bench
+/// vocabulary: a 2-column edge) — at row counts that leave every
+/// possible remainder in the last register tile, 4 rows tall on a full
+/// panel and 8 on a narrow edge, and at depths on both sides of one KC
+/// slab: the blocked kernel's const-generic edge tiles and the
+/// small-product tile all fold exactly as the reference does.
+#[test]
+fn narrow_widths_and_short_last_tiles_stay_bitwise() {
+    let fill = |len: usize, salt: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i + salt) * 2654435761) % 2000) as f32 * 1e-3 - 1.0)
+            .collect()
+    };
+    let pool = Pool::new(2);
+    for m in [48usize, 96, 130] {
+        for k in [48usize, 96, 300] {
+            let b = fill(k * m, m + k);
+            for n in (1..=9).chain(160..=168) {
+                let a = fill(n * k, n);
+                let want = kernel::naive(&a, &b, n, k, m);
+                let ctx = format!("{n}x{k}x{m}");
+                assert_eq!(
+                    bits(&want),
+                    bits(&kernel::blocked(&a, &b, n, k, m)),
+                    "blocked {ctx}"
+                );
+                assert_eq!(
+                    bits(&want),
+                    bits(&kernel::small(&a, &b, n, k, m)),
+                    "small {ctx}"
+                );
+                let chunked = kernel::gemm_chunked(&pool, 3, &a, &b, n, k, m);
+                assert_eq!(bits(&want), bits(&chunked), "chunked {ctx}");
+            }
+        }
+    }
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-3.0f32..3.0, len)
 }

@@ -23,6 +23,30 @@ cargo build --offline --release -q -p qrec-bench \
 ./target/release/bench_serve "$@"
 ./target/release/bench_obs "$@"
 
+# The blocked GEMM kernel's narrow shapes (one full panel and an edge:
+# the model's own widths) must stay within 1.5x of the small-product
+# tile, in the report this run wrote and in the committed baseline — the
+# right-edge panel once ran a scalar loop 7-14x slower, unnoticed. Rows
+# of under 48 rows are reported but not held to it: there the one-off
+# packing of B (0.2-0.5 us) is a visible share of a 1-4 us product, the
+# ratio measures the packing rather than the tile, and `kernel::select`
+# sends most of them to the small-product tile anyway.
+python3 - "$@" <<'PYEOF'
+import json, sys
+
+smoke = "--smoke" in sys.argv[1:]
+for path in (["target/BENCH_tensor_smoke.json"] if smoke else []) + ["BENCH_tensor.json"]:
+    rows = [r for r in json.load(open(path))["shapes"]
+            if r.get("narrow_shape") and r["n"] >= 48]
+    if not rows:
+        sys.exit(f"{path}: no narrow-shape rows (re-take it with bench_tensor)")
+    for r in rows:
+        ratio = r["blocked_s"] / r["small_tile_s"]
+        if ratio > 1.5:
+            sys.exit(f"{path}: {r['n']}x{r['k']}x{r['m']}: blocked kernel is "
+                     f"{ratio:.2f}x the small-product tile (limit 1.5x)")
+PYEOF
+
 # In smoke mode, validate the extended report schema: every row must
 # carry the per-rep latency distribution (best/p50/p95/p99/reps)
 # alongside the legacy best-of-N keys.

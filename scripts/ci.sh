@@ -52,6 +52,13 @@ cargo run --offline --release --quiet --manifest-path bench_e2e/Cargo.toml -- --
 echo "==> qrec-serve suites (protocol, framing robustness, tracing, telemetry, recovery)"
 cargo test --offline -q -p qrec-serve
 
+echo "==> serve_integration under the lock-order sanitizer"
+# The loop thread takes a session-shard lock and the cache mutex (a cache
+# hit is answered there) while workers take the same two: name the suite
+# that drives both sides, so an ordering slip fails here by name and not
+# somewhere inside the workspace-wide sanitizer run above.
+QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test serve_integration
+
 echo "==> bench --smoke"
 ./scripts/bench.sh --smoke >/dev/null
 # Every smoke report, and every committed baseline, must be well-formed.
