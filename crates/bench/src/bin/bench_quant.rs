@@ -18,6 +18,16 @@
 //! speedup. Results go to `BENCH_quant.json` at the repo root (or
 //! `target/BENCH_quant_smoke.json` under `--smoke`).
 //!
+//! Those scenarios run a model four times wider than any served one, so
+//! the report also carries **serving-shape kernel rows**: one int8
+//! product (`qgemm_into`, split into its activation quantization and its
+//! integer product) against the f32 `gemm_into` of the same shape, at
+//! the shapes a beam-5 step of the served model runs (d 48, d_ff 96,
+//! vocab 130) and the 20-row encoder shape. They are the measured
+//! answer to "where does int8 win or lose against the f32 tile"
+//! (DESIGN.md §15), and `scripts/bench.sh` fails a full run whose
+//! 5×48×48 ratio exceeds 4×.
+//!
 //! Everything is timed in this process, in the order f32 → int8 → f32:
 //! every scenario's f32 decode first (before any int8 decode has run),
 //! then per scenario the int8 decode and the f32 decode once more. The
@@ -33,6 +43,7 @@ use qrec_nn::decode::{decode, Strategy, SOS};
 use qrec_nn::params::{forward_eval, Params};
 use qrec_nn::transformer::{Transformer, TransformerConfig};
 use qrec_nn::Seq2Seq;
+use qrec_tensor::{kernel, qi8};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
@@ -201,6 +212,108 @@ fn model_resident_bytes(params: &Params) -> usize {
     }
 }
 
+/// `(rows, k, m)` of the serving-shape kernel rows: the beam-5 step's
+/// d×d, d×d_ff, d_ff×d and d×vocab projections, and a 20-token source
+/// through a d×d one.
+const KERNEL_SHAPES: [(usize, usize, usize); 5] = [
+    (5, 48, 48),
+    (5, 48, 96),
+    (5, 96, 48),
+    (5, 48, 130),
+    (20, 48, 48),
+];
+/// Products per timed rep of a kernel row: they last a microsecond.
+const KERNEL_CALLS_PER_REP: usize = 256;
+
+/// One serving-shape kernel row, nanoseconds per call (best rep).
+struct KernelRow {
+    shape: (usize, usize, usize),
+    f32_gemm_ns: f64,
+    qgemm_ns: f64,
+    quantize_ns: f64,
+    product_ns: f64,
+}
+
+impl KernelRow {
+    fn int8_over_f32(&self) -> f64 {
+        self.qgemm_ns / self.f32_gemm_ns
+    }
+
+    fn to_json(&self) -> serde_json::Value {
+        let (n, k, m) = self.shape;
+        json!({
+            "shape": format!("{n}x{k}x{m}"),
+            "n": n,
+            "k": k,
+            "m": m,
+            "f32_gemm_ns": self.f32_gemm_ns,
+            "qgemm_ns": self.qgemm_ns,
+            "quantize_ns": self.quantize_ns,
+            "product_ns": self.product_ns,
+            "int8_over_f32": self.int8_over_f32(),
+        })
+    }
+}
+
+/// Time one shape: the f32 product, the whole int8 product, and its two
+/// halves, round-robin so load drift hits all four alike.
+fn kernel_row(shape: (usize, usize, usize), smoke: bool) -> KernelRow {
+    let (n, k, m) = shape;
+    let fill = |len: usize, seed: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| (((i + seed) * 2_654_435_761) % 2000) as f32 * 1e-3 - 1.0)
+            .collect()
+    };
+    let (a, b) = (fill(n * k, 1), fill(k * m, 2));
+    let qb = qi8::QPackedB::from_f32(&b, k, m);
+    let (mut out_f, mut out_q, mut out_p) =
+        (vec![0.0f32; n * m], vec![0.0; n * m], vec![0.0; n * m]);
+    let (mut whole, mut quantized, mut shared) = (
+        qi8::QScratch::default(),
+        qi8::QScratch::default(),
+        qi8::QScratch::default(),
+    );
+    shared.quantize(&a, n);
+    let stats = time_stats(
+        &mut [
+            &mut || {
+                for _ in 0..KERNEL_CALLS_PER_REP {
+                    kernel::gemm_into(black_box(&a), &b, n, k, m, &mut out_f);
+                }
+                black_box(&out_f);
+            },
+            &mut || {
+                for _ in 0..KERNEL_CALLS_PER_REP {
+                    qi8::qgemm_into(black_box(&a), &qb, n, &mut out_q, &mut whole);
+                }
+                black_box(&out_q);
+            },
+            &mut || {
+                for _ in 0..KERNEL_CALLS_PER_REP {
+                    quantized.quantize(black_box(&a), n);
+                }
+                black_box(&quantized);
+            },
+            &mut || {
+                for _ in 0..KERNEL_CALLS_PER_REP {
+                    qi8::qgemm_quantized_into(black_box(&shared), &qb, &mut out_p);
+                }
+                black_box(&out_p);
+            },
+        ],
+        if smoke { 0.02 } else { 1.0 },
+        if smoke { 4 } else { 400 },
+    );
+    let per_call = |s: &RepStats| s.best_s * 1e9 / KERNEL_CALLS_PER_REP as f64;
+    KernelRow {
+        shape,
+        f32_gemm_ns: per_call(&stats[0]),
+        qgemm_ns: per_call(&stats[1]),
+        quantize_ns: per_call(&stats[2]),
+        product_ns: per_call(&stats[3]),
+    }
+}
+
 struct Row {
     label: &'static str,
     strategy: String,
@@ -350,6 +463,12 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         rows.push(bench_scenario(s, f32_time, &fp, &qp, &model, smoke));
     }
 
+    eprintln!("  timing serving-shape kernel rows ...");
+    let kernel_rows: Vec<KernelRow> = KERNEL_SHAPES
+        .iter()
+        .map(|&shape| kernel_row(shape, smoke))
+        .collect();
+
     // Headline numbers the acceptance gate reads: beam-8 speedup and
     // memory ratio at the serving length cap, and the worst per-row
     // top-5 agreement (must clear the 0.98 gate the equivalence suite
@@ -371,6 +490,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "benchmark": "qrec-nn int8 weight-quantized decode vs f32",
         "mode": if smoke { "smoke" } else { "full" },
         "rows": rows.iter().map(Row::to_json).collect::<Vec<_>>(),
+        "kernel_rows": kernel_rows.iter().map(KernelRow::to_json).collect::<Vec<_>>(),
         "beam8_speedup_vs_f32": if smoke { json!(null) } else { json!(beam8_speedup) },
         "beam8_mem_ratio": if smoke { json!(null) } else { json!(beam8_mem_ratio) },
         "min_topk_agreement": min_agreement,
@@ -411,6 +531,22 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             r.speedup(),
             r.topk_agreement,
             r.mem_ratio(),
+        );
+    }
+    println!(
+        "{:<10} {:>12} {:>12} {:>14} {:>13} {:>9}",
+        "shape", "f32 (ns)", "int8 (ns)", "quantise (ns)", "product (ns)", "int8/f32"
+    );
+    for r in &kernel_rows {
+        let (n, k, m) = r.shape;
+        println!(
+            "{:<10} {:>12.0} {:>12.0} {:>14.0} {:>13.0} {:>8.2}x",
+            format!("{n}x{k}x{m}"),
+            r.f32_gemm_ns,
+            r.qgemm_ns,
+            r.quantize_ns,
+            r.product_ns,
+            r.int8_over_f32(),
         );
     }
     if !smoke {

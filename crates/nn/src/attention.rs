@@ -1,11 +1,13 @@
 //! Multi-head scaled dot-product attention: the graph form the training
 //! forward and the full-prefix decode run ([`MultiHeadAttention::forward`]),
-//! and the fused tape-free kernel the incremental decode step runs
-//! ([`attend_fused`]).
+//! and the two fused tape-free kernels of the inference passes — over a
+//! hypothesis's growing history ([`attend_fused`]) and over a fixed set
+//! of source rows whose keys are stored transposed ([`attend_source`]).
 
-use crate::layers::Linear;
+use crate::layers::{quantize_input, Linear};
 use crate::params::{Fwd, Params};
 use qrec_tensor::kernel::fmadd;
+use qrec_tensor::qi8::QScratch;
 use qrec_tensor::tensor::softmax_in_place;
 use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
@@ -59,6 +61,26 @@ impl MultiHeadAttention {
         let v = self.v.forward(fwd, x_kv);
         let ctx = self.attend(fwd, q, k, v, mask);
         self.out.forward(fwd, ctx)
+    }
+
+    /// The tape-free q/k/v projections of self-attention over the `n`
+    /// rows of `x`, into `q`, `k` and `v` (`n × d` each): three products
+    /// over one input, so int8 weights quantize `x` once for the three.
+    #[allow(clippy::too_many_arguments)] // one input, three outputs, scratch
+    pub(crate) fn project_qkv(
+        &self,
+        params: &Params,
+        x: &[f32],
+        n: usize,
+        q: &mut [f32],
+        k: &mut [f32],
+        v: &mut [f32],
+        q8: &mut QScratch,
+    ) {
+        quantize_input(params, x, n, q8);
+        self.q.apply_quantized(params, x, n, q, q8);
+        self.k.apply_quantized(params, x, n, k, q8);
+        self.v.apply_quantized(params, x, n, v, q8);
     }
 
     /// Scaled dot-product attention over already-projected `q`/`k`/`v`
@@ -231,6 +253,72 @@ fn attend_rows<'a, T: KvElem + 'a>(
     }
 }
 
+/// `x` (`rows × cols`, row-major) transposed into `out` (`cols × rows`).
+pub(crate) fn transpose_into(x: &[f32], cols: usize, out: &mut Vec<f32>) {
+    let rows = x.len().checked_div(cols).unwrap_or(0);
+    out.resize(x.len(), 0.0);
+    for (r, row) in x.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+}
+
+/// [`attend_fused`] of one query row over `m` full-precision source rows
+/// that stay fixed while many queries attend them — the cross-attention
+/// K/V of a decode, an encoder layer's K/V — with the keys stored
+/// **transposed** (`kt`: `d × m`, [`transpose_into`]) and the values
+/// row-major (`v`: `m × d`). `scores` is scratch for `heads · m` weights.
+///
+/// The same bits as [`attend_fused`], by the same argument: a logit is
+/// still the single-accumulator ascending-`k` [`fmadd`] fold from `0.0`
+/// times the scale — but the fold's step `k` now updates the logits of
+/// all `m` positions at once, which are contiguous in `kt`'s row `k`, so
+/// the positions are vector lanes instead of `m` serial dot products. A
+/// context element is still its fold over ascending positions; taking
+/// every head's weights first lets one sweep over the value rows feed
+/// all heads, each row read once, full width.
+pub(crate) fn attend_source(
+    q: &[f32],
+    kt: &[f32],
+    v: &[f32],
+    heads: usize,
+    scores: &mut [f32],
+    ctx: &mut [f32],
+) {
+    let d = q.len();
+    let m = kt.len() / d;
+    ctx.fill(0.0);
+    if m == 0 {
+        return;
+    }
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let scores = &mut scores[..heads * m];
+    let head_keys = q.chunks_exact(dh).zip(kt.chunks_exact(dh * m));
+    for (head_scores, (qh, kth)) in scores.chunks_exact_mut(m).zip(head_keys) {
+        head_scores.fill(0.0);
+        for (&qv, krow) in qh.iter().zip(kth.chunks_exact(m)) {
+            for (s, &kv) in head_scores.iter_mut().zip(krow) {
+                *s = fmadd(qv, kv, *s);
+            }
+        }
+        for s in head_scores.iter_mut() {
+            *s *= scale;
+        }
+        softmax_in_place(head_scores);
+    }
+    for (p, vrow) in v.chunks_exact(d).enumerate() {
+        let heads_out = ctx.chunks_exact_mut(dh).zip(vrow.chunks_exact(dh));
+        for ((out, vh), head_scores) in heads_out.zip(scores.chunks_exact(m)) {
+            let w = head_scores[p];
+            for (o, &vv) in out.iter_mut().zip(vh) {
+                *o = fmadd(w, vv, *o);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,12 +403,14 @@ mod tests {
         assert!(diff > 1e-4, "unmasked attention should see the change");
     }
 
-    /// The fused kernel against the graph ops it replaces, on the same
+    /// Both fused kernels against the graph ops they replace, on the same
     /// projected q/k/v: bit for bit, for a batch of query rows over a
-    /// shared K/V (the cross-attention shape).
+    /// shared K/V (the cross-attention shape) — [`attend_fused`] over the
+    /// row-major keys, [`attend_source`] over their transpose, with a
+    /// scores scratch longer than it needs and full of stale values.
     #[test]
     fn fused_attention_matches_the_graph_ops_bitwise() {
-        for (d, heads, t) in [(8, 2, 1), (48, 4, 7), (48, 4, 33), (16, 1, 5)] {
+        for (d, heads, t) in [(8, 2, 1), (48, 4, 7), (48, 4, 20), (48, 4, 33), (16, 1, 5)] {
             let (params, mha, mut rng) = setup(d, heads);
             let q = init::uniform(3, d, -1.0, 1.0, &mut rng);
             let k = init::uniform(t, d, -1.0, 1.0, &mut rng);
@@ -334,7 +424,13 @@ mod tests {
                 let ctx = mha.attend(fwd, qn, kn, vn, None);
                 fwd.graph.value(ctx).clone()
             });
+            let mut kt = vec![f32::NAN; 3];
+            transpose_into(k.data(), d, &mut kt);
+            assert_eq!(kt.len(), t * d);
+            assert_eq!(kt[(d - 1) * t], k.get(0, d - 1), "kt is d × t");
             let mut scores = vec![0.0; t];
+            let mut source_scores = vec![7.5; heads * t + 3];
+            let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for r in 0..3 {
                 let mut ctx = vec![f32::NAN; d];
                 attend_fused(
@@ -347,10 +443,25 @@ mod tests {
                     &mut scores,
                     &mut ctx,
                 );
-                let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(want.row(r)), bits(&ctx), "d {d} heads {heads} t {t}");
+                let mut ctx = vec![f32::NAN; d];
+                attend_source(q.row(r), &kt, v.data(), heads, &mut source_scores, &mut ctx);
+                assert_eq!(
+                    bits(want.row(r)),
+                    bits(&ctx),
+                    "transposed keys, d {d} heads {heads} t {t}"
+                );
             }
         }
+    }
+
+    /// No source rows: the context is zeros, as the row-major kernel
+    /// leaves it.
+    #[test]
+    fn attending_an_empty_source_yields_a_zero_context() {
+        let mut ctx = vec![f32::NAN; 8];
+        attend_source(&[1.0; 8], &[], &[], 2, &mut [], &mut ctx);
+        assert_eq!(ctx, vec![0.0; 8]);
     }
 
     /// Dequantizing int8 rows on the fly inside the folds equals

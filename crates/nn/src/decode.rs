@@ -30,7 +30,6 @@ use qrec_tensor::{Graph, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -167,73 +166,118 @@ fn suppress_specials(probs: &mut [f32]) {
     }
 }
 
-/// Select one group's `group_width` beam slots for a single step.
-///
-/// `rows` holds, per live hypothesis, its suppressed next-token
-/// distribution and accumulated log-prob. Returns the winning
-/// `(score, live idx, token)` triples in slot order.
-///
-/// Rather than scoring all `live × vocab` candidates, each row is first
-/// pruned to a shortlist by raw probability, which within a row orders
-/// candidates exactly like the log-score: a candidate outside its own
-/// row's top `group_width` is beaten by `group_width` same-row
-/// candidates and can never win a slot. Under a diversity penalty the
-/// shortlist is widened by the number of distinct penalized tokens
-/// `P`: a candidate below its row's unpenalized top `group_width + P`
-/// still has `group_width` unpenalized same-row candidates above it
-/// after penalties are applied (penalties only lower scores, and only
-/// `P` tokens carry one). `ln` and the sorts therefore touch only the
-/// shortlist. Ties break by (probability desc, token asc) while
-/// pruning and (score desc, token asc, then row order) when ranking.
-/// Both decoders route their beam steps through this function, so
-/// incremental and reference selections stay identical.
-fn select_beam_slots(
-    rows: &[(&[f32], f32)],
-    group_width: usize,
-    penalty: f32,
-    chosen_counts: &HashMap<usize, usize>,
-) -> Vec<(f32, usize, usize)> {
-    let shortlist = group_width
-        + if penalty > 0.0 {
-            chosen_counts.len()
-        } else {
-            0
-        };
-    let mut merged: Vec<(f32, usize, usize)> = Vec::with_capacity(rows.len() * group_width);
-    let mut idx: Vec<usize> = Vec::new();
-    let mut scored: Vec<(f32, usize)> = Vec::new();
-    for (li, &(probs, base)) in rows.iter().enumerate() {
-        idx.clear();
-        idx.extend((0..probs.len()).filter(|&t| probs[t] > 0.0));
-        if idx.len() > shortlist {
-            idx.select_nth_unstable_by(shortlist - 1, |&a, &b| {
-                probs[b]
-                    .partial_cmp(&probs[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            idx.truncate(shortlist);
-        }
-        scored.clear();
-        scored.extend(idx.iter().map(|&tok| {
-            let mut score = base + probs[tok].max(1e-12).ln();
-            if penalty > 0.0 {
-                let count = chosen_counts.get(&tok).copied().unwrap_or(0);
-                score -= penalty * count as f32;
-            }
-            (score, tok)
-        }));
-        scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        scored.truncate(group_width);
-        merged.extend(scored.iter().map(|&(s, tok)| (s, li, tok)));
+/// Tokens already chosen at the current step by earlier groups (and
+/// earlier slots of this group), each with how many times — the Hamming
+/// diversity bookkeeping. At most one entry per slot of the step, so a
+/// scanned list; it is only kept under a diversity penalty.
+type ChosenCounts = Vec<(usize, usize)>;
+
+/// Count one more choice of `tok`.
+fn note_chosen(chosen: &mut ChosenCounts, tok: usize) {
+    match chosen.iter_mut().find(|(t, _)| *t == tok) {
+        Some((_, count)) => *count += 1,
+        None => chosen.push((tok, 1)),
     }
-    merged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    merged.truncate(group_width);
-    merged
+}
+
+/// Insert `item` into `list` — best first, at most `cap` long — behind
+/// every entry it does not strictly outrank (`outranks(a, b)`: `a` goes
+/// before `b`), so entries that tie stay in arrival order; whatever falls
+/// off the end is dropped.
+fn insert_bounded<T>(list: &mut Vec<T>, cap: usize, item: T, outranks: impl Fn(&T, &T) -> bool) {
+    let at = list.partition_point(|entry| !outranks(&item, entry));
+    if at < cap {
+        list.truncate(cap - 1);
+        list.insert(at, item);
+    }
+}
+
+/// Beam-slot selection ([`BeamSelector::select`]) and the buffers it
+/// reuses from one step to the next, so that a step's selection
+/// allocates nothing once they have grown. Both decoders route their beam
+/// steps through it, so incremental and reference selections stay
+/// identical.
+#[derive(Debug, Default)]
+struct BeamSelector {
+    /// The current row's shortlist, (probability desc, token asc).
+    shortlist: Vec<(f32, usize)>,
+    /// The current row's slots, `(score, token)` by (score desc, token asc).
+    ranked: Vec<(f32, usize)>,
+    /// The winners so far: `(score, live idx, token)`, score desc.
+    winners: Vec<(f32, usize, usize)>,
+}
+
+impl BeamSelector {
+    /// Select one group's `group_width` beam slots for a single step.
+    ///
+    /// `rows` yields, per live hypothesis, its suppressed next-token
+    /// distribution and accumulated log-prob. Returns the winning
+    /// `(score, live idx, token)` triples in slot order.
+    ///
+    /// Rather than scoring all `live × vocab` candidates, each row is
+    /// first pruned to a shortlist by raw probability, which within a
+    /// row orders candidates exactly like the log-score: a candidate
+    /// outside its own row's top `group_width` is beaten by
+    /// `group_width` same-row candidates and can never win a slot. Under
+    /// a diversity penalty the shortlist is widened by the number of
+    /// distinct penalized tokens `P`: a candidate below its row's
+    /// unpenalized top `group_width + P` still has `group_width`
+    /// unpenalized same-row candidates above it after penalties are
+    /// applied (penalties only lower scores, and only `P` tokens carry
+    /// one). `ln` therefore touches only the shortlist.
+    ///
+    /// The shortlist is found in **one ascending scan** of the row: a
+    /// token enters a list of at most `group_width + P` entries only if
+    /// its probability is positive and strictly above the list's last
+    /// once that is full — for all but a handful of tokens one
+    /// comparison — and sits behind the entries of equal probability,
+    /// which are the smaller tokens. That is the top of the row under
+    /// (probability desc, token asc), the order the argument above
+    /// needs, with no index list, selection or sort. The shortlist is
+    /// then scored and ranked by (score desc, token asc) into the row's
+    /// `group_width` slots, and the rows' slots are merged by score
+    /// alone, **stably**: equal scores keep row order, then the rank
+    /// order within a row.
+    fn select<'r>(
+        &mut self,
+        rows: impl Iterator<Item = (&'r [f32], f32)>,
+        group_width: usize,
+        penalty: f32,
+        chosen: &[(usize, usize)],
+    ) -> &[(f32, usize, usize)] {
+        let keep = group_width + if penalty > 0.0 { chosen.len() } else { 0 };
+        self.winners.clear();
+        for (li, (probs, base)) in rows.enumerate() {
+            self.shortlist.clear();
+            // What a token's probability must exceed to be listed.
+            let mut floor = 0.0f32;
+            for (tok, &p) in probs.iter().enumerate() {
+                if p > floor {
+                    insert_bounded(&mut self.shortlist, keep, (p, tok), |a, b| a.0 > b.0);
+                    if self.shortlist.len() == keep {
+                        floor = self.shortlist[keep - 1].0;
+                    }
+                }
+            }
+            self.ranked.clear();
+            for &(p, tok) in &self.shortlist {
+                let mut score = base + p.max(1e-12).ln();
+                if penalty > 0.0 {
+                    let count = chosen.iter().find(|(t, _)| *t == tok).map_or(0, |c| c.1);
+                    score -= penalty * count as f32;
+                }
+                insert_bounded(&mut self.ranked, group_width, (score, tok), |a, b| {
+                    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
+                });
+            }
+            for &(score, tok) in &self.ranked {
+                insert_bounded(&mut self.winners, group_width, (score, li, tok), |a, b| {
+                    a.0 > b.0
+                });
+            }
+        }
+        &self.winners
+    }
 }
 
 /// One decoded candidate sequence.
@@ -256,6 +300,51 @@ impl Hypothesis {
             token_probs: Vec::new(),
             log_prob: 0.0,
             finished: false,
+        }
+    }
+}
+
+/// A live hypothesis of the incremental beam search. During the search
+/// a hypothesis is not a [`Hypothesis`]: it is its accumulated log-prob
+/// and the index of its last token in a tree of [`TokenNode`]s that the
+/// whole search shares, so extending one — several times over, when a
+/// parent wins several slots — copies no token list. The survivors and
+/// the retired become [`Hypothesis`] values once, when the search ends.
+#[derive(Debug, Clone, Copy)]
+struct LiveHyp {
+    /// Index of the last emitted token's node; [`NO_TOKEN`] at the root.
+    last: usize,
+    log_prob: f32,
+}
+
+/// One emitted token of the search tree: its parent token (or
+/// [`NO_TOKEN`]), its id and its probability at its step.
+#[derive(Debug, Clone, Copy)]
+struct TokenNode {
+    parent: usize,
+    tok: usize,
+    prob: f32,
+}
+
+/// The parent of a first token, and the last token of the empty prefix.
+const NO_TOKEN: usize = usize::MAX;
+
+impl LiveHyp {
+    /// Walk the parent pointers into the [`Hypothesis`] this stands for.
+    fn materialize(self, nodes: &[TokenNode], finished: bool) -> Hypothesis {
+        let path = || std::iter::successors(nodes.get(self.last), |n| nodes.get(n.parent));
+        let len = path().count();
+        let mut ids = vec![0; len];
+        let mut token_probs = vec![0.0; len];
+        for (node, at) in path().zip((0..len).rev()) {
+            ids[at] = node.tok;
+            token_probs[at] = node.prob;
+        }
+        Hypothesis {
+            ids,
+            token_probs,
+            log_prob: self.log_prob,
+            finished,
         }
     }
 }
@@ -490,9 +579,14 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     /// out group by group, so every step is a single batched forward;
     /// after pruning, [`DecodeState::reorder`] gathers the survivors'
     /// cache rows (a parent spawning several children duplicates its
-    /// rows). Slot selection and retirement go through
-    /// [`select_beam_slots`], the same routine the reference path uses,
-    /// so selections are identical.
+    /// rows). Slot selection goes through [`BeamSelector::select`], the
+    /// same routine the reference path uses, so selections are identical.
+    ///
+    /// Everything an iteration writes besides the logits — the selector's
+    /// lists, the survivors ([`LiveHyp`]), their token tree, the parent
+    /// and token lists handed to the next step — lives in buffers sized
+    /// before the loop and swapped or cleared per step: an iteration
+    /// allocates the `B × vocab` logits and nothing else.
     fn beam(
         &mut self,
         src: &[usize],
@@ -504,6 +598,7 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
         let width = width.max(1);
         let groups = groups.min(width);
         let group_width = width.div_ceil(groups);
+        let slots = groups * group_width;
 
         if max_len == 0 {
             return vec![Hypothesis::empty(); groups];
@@ -512,9 +607,22 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
         // Every group starts from the same `<SOS>` root: `groups`
         // identical rows whose first step is computed in one forward.
         let mut state = self.begin(&enc, groups);
-        let mut group_hyps: Vec<Vec<Hypothesis>> = vec![vec![Hypothesis::empty()]; groups];
+        let root = LiveHyp {
+            last: NO_TOKEN,
+            log_prob: 0.0,
+        };
+        let mut live: Vec<Vec<LiveHyp>> = vec![vec![root]; groups];
+        let mut next_live: Vec<Vec<LiveHyp>> = vec![Vec::with_capacity(group_width); groups];
+        // Room for a serving-length search; a longer one regrows it.
+        let mut nodes: Vec<TokenNode> = Vec::with_capacity(max_len.min(64) * slots);
+        // The search stops once `2·width` have retired; one step can
+        // retire `slots` more.
+        let mut done: Vec<LiveHyp> = Vec::with_capacity(2 * width + slots);
         let mut pending: Vec<usize> = vec![SOS; groups];
-        let mut done: Vec<Hypothesis> = Vec::new();
+        let mut next_tokens: Vec<usize> = Vec::with_capacity(slots);
+        let mut parents: Vec<usize> = Vec::with_capacity(slots);
+        let mut chosen = ChosenCounts::new();
+        let mut selector = BeamSelector::default();
 
         for _step in 0..max_len {
             let probs = self.step_probs(&mut state, &pending);
@@ -524,63 +632,56 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
             for r in 0..total_rows {
                 suppress_specials(&mut flat[r * vocab..(r + 1) * vocab]);
             }
-            // Hamming diversity bookkeeping: token → times chosen this
-            // step by earlier groups (and earlier slots of this group).
-            let mut chosen_counts: HashMap<usize, usize> = HashMap::new();
-            let mut parents: Vec<usize> = Vec::new();
-            let mut next_tokens: Vec<usize> = Vec::new();
-            let mut next_group_hyps: Vec<Vec<Hypothesis>> = Vec::with_capacity(groups);
+            chosen.clear();
+            parents.clear();
+            next_tokens.clear();
             let mut row_base = 0usize;
-            for hyps in &group_hyps {
-                if hyps.is_empty() {
-                    next_group_hyps.push(Vec::new());
-                    continue;
-                }
-                let rows: Vec<(&[f32], f32)> = hyps
-                    .iter()
-                    .enumerate()
-                    .map(|(li, hyp)| {
-                        let r = row_base + li;
-                        (&flat[r * vocab..(r + 1) * vocab], hyp.log_prob)
-                    })
-                    .collect();
-                let winners = select_beam_slots(&rows, group_width, penalty, &chosen_counts);
+            for (hyps, next) in live.iter().zip(&mut next_live) {
+                next.clear();
+                let rows = hyps.iter().enumerate().map(|(li, hyp)| {
+                    let r = row_base + li;
+                    (&flat[r * vocab..(r + 1) * vocab], hyp.log_prob)
+                });
                 // Standard beam step: the top `group_width` candidates each
                 // take one slot; an EOS candidate retires its hypothesis.
-                let mut next: Vec<Hypothesis> = Vec::with_capacity(group_width);
-                for (_score, li, tok) in winners {
-                    let p = rows[li].0[tok];
-                    let mut hyp = hyps[li].clone();
-                    hyp.log_prob += p.max(1e-12).ln();
+                for &(_score, li, tok) in selector.select(rows, group_width, penalty, &chosen) {
+                    let p = flat[(row_base + li) * vocab + tok];
+                    let parent = hyps[li];
+                    let log_prob = parent.log_prob + p.max(1e-12).ln();
                     if tok == EOS {
-                        hyp.finished = true;
-                        done.push(hyp);
+                        done.push(LiveHyp { log_prob, ..parent });
                         continue;
                     }
-                    hyp.ids.push(tok);
-                    hyp.token_probs.push(p);
-                    *chosen_counts.entry(tok).or_insert(0) += 1;
+                    if penalty > 0.0 {
+                        note_chosen(&mut chosen, tok);
+                    }
                     parents.push(row_base + li);
                     next_tokens.push(tok);
-                    next.push(hyp);
+                    next.push(LiveHyp {
+                        last: nodes.len(),
+                        log_prob,
+                    });
+                    nodes.push(TokenNode {
+                        parent: parent.last,
+                        tok,
+                        prob: p,
+                    });
                 }
-                next_group_hyps.push(next);
                 row_base += hyps.len();
             }
-            group_hyps = next_group_hyps;
+            std::mem::swap(&mut live, &mut next_live);
+            std::mem::swap(&mut pending, &mut next_tokens);
             state.reorder(&parents);
-            pending = next_tokens;
-            if group_hyps.iter().all(|g| g.is_empty()) || done.len() >= width * 2 {
+            if live.iter().all(|g| g.is_empty()) || done.len() >= width * 2 {
                 break;
             }
         }
         // Unfinished survivors still count as candidates.
-        for hyps in group_hyps {
-            for hyp in hyps {
-                done.push(hyp);
-            }
-        }
-        done
+        let mut hyps = Vec::with_capacity(done.len() + slots);
+        hyps.extend(done.iter().map(|hyp| hyp.materialize(&nodes, true)));
+        let survivors = live.iter().flatten();
+        hyps.extend(survivors.map(|hyp| hyp.materialize(&nodes, false)));
+        hyps
     }
 
     /// Stochastic rollouts. The first-step distribution depends only on
@@ -749,11 +850,12 @@ impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
         // One beam per group.
         let mut beams: Vec<Vec<Live>> = vec![vec![root]; groups];
         let mut done: Vec<Hypothesis> = Vec::new();
+        let mut selector = BeamSelector::default();
 
         for _step in 0..max_len {
             // Hamming diversity bookkeeping: token → times chosen this
             // step by earlier groups (and earlier slots of this group).
-            let mut chosen_counts: HashMap<usize, usize> = HashMap::new();
+            let mut chosen = ChosenCounts::new();
             for beam in beams.iter_mut() {
                 if beam.is_empty() {
                     continue;
@@ -764,16 +866,15 @@ impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
                     suppress_specials(&mut probs);
                     probs_cache.push(probs);
                 }
-                let rows: Vec<(&[f32], f32)> = probs_cache
+                let rows = probs_cache
                     .iter()
                     .zip(beam.iter())
-                    .map(|(probs, live)| (probs.as_slice(), live.hyp.log_prob))
-                    .collect();
-                let winners = select_beam_slots(&rows, group_width, penalty, &chosen_counts);
+                    .map(|(probs, live)| (probs.as_slice(), live.hyp.log_prob));
+                let winners = selector.select(rows, group_width, penalty, &chosen);
                 // Standard beam step: the top `group_width` candidates each
                 // take one slot; an EOS candidate retires its hypothesis.
                 let mut next: Vec<Live> = Vec::with_capacity(group_width);
-                for (_score, li, tok) in winners {
+                for &(_score, li, tok) in winners {
                     let live = &beam[li];
                     let p = probs_cache[li][tok];
                     let mut hyp = live.hyp.clone();
@@ -787,7 +888,7 @@ impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
                     hyp.token_probs.push(p);
                     let mut prefix = live.prefix.clone();
                     prefix.push(tok);
-                    *chosen_counts.entry(tok).or_insert(0) += 1;
+                    note_chosen(&mut chosen, tok);
                     next.push(Live { prefix, hyp });
                 }
                 *beam = next;
@@ -885,7 +986,171 @@ mod tests {
     use crate::adam::{Adam, AdamConfig};
     use crate::params::forward_backward;
     use crate::transformer::{Transformer, TransformerConfig};
+    use proptest::prelude::{any, prop_oneof, proptest, Just, ProptestConfig};
     use rand::SeedableRng;
+    use std::collections::HashMap;
+
+    /// The selection routine [`BeamSelector::select`] replaced, kept
+    /// verbatim as its oracle: an index list of the positive tokens,
+    /// `select_nth_unstable_by` down to the shortlist, a sort of the
+    /// scored shortlist, and a stable sort of the rows' slots by score.
+    fn select_beam_slots_oracle(
+        rows: &[(&[f32], f32)],
+        group_width: usize,
+        penalty: f32,
+        chosen_counts: &HashMap<usize, usize>,
+    ) -> Vec<(f32, usize, usize)> {
+        let shortlist = group_width
+            + if penalty > 0.0 {
+                chosen_counts.len()
+            } else {
+                0
+            };
+        let mut merged: Vec<(f32, usize, usize)> = Vec::with_capacity(rows.len() * group_width);
+        let mut idx: Vec<usize> = Vec::new();
+        let mut scored: Vec<(f32, usize)> = Vec::new();
+        for (li, &(probs, base)) in rows.iter().enumerate() {
+            idx.clear();
+            idx.extend((0..probs.len()).filter(|&t| probs[t] > 0.0));
+            if idx.len() > shortlist {
+                idx.select_nth_unstable_by(shortlist - 1, |&a, &b| {
+                    probs[b]
+                        .partial_cmp(&probs[a])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                idx.truncate(shortlist);
+            }
+            scored.clear();
+            scored.extend(idx.iter().map(|&tok| {
+                let mut score = base + probs[tok].max(1e-12).ln();
+                if penalty > 0.0 {
+                    let count = chosen_counts.get(&tok).copied().unwrap_or(0);
+                    score -= penalty * count as f32;
+                }
+                (score, tok)
+            }));
+            scored.sort_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.1.cmp(&b.1))
+            });
+            scored.truncate(group_width);
+            merged.extend(scored.iter().map(|&(s, tok)| (s, li, tok)));
+        }
+        merged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        merged.truncate(group_width);
+        merged
+    }
+
+    /// Both selections of one case, winners compared bit for bit.
+    fn assert_selection_matches_oracle(
+        rows: &[(Vec<f32>, f32)],
+        group_width: usize,
+        penalty: f32,
+        chosen: &[(usize, usize)],
+        selector: &mut BeamSelector,
+    ) {
+        let borrowed: Vec<(&[f32], f32)> = rows.iter().map(|(p, b)| (p.as_slice(), *b)).collect();
+        let counts: HashMap<usize, usize> = chosen.iter().copied().collect();
+        let want = select_beam_slots_oracle(&borrowed, group_width, penalty, &counts);
+        let got = selector.select(borrowed.iter().copied(), group_width, penalty, chosen);
+        let bits = |w: &[(f32, usize, usize)]| -> Vec<(u32, usize, usize)> {
+            w.iter()
+                .map(|&(s, li, tok)| (s.to_bits(), li, tok))
+                .collect()
+        };
+        assert_eq!(
+            bits(&want),
+            bits(got),
+            "width {group_width} penalty {penalty} chosen {chosen:?} rows {rows:?}"
+        );
+    }
+
+    /// A row's probabilities from a handful of levels, so exact ties are
+    /// the rule: zeros, repeated small and large values, and one level
+    /// that is a different float with the same `ln` neighbourhood.
+    fn tied_row() -> impl proptest::strategy::Strategy<Value = Vec<f32>> {
+        let level = prop_oneof![
+            Just(0.0f32),
+            Just(0.0f32),
+            Just(0.125f32),
+            Just(0.25f32),
+            Just(0.250_000_03f32),
+            Just(1e-13f32),
+            0.0f32..1.0,
+        ];
+        proptest::collection::vec(level, 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass selection against the oracle: rows full of exact
+        /// ties and zeros (so often fewer positive entries than slots),
+        /// widths 1–8, 1–6 rows, equal and distinct bases, and — under a
+        /// penalty — chosen tokens that widen the shortlist. One selector
+        /// serves every case of a run, so stale buffers would show.
+        #[test]
+        fn one_pass_selection_matches_the_oracle(
+            rows in proptest::collection::vec((tied_row(), prop_oneof![Just(-1.5f32), -4.0f32..0.0]), 1..7),
+            group_width in 1usize..9,
+            penalised in any::<bool>(),
+            penalty in 0.1f32..3.0,
+            chosen in proptest::collection::vec((0usize..40, 1usize..4), 0..6),
+        ) {
+            // One entry per token, as the decoders keep it.
+            let mut distinct = ChosenCounts::new();
+            for (tok, count) in chosen {
+                if distinct.iter().all(|&(t, _)| t != tok) {
+                    distinct.push((tok, count));
+                }
+            }
+            let penalty = if penalised { penalty } else { 0.0 };
+            let mut selector = BeamSelector::default();
+            // Twice through one selector: the second call starts from
+            // the first one's leftovers.
+            for _ in 0..2 {
+                assert_selection_matches_oracle(&rows, group_width, penalty, &distinct, &mut selector);
+            }
+        }
+    }
+
+    /// The shapes a random draw rarely produces, pinned: a single
+    /// positive entry, an all-zero row among live ones, a row shorter
+    /// than the width, every entry tied, and a penalty that reorders a
+    /// row's top.
+    #[test]
+    fn one_pass_selection_matches_the_oracle_on_degenerate_rows() {
+        let mut selector = BeamSelector::default();
+        let single = vec![(vec![0.0, 0.0, 0.7, 0.0], -0.5)];
+        let with_dead_row = vec![
+            (vec![0.0; 6], -0.1),
+            (vec![0.2, 0.0, 0.2, 0.2, 0.0, 0.4], -0.7),
+            (vec![0.0, 0.5, 0.0, 0.0, 0.5, 0.0], -0.7),
+        ];
+        let short = vec![(vec![0.5, 0.5], 0.0), (vec![0.25], 0.0)];
+        let all_tied = vec![(vec![0.1; 12], -1.0), (vec![0.1; 12], -1.0)];
+        for rows in [&single, &with_dead_row, &short, &all_tied] {
+            for group_width in 1..=8 {
+                for (penalty, chosen) in [
+                    (0.0, vec![]),
+                    (0.0, vec![(2, 1)]),
+                    (1.5, vec![]),
+                    (1.5, vec![(2, 1), (5, 3)]),
+                    (0.4, vec![(0, 2), (1, 1), (4, 1)]),
+                ] {
+                    assert_selection_matches_oracle(
+                        rows,
+                        group_width,
+                        penalty,
+                        &chosen,
+                        &mut selector,
+                    );
+                }
+            }
+        }
+    }
 
     /// Train a tiny model to copy its input; decoding should then emit
     /// the source sequence.

@@ -12,10 +12,11 @@
 //!   self-attention K/V rows of every hypothesis and every position
 //!   decoded so far ([`KvArena`], one row appended per hypothesis per
 //!   step), the cross-attention K/V of the source projected *once* in
-//!   `begin_decode` instead of once per step, and the scratch buffers
-//!   every step writes its intermediates into ([`StepScratch`]) — the
-//!   transformer step builds no autograd graph and allocates nothing
-//!   but the logits it returns.
+//!   `begin_decode` instead of once per step (the keys stored
+//!   transposed, the layout [`crate::attention::attend_source`] reads),
+//!   and the scratch buffers every step writes its intermediates into
+//!   ([`StepScratch`]) — the transformer step builds no autograd graph
+//!   and allocates nothing but the logits it returns.
 //! * **ConvS2S** — per decoder layer, the rolling window of the last
 //!   `kernel - 1` block-input rows per hypothesis (what the causal
 //!   convolution at the next position will see).
@@ -29,7 +30,9 @@
 //!
 //! After beam pruning, [`DecodeState::reorder`] gathers the state rows
 //! of the surviving hypotheses (indices may repeat when one parent
-//! spawns several children) so caches follow their hypotheses.
+//! spawns several children) so caches follow their hypotheses. The
+//! transformer's arenas gather into a second buffer they keep and swap,
+//! so a reorder allocates nothing once both buffers have their size.
 
 use crate::attention::KvPair;
 use crate::params::Fwd;
@@ -38,35 +41,23 @@ use qrec_tensor::qi8::{self, QScratch};
 use qrec_tensor::Tensor;
 use std::sync::Arc;
 
-/// State-reorder (beam pruning gather) duration histogram, registered
-/// lazily. Reorders shuffle every cached K/V row, so their cost scales
-/// with beam width × layers and is worth watching separately from the
-/// step forwards.
-fn reorder_hist() -> &'static Arc<qrec_obs::Histogram> {
-    static H: std::sync::OnceLock<Arc<qrec_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| qrec_obs::global().histogram_log2("nn.decode.reorder_us"))
-}
-
 /// Incremental decoding state for one source sequence and a batch of
 /// live hypotheses. Created by
 /// [`crate::seq2seq::Seq2Seq::begin_decode`]; advanced by
 /// [`crate::seq2seq::Seq2Seq::step_logits`]; reordered after beam
 /// pruning with [`DecodeState::reorder`].
 ///
-/// Cloning copies the filled cache rows only (a transformer state one
-/// step deep is a few hundred bytes per layer; source-side tensors are
-/// behind [`Arc`]s). Stochastic decoding clones the post-first-step
-/// state once per rollout so the first-step distribution is computed
-/// exactly once per source.
+/// Cloning copies the caches (a one-hypothesis transformer arena is a
+/// few KiB per layer; source-side tensors are behind [`Arc`]s).
+/// Stochastic decoding clones the post-first-step state once per rollout
+/// so the first-step distribution is computed exactly once per source.
 #[derive(Debug, Clone)]
 pub struct DecodeState {
     pub(crate) kind: StateKind,
     /// The frozen encoder output this state decodes against.
     pub(crate) enc: Arc<Tensor>,
-    /// Consumed target tokens per hypothesis row (the full-prefix
-    /// fallback decodes these; incremental paths keep them for parity
-    /// and diagnostics — they are a few words per row).
-    pub(crate) prefixes: Vec<Vec<usize>>,
+    /// Live hypothesis rows.
+    pub(crate) batch: usize,
     /// Steps consumed so far (target positions fed in).
     pub(crate) steps: usize,
     /// The architecture's positional capacity: every model truncates
@@ -82,10 +73,15 @@ pub struct DecodeState {
 /// Architecture-specific cache payload.
 #[derive(Debug, Clone)]
 pub(crate) enum StateKind {
-    /// No cache: every step re-decodes the stored prefixes in full. The
-    /// default for any [`crate::seq2seq::Seq2Seq`] implementation that
-    /// does not override the incremental API.
-    FullPrefix,
+    /// No cache: every step re-decodes the consumed target tokens of
+    /// each hypothesis row, kept here, in full. The default for any
+    /// [`crate::seq2seq::Seq2Seq`] implementation that does not override
+    /// the incremental API — the architecture-backed states read their
+    /// caches and keep no tokens.
+    FullPrefix {
+        /// Consumed target tokens per hypothesis row.
+        prefixes: Vec<Vec<usize>>,
+    },
     /// Transformer per-layer K/V arenas and step scratch (boxed: an
     /// order of magnitude larger than the other variants).
     Transformer(Box<TransformerState>),
@@ -113,10 +109,13 @@ pub(crate) struct TransformerLayerState {
     /// Self-attention keys and values, full width (heads are column
     /// ranges, exactly as in the full path).
     pub(crate) self_kv: KvArena,
-    /// Cross-attention keys of the source (`m × d_model`), projected
-    /// once per source in `begin_decode` and shared by every step and
-    /// every hypothesis.
-    pub(crate) cross_k: Arc<Tensor>,
+    /// Cross-attention keys of the source, projected once per source in
+    /// `begin_decode`, shared by every step and every hypothesis, and
+    /// stored **transposed** (`d_model × m`): fixed for the whole decode,
+    /// so the transpose is paid once and every query's scores for all
+    /// `m` positions are lanes of one fold
+    /// ([`crate::attention::attend_source`]).
+    pub(crate) cross_kt: Arc<Tensor>,
     /// Cross-attention values of the source (`m × d_model`).
     pub(crate) cross_v: Arc<Tensor>,
 }
@@ -141,9 +140,12 @@ pub(crate) struct StepScratch {
     pub(crate) y: Vec<f32>,
     /// Feed-forward hidden activations, `B × d_ff`.
     pub(crate) h: Vec<f32>,
-    /// One (row, head) attention distribution: `max(positions, source
-    /// length)` values.
+    /// Attention distributions of one query row: one head's over the
+    /// decoded positions, or every head's over the source
+    /// (`max(positions, heads · source length)` values).
     pub(crate) scores: Vec<f32>,
+    /// An encoder layer's keys, transposed (`d_model × m`).
+    pub(crate) kt: Vec<f32>,
     /// This step's positional-encoding row, `d_model` values.
     pub(crate) pe: Vec<f32>,
     /// Activation-quantization buffers of the int8 projections.
@@ -151,9 +153,10 @@ pub(crate) struct StepScratch {
 }
 
 impl StepScratch {
-    /// Size every buffer for a `batch`-row step (no-op, and no
-    /// allocation, when already that size).
-    pub(crate) fn ensure(&mut self, batch: usize, d: usize, d_ff: usize, positions: usize) {
+    /// Size every buffer for a `batch`-row step with room for `scores`
+    /// attention weights (no-op, and no allocation, when already that
+    /// size).
+    pub(crate) fn ensure(&mut self, batch: usize, d: usize, d_ff: usize, scores: usize) {
         for buf in [
             &mut self.x,
             &mut self.q,
@@ -166,8 +169,8 @@ impl StepScratch {
         }
         self.h.resize(batch * d_ff, 0.0);
         self.pe.resize(d, 0.0);
-        if self.scores.len() < positions {
-            self.scores.resize(positions, 0.0);
+        if self.scores.len() < scores {
+            self.scores.resize(scores, 0.0);
         }
     }
 }
@@ -187,7 +190,13 @@ const KV_INITIAL_POSITIONS: usize = 16;
 /// full-precision rows — bitwise what the full-prefix path recomputes —
 /// or, when the parameter store carries an int8 sidecar, int8 rows with
 /// one scale per row (~4× smaller), dequantized on attention read.
-#[derive(Debug)]
+///
+/// Every re-layout (beam gather, regrow) copies the filled rows into a
+/// second set of buffers the arena keeps, then swaps the two: a gather
+/// allocates nothing once both sets have reached their size, and the
+/// capacity past the fill position — never read before `append`
+/// overwrites it — is neither zeroed nor copied.
+#[derive(Debug, Clone)]
 pub(crate) struct KvArena {
     d: usize,
     batch: usize,
@@ -196,9 +205,11 @@ pub(crate) struct KvArena {
     /// Positions each hypothesis has room for.
     cap: usize,
     rows: KvRows,
+    /// The buffers the next re-layout writes into (then `rows`).
+    spare: KvRows,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum KvRows {
     F32 {
         k: Vec<f32>,
@@ -214,23 +225,42 @@ enum KvRows {
     },
 }
 
-/// A `[row][position][width]` buffer with room for `cap` positions per
-/// row whose row `i` holds the first `len` positions of row `parents[i]`
-/// of `src` (row capacity `src_cap`); the rest is zero.
-fn relay<T: Copy + Default>(
+impl KvRows {
+    /// Buffers for `rows` hypothesis-positions of `d`-wide rows.
+    fn new(quantized: bool, rows: usize, d: usize) -> KvRows {
+        if quantized {
+            KvRows::I8 {
+                k: vec![0; rows * d],
+                k_scales: vec![0.0; rows],
+                v: vec![0; rows * d],
+                v_scales: vec![0.0; rows],
+            }
+        } else {
+            KvRows::F32 {
+                k: vec![0.0; rows * d],
+                v: vec![0.0; rows * d],
+            }
+        }
+    }
+}
+
+/// Make `dst` a `[row][position][width]` buffer with room for `cap`
+/// positions per row whose row `i` holds the first `len` positions of row
+/// `parents[i]` of `src` (row capacity `src_cap`). Positions past `len`
+/// keep whatever `dst` held (zeros where it grew).
+fn relay_into<T: Copy + Default>(
     src: &[T],
     src_cap: usize,
     width: usize,
     len: usize,
     parents: impl ExactSizeIterator<Item = usize>,
     cap: usize,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(parents.len() * cap * width);
-    for p in parents {
-        out.extend_from_slice(&src[p * src_cap * width..][..len * width]);
-        out.resize(out.len() + (cap - len) * width, T::default());
+    dst: &mut Vec<T>,
+) {
+    dst.resize(parents.len() * cap * width, T::default());
+    for (row, p) in dst.chunks_exact_mut((cap * width).max(1)).zip(parents) {
+        row[..len * width].copy_from_slice(&src[p * src_cap * width..][..len * width]);
     }
-    out
 }
 
 impl KvArena {
@@ -238,25 +268,13 @@ impl KvArena {
     /// representation `quantized` selects.
     pub(crate) fn new(batch: usize, d: usize, quantized: bool) -> KvArena {
         let cap = KV_INITIAL_POSITIONS;
-        let rows = if quantized {
-            KvRows::I8 {
-                k: vec![0; batch * cap * d],
-                k_scales: vec![0.0; batch * cap],
-                v: vec![0; batch * cap * d],
-                v_scales: vec![0.0; batch * cap],
-            }
-        } else {
-            KvRows::F32 {
-                k: vec![0.0; batch * cap * d],
-                v: vec![0.0; batch * cap * d],
-            }
-        };
         KvArena {
             d,
             batch,
             len: 0,
             cap,
-            rows,
+            rows: KvRows::new(quantized, batch * cap, d),
+            spare: KvRows::new(quantized, 0, d),
         }
     }
 
@@ -266,8 +284,8 @@ impl KvArena {
     }
 
     /// Append row `i` of `k_rows` / `v_rows` (`batch × d` each) at
-    /// hypothesis `i`'s next position. Quantized arenas calibrate each
-    /// row on append.
+    /// hypothesis `i`'s next position. Quantized arenas quantize each
+    /// row on append, under its own scale.
     pub(crate) fn append(&mut self, k_rows: &[f32], v_rows: &[f32]) {
         assert_eq!(
             k_rows.len(),
@@ -281,8 +299,7 @@ impl KvArena {
         );
         if self.len == self.cap {
             // Out of room: re-lay every hypothesis out at twice the capacity.
-            self.rows = self.relaid(0..self.batch, 2 * self.cap);
-            self.cap *= 2;
+            self.relay(0..self.batch, 2 * self.cap);
         }
         let (d, cap, pos) = (self.d, self.cap, self.len);
         let store_f32 = |dst: &mut [f32], rows: &[f32]| {
@@ -292,11 +309,8 @@ impl KvArena {
         };
         let store_i8 = |dst: &mut [i8], scales: &mut [f32], rows: &[f32]| {
             for (i, row) in rows.chunks_exact(d).enumerate() {
-                let s = qi8::calibrate(row);
-                scales[i * cap + pos] = s;
-                for (q, &x) in dst[(i * cap + pos) * d..][..d].iter_mut().zip(row) {
-                    *q = qi8::quantize_one(x, s);
-                }
+                scales[i * cap + pos] =
+                    qi8::quantize_row(row, &mut dst[(i * cap + pos) * d..][..d]);
             }
         };
         match &mut self.rows {
@@ -317,28 +331,42 @@ impl KvArena {
         self.len += 1;
     }
 
-    /// Buffers with room for `cap` positions per hypothesis, hypothesis
-    /// `i` holding the filled rows of hypothesis `parents[i]` of this
-    /// arena — the one re-layout behind regrow, gather and clone.
-    fn relaid(&self, parents: impl ExactSizeIterator<Item = usize> + Clone, cap: usize) -> KvRows {
-        let (d, len, src_cap) = (self.d, self.len, self.cap);
-        match &self.rows {
-            KvRows::F32 { k, v } => KvRows::F32 {
-                k: relay(k, src_cap, d, len, parents.clone(), cap),
-                v: relay(v, src_cap, d, len, parents, cap),
-            },
-            KvRows::I8 {
-                k,
-                k_scales,
-                v,
-                v_scales,
-            } => KvRows::I8 {
-                k: relay(k, src_cap, d, len, parents.clone(), cap),
-                k_scales: relay(k_scales, src_cap, 1, len, parents.clone(), cap),
-                v: relay(v, src_cap, d, len, parents.clone(), cap),
-                v_scales: relay(v_scales, src_cap, 1, len, parents, cap),
-            },
+    /// Re-lay the arena out with room for `cap` positions per hypothesis,
+    /// hypothesis `i` holding the filled rows of the current hypothesis
+    /// `parents[i]` — the one re-layout behind regrow and gather: into
+    /// the spare buffers, which then become the rows.
+    fn relay(&mut self, parents: impl ExactSizeIterator<Item = usize> + Clone, cap: usize) {
+        let (d, len, src_cap, batch) = (self.d, self.len, self.cap, parents.len());
+        match (&self.rows, &mut self.spare) {
+            (KvRows::F32 { k, v }, KvRows::F32 { k: k2, v: v2 }) => {
+                relay_into(k, src_cap, d, len, parents.clone(), cap, k2);
+                relay_into(v, src_cap, d, len, parents, cap, v2);
+            }
+            (
+                KvRows::I8 {
+                    k,
+                    k_scales,
+                    v,
+                    v_scales,
+                },
+                KvRows::I8 {
+                    k: k2,
+                    k_scales: ks2,
+                    v: v2,
+                    v_scales: vs2,
+                },
+            ) => {
+                relay_into(k, src_cap, d, len, parents.clone(), cap, k2);
+                relay_into(k_scales, src_cap, 1, len, parents.clone(), cap, ks2);
+                relay_into(v, src_cap, d, len, parents.clone(), cap, v2);
+                relay_into(v_scales, src_cap, 1, len, parents, cap, vs2);
+            }
+            // `new` builds both sets with one `quantized`.
+            _ => debug_assert!(false, "arena buffers of two representations"),
         }
+        std::mem::swap(&mut self.rows, &mut self.spare);
+        self.batch = batch;
+        self.cap = cap;
     }
 
     /// Hypothesis `i`'s filled key and value rows, for the attention
@@ -367,8 +395,7 @@ impl KvArena {
     /// Gather hypotheses by `parents` (beam pruning): hypothesis `i`
     /// becomes a copy of the filled rows of hypothesis `parents[i]`.
     pub(crate) fn gather(&mut self, parents: &[usize]) {
-        self.rows = self.relaid(parents.iter().copied(), self.cap);
-        self.batch = parents.len();
+        self.relay(parents.iter().copied(), self.cap);
     }
 
     /// Resident bytes of the filled K and V rows across all hypotheses
@@ -378,17 +405,6 @@ impl KvArena {
         match self.rows {
             KvRows::F32 { .. } => rows * self.d * 4,
             KvRows::I8 { .. } => rows * (self.d + 4),
-        }
-    }
-}
-
-impl Clone for KvArena {
-    /// Copies the filled rows only (unfilled capacity is re-zeroed, not
-    /// read).
-    fn clone(&self) -> KvArena {
-        KvArena {
-            rows: self.relaid(0..self.batch, self.cap),
-            ..*self
         }
     }
 }
@@ -414,9 +430,11 @@ impl DecodeState {
     /// architecture, used by the default trait methods.
     pub(crate) fn full_prefix(enc: &Arc<Tensor>, batch: usize) -> Self {
         DecodeState {
-            kind: StateKind::FullPrefix,
+            kind: StateKind::FullPrefix {
+                prefixes: vec![Vec::new(); batch],
+            },
             enc: Arc::clone(enc),
-            prefixes: vec![Vec::new(); batch],
+            batch,
             steps: 0,
             // The fallback re-decodes through `decode_last_logits`,
             // which applies the architecture's own truncation — it
@@ -436,7 +454,7 @@ impl DecodeState {
         DecodeState {
             kind,
             enc: Arc::clone(enc),
-            prefixes: vec![Vec::new(); batch],
+            batch,
             steps: 0,
             arch_max_len,
             last_logits: None,
@@ -445,7 +463,7 @@ impl DecodeState {
 
     /// Number of live hypothesis rows.
     pub fn batch(&self) -> usize {
-        self.prefixes.len()
+        self.batch
     }
 
     /// Target positions consumed so far.
@@ -453,20 +471,23 @@ impl DecodeState {
         self.steps
     }
 
-    /// Record this step's tokens (one per row) and return the 0-based
-    /// position the new row occupies, or `None` when the architecture's
-    /// positional capacity has frozen the logits (the caller replays
+    /// Count this step's tokens (one per row; a full-prefix state also
+    /// records them) and return the 0-based position the new row
+    /// occupies, or `None` when the architecture's positional capacity
+    /// has frozen the logits (the caller replays
     /// [`Self::frozen_logits`]).
     pub(crate) fn advance(&mut self, last_toks: &[usize]) -> Option<usize> {
         assert_eq!(
             last_toks.len(),
-            self.prefixes.len(),
+            self.batch,
             "step_logits batch mismatch: {} tokens for {} state rows",
             last_toks.len(),
-            self.prefixes.len()
+            self.batch
         );
-        for (prefix, &tok) in self.prefixes.iter_mut().zip(last_toks) {
-            prefix.push(tok);
+        if let StateKind::FullPrefix { prefixes } = &mut self.kind {
+            for (prefix, &tok) in prefixes.iter_mut().zip(last_toks) {
+                prefix.push(tok);
+            }
         }
         let pos = self.steps;
         self.steps += 1;
@@ -507,7 +528,7 @@ impl DecodeState {
     /// and step scratch.
     pub fn resident_cache_bytes(&self) -> usize {
         match &self.kind {
-            StateKind::FullPrefix => 0,
+            StateKind::FullPrefix { .. } => 0,
             StateKind::Transformer(ts) => {
                 ts.layers.iter().map(|l| l.self_kv.resident_bytes()).sum()
             }
@@ -522,20 +543,19 @@ impl DecodeState {
     /// batch may grow or shrink — beam pruning, diverse-group fan-out,
     /// and sampling clones all route through here.
     pub fn reorder(&mut self, parents: &[usize]) {
-        let t0 = qrec_obs::enabled().then(std::time::Instant::now);
-        let batch = self.prefixes.len();
-        for &p in parents {
-            assert!(
-                p < batch,
-                "reorder parent {p} out of range for batch {batch}"
-            );
-        }
-        self.prefixes = parents.iter().map(|&p| self.prefixes[p].clone()).collect();
+        assert!(
+            parents.iter().all(|&p| p < self.batch),
+            "reorder parents {parents:?} out of range for batch {}",
+            self.batch
+        );
+        self.batch = parents.len();
         if let Some(logits) = &self.last_logits {
             self.last_logits = Some(logits.gather_rows(parents));
         }
         match &mut self.kind {
-            StateKind::FullPrefix => {}
+            StateKind::FullPrefix { prefixes } => {
+                *prefixes = parents.iter().map(|&p| prefixes[p].clone()).collect();
+            }
             StateKind::Transformer(ts) => {
                 for layer in &mut ts.layers {
                     layer.self_kv.gather(parents);
@@ -550,17 +570,15 @@ impl DecodeState {
                 gs.h = gs.h.gather_rows(parents);
             }
         }
-        if let Some(t0) = t0 {
-            reorder_hist().record_duration(t0.elapsed());
-        }
     }
 }
 
 /// The cache-free step shared by the trait default and by architecture
-/// overrides handed a state of a foreign kind (e.g. a cloned
-/// `FullPrefix` state): re-decode every stored prefix in full through
-/// [`Seq2Seq::decode_last_logits`]. Correct for any architecture,
-/// O(L²) per token.
+/// overrides handed a `FullPrefix` state (or no rows at all): re-decode
+/// every stored prefix in full through [`Seq2Seq::decode_last_logits`].
+/// Correct for any architecture, O(L²) per token. A state that carries
+/// another architecture's caches holds no prefixes to re-decode; handing
+/// one over is a caller bug.
 pub(crate) fn full_prefix_step<M: Seq2Seq + ?Sized>(
     model: &M,
     fwd: &mut Fwd<'_>,
@@ -568,12 +586,21 @@ pub(crate) fn full_prefix_step<M: Seq2Seq + ?Sized>(
     last_toks: &[usize],
 ) -> Tensor {
     let _ = state.advance(last_toks);
-    let enc = fwd.constant_shared(Arc::clone(&state.enc));
     let mut out = Tensor::zeros(0, model.vocab());
-    for prefix in &state.prefixes {
-        let node = model.decode_last_logits(fwd, enc, prefix);
-        let row = fwd.graph.value(node).row(0).to_vec();
-        out.append_row(&row);
+    match &state.kind {
+        StateKind::FullPrefix { prefixes } => {
+            let enc = fwd.constant_shared(Arc::clone(&state.enc));
+            for prefix in prefixes {
+                let node = model.decode_last_logits(fwd, enc, prefix);
+                let row = fwd.graph.value(node).row(0).to_vec();
+                out.append_row(&row);
+            }
+        }
+        _ => assert!(
+            last_toks.is_empty(),
+            "{} cannot step a decode state begun by another architecture",
+            model.arch_name()
+        ),
     }
     state.remember_logits(out)
 }
@@ -616,33 +643,48 @@ mod tests {
         DecodeState::with_kind(kind, &enc, batch, max_len)
     }
 
+    /// A full-prefix state of `batch` rows with a position cap.
+    fn full_prefix_state(batch: usize, max_len: usize) -> DecodeState {
+        let kind = StateKind::FullPrefix {
+            prefixes: vec![Vec::new(); batch],
+        };
+        state_with(kind, batch, max_len)
+    }
+
+    fn prefixes(s: &DecodeState) -> &[Vec<usize>] {
+        match &s.kind {
+            StateKind::FullPrefix { prefixes } => prefixes,
+            other => unreachable!("not a full-prefix state: {other:?}"),
+        }
+    }
+
     #[test]
     fn advance_tracks_positions_and_freezes_at_capacity() {
-        let mut s = state_with(StateKind::FullPrefix, 2, 2);
+        let mut s = full_prefix_state(2, 2);
         assert_eq!(s.advance(&[1, 1]), Some(0));
         assert_eq!(s.advance(&[4, 5]), Some(1));
         assert_eq!(s.advance(&[6, 7]), None, "position 2 is past max_len 2");
         assert_eq!(s.positions(), 3);
-        assert_eq!(s.prefixes, vec![vec![1, 4, 6], vec![1, 5, 7]]);
+        assert_eq!(prefixes(&s), [vec![1, 4, 6], vec![1, 5, 7]]);
     }
 
     #[test]
     #[should_panic(expected = "batch mismatch")]
     fn advance_rejects_wrong_batch() {
-        let mut s = state_with(StateKind::FullPrefix, 2, 8);
+        let mut s = full_prefix_state(2, 8);
         let _ = s.advance(&[1]);
     }
 
     #[test]
     fn reorder_gathers_prefixes_and_logits() {
-        let mut s = state_with(StateKind::FullPrefix, 3, 8);
+        let mut s = full_prefix_state(3, 8);
         let _ = s.advance(&[7, 8, 9]);
         s.last_logits = Some(Tensor::from_vec(3, 1, vec![0.7, 0.8, 0.9]));
-        s.reorder(&[2, 0, 2]);
-        assert_eq!(s.batch(), 3);
-        assert_eq!(s.prefixes, vec![vec![9], vec![7], vec![9]]);
+        s.reorder(&[2, 0, 2, 1]);
+        assert_eq!(s.batch(), 4);
+        assert_eq!(prefixes(&s), [vec![9], vec![7], vec![9], vec![8]]);
         let logits = s.last_logits.clone().map(Tensor::into_data);
-        assert_eq!(logits, Some(vec![0.9, 0.7, 0.9]));
+        assert_eq!(logits, Some(vec![0.9, 0.7, 0.9, 0.8]));
     }
 
     #[test]
@@ -655,6 +697,7 @@ mod tests {
             8,
         );
         s.reorder(&[1, 1, 0]);
+        assert_eq!(s.batch(), 3, "the row count is stored, not derived");
         match &s.kind {
             StateKind::Gru(gs) => {
                 assert_eq!(gs.h.shape(), (3, 2));
@@ -782,7 +825,7 @@ mod tests {
 
     #[test]
     fn logits_are_kept_only_at_the_positional_cap() {
-        let mut s = state_with(StateKind::FullPrefix, 1, 2);
+        let mut s = full_prefix_state(1, 2);
         let _ = s.advance(&[1]);
         let _ = s.remember_logits(Tensor::scalar(0.5));
         assert!(

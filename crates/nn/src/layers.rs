@@ -95,7 +95,7 @@ impl Linear {
 
     /// Tape-free inference forward: `out` (`n × d_out`, overwritten)
     /// becomes `x·W + b` for the `n` rows of `x`, reading the weight
-    /// straight from the store — its int8 panels when the store carries
+    /// straight from the store — its int8 form when the store carries
     /// a sidecar, the f32 tensor otherwise — with no graph node and no
     /// weight copy. Bit for bit the value [`Linear::forward`] computes
     /// outside training: the same GEMM dispatch and the same bias add.
@@ -107,8 +107,25 @@ impl Linear {
         out: &mut [f32],
         q8: &mut QScratch,
     ) {
+        quantize_input(params, x, n, q8);
+        self.apply_quantized(params, x, n, out, q8);
+    }
+
+    /// [`Linear::apply`] for an input already through [`quantize_input`]:
+    /// projections that read the same rows (a layer's q/k/v, the cross K
+    /// and V of every decoder layer) share one quantized copy of them
+    /// instead of re-quantizing `x` per product. An int8 weight reads
+    /// `q8`, an f32 weight `x`.
+    pub(crate) fn apply_quantized(
+        &self,
+        params: &Params,
+        x: &[f32],
+        n: usize,
+        out: &mut [f32],
+        q8: &QScratch,
+    ) {
         match params.quant().and_then(|q| q.weight(self.w)) {
-            Some(qw) => qi8::qgemm_into(x, &qw.packed, n, out, q8),
+            Some(qw) => qi8::qgemm_quantized_into(q8, &qw.packed, out),
             None => {
                 let w = params.value(self.w).data();
                 kernel::gemm_into(x, w, n, self.d_in, self.d_out, out);
@@ -122,6 +139,16 @@ impl Linear {
                 }
             }
         }
+    }
+}
+
+/// Quantize the `n` input rows `x` of one or more [`Linear`]s into `q8`
+/// when the store's projections are int8 (no-op for an f32 store): once
+/// per distinct input, however many projections read it
+/// ([`Linear::apply_quantized`]).
+pub(crate) fn quantize_input(params: &Params, x: &[f32], n: usize, q8: &mut QScratch) {
+    if params.is_quantized() {
+        q8.quantize(x, n);
     }
 }
 

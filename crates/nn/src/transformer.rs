@@ -1,14 +1,14 @@
 //! The Transformer seq2seq architecture (Vaswani et al.), sized for the
 //! paper's query-prediction task.
 
-use crate::attention::{attend_fused, KvPair, MultiHeadAttention};
+use crate::attention::{attend_fused, attend_source, transpose_into, MultiHeadAttention};
 use crate::incremental::{
     full_prefix_step, DecodeState, KvArena, StateKind, StepScratch, TransformerLayerState,
     TransformerState,
 };
 use crate::layers::{
-    causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into, Dropout,
-    Embedding, FeedForward, LayerNorm, Linear,
+    causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into,
+    quantize_input, Dropout, Embedding, FeedForward, LayerNorm, Linear,
 };
 use crate::params::{Fwd, Params};
 use crate::seq2seq::Seq2Seq;
@@ -107,18 +107,16 @@ impl EncoderLayer {
     /// `m` source rows of the residual stream `s.x` (`m × d_model`,
     /// updated in place): every projection batched over the rows, each
     /// row's query attended over the K/V rows of all `m` — the graph
-    /// path's unmasked `m × m` attention, one query row at a time.
-    /// Weights are read from `params` in place; every intermediate lives
-    /// in `s`.
+    /// path's unmasked `m × m` attention, one query row at a time over
+    /// keys transposed once for the `m` queries. Weights are read from
+    /// `params` in place; every intermediate lives in `s`.
     fn apply(&self, params: &Params, m: usize, s: &mut StepScratch) {
         let attn = &self.attn;
         let d = attn.d;
-        attn.q.apply(params, &s.x, m, &mut s.q, &mut s.q8);
-        attn.k.apply(params, &s.x, m, &mut s.k, &mut s.q8);
-        attn.v.apply(params, &s.x, m, &mut s.v, &mut s.q8);
-        let source = KvPair::F32 { k: &s.k, v: &s.v };
+        attn.project_qkv(params, &s.x, m, &mut s.q, &mut s.k, &mut s.v, &mut s.q8);
+        transpose_into(&s.k, d, &mut s.kt);
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_fused(q, source, attn.heads, &mut s.scores[..m], ctx);
+            attend_source(q, &s.kt, &s.v, attn.heads, &mut s.scores, ctx);
         }
         attn.out.apply(params, &s.ctx, m, &mut s.y, &mut s.q8);
         add_assign(&mut s.x, &s.y);
@@ -203,9 +201,7 @@ impl DecoderLayer {
     fn step(&self, params: &Params, n: usize, ls: &mut TransformerLayerState, s: &mut StepScratch) {
         let d = self.self_attn.d;
         let attn = &self.self_attn;
-        attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
-        attn.k.apply(params, &s.x, n, &mut s.k, &mut s.q8);
-        attn.v.apply(params, &s.x, n, &mut s.v, &mut s.q8);
+        attn.project_qkv(params, &s.x, n, &mut s.q, &mut s.k, &mut s.v, &mut s.q8);
         ls.self_kv.append(&s.k, &s.v);
         let t = ls.self_kv.positions();
         let rows = s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d));
@@ -219,13 +215,9 @@ impl DecoderLayer {
 
         let attn = &self.cross_attn;
         attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
-        let source = KvPair::F32 {
-            k: ls.cross_k.data(),
-            v: ls.cross_v.data(),
-        };
-        let m = ls.cross_k.rows();
+        let (kt, v) = (ls.cross_kt.data(), ls.cross_v.data());
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_fused(q, source, attn.heads, &mut s.scores[..m], ctx);
+            attend_source(q, kt, v, attn.heads, &mut s.scores, ctx);
         }
         attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
         add_assign(&mut s.x, &s.y);
@@ -347,7 +339,7 @@ impl Seq2Seq for Transformer {
         let src = &src[..src.len().min(self.cfg.max_len)];
         let m = src.len();
         let mut s = StepScratch::default();
-        s.ensure(m, d, self.cfg.d_ff, m);
+        s.ensure(m, d, self.cfg.d_ff, self.cfg.heads * m);
         self.src_embed.gather_into(params, src, &mut s.x);
         let pe_div = positional_divisors(d);
         let sqrt_d = (d as f32).sqrt();
@@ -369,25 +361,27 @@ impl Seq2Seq for Transformer {
         let quantized = params.is_quantized();
         let mut scratch = StepScratch::default();
         // Cross-attention K/V depend only on the source: project them
-        // once here instead of once per decode step.
-        let mut project = |lin: &Linear| {
-            let mut out = Tensor::zeros(enc.rows(), d);
-            lin.apply(
-                params,
-                enc.data(),
-                enc.rows(),
-                out.data_mut(),
-                &mut scratch.q8,
-            );
-            Arc::new(out)
+        // once here instead of once per decode step — every layer's from
+        // one quantized copy of the encoder rows — and transpose the
+        // keys, which no step changes, for `attend_source`.
+        let m = enc.rows();
+        quantize_input(params, enc.data(), m, &mut scratch.q8);
+        let project = |lin: &Linear| {
+            let mut out = Tensor::zeros(m, d);
+            lin.apply_quantized(params, enc.data(), m, out.data_mut(), &scratch.q8);
+            out
         };
         let layers = self
             .dec_layers
             .iter()
-            .map(|layer| TransformerLayerState {
-                self_kv: KvArena::new(batch, d, quantized),
-                cross_k: project(&layer.cross_attn.k),
-                cross_v: project(&layer.cross_attn.v),
+            .map(|layer| {
+                let mut kt = Vec::new();
+                transpose_into(project(&layer.cross_attn.k).data(), d, &mut kt);
+                TransformerLayerState {
+                    self_kv: KvArena::new(batch, d, quantized),
+                    cross_kt: Arc::new(Tensor::from_vec(d, m, kt)),
+                    cross_v: Arc::new(project(&layer.cross_attn.v)),
+                }
             })
             .collect();
         let state = TransformerState {
@@ -425,7 +419,8 @@ impl Seq2Seq for Transformer {
         let mut logits = Tensor::zeros(n, self.cfg.vocab);
         if let StateKind::Transformer(ts) = &mut state.kind {
             let s = &mut ts.scratch;
-            s.ensure(n, d, self.cfg.d_ff, (pos + 1).max(state.enc.rows()));
+            let source_scores = self.cfg.heads * state.enc.rows();
+            s.ensure(n, d, self.cfg.d_ff, (pos + 1).max(source_scores));
             self.tgt_embed.gather_into(params, last_toks, &mut s.x);
             positional_encoding_row_into(pos, &ts.pe_div, &mut s.pe);
             let sqrt_d = (d as f32).sqrt();

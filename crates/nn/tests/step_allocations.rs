@@ -1,5 +1,5 @@
-//! Allocation bounds of the transformer's tape-free decode step and
-//! encoder pass.
+//! Allocation bounds of the transformer's tape-free decode step, of a
+//! whole beam-search iteration around it, and of the encoder pass.
 //!
 //! The step's contract (DESIGN.md §11) is that it builds no autograd
 //! graph, copies no weight and writes every intermediate into scratch
@@ -8,12 +8,17 @@
 //! whatever the batch, the position or the depth of the model. The
 //! encoder pass makes the same promise per source: its scratch buffers
 //! and nothing that grows with the source length or the layer count.
+//! And a beam-search iteration — the step, the `B × vocab` softmax, slot
+//! selection, the survivors' bookkeeping and the cache reorder — adds
+//! nothing to the step's one allocation: its lists are sized before the
+//! loop and the KV arenas gather into buffers they keep.
 //! This binary installs a counting global allocator (which is why it is
 //! a test binary of its own) and holds both to that.
 
 mod common;
 
-use qrec_nn::params::forward_eval;
+use qrec_nn::decode::{decode_with_cache, EncCache, Strategy, EOS};
+use qrec_nn::params::{forward_eval, Params};
 use qrec_nn::Seq2Seq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,8 +124,7 @@ fn step_allocations(layers: usize, batch: usize, t: usize, quantized: bool) -> u
 ///
 /// Positions 1 and 30 sit off the doubling boundaries where amortised
 /// growth legitimately allocates: the KV arena re-lays its rows out at
-/// positions 16 and 32, and each row's consumed-token vector grows at
-/// lengths 4, 8, 16 and 32.
+/// positions 16 and 32.
 #[test]
 fn a_transformer_step_allocates_only_its_logits() {
     let mut counts = Vec::new();
@@ -148,6 +152,100 @@ fn a_transformer_step_allocates_only_its_logits() {
         );
     }
     println!("allocations per transformer step: {first}");
+}
+
+/// The serving-shape fixture with `<EOS>` priced out of every beam (its
+/// output bias far below the rest), so a search never retires a
+/// hypothesis: every decode runs exactly `max_len` iterations and ends
+/// with `width` hypotheses of `max_len` tokens.
+fn never_finishing(vocab: usize, layers: usize) -> (Params, qrec_nn::Transformer) {
+    let (params, model) = common::perturbed_small(vocab, layers, 5);
+    let tensors = params
+        .named_tensors()
+        .map(|(name, value)| {
+            let mut value = value.clone();
+            if name == "tfm.out.b" {
+                value.set(0, EOS, -50.0);
+            }
+            (name.to_string(), value)
+        })
+        .collect();
+    (Params::from_named_tensors(tensors), model)
+}
+
+/// Allocations inside one whole beam decode capped at `max_len`
+/// iterations, the encoder output already cached.
+fn beam_decode_allocations(
+    params: &Params,
+    model: &qrec_nn::Transformer,
+    cache: &mut EncCache,
+    width: usize,
+    max_len: usize,
+) -> usize {
+    let src: Vec<usize> = (0..20).map(|i| 3 + (i * 7) % 127).collect();
+    let mut rng = StdRng::seed_from_u64(0);
+    let (count, hyps) = allocations_in(|| {
+        decode_with_cache(
+            model,
+            params,
+            &src,
+            Strategy::Beam { width },
+            max_len,
+            &mut rng,
+            cache,
+        )
+    });
+    assert_eq!(hyps.len(), width, "no hypothesis retires or merges");
+    assert!(hyps.iter().all(|h| h.ids.len() == max_len && !h.finished));
+    count
+}
+
+/// A decode capped at `i` iterations does everything a decode capped at
+/// `i − 1` does, bit for bit, and then one more iteration; everything
+/// outside the loop allocates the same number of times whatever the cap
+/// (the lists are sized once, each returned hypothesis owns two exact
+/// vectors). So the difference of the two counts is what iteration `i`
+/// allocates — and from the third on that is the step's logits tensor
+/// alone: the first iteration runs one row and the second is the first
+/// at the full beam, so those two size the scratch, the selector's lists
+/// and both buffer sets of every KV arena. The one exception is the
+/// iteration that appends position 16, where an arena is out of room:
+/// both of its buffer sets regrow, the rows at the append and the spare
+/// set at the gather that follows (K and V, and their scales when int8).
+#[test]
+fn a_beam_iteration_allocates_only_the_step_logits() {
+    for quantized in [false, true] {
+        for layers in [1, 2] {
+            let (mut params, model) = never_finishing(130, layers);
+            if quantized {
+                params.quantize();
+            }
+            let mut cache = EncCache::new(1);
+            for width in [1, 5, 8] {
+                let case = format!("int8 {quantized} layers {layers} B {width}");
+                let mut count =
+                    |max_len| beam_decode_allocations(&params, &model, &mut cache, width, max_len);
+                count(1); // pays the encoder pass; every later decode hits the cache
+                let mut before = count(2);
+                for i in 3..=20 {
+                    let after = count(i);
+                    let buffers_per_set = if quantized { 4 } else { 2 };
+                    let regrow = if i == 17 {
+                        2 * buffers_per_set * layers
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        after - before,
+                        1 + regrow,
+                        "{case}: allocations in iteration {i}"
+                    );
+                    before = after;
+                }
+                assert_eq!(count(32) - count(31), 1, "{case}: iteration 32");
+            }
+        }
+    }
 }
 
 /// Allocations inside one `encoder_output` call over an `m`-token source

@@ -6,12 +6,13 @@
 //! value `A` maps through `scale = A / 127` as `q = round(x / scale)`
 //! clamped to `[-127, 127]` (saturating, never wrapping; `-128` is
 //! unused so negation stays closed). Weights are quantized **once** at
-//! model-load time and stored **column-major** (each weight column a
-//! contiguous int8 run), so every output element is a single contiguous
-//! dot product; activations are quantized **per call, per row** with
-//! their own dynamic scale, which keeps the narrow decode activations
-//! (1×d query vectors, beam×d tiles) accurate without any calibration
-//! data.
+//! model-load time and stay resident **row-major** `k×m`, which is also
+//! the persisted form; activations are quantized **per row** with their
+//! own dynamic scale ([`quantize_row`]), which keeps the narrow decode
+//! activations (1×d query vectors, beam×d tiles) accurate without any
+//! calibration data, and **once per distinct input**: products that read
+//! the same rows (a step's q/k/v) share one [`QScratch`] of them and run
+//! [`qgemm_quantized_into`] per weight.
 //!
 //! The product accumulates in `i32` — exact for every `k ≤ 133 000`
 //! since `|q| ≤ 127` bounds each term by `127² = 16 129` — and converts
@@ -20,69 +21,61 @@
 //! quantized path is deterministic at any tiling or thread count by
 //! construction, with no ordering discipline needed.
 //!
-//! ## Dispatch
+//! ## The tile
 //!
-//! Weights are pre-packed, so unlike the f32 kernel there is no per-call
-//! packing cost to amortise; the only path split is register tiling.
-//! [`qselect`] keeps products with fewer than MR rows (the decode-time
-//! 1×d and small-beam shapes) on a plain per-row serial loop whose only
-//! overhead is the call itself, and routes taller products through an
-//! MR-row tile that reuses each weight column across MR activation
-//! rows. Both are contiguous column dots in exact integer math and
-//! produce identical bits, so selection is purely a performance
-//! decision. Dispatch is counted per size class in the process-wide
-//! observability registry (`tensor.gemm.qi8_serial` /
-//! `tensor.gemm.qi8_blocked`) and snapshot through [`counters`].
+//! There is one product path: an up-to-`TR`-row × `TC`-column register
+//! tile (`tile`; `TC1` columns for a single row) whose lanes are output
+//! *columns*: a weight row segment is one contiguous load shared by the
+//! tile's activation rows, no output element needs a horizontal
+//! reduction, nothing is packed per call. Calls are counted per size
+//! class in the process-wide observability registry — under four rows
+//! (`tensor.gemm.qi8_serial`) or four and more (`tensor.gemm.qi8_blocked`)
+//! — and snapshot through [`counters`].
 //!
 //! ## KV rows
 //!
 //! The decoder's int8 KV arena (`qrec_nn::incremental`) stores each
-//! appended f32 row with the same two primitives — [`calibrate`] for a
-//! per-row scale, [`quantize_one`] per value — a ~4× footprint reduction,
-//! and attention dequantizes on read as `f32::from(q) * scale`. Per-row
-//! (not per-cache) scales matter there because K/V row magnitudes drift
-//! over a long decode; a single early outlier must not crush the
-//! resolution of every later step.
+//! appended f32 row through the same [`quantize_row`] (~4× smaller) and
+//! attention dequantizes on read as `f32::from(q) * scale`. Per-row (not
+//! per-cache) scales matter there: K/V magnitudes drift over a long
+//! decode, and one early outlier must not crush every later step.
 
 use std::sync::Arc;
 
-/// Rows per register tile in the blocked path (mirrors the f32 kernel).
-const MR: usize = 4;
-
+/// Rows per register tile: the serving beam's five hypotheses.
+const TR: usize = 5;
+/// Columns (lanes) per register tile.
+const TC: usize = 16;
+/// Columns per register tile of a single-row product.
+const TC1: usize = 64;
 /// Largest quantized magnitude: symmetric `[-127, 127]`.
 const Q_MAX: f32 = 127.0;
 
-/// Per-path dispatch counters in the process-wide observability
-/// registry, one per size class, same idiom as the f32 kernel's
-/// `tensor.gemm.*` family.
-struct DispatchCounters {
-    serial: Arc<qrec_obs::Counter>,
-    blocked: Arc<qrec_obs::Counter>,
-}
-
-fn dispatch() -> &'static DispatchCounters {
-    static D: std::sync::OnceLock<DispatchCounters> = std::sync::OnceLock::new();
-    D.get_or_init(|| DispatchCounters {
-        serial: qrec_obs::global().counter("tensor.gemm.qi8_serial"),
-        blocked: qrec_obs::global().counter("tensor.gemm.qi8_blocked"),
+/// The call counters of the two size classes (serial, blocked), in the
+/// process-wide registry like the f32 kernel's `tensor.gemm.*` family.
+fn dispatch() -> &'static [Arc<qrec_obs::Counter>; 2] {
+    static D: std::sync::OnceLock<[Arc<qrec_obs::Counter>; 2]> = std::sync::OnceLock::new();
+    D.get_or_init(|| {
+        ["tensor.gemm.qi8_serial", "tensor.gemm.qi8_blocked"]
+            .map(|name| qrec_obs::global().counter(name))
     })
 }
 
 /// Process-wide int8-GEMM dispatch counters, for serving metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Qi8Counters {
-    /// Calls that ran the per-row serial loop (decode-vector shapes).
+    /// Products of fewer than four activation rows (decode vectors).
     pub serial: u64,
-    /// Calls that ran the MR×NR register-tiled kernel.
+    /// Products of four or more activation rows.
     pub blocked: u64,
 }
 
 /// Snapshot the dispatch counters (monotonic since process start).
 pub fn counters() -> Qi8Counters {
-    let d = dispatch();
+    let [serial, blocked] = dispatch();
     Qi8Counters {
-        serial: d.serial.get(),
-        blocked: d.blocked.get(),
+        serial: serial.get(),
+        blocked: blocked.get(),
     }
 }
 
@@ -92,31 +85,33 @@ pub fn counters() -> Qi8Counters {
 
 /// Per-tensor symmetric scale: `max |x| / 127`, or `0.0` for an all-zero
 /// (or empty) slice. Non-finite inputs are ignored during calibration so
-/// one NaN cannot zero out an entire tensor's resolution.
+/// one NaN cannot zero out an entire tensor's resolution. (The maximum
+/// is order-independent, so it is folded in eight vectorisable lanes.)
 pub fn calibrate(data: &[f32]) -> f32 {
-    let max_abs = data
-        .iter()
-        .map(|v| v.abs())
-        .filter(|v| v.is_finite())
-        .fold(0.0f32, f32::max);
-    if max_abs == 0.0 {
-        0.0
-    } else {
-        max_abs / Q_MAX
+    let mut lanes = [0.0f32; 8];
+    for chunk in data.chunks(lanes.len()) {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            let a = if v.abs() < f32::INFINITY {
+                v.abs()
+            } else {
+                0.0
+            };
+            *lane = if a > *lane { a } else { *lane };
+        }
     }
+    lanes.iter().fold(0.0f32, |m, &a| m.max(a)) / Q_MAX
 }
 
 /// Quantize one value under `scale`: round to nearest, saturating clamp
 /// to `[-127, 127]` (an outlier above the calibrated range clips, it
-/// never wraps). A zero scale maps everything to 0.
+/// never wraps). A zero scale maps everything to 0. This is the
+/// definition; slices take [`quantize_into`], the same without libm.
 #[inline(always)]
 pub fn quantize_one(x: f32, scale: f32) -> i8 {
     if scale == 0.0 {
         return 0;
     }
-    let q = (x / scale).round();
-    // Saturate through f32 comparison before the cast so NaN → 0 and
-    // out-of-range values clamp instead of wrapping.
+    let q = (x / scale).round(); // saturated by comparison: NaN → 0, no wrap
     if q >= Q_MAX {
         127
     } else if q <= -Q_MAX {
@@ -126,9 +121,54 @@ pub fn quantize_one(x: f32, scale: f32) -> i8 {
     }
 }
 
+/// `1.5 · 2²³`: adding it to a float of magnitude ≤ 2²² rounds that
+/// float to an integer (ties to even) held in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// [`quantize_one`] for a non-zero `scale` without the libm `round`, a
+/// branch or a float→int cast, so a row of them vectorises: the same
+/// `x / scale`, its magnitude saturated first (rounding is monotone and
+/// 127 an integer, so clamping before equals clamping after; a NaN
+/// compares false and saturates too, to be zeroed below), rounded
+/// half-away as round-half-even plus one where the (exact) remainder is
+/// a half, and given the quotient's sign back.
+#[inline(always)]
+fn quantize_lane(x: f32, scale: f32) -> i8 {
+    let v = x / scale;
+    let a = if v.abs() < Q_MAX { v.abs() } else { Q_MAX };
+    let even = (a + ROUND_MAGIC) - ROUND_MAGIC;
+    let away = if a - even == 0.5 { even + 1.0 } else { even };
+    let r = if v.is_nan() { 0.0 } else { away.copysign(v) };
+    // `r` is an integer in [-127, 127], so `r + ROUND_MAGIC` is exact
+    // and its low mantissa byte is `r` in two's complement.
+    (r + ROUND_MAGIC).to_bits() as u8 as i8
+}
+
+/// Quantize `data` under one shared scale into `out` (same length):
+/// element for element the value [`quantize_one`] returns.
+pub fn quantize_into(data: &[f32], scale: f32, out: &mut [i8]) {
+    assert_eq!(data.len(), out.len(), "one quantized value per input");
+    if scale == 0.0 {
+        return out.fill(0);
+    }
+    for (q, &x) in out.iter_mut().zip(data) {
+        *q = quantize_lane(x, scale);
+    }
+}
+
 /// Quantize a slice under one shared scale.
 pub fn quantize(data: &[f32], scale: f32) -> Vec<i8> {
-    data.iter().map(|&x| quantize_one(x, scale)).collect()
+    let mut out = vec![0i8; data.len()];
+    quantize_into(data, scale, &mut out);
+    out
+}
+
+/// Quantize one row under its own scale ([`calibrate`]) into `out` and
+/// return it — the one row quantizer, of GEMM activations and KV rows.
+pub fn quantize_row(row: &[f32], out: &mut [i8]) -> f32 {
+    let scale = calibrate(row);
+    quantize_into(row, scale, out);
+    scale
 }
 
 /// Dequantize a slice: `q * scale`.
@@ -137,43 +177,36 @@ pub fn dequantize(q: &[i8], scale: f32) -> Vec<f32> {
 }
 
 // ---------------------------------------------------------------------
-// Packed quantized weights
+// Quantized weights
 // ---------------------------------------------------------------------
 
-/// A weight matrix quantized per-tensor and stored **column-major**
-/// (`Bᵀ`): column `j` of the original `k×m` matrix is the contiguous
-/// int8 run `data[j·k .. (j+1)·k]`. Every output element is then one
-/// contiguous dot product `out[i][j] = dot(qa_row_i, col_j)`, a shape
-/// the compiler auto-vectorizes to widening multiply-adds; an NR-wide
-/// interleaved panel walk (the f32 kernel's layout) measured 2–4×
-/// slower here because int8 lanes defeat its vectorization.
+/// A weight matrix quantized per-tensor, resident **row-major** `k×m` —
+/// the persisted form, so loading copies and [`QPackedB::unpack`] clones.
+/// Row `kk` is the contiguous int8 run `data[kk·m .. (kk+1)·m]`, of which
+/// the tile reads a `TC`-column segment as one load. (Column-major,
+/// every output element was its own dot product with a horizontal
+/// reduction at its end: 48 × 5 of them for one beam-step projection.)
 ///
 /// Built once per weight tensor at model-load time
-/// ([`QPackedB::from_f32`]); every decode step then reuses the packed
-/// bytes with zero per-call packing cost.
+/// ([`QPackedB::from_f32`]); every decode step then reuses the bytes.
 #[derive(Debug, Clone)]
 pub struct QPackedB {
-    /// Column-major quantized values: `m` columns of `k` bytes each.
+    /// Row-major quantized values: `k` rows of `m` bytes each.
     data: Vec<i8>,
-    /// Row count of the original `k×m` weight matrix.
+    /// Row count of the `k×m` weight matrix.
     k: usize,
-    /// Column count of the original `k×m` weight matrix.
+    /// Column count of the `k×m` weight matrix.
     m: usize,
     /// The per-tensor symmetric scale the values were quantized under.
     scale: f32,
 }
 
 impl QPackedB {
-    /// Quantize a row-major `k×m` f32 weight matrix (per-tensor scale)
-    /// and pack it.
+    /// Quantize a row-major `k×m` f32 weight matrix (per-tensor scale).
     pub fn from_f32(b: &[f32], k: usize, m: usize) -> QPackedB {
+        assert_eq!(b.len(), k * m, "weight must hold k·m values");
         let scale = calibrate(b);
-        let mut data = vec![0i8; k * m];
-        for kk in 0..k {
-            for (j, &x) in b[kk * m..(kk + 1) * m].iter().enumerate() {
-                data[j * k + kk] = quantize_one(x, scale);
-            }
-        }
+        let data = quantize(b, scale);
         QPackedB { data, k, m, scale }
     }
 
@@ -198,57 +231,19 @@ impl QPackedB {
         self.data.len()
     }
 
-    /// Recover the quantized values as a row-major `k×m` int8 matrix
-    /// (undoing the transpose; the persistence layer stores this form,
-    /// which re-packs losslessly on load).
+    /// The quantized values as a row-major `k×m` int8 matrix (the form
+    /// the persistence layer stores).
     pub fn unpack(&self) -> Vec<i8> {
-        let mut out = vec![0i8; self.k * self.m];
-        for (j, col) in self.data.chunks_exact(self.k.max(1)).enumerate() {
-            for (kk, &v) in col.iter().enumerate() {
-                out[kk * self.m + j] = v;
-            }
-        }
-        out
+        self.data.clone()
     }
 
-    /// Re-pack a row-major `k×m` int8 matrix quantized under `scale`
+    /// Adopt a row-major `k×m` int8 matrix quantized under `scale`
     /// (the inverse of [`QPackedB::unpack`], used when loading a
     /// persisted int8 section).
     pub fn from_quantized(q: &[i8], k: usize, m: usize, scale: f32) -> QPackedB {
-        let mut data = vec![0i8; k * m];
-        for kk in 0..k {
-            for (j, &v) in q[kk * m..(kk + 1) * m].iter().enumerate() {
-                data[j * k + kk] = v;
-            }
-        }
+        assert_eq!(q.len(), k * m, "weight must hold k·m values");
+        let data = q.to_vec();
         QPackedB { data, k, m, scale }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Path selection
-// ---------------------------------------------------------------------
-
-/// The execution path [`qgemm`] takes for an `n×k` activation against a
-/// packed `k×m` weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Qi8Path {
-    /// Fewer than MR rows: plain per-row loop, zero tiling overhead —
-    /// the decode-time 1×d and small-beam fast path.
-    Serial,
-    /// MR or more rows: MR-row tiles that reuse each weight column
-    /// across MR activation rows.
-    Blocked,
-}
-
-/// Pick the path for an `n`-row activation. Pure in `n`; both paths
-/// produce identical bits (exact i32 accumulation), so this is purely a
-/// performance decision.
-pub fn qselect(n: usize) -> Qi8Path {
-    if n < MR {
-        Qi8Path::Serial
-    } else {
-        Qi8Path::Blocked
     }
 }
 
@@ -256,20 +251,37 @@ pub fn qselect(n: usize) -> Qi8Path {
 // Quantized GEMM
 // ---------------------------------------------------------------------
 
-/// Reusable buffers for the per-call activation quantization of
-/// [`qgemm_into`]: the int8 activation rows and their scales. A caller
-/// that runs many products (one decode) keeps one of these so no step
-/// allocates; buffers grow to the largest `n·k` seen and stay there.
+/// Quantized activation rows and their scales: what [`qgemm_into`]
+/// quantizes into and [`qgemm_quantized_into`] reads. A decode keeps one
+/// so no step allocates; it grows to the largest input seen.
 #[derive(Debug, Clone, Default)]
 pub struct QScratch {
     qa: Vec<i8>,
     scales: Vec<f32>,
 }
 
-/// `n×k` f32 activations times a pre-packed quantized `k×m` weight,
-/// with dynamic per-row activation quantization: `out[i][j] =
-/// (a_scale[i] · b_scale) · Σ_kk qa[i][kk]·qb[kk][j]`, the inner sum in
-/// exact `i32`.
+impl QScratch {
+    /// Quantize the `n` rows of `a` (`n × k`, any `k`), each under its
+    /// own scale (a large row must not crush a small one's resolution),
+    /// replacing whatever the scratch held.
+    pub fn quantize(&mut self, a: &[f32], n: usize) {
+        let k = a.len().checked_div(n).unwrap_or(0);
+        assert_eq!(a.len(), n * k, "activations must hold n equal rows");
+        self.qa.resize(a.len(), 0);
+        self.scales.clear();
+        self.scales.resize(n, 0.0);
+        if k > 0 {
+            let rows = a.chunks_exact(k).zip(self.qa.chunks_exact_mut(k));
+            for ((row, q), scale) in rows.zip(&mut self.scales) {
+                *scale = quantize_row(row, q);
+            }
+        }
+    }
+}
+
+/// `n×k` f32 activations times a quantized `k×m` weight, with dynamic
+/// per-row activation quantization: `out[i][j] = (a_scale[i] · b_scale)
+/// · Σ_kk qa[i][kk]·qb[kk][j]`, the inner sum in exact `i32`.
 ///
 /// `a.len()` must be `n · qb.k()`; the result is row-major `n × qb.m()`.
 pub fn qgemm(a: &[f32], qb: &QPackedB, n: usize) -> Vec<f32> {
@@ -278,116 +290,104 @@ pub fn qgemm(a: &[f32], qb: &QPackedB, n: usize) -> Vec<f32> {
     out
 }
 
-/// [`qgemm`] written into a caller-owned `n · qb.m()` buffer
-/// (overwritten), quantizing activations into `scratch`: the same path
-/// selection, dispatch counters and bits, with no allocation once
-/// `scratch` has grown to the call's shape.
+/// [`qgemm`] into a caller-owned `n · qb.m()` buffer (overwritten),
+/// quantizing activations into `scratch`: the same bits, no allocation
+/// once `scratch` has grown to the call's shape.
 pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32], scratch: &mut QScratch) {
-    let k = qb.k;
-    assert_eq!(a.len(), n * k, "qgemm activations must hold n·k values");
-    assert_eq!(out.len(), n * qb.m, "qgemm output must hold n·m values");
-    // Dynamic per-row activation quantization: one scale per row keeps
-    // a large logit row from crushing a small one's resolution.
-    scratch.qa.resize(n * k, 0);
-    scratch.scales.resize(n, 0.0);
-    for i in 0..n {
-        let row = &a[i * k..(i + 1) * k];
-        let s = calibrate(row);
-        scratch.scales[i] = s;
-        for (q, &x) in scratch.qa[i * k..(i + 1) * k].iter_mut().zip(row) {
-            *q = quantize_one(x, s);
+    assert_eq!(a.len(), n * qb.k, "qgemm activations must hold n·k values");
+    scratch.quantize(a, n);
+    qgemm_quantized_into(scratch, qb, out);
+}
+
+/// The product half of [`qgemm_into`], over rows already quantized into
+/// `qa` ([`QScratch::quantize`]) — products that read the same input
+/// share one copy. `out` (`rows · qb.m()`) is overwritten.
+pub fn qgemm_quantized_into(qa: &QScratch, qb: &QPackedB, out: &mut [f32]) {
+    let (n, k, m) = (qa.scales.len(), qb.k, qb.m);
+    assert_eq!(qa.qa.len(), n * k, "quantized rows must hold n·k values");
+    assert_eq!(out.len(), n * m, "qgemm output must hold n·m values");
+    let [serial, blocked] = dispatch();
+    if n < 4 { serial } else { blocked }.inc();
+    for i0 in (0..n).step_by(TR) {
+        let narrow = match n - i0 {
+            1 => tile::<1, TC>,
+            2 => tile::<2, TC>,
+            3 => tile::<3, TC>,
+            4 => tile::<4, TC>,
+            _ => tile::<TR, TC>,
+        };
+        let (rows, scales, orows) = (&qa.qa[i0 * k..], &qa.scales[i0..], &mut out[i0 * m..]);
+        // One row (a greedy step) has registers for a cache line of each
+        // weight row per step, while that many columns remain.
+        let wide = if n - i0 == 1 { m - m % TC1 } else { 0 };
+        for j0 in (0..wide).step_by(TC1) {
+            tile::<1, TC1>(rows, scales, qb, j0, orows);
         }
-    }
-    if k == 0 {
-        out.fill(0.0);
-    }
-    match qselect(n) {
-        Qi8Path::Serial => {
-            dispatch().serial.inc();
-            q_rows_serial(&scratch.qa, &scratch.scales, qb, 0, n, out);
-        }
-        Qi8Path::Blocked => {
-            dispatch().blocked.inc();
-            q_rows_blocked(&scratch.qa, &scratch.scales, qb, n, out);
+        for j0 in (wide..m).step_by(TC) {
+            narrow(rows, scales, qb, j0, orows);
         }
     }
 }
 
-/// Per-row serial loop over rows `r0..r1`, writing from the start of
-/// `out`: each output element is one contiguous dot product of an
-/// activation row against a stored column, converted to `f32` once at
-/// the edge. No tiling overhead — this is the 1×d decode fast path, and
-/// the plain `zip`/`sum` shape is exactly what the auto-vectorizer
-/// lowers to widening multiply-adds.
-fn q_rows_serial(
+/// One `R`-row × `W`-column output tile at column `j0`, over the first
+/// `R` rows of `qa` / `a_scales` / `out`. The `R·W` exact `i32`
+/// accumulators live across the whole `k` loop; each step takes two
+/// weight rows, widens their `W`-column segments to `i16` once for all
+/// `R` activation rows, and adds `a₀·b₀ + a₁·b₁` per lane — which fits
+/// `i16` (`2 · 127 · 128 < 2¹⁵`: activations never hold `-128`), so the
+/// multiplies run on `i16` lanes and only the pair sum widens. The right
+/// edge (`m − j0 < W`) runs full lanes against zero-padded segments and
+/// stores only its live columns.
+fn tile<const R: usize, const W: usize>(
     qa: &[i8],
     a_scales: &[f32],
     pb: &QPackedB,
-    r0: usize,
-    r1: usize,
+    j0: usize,
     out: &mut [f32],
 ) {
-    let k = pb.k;
-    let m = pb.m;
-    if k == 0 {
-        return;
+    let (k, m) = (pb.k, pb.m);
+    let w = W.min(m - j0);
+    let arows: [&[i8]; R] = std::array::from_fn(|r| &qa[r * k..(r + 1) * k]);
+    let segment = |kk: usize| {
+        let mut seg = [0i16; W];
+        for (s, &b) in seg.iter_mut().zip(&pb.data[kk * m + j0..][..w]) {
+            *s = i16::from(b);
+        }
+        seg
+    };
+    let mut acc = [[0i32; W]; R];
+    let mut kk = 0;
+    while kk + 1 < k {
+        fold_pair(&mut acc, &arows, [kk, kk + 1], segment(kk), segment(kk + 1));
+        kk += 2;
     }
-    for i in r0..r1 {
-        let arow = &qa[i * k..(i + 1) * k];
-        let c = a_scales[i] * pb.scale;
-        let orow = &mut out[(i - r0) * m..(i - r0 + 1) * m];
-        for (o, col) in orow.iter_mut().zip(pb.data.chunks_exact(k)) {
-            let acc: i32 = arow
-                .iter()
-                .zip(col)
-                .map(|(&x, &y)| i32::from(x) * i32::from(y))
-                .sum();
-            *o = c * acc as f32;
+    if kk < k {
+        // An odd last weight row pairs with zeros.
+        fold_pair(&mut acc, &arows, [kk, kk], segment(kk), [0; W]);
+    }
+    for ((accr, &a_scale), orow) in acc.iter().zip(a_scales).zip(out.chunks_mut(m)) {
+        let c = a_scale * pb.scale;
+        for (o, &s) in orow[j0..j0 + w].iter_mut().zip(accr) {
+            *o = c * s as f32;
         }
     }
 }
 
-/// MR-row tile over rows `0..n`: each stored column is streamed once per
-/// tile and dotted against MR activation rows in lockstep, quartering
-/// the traffic over `B` relative to the per-row loop; leftover rows
-/// (fewer than MR) fall back to the serial loop. Same exact i32 sums, so
-/// both paths produce identical bits.
-fn q_rows_blocked(qa: &[i8], a_scales: &[f32], pb: &QPackedB, n: usize, out: &mut [f32]) {
-    let k = pb.k;
-    let m = pb.m;
-    if k == 0 {
-        return;
-    }
-    let mut i = 0;
-    while i + MR <= n {
-        let a0 = &qa[i * k..(i + 1) * k];
-        let a1 = &qa[(i + 1) * k..(i + 2) * k];
-        let a2 = &qa[(i + 2) * k..(i + 3) * k];
-        let a3 = &qa[(i + 3) * k..(i + 4) * k];
-        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|r| a_scales[i + r] * pb.scale);
-        let o0 = i * m;
-        for (j, col) in pb.data.chunks_exact(k).enumerate() {
-            let mut s0 = 0i32;
-            let mut s1 = 0i32;
-            let mut s2 = 0i32;
-            let mut s3 = 0i32;
-            for (((&b, &x0), (&x1, &x2)), &x3) in col.iter().zip(a0).zip(a1.iter().zip(a2)).zip(a3)
-            {
-                let b = i32::from(b);
-                s0 += i32::from(x0) * b;
-                s1 += i32::from(x1) * b;
-                s2 += i32::from(x2) * b;
-                s3 += i32::from(x3) * b;
-            }
-            out[o0 + j] = c0 * s0 as f32;
-            out[o0 + m + j] = c1 * s1 as f32;
-            out[o0 + 2 * m + j] = c2 * s2 as f32;
-            out[o0 + 3 * m + j] = c3 * s3 as f32;
+/// `acc[r][j] += a[r][k0]·b0[j] + a[r][k1]·b1[j]`: one step of [`tile`]'s
+/// `k` loop, a function of its own so that both its uses inline.
+#[inline(always)]
+fn fold_pair<const R: usize, const W: usize>(
+    acc: &mut [[i32; W]; R],
+    arows: &[&[i8]; R],
+    [k0, k1]: [usize; 2],
+    b0: [i16; W],
+    b1: [i16; W],
+) {
+    for (accr, arow) in acc.iter_mut().zip(arows) {
+        let (a0, a1) = (i16::from(arow[k0]), i16::from(arow[k1]));
+        for ((s, &b0), &b1) in accr.iter_mut().zip(&b0).zip(&b1) {
+            *s += i32::from(a0 * b0 + a1 * b1);
         }
-        i += MR;
-    }
-    if i < n {
-        q_rows_serial(qa, a_scales, pb, i, n, &mut out[i * m..]);
     }
 }
 
@@ -449,26 +449,52 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_blocked_paths_agree_exactly() {
-        // Same shape forced down both paths by splitting the rows: the
-        // integer accumulation makes tiling invisible in the output.
+    fn row_tilings_agree_exactly() {
+        // The same rows as one product (two tiles: five rows and three)
+        // and one row at a time: the integer accumulation makes the
+        // tiling invisible in the output.
         let (n, k, m) = (8, 130, 45);
         let a = fill(n * k, 3);
         let b = fill(k * m, 4);
         let qb = QPackedB::from_f32(&b, k, m);
-        let whole = qgemm(&a, &qb, n); // n >= MR: blocked
+        let whole = qgemm(&a, &qb, n);
         for i in 0..n {
-            let row = qgemm(&a[i * k..(i + 1) * k], &qb, 1); // serial
+            let row = qgemm(&a[i * k..(i + 1) * k], &qb, 1);
             assert_bitwise(&row, &whole[i * m..(i + 1) * m]);
         }
     }
 
     #[test]
-    fn qselect_keeps_decode_vectors_serial() {
-        assert_eq!(qselect(1), Qi8Path::Serial);
-        assert_eq!(qselect(3), Qi8Path::Serial);
-        assert_eq!(qselect(4), Qi8Path::Blocked);
-        assert_eq!(qselect(64), Qi8Path::Blocked);
+    fn products_over_shared_quantized_rows_equal_separate_calls() {
+        let (n, k) = (5, 48);
+        let a = fill(n * k, 5);
+        let mut shared = QScratch::default();
+        shared.quantize(&a, n);
+        for m in [48, 96, 130] {
+            let qb = QPackedB::from_f32(&fill(k * m, m), k, m);
+            let mut out = vec![f32::NAN; n * m];
+            qgemm_quantized_into(&shared, &qb, &mut out);
+            assert_bitwise(&qgemm(&a, &qb, n), &out);
+        }
+    }
+
+    /// A persisted weight may hold `-128` (the quantizers never emit
+    /// it): against saturated activations the `i16` pair sum peaks at
+    /// `2 · 127 · 128 = 32 512`, inside `i16` (a debug build would panic
+    /// on overflow).
+    #[test]
+    fn extreme_persisted_weights_stay_inside_the_i16_pair_sum() {
+        let (k, m) = (4, 3);
+        let qb = QPackedB::from_quantized(&[-128i8; 12], k, m, 0.5);
+        let out = qgemm(&[-2.0, -2.0, -2.0, -2.0], &qb, 1);
+        let a_scale = 2.0 / 127.0;
+        assert_eq!(out, vec![a_scale * 0.5 * (4 * 127 * 128) as f32; m]);
+    }
+
+    #[test]
+    fn zero_inner_dimension_yields_zeros() {
+        let qb = QPackedB::from_f32(&[], 0, 3);
+        assert_eq!(qgemm(&[], &qb, 2), vec![0.0; 6]);
     }
 
     #[test]
@@ -511,7 +537,7 @@ mod tests {
             let scale = qb.scale();
             let direct: Vec<i8> = b.iter().map(|&x| quantize_one(x, scale)).collect();
             assert_eq!(flat, direct, "{k}x{m}");
-            // And back: re-packing the flat form reproduces the panels.
+            // And back: adopting the flat form reproduces the weight.
             let qb2 = QPackedB::from_quantized(&flat, k, m, scale);
             assert_eq!(qb.data, qb2.data, "{k}x{m}");
             assert_eq!(qb.scale(), qb2.scale());

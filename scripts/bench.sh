@@ -47,6 +47,24 @@ for path in (["target/BENCH_tensor_smoke.json"] if smoke else []) + ["BENCH_tens
                      f"{ratio:.2f}x the small-product tile (limit 1.5x)")
 PYEOF
 
+# The int8 product at the served model's projection shape (beam 5,
+# d 48) must stay within 4x of the f32 tile, in the baseline a full run
+# writes and the repository commits: it read 7.1x when every call
+# re-quantized through a libm `round` per value and reduced 240 column
+# dots horizontally. (Smoke reps are too few to hold the smoke report to
+# a ratio; its rows are schema-checked below.)
+python3 - <<'PYEOF'
+import json, sys
+
+rows = {r["shape"]: r for r in json.load(open("BENCH_quant.json")).get("kernel_rows", [])}
+row = rows.get("5x48x48")
+if row is None:
+    sys.exit("BENCH_quant.json: no 5x48x48 kernel row (re-take it with bench_quant)")
+if row["int8_over_f32"] > 4.0:
+    sys.exit(f"BENCH_quant.json: int8 qgemm at 5x48x48 is {row['int8_over_f32']:.2f}x "
+             f"the f32 gemm_into (limit 4x)")
+PYEOF
+
 # In smoke mode, validate the extended report schema: every row must
 # carry the per-rep latency distribution (best/p50/p95/p99/reps)
 # alongside the legacy best-of-N keys.
@@ -116,6 +134,15 @@ for row in quant["rows"]:
         if obj is None:
             sys.exit(f"quant row {row.get('label')}: no {key!r} object")
         check_pct(obj, f"quant row {row.get('label')} {key}")
+KERNEL_ROW_KEYS = {"shape", "f32_gemm_ns", "qgemm_ns", "quantize_ns", "product_ns", "int8_over_f32"}
+if len(quant.get("kernel_rows", [])) < 5:
+    sys.exit("quant report: fewer than 5 serving-shape kernel rows")
+for row in quant["kernel_rows"]:
+    missing = KERNEL_ROW_KEYS - set(row)
+    if missing:
+        sys.exit(f"quant kernel row {row.get('shape')}: missing keys {sorted(missing)}")
+    if not all(row[k] > 0 for k in KERNEL_ROW_KEYS - {"shape"}):
+        sys.exit(f"quant kernel row {row['shape']}: non-positive timing: {row}")
 
 SERVE_ROW_KEYS = {"mode", "conns", "throughput_rps",
                   "p50_us", "p95_us", "p99_us", "server_threads",

@@ -37,10 +37,17 @@ cargo test --offline -q -p qrec-serve --test restart_recovery
 echo "==> int8 quant equivalence smoke (agreement gate + QREC_THREADS 1/2/8 reruns)"
 cargo test --offline -q -p qrec-nn --test quant_equivalence
 
-echo "==> decode equivalence under the release profile"
-# The suite above ran it unoptimised; the bitwise contract must also hold
-# for the code that ships: optimised and autovectorised.
+echo "==> decode equivalence, int8 oracles and beam selection under the release profile"
+# The suites above ran unoptimised; the contracts must also hold for the
+# code that ships. The int8 register tile and the row quantizer only
+# exist as vector code in an optimised build — a debug build runs their
+# scalar reading — so their oracles (qi8_properties), the golden int8
+# decode (quant_equivalence) and the one-pass beam selection against its
+# oracle are run again here.
 cargo test --offline -q --release -p qrec-nn --test decode_equivalence
+cargo test --offline -q --release -p qrec-nn --test quant_equivalence
+cargo test --offline -q --release -p qrec-tensor --test qi8_properties
+cargo test --offline -q --release -p qrec-nn --lib one_pass_selection
 
 echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)"
 # `cargo test --workspace` and clippy never compile bench_e2e, so an API
