@@ -15,7 +15,15 @@
 //! their own, flagged `narrow_shape`; every row is also timed under the
 //! small-product tile (`small_tile_s`), and `scripts/bench.sh` fails when
 //! the blocked kernel is more than 1.5× slower than that on a narrow row
-//! — the cliff its scalar edge loop used to be. Also
+//! — the cliff its scalar edge loop used to be. The backward pass's two
+//! product forms, `A·Bᵀ` and `Aᵀ·B`, are timed at the shapes one training
+//! example emits (`backward_shapes`: a 20-row example against the bench
+//! model's widths, and the per-head attention products) beside the `A·B`
+//! of the same `n×k×m` and their naive references; `scripts/bench.sh`
+//! holds `A·Bᵀ` to 2× and `Aᵀ·B` to 1.5× of `A·B` at 20×48×48 — the small
+//! `A·Bᵀ` once ran one serial dot product per element, 16× slower. A
+//! `train` row gives what those products are for: seconds and tokens per
+//! second of each epoch of the `bench_e2e` model's training. Also
 //! measures mean end-to-end `decode()` latency on a
 //! freshly trained tiny model. Results go to `BENCH_tensor.json` at the
 //! repo root (or `target/BENCH_tensor_smoke.json` under `--smoke`,
@@ -289,6 +297,145 @@ fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
     }
 }
 
+/// One of the backward pass's product forms at a training shape.
+struct BackwardShape {
+    /// `"nt"` (`A·Bᵀ`) or `"tn"` (`Aᵀ·B`).
+    form: &'static str,
+    label: &'static str,
+    n: usize,
+    k: usize,
+    m: usize,
+}
+
+/// The products one 20-token training example of the bench model
+/// (`d_model` 48, `d_ff` 96, vocabulary 130, 4 heads of 12) runs
+/// backward: `∂x = ∂y·Wᵀ` as `A·Bᵀ`, `∂W = xᵀ·∂y` as `Aᵀ·B`, and the
+/// per-head attention products of the op-by-op form.
+fn backward_shapes(smoke: bool) -> Vec<BackwardShape> {
+    let shape = |form, label, n, k, m| BackwardShape {
+        form,
+        label,
+        n,
+        k,
+        m,
+    };
+    let mut shapes = vec![
+        shape("nt", "dx = dy.Wt (d x d)", 20, 48, 48),
+        shape("tn", "dW = xt.dy (d x d)", 48, 20, 48),
+    ];
+    if !smoke {
+        shapes.extend([
+            shape("nt", "dx = dy.Wt (ffn contract)", 20, 48, 96),
+            shape("nt", "dx = dy.Wt (ffn expand)", 20, 96, 48),
+            shape("nt", "dx = dy.Wt (vocab proj)", 20, 130, 48),
+            shape("nt", "per-head q.kt", 20, 12, 20),
+            shape("tn", "dW = xt.dy (ffn contract)", 96, 20, 48),
+            shape("tn", "dW = xt.dy (vocab proj)", 48, 20, 130),
+            shape("tn", "per-head dV = pt.g", 20, 20, 12),
+        ]);
+    }
+    shapes
+}
+
+/// Best-of-N and percentiles of one backward shape: the dispatching
+/// product, its naive reference, and `A·B` at the same `n×k×m`.
+struct BackwardRow {
+    shape: BackwardShape,
+    product: RepStats,
+    reference: RepStats,
+    nn: RepStats,
+}
+
+impl BackwardRow {
+    fn to_json(&self) -> serde_json::Value {
+        let s = &self.shape;
+        json!({
+            "form": s.form,
+            "label": s.label,
+            "n": s.n, "k": s.k, "m": s.m,
+            "product_s": self.product.best_s,
+            "reference_s": self.reference.best_s,
+            "nn_s": self.nn.best_s,
+            "product_over_nn": self.product.best_s / self.nn.best_s,
+            "percentiles": {
+                "product": self.product.to_json(),
+                "reference": self.reference.to_json(),
+                "nn": self.nn.to_json(),
+            },
+        })
+    }
+}
+
+fn bench_backward_shape(s: BackwardShape, smoke: bool) -> BackwardRow {
+    let (n, k, m) = (s.n, s.k, s.m);
+    let a = fill(n * k, 1); // n×k, or k×n for `tn`
+    let b = fill(k * m, 2); // k×m, or m×k for `nt`
+    type Product = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+    let (product, reference): (Product, Product) = match s.form {
+        "nt" => (kernel::gemm_nt, kernel::naive_nt),
+        _ => (kernel::gemm_tn, kernel::naive_tn),
+    };
+    let times = time_stats(
+        &mut [
+            &mut || drop(black_box(product(&a, &b, n, k, m))),
+            &mut || drop(black_box(reference(&a, &b, n, k, m))),
+            &mut || drop(black_box(kernel::gemm(&a, &b, n, k, m))),
+        ],
+        if smoke { 0.05 } else { 1.0 },
+        8192,
+    );
+    BackwardRow {
+        shape: s,
+        product: times[0],
+        reference: times[1],
+        nn: times[2],
+    }
+}
+
+/// Train the `bench_e2e` model (`bench_e2e/src/workloads.rs`: the SDSS
+/// profile at 24 tables and 100 sessions, `Small` transformer, 2 epochs,
+/// seed 7 — a tenth of the sessions under `--smoke`) and report each
+/// epoch's wall time and throughput from its `EpochReport`.
+fn train_row(smoke: bool) -> (serde_json::Value, f64, f64) {
+    let mut profile = WorkloadProfile::sdss();
+    profile.name = "bench_e2e".into();
+    profile.sessions = if smoke { 10 } else { 100 };
+    profile.tables_per_dataset = (24, 24);
+    profile.columns_per_table = (8, 16);
+    profile.function_pool = 12;
+    profile.literal_pool = 40;
+    let (workload, _catalog) = generate(&profile, 7);
+    let split = Split::paper(workload.pairs(), &mut StdRng::seed_from_u64(7));
+    let mut cfg = RecommenderConfig::new(Arch::Transformer, SeqMode::Aware);
+    cfg.train.epochs = 2;
+    cfg.train.patience = 0;
+    let t0 = Instant::now();
+    let (_model, report) =
+        Recommender::try_train(&split, &workload, cfg).expect("the bench model trains");
+    let total_s = t0.elapsed().as_secs_f64();
+    let epochs: Vec<_> = report
+        .epochs
+        .iter()
+        .map(|e| json!({ "seconds": e.seconds, "tokens_per_sec": e.tokens_per_sec }))
+        .collect();
+    let seconds: f64 = report.epochs.iter().map(|e| f64::from(e.seconds)).sum();
+    let tokens: f64 = report
+        .epochs
+        .iter()
+        .map(|e| f64::from(e.seconds) * f64::from(e.tokens_per_sec))
+        .sum();
+    let tokens_per_sec = if seconds > 0.0 { tokens / seconds } else { 0.0 };
+    let row = json!({
+        "model": "bench_e2e (transformer small, d_model 48, 2 layers)",
+        "train_pairs": split.train.len(),
+        "epochs": epochs,
+        "epochs_s": seconds,
+        "tokens_per_sec": tokens_per_sec,
+        "try_train_s": total_s,
+    });
+    (row, seconds, tokens_per_sec)
+}
+
 /// Mean end-to-end `decode()` latency: train the tiny demo model and
 /// greedy-decode test queries through the full tokenizer→model path.
 fn decode_latency(smoke: bool) -> (f64, usize, f64) {
@@ -350,6 +497,20 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         .map(|r| r.gemm_1t_s() / r.seed_s() - 1.0)
         .fold(f64::NEG_INFINITY, f64::max);
 
+    let backward: Vec<_> = backward_shapes(smoke)
+        .into_iter()
+        .map(|s| {
+            eprintln!(
+                "  timing {} {}x{}x{} ({}) ...",
+                s.form, s.n, s.k, s.m, s.label
+            );
+            bench_backward_shape(s, smoke)
+        })
+        .collect();
+
+    eprintln!("  timing the bench model's training ...");
+    let (train, train_epochs_s, train_tokens_per_sec) = train_row(smoke);
+
     eprintln!("  timing end-to-end decode ...");
     let (decode_mean_s, decode_queries, train_s) = decode_latency(smoke);
 
@@ -358,6 +519,8 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "mode": if smoke { "smoke" } else { "full" },
         "threads": { "configured_default": configured_threads(), "bench_pools": [1, 8] },
         "shapes": rows.iter().map(ShapeRow::to_json).collect::<Vec<_>>(),
+        "backward_shapes": backward.iter().map(BackwardRow::to_json).collect::<Vec<_>>(),
+        "train": train,
         "scale_512_speedup_8t_vs_seed": if smoke { json!(null) } else { json!(scale_speedup) },
         "decode_shape_max_regression": decode_regression,
         "decode_e2e": {
@@ -406,6 +569,25 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             r.seed_s() / r.gemm_8t_s(),
         );
     }
+    println!(
+        "{:<36} {:>12} {:>12} {:>12} {:>9}",
+        "backward product", "product (s)", "naive (s)", "nn (s)", "over nn"
+    );
+    for row in &backward {
+        let s = &row.shape;
+        println!(
+            "{:<36} {:>12.7} {:>12.7} {:>12.7} {:>8.2}x",
+            format!("{} {}x{}x{}", s.form, s.n, s.k, s.m),
+            row.product.best_s,
+            row.reference.best_s,
+            row.nn.best_s,
+            row.product.best_s / row.nn.best_s,
+        );
+    }
+    println!(
+        "bench model training: {train_epochs_s:.3} s over its epochs, \
+         {train_tokens_per_sec:.0} tokens/s"
+    );
     if !smoke {
         println!("512^3 speedup (8t vs seed): {scale_speedup:.2}x");
     }

@@ -1,14 +1,16 @@
-//! Multi-head scaled dot-product attention: the graph form the training
-//! forward and the full-prefix decode run ([`MultiHeadAttention::forward`]),
-//! and the two fused tape-free kernels of the inference passes — over a
+//! Multi-head scaled dot-product attention: the tape form the training
+//! forward and the full-prefix decode run ([`MultiHeadAttention::forward`]
+//! — the projections as graph ops, the attention itself as one node with
+//! a hand-written backward), and the two fused tape-free kernels — over a
 //! hypothesis's growing history ([`attend_fused`]) and over a fixed set
-//! of source rows whose keys are stored transposed ([`attend_source`]).
+//! of source rows whose keys are stored transposed ([`attend_source`]),
+//! which is also the forward of the tape node.
 
 use crate::layers::{quantize_input, Linear};
 use crate::params::{Fwd, Params};
 use qrec_tensor::kernel::fmadd;
 use qrec_tensor::qi8::QScratch;
-use qrec_tensor::tensor::softmax_in_place;
+use qrec_tensor::tensor::{softmax_backward_row, softmax_in_place};
 use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -84,8 +86,57 @@ impl MultiHeadAttention {
     }
 
     /// Scaled dot-product attention over already-projected `q`/`k`/`v`
-    /// (full width; heads are sliced by columns here).
+    /// (full width, three distinct nodes), as **one** tape node.
+    ///
+    /// The forward is the serving path's kernel, [`attend_source`], one
+    /// query row at a time over keys transposed once, with the row's
+    /// softmax weights kept for the backward. The backward is
+    /// [`attend_backward`]. Both are bit for bit what the op-by-op form
+    /// (per head: three column slices, `matmul_nt`, `scale`, `add` of the
+    /// mask, `softmax_rows`, `matmul`, then `hcat`) computes — the test
+    /// suite keeps that form as the oracle.
     fn attend(
+        &self,
+        fwd: &mut Fwd<'_>,
+        q: NodeId,
+        k: NodeId,
+        v: NodeId,
+        mask: Option<&Tensor>,
+    ) -> NodeId {
+        #[cfg(test)]
+        if crate::params::oracle::active() {
+            return self.attend_op_by_op(fwd, q, k, v, mask);
+        }
+        let heads = self.heads;
+        let graph = &mut *fwd.graph;
+        let (qv, kv, vv) = (
+            graph.value_shared(q),
+            graph.value_shared(k),
+            graph.value_shared(v),
+        );
+        let (n, m, d) = (qv.rows(), kv.rows(), self.d);
+        let mut kt = Vec::new();
+        transpose_into(kv.data(), d, &mut kt);
+        // Row i's weights: `heads` runs of `m`, the layout of `scores`.
+        let mut probs = vec![0.0f32; n * heads * m];
+        let mut ctx = Tensor::zeros(n, d);
+        let rows = probs.chunks_exact_mut((heads * m).max(1));
+        for (i, (q, p)) in qv.data().chunks_exact(d).zip(rows).enumerate() {
+            let mask = mask.map(|t| t.row(i));
+            attend_source(q, &kt, vv.data(), heads, mask, p, ctx.row_mut(i));
+        }
+        graph.custom(ctx, move |g, store| {
+            let (dq, dk, dv) = attend_backward(&qv, &kv, &vv, &probs, heads, g);
+            store.accumulate(q, dq);
+            store.accumulate(k, dk);
+            store.accumulate(v, dv);
+        })
+    }
+
+    /// [`MultiHeadAttention::attend`] as the graph ops it replaced: the
+    /// oracle its forward and backward are held to, bit for bit.
+    #[cfg(test)]
+    fn attend_op_by_op(
         &self,
         fwd: &mut Fwd<'_>,
         q: NodeId,
@@ -96,9 +147,6 @@ impl MultiHeadAttention {
         let dh = self.d / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mask_node = mask.map(|m| fwd.constant(m.clone()));
-
-        // `new` guarantees heads >= 1, so head 0 seeds the concat
-        // without an Option round-trip.
         let head_ctx = |fwd: &mut Fwd<'_>, h: usize| {
             let (s, e) = (h * dh, (h + 1) * dh);
             let qh = fwd.graph.slice_cols(q, s, e);
@@ -120,6 +168,93 @@ impl MultiHeadAttention {
         }
         concat
     }
+}
+
+/// The gradients of [`MultiHeadAttention::attend`]'s context with respect
+/// to `q` (`n × d`), `k` and `v` (`m × d`), given the softmax weights
+/// `probs` its forward kept (row `i`: `heads` runs of `m`) and the
+/// context's gradient `g` (`n × d`).
+///
+/// Per head, with `P` the weights and `g`, `q`, `k`, `v` the head's
+/// columns: `dV = Pᵀ·g`, `dP = g·Vᵀ`, `dS` the softmax Jacobian applied
+/// to `dP` row by row ([`softmax_backward_row`]) times the logit scale,
+/// `dQ = dS·K`, `dK = dSᵀ·Q`. Every product element is the GEMM's
+/// single-accumulator ascending [`fmadd`] fold from `0.0` over the same
+/// index the op-by-op tape's `matmul` / `matmul_nt` backward folds over
+/// (`dP` over the head's columns, `dQ` over positions, `dK` and `dV` over
+/// query rows), so the three gradients are bit for bit the ones that tape
+/// accumulates — down to the sign of a zero: with several heads each of
+/// its per-head column slices arrives zero-padded to full width and is
+/// summed into the node, which turns a `-0.0` into `+0.0`; the closing
+/// `+ 0.0` does the same here.
+fn attend_backward(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    probs: &[f32],
+    heads: usize,
+    g: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, d) = q.shape();
+    let m = k.rows();
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let (mut dq, mut dk, mut dv) = (
+        Tensor::zeros(n, d),
+        Tensor::zeros(m, d),
+        Tensor::zeros(m, d),
+    );
+    // Values transposed once (`d × m`), so a row of `dP` folds with the
+    // positions as lanes — the trick of `attend_source`'s logits.
+    let mut vt = Vec::new();
+    transpose_into(v.data(), d, &mut vt);
+    let (mut dp, mut ds) = (vec![0.0f32; m], vec![0.0f32; m]);
+    for h in 0..heads {
+        let cols = h * dh..(h + 1) * dh;
+        let vth = &vt[cols.start * m..cols.end * m];
+        for i in 0..n {
+            let p = &probs[(i * heads + h) * m..(i * heads + h + 1) * m];
+            let (gi, qi) = (&g.row(i)[cols.clone()], &q.row(i)[cols.clone()]);
+            dp.fill(0.0);
+            for (&gv, vrow) in gi.iter().zip(vth.chunks_exact(m.max(1))) {
+                for (x, &vv) in dp.iter_mut().zip(vrow) {
+                    *x = fmadd(gv, vv, *x);
+                }
+            }
+            softmax_backward_row(p, &dp, &mut ds);
+            for x in ds.iter_mut() {
+                *x *= scale;
+            }
+            let dqi = &mut dq.row_mut(i)[cols.clone()];
+            for (&a, krow) in ds.iter().zip(k.data().chunks_exact(d)) {
+                for (o, &kv) in dqi.iter_mut().zip(&krow[cols.clone()]) {
+                    *o = fmadd(a, kv, *o);
+                }
+            }
+            // Query rows ascend in the outer loop, so each `dK` / `dV`
+            // element still folds over them in order.
+            let dkv = dk
+                .data_mut()
+                .chunks_exact_mut(d)
+                .zip(dv.data_mut().chunks_exact_mut(d));
+            for ((&a, &w), (dkrow, dvrow)) in ds.iter().zip(p).zip(dkv) {
+                for (o, &qv) in dkrow[cols.clone()].iter_mut().zip(qi) {
+                    *o = fmadd(a, qv, *o);
+                }
+                for (o, &gv) in dvrow[cols.clone()].iter_mut().zip(gi) {
+                    *o = fmadd(w, gv, *o);
+                }
+            }
+        }
+    }
+    if heads > 1 {
+        for t in [&mut dq, &mut dk, &mut dv] {
+            for x in t.data_mut() {
+                *x += 0.0;
+            }
+        }
+    }
+    (dq, dk, dv)
 }
 
 /// The key and value rows one query attends over: `t` rows of `d`
@@ -268,7 +403,11 @@ pub(crate) fn transpose_into(x: &[f32], cols: usize, out: &mut Vec<f32>) {
 /// that stay fixed while many queries attend them — the cross-attention
 /// K/V of a decode, an encoder layer's K/V — with the keys stored
 /// **transposed** (`kt`: `d × m`, [`transpose_into`]) and the values
-/// row-major (`v`: `m × d`). `scores` is scratch for `heads · m` weights.
+/// row-major (`v`: `m × d`). `scores` is scratch for `heads · m` weights —
+/// on return each head's softmax weights over the `m` positions, which
+/// the tape node keeps for its backward. `mask`, if given, is this query
+/// row's `m` additive logit terms (added after the scale, as the graph
+/// ops did: two roundings, never a fused multiply-add).
 ///
 /// The same bits as [`attend_fused`], by the same argument: a logit is
 /// still the single-accumulator ascending-`k` [`fmadd`] fold from `0.0`
@@ -283,6 +422,7 @@ pub(crate) fn attend_source(
     kt: &[f32],
     v: &[f32],
     heads: usize,
+    mask: Option<&[f32]>,
     scores: &mut [f32],
     ctx: &mut [f32],
 ) {
@@ -305,6 +445,11 @@ pub(crate) fn attend_source(
         }
         for s in head_scores.iter_mut() {
             *s *= scale;
+        }
+        if let Some(mask) = mask {
+            for (s, &mk) in head_scores.iter_mut().zip(mask) {
+                *s += mk;
+            }
         }
         softmax_in_place(head_scores);
     }
@@ -421,7 +566,7 @@ mod tests {
                     fwd.constant(k.clone()),
                     fwd.constant(v.clone()),
                 );
-                let ctx = mha.attend(fwd, qn, kn, vn, None);
+                let ctx = mha.attend_op_by_op(fwd, qn, kn, vn, None);
                 fwd.graph.value(ctx).clone()
             });
             let mut kt = vec![f32::NAN; 3];
@@ -445,7 +590,15 @@ mod tests {
                 );
                 assert_eq!(bits(want.row(r)), bits(&ctx), "d {d} heads {heads} t {t}");
                 let mut ctx = vec![f32::NAN; d];
-                attend_source(q.row(r), &kt, v.data(), heads, &mut source_scores, &mut ctx);
+                attend_source(
+                    q.row(r),
+                    &kt,
+                    v.data(),
+                    heads,
+                    None,
+                    &mut source_scores,
+                    &mut ctx,
+                );
                 assert_eq!(
                     bits(want.row(r)),
                     bits(&ctx),
@@ -460,7 +613,7 @@ mod tests {
     #[test]
     fn attending_an_empty_source_yields_a_zero_context() {
         let mut ctx = vec![f32::NAN; 8];
-        attend_source(&[1.0; 8], &[], &[], 2, &mut [], &mut ctx);
+        attend_source(&[1.0; 8], &[], &[], 2, None, &mut [], &mut ctx);
         assert_eq!(ctx, vec![0.0; 8]);
     }
 
@@ -519,6 +672,161 @@ mod tests {
         );
         let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&want), bits(&got));
+    }
+
+    /// Record attention over the leaves `q`, `k`, `v` — fused, or op by
+    /// op — reduce the context to a scalar through fixed non-uniform
+    /// weights and backpropagate: the context and the three gradients.
+    fn attend_and_backprop(
+        mha: &MultiHeadAttention,
+        params: &Params,
+        [q, k, v]: [&Tensor; 3],
+        mask: Option<&Tensor>,
+        op_by_op: bool,
+    ) -> (Tensor, [Tensor; 3]) {
+        let mut graph = qrec_tensor::Graph::new();
+        let mut bind = crate::params::Binding::new(params.len());
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut fwd = Fwd {
+            graph: &mut graph,
+            params,
+            bind: &mut bind,
+            rng: &mut rng,
+            training: true,
+        };
+        let leaves = [q, k, v].map(|t| fwd.constant(t.clone()));
+        let [qn, kn, vn] = leaves;
+        let ctx = if op_by_op {
+            mha.attend_op_by_op(&mut fwd, qn, kn, vn, mask)
+        } else {
+            mha.attend(&mut fwd, qn, kn, vn, mask)
+        };
+        let (n, d) = graph.value(ctx).shape();
+        let w = graph.input(reduction_weights(d));
+        let rows = graph.matmul(ctx, w);
+        let ones = graph.input(Tensor::ones(1, n));
+        let loss = graph.matmul(ones, rows);
+        graph.backward(loss);
+        let grads = leaves.map(|id| graph.grad(id).expect("gradient reaches q, k and v").clone());
+        (graph.value(ctx).clone(), grads)
+    }
+
+    /// The `d × 1` weights that reduce a context to a scalar. One is the
+    /// smallest negative subnormal, so one column of the context's
+    /// gradient underflows, against every softmax weight under a half,
+    /// to `-0.0`.
+    fn reduction_weights(d: usize) -> Tensor {
+        let mut w = init::uniform(d, 1, -1.0, 1.0, &mut StdRng::seed_from_u64(42));
+        w.data_mut()[1] = -1e-45;
+        w
+    }
+
+    /// An additive mask that is neither causal nor square: about a third
+    /// of the positions blocked, never a whole row.
+    fn ragged_mask(n: usize, m: usize) -> Tensor {
+        let mut mask = Tensor::zeros(n, m);
+        for r in 0..n {
+            for c in 0..m {
+                if (r * 5 + c * 3) % 7 < 2 && c != r % m {
+                    mask.set(r, c, -1e9);
+                }
+            }
+        }
+        mask
+    }
+
+    /// The (heads, n, m) grid of the fused-node tests: one head and
+    /// several, more queries than keys and fewer, a single key.
+    const NODE_SHAPES: [(usize, usize, usize, usize); 5] = [
+        (16, 1, 3, 5),
+        (48, 4, 7, 4),
+        (48, 4, 20, 23),
+        (8, 2, 4, 1),
+        (16, 4, 5, 5),
+    ];
+
+    /// The one-node attention against the op-by-op tape it replaced:
+    /// context and all three gradients bit for bit, masked and not, with
+    /// zeros of both signs and subnormals among the inputs, and a column
+    /// of the smallest negative subnormal in `q`, in `k` and in the
+    /// context's gradient, so that some `dK`, `dQ` and `dV` folds end on
+    /// `-0.0` — a zero's sign is the one thing the tape's summation of
+    /// per-head slices changes, and the node has to change it too.
+    #[test]
+    fn fused_node_matches_the_op_by_op_tape_bitwise() {
+        for (d, heads, n, m) in NODE_SHAPES {
+            let (params, mha, mut rng) = setup(d, heads);
+            let mut sample = |rows: usize| {
+                let mut t = init::uniform(rows, d, -1.0, 1.0, &mut rng);
+                for (i, x) in t.data_mut().iter_mut().enumerate() {
+                    match i % 13 {
+                        0 => *x = 0.0,
+                        1 => *x = -0.0,
+                        2 => *x = 1e-40,
+                        3 => *x = -1e-30,
+                        _ => {}
+                    }
+                    if i % d == 5 {
+                        *x = -1e-45;
+                    }
+                }
+                t
+            };
+            let (q, k, v) = (sample(n), sample(m), sample(m));
+            let mask = ragged_mask(n, m);
+            for mask in [None, Some(&mask)] {
+                let want = attend_and_backprop(&mha, &params, [&q, &k, &v], mask, true);
+                let got = attend_and_backprop(&mha, &params, [&q, &k, &v], mask, false);
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let ctx = format!("d {d} heads {heads} n {n} m {m} masked {}", mask.is_some());
+                assert_eq!(bits(&want.0), bits(&got.0), "context, {ctx}");
+                for (name, (w, g)) in ["dq", "dk", "dv"].iter().zip(want.1.iter().zip(&got.1)) {
+                    assert_eq!(bits(w), bits(g), "{name}, {ctx}");
+                }
+            }
+        }
+    }
+
+    /// Central finite differences through the fused node's forward against
+    /// its hand-written backward, for each of q, k and v.
+    #[test]
+    fn fused_node_gradients_pass_a_finite_difference_check() {
+        for (d, heads, n, m) in NODE_SHAPES {
+            let (params, mha, mut rng) = setup(d, heads);
+            let inputs = [
+                init::uniform(n, d, -1.0, 1.0, &mut rng),
+                init::uniform(m, d, -1.0, 1.0, &mut rng),
+                init::uniform(m, d, -1.0, 1.0, &mut rng),
+            ];
+            let mask = ragged_mask(n, m);
+            for mask in [None, Some(&mask)] {
+                let loss = |x: &[Tensor; 3]| -> f32 {
+                    let (ctx, _) = attend_and_backprop(&mha, &params, x.each_ref(), mask, false);
+                    ctx.matmul(&reduction_weights(d)).sum()
+                };
+                let (_, analytic) =
+                    attend_and_backprop(&mha, &params, inputs.each_ref(), mask, false);
+                let eps = 1e-2f32;
+                for (which, grad) in analytic.iter().enumerate() {
+                    // Every element of the small shapes, a stride of the rest.
+                    let step = (grad.len() / 40).max(1);
+                    for i in (0..grad.len()).step_by(step) {
+                        let mut plus = inputs.clone();
+                        plus[which].data_mut()[i] += eps;
+                        let mut minus = inputs.clone();
+                        minus[which].data_mut()[i] -= eps;
+                        let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
+                        let a = grad.data()[i];
+                        assert!(
+                            (a - numeric).abs() <= 2e-2 * (1.0 + a.abs().max(numeric.abs())),
+                            "input {which} element {i}: analytic {a} vs numeric {numeric} \
+                             (d {d} heads {heads} n {n} m {m} masked {})",
+                            mask.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! describes.
 
 use crate::incremental::DecodeState;
-use crate::params::{Binding, Fwd, Params};
+use crate::params::{forward_eval, Fwd, Params, Tape};
 use crate::seq2seq::Seq2Seq;
 use qrec_tensor::tensor::softmax_in_place;
-use qrec_tensor::{Graph, Tensor};
+use qrec_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -417,8 +417,7 @@ pub fn decode_with_cache<M: Seq2Seq + ?Sized>(
         params,
         rng,
         cache,
-        graph: Graph::new(),
-        bind: Binding::new(params.len()),
+        tape: Tape::forward_only(),
     };
     let hyps = match strategy {
         Strategy::Greedy => vec![dec.greedy(src, max_len)],
@@ -486,31 +485,20 @@ struct Decoder<'m, M: Seq2Seq + ?Sized> {
     params: &'m Params,
     rng: &'m mut StdRng,
     cache: &'m mut EncCache,
-    /// The tape the model's graph-based calls record on: the ConvS2S and
-    /// GRU encoder passes and steps. The transformer's tape-free calls
-    /// read only the parameter store and leave it empty, so it is
-    /// replaced only after a call that used it — a transformer decode
-    /// builds this one graph and binding, not a pair per step.
-    graph: Graph,
-    bind: Binding,
+    /// The tape the model's graph-based calls run on: the ConvS2S and
+    /// GRU encoder passes and steps. Forward-only — it keeps values, no
+    /// backward closures — and cleared, not rebuilt, between calls. The
+    /// transformer's tape-free calls read only the parameter store and
+    /// leave it empty.
+    tape: Tape,
 }
 
 impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     /// Run one inference call of the model with a forward context.
     fn with_fwd<T>(&mut self, call: impl FnOnce(&M, &mut Fwd<'_>) -> T) -> T {
-        let mut fwd = Fwd {
-            graph: &mut self.graph,
-            params: self.params,
-            bind: &mut self.bind,
-            rng: self.rng,
-            training: false,
-        };
-        let out = call(self.model, &mut fwd);
-        if !self.graph.is_empty() {
-            self.graph = Graph::new();
-            self.bind = Binding::new(self.params.len());
-        }
-        out
+        let model = self.model;
+        self.tape
+            .forward(self.params, self.rng, |fwd| call(model, fwd))
     }
 
     fn encoder_output(&mut self, src: &[usize]) -> Arc<Tensor> {
@@ -773,17 +761,11 @@ impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
                 return Arc::clone(enc); // refcount bump, no data copy
             }
         }
-        let mut graph = Graph::new();
-        let mut bind = Binding::new(self.params.len());
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params: self.params,
-            bind: &mut bind,
-            rng: self.rng,
-            training: false,
-        };
-        let enc = self.model.encode(&mut fwd, src);
-        let out = graph.value_shared(enc);
+        let model = self.model;
+        let out = forward_eval(self.params, self.rng, |fwd| {
+            let enc = model.encode(fwd, src);
+            fwd.graph.value_shared(enc)
+        });
         self.enc_cache = Some((src.to_vec(), Arc::clone(&out)));
         out
     }
@@ -792,18 +774,12 @@ impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
     /// with `<SOS>`).
     fn next_probs(&mut self, src: &[usize], prefix: &[usize]) -> Vec<f32> {
         let enc_val = self.encoder_output(src);
-        let mut graph = Graph::new();
-        let mut bind = Binding::new(self.params.len());
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params: self.params,
-            bind: &mut bind,
-            rng: self.rng,
-            training: false,
-        };
-        let enc = fwd.constant_shared(enc_val);
-        let logits = self.model.decode_last_logits(&mut fwd, enc, prefix);
-        graph.value(logits).softmax_rows().into_data()
+        let model = self.model;
+        forward_eval(self.params, self.rng, |fwd| {
+            let enc = fwd.constant_shared(enc_val);
+            let logits = model.decode_last_logits(fwd, enc, prefix);
+            fwd.graph.value(logits).softmax_rows().into_data()
+        })
     }
 
     fn greedy(&mut self, src: &[usize], max_len: usize) -> Hypothesis {

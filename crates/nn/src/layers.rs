@@ -179,9 +179,8 @@ impl Embedding {
     ///
     /// Training passes bind the table as a graph leaf (its gradient is a
     /// scatter into the looked-up rows). Every other pass gathers only
-    /// the requested rows into a constant ([`Embedding::gather_into`]) —
-    /// binding the table would copy all `vocab × dim` values into the
-    /// graph to read a handful of rows.
+    /// the requested rows into a constant ([`Embedding::gather_into`]),
+    /// which is also what reads an int8 table when the store has one.
     pub fn forward(&self, fwd: &mut Fwd<'_>, ids: &[usize]) -> NodeId {
         if fwd.training {
             let w = fwd.param(self.weight);

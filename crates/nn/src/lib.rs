@@ -45,7 +45,7 @@ pub use convs2s::{ConvS2S, ConvS2SConfig};
 pub use decode::{decode, Hypothesis, Strategy};
 pub use gru::{GruConfig, GruSeq2Seq};
 pub use incremental::DecodeState;
-pub use params::{Binding, Fwd, ParamId, Params};
+pub use params::{Binding, Fwd, ParamId, Params, Tape};
 pub use quant::QuantParams;
 pub use schedule::LrSchedule;
 pub use seq2seq::Seq2Seq;

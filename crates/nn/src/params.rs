@@ -9,17 +9,28 @@
 //! During a forward pass a [`Binding`] lazily registers each referenced
 //! parameter as a graph leaf exactly once per graph, so a mini-batch of
 //! sequences shares one leaf per parameter and gradients accumulate
-//! across the batch for free.
+//! across the batch for free. The leaf is a shared handle on the store's
+//! own tensor — no weight is copied into a graph — and a [`Tape`] clears
+//! and reuses one graph and binding for all the passes of a run.
 
 use qrec_tensor::{Graph, NodeId, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Handle to one parameter tensor in a [`Params`] store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub(crate) usize);
 
 /// A named collection of parameter tensors with gradient buffers.
+///
+/// Each weight tensor sits behind an `Arc`: a graph binds it as a leaf by
+/// cloning the handle ([`Fwd::param`]), a clone of the store shares the
+/// tensors until one side writes, and every mutable access
+/// ([`Params::value_mut`], the optimizer step) goes through
+/// `Arc::make_mut` — in place when the store holds the only handle, which
+/// it does whenever no graph is alive, a copy otherwise.
 ///
 /// A store may additionally carry an int8 quantization sidecar
 /// ([`crate::quant::QuantParams`], built by [`Params::quantize`]):
@@ -29,7 +40,7 @@ pub struct ParamId(pub(crate) usize);
 /// sections) rather than round-tripped.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Params {
-    data: Vec<Tensor>,
+    data: Vec<Arc<Tensor>>,
     grad: Vec<Tensor>,
     names: Vec<String>,
     #[serde(default)]
@@ -46,7 +57,7 @@ impl Params {
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let id = ParamId(self.data.len());
         self.grad.push(Tensor::zeros(value.rows(), value.cols()));
-        self.data.push(value);
+        self.data.push(Arc::new(value));
         self.names.push(name.into());
         id
     }
@@ -73,7 +84,7 @@ impl Params {
 
     /// Mutable value (used by optimizers and tests).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.data[id.0]
+        Arc::make_mut(&mut self.data[id.0])
     }
 
     /// The accumulated gradient of a parameter.
@@ -96,18 +107,34 @@ impl Params {
     /// Pull gradients out of a finished graph into the store's buffers.
     /// Call after [`Graph::backward`].
     pub fn accumulate_grads(&mut self, graph: &Graph, binding: &Binding) {
-        for (i, node) in binding.nodes.iter().enumerate() {
-            if let Some(node) = node {
-                if let Some(g) = graph.grad(*node) {
-                    self.grad[i].add_assign(g);
-                }
+        for (acc, node) in self.grad.iter_mut().zip(&binding.nodes) {
+            if let Some(g) = node.and_then(|node| graph.grad(node)) {
+                acc.add_assign(g);
             }
         }
     }
 
-    /// Iterate `(id, value, grad)` triples (optimizer internals).
+    /// Iterate `(value, grad)` pairs (optimizer internals). Each value is
+    /// written in place unless something else still holds its handle.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
-        self.data.iter_mut().zip(self.grad.iter())
+        self.data
+            .iter_mut()
+            .map(Arc::make_mut)
+            .zip(self.grad.iter())
+    }
+
+    /// The weights alone — no gradient buffers, no sidecar — as shared
+    /// handles: what early stopping keeps of its best epoch. Nothing is
+    /// copied here; the optimizer's next step copies the tensors the
+    /// snapshot still shares.
+    pub(crate) fn weights(&self) -> Vec<Arc<Tensor>> {
+        self.data.clone()
+    }
+
+    /// Put back weights taken by [`Params::weights`] from this store.
+    pub(crate) fn set_weights(&mut self, weights: Vec<Arc<Tensor>>) {
+        assert_eq!(weights.len(), self.data.len(), "snapshot of another store");
+        self.data = weights;
     }
 
     /// Iterate `(name, value)` pairs in id order — the serialisation
@@ -115,7 +142,8 @@ impl Params {
     /// rebuilt by feeding this iterator's output to
     /// [`Params::from_named_tensors`] preserves every [`ParamId`].
     pub fn named_tensors(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.names.iter().map(String::as_str).zip(self.data.iter())
+        let values = self.data.iter().map(Arc::as_ref);
+        self.names.iter().map(String::as_str).zip(values)
     }
 
     /// Rebuild a store from `(name, value)` pairs in id order (the
@@ -166,19 +194,24 @@ impl Params {
         self.grad.iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
     }
 
-    /// Scale all gradients by `c` (for clipping).
+    /// Scale all gradients by `c` (for clipping), in place.
     pub fn scale_grads(&mut self, c: f32) {
         for g in &mut self.grad {
-            *g = g.scale(c);
+            for x in g.data_mut() {
+                *x *= c;
+            }
         }
     }
 }
 
-/// Per-graph cache mapping parameters to their graph leaf, so each
-/// parameter is registered once per forward graph.
-#[derive(Debug)]
+/// What a run of forward passes keeps besides the tape itself: the graph
+/// leaf of each parameter, so each is registered once per graph, and the
+/// constants that depend on nothing but a length (positional tables,
+/// causal masks), so each is computed once per run.
+#[derive(Debug, Default)]
 pub struct Binding {
     nodes: Vec<Option<NodeId>>,
+    constants: HashMap<(&'static str, usize, usize), Arc<Tensor>>,
 }
 
 impl Binding {
@@ -186,6 +219,7 @@ impl Binding {
     pub fn new(len: usize) -> Self {
         Binding {
             nodes: vec![None; len],
+            constants: HashMap::new(),
         }
     }
 }
@@ -205,17 +239,24 @@ pub struct Fwd<'a> {
 }
 
 impl Fwd<'_> {
-    /// The graph leaf for a parameter, registering it on first use.
+    /// The graph leaf for a parameter, registering it on first use: a
+    /// shared handle on the store's tensor, so binding copies no weight.
     pub fn param(&mut self, id: ParamId) -> NodeId {
         if let Some(node) = self.bind.nodes[id.0] {
             return node;
         }
-        let node = self.graph.input(self.params.value(id).clone());
+        #[cfg_attr(not(test), allow(unused_mut))]
+        let mut value = Arc::clone(&self.params.data[id.0]);
+        #[cfg(test)]
+        if oracle::active() {
+            value = Arc::new(Tensor::clone(&value));
+        }
+        let node = self.graph.input_shared(value);
         self.bind.nodes[id.0] = Some(node);
         node
     }
 
-    /// Register a non-parameter constant (masks, positional encodings).
+    /// Register a non-parameter constant (dropout masks, gathered rows).
     pub fn constant(&mut self, t: Tensor) -> NodeId {
         self.graph.input(t)
     }
@@ -223,50 +264,162 @@ impl Fwd<'_> {
     /// Register a shared constant without copying its data. The decoder
     /// feeds the cached encoder output into every step graph through
     /// this, so beam search never clones the encoder state per step.
-    pub fn constant_shared(&mut self, t: std::sync::Arc<Tensor>) -> NodeId {
+    pub fn constant_shared(&mut self, t: Arc<Tensor>) -> NodeId {
         self.graph.input_shared(t)
+    }
+
+    /// A constant that is a pure function of its key — `(what, len, d)`:
+    /// the positional table or the causal mask of a length — built on
+    /// first use and kept by the binding, so a run that reuses its
+    /// binding computes it once however many passes ask for it.
+    pub fn cached_constant(
+        &mut self,
+        key: (&'static str, usize, usize),
+        build: impl FnOnce() -> Tensor,
+    ) -> Arc<Tensor> {
+        Arc::clone(
+            self.bind
+                .constants
+                .entry(key)
+                .or_insert_with(|| Arc::new(build())),
+        )
     }
 }
 
-/// Run one forward-backward pass: build a graph with `f`, backprop from
-/// the scalar loss `f` returns, and accumulate parameter gradients.
-/// Returns the loss value.
+/// One graph and one binding, cleared and reused by every pass of a run
+/// — the examples of a training run, the pairs of a validation sweep, the
+/// steps of a graph-based decode — instead of being built and freed per
+/// pass: the arena keeps its allocations and the binding its constants.
+///
+/// After each pass the graph is cleared, which returns every weight
+/// handle to the store; the optimizer step that follows therefore writes
+/// the weights in place.
+pub struct Tape {
+    graph: Graph,
+    bind: Binding,
+}
+
+impl Tape {
+    /// A tape for passes that run backward ([`Tape::forward_backward`]).
+    pub fn recording() -> Self {
+        Tape {
+            graph: Graph::new(),
+            bind: Binding::default(),
+        }
+    }
+
+    /// A tape for passes that never run backward: its graph keeps values
+    /// and no backward closures.
+    pub fn forward_only() -> Self {
+        Tape {
+            graph: Graph::forward_only(),
+            bind: Binding::default(),
+        }
+    }
+
+    /// The forward context of the next pass, on the cleared tape.
+    fn fwd<'a>(&'a mut self, params: &'a Params, rng: &'a mut StdRng, training: bool) -> Fwd<'a> {
+        #[cfg(test)]
+        if oracle::active() {
+            // The oracle builds a graph and a binding per pass.
+            let recording = self.graph.is_recording();
+            *self = if recording {
+                Tape::recording()
+            } else {
+                Tape::forward_only()
+            };
+        }
+        self.bind.nodes.resize(params.len(), None);
+        Fwd {
+            graph: &mut self.graph,
+            params,
+            bind: &mut self.bind,
+            rng,
+            training,
+        }
+    }
+
+    /// Clear what a pass recorded — nothing, after a tape-free call — so
+    /// that every weight handle is back with the store and the next pass
+    /// binds afresh.
+    fn clear(&mut self) {
+        if !self.graph.is_empty() {
+            self.graph.clear();
+            self.bind.nodes.fill(None);
+        }
+    }
+
+    /// Run one forward-backward pass: record `f`, backprop from the
+    /// scalar loss it returns, and accumulate parameter gradients.
+    /// Returns the loss value.
+    pub fn forward_backward(
+        &mut self,
+        params: &mut Params,
+        rng: &mut StdRng,
+        f: impl FnOnce(&mut Fwd<'_>) -> NodeId,
+    ) -> f32 {
+        let loss = f(&mut self.fwd(params, rng, true));
+        let loss_val = self.graph.value(loss).item();
+        self.graph.backward(loss);
+        params.accumulate_grads(&self.graph, &self.bind);
+        self.clear();
+        loss_val
+    }
+
+    /// Run a forward pass without gradients (evaluation / inference).
+    /// Returns whatever `f` computes from the finished graph.
+    pub fn forward<T>(
+        &mut self,
+        params: &Params,
+        rng: &mut StdRng,
+        f: impl FnOnce(&mut Fwd<'_>) -> T,
+    ) -> T {
+        let out = f(&mut self.fwd(params, rng, false));
+        self.clear();
+        out
+    }
+}
+
+/// One forward-backward pass on a tape of its own
+/// ([`Tape::forward_backward`]); a run of many passes keeps a [`Tape`].
 pub fn forward_backward(
     params: &mut Params,
     rng: &mut StdRng,
     f: impl FnOnce(&mut Fwd<'_>) -> NodeId,
 ) -> f32 {
-    let mut graph = Graph::new();
-    let mut bind = Binding::new(params.len());
-    let loss = {
-        let mut fwd = Fwd {
-            graph: &mut graph,
-            params,
-            bind: &mut bind,
-            rng,
-            training: true,
-        };
-        f(&mut fwd)
-    };
-    let loss_val = graph.value(loss).item();
-    graph.backward(loss);
-    params.accumulate_grads(&graph, &bind);
-    loss_val
+    Tape::recording().forward_backward(params, rng, f)
 }
 
-/// Run a forward pass without gradients (evaluation / inference).
-/// Returns whatever `f` computes from the finished graph.
+/// One forward pass without gradients on a tape of its own
+/// ([`Tape::forward`]); a run of many passes keeps a [`Tape`].
 pub fn forward_eval<T>(params: &Params, rng: &mut StdRng, f: impl FnOnce(&mut Fwd<'_>) -> T) -> T {
-    let mut graph = Graph::new();
-    let mut bind = Binding::new(params.len());
-    let mut fwd = Fwd {
-        graph: &mut graph,
-        params,
-        bind: &mut bind,
-        rng,
-        training: false,
-    };
-    f(&mut fwd)
+    Tape::forward_only().forward(params, rng, f)
+}
+
+/// The training path as it was before parameters were bound by handle,
+/// the tape reused and attention fused — every weight copied into a graph
+/// built and freed per pass, attention recorded op by op — kept as the
+/// oracle the weight-equality test trains against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// True while [`with`] runs on this thread.
+    pub(crate) fn active() -> bool {
+        ACTIVE.with(Cell::get)
+    }
+
+    /// Run `f` with every pass on this thread taking the oracle path.
+    pub(crate) fn with<T>(f: impl FnOnce() -> T) -> T {
+        ACTIVE.with(|a| a.set(true));
+        let out = f();
+        ACTIVE.with(|a| a.set(false));
+        out
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +495,83 @@ mod tests {
         assert_eq!(p.grad(w).item(), 12.0);
         p.zero_grad();
         assert_eq!(p.grad(w).item(), 0.0);
+    }
+
+    /// A tape that has been cleared is as good as a new one — same loss,
+    /// same gradients, bit for bit — and keeps no handle on a weight: while
+    /// a pass records, the graph shares the bound tensors; once it
+    /// returns, the store is their only owner again and a write goes to
+    /// the same buffer.
+    #[test]
+    fn reused_tape_matches_a_fresh_one_and_returns_every_weight_handle() {
+        use crate::transformer::{Transformer, TransformerConfig};
+        use crate::Seq2Seq;
+        let cfg = TransformerConfig {
+            dropout: 0.1,
+            ..TransformerConfig::test(12)
+        };
+        let mut fresh = Params::new();
+        let model = Transformer::new(&mut fresh, cfg, &mut StdRng::seed_from_u64(5));
+        // A deep copy: a clone would share the tensors with `fresh`.
+        let copies = fresh
+            .named_tensors()
+            .map(|(n, t)| (n.to_string(), t.clone()));
+        let mut reused = Params::from_named_tensors(copies.collect());
+        let examples: [(&[usize], &[usize]); 3] = [
+            (&[1, 4, 5, 2], &[1, 6, 7, 2]),
+            (&[1, 9, 2], &[1, 8, 8, 5, 2]),
+            (&[1, 4, 5, 2], &[1, 6, 7, 2]),
+        ];
+        let mut tape = Tape::recording();
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for (src, tgt) in examples {
+            let pass = |fwd: &mut Fwd<'_>| {
+                let enc = model.encode(fwd, src);
+                let logits = model.decode(fwd, enc, &tgt[..tgt.len() - 1]);
+                let shared = fwd.params.data.iter().filter(|t| Arc::strong_count(t) > 1);
+                assert!(shared.count() > 20, "a recording graph shares the weights");
+                fwd.graph.cross_entropy(logits, &tgt[1..])
+            };
+            let want = forward_backward(&mut fresh, &mut rng_a, pass);
+            let got = tape.forward_backward(&mut reused, &mut rng_b, pass);
+            assert_eq!(want.to_bits(), got.to_bits());
+            assert!(tape.graph.is_empty(), "the tape is left cleared");
+            for i in 0..fresh.len() {
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let id = ParamId(i);
+                assert_eq!(
+                    bits(fresh.grad(id)),
+                    bits(reused.grad(id)),
+                    "{}",
+                    fresh.name(id)
+                );
+                assert_eq!(Arc::strong_count(&reused.data[i]), 1, "{}", fresh.name(id));
+                let before = reused.value(id).data().as_ptr();
+                let after = reused.value_mut(id).data().as_ptr();
+                assert_eq!(before, after, "a write after the pass copies nothing");
+            }
+        }
+    }
+
+    /// A forward-only tape runs the same forward and records nothing to
+    /// run backward from.
+    #[test]
+    fn forward_only_tape_keeps_values_and_no_gradients() {
+        let mut p = Params::new();
+        let w = p.add("w", Tensor::scalar(3.0));
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut tape = Tape::forward_only();
+        for _ in 0..2 {
+            let y = tape.forward(&p, &mut rng, |fwd| {
+                assert!(!fwd.graph.is_recording());
+                let wn = fwd.param(w);
+                let y = fwd.graph.mul(wn, wn);
+                assert!(fwd.graph.grad(wn).is_none());
+                fwd.graph.value(y).item()
+            });
+            assert_eq!(y, 9.0);
+            assert_eq!(Arc::strong_count(&p.data[0]), 1);
+        }
     }
 
     #[test]

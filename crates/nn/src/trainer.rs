@@ -4,9 +4,10 @@
 
 use crate::adam::{Adam, AdamConfig};
 use crate::classifier::{classify_logits, ClassifierHead};
-use crate::params::{forward_backward, forward_eval, Params};
+use crate::params::{Fwd, Params, Tape};
 use crate::schedule::LrSchedule;
 use crate::seq2seq::Seq2Seq;
+use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -145,37 +146,6 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// One epoch's closing bookkeeping, shared by both training loops: bump
-/// the process-wide counters, record the epoch duration, and append the
-/// telemetry row.
-fn finish_epoch(
-    epochs: &mut Vec<EpochReport>,
-    epoch: usize,
-    train_loss: f32,
-    val_loss: f32,
-    grad_norm: f32,
-    tokens: usize,
-    epoch_start: Instant,
-) {
-    let elapsed = epoch_start.elapsed();
-    let seconds = elapsed.as_secs_f32();
-    epochs_counter().inc();
-    tokens_counter().add(tokens as u64);
-    epoch_hist().record_duration(elapsed);
-    epochs.push(EpochReport {
-        epoch,
-        train_loss,
-        val_loss,
-        grad_norm,
-        tokens_per_sec: if seconds > 0.0 {
-            tokens as f32 / seconds
-        } else {
-            0.0
-        },
-        seconds,
-    });
-}
-
 fn validate_training(cfg: &TrainConfig, train_len: usize) -> Result<(), TrainError> {
     if cfg.epochs == 0 {
         return Err(TrainError::NoEpochs);
@@ -184,6 +154,106 @@ fn validate_training(cfg: &TrainConfig, train_len: usize) -> Result<(), TrainErr
         return Err(TrainError::NoTrainingData);
     }
     Ok(())
+}
+
+/// The mini-batch loop both trainers run: shuffle, one forward-backward
+/// per example, an Adam step per batch, validation and early stopping per
+/// epoch, the best epoch's weights restored at the end.
+///
+/// `example(fwd, i)` records example `i` and returns its scalar loss node
+/// and the supervision tokens it carries; `validate` is the mean
+/// validation loss of the current weights. Every example of the run is
+/// recorded on one [`Tape`], cleared between examples: the graph's arena,
+/// the parameter binding and the per-length constants are built once, and
+/// because the cleared tape holds no weight handle, each Adam step writes
+/// the weights in place.
+fn train_loop(
+    params: &mut Params,
+    examples: usize,
+    cfg: &TrainConfig,
+    mut example: impl FnMut(&mut Fwd<'_>, usize) -> (NodeId, usize),
+    validate: impl Fn(&Params) -> f32,
+) -> Result<TrainReport, TrainError> {
+    validate_training(cfg, examples)?;
+    let start = Instant::now();
+    let mut adam = Adam::new(cfg.adam, params);
+    let mut tape = Tape::recording();
+    let base_lr = cfg.adam.lr;
+    let mut global_step = 0u64;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut order: Vec<usize> = (0..examples).collect();
+    // Early stopping keeps the weights of its best epoch, not a clone of
+    // the store: gradient buffers and the quant sidecar stay where they are.
+    let mut best: Option<(f32, Vec<Arc<Tensor>>)> = None;
+    let mut best_epoch = 0usize;
+    let mut epoch_losses = Vec::new();
+    let mut epochs = Vec::new();
+    let mut early_stopped = false;
+
+    for epoch in 0..cfg.epochs {
+        order.shuffle(&mut rng);
+        let epoch_start = Instant::now();
+        let mut epoch_tokens = 0usize;
+        let mut last_grad_norm = 0.0f32;
+        let mut train_loss = 0.0f64;
+        let mut batches = 0usize;
+        for chunk in order.chunks(cfg.batch_size.max(1)) {
+            let mut batch_loss = 0.0f32;
+            for &i in chunk {
+                batch_loss += tape.forward_backward(params, &mut rng, |fwd| {
+                    let (loss, tokens) = example(fwd, i);
+                    epoch_tokens += tokens;
+                    loss
+                });
+            }
+            adam.set_lr(cfg.schedule.lr(base_lr, global_step));
+            global_step += 1;
+            last_grad_norm = params.grad_norm();
+            adam.step(params, 1.0 / chunk.len() as f32);
+            train_loss += (batch_loss / chunk.len() as f32) as f64;
+            batches += 1;
+        }
+        let train_loss = (train_loss / batches.max(1) as f64) as f32;
+        let val_loss = validate(params);
+        epoch_losses.push((train_loss, val_loss));
+
+        let elapsed = epoch_start.elapsed();
+        let seconds = elapsed.as_secs_f32();
+        epochs_counter().inc();
+        tokens_counter().add(epoch_tokens as u64);
+        epoch_hist().record_duration(elapsed);
+        epochs.push(EpochReport {
+            epoch,
+            train_loss,
+            val_loss,
+            grad_norm: last_grad_norm,
+            tokens_per_sec: if seconds > 0.0 {
+                epoch_tokens as f32 / seconds
+            } else {
+                0.0
+            },
+            seconds,
+        });
+
+        let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
+        if improved {
+            best = Some((val_loss, params.weights()));
+            best_epoch = epoch;
+        } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
+            early_stopped = true;
+            break;
+        }
+    }
+    if let Some((_, weights)) = best {
+        params.set_weights(weights);
+    }
+    Ok(TrainReport {
+        epoch_losses,
+        best_epoch,
+        train_time: start.elapsed(),
+        early_stopped,
+        epochs,
+    })
 }
 
 /// Train a seq2seq model on query pairs; restores the weights of the
@@ -214,86 +284,52 @@ pub fn try_train_seq2seq<M: Seq2Seq>(
     val: &[EncodedPair],
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    validate_training(cfg, train.len())?;
-    let start = Instant::now();
-    let mut adam = Adam::new(cfg.adam, params);
-    let base_lr = cfg.adam.lr;
-    let mut global_step = 0u64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut best: Option<(f32, Params)> = None;
-    let mut best_epoch = 0usize;
-    let mut epoch_losses = Vec::new();
-    let mut epochs = Vec::new();
-    let mut early_stopped = false;
-
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let epoch_start = Instant::now();
-        let mut epoch_tokens = 0usize;
-        let mut last_grad_norm = 0.0f32;
-        let mut train_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let mut batch_loss = 0.0f32;
-            for &i in chunk {
-                let pair = &train[i];
-                epoch_tokens += pair.tgt.len().saturating_sub(1);
-                let loss = forward_backward(params, &mut rng, |fwd| {
-                    let enc = model.encode(fwd, &pair.src);
-                    let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
-                    let tgt_out = &pair.tgt[1..];
-                    let logits = model.decode(fwd, enc, tgt_in);
-                    let rows = logits_rows(fwd, logits);
-                    fwd.graph.cross_entropy(logits, &tgt_out[..rows])
-                });
-                batch_loss += loss;
-            }
-            adam.set_lr(cfg.schedule.lr(base_lr, global_step));
-            global_step += 1;
-            last_grad_norm = params.grad_norm();
-            adam.step(params, 1.0 / chunk.len() as f32);
-            train_loss += (batch_loss / chunk.len() as f32) as f64;
-            batches += 1;
-        }
-        let train_loss = (train_loss / batches.max(1) as f64) as f32;
-        let val_loss = eval_seq2seq(model, params, val, cfg.seed);
-        epoch_losses.push((train_loss, val_loss));
-        finish_epoch(
-            &mut epochs,
-            epoch,
-            train_loss,
-            val_loss,
-            last_grad_norm,
-            epoch_tokens,
-            epoch_start,
-        );
-
-        let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
-        if improved {
-            best = Some((val_loss, params.clone()));
-            best_epoch = epoch;
-        } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
-            early_stopped = true;
-            break;
-        }
-    }
-    if let Some((_, best_params)) = best {
-        *params = best_params;
-    }
-    Ok(TrainReport {
-        epoch_losses,
-        best_epoch,
-        train_time: start.elapsed(),
-        early_stopped,
-        epochs,
-    })
+    train_loop(
+        params,
+        train.len(),
+        cfg,
+        |fwd, i| {
+            let pair = &train[i];
+            let tokens = pair.tgt.len().saturating_sub(1);
+            (seq2seq_loss(model, fwd, pair), tokens)
+        },
+        |params| eval_seq2seq(model, params, val, cfg.seed),
+    )
 }
 
-// The decoder may truncate very long targets to its max_len; align the
-// target slice with the logits it actually produced.
-fn logits_rows(fwd: &mut crate::params::Fwd<'_>, logits: qrec_tensor::NodeId) -> usize {
-    fwd.graph.value(logits).rows()
+/// The teacher-forced cross-entropy of one pair, recorded on `fwd`.
+fn seq2seq_loss<M: Seq2Seq>(model: &M, fwd: &mut Fwd<'_>, pair: &EncodedPair) -> NodeId {
+    let enc = model.encode(fwd, &pair.src);
+    let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
+    let tgt_out = &pair.tgt[1..];
+    let logits = model.decode(fwd, enc, tgt_in);
+    // The decoder may truncate very long targets to its max_len; align the
+    // target slice with the logits it actually produced.
+    let rows = fwd.graph.value(logits).rows();
+    fwd.graph.cross_entropy(logits, &tgt_out[..rows])
+}
+
+/// The mean of `loss` over `items`, each recorded on one forward-only
+/// [`Tape`] (no gradients): infinite for an empty set.
+fn mean_loss<E>(
+    params: &Params,
+    items: &[E],
+    seed: u64,
+    loss: impl Fn(&mut Fwd<'_>, &E) -> NodeId,
+) -> f32 {
+    if items.is_empty() {
+        return f32::INFINITY;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tape = Tape::forward_only();
+    let mut total = 0.0f64;
+    for item in items {
+        total += tape.forward(params, &mut rng, |fwd| {
+            let node = loss(fwd, item);
+            fwd.graph.value(node).item()
+        }) as f64;
+    }
+    (total / items.len() as f64) as f32
 }
 
 /// Mean validation loss of a seq2seq model (no gradients).
@@ -303,24 +339,9 @@ pub fn eval_seq2seq<M: Seq2Seq>(
     pairs: &[EncodedPair],
     seed: u64,
 ) -> f32 {
-    if pairs.is_empty() {
-        return f32::INFINITY;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for pair in pairs {
-        let loss = forward_eval(params, &mut rng, |fwd| {
-            let enc = model.encode(fwd, &pair.src);
-            let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
-            let tgt_out = &pair.tgt[1..];
-            let logits = model.decode(fwd, enc, tgt_in);
-            let rows = fwd.graph.value(logits).rows();
-            let loss = fwd.graph.cross_entropy(logits, &tgt_out[..rows]);
-            fwd.graph.value(loss).item()
-        });
-        total += loss as f64;
-    }
-    (total / pairs.len() as f64) as f32
+    mean_loss(params, pairs, seed, |fwd, pair| {
+        seq2seq_loss(model, fwd, pair)
+    })
 }
 
 /// A labelled classification example.
@@ -360,76 +381,27 @@ pub fn try_train_classifier<M: Seq2Seq>(
     val: &[LabeledSeq],
     cfg: &TrainConfig,
 ) -> Result<TrainReport, TrainError> {
-    validate_training(cfg, train.len())?;
-    let start = Instant::now();
-    let mut adam = Adam::new(cfg.adam, params);
-    let base_lr = cfg.adam.lr;
-    let mut global_step = 0u64;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut best: Option<(f32, Params)> = None;
-    let mut best_epoch = 0usize;
-    let mut epoch_losses = Vec::new();
-    let mut epochs = Vec::new();
-    let mut early_stopped = false;
+    train_loop(
+        params,
+        train.len(),
+        cfg,
+        |fwd, i| {
+            let ex = &train[i];
+            (classifier_loss(model, head, fwd, ex), ex.src.len())
+        },
+        |params| eval_classifier(model, head, params, val, cfg.seed),
+    )
+}
 
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let epoch_start = Instant::now();
-        let mut epoch_tokens = 0usize;
-        let mut last_grad_norm = 0.0f32;
-        let mut train_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let mut batch_loss = 0.0f32;
-            for &i in chunk {
-                let ex = &train[i];
-                epoch_tokens += ex.src.len();
-                let loss = forward_backward(params, &mut rng, |fwd| {
-                    let logits = classify_logits(model, head, fwd, &ex.src);
-                    fwd.graph.cross_entropy(logits, &[ex.label])
-                });
-                batch_loss += loss;
-            }
-            adam.set_lr(cfg.schedule.lr(base_lr, global_step));
-            global_step += 1;
-            last_grad_norm = params.grad_norm();
-            adam.step(params, 1.0 / chunk.len() as f32);
-            train_loss += (batch_loss / chunk.len() as f32) as f64;
-            batches += 1;
-        }
-        let train_loss = (train_loss / batches.max(1) as f64) as f32;
-        let val_loss = eval_classifier(model, head, params, val, cfg.seed);
-        epoch_losses.push((train_loss, val_loss));
-        finish_epoch(
-            &mut epochs,
-            epoch,
-            train_loss,
-            val_loss,
-            last_grad_norm,
-            epoch_tokens,
-            epoch_start,
-        );
-
-        let improved = best.as_ref().is_none_or(|(b, _)| val_loss < *b);
-        if improved {
-            best = Some((val_loss, params.clone()));
-            best_epoch = epoch;
-        } else if cfg.patience > 0 && epoch - best_epoch >= cfg.patience {
-            early_stopped = true;
-            break;
-        }
-    }
-    if let Some((_, best_params)) = best {
-        *params = best_params;
-    }
-    Ok(TrainReport {
-        epoch_losses,
-        best_epoch,
-        train_time: start.elapsed(),
-        early_stopped,
-        epochs,
-    })
+/// The cross-entropy of one labelled sequence, recorded on `fwd`.
+fn classifier_loss<M: Seq2Seq>(
+    model: &M,
+    head: &ClassifierHead,
+    fwd: &mut Fwd<'_>,
+    ex: &LabeledSeq,
+) -> NodeId {
+    let logits = classify_logits(model, head, fwd, &ex.src);
+    fwd.graph.cross_entropy(logits, &[ex.label])
 }
 
 /// Mean validation loss of a classifier.
@@ -440,20 +412,9 @@ pub fn eval_classifier<M: Seq2Seq>(
     data: &[LabeledSeq],
     seed: u64,
 ) -> f32 {
-    if data.is_empty() {
-        return f32::INFINITY;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut total = 0.0f64;
-    for ex in data {
-        let loss = forward_eval(params, &mut rng, |fwd| {
-            let logits = classify_logits(model, head, fwd, &ex.src);
-            let loss = fwd.graph.cross_entropy(logits, &[ex.label]);
-            fwd.graph.value(loss).item()
-        });
-        total += loss as f64;
-    }
-    (total / data.len() as f64) as f32
+    mean_loss(params, data, seed, |fwd, ex| {
+        classifier_loss(model, head, fwd, ex)
+    })
 }
 
 #[cfg(test)]
@@ -562,6 +523,70 @@ mod tests {
         for ex in &data {
             let ranked = crate::classifier::classify(&model, &head, &params, &ex.src, &mut rng);
             assert_eq!(ranked[0].0, ex.label);
+        }
+    }
+
+    /// The contract of the training step is the weights. Three optimizer
+    /// steps (12 pairs, batch 4, dropout on) through the path as it was —
+    /// every weight copied into a graph built per example, attention
+    /// recorded op by op ([`crate::params::oracle`]) — and through the
+    /// one that ships: every parameter tensor, every loss and the
+    /// gradient norm bit for bit equal. (That `gemm_nt` / `gemm_tn` are
+    /// their references bit for bit is `gemm_equivalence`'s half of the
+    /// argument; the kernel has no switch to flip here.)
+    #[test]
+    fn trained_weights_equal_the_oracle_path_bit_for_bit() {
+        let vocab = 40;
+        let pairs: Vec<EncodedPair> = (0..12usize)
+            .map(|i| {
+                let body = |salt: usize, len: usize| -> Vec<usize> {
+                    let toks = (0..len).map(|j| 4 + (i * 7 + j * 5 + salt) % (vocab - 4));
+                    std::iter::once(1).chain(toks).chain([2]).collect()
+                };
+                EncodedPair {
+                    src: body(1, 3 + i % 9),
+                    tgt: body(2, 2 + (i * 3) % 11),
+                }
+            })
+            .collect();
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 4,
+            patience: 0,
+            seed: 11,
+            ..TrainConfig::default()
+        };
+        let configs = [
+            TransformerConfig {
+                dropout: 0.1,
+                ..TransformerConfig::test(vocab)
+            },
+            TransformerConfig::small(vocab),
+        ];
+        for tcfg in configs {
+            let mut want = Params::new();
+            let model = Transformer::new(&mut want, tcfg, &mut StdRng::seed_from_u64(3));
+            let mut got = want.clone();
+            let want_report = crate::params::oracle::with(|| {
+                train_seq2seq(&model, &mut want, &pairs, &pairs[..4], &cfg)
+            });
+            let got_report = train_seq2seq(&model, &mut got, &pairs, &pairs[..4], &cfg);
+            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut moved = 0;
+            for ((name, w), (_, g)) in want.named_tensors().zip(got.named_tensors()) {
+                assert_eq!(bits(w), bits(g), "{name}, d_model {}", tcfg.d_model);
+                moved += usize::from(w.data().iter().any(|x| *x != 0.0 && *x != 1.0));
+            }
+            assert!(moved > want.len() / 2, "the steps trained something");
+            let losses = |r: &TrainReport| -> Vec<(u32, u32)> {
+                let pair = |&(t, v): &(f32, f32)| (t.to_bits(), v.to_bits());
+                r.epoch_losses.iter().map(pair).collect()
+            };
+            assert_eq!(losses(&want_report), losses(&got_report));
+            assert_eq!(
+                want_report.epochs[0].grad_norm.to_bits(),
+                got_report.epochs[0].grad_norm.to_bits()
+            );
         }
     }
 

@@ -116,7 +116,7 @@ impl EncoderLayer {
         attn.project_qkv(params, &s.x, m, &mut s.q, &mut s.k, &mut s.v, &mut s.q8);
         transpose_into(&s.k, d, &mut s.kt);
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_source(q, &s.kt, &s.v, attn.heads, &mut s.scores, ctx);
+            attend_source(q, &s.kt, &s.v, attn.heads, None, &mut s.scores, ctx);
         }
         attn.out.apply(params, &s.ctx, m, &mut s.y, &mut s.q8);
         add_assign(&mut s.x, &s.y);
@@ -217,7 +217,7 @@ impl DecoderLayer {
         attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
         let (kt, v) = (ls.cross_kt.data(), ls.cross_v.data());
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_source(q, kt, v, attn.heads, &mut s.scores, ctx);
+            attend_source(q, kt, v, attn.heads, None, &mut s.scores, ctx);
         }
         attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
         add_assign(&mut s.x, &s.y);
@@ -287,7 +287,7 @@ impl Transformer {
 
     fn decode_states(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
         let len = tgt_in.len().min(self.cfg.max_len);
-        let mask = causal_mask(len);
+        let mask = fwd.cached_constant(("causal_mask", len, len), || causal_mask(len));
         let mut x = self.embed(fwd, &self.tgt_embed, tgt_in);
         for layer in &self.dec_layers {
             x = layer.forward(fwd, x, enc, &mask);
@@ -299,7 +299,9 @@ impl Transformer {
         let ids: Vec<usize> = ids.iter().take(self.cfg.max_len).copied().collect();
         let e = table.forward(fwd, &ids);
         let e = fwd.graph.scale(e, (self.cfg.d_model as f32).sqrt());
-        let pe = fwd.constant(positional_encoding(ids.len(), self.cfg.d_model));
+        let (len, d) = (ids.len(), self.cfg.d_model);
+        let pe = fwd.cached_constant(("positional", len, d), || positional_encoding(len, d));
+        let pe = fwd.constant_shared(pe);
         let x = fwd.graph.add(e, pe);
         self.embed_drop.forward(fwd, x)
     }

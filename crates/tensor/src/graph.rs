@@ -7,11 +7,14 @@
 //! dropped as soon as they have been propagated.
 //!
 //! The design is an arena tape: nodes are indexed by [`NodeId`], each op
-//! pushes a value and a boxed backward closure. A graph is built per
-//! training example (or per small batch), used once, and discarded —
-//! exactly the life cycle of seq2seq training at the paper's scale.
+//! pushes a value and — on a recording graph — a boxed backward closure.
+//! A graph holds one training example (or one small batch) at a time;
+//! [`Graph::clear`] empties it for the next one, keeping the arena's
+//! allocations. A pass that will never run backward (validation loss,
+//! the graph-based inference steps) uses [`Graph::forward_only`], which
+//! keeps values and nothing else.
 
-use crate::tensor::Tensor;
+use crate::tensor::{softmax_backward_row, Tensor};
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
@@ -35,24 +38,62 @@ impl GradStore<'_> {
 
 type BackFn = Box<dyn FnOnce(&Tensor, &[Arc<Tensor>], &mut GradStore<'_>)>;
 
-/// A single-use reverse-mode autodiff tape.
+/// A reverse-mode autodiff tape.
 ///
-/// Node values are held as `Arc<Tensor>` so callers that reuse a value
-/// across many graphs (the beam-search decoder re-feeding the encoder
-/// output every step) can share one allocation via
-/// [`Graph::input_shared`] / [`Graph::value_shared`] instead of cloning
-/// the tensor data.
-#[derive(Default)]
+/// Node values are held as `Arc<Tensor>` so values that outlive one graph
+/// — a parameter store's weights, the encoder output a decoder re-feeds
+/// every step — enter through [`Graph::input_shared`] /
+/// [`Graph::value_shared`] without their data being copied. The graph
+/// gives every handle back on [`Graph::clear`] (or drop), so an owner
+/// that mutates in place afterwards (`Arc::make_mut`) never copies.
 pub struct Graph {
     values: Vec<Arc<Tensor>>,
+    /// One slot per node; stays empty on a forward-only graph.
     grads: Vec<Option<Tensor>>,
+    /// One slot per node; stays empty on a forward-only graph.
     backs: Vec<Option<BackFn>>,
+    recording: bool,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new()
+    }
 }
 
 impl Graph {
-    /// An empty graph.
+    /// An empty graph that records backward closures.
     pub fn new() -> Self {
-        Graph::default()
+        Graph {
+            values: Vec::new(),
+            grads: Vec::new(),
+            backs: Vec::new(),
+            recording: true,
+        }
+    }
+
+    /// An empty graph for a forward that will never run backward: ops
+    /// push their values and drop their backward closures unboxed.
+    /// [`Graph::backward`] panics on it; [`Graph::grad`] is always `None`.
+    pub fn forward_only() -> Self {
+        Graph {
+            recording: false,
+            ..Graph::new()
+        }
+    }
+
+    /// True if ops record backward closures ([`Graph::new`]).
+    pub fn is_recording(&self) -> bool {
+        self.recording
+    }
+
+    /// Drop every node — values, gradients, unrun closures, and with them
+    /// every shared handle the graph held — keeping the arena's capacity
+    /// and the recording mode. [`NodeId`]s of the cleared tape are void.
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.grads.clear();
+        self.backs.clear();
     }
 
     /// Number of nodes recorded so far.
@@ -65,27 +106,48 @@ impl Graph {
         self.values.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, back: Option<BackFn>) -> NodeId {
-        self.push_shared(Arc::new(value), back)
+    /// Push an op's value; box its backward only if this graph records.
+    fn push(
+        &mut self,
+        value: Tensor,
+        back: impl FnOnce(&Tensor, &[Arc<Tensor>], &mut GradStore<'_>) + 'static,
+    ) -> NodeId {
+        let back: Option<BackFn> = self.recording.then(|| Box::new(back) as BackFn);
+        self.push_node(Arc::new(value), back)
     }
 
-    fn push_shared(&mut self, value: Arc<Tensor>, back: Option<BackFn>) -> NodeId {
+    fn push_node(&mut self, value: Arc<Tensor>, back: Option<BackFn>) -> NodeId {
         let id = NodeId(self.values.len());
         self.values.push(value);
-        self.grads.push(None);
-        self.backs.push(back);
+        if self.recording {
+            self.grads.push(None);
+            self.backs.push(back);
+        }
         id
     }
 
     /// Register a leaf node. Its gradient survives [`Graph::backward`].
     pub fn input(&mut self, value: Tensor) -> NodeId {
-        self.push(value, None)
+        self.push_node(Arc::new(value), None)
     }
 
     /// Register a leaf node backed by an existing shared tensor without
     /// copying its data. Its gradient survives [`Graph::backward`].
     pub fn input_shared(&mut self, value: Arc<Tensor>) -> NodeId {
-        self.push_shared(value, None)
+        self.push_node(value, None)
+    }
+
+    /// Record a node whose value was computed outside the graph's own ops
+    /// (a fused kernel), with the backward that goes with it: `back` gets
+    /// the node's output gradient and accumulates into the nodes the value
+    /// was computed from. Inputs it needs are captured as shared handles
+    /// ([`Graph::value_shared`]). Dropped unboxed on a forward-only graph.
+    pub fn custom(
+        &mut self,
+        value: Tensor,
+        back: impl FnOnce(&Tensor, &mut GradStore<'_>) + 'static,
+    ) -> NodeId {
+        self.push(value, move |g, _vals, store| back(g, store))
     }
 
     /// The value of a node.
@@ -101,15 +163,20 @@ impl Graph {
     /// The accumulated gradient of a leaf node after [`Graph::backward`],
     /// or `None` if no gradient reached it.
     pub fn grad(&self, id: NodeId) -> Option<&Tensor> {
-        self.grads[id.0].as_ref()
+        self.grads.get(id.0).and_then(Option::as_ref)
     }
 
     /// Run the backward pass from `loss` (must be `1 × 1`).
     ///
     /// # Panics
     ///
-    /// Panics if `loss` is not scalar-shaped.
+    /// Panics if `loss` is not scalar-shaped, or if the graph is
+    /// forward-only.
     pub fn backward(&mut self, loss: NodeId) {
+        assert!(
+            self.recording,
+            "backward() on a forward-only graph: nothing was recorded"
+        );
         assert_eq!(
             self.values[loss.0].shape(),
             (1, 1),
@@ -137,59 +204,44 @@ impl Graph {
     /// `a + b` (same shapes).
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].add(&self.values[b.0]);
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.clone());
-                store.accumulate(b, g.clone());
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.clone());
+            store.accumulate(b, g.clone());
+        })
     }
 
     /// `a - b` (same shapes).
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].sub(&self.values[b.0]);
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.clone());
-                store.accumulate(b, g.scale(-1.0));
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.clone());
+            store.accumulate(b, g.scale(-1.0));
+        })
     }
 
     /// Elementwise product (same shapes).
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].mul(&self.values[b.0]);
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                store.accumulate(a, g.mul(&vals[b.0]));
-                store.accumulate(b, g.mul(&vals[a.0]));
-            })),
-        )
+        self.push(v, move |g, vals, store| {
+            store.accumulate(a, g.mul(&vals[b.0]));
+            store.accumulate(b, g.mul(&vals[a.0]));
+        })
     }
 
     /// `c · a` for a constant `c`.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         let v = self.values[a.0].scale(c);
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.scale(c));
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.scale(c));
+        })
     }
 
     /// `1 - a`.
     pub fn one_minus(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a.0].map(|x| 1.0 - x);
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.scale(-1.0));
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.scale(-1.0));
+        })
     }
 
     /// Broadcast-add a `1 × d` bias to every row of an `n × d` tensor.
@@ -204,13 +256,10 @@ impl Graph {
                 *x += b;
             }
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.clone());
-                store.accumulate(bias, g.sum_rows());
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.clone());
+            store.accumulate(bias, g.sum_rows());
+        })
     }
 
     // ------------------------------------------------------------------
@@ -220,27 +269,21 @@ impl Graph {
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].matmul(&self.values[b.0]);
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                // ∂a = g · bᵀ ; ∂b = aᵀ · g
-                store.accumulate(a, g.matmul_nt(&vals[b.0]));
-                store.accumulate(b, vals[a.0].matmul_tn(g));
-            })),
-        )
+        self.push(v, move |g, vals, store| {
+            // ∂a = g · bᵀ ; ∂b = aᵀ · g
+            store.accumulate(a, g.matmul_nt(&vals[b.0]));
+            store.accumulate(b, vals[a.0].matmul_tn(g));
+        })
     }
 
     /// Matrix product with transposed right operand: `a · bᵀ`.
     pub fn matmul_nt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].matmul_nt(&self.values[b.0]);
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                // out = a bᵀ: ∂a = g · b ; ∂b = gᵀ · a
-                store.accumulate(a, g.matmul(&vals[b.0]));
-                store.accumulate(b, g.matmul_tn(&vals[a.0]));
-            })),
-        )
+        self.push(v, move |g, vals, store| {
+            // out = a bᵀ: ∂a = g · b ; ∂b = gᵀ · a
+            store.accumulate(a, g.matmul(&vals[b.0]));
+            store.accumulate(b, g.matmul_tn(&vals[a.0]));
+        })
     }
 
     // ------------------------------------------------------------------
@@ -250,58 +293,41 @@ impl Graph {
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a.0].map(|x| x.max(0.0));
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                store.accumulate(a, g.zip(&vals[a.0], |g, x| if x > 0.0 { g } else { 0.0 }));
-            })),
-        )
+        self.push(v, move |g, vals, store| {
+            store.accumulate(a, g.zip(&vals[a.0], |g, x| if x > 0.0 { g } else { 0.0 }));
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a.0].map(|x| 1.0 / (1.0 + (-x).exp()));
-        // Push first so the closure can reference its own saved output.
-        let id = self.push(v, None);
-        let me = id;
-        self.backs[id.0] = Some(Box::new(move |g, vals, store| {
-            let out = &vals[me.0];
-            store.accumulate(a, g.zip(out, |g, y| g * y * (1.0 - y)));
-        }));
-        id
+        let me = self.values.len(); // the closure reads its own saved output
+        self.push(v, move |g, vals, store| {
+            store.accumulate(a, g.zip(&vals[me], |g, y| g * y * (1.0 - y)));
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a.0].map(f32::tanh);
-        let id = self.push(v, None);
-        let me = id;
-        self.backs[id.0] = Some(Box::new(move |g, vals, store| {
-            let out = &vals[me.0];
-            store.accumulate(a, g.zip(out, |g, y| g * (1.0 - y * y)));
-        }));
-        id
+        let me = self.values.len();
+        self.push(v, move |g, vals, store| {
+            store.accumulate(a, g.zip(&vals[me], |g, y| g * (1.0 - y * y)));
+        })
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
         let v = self.values[a.0].softmax_rows();
-        let id = self.push(v, None);
-        let me = id;
-        self.backs[id.0] = Some(Box::new(move |g, vals, store| {
-            let out = &vals[me.0];
+        let me = self.values.len();
+        self.push(v, move |g, vals, store| {
+            let out = &vals[me];
             let mut ga = Tensor::zeros(out.rows(), out.cols());
             for r in 0..out.rows() {
-                let srow = out.row(r);
-                let grow = g.row(r);
-                let dot: f32 = srow.iter().zip(grow).map(|(&s, &gg)| s * gg).sum();
-                for (o, (&s, &gg)) in ga.row_mut(r).iter_mut().zip(srow.iter().zip(grow)) {
-                    *o = s * (gg - dot);
-                }
+                softmax_backward_row(out.row(r), g.row(r), ga.row_mut(r));
             }
             store.accumulate(a, ga);
-        }));
-        id
+        })
     }
 
     /// Gated linear unit over the column halves: input `n × 2d`,
@@ -322,25 +348,22 @@ impl Graph {
                 v.set(r, c, row[c] * gate);
             }
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                let av = &vals[a.0];
-                let d = av.cols() / 2;
-                let mut ga = Tensor::zeros(av.rows(), av.cols());
-                for r in 0..av.rows() {
-                    let row = av.row(r);
-                    let grow = g.row(r);
-                    let garow = ga.row_mut(r);
-                    for c in 0..d {
-                        let gate = 1.0 / (1.0 + (-row[d + c]).exp());
-                        garow[c] = grow[c] * gate;
-                        garow[d + c] = grow[c] * row[c] * gate * (1.0 - gate);
-                    }
+        self.push(v, move |g, vals, store| {
+            let av = &vals[a.0];
+            let d = av.cols() / 2;
+            let mut ga = Tensor::zeros(av.rows(), av.cols());
+            for r in 0..av.rows() {
+                let row = av.row(r);
+                let grow = g.row(r);
+                let garow = ga.row_mut(r);
+                for c in 0..d {
+                    let gate = 1.0 / (1.0 + (-row[d + c]).exp());
+                    garow[c] = grow[c] * gate;
+                    garow[d + c] = grow[c] * row[c] * gate * (1.0 - gate);
                 }
-                store.accumulate(a, ga);
-            })),
-        )
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     // ------------------------------------------------------------------
@@ -371,40 +394,35 @@ impl Graph {
                 v.set(r, c, gv.get(0, c) * xh + bv.get(0, c));
             }
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                let gv = &vals[gamma.0];
-                let (n, d) = g.shape();
-                let mut ga = Tensor::zeros(n, d);
-                let mut ggamma = Tensor::zeros(1, d);
-                let mut gbeta = Tensor::zeros(1, d);
-                for r in 0..n {
-                    let grow = g.row(r);
-                    let xrow = xhat.row(r);
-                    let inv_std = inv_stds[r];
-                    // dL/dx̂ = g ⊙ γ
-                    let dxhat: Vec<f32> = grow
-                        .iter()
-                        .zip(gv.row(0))
-                        .map(|(&gg, &gam)| gg * gam)
-                        .collect();
-                    let sum_dxhat: f32 = dxhat.iter().sum();
-                    let sum_dxhat_xhat: f32 =
-                        dxhat.iter().zip(xrow).map(|(&dx, &xh)| dx * xh).sum();
-                    for c in 0..d {
-                        let t =
-                            dxhat[c] - sum_dxhat / d as f32 - xrow[c] * sum_dxhat_xhat / d as f32;
-                        ga.set(r, c, t * inv_std);
-                        ggamma.data_mut()[c] += grow[c] * xrow[c];
-                        gbeta.data_mut()[c] += grow[c];
-                    }
+        self.push(v, move |g, vals, store| {
+            let gv = &vals[gamma.0];
+            let (n, d) = g.shape();
+            let mut ga = Tensor::zeros(n, d);
+            let mut ggamma = Tensor::zeros(1, d);
+            let mut gbeta = Tensor::zeros(1, d);
+            for r in 0..n {
+                let grow = g.row(r);
+                let xrow = xhat.row(r);
+                let inv_std = inv_stds[r];
+                // dL/dx̂ = g ⊙ γ
+                let dxhat: Vec<f32> = grow
+                    .iter()
+                    .zip(gv.row(0))
+                    .map(|(&gg, &gam)| gg * gam)
+                    .collect();
+                let sum_dxhat: f32 = dxhat.iter().sum();
+                let sum_dxhat_xhat: f32 = dxhat.iter().zip(xrow).map(|(&dx, &xh)| dx * xh).sum();
+                for c in 0..d {
+                    let t = dxhat[c] - sum_dxhat / d as f32 - xrow[c] * sum_dxhat_xhat / d as f32;
+                    ga.set(r, c, t * inv_std);
+                    ggamma.data_mut()[c] += grow[c] * xrow[c];
+                    gbeta.data_mut()[c] += grow[c];
                 }
-                store.accumulate(a, ga);
-                store.accumulate(gamma, ggamma);
-                store.accumulate(beta, gbeta);
-            })),
-        )
+            }
+            store.accumulate(a, ga);
+            store.accumulate(gamma, ggamma);
+            store.accumulate(beta, gbeta);
+        })
     }
 
     // ------------------------------------------------------------------
@@ -422,69 +440,57 @@ impl Graph {
             v.row_mut(r).copy_from_slice(wv.row(id));
         }
         let ids = ids.to_vec();
-        self.push(
-            v,
-            Some(Box::new(move |g, vals, store| {
-                let wv = &vals[weight.0];
-                let mut gw = Tensor::zeros(wv.rows(), wv.cols());
-                for (r, &id) in ids.iter().enumerate() {
-                    for (o, &x) in gw.row_mut(id).iter_mut().zip(g.row(r)) {
-                        *o += x;
-                    }
+        self.push(v, move |g, vals, store| {
+            let wv = &vals[weight.0];
+            let mut gw = Tensor::zeros(wv.rows(), wv.cols());
+            for (r, &id) in ids.iter().enumerate() {
+                for (o, &x) in gw.row_mut(id).iter_mut().zip(g.row(r)) {
+                    *o += x;
                 }
-                store.accumulate(weight, gw);
-            })),
-        )
+            }
+            store.accumulate(weight, gw);
+        })
     }
 
     /// Horizontal concatenation `[a | b]`.
     pub fn hcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].hcat(&self.values[b.0]);
         let a_cols = self.values[a.0].cols();
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let (n, total) = g.shape();
-                let mut ga = Tensor::zeros(n, a_cols);
-                let mut gb = Tensor::zeros(n, total - a_cols);
-                for r in 0..n {
-                    let grow = g.row(r);
-                    ga.row_mut(r).copy_from_slice(&grow[..a_cols]);
-                    gb.row_mut(r).copy_from_slice(&grow[a_cols..]);
-                }
-                store.accumulate(a, ga);
-                store.accumulate(b, gb);
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            let (n, total) = g.shape();
+            let mut ga = Tensor::zeros(n, a_cols);
+            let mut gb = Tensor::zeros(n, total - a_cols);
+            for r in 0..n {
+                let grow = g.row(r);
+                ga.row_mut(r).copy_from_slice(&grow[..a_cols]);
+                gb.row_mut(r).copy_from_slice(&grow[a_cols..]);
+            }
+            store.accumulate(a, ga);
+            store.accumulate(b, gb);
+        })
     }
 
     /// Vertical concatenation (stack rows).
     pub fn vcat(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.values[a.0].vcat(&self.values[b.0]);
         let a_rows = self.values[a.0].rows();
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                store.accumulate(a, g.slice_rows(0, a_rows));
-                store.accumulate(b, g.slice_rows(a_rows, g.rows()));
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            store.accumulate(a, g.slice_rows(0, a_rows));
+            store.accumulate(b, g.slice_rows(a_rows, g.rows()));
+        })
     }
 
     /// Copy of rows `start..end`.
     pub fn slice_rows(&mut self, a: NodeId, start: usize, end: usize) -> NodeId {
         let v = self.values[a.0].slice_rows(start, end);
         let (rows, cols) = self.values[a.0].shape();
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let mut ga = Tensor::zeros(rows, cols);
-                for r in start..end {
-                    ga.row_mut(r).copy_from_slice(g.row(r - start));
-                }
-                store.accumulate(a, ga);
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            let mut ga = Tensor::zeros(rows, cols);
+            for r in start..end {
+                ga.row_mut(r).copy_from_slice(g.row(r - start));
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     /// Copy of columns `start..end`.
@@ -496,16 +502,13 @@ impl Graph {
         for r in 0..rows {
             v.row_mut(r).copy_from_slice(&av.row(r)[start..end]);
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let mut ga = Tensor::zeros(rows, cols);
-                for r in 0..rows {
-                    ga.row_mut(r)[start..end].copy_from_slice(g.row(r));
-                }
-                store.accumulate(a, ga);
-            })),
-        )
+        self.push(v, move |g, _vals, store| {
+            let mut ga = Tensor::zeros(rows, cols);
+            for r in 0..rows {
+                ga.row_mut(r)[start..end].copy_from_slice(g.row(r));
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     /// Centered window unfold (im2col for a non-causal 1-D convolution):
@@ -526,25 +529,22 @@ impl Graph {
                 }
             }
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let mut ga = Tensor::zeros(n, d);
-                for i in 0..n {
-                    let grow = g.row(i);
-                    for j in 0..k {
-                        let src = i as isize + j as isize - left as isize;
-                        if src >= 0 && (src as usize) < n {
-                            let dst = ga.row_mut(src as usize);
-                            for (o, &x) in dst.iter_mut().zip(&grow[j * d..(j + 1) * d]) {
-                                *o += x;
-                            }
+        self.push(v, move |g, _vals, store| {
+            let mut ga = Tensor::zeros(n, d);
+            for i in 0..n {
+                let grow = g.row(i);
+                for j in 0..k {
+                    let src = i as isize + j as isize - left as isize;
+                    if src >= 0 && (src as usize) < n {
+                        let dst = ga.row_mut(src as usize);
+                        for (o, &x) in dst.iter_mut().zip(&grow[j * d..(j + 1) * d]) {
+                            *o += x;
                         }
                     }
                 }
-                store.accumulate(a, ga);
-            })),
-        )
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     /// Mean over rows: `n × d → 1 × d`.
@@ -553,19 +553,16 @@ impl Graph {
         let n = av.rows().max(1);
         let v = av.sum_rows().scale(1.0 / n as f32);
         let rows = av.rows();
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let mut ga = Tensor::zeros(rows, g.cols());
-                let inv = 1.0 / rows.max(1) as f32;
-                for r in 0..rows {
-                    for (o, &x) in ga.row_mut(r).iter_mut().zip(g.row(0)) {
-                        *o = x * inv;
-                    }
+        self.push(v, move |g, _vals, store| {
+            let mut ga = Tensor::zeros(rows, g.cols());
+            let inv = 1.0 / rows.max(1) as f32;
+            for r in 0..rows {
+                for (o, &x) in ga.row_mut(r).iter_mut().zip(g.row(0)) {
+                    *o = x * inv;
                 }
-                store.accumulate(a, ga);
-            })),
-        )
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     /// Causal window unfold (im2col for 1-D convolution): each output row
@@ -584,25 +581,22 @@ impl Graph {
                 }
             }
         }
-        self.push(
-            v,
-            Some(Box::new(move |g, _vals, store| {
-                let mut ga = Tensor::zeros(n, d);
-                for i in 0..n {
-                    let grow = g.row(i);
-                    for j in 0..k {
-                        let src = i as isize - (k - 1 - j) as isize;
-                        if src >= 0 {
-                            let dst = ga.row_mut(src as usize);
-                            for (o, &x) in dst.iter_mut().zip(&grow[j * d..(j + 1) * d]) {
-                                *o += x;
-                            }
+        self.push(v, move |g, _vals, store| {
+            let mut ga = Tensor::zeros(n, d);
+            for i in 0..n {
+                let grow = g.row(i);
+                for j in 0..k {
+                    let src = i as isize - (k - 1 - j) as isize;
+                    if src >= 0 {
+                        let dst = ga.row_mut(src as usize);
+                        for (o, &x) in dst.iter_mut().zip(&grow[j * d..(j + 1) * d]) {
+                            *o += x;
                         }
                     }
                 }
-                store.accumulate(a, ga);
-            })),
-        )
+            }
+            store.accumulate(a, ga);
+        })
     }
 
     // ------------------------------------------------------------------
@@ -623,21 +617,18 @@ impl Graph {
         }
         loss /= n as f32;
         let targets = targets.to_vec();
-        self.push(
-            Tensor::scalar(loss),
-            Some(Box::new(move |g, _vals, store| {
-                let gscale = g.item() / n as f32;
-                let mut gl = probs; // moved in: (softmax - onehot) * gscale
-                for (r, &t) in targets.iter().enumerate() {
-                    let row = gl.row_mut(r);
-                    row[t] -= 1.0;
-                    for x in row.iter_mut() {
-                        *x *= gscale;
-                    }
+        self.push(Tensor::scalar(loss), move |g, _vals, store| {
+            let gscale = g.item() / n as f32;
+            let mut gl = probs; // moved in: (softmax - onehot) * gscale
+            for (r, &t) in targets.iter().enumerate() {
+                let row = gl.row_mut(r);
+                row[t] -= 1.0;
+                for x in row.iter_mut() {
+                    *x *= gscale;
                 }
-                store.accumulate(logits, gl);
-            })),
-        )
+            }
+            store.accumulate(logits, gl);
+        })
     }
 }
 

@@ -25,9 +25,9 @@
 //!
 //! ## Determinism
 //!
-//! Every path — the naive references, the small-product tile, the
-//! blocked serial kernel, and the pool-parallel kernel at any thread or
-//! chunk count — computes each
+//! Every path of every product form (`A·B`, `A·Bᵀ`, `Aᵀ·B`) — the naive
+//! references, the small-product tile, the blocked serial kernel, and
+//! the pool-parallel kernel at any thread or chunk count — computes each
 //! output element as the *same* fold: `acc = fmadd(a[i][kk], b[kk][j],
 //! acc)` over ascending `kk` with a single accumulator. KC slabs do not
 //! reorder `k`; row partitioning never splits a single element's
@@ -48,8 +48,11 @@
 //! training tiles) on the [`KernelPath::Naive`] path: no packing, no
 //! pool — an unpacked register tile over `B` as it lies in memory (the
 //! plain [`naive`] loop when the output is narrower than one tile), so
-//! the only overhead is the call itself;
-//! mid-size products use the blocked serial kernel; large products split
+//! the only overhead is the call itself. The transposed forms of a
+//! backward pass run the same tile: [`gemm_tn`] reads its `k×n` operand
+//! where it lies, [`gemm_nt`] transposes `B` once into a per-thread
+//! scratch and is [`gemm`] from there. Mid-size products use the blocked
+//! serial kernel; large products split
 //! into contiguous row ranges on the shared [`Pool`]. The split depends
 //! only on `(n, threads)` — never on timing — so repeated calls take
 //! identical paths.
@@ -208,28 +211,40 @@ const SR: usize = 6;
 /// Columns per register tile of [`small_acc`].
 const SN: usize = 16;
 
-/// The counted small-product dispatch arm: the canonical fold of
-/// [`naive`] with the accumulators of an up-to-`SR`×`SN` output tile held
-/// in registers across the whole `k` loop, reading `B` unpacked (a
-/// row-major `B` row segment is already contiguous), so there is no
-/// set-up cost to amortise. [`naive`]'s loop reloads and restores its output row on
-/// every `kk`, which serialises each row on store-to-load forwarding;
-/// the tile removes that chain and reads each `B` segment once per tile
-/// instead of once per output row. Accumulates into a zeroed `out`.
-fn small_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+/// The counted small-product dispatch arm of all three product forms:
+/// the canonical fold of [`naive`] with the accumulators of an
+/// up-to-`SR`×`SN` output tile held in registers across the whole `k`
+/// loop, reading `B` unpacked (a row-major `B` row segment is already
+/// contiguous), so there is no set-up cost to amortise. [`naive`]'s loop
+/// reloads and restores its output row on every `kk`, which serialises
+/// each row on store-to-load forwarding; the tile removes that chain and
+/// reads each `B` segment once per tile instead of once per output row.
+/// Accumulates into a zeroed `out`.
+///
+/// `TA` says how `A` lies in memory: `n×k` row-major when `false`
+/// (`A·B`, and `A·Bᵀ` once [`gemm_nt`] has transposed `B`), `k×n` when
+/// `true` (`Aᵀ·B`) — the tile then takes its `R` values of step `kk` from
+/// `a[kk·n + i0..][..R]`, contiguous, so that form needs no transpose.
+fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     dispatch().naive.inc();
+    let b = &b[..k * m];
     if m < SN {
         // Narrower than one tile (per-head attention contexts, m = d/heads):
         // padding every `B` segment costs more than the tile saves.
-        return naive_acc(a, b, n, k, m, out);
+        return if TA {
+            naive_tn_acc(a, b, n, k, m, out)
+        } else {
+            naive_acc(a, b, n, k, m, out)
+        };
     }
+    let lda = if TA { n } else { k };
     let mut i0 = 0;
     while i0 < n {
         let rows = SR.min(n - i0);
-        let (full, edge) = (tile_for::<true>(rows), tile_for::<false>(rows));
+        let (full, edge) = (tile_for::<true, TA>(rows), tile_for::<false, TA>(rows));
         for j0 in (0..m).step_by(SN) {
             let tile = if j0 + SN <= m { full } else { edge };
-            tile(a, b, k, m, i0, j0, out);
+            tile(a, b, lda, m, i0, j0, out);
         }
         i0 += rows;
     }
@@ -239,14 +254,14 @@ fn small_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]
 type SmallTile = fn(&[f32], &[f32], usize, usize, usize, usize, &mut [f32]);
 
 /// The [`small_tile`] instance for a tile of `rows ≤ SR` rows.
-fn tile_for<const FULL: bool>(rows: usize) -> SmallTile {
+fn tile_for<const FULL: bool, const TA: bool>(rows: usize) -> SmallTile {
     match rows {
-        1 => small_tile::<1, FULL>,
-        2 => small_tile::<2, FULL>,
-        3 => small_tile::<3, FULL>,
-        4 => small_tile::<4, FULL>,
-        5 => small_tile::<5, FULL>,
-        _ => small_tile::<SR, FULL>,
+        1 => small_tile::<1, FULL, TA>,
+        2 => small_tile::<2, FULL, TA>,
+        3 => small_tile::<3, FULL, TA>,
+        4 => small_tile::<4, FULL, TA>,
+        5 => small_tile::<5, FULL, TA>,
+        _ => small_tile::<SR, FULL, TA>,
     }
 }
 
@@ -254,26 +269,44 @@ fn tile_for<const FULL: bool>(rows: usize) -> SmallTile {
 /// wide when `FULL`, else the `m − j0 < SN` columns of the right edge.
 /// The edge runs full `SN` lanes against a zero-padded copy of each `B`
 /// segment and stores only the live columns, so the discarded lanes
-/// cannot leak.
-fn small_tile<const R: usize, const FULL: bool>(
+/// cannot leak. `lda` is the row length of `a` as stored: `k`, or `n`
+/// when `TA`; the depth `k` is the number of `m`-wide rows `b` holds.
+fn small_tile<const R: usize, const FULL: bool, const TA: bool>(
     a: &[f32],
     b: &[f32],
-    k: usize,
+    lda: usize,
     m: usize,
     i0: usize,
     j0: usize,
     out: &mut [f32],
 ) {
     let w = if FULL { SN } else { m - j0 };
-    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    // `A` as it lies: `R` rows of the `n×k` operand, or — `TA` — one
+    // `R`-long run in each row of the `k×n` one.
+    let arows: [&[f32]; R] = std::array::from_fn(|r| {
+        if TA {
+            &a[..0]
+        } else {
+            &a[(i0 + r) * lda..(i0 + r + 1) * lda]
+        }
+    });
     let mut acc = [[0.0f32; SN]; R];
-    for (kk, brow) in b.chunks_exact(m).take(k).enumerate() {
+    for (kk, brow) in b.chunks_exact(m).enumerate() {
         let mut seg = [0.0f32; SN];
         seg[..w].copy_from_slice(&brow[j0..j0 + w]);
-        for (accr, arow) in acc.iter_mut().zip(&arows) {
-            let av = arow[kk];
-            for j in 0..SN {
-                accr[j] = fmadd(av, seg[j], accr[j]);
+        if TA {
+            let acol = &a[kk * lda + i0..kk * lda + i0 + R];
+            for (accr, &av) in acc.iter_mut().zip(acol) {
+                for j in 0..SN {
+                    accr[j] = fmadd(av, seg[j], accr[j]);
+                }
+            }
+        } else {
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                let av = arow[kk];
+                for j in 0..SN {
+                    accr[j] = fmadd(av, seg[j], accr[j]);
+                }
             }
         }
     }
@@ -306,6 +339,12 @@ pub fn naive_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> 
 /// accumulation order (ascending `k` per element).
 pub fn naive_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
+    naive_tn_acc(a, b, n, k, m, &mut out);
+    out
+}
+
+/// [`naive_tn`] accumulating into a zeroed `n·m` buffer.
+fn naive_tn_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     for kk in 0..k {
         let arow = &a[kk * n..(kk + 1) * n];
         let brow = &b[kk * m..(kk + 1) * m];
@@ -316,18 +355,42 @@ pub fn naive_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> 
             }
         }
     }
-    out
 }
 
-/// Transpose a `rows×cols` row-major matrix into `cols×rows`.
-fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut t = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        for (c, &v) in x[r * cols..(r + 1) * cols].iter().enumerate() {
-            t[c * rows + r] = v;
+thread_local! {
+    /// The transposed operand of [`gemm_nt`] / [`gemm_tn`], reused by
+    /// every call on the thread like [`PACKED`]: a backward pass runs one
+    /// `A·Bᵀ` per matmul node, and none of them allocates a transpose.
+    static TRANSPOSED: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the `cols×rows` transpose of the `rows×cols` row-major `x`,
+/// built in the thread's [`TRANSPOSED`] scratch. Four source rows are
+/// swept together, so the transpose stores one 4-wide segment per column
+/// instead of four scattered scalars.
+fn with_transposed<T>(x: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32]) -> T) -> T {
+    TRANSPOSED.with(|t| {
+        let mut t = t.borrow_mut();
+        // Every element is written below, so what the buffer held is moot.
+        t.resize(rows * cols, 0.0);
+        let mut quads = x.chunks_exact(4 * cols.max(1));
+        let mut r0 = 0;
+        for quad in &mut quads {
+            let (x0, rest) = quad.split_at(cols);
+            let (x1, rest) = rest.split_at(cols);
+            let (x2, x3) = rest.split_at(cols);
+            for (c, (((&a, &b), &cc), &d)) in x0.iter().zip(x1).zip(x2).zip(x3).enumerate() {
+                t[c * rows + r0..c * rows + r0 + 4].copy_from_slice(&[a, b, cc, d]);
+            }
+            r0 += 4;
         }
-    }
-    t
+        for (r, row) in quads.remainder().chunks_exact(cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                t[c * rows + r0 + r] = v;
+            }
+        }
+        f(&t)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -356,7 +419,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [
 /// Path selection shared by [`gemm`] and [`gemm_into`]; `out` is zeroed.
 fn gemm_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     if select(n, k, m, 1) == KernelPath::Naive {
-        small_acc(a, b, n, k, m, out);
+        small_acc::<false>(a, b, n, k, m, out);
     } else {
         gemm_on_acc(Pool::global(), a, b, n, k, m, out);
     }
@@ -364,30 +427,31 @@ fn gemm_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32])
 
 /// `A · Bᵀ` (`a` is `n×k`, `b` is `m×k`) with automatic path selection.
 ///
-/// Small products use a dot-form serial loop; large ones transpose `b`
-/// (O(k·m), negligible next to O(n·k·m)) and reuse the blocked kernel.
-/// Both compute the identical ascending-`k` fold per element.
+/// Transposes `b` once into a per-thread scratch (O(k·m), no allocation)
+/// and is [`gemm`] from there: the small-product register tile under
+/// `NAIVE_MAX_FLOPS`, the blocked kernel above it. Every path computes
+/// the ascending-`k` fold of [`naive_nt`] per element.
 pub fn gemm_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    if select(n, k, m, 1) == KernelPath::Naive {
-        dispatch().naive.inc();
-        return naive_nt(a, b, n, k, m);
-    }
-    let bt = transpose(b, m, k);
-    gemm_on(Pool::global(), a, &bt, n, k, m)
+    with_transposed(&b[..m * k], m, k, |bt| gemm(a, bt, n, k, m))
 }
 
 /// `Aᵀ · B` (`a` is `k×n`, `b` is `k×m`) with automatic path selection.
 ///
-/// Small products use a kk-outer serial loop; large ones transpose `a`
-/// and reuse the blocked kernel. Both compute the identical
-/// ascending-`k` fold per element.
+/// Small products run the register tile of [`gemm`] straight over `a` as
+/// it lies — the `R` values a tile needs at step `kk` are contiguous in
+/// row `kk` of a `k×n` operand — so nothing is transposed; large ones
+/// transpose `a` into the per-thread scratch and reuse the blocked
+/// kernel. Every path computes the ascending-`k` fold of [`naive_tn`]
+/// per element.
 pub fn gemm_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     if select(n, k, m, 1) == KernelPath::Naive {
-        dispatch().naive.inc();
-        return naive_tn(a, b, n, k, m);
+        let mut out = vec![0.0f32; n * m];
+        small_acc::<true>(a, b, n, k, m, &mut out);
+        return out;
     }
-    let at = transpose(a, k, n);
-    gemm_on(Pool::global(), &at, b, n, k, m)
+    with_transposed(&a[..k * n], k, n, |at| {
+        gemm_on(Pool::global(), at, b, n, k, m)
+    })
 }
 
 /// [`gemm`] with an explicit pool (tests and benchmarks pin thread
@@ -401,7 +465,7 @@ pub fn gemm_on(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) 
 /// [`gemm_on`] accumulating into a zeroed `n·m` buffer.
 fn gemm_on_acc(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     match select(n, k, m, pool.threads()) {
-        KernelPath::Naive => small_acc(a, b, n, k, m, out),
+        KernelPath::Naive => small_acc::<false>(a, b, n, k, m, out),
         KernelPath::Blocked => blocked_acc(a, b, n, k, m, out),
         KernelPath::Parallel { chunks } => {
             // Fan-out beyond the machine's physical parallelism only
@@ -446,7 +510,7 @@ pub fn blocked(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
 /// shapes against, and the equivalence suite pins to [`naive`].
 pub fn small(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
-    small_acc(a, b, n, k, m, &mut out);
+    small_acc::<false>(a, b, n, k, m, &mut out);
     out
 }
 
@@ -872,7 +936,7 @@ mod tests {
                 let a = fill(n * k, 14);
                 let b = fill(k * m, 15);
                 let mut out = vec![0.0f32; n * m];
-                small_acc(&a, &b, n, k, m, &mut out);
+                small_acc::<false>(&a, &b, n, k, m, &mut out);
                 assert_bitwise(&naive(&a, &b, n, k, m), &out);
             }
         }

@@ -230,9 +230,9 @@ impl Tensor {
 
     /// Matrix product `self · otherᵀ` with shapes `(n,k) · (m,k) -> (n,m)`.
     ///
-    /// Small products keep the dot-product form (no transpose
-    /// materialised in attention `Q · Kᵀ`); large ones transpose once and
-    /// reuse the blocked kernel. See [`crate::kernel::gemm_nt`].
+    /// `other` is transposed once into a per-thread scratch and the
+    /// product runs the kernel of [`Tensor::matmul`]. See
+    /// [`crate::kernel::gemm_nt`].
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.cols,
@@ -436,6 +436,18 @@ pub fn softmax_in_place(row: &mut [f32]) {
         for x in row.iter_mut() {
             *x /= sum;
         }
+    }
+}
+
+/// The softmax Jacobian applied to one row: with `s` a row of softmax
+/// outputs and `g` the gradient of that row, writes `s ⊙ (g − ⟨s, g⟩)` —
+/// the gradient of the logits — into `out`. The one definition behind
+/// [`crate::Graph::softmax_rows`]' backward and the fused attention
+/// node's, so both round identically.
+pub fn softmax_backward_row(s: &[f32], g: &[f32], out: &mut [f32]) {
+    let dot: f32 = s.iter().zip(g).map(|(&s, &gg)| s * gg).sum();
+    for (o, (&s, &gg)) in out.iter_mut().zip(s.iter().zip(g)) {
+        *o = s * (gg - dot);
     }
 }
 

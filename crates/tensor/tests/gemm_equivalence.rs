@@ -68,6 +68,58 @@ fn narrow_widths_and_short_last_tiles_stay_bitwise() {
     }
 }
 
+/// `A·Bᵀ` and `Aᵀ·B` against their references on every shape class the
+/// small path has: each row-tile height and then a second tile
+/// (`n ∈ 1..=13`), depths from one step to a full `d_model`, output widths
+/// under one tile (the reference fallback), exactly one, ragged edges and
+/// the vocabulary's two-column edge; the 48- and 130-wide ones with 13
+/// rows cross into the blocked kernel through the transpose scratch.
+/// Inputs carry what a fold can get wrong without changing a sum's
+/// magnitude: both zeros, subnormals (products that underflow to a signed
+/// zero) and exact cancellations (`x·y − x·y` in adjacent steps).
+#[test]
+fn nt_and_tn_run_the_reference_fold_on_every_small_shape() {
+    let fill = |len: usize, salt: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| match (i * 7 + salt) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1e-40,  // subnormal
+                3 => -3e-39, // subnormal
+                4 => 1e-30,  // squares underflow
+                // Pairs (5, 6) and (7, 8) cancel exactly against an
+                // operand that repeats: ±1.5 and ±0.375.
+                5 => 1.5,
+                6 => -1.5,
+                7 => 0.375,
+                8 => -0.375,
+                _ => (((i + salt) * 2654435761) % 2000) as f32 * 1e-3 - 1.0,
+            })
+            .collect()
+    };
+    for n in 1..=13usize {
+        for k in [1usize, 12, 20, 47, 48] {
+            for m in [1usize, 12, 15, 16, 17, 48, 130] {
+                let ctx = format!("{n}x{k}x{m}");
+                let a = fill(n * k, n + k);
+                let bt = fill(m * k, m + 3); // m×k
+                assert_eq!(
+                    bits(&kernel::naive_nt(&a, &bt, n, k, m)),
+                    bits(&kernel::gemm_nt(&a, &bt, n, k, m)),
+                    "nt {ctx}"
+                );
+                let at = fill(k * n, n + 5); // k×n
+                let b = fill(k * m, m + k);
+                assert_eq!(
+                    bits(&kernel::naive_tn(&at, &b, n, k, m)),
+                    bits(&kernel::gemm_tn(&at, &b, n, k, m)),
+                    "tn {ctx}"
+                );
+            }
+        }
+    }
+}
+
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }

@@ -47,6 +47,30 @@ for path in (["target/BENCH_tensor_smoke.json"] if smoke else []) + ["BENCH_tens
                      f"{ratio:.2f}x the small-product tile (limit 1.5x)")
 PYEOF
 
+# The backward pass's two product forms at the shape a training example
+# emits most (20 rows against d_model 48) must stay near the forward
+# product of the same shape, in the baseline a full run writes and the
+# repository commits: A.Bt within 2x (it pays one transpose of B into a
+# per-thread scratch), At.B within 1.5x (it reads A as it lies). They read
+# 16x and 3x when the small A.Bt ran one serial dot product per output
+# element and the small At.B reloaded its output row on every k. (Smoke
+# reps are too few to hold the smoke report to a ratio; its rows are
+# schema-checked below.)
+python3 - <<'PYEOF'
+import json, sys
+
+rows = {(r["form"], r["n"], r["k"], r["m"]): r
+        for r in json.load(open("BENCH_tensor.json")).get("backward_shapes", [])}
+for key, limit in ((("nt", 20, 48, 48), 2.0), (("tn", 48, 20, 48), 1.5)):
+    row = rows.get(key)
+    if row is None:
+        sys.exit(f"BENCH_tensor.json: no backward_shapes row {key} (re-take it with bench_tensor)")
+    if row["product_over_nn"] > limit:
+        form, n, k, m = key
+        sys.exit(f"BENCH_tensor.json: {form} at {n}x{k}x{m} is {row['product_over_nn']:.2f}x "
+                 f"the nn product of the same shape (limit {limit}x)")
+PYEOF
+
 # The int8 product at the served model's projection shape (beam 5,
 # d 48) must stay within 4x of the f32 tile, in the baseline a full run
 # writes and the repository commits: it read 7.1x when every call
@@ -90,6 +114,19 @@ for row in tensor["shapes"]:
         sys.exit(f"tensor shape {row.get('shape')}: no 'percentiles' object")
     for case, obj in pct.items():
         check_pct(obj, f"tensor shape {row.get('shape')} case {case}")
+
+if not tensor.get("backward_shapes"):
+    sys.exit("tensor report: no 'backward_shapes' rows")
+for row in tensor["backward_shapes"]:
+    where = f"tensor backward shape {row.get('form')} {row.get('n')}x{row.get('k')}x{row.get('m')}"
+    if row.get("form") not in ("nt", "tn"):
+        sys.exit(f"{where}: form must be 'nt' or 'tn'")
+    for case in ("product", "reference", "nn"):
+        check_pct(row["percentiles"][case], f"{where} case {case}")
+train = tensor.get("train") or {}
+if not train.get("epochs") or not all(
+        e["seconds"] > 0 and e["tokens_per_sec"] > 0 for e in train["epochs"]):
+    sys.exit(f"tensor report: malformed 'train' row: {train}")
 
 decode = json.load(open("target/BENCH_decode_smoke.json"))
 for row in decode["rows"]:

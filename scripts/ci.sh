@@ -49,6 +49,16 @@ cargo test --offline -q --release -p qrec-nn --test quant_equivalence
 cargo test --offline -q --release -p qrec-tensor --test qi8_properties
 cargo test --offline -q --release -p qrec-nn --lib one_pass_selection
 
+echo "==> training-step contracts under the release profile"
+# The register tile behind gemm_nt / gemm_tn and the fused attention
+# node's folds are autovectorised code a debug build does not exercise:
+# the products against their naive references, the node against the
+# op-by-op tape, and the trained weights against the oracle path are
+# held bit for bit in the build that ships too.
+cargo test --offline -q --release -p qrec-tensor --test gemm_equivalence
+cargo test --offline -q --release -p qrec-nn --lib -- \
+    trained_weights_equal_the_oracle_path fused_node reused_tape
+
 echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)"
 # `cargo test --workspace` and clippy never compile bench_e2e, so an API
 # break in qrec-nn/qrec-tensor/qrec-serve would otherwise first surface in
