@@ -15,7 +15,10 @@
 //! their own, flagged `narrow_shape`; every row is also timed under the
 //! small-product tile (`small_tile_s`), and `scripts/bench.sh` fails when
 //! the blocked kernel is more than 1.5× slower than that on a narrow row
-//! — the cliff its scalar edge loop used to be. The backward pass's two
+//! — the cliff its scalar edge loop used to be — and when the beam-5
+//! vocabulary projection (`5×48×130`, a right edge of two columns) takes
+//! more than 1.2× the same product rounded up to whole tiles (`5×48×144`).
+//! The backward pass's two
 //! product forms, `A·Bᵀ` and `Aᵀ·B`, are timed at the shapes one training
 //! example emits (`backward_shapes`: a 20-row example against the bench
 //! model's widths, and the per-head attention products) beside the `A·B`
@@ -89,6 +92,21 @@ struct Shape {
     narrow: bool,
 }
 
+/// The beam-5 vocabulary projection as served (vocab 130: eight full
+/// tiles and a right edge of two columns) and rounded up to whole tiles
+/// (144). `scripts/bench.sh` holds the first to 1.2× the second: the edge
+/// once cost more than the rest of the row.
+fn edge_pair() -> [Shape; 2] {
+    [(130, "edge 5xd.dxvocab130"), (144, "edge 5xd.dx144")].map(|(m, label)| Shape {
+        label,
+        n: 5,
+        k: 48,
+        m,
+        decode: false,
+        narrow: false,
+    })
+}
+
 /// `n×k×m` rows of the model's narrow widths, `n` from one beam's worth
 /// of rows to two full-length sequences.
 fn narrow_shapes(rows: &[usize], skip: &[(usize, usize, usize)]) -> Vec<Shape> {
@@ -135,6 +153,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             },
         ];
         shapes.extend(narrow_shapes(&[48], &[]));
+        shapes.extend(edge_pair());
         return shapes;
     }
     let cfg = TransformerConfig::small(2000);
@@ -190,6 +209,7 @@ fn shapes(smoke: bool) -> Vec<Shape> {
         },
     ];
     shapes.extend(narrow_shapes(&[8, 24, 80, len, 2 * len], &[(len, d, d)]));
+    shapes.extend(edge_pair());
     shapes
 }
 

@@ -6,10 +6,9 @@
 //! of source rows whose keys are stored transposed ([`attend_source`]),
 //! which is also the forward of the tape node.
 
-use crate::layers::{quantize_input, Linear};
+use crate::layers::Linear;
 use crate::params::{Fwd, Params};
-use qrec_tensor::kernel::fmadd;
-use qrec_tensor::qi8::QScratch;
+use qrec_tensor::kernel::{fmadd, Widen};
 use qrec_tensor::tensor::{softmax_backward_row, softmax_in_place};
 use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
@@ -63,26 +62,6 @@ impl MultiHeadAttention {
         let v = self.v.forward(fwd, x_kv);
         let ctx = self.attend(fwd, q, k, v, mask);
         self.out.forward(fwd, ctx)
-    }
-
-    /// The tape-free q/k/v projections of self-attention over the `n`
-    /// rows of `x`, into `q`, `k` and `v` (`n × d` each): three products
-    /// over one input, so int8 weights quantize `x` once for the three.
-    #[allow(clippy::too_many_arguments)] // one input, three outputs, scratch
-    pub(crate) fn project_qkv(
-        &self,
-        params: &Params,
-        x: &[f32],
-        n: usize,
-        q: &mut [f32],
-        k: &mut [f32],
-        v: &mut [f32],
-        q8: &mut QScratch,
-    ) {
-        quantize_input(params, x, n, q8);
-        self.q.apply_quantized(params, x, n, q, q8);
-        self.k.apply_quantized(params, x, n, k, q8);
-        self.v.apply_quantized(params, x, n, v, q8);
     }
 
     /// Scaled dot-product attention over already-projected `q`/`k`/`v`
@@ -332,30 +311,11 @@ pub(crate) fn attend_fused(
     }
 }
 
-/// A stored K/V element, read back as the `f32` the folds consume.
-trait KvElem: Copy {
-    fn widen(self, row_scale: f32) -> f32;
-}
-
-impl KvElem for f32 {
-    #[inline(always)]
-    fn widen(self, _: f32) -> f32 {
-        self
-    }
-}
-
-impl KvElem for i8 {
-    #[inline(always)]
-    fn widen(self, row_scale: f32) -> f32 {
-        f32::from(self) * row_scale
-    }
-}
-
 /// [`attend_fused`] over row readers: `key(p)` / `value(p)` return
 /// position `p`'s full-width row and its scale. `scores.len()` is the
 /// number of positions attended.
 #[inline(always)]
-fn attend_rows<'a, T: KvElem + 'a>(
+fn attend_rows<'a, T: Widen + 'a>(
     q: &[f32],
     heads: usize,
     scores: &mut [f32],
@@ -372,7 +332,7 @@ fn attend_rows<'a, T: KvElem + 'a>(
             let (row, row_scale) = key(p);
             let mut s = 0.0f32;
             for (&qv, &kv) in qh.iter().zip(&row[cols.clone()]) {
-                s = fmadd(qv, kv.widen(row_scale), s);
+                s = fmadd(qv, kv.widen_scaled(row_scale), s);
             }
             *score = s * scale;
         }
@@ -382,7 +342,7 @@ fn attend_rows<'a, T: KvElem + 'a>(
         for (p, &w) in scores.iter().enumerate() {
             let (row, row_scale) = value(p);
             for (o, &vv) in out.iter_mut().zip(&row[cols.clone()]) {
-                *o = fmadd(w, vv.widen(row_scale), *o);
+                *o = fmadd(w, vv.widen_scaled(row_scale), *o);
             }
         }
     }

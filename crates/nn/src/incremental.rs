@@ -37,7 +37,7 @@
 use crate::attention::KvPair;
 use crate::params::Fwd;
 use crate::seq2seq::Seq2Seq;
-use qrec_tensor::qi8::{self, QScratch};
+use qrec_tensor::qi8;
 use qrec_tensor::Tensor;
 use std::sync::Arc;
 
@@ -148,8 +148,6 @@ pub(crate) struct StepScratch {
     pub(crate) kt: Vec<f32>,
     /// This step's positional-encoding row, `d_model` values.
     pub(crate) pe: Vec<f32>,
-    /// Activation-quantization buffers of the int8 projections.
-    pub(crate) q8: QScratch,
 }
 
 impl StepScratch {

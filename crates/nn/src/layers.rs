@@ -2,7 +2,7 @@
 //! position-wise feed-forward, and sinusoidal positional encodings.
 
 use crate::params::{Fwd, ParamId, Params};
-use qrec_tensor::qi8::{self, QScratch};
+use qrec_tensor::qi8;
 use qrec_tensor::tensor::layer_norm_stats;
 use qrec_tensor::{init, kernel, NodeId, Tensor};
 use rand::rngs::StdRng;
@@ -60,23 +60,21 @@ impl Linear {
     ///
     /// When the parameter store carries an int8 sidecar
     /// ([`Params::quantize`]) and the pass is not training, the
-    /// projection runs through the quantized GEMM
-    /// ([`qrec_tensor::qi8::qgemm`]): the weight's pre-packed int8
-    /// panels against dynamically per-row-quantized activations, with
-    /// the dequantized f32 result entering the graph as a constant
-    /// (inference builds no gradients, so a leaf is sufficient). Stores
-    /// without a sidecar — and every training pass — take the f32
-    /// matmul path bitwise unchanged.
+    /// projection reads the weight's int8 form ([`qi8::qgemm`]:
+    /// weight-only quantization — the activations stay f32), and the
+    /// result enters the graph as a constant (inference builds no
+    /// gradients, so a leaf is sufficient). Stores without a sidecar —
+    /// and every training pass — take the f32 matmul path bitwise
+    /// unchanged.
     pub fn forward(&self, fwd: &mut Fwd<'_>, x: NodeId) -> NodeId {
         let y = match (
             fwd.training,
             fwd.params.quant().and_then(|q| q.weight(self.w)),
         ) {
             (false, Some(qw)) => {
-                let packed = std::sync::Arc::clone(&qw.packed);
                 let xv = fwd.graph.value(x);
                 let n = xv.rows();
-                let data = qrec_tensor::qi8::qgemm(xv.data(), &packed, n);
+                let data = qi8::qgemm(xv.data(), &qw.packed, n);
                 fwd.constant(Tensor::from_vec(n, self.d_out, data))
             }
             _ => {
@@ -98,34 +96,11 @@ impl Linear {
     /// straight from the store — its int8 form when the store carries
     /// a sidecar, the f32 tensor otherwise — with no graph node and no
     /// weight copy. Bit for bit the value [`Linear::forward`] computes
-    /// outside training: the same GEMM dispatch and the same bias add.
-    pub(crate) fn apply(
-        &self,
-        params: &Params,
-        x: &[f32],
-        n: usize,
-        out: &mut [f32],
-        q8: &mut QScratch,
-    ) {
-        quantize_input(params, x, n, q8);
-        self.apply_quantized(params, x, n, out, q8);
-    }
-
-    /// [`Linear::apply`] for an input already through [`quantize_input`]:
-    /// projections that read the same rows (a layer's q/k/v, the cross K
-    /// and V of every decoder layer) share one quantized copy of them
-    /// instead of re-quantizing `x` per product. An int8 weight reads
-    /// `q8`, an f32 weight `x`.
-    pub(crate) fn apply_quantized(
-        &self,
-        params: &Params,
-        x: &[f32],
-        n: usize,
-        out: &mut [f32],
-        q8: &QScratch,
-    ) {
+    /// outside training: the same product (one register tile serves both
+    /// weight types) and the same bias add.
+    pub(crate) fn apply(&self, params: &Params, x: &[f32], n: usize, out: &mut [f32]) {
         match params.quant().and_then(|q| q.weight(self.w)) {
-            Some(qw) => qi8::qgemm_quantized_into(q8, &qw.packed, out),
+            Some(qw) => qi8::qgemm_into(x, &qw.packed, n, out),
             None => {
                 let w = params.value(self.w).data();
                 kernel::gemm_into(x, w, n, self.d_in, self.d_out, out);
@@ -139,16 +114,6 @@ impl Linear {
                 }
             }
         }
-    }
-}
-
-/// Quantize the `n` input rows `x` of one or more [`Linear`]s into `q8`
-/// when the store's projections are int8 (no-op for an f32 store): once
-/// per distinct input, however many projections read it
-/// ([`Linear::apply_quantized`]).
-pub(crate) fn quantize_input(params: &Params, x: &[f32], n: usize, q8: &mut QScratch) {
-    if params.is_quantized() {
-        q8.quantize(x, n);
     }
 }
 
@@ -322,13 +287,12 @@ impl FeedForward {
         n: usize,
         h: &mut [f32],
         out: &mut [f32],
-        q8: &mut QScratch,
     ) {
-        self.lin1.apply(params, x, n, h, q8);
+        self.lin1.apply(params, x, n, h);
         for v in h.iter_mut() {
             *v = v.max(0.0);
         }
-        self.lin2.apply(params, h, n, out, q8);
+        self.lin2.apply(params, h, n, out);
     }
 }
 
@@ -463,9 +427,8 @@ mod tests {
                     fwd.graph.value(e).clone(),
                 )
             });
-            let mut q8 = QScratch::default();
             let (mut h, mut out) = (vec![0.0; n * d_ff], vec![0.0; n * d]);
-            ff.apply(&params, x.data(), n, &mut h, &mut out, &mut q8);
+            ff.apply(&params, x.data(), n, &mut h, &mut out);
             assert_eq!(bits(want_ff.data()), bits(&out), "ff, int8 {quantized}");
             let mut normed = x.data().to_vec();
             ln.apply(&params, &mut normed);

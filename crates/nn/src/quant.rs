@@ -4,8 +4,9 @@
 //! pre-packed int8 form of that parameter ([`qrec_tensor::qi8`]'s
 //! per-tensor symmetric scheme). It is built once at model-load time by
 //! [`crate::params::Params::quantize`] and consulted on the inference
-//! hot path: [`crate::layers::Linear::forward`] runs projections with an
-//! entry through the int8 GEMM, and [`crate::layers::Embedding::forward`]
+//! hot path: [`crate::layers::Linear::forward`] reads projections with an
+//! entry from their int8 weights (weight-only: the activations stay f32),
+//! and [`crate::layers::Embedding::forward`]
 //! gathers rows from the int8 table, dequantizing only the looked-up
 //! rows. A store with no sidecar behaves exactly as before — the f32
 //! path is bitwise untouched.

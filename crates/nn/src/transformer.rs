@@ -7,8 +7,8 @@ use crate::incremental::{
     TransformerState,
 };
 use crate::layers::{
-    causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into,
-    quantize_input, Dropout, Embedding, FeedForward, LayerNorm, Linear,
+    causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into, Dropout,
+    Embedding, FeedForward, LayerNorm, Linear,
 };
 use crate::params::{Fwd, Params};
 use crate::seq2seq::Seq2Seq;
@@ -113,17 +113,18 @@ impl EncoderLayer {
     fn apply(&self, params: &Params, m: usize, s: &mut StepScratch) {
         let attn = &self.attn;
         let d = attn.d;
-        attn.project_qkv(params, &s.x, m, &mut s.q, &mut s.k, &mut s.v, &mut s.q8);
+        attn.q.apply(params, &s.x, m, &mut s.q);
+        attn.k.apply(params, &s.x, m, &mut s.k);
+        attn.v.apply(params, &s.x, m, &mut s.v);
         transpose_into(&s.k, d, &mut s.kt);
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
             attend_source(q, &s.kt, &s.v, attn.heads, None, &mut s.scores, ctx);
         }
-        attn.out.apply(params, &s.ctx, m, &mut s.y, &mut s.q8);
+        attn.out.apply(params, &s.ctx, m, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln1.apply(params, &mut s.x);
 
-        self.ff
-            .apply(params, &s.x, m, &mut s.h, &mut s.y, &mut s.q8);
+        self.ff.apply(params, &s.x, m, &mut s.h, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln2.apply(params, &mut s.x);
     }
@@ -201,7 +202,9 @@ impl DecoderLayer {
     fn step(&self, params: &Params, n: usize, ls: &mut TransformerLayerState, s: &mut StepScratch) {
         let d = self.self_attn.d;
         let attn = &self.self_attn;
-        attn.project_qkv(params, &s.x, n, &mut s.q, &mut s.k, &mut s.v, &mut s.q8);
+        attn.q.apply(params, &s.x, n, &mut s.q);
+        attn.k.apply(params, &s.x, n, &mut s.k);
+        attn.v.apply(params, &s.x, n, &mut s.v);
         ls.self_kv.append(&s.k, &s.v);
         let t = ls.self_kv.positions();
         let rows = s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d));
@@ -209,22 +212,21 @@ impl DecoderLayer {
             let history = ls.self_kv.history(i);
             attend_fused(q, history, attn.heads, &mut s.scores[..t], ctx);
         }
-        attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
+        attn.out.apply(params, &s.ctx, n, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln1.apply(params, &mut s.x);
 
         let attn = &self.cross_attn;
-        attn.q.apply(params, &s.x, n, &mut s.q, &mut s.q8);
+        attn.q.apply(params, &s.x, n, &mut s.q);
         let (kt, v) = (ls.cross_kt.data(), ls.cross_v.data());
         for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
             attend_source(q, kt, v, attn.heads, None, &mut s.scores, ctx);
         }
-        attn.out.apply(params, &s.ctx, n, &mut s.y, &mut s.q8);
+        attn.out.apply(params, &s.ctx, n, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln2.apply(params, &mut s.x);
 
-        self.ff
-            .apply(params, &s.x, n, &mut s.h, &mut s.y, &mut s.q8);
+        self.ff.apply(params, &s.x, n, &mut s.h, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln3.apply(params, &mut s.x);
     }
@@ -361,16 +363,13 @@ impl Seq2Seq for Transformer {
         // A quantized parameter store also quantizes the resident KV
         // rows: the whole decode picks one cache representation here.
         let quantized = params.is_quantized();
-        let mut scratch = StepScratch::default();
         // Cross-attention K/V depend only on the source: project them
-        // once here instead of once per decode step — every layer's from
-        // one quantized copy of the encoder rows — and transpose the
+        // once here instead of once per decode step, and transpose the
         // keys, which no step changes, for `attend_source`.
         let m = enc.rows();
-        quantize_input(params, enc.data(), m, &mut scratch.q8);
         let project = |lin: &Linear| {
             let mut out = Tensor::zeros(m, d);
-            lin.apply_quantized(params, enc.data(), m, out.data_mut(), &scratch.q8);
+            lin.apply(params, enc.data(), m, out.data_mut());
             out
         };
         let layers = self
@@ -388,7 +387,7 @@ impl Seq2Seq for Transformer {
             .collect();
         let state = TransformerState {
             layers,
-            scratch,
+            scratch: StepScratch::default(),
             pe_div: positional_divisors(d),
         };
         DecodeState::with_kind(
@@ -432,8 +431,7 @@ impl Seq2Seq for Transformer {
             for (layer, ls) in self.dec_layers.iter().zip(&mut ts.layers) {
                 layer.step(params, n, ls, s);
             }
-            self.out_proj
-                .apply(params, &s.x, n, logits.data_mut(), &mut s.q8);
+            self.out_proj.apply(params, &s.x, n, logits.data_mut());
         }
         state.remember_logits(logits)
     }

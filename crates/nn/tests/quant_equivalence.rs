@@ -1,10 +1,11 @@
 //! Top-k agreement of the int8 weight-quantized decode path against the
 //! f32 reference path.
 //!
-//! The quantized path is *not* bitwise-equal to f32 — int8 projections,
-//! int8 embedding tables, and quantized KV rows perturb every logit —
+//! The quantized path is *not* bitwise-equal to f32 — int8 projection
+//! weights (read by f32 activations: weight-only), int8 embedding tables,
+//! and quantized KV rows perturb every logit —
 //! so its contract (DESIGN.md §15) is distributional: at every decode
-//! step, ≥ 0.98 of the quantized top-5 slots must hold tokens the f32
+//! step, ≥ 0.99 of the quantized top-5 slots must hold tokens the f32
 //! model scores at (or within a 1% tie tolerance of) its own rank-5
 //! boundary, across all three architectures and every strategy the
 //! recommender uses. Agreement is measured teacher-forced along the f32
@@ -12,13 +13,15 @@
 //!
 //! Two exact invariants are also enforced: quantize→dequantize restores
 //! the bitwise f32 path (sidecar removal is total), and the quantized
-//! path is deterministic — integer accumulation is associative, so the
-//! same decode yields identical bits at any compute-pool size.
+//! path is deterministic — an int8 projection is the f32 kernel's fold
+//! over widened weights, one accumulation order per output element
+//! whatever the tiling, so the same decode yields identical bits at any
+//! compute-pool size.
 //!
 //! The transformer's int8 *incremental* step has no bitwise reference in
 //! the tree (the full-prefix path does not quantize KV rows), so its
-//! hypotheses are pinned against a golden recorded from the graph-based
-//! step it replaced (`golden/int8_decode.txt`).
+//! hypotheses are pinned against a recorded golden
+//! (`golden/int8_decode.txt`).
 
 mod common;
 
@@ -34,7 +37,7 @@ use rand::SeedableRng;
 const VOCAB: usize = 30;
 const TOP_K: usize = 5;
 /// Mean per-step top-5 slot agreement gate, per (arch, strategy) cell.
-const GATE: f64 = 0.98;
+const GATE: f64 = 0.99;
 const SRC: [usize; 5] = [SOS, 4, 9, 5, 2];
 const MAX_LEN: usize = 24;
 
@@ -253,8 +256,8 @@ fn quantize_dequantize_restores_bitwise_f32() {
     }
 }
 
-/// Integer accumulation is associative: the quantized path must be
-/// bit-for-bit repeatable within one process.
+/// Every output element has one accumulation order: the quantized path
+/// must be bit-for-bit repeatable within one process.
 #[test]
 fn quantized_decode_is_deterministic() {
     for arch in ["transformer", "convs2s", "gru"] {
@@ -290,13 +293,12 @@ fn quantized_decode_is_deterministic() {
     }
 }
 
-/// The tape-free int8 step must reproduce, bit for bit, what the
-/// graph-based step it replaced decoded: ids, `finished` and `log_prob`
-/// bits of every hypothesis, for the six strategy cases, on the test
-/// config and on the serving shape with perturbed biases/γ/β. The golden
-/// holds one section per `fmadd` flavour (`.cargo/config.toml` builds for
-/// the host CPU, so attention folds fuse on FMA hardware and do not
-/// elsewhere); this build checks its own.
+/// The tape-free int8 step must reproduce the recorded decode bit for
+/// bit: ids, `finished` and `log_prob` bits of every hypothesis, for the
+/// six strategy cases, on the test config and on the serving shape with
+/// perturbed biases/γ/β. The golden holds one section per `fmadd` flavour
+/// (`.cargo/config.toml` builds for the host CPU, so the folds fuse on
+/// FMA hardware and do not elsewhere); this build checks its own.
 #[test]
 fn int8_transformer_decode_matches_recorded_golden() {
     use std::fmt::Write as _;
@@ -387,8 +389,10 @@ fn quantized_kv_cache_shrinks_resident_bytes() {
 
 /// The compute pool is process-global (sized once from `QREC_THREADS`),
 /// so each pool size re-runs the agreement matrix in a child process.
-/// The quantized GEMM accumulates in i32 — associative — so agreement
-/// (and in fact the quantized bits) must not move with pool size.
+/// The quantized GEMM is the f32 register tile over int8 weights — each
+/// output element one ascending-`k` fold, never split across tiles or
+/// threads — so agreement (and in fact the quantized bits) must not move
+/// with pool size.
 #[test]
 fn agreement_holds_across_pool_sizes() {
     if std::env::var_os("QREC_QEQ_CHILD").is_some() {

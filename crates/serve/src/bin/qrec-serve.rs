@@ -13,6 +13,10 @@
 //! WAL-backed store under that directory and survive restarts; if the
 //! directory already holds a model zoo, the persisted model is served
 //! instead of training a fresh one.
+//!
+//! `--quant int8` is weight-only quantisation: projection weights,
+//! embedding tables and KV rows are held int8 (~4× smaller), activations
+//! stay f32, and decodes run at the f32 path's speed within a few percent.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{QuantMode, Server, ServerConfig};
@@ -137,7 +141,7 @@ fn main() -> ExitCode {
     };
     eprintln!("serving on {}", server.local_addr());
     if args.quant == QuantMode::Int8 {
-        eprintln!("int8 weight quantization on (quantized KV cache, top-5 agreement gated)");
+        eprintln!("int8 weight-only quantization on (int8 weights and KV rows, f32 activations)");
     }
     if args.profiler {
         eprintln!(r#"sampling profiler on; fetch folded stacks with {{"verb":"PROF"}}"#);

@@ -344,16 +344,18 @@ impl DecodeSnapshot {
     }
 }
 
-/// Snapshot of the int8 quantized-GEMM dispatch counters: how many
-/// projection GEMMs ran on the quantized serial (1×d decode) versus
-/// blocked (batched) kernels since process start (see
-/// `qrec_tensor::qi8::counters`). Both zero when the serving model
-/// carries no int8 sidecar — the f32 path never touches them.
+/// Snapshot of the int8-weight GEMM call counters: how many projection
+/// products over int8 weights ran with fewer than four activation rows
+/// (`serial`: greedy decode vectors) versus four or more (`blocked`:
+/// beam tiles, encoder passes) since process start (see
+/// `qrec_tensor::qi8::counters` — one kernel serves both; the names are
+/// size classes). Both zero when the serving model carries no int8
+/// sidecar — the f32 path never touches them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuantSnapshot {
-    /// Quantized GEMM calls on the serial per-row kernel.
+    /// Int8-weight products of fewer than four activation rows.
     pub qi8_serial: u64,
-    /// Quantized GEMM calls on the blocked register-tiled kernel.
+    /// Int8-weight products of four or more activation rows.
     pub qi8_blocked: u64,
 }
 
@@ -583,7 +585,7 @@ mod tests {
     #[test]
     fn quant_snapshot_tracks_qi8_dispatch() {
         let before = QuantSnapshot::current();
-        // A 1-row quantized GEMM takes the serial kernel.
+        // A 1-row product over int8 weights counts in the serial class.
         let qb = qrec_tensor::qi8::QPackedB::from_f32(&[0.5f32; 8], 4, 2);
         let _ = qrec_tensor::qi8::qgemm(&[1.0, 2.0, 3.0, 4.0], &qb, 1);
         let after = QuantSnapshot::current();

@@ -237,7 +237,8 @@ fn rewrite_header(blob_path: &Path, f: impl FnOnce(&mut serde::Map)) {
 
 /// A quantized model's int8 sidecar persists to the zoo (v2 sections)
 /// and is rebuilt on load without re-calibrating: the exported packed
-/// weights match entry for entry, and the f32 weights stay bitwise.
+/// weights match entry for entry, the f32 weights stay bitwise, and the
+/// restored model decodes what the saved one does, bit for bit.
 #[test]
 fn quantized_zoo_round_trip_restores_sidecar() {
     let dir = std::env::temp_dir().join(format!("qrec-zoo-quant-{}", std::process::id()));
@@ -261,6 +262,18 @@ fn quantized_zoo_round_trip_restores_sidecar() {
         assert_eq!(bits(ws), bits(gs), "param {wi}: scale bits");
         assert_eq!(wq, gq, "param {wi}: int8 values");
     }
+    let tokens: Vec<String> = "select * from t0 where c0 = 1"
+        .split(' ')
+        .map(String::from)
+        .collect();
+    let decode = |m: &Recommender| {
+        let strategy = qrec_nn::Strategy::Beam { width: 4 };
+        m.decode_candidates_for_tokens_with(&tokens, strategy, &mut StdRng::seed_from_u64(0))
+            .into_iter()
+            .map(|h| (h.ids, h.log_prob.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(decode(&restored), decode(&model), "int8 decode after load");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -48,7 +48,9 @@
 //! training tiles) on the [`KernelPath::Naive`] path: no packing, no
 //! pool — an unpacked register tile over `B` as it lies in memory (the
 //! plain [`naive`] loop when the output is narrower than one tile), so
-//! the only overhead is the call itself. The transposed forms of a
+//! the only overhead is the call itself. The tile is generic over `B`'s
+//! element ([`Widen`]): int8 weights ([`crate::qi8`]) are read through
+//! the same code, widened to `f32` on load. The transposed forms of a
 //! backward pass run the same tile: [`gemm_tn`] reads its `k×n` operand
 //! where it lies, [`gemm_nt`] transposes `B` once into a per-thread
 //! scratch and is [`gemm`] from there. Mid-size products use the blocked
@@ -192,41 +194,90 @@ pub fn naive(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     out
 }
 
+/// A stored matrix element, read back as the `f32` a fold consumes: an
+/// `f32` weight or K/V value is itself, an int8 one its integer value —
+/// exact in `f32` — which the reader scales once per output element
+/// ([`crate::qi8::qgemm_into`]) or once per element of a row that carries
+/// its own scale (the decoder's int8 K/V rows).
+pub trait Widen: Copy {
+    /// The element as `f32`.
+    fn widen(self) -> f32;
+    /// The element of a row stored under `scale`.
+    fn widen_scaled(self, scale: f32) -> f32;
+}
+
+impl Widen for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+    #[inline(always)]
+    fn widen_scaled(self, _: f32) -> f32 {
+        self
+    }
+}
+
+impl Widen for i8 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        f32::from(self)
+    }
+    #[inline(always)]
+    fn widen_scaled(self, scale: f32) -> f32 {
+        f32::from(self) * scale
+    }
+}
+
 /// [`naive`] accumulating into a zeroed `n·m` buffer.
-fn naive_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+fn naive_acc<B: Widen>(a: &[f32], b: &[B], n: usize, k: usize, m: usize, out: &mut [f32]) {
     for i in 0..n {
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * m..(i + 1) * m];
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &b[kk * m..(kk + 1) * m];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmadd(av, bv, *o);
+                *o = fmadd(av, bv.widen(), *o);
             }
         }
     }
 }
 
-/// Rows per register tile of [`small_acc`].
+/// Rows per register tile of [`small_tiles`].
 const SR: usize = 6;
-/// Columns per register tile of [`small_acc`].
+/// Columns per register tile of [`small_tiles`].
 const SN: usize = 16;
 
-/// The counted small-product dispatch arm of all three product forms:
-/// the canonical fold of [`naive`] with the accumulators of an
-/// up-to-`SR`×`SN` output tile held in registers across the whole `k`
-/// loop, reading `B` unpacked (a row-major `B` row segment is already
+/// The counted small-product dispatch arm of all three f32 product
+/// forms: [`small_tiles`] over an f32 `B`.
+fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+    dispatch().naive.inc();
+    small_tiles::<TA, f32>(a, b, n, k, m, out);
+}
+
+/// The small-product kernel, of f32 weights and — the whole of
+/// [`crate::qi8::qgemm_into`] — of int8 ones: the canonical fold of
+/// [`naive`] over `B`'s elements widened to `f32`, with the accumulators
+/// of an up-to-`SR`×`SN` output tile held in registers across the whole
+/// `k` loop, reading `B` unpacked (a row-major `B` row segment is already
 /// contiguous), so there is no set-up cost to amortise. [`naive`]'s loop
 /// reloads and restores its output row on every `kk`, which serialises
 /// each row on store-to-load forwarding; the tile removes that chain and
 /// reads each `B` segment once per tile instead of once per output row.
-/// Accumulates into a zeroed `out`.
+/// `out` must be zeroed: the plain loop, which serves outputs narrower
+/// than one tile, accumulates into it (the tiles overwrite).
 ///
 /// `TA` says how `A` lies in memory: `n×k` row-major when `false`
 /// (`A·B`, and `A·Bᵀ` once [`gemm_nt`] has transposed `B`), `k×n` when
 /// `true` (`Aᵀ·B`) — the tile then takes its `R` values of step `kk` from
 /// `a[kk·n + i0..][..R]`, contiguous, so that form needs no transpose.
-fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    dispatch().naive.inc();
+pub(crate) fn small_tiles<const TA: bool, B: Widen>(
+    a: &[f32],
+    b: &[B],
+    n: usize,
+    k: usize,
+    m: usize,
+    out: &mut [f32],
+) {
     let b = &b[..k * m];
     if m < SN {
         // Narrower than one tile (per-head attention contexts, m = d/heads):
@@ -241,46 +292,46 @@ fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize,
     let mut i0 = 0;
     while i0 < n {
         let rows = SR.min(n - i0);
-        let (full, edge) = (tile_for::<true, TA>(rows), tile_for::<false, TA>(rows));
+        let tile = tile_for::<TA, B>(rows);
         for j0 in (0..m).step_by(SN) {
-            let tile = if j0 + SN <= m { full } else { edge };
-            tile(a, b, lda, m, i0, j0, out);
+            // A right edge of fewer than `SN` columns is the tile that
+            // *ends* at column `m`: the columns it shares with its left
+            // neighbour get the same fold again, so the same bits, and no
+            // tile pads a segment or stores part of one.
+            tile(a, b, lda, m, i0, j0.min(m - SN), out);
         }
         i0 += rows;
     }
 }
 
-/// A [`small_tile`] of one shape, as [`small_acc`] calls it.
-type SmallTile = fn(&[f32], &[f32], usize, usize, usize, usize, &mut [f32]);
+/// A [`small_tile`] of one shape, as [`small_tiles`] calls it.
+type SmallTile<B> = fn(&[f32], &[B], usize, usize, usize, usize, &mut [f32]);
 
 /// The [`small_tile`] instance for a tile of `rows ≤ SR` rows.
-fn tile_for<const FULL: bool, const TA: bool>(rows: usize) -> SmallTile {
+fn tile_for<const TA: bool, B: Widen>(rows: usize) -> SmallTile<B> {
     match rows {
-        1 => small_tile::<1, FULL, TA>,
-        2 => small_tile::<2, FULL, TA>,
-        3 => small_tile::<3, FULL, TA>,
-        4 => small_tile::<4, FULL, TA>,
-        5 => small_tile::<5, FULL, TA>,
-        _ => small_tile::<SR, FULL, TA>,
+        1 => small_tile::<1, TA, B>,
+        2 => small_tile::<2, TA, B>,
+        3 => small_tile::<3, TA, B>,
+        4 => small_tile::<4, TA, B>,
+        5 => small_tile::<5, TA, B>,
+        _ => small_tile::<SR, TA, B>,
     }
 }
 
-/// One `R`-row tile of [`small_acc`] at output `(i0, j0)`: `SN` columns
-/// wide when `FULL`, else the `m − j0 < SN` columns of the right edge.
-/// The edge runs full `SN` lanes against a zero-padded copy of each `B`
-/// segment and stores only the live columns, so the discarded lanes
-/// cannot leak. `lda` is the row length of `a` as stored: `k`, or `n`
-/// when `TA`; the depth `k` is the number of `m`-wide rows `b` holds.
-fn small_tile<const R: usize, const FULL: bool, const TA: bool>(
+/// One `R`-row × `SN`-column tile of [`small_tiles`] at output `(i0,
+/// j0)`. `lda` is the row length of `a` as stored: `k`, or `n` when `TA`;
+/// the depth `k` is the number of `m`-wide rows `b` holds. Each `B`
+/// segment is widened once for the tile's `R` rows.
+fn small_tile<const R: usize, const TA: bool, B: Widen>(
     a: &[f32],
-    b: &[f32],
+    b: &[B],
     lda: usize,
     m: usize,
     i0: usize,
     j0: usize,
     out: &mut [f32],
 ) {
-    let w = if FULL { SN } else { m - j0 };
     // `A` as it lies: `R` rows of the `n×k` operand, or — `TA` — one
     // `R`-long run in each row of the `k×n` one.
     let arows: [&[f32]; R] = std::array::from_fn(|r| {
@@ -293,7 +344,9 @@ fn small_tile<const R: usize, const FULL: bool, const TA: bool>(
     let mut acc = [[0.0f32; SN]; R];
     for (kk, brow) in b.chunks_exact(m).enumerate() {
         let mut seg = [0.0f32; SN];
-        seg[..w].copy_from_slice(&brow[j0..j0 + w]);
+        for (s, &bv) in seg.iter_mut().zip(&brow[j0..j0 + SN]) {
+            *s = bv.widen();
+        }
         if TA {
             let acol = &a[kk * lda + i0..kk * lda + i0 + R];
             for (accr, &av) in acc.iter_mut().zip(acol) {
@@ -312,7 +365,7 @@ fn small_tile<const R: usize, const FULL: bool, const TA: bool>(
     }
     for (r, accr) in acc.iter().enumerate() {
         let o = (i0 + r) * m + j0;
-        out[o..o + w].copy_from_slice(&accr[..w]);
+        out[o..o + SN].copy_from_slice(accr);
     }
 }
 
@@ -344,14 +397,14 @@ pub fn naive_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> 
 }
 
 /// [`naive_tn`] accumulating into a zeroed `n·m` buffer.
-fn naive_tn_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
+fn naive_tn_acc<B: Widen>(a: &[f32], b: &[B], n: usize, k: usize, m: usize, out: &mut [f32]) {
     for kk in 0..k {
         let arow = &a[kk * n..(kk + 1) * n];
         let brow = &b[kk * m..(kk + 1) * m];
         for (i, &av) in arow.iter().enumerate() {
             let orow = &mut out[i * m..(i + 1) * m];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmadd(av, bv, *o);
+                *o = fmadd(av, bv.widen(), *o);
             }
         }
     }

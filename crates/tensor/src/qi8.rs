@@ -1,4 +1,4 @@
-//! Int8 weight-quantized GEMM for the decode hot path.
+//! Int8 weight-only quantization (W8A32) for the decode hot path.
 //!
 //! ## Scheme
 //!
@@ -7,47 +7,37 @@
 //! clamped to `[-127, 127]` (saturating, never wrapping; `-128` is
 //! unused so negation stays closed). Weights are quantized **once** at
 //! model-load time and stay resident **row-major** `k×m`, which is also
-//! the persisted form; activations are quantized **per row** with their
-//! own dynamic scale ([`quantize_row`]), which keeps the narrow decode
-//! activations (1×d query vectors, beam×d tiles) accurate without any
-//! calibration data, and **once per distinct input**: products that read
-//! the same rows (a step's q/k/v) share one [`QScratch`] of them and run
-//! [`qgemm_quantized_into`] per weight.
+//! the persisted form. Activations stay `f32`: what int8 buys at the
+//! served widths is 3.9× smaller weights and K/V rows, and that needs
+//! only the stored side to be int8.
 //!
-//! The product accumulates in `i32` — exact for every `k ≤ 133 000`
-//! since `|q| ≤ 127` bounds each term by `127² = 16 129` — and converts
-//! to `f32` exactly once at the edge: `out[i][j] = (a_scale[i] *
-//! b_scale) * acc`. Because integer accumulation is associative, the
-//! quantized path is deterministic at any tiling or thread count by
-//! construction, with no ordering discipline needed.
+//! ## The product
 //!
-//! ## The tile
-//!
-//! There is one product path: an up-to-`TR`-row × `TC`-column register
-//! tile (`tile`; `TC1` columns for a single row) whose lanes are output
-//! *columns*: a weight row segment is one contiguous load shared by the
-//! tile's activation rows, no output element needs a horizontal
-//! reduction, nothing is packed per call. Calls are counted per size
-//! class in the process-wide observability registry — under four rows
-//! (`tensor.gemm.qi8_serial`) or four and more (`tensor.gemm.qi8_blocked`)
-//! — and snapshot through [`counters`].
+//! [`qgemm_into`] is the f32 small-product register tile
+//! ([`crate::kernel`]) instantiated for an int8 `B`: each weight segment
+//! is widened `i8 → f32` on load (exact), so an output element is the
+//! kernel's single-accumulator ascending-`k` `fmadd` fold of the f32
+//! activations over the integer-valued weights, times [`QPackedB::scale`]
+//! once. It is deterministic at any tiling or thread count for the reason
+//! the f32 kernel is — one fold order per element, not associativity —
+//! and bit-equal to [`crate::kernel::naive`] over the widened weights
+//! (`tests/qi8_properties.rs`). Nothing is packed, quantized or allocated
+//! per call. Calls are counted per size class in the process-wide
+//! observability registry — under four rows (`tensor.gemm.qi8_serial`) or
+//! four and more (`tensor.gemm.qi8_blocked`) — and snapshot through
+//! [`counters`].
 //!
 //! ## KV rows
 //!
 //! The decoder's int8 KV arena (`qrec_nn::incremental`) stores each
-//! appended f32 row through the same [`quantize_row`] (~4× smaller) and
-//! attention dequantizes on read as `f32::from(q) * scale`. Per-row (not
-//! per-cache) scales matter there: K/V magnitudes drift over a long
-//! decode, and one early outlier must not crush every later step.
+//! appended f32 row through [`quantize_row`] (~4× smaller) and attention
+//! dequantizes on read as `f32::from(q) * scale`. Per-row (not per-cache)
+//! scales matter there: K/V magnitudes drift over a long decode, and one
+//! early outlier must not crush every later step.
 
+use crate::kernel;
 use std::sync::Arc;
 
-/// Rows per register tile: the serving beam's five hypotheses.
-const TR: usize = 5;
-/// Columns (lanes) per register tile.
-const TC: usize = 16;
-/// Columns per register tile of a single-row product.
-const TC1: usize = 64;
 /// Largest quantized magnitude: symmetric `[-127, 127]`.
 const Q_MAX: f32 = 127.0;
 
@@ -164,7 +154,7 @@ pub fn quantize(data: &[f32], scale: f32) -> Vec<i8> {
 }
 
 /// Quantize one row under its own scale ([`calibrate`]) into `out` and
-/// return it — the one row quantizer, of GEMM activations and KV rows.
+/// return it — the quantizer of the decoder's int8 K/V rows.
 pub fn quantize_row(row: &[f32], out: &mut [i8]) -> f32 {
     let scale = calibrate(row);
     quantize_into(row, scale, out);
@@ -183,9 +173,7 @@ pub fn dequantize(q: &[i8], scale: f32) -> Vec<f32> {
 /// A weight matrix quantized per-tensor, resident **row-major** `k×m` —
 /// the persisted form, so loading copies and [`QPackedB::unpack`] clones.
 /// Row `kk` is the contiguous int8 run `data[kk·m .. (kk+1)·m]`, of which
-/// the tile reads a `TC`-column segment as one load. (Column-major,
-/// every output element was its own dot product with a horizontal
-/// reduction at its end: 48 × 5 of them for one beam-step projection.)
+/// the register tile reads a 16-column segment as one load.
 ///
 /// Built once per weight tensor at model-load time
 /// ([`QPackedB::from_f32`]); every decode step then reuses the bytes.
@@ -251,143 +239,28 @@ impl QPackedB {
 // Quantized GEMM
 // ---------------------------------------------------------------------
 
-/// Quantized activation rows and their scales: what [`qgemm_into`]
-/// quantizes into and [`qgemm_quantized_into`] reads. A decode keeps one
-/// so no step allocates; it grows to the largest input seen.
-#[derive(Debug, Clone, Default)]
-pub struct QScratch {
-    qa: Vec<i8>,
-    scales: Vec<f32>,
-}
-
-impl QScratch {
-    /// Quantize the `n` rows of `a` (`n × k`, any `k`), each under its
-    /// own scale (a large row must not crush a small one's resolution),
-    /// replacing whatever the scratch held.
-    pub fn quantize(&mut self, a: &[f32], n: usize) {
-        let k = a.len().checked_div(n).unwrap_or(0);
-        assert_eq!(a.len(), n * k, "activations must hold n equal rows");
-        self.qa.resize(a.len(), 0);
-        self.scales.clear();
-        self.scales.resize(n, 0.0);
-        if k > 0 {
-            let rows = a.chunks_exact(k).zip(self.qa.chunks_exact_mut(k));
-            for ((row, q), scale) in rows.zip(&mut self.scales) {
-                *scale = quantize_row(row, q);
-            }
-        }
-    }
-}
-
-/// `n×k` f32 activations times a quantized `k×m` weight, with dynamic
-/// per-row activation quantization: `out[i][j] = (a_scale[i] · b_scale)
-/// · Σ_kk qa[i][kk]·qb[kk][j]`, the inner sum in exact `i32`.
+/// `n×k` f32 activations times a quantized `k×m` weight: `out[i][j] =
+/// b_scale · Σ_kk a[i][kk]·qb[kk][j]`, the sum the f32 kernel's
+/// ascending-`k` `fmadd` fold over the int8 values widened to `f32`.
 ///
 /// `a.len()` must be `n · qb.k()`; the result is row-major `n × qb.m()`.
 pub fn qgemm(a: &[f32], qb: &QPackedB, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * qb.m];
-    qgemm_into(a, qb, n, &mut out, &mut QScratch::default());
+    qgemm_into(a, qb, n, &mut out);
     out
 }
 
-/// [`qgemm`] into a caller-owned `n · qb.m()` buffer (overwritten),
-/// quantizing activations into `scratch`: the same bits, no allocation
-/// once `scratch` has grown to the call's shape.
-pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32], scratch: &mut QScratch) {
+/// [`qgemm`] into a caller-owned `n · qb.m()` buffer (overwritten): the
+/// same bits, no allocation.
+pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), n * qb.k, "qgemm activations must hold n·k values");
-    scratch.quantize(a, n);
-    qgemm_quantized_into(scratch, qb, out);
-}
-
-/// The product half of [`qgemm_into`], over rows already quantized into
-/// `qa` ([`QScratch::quantize`]) — products that read the same input
-/// share one copy. `out` (`rows · qb.m()`) is overwritten.
-pub fn qgemm_quantized_into(qa: &QScratch, qb: &QPackedB, out: &mut [f32]) {
-    let (n, k, m) = (qa.scales.len(), qb.k, qb.m);
-    assert_eq!(qa.qa.len(), n * k, "quantized rows must hold n·k values");
-    assert_eq!(out.len(), n * m, "qgemm output must hold n·m values");
+    assert_eq!(out.len(), n * qb.m, "qgemm output must hold n·m values");
     let [serial, blocked] = dispatch();
     if n < 4 { serial } else { blocked }.inc();
-    for i0 in (0..n).step_by(TR) {
-        let narrow = match n - i0 {
-            1 => tile::<1, TC>,
-            2 => tile::<2, TC>,
-            3 => tile::<3, TC>,
-            4 => tile::<4, TC>,
-            _ => tile::<TR, TC>,
-        };
-        let (rows, scales, orows) = (&qa.qa[i0 * k..], &qa.scales[i0..], &mut out[i0 * m..]);
-        // One row (a greedy step) has registers for a cache line of each
-        // weight row per step, while that many columns remain.
-        let wide = if n - i0 == 1 { m - m % TC1 } else { 0 };
-        for j0 in (0..wide).step_by(TC1) {
-            tile::<1, TC1>(rows, scales, qb, j0, orows);
-        }
-        for j0 in (wide..m).step_by(TC) {
-            narrow(rows, scales, qb, j0, orows);
-        }
-    }
-}
-
-/// One `R`-row × `W`-column output tile at column `j0`, over the first
-/// `R` rows of `qa` / `a_scales` / `out`. The `R·W` exact `i32`
-/// accumulators live across the whole `k` loop; each step takes two
-/// weight rows, widens their `W`-column segments to `i16` once for all
-/// `R` activation rows, and adds `a₀·b₀ + a₁·b₁` per lane — which fits
-/// `i16` (`2 · 127 · 128 < 2¹⁵`: activations never hold `-128`), so the
-/// multiplies run on `i16` lanes and only the pair sum widens. The right
-/// edge (`m − j0 < W`) runs full lanes against zero-padded segments and
-/// stores only its live columns.
-fn tile<const R: usize, const W: usize>(
-    qa: &[i8],
-    a_scales: &[f32],
-    pb: &QPackedB,
-    j0: usize,
-    out: &mut [f32],
-) {
-    let (k, m) = (pb.k, pb.m);
-    let w = W.min(m - j0);
-    let arows: [&[i8]; R] = std::array::from_fn(|r| &qa[r * k..(r + 1) * k]);
-    let segment = |kk: usize| {
-        let mut seg = [0i16; W];
-        for (s, &b) in seg.iter_mut().zip(&pb.data[kk * m + j0..][..w]) {
-            *s = i16::from(b);
-        }
-        seg
-    };
-    let mut acc = [[0i32; W]; R];
-    let mut kk = 0;
-    while kk + 1 < k {
-        fold_pair(&mut acc, &arows, [kk, kk + 1], segment(kk), segment(kk + 1));
-        kk += 2;
-    }
-    if kk < k {
-        // An odd last weight row pairs with zeros.
-        fold_pair(&mut acc, &arows, [kk, kk], segment(kk), [0; W]);
-    }
-    for ((accr, &a_scale), orow) in acc.iter().zip(a_scales).zip(out.chunks_mut(m)) {
-        let c = a_scale * pb.scale;
-        for (o, &s) in orow[j0..j0 + w].iter_mut().zip(accr) {
-            *o = c * s as f32;
-        }
-    }
-}
-
-/// `acc[r][j] += a[r][k0]·b0[j] + a[r][k1]·b1[j]`: one step of [`tile`]'s
-/// `k` loop, a function of its own so that both its uses inline.
-#[inline(always)]
-fn fold_pair<const R: usize, const W: usize>(
-    acc: &mut [[i32; W]; R],
-    arows: &[&[i8]; R],
-    [k0, k1]: [usize; 2],
-    b0: [i16; W],
-    b1: [i16; W],
-) {
-    for (accr, arow) in acc.iter_mut().zip(arows) {
-        let (a0, a1) = (i16::from(arow[k0]), i16::from(arow[k1]));
-        for ((s, &b0), &b1) in accr.iter_mut().zip(&b0).zip(&b1) {
-            *s += i32::from(a0 * b0 + a1 * b1);
-        }
+    out.fill(0.0);
+    kernel::small_tiles::<false, i8>(a, &qb.data, n, qb.k, qb.m, out);
+    for o in out.iter_mut() {
+        *o *= qb.scale;
     }
 }
 
@@ -401,25 +274,12 @@ mod tests {
             .collect()
     }
 
-    /// f32 reference of the *quantized* computation: same quantization,
-    /// plain triple loop. The kernels must match this exactly (integer
-    /// math), independent of tiling.
-    fn q_reference(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-        let b_scale = calibrate(b);
-        let qb: Vec<i8> = b.iter().map(|&x| quantize_one(x, b_scale)).collect();
-        let mut out = vec![0.0f32; n * m];
-        for i in 0..n {
-            let arow = &a[i * k..(i + 1) * k];
-            let a_scale = calibrate(arow);
-            let qa: Vec<i8> = arow.iter().map(|&x| quantize_one(x, a_scale)).collect();
-            for j in 0..m {
-                let mut acc = 0i32;
-                for kk in 0..k {
-                    acc += i32::from(qa[kk]) * i32::from(qb[kk * m + j]);
-                }
-                out[i * m + j] = a_scale * b_scale * acc as f32;
-            }
-        }
+    /// The product's definition: [`kernel::naive`] over the int8 values
+    /// widened to `f32`, each element then scaled once.
+    fn q_reference(a: &[f32], qb: &QPackedB, n: usize) -> Vec<f32> {
+        let wide: Vec<f32> = qb.data.iter().map(|&q| f32::from(q)).collect();
+        let mut out = kernel::naive(a, &wide, n, qb.k, qb.m);
+        out.iter_mut().for_each(|o| *o *= qb.scale);
         out
     }
 
@@ -442,17 +302,16 @@ mod tests {
             (130, 17, 257),
         ] {
             let a = fill(n * k, 1);
-            let b = fill(k * m, 2);
-            let qb = QPackedB::from_f32(&b, k, m);
-            assert_bitwise(&q_reference(&a, &b, n, k, m), &qgemm(&a, &qb, n));
+            let qb = QPackedB::from_f32(&fill(k * m, 2), k, m);
+            assert_bitwise(&q_reference(&a, &qb, n), &qgemm(&a, &qb, n));
         }
     }
 
     #[test]
     fn row_tilings_agree_exactly() {
-        // The same rows as one product (two tiles: five rows and three)
-        // and one row at a time: the integer accumulation makes the
-        // tiling invisible in the output.
+        // The same rows as one product (two tiles: six rows and two) and
+        // one row at a time: an element's fold never leaves its row, so
+        // the tiling is invisible in the output.
         let (n, k, m) = (8, 130, 45);
         let a = fill(n * k, 3);
         let b = fill(k * m, 4);
@@ -464,31 +323,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn products_over_shared_quantized_rows_equal_separate_calls() {
-        let (n, k) = (5, 48);
-        let a = fill(n * k, 5);
-        let mut shared = QScratch::default();
-        shared.quantize(&a, n);
-        for m in [48, 96, 130] {
-            let qb = QPackedB::from_f32(&fill(k * m, m), k, m);
-            let mut out = vec![f32::NAN; n * m];
-            qgemm_quantized_into(&shared, &qb, &mut out);
-            assert_bitwise(&qgemm(&a, &qb, n), &out);
-        }
-    }
-
     /// A persisted weight may hold `-128` (the quantizers never emit
-    /// it): against saturated activations the `i16` pair sum peaks at
-    /// `2 · 127 · 128 = 32 512`, inside `i16` (a debug build would panic
-    /// on overflow).
+    /// it): it widens like any other value.
     #[test]
-    fn extreme_persisted_weights_stay_inside_the_i16_pair_sum() {
+    fn extreme_persisted_weights_widen_exactly() {
         let (k, m) = (4, 3);
         let qb = QPackedB::from_quantized(&[-128i8; 12], k, m, 0.5);
         let out = qgemm(&[-2.0, -2.0, -2.0, -2.0], &qb, 1);
-        let a_scale = 2.0 / 127.0;
-        assert_eq!(out, vec![a_scale * 0.5 * (4 * 127 * 128) as f32; m]);
+        assert_eq!(out, vec![0.5 * (4.0 * 2.0 * 128.0); m]);
     }
 
     #[test]
@@ -554,15 +396,12 @@ mod tests {
     }
 
     #[test]
-    fn qgemm_into_reuses_scratch_across_shapes_with_the_same_bits() {
-        let mut scratch = QScratch::default();
-        // Growing then shrinking shapes through one scratch; stale output
-        // and stale scratch rows must not leak.
+    fn qgemm_into_overwrites_stale_output_with_the_same_bits() {
         for &(n, k, m) in &[(5, 48, 130), (1, 96, 48), (8, 48, 48), (3, 7, 9)] {
             let a = fill(n * k, 8);
             let qb = QPackedB::from_f32(&fill(k * m, 9), k, m);
             let mut out = vec![7.5f32; n * m];
-            qgemm_into(&a, &qb, n, &mut out, &mut scratch);
+            qgemm_into(&a, &qb, n, &mut out);
             assert_bitwise(&qgemm(&a, &qb, n), &out);
         }
     }

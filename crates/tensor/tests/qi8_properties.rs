@@ -3,12 +3,13 @@
 //! outlier saturation (clamp, never wrap), and the round-trip error
 //! bound of half a quantization step — plus the two oracles of the
 //! vectorised code: the slice quantizer against [`quantize_one`] over
-//! the `f32` bit patterns, and the register tile against a triple loop
-//! over every edge shape. `scripts/ci.sh` runs this binary under
-//! `--release` too: both are autovectorised code a debug build does not
-//! exercise.
+//! the `f32` bit patterns, and the weight-only product against
+//! [`kernel::naive`] over the widened weights on every edge shape.
+//! `scripts/ci.sh` runs this binary under `--release` too: both are
+//! autovectorised code a debug build does not exercise.
 
 use proptest::prelude::*;
+use qrec_tensor::kernel;
 use qrec_tensor::qi8::{
     calibrate, dequantize, qgemm, quantize, quantize_into, quantize_one, quantize_row, QPackedB,
 };
@@ -110,45 +111,57 @@ fn row_quantizer_is_calibrate_then_quantize_one() {
     }
 }
 
-/// Deterministic values in `[-1, 1)` (an integer hash: no libm call, the
-/// same on every host).
-fn fill(len: usize, seed: usize) -> Vec<f32> {
-    (0..len)
-        .map(|i| (((i + seed) * 2_654_435_761) % 2000) as f32 * 1e-3 - 1.0)
-        .collect()
-}
-
-/// The register tile against the quantized computation as a plain
-/// triple loop — bit for bit, integer math being exact at any tiling —
-/// on every edge the tile has: row tiles of 1–5 rows and two or three
-/// tiles deep, an odd last weight row (`k` 1, 47, 97), one pair only
-/// (`k` 2), and right edges of 1, 15 and `130 mod 16` live columns
-/// beside exact multiples of the tile width.
+/// The weight-only product is, bit for bit, [`kernel::naive`] — the
+/// single-accumulator ascending-`k` `fmadd` fold — over the activations
+/// and the int8 weights widened to `f32`, each element then times the
+/// weight's scale: on every edge the tile has (row tiles of 1–6 rows and
+/// up to three tiles deep; widths under one tile, exact multiples of it,
+/// and right edges of 1 and `130 mod 16` columns that re-run a full tile
+/// ending at column `m`), over activations that hold `±0.0`, subnormals
+/// and pairs that cancel exactly, and weights that reach `±127`.
 #[test]
-fn tile_matches_the_triple_loop_on_every_edge_shape() {
-    for n in 1..=11 {
-        for k in [1, 2, 47, 48, 96, 97] {
-            for m in [1, 15, 16, 17, 48, 130] {
-                let a = fill(n * k, n + k);
-                let b = fill(k * m, m);
-                let b_scale = calibrate(&b);
-                let qb: Vec<i8> = b.iter().map(|&x| quantize_one(x, b_scale)).collect();
-                let mut want = vec![0.0f32; n * m];
-                for (arow, wrow) in a.chunks_exact(k).zip(want.chunks_exact_mut(m)) {
-                    let a_scale = calibrate(arow);
-                    for (j, w) in wrow.iter_mut().enumerate() {
-                        let acc: i32 = (0..k)
-                            .map(|kk| {
-                                i32::from(quantize_one(arow[kk], a_scale))
-                                    * i32::from(qb[kk * m + j])
-                            })
-                            .sum();
-                        *w = a_scale * b_scale * acc as f32;
-                    }
-                }
-                let got = qgemm(&a, &QPackedB::from_f32(&b, k, m), n);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&want), bits(&got), "{n}x{k}x{m}");
+fn product_is_the_naive_fold_over_widened_weights_on_every_edge_shape() {
+    let specials = [0.0f32, -0.0, f32::from_bits(1), -f32::MIN_POSITIVE / 2.0];
+    for n in 1..=13 {
+        for k in [1, 12, 47, 48, 96] {
+            for m in [1, 15, 16, 17, 48, 130, 144] {
+                // Activations come in pairs `(x, −x)` against two equal
+                // weight rows, so every pair cancels; every third `x` is
+                // a signed zero or a subnormal, the rest a hash in [-1, 1).
+                let a: Vec<f32> = (0..n * k)
+                    .map(|i| {
+                        let pair = i % k / 2 + i / k;
+                        let x = if pair % 3 == 0 {
+                            specials[pair / 3 % 4]
+                        } else {
+                            ((pair * 2_654_435_761) % 2000) as f32 * 1e-3 - 1.0
+                        };
+                        if i % k % 2 == 0 {
+                            x
+                        } else {
+                            -x
+                        }
+                    })
+                    .collect();
+                // Weights sweep [-126, 126] with ±127 planted throughout.
+                let q: Vec<i8> = (0..k * m)
+                    .map(|i| i / m / 2 * 31 + i % m * 7)
+                    .map(|h| match h % 11 {
+                        0 => 127,
+                        1 => -127,
+                        _ => (h % 253) as i16 - 126,
+                    })
+                    .map(|v| v as i8)
+                    .collect();
+                let scale = 0.003_7 * (1 + m % 3) as f32;
+                let qb = QPackedB::from_quantized(&q, k, m, scale);
+                let wide: Vec<f32> = q.iter().map(|&v| f32::from(v)).collect();
+                let want: Vec<u32> = kernel::naive(&a, &wide, n, k, m)
+                    .iter()
+                    .map(|&acc| (acc * scale).to_bits())
+                    .collect();
+                let got: Vec<u32> = qgemm(&a, &qb, n).iter().map(|x| x.to_bits()).collect();
+                assert_eq!(want, got, "{n}x{k}x{m}");
             }
         }
     }

@@ -39,11 +39,14 @@ cargo test --offline -q -p qrec-nn --test quant_equivalence
 
 echo "==> decode equivalence, int8 oracles and beam selection under the release profile"
 # The suites above ran unoptimised; the contracts must also hold for the
-# code that ships. The int8 register tile and the row quantizer only
-# exist as vector code in an optimised build — a debug build runs their
-# scalar reading — so their oracles (qi8_properties), the golden int8
-# decode (quant_equivalence) and the one-pass beam selection against its
-# oracle are run again here.
+# code that ships. The register tile — which reads f32 and int8 weights
+# alike (int8 is weight-only: widened on load, activations stay f32) —
+# and the row quantizer only exist as vector code in an optimised build;
+# a debug build runs their scalar reading. So the int8 product's oracle
+# (qi8_properties: bit-equal to kernel::naive over the widened weights,
+# one fold order per element), the quantizer's, the golden int8 decode
+# and agreement gate (quant_equivalence) and the one-pass beam selection
+# against its oracle are run again here.
 cargo test --offline -q --release -p qrec-nn --test decode_equivalence
 cargo test --offline -q --release -p qrec-nn --test quant_equivalence
 cargo test --offline -q --release -p qrec-tensor --test qi8_properties
