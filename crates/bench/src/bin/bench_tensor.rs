@@ -26,7 +26,12 @@
 //! holds `A·Bᵀ` to 2× and `Aᵀ·B` to 1.5× of `A·B` at 20×48×48 — the small
 //! `A·Bᵀ` once ran one serial dot product per element, 16× slower. A
 //! `train` row gives what those products are for: seconds and tokens per
-//! second of each epoch of the `bench_e2e` model's training. Also
+//! second of each epoch of the `bench_e2e` model's training.
+//! `softmax_rows` times the softmax row kernel against the per-row scalar
+//! loop it replaced (4×20, 5×130, 20×20 causally masked; `bench.sh` holds
+//! it to 0.7× at the first two) and `attention_rows` the rows-form source
+//! attention against the per-row form (5 beam rows over 20 source rows,
+//! an encoder's 20×20); both old forms are kept below. Also
 //! measures mean end-to-end `decode()` latency on a
 //! freshly trained tiny model. Results go to `BENCH_tensor.json` at the
 //! repo root (or `target/BENCH_tensor_smoke.json` under `--smoke`,
@@ -38,10 +43,12 @@
 
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
+use qrec_nn::attention::{attend_source, SourceKv};
 use qrec_nn::transformer::TransformerConfig;
 use qrec_nn::Strategy;
 use qrec_tensor::kernel;
 use qrec_tensor::pool::{configured_threads, Pool};
+use qrec_tensor::tensor::softmax_rows_in_place;
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
@@ -412,6 +419,206 @@ fn bench_backward_shape(s: BackwardShape, smoke: bool) -> BackwardRow {
     }
 }
 
+/// The softmax loop `softmax_rows_in_place` replaced, copied verbatim as
+/// the fixed baseline: one row at a time, a serial max, a libm `exp` per
+/// value, a serial sum.
+fn softmax_scalar(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for x in row.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    if sum > 0.0 {
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
+}
+
+/// The per-row source attention the rows form replaced — its unmasked
+/// path, over [`softmax_scalar`] — kept as the fixed baseline: one query
+/// row over the transposed keys, each head's logits a serial fold per
+/// position lane, the context one sweep over the value rows.
+fn attend_source_row(
+    q: &[f32],
+    kt: &[f32],
+    v: &[f32],
+    heads: usize,
+    scores: &mut [f32],
+    ctx: &mut [f32],
+) {
+    let d = q.len();
+    let m = kt.len() / d;
+    ctx.fill(0.0);
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    let scores = &mut scores[..heads * m];
+    let head_keys = q.chunks_exact(dh).zip(kt.chunks_exact(dh * m));
+    for (head_scores, (qh, kth)) in scores.chunks_exact_mut(m).zip(head_keys) {
+        head_scores.fill(0.0);
+        for (&qv, krow) in qh.iter().zip(kth.chunks_exact(m)) {
+            for (s, &kv) in head_scores.iter_mut().zip(krow) {
+                *s = kernel::fmadd(qv, kv, *s);
+            }
+        }
+        for s in head_scores.iter_mut() {
+            *s *= scale;
+        }
+        softmax_scalar(head_scores);
+    }
+    for (p, vrow) in v.chunks_exact(d).enumerate() {
+        let heads_out = ctx.chunks_exact_mut(dh).zip(vrow.chunks_exact(dh));
+        for ((out, vh), head_scores) in heads_out.zip(scores.chunks_exact(m)) {
+            let w = head_scores[p];
+            for (o, &vv) in out.iter_mut().zip(vh) {
+                *o = kernel::fmadd(w, vv, *o);
+            }
+        }
+    }
+}
+
+/// One softmax shape under the scalar loop and the row kernel.
+struct SoftmaxRow {
+    rows: usize,
+    m: usize,
+    masked: bool,
+    scalar: RepStats,
+    kernel: RepStats,
+}
+
+impl SoftmaxRow {
+    fn ratio(&self) -> f64 {
+        self.kernel.best_s / self.scalar.best_s
+    }
+
+    fn to_json(&self) -> serde_json::Value {
+        json!({
+            "rows": self.rows, "m": self.m, "masked": self.masked,
+            "scalar_ns": self.scalar.best_s * 1e9,
+            "kernel_ns": self.kernel.best_s * 1e9,
+            "kernel_over_scalar": self.ratio(),
+            "percentiles": { "scalar": self.scalar.to_json(), "kernel": self.kernel.to_json() },
+        })
+    }
+}
+
+/// Softmax rows at the shapes a decode and an encoder pass run — a
+/// cross-attention's four heads over a 20-token source, the beam-5
+/// vocabulary rows, an encoder's 20 causally masked rows — under the
+/// scalar loop and the row kernel. `scripts/bench.sh` holds the kernel
+/// to 0.7× the loop at 5×130 and 4×20.
+fn softmax_rows(smoke: bool) -> Vec<SoftmaxRow> {
+    let budget = if smoke { 0.05 } else { 1.0 };
+    [(4, 20, false), (5, 130, false), (20, 20, true)]
+        .into_iter()
+        .map(|(rows, m, masked)| {
+            let mut logits = fill(rows * m, m);
+            if masked {
+                for (i, x) in logits.iter_mut().enumerate() {
+                    if i % m > i / m {
+                        *x = -1e9;
+                    }
+                }
+            }
+            let (mut a, mut b) = (logits.clone(), logits.clone());
+            let times = time_stats(
+                &mut [
+                    &mut || {
+                        a.copy_from_slice(&logits);
+                        a.chunks_exact_mut(m).for_each(softmax_scalar);
+                        black_box(&a);
+                    },
+                    &mut || {
+                        b.copy_from_slice(&logits);
+                        softmax_rows_in_place(&mut b, m);
+                        black_box(&b);
+                    },
+                ],
+                budget,
+                8192,
+            );
+            SoftmaxRow {
+                rows,
+                m,
+                masked,
+                scalar: times[0],
+                kernel: times[1],
+            }
+        })
+        .collect()
+}
+
+/// One source-attention shape per row as it was and over all rows.
+struct AttentionRow {
+    label: &'static str,
+    n: usize,
+    m: usize,
+    per_row: RepStats,
+    rows: RepStats,
+}
+
+impl AttentionRow {
+    fn ratio(&self) -> f64 {
+        self.rows.best_s / self.per_row.best_s
+    }
+
+    fn to_json(&self) -> serde_json::Value {
+        json!({
+            "label": self.label, "n": self.n, "m": self.m, "d": 48, "heads": 4,
+            "per_row_ns": self.per_row.best_s * 1e9,
+            "rows_ns": self.rows.best_s * 1e9,
+            "rows_over_per_row": self.ratio(),
+            "percentiles": { "per_row": self.per_row.to_json(), "rows": self.rows.to_json() },
+        })
+    }
+}
+
+/// Source attention of the serving model's width (`d_model` 48, 4 heads)
+/// at a decode's shape — 5 beam rows over a 20-token source — and an
+/// encoder pass's (20 rows over themselves), per row as it was and over
+/// all rows at once.
+fn attention_rows(smoke: bool) -> Vec<AttentionRow> {
+    let (d, heads) = (48, 4);
+    let budget = if smoke { 0.05 } else { 1.0 };
+    [
+        (5, 20, "decode cross-attention"),
+        (20, 20, "encoder self-attention"),
+    ]
+    .into_iter()
+    .map(|(n, m, label)| {
+        let q = fill(n * d, 3);
+        let (kt, v) = (fill(d * m, 4), fill(m * d, 5));
+        let (mut ctx_a, mut ctx_b) = (vec![0.0f32; n * d], vec![0.0f32; n * d]);
+        let (mut scores_a, mut scores_b) = (vec![0.0f32; heads * m], vec![0.0f32; n * heads * m]);
+        let times = time_stats(
+            &mut [
+                &mut || {
+                    for (qi, ci) in q.chunks_exact(d).zip(ctx_a.chunks_exact_mut(d)) {
+                        attend_source_row(qi, &kt, &v, heads, &mut scores_a, ci);
+                    }
+                    black_box(&ctx_a);
+                },
+                &mut || {
+                    let src = SourceKv { kt: &kt, v: &v, m };
+                    attend_source(&q, src, heads, None, &mut scores_b, &mut ctx_b);
+                    black_box(&ctx_b);
+                },
+            ],
+            budget,
+            8192,
+        );
+        AttentionRow {
+            label,
+            n,
+            m,
+            per_row: times[0],
+            rows: times[1],
+        }
+    })
+    .collect()
+}
+
 /// Train the `bench_e2e` model (`bench_e2e/src/workloads.rs`: the SDSS
 /// profile at 24 tables and 100 sessions, `Small` transformer, 2 epochs,
 /// seed 7 — a tenth of the sessions under `--smoke`) and report each
@@ -528,6 +735,9 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         })
         .collect();
 
+    eprintln!("  timing softmax rows and source attention ...");
+    let (softmax, attention) = (softmax_rows(smoke), attention_rows(smoke));
+
     eprintln!("  timing the bench model's training ...");
     let (train, train_epochs_s, train_tokens_per_sec) = train_row(smoke);
 
@@ -540,6 +750,8 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "threads": { "configured_default": configured_threads(), "bench_pools": [1, 8] },
         "shapes": rows.iter().map(ShapeRow::to_json).collect::<Vec<_>>(),
         "backward_shapes": backward.iter().map(BackwardRow::to_json).collect::<Vec<_>>(),
+        "softmax_rows": softmax.iter().map(SoftmaxRow::to_json).collect::<Vec<_>>(),
+        "attention_rows": attention.iter().map(AttentionRow::to_json).collect::<Vec<_>>(),
         "train": train,
         "scale_512_speedup_8t_vs_seed": if smoke { json!(null) } else { json!(scale_speedup) },
         "decode_shape_max_regression": decode_regression,
@@ -602,6 +814,31 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             row.reference.best_s,
             row.nn.best_s,
             row.product.best_s / row.nn.best_s,
+        );
+    }
+    for r in &softmax {
+        println!(
+            "{:<36} {:>12.7} {:>12.7} {:>12} {:>8.2}x",
+            format!(
+                "softmax {}x{}{}",
+                r.rows,
+                r.m,
+                if r.masked { " masked" } else { "" }
+            ),
+            r.scalar.best_s,
+            r.kernel.best_s,
+            "",
+            r.ratio(),
+        );
+    }
+    for r in &attention {
+        println!(
+            "{:<36} {:>12.7} {:>12.7} {:>12} {:>8.2}x",
+            format!("attention {}x{} ({})", r.n, r.m, r.label),
+            r.per_row.best_s,
+            r.rows.best_s,
+            "",
+            r.ratio(),
         );
     }
     println!(

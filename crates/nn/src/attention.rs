@@ -8,8 +8,8 @@
 
 use crate::layers::Linear;
 use crate::params::{Fwd, Params};
-use qrec_tensor::kernel::{fmadd, Widen};
-use qrec_tensor::tensor::{softmax_backward_row, softmax_in_place};
+use qrec_tensor::kernel::{fmadd, tile_gemm, tile_gemm_tn, Strided, Widen};
+use qrec_tensor::tensor::{softmax_backward_row, softmax_rows_in_place};
 use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -67,10 +67,9 @@ impl MultiHeadAttention {
     /// Scaled dot-product attention over already-projected `q`/`k`/`v`
     /// (full width, three distinct nodes), as **one** tape node.
     ///
-    /// The forward is the serving path's kernel, [`attend_source`], one
-    /// query row at a time over keys transposed once, with the row's
-    /// softmax weights kept for the backward. The backward is
-    /// [`attend_backward`]. Both are bit for bit what the op-by-op form
+    /// The forward is the serving path's kernel, [`attend_source`], over
+    /// every query row at once and keys transposed once, with the softmax
+    /// weights kept for the backward. The backward is [`attend_backward`]. Both are bit for bit what the op-by-op form
     /// (per head: three column slices, `matmul_nt`, `scale`, `add` of the
     /// mask, `softmax_rows`, `matmul`, then `hcat`) computes — the test
     /// suite keeps that form as the oracle.
@@ -96,14 +95,22 @@ impl MultiHeadAttention {
         let (n, m, d) = (qv.rows(), kv.rows(), self.d);
         let mut kt = Vec::new();
         transpose_into(kv.data(), d, &mut kt);
-        // Row i's weights: `heads` runs of `m`, the layout of `scores`.
+        // Row i's weights: `heads` runs of `m`, the layout of `probs`.
         let mut probs = vec![0.0f32; n * heads * m];
         let mut ctx = Tensor::zeros(n, d);
-        let rows = probs.chunks_exact_mut((heads * m).max(1));
-        for (i, (q, p)) in qv.data().chunks_exact(d).zip(rows).enumerate() {
-            let mask = mask.map(|t| t.row(i));
-            attend_source(q, &kt, vv.data(), heads, mask, p, ctx.row_mut(i));
-        }
+        let src = SourceKv {
+            kt: &kt,
+            v: vv.data(),
+            m,
+        };
+        attend_source(
+            qv.data(),
+            src,
+            heads,
+            mask.map(Tensor::data),
+            &mut probs,
+            ctx.data_mut(),
+        );
         graph.custom(ctx, move |g, store| {
             let (dq, dk, dv) = attend_backward(&qv, &kv, &vv, &probs, heads, g);
             store.accumulate(q, dq);
@@ -155,9 +162,10 @@ impl MultiHeadAttention {
 /// context's gradient `g` (`n × d`).
 ///
 /// Per head, with `P` the weights and `g`, `q`, `k`, `v` the head's
-/// columns: `dV = Pᵀ·g`, `dP = g·Vᵀ`, `dS` the softmax Jacobian applied
-/// to `dP` row by row ([`softmax_backward_row`]) times the logit scale,
-/// `dQ = dS·K`, `dK = dSᵀ·Q`. Every product element is the GEMM's
+/// columns, four register-tile products over every query row: `dP =
+/// g·Vᵀ`, then `dS` the softmax Jacobian applied to `dP` row by row
+/// ([`softmax_backward_row`]) times the logit scale, `dQ = dS·K`, `dK =
+/// dSᵀ·Q` and `dV = Pᵀ·g`. Every product element is the GEMM's
 /// single-accumulator ascending [`fmadd`] fold from `0.0` over the same
 /// index the op-by-op tape's `matmul` / `matmul_nt` backward folds over
 /// (`dP` over the head's columns, `dQ` over positions, `dK` and `dV` over
@@ -183,48 +191,28 @@ fn attend_backward(
         Tensor::zeros(m, d),
         Tensor::zeros(m, d),
     );
-    // Values transposed once (`d × m`), so a row of `dP` folds with the
-    // positions as lanes — the trick of `attend_source`'s logits.
+    if m == 0 {
+        return (dq, dk, dv);
+    }
+    // Values transposed once (`d × m`): head `h`'s `Vᵀ` is one block.
     let mut vt = Vec::new();
     transpose_into(v.data(), d, &mut vt);
-    let (mut dp, mut ds) = (vec![0.0f32; m], vec![0.0f32; m]);
+    let (mut dp, mut ds) = (vec![0.0f32; n * m], vec![0.0f32; n * m]);
     for h in 0..heads {
-        let cols = h * dh..(h + 1) * dh;
-        let vth = &vt[cols.start * m..cols.end * m];
-        for i in 0..n {
-            let p = &probs[(i * heads + h) * m..(i * heads + h + 1) * m];
-            let (gi, qi) = (&g.row(i)[cols.clone()], &q.row(i)[cols.clone()]);
-            dp.fill(0.0);
-            for (&gv, vrow) in gi.iter().zip(vth.chunks_exact(m.max(1))) {
-                for (x, &vv) in dp.iter_mut().zip(vrow) {
-                    *x = fmadd(gv, vv, *x);
-                }
-            }
-            softmax_backward_row(p, &dp, &mut ds);
-            for x in ds.iter_mut() {
+        // Head `h`'s columns of `g`, `k` and `q`, and its weights.
+        let [gh, kh, qh] = [g, k, q].map(|x| Strided::new(&x.data()[h * dh..], d));
+        let p = Strided::new(&probs[h * m..], heads * m);
+        tile_gemm(gh, Strided::new(&vt[h * dh * m..], m), n, dh, m, &mut dp, m);
+        for (i, (dpi, dsi)) in dp.chunks_exact(m).zip(ds.chunks_exact_mut(m)).enumerate() {
+            softmax_backward_row(&probs[(i * heads + h) * m..][..m], dpi, dsi);
+            for x in dsi.iter_mut() {
                 *x *= scale;
             }
-            let dqi = &mut dq.row_mut(i)[cols.clone()];
-            for (&a, krow) in ds.iter().zip(k.data().chunks_exact(d)) {
-                for (o, &kv) in dqi.iter_mut().zip(&krow[cols.clone()]) {
-                    *o = fmadd(a, kv, *o);
-                }
-            }
-            // Query rows ascend in the outer loop, so each `dK` / `dV`
-            // element still folds over them in order.
-            let dkv = dk
-                .data_mut()
-                .chunks_exact_mut(d)
-                .zip(dv.data_mut().chunks_exact_mut(d));
-            for ((&a, &w), (dkrow, dvrow)) in ds.iter().zip(p).zip(dkv) {
-                for (o, &qv) in dkrow[cols.clone()].iter_mut().zip(qi) {
-                    *o = fmadd(a, qv, *o);
-                }
-                for (o, &gv) in dvrow[cols.clone()].iter_mut().zip(gi) {
-                    *o = fmadd(w, gv, *o);
-                }
-            }
         }
+        let ds = Strided::new(&ds[..], m);
+        tile_gemm(ds, kh, n, m, dh, &mut dq.data_mut()[h * dh..], d);
+        tile_gemm_tn(ds, qh, m, n, dh, &mut dk.data_mut()[h * dh..], d);
+        tile_gemm_tn(p, gh, m, n, dh, &mut dv.data_mut()[h * dh..], d);
     }
     if heads > 1 {
         for t in [&mut dq, &mut dk, &mut dv] {
@@ -267,14 +255,15 @@ pub(crate) enum KvPair<'a> {
 /// columns of every key row, scale by `1/√d_head`, softmax over the `t`
 /// positions, and accumulate the probability-weighted value rows into
 /// the same columns of `ctx`. Heads are walked in place — nothing is
-/// sliced, concatenated or allocated. `scores` is scratch for one
-/// head's `t` probabilities; its length says how many positions to
-/// attend.
+/// sliced, concatenated or allocated. `scores` is scratch for every
+/// head's `t` probabilities, head by head; its length over `heads` says
+/// how many positions to attend. All heads' logits come first, so one
+/// softmax call takes every head's row.
 ///
 /// Bit for bit the context row [`MultiHeadAttention::forward`] computes
 /// unmasked: each logit is the GEMM's single-accumulator ascending-`k`
 /// [`fmadd`] fold from `0.0` (`matmul_nt`), times the scale; softmax is
-/// the shared [`softmax_in_place`]; each context element is the same
+/// the shared [`softmax_rows_in_place`]; each context element is the same
 /// fold over ascending positions (`matmul`). Reading an int8 element as
 /// `f32::from(q) * scale` on the fly yields the value a dequantized copy
 /// of the row would hold, so the folds see identical operands.
@@ -312,8 +301,8 @@ pub(crate) fn attend_fused(
 }
 
 /// [`attend_fused`] over row readers: `key(p)` / `value(p)` return
-/// position `p`'s full-width row and its scale. `scores.len()` is the
-/// number of positions attended.
+/// position `p`'s full-width row and its scale. `scores.len() / heads`
+/// is the number of positions attended.
 #[inline(always)]
 fn attend_rows<'a, T: Widen + 'a>(
     q: &[f32],
@@ -324,11 +313,12 @@ fn attend_rows<'a, T: Widen + 'a>(
     value: impl Fn(usize) -> (&'a [T], f32),
 ) {
     let dh = q.len() / heads;
+    let t = scores.len() / heads;
     let scale = 1.0 / (dh as f32).sqrt();
     for h in 0..heads {
         let cols = h * dh..(h + 1) * dh;
         let qh = &q[cols.clone()];
-        for (p, score) in scores.iter_mut().enumerate() {
+        for (p, score) in scores[h * t..(h + 1) * t].iter_mut().enumerate() {
             let (row, row_scale) = key(p);
             let mut s = 0.0f32;
             for (&qv, &kv) in qh.iter().zip(&row[cols.clone()]) {
@@ -336,10 +326,13 @@ fn attend_rows<'a, T: Widen + 'a>(
             }
             *score = s * scale;
         }
-        softmax_in_place(scores);
+    }
+    softmax_rows_in_place(scores, t);
+    for h in 0..heads {
+        let cols = h * dh..(h + 1) * dh;
         let out = &mut ctx[cols.clone()];
         out.fill(0.0);
-        for (p, &w) in scores.iter().enumerate() {
+        for (p, &w) in scores[h * t..(h + 1) * t].iter().enumerate() {
             let (row, row_scale) = value(p);
             for (o, &vv) in out.iter_mut().zip(&row[cols.clone()]) {
                 *o = fmadd(w, vv.widen_scaled(row_scale), *o);
@@ -359,68 +352,84 @@ pub(crate) fn transpose_into(x: &[f32], cols: usize, out: &mut Vec<f32>) {
     }
 }
 
-/// [`attend_fused`] of one query row over `m` full-precision source rows
+/// The `m` full-precision source rows a batch of queries attends: rows
 /// that stay fixed while many queries attend them — the cross-attention
-/// K/V of a decode, an encoder layer's K/V — with the keys stored
-/// **transposed** (`kt`: `d × m`, [`transpose_into`]) and the values
-/// row-major (`v`: `m × d`). `scores` is scratch for `heads · m` weights —
-/// on return each head's softmax weights over the `m` positions, which
-/// the tape node keeps for its backward. `mask`, if given, is this query
-/// row's `m` additive logit terms (added after the scale, as the graph
-/// ops did: two roundings, never a fused multiply-add).
+/// K/V of a decode, an encoder layer's K/V, a training example's — with
+/// the keys stored **transposed** (`kt`: `d × m`, [`transpose_into`]),
+/// so head `h`'s keys are the contiguous `d_h × m` block of rows
+/// `h·d_h..`, and the values row-major (`v`: `m × d`).
+#[derive(Debug, Clone, Copy)]
+pub struct SourceKv<'a> {
+    /// Keys, transposed: `d × m`.
+    pub kt: &'a [f32],
+    /// Values, row-major: `m × d`.
+    pub v: &'a [f32],
+    /// Source rows.
+    pub m: usize,
+}
+
+/// Multi-head attention of the `n` query rows of `q` (`n × d`) over the
+/// source rows `src`, tape-free, per head as two register-tile products
+/// over every query row at once: the logits `Q_h·K_hᵀ` (`n × m`, the
+/// keys already transposed), scaled by `1/√d_h`, plus `mask` (`n × m`
+/// additive terms, the same for every head; added after the scale, as the
+/// graph ops did: two roundings, never a fused multiply-add); one softmax
+/// over all `n · heads` rows; then the context `P_h·V_h` into head `h`'s
+/// columns of `ctx` (`n × d`). Nothing is sliced, concatenated or
+/// allocated: a head's columns are read and written where they lie
+/// ([`Strided`]). `probs` is scratch for `n · heads · m` weights — on
+/// return row `i`'s `heads` runs of `m` softmax weights, which the tape
+/// node keeps for its backward.
 ///
-/// The same bits as [`attend_fused`], by the same argument: a logit is
-/// still the single-accumulator ascending-`k` [`fmadd`] fold from `0.0`
-/// times the scale — but the fold's step `k` now updates the logits of
-/// all `m` positions at once, which are contiguous in `kt`'s row `k`, so
-/// the positions are vector lanes instead of `m` serial dot products. A
-/// context element is still its fold over ascending positions; taking
-/// every head's weights first lets one sweep over the value rows feed
-/// all heads, each row read once, full width.
-pub(crate) fn attend_source(
+/// Bit for bit what [`attend_fused`] and the graph ops compute per row:
+/// each logit and each context element is the single-accumulator
+/// ascending [`fmadd`] fold from `0.0` that every GEMM path computes (the
+/// tile's, [`tile_gemm`]), over the head's columns for a logit and over
+/// the positions for a context element, and each row of weights is the
+/// shared softmax of the same values.
+pub fn attend_source(
     q: &[f32],
-    kt: &[f32],
-    v: &[f32],
+    src: SourceKv<'_>,
     heads: usize,
     mask: Option<&[f32]>,
-    scores: &mut [f32],
+    probs: &mut [f32],
     ctx: &mut [f32],
 ) {
-    let d = q.len();
-    let m = kt.len() / d;
-    ctx.fill(0.0);
+    let m = src.m;
     if m == 0 {
+        ctx.fill(0.0);
         return;
     }
-    let dh = d / heads;
+    let d = src.kt.len() / m;
+    let (n, dh) = (q.len() / d, d / heads);
     let scale = 1.0 / (dh as f32).sqrt();
-    let scores = &mut scores[..heads * m];
-    let head_keys = q.chunks_exact(dh).zip(kt.chunks_exact(dh * m));
-    for (head_scores, (qh, kth)) in scores.chunks_exact_mut(m).zip(head_keys) {
-        head_scores.fill(0.0);
-        for (&qv, krow) in qh.iter().zip(kth.chunks_exact(m)) {
-            for (s, &kv) in head_scores.iter_mut().zip(krow) {
-                *s = fmadd(qv, kv, *s);
-            }
-        }
-        for s in head_scores.iter_mut() {
+    let probs = &mut probs[..n * heads * m];
+    for h in 0..heads {
+        let (qh, kth) = (
+            Strided::new(&q[h * dh..], d),
+            Strided::new(&src.kt[h * dh * m..], m),
+        );
+        tile_gemm(qh, kth, n, dh, m, &mut probs[h * m..], heads * m);
+    }
+    for (i, row) in probs.chunks_exact_mut(heads * m).enumerate() {
+        for s in row.iter_mut() {
             *s *= scale;
         }
         if let Some(mask) = mask {
-            for (s, &mk) in head_scores.iter_mut().zip(mask) {
-                *s += mk;
+            for head in row.chunks_exact_mut(m) {
+                for (s, &mk) in head.iter_mut().zip(&mask[i * m..(i + 1) * m]) {
+                    *s += mk;
+                }
             }
         }
-        softmax_in_place(head_scores);
     }
-    for (p, vrow) in v.chunks_exact(d).enumerate() {
-        let heads_out = ctx.chunks_exact_mut(dh).zip(vrow.chunks_exact(dh));
-        for ((out, vh), head_scores) in heads_out.zip(scores.chunks_exact(m)) {
-            let w = head_scores[p];
-            for (o, &vv) in out.iter_mut().zip(vh) {
-                *o = fmadd(w, vv, *o);
-            }
-        }
+    softmax_rows_in_place(probs, m);
+    for h in 0..heads {
+        let (p, vh) = (
+            Strided::new(&probs[h * m..], heads * m),
+            Strided::new(&src.v[h * dh..], d),
+        );
+        tile_gemm(p, vh, n, m, dh, &mut ctx[h * dh..], d);
     }
 }
 
@@ -508,11 +517,63 @@ mod tests {
         assert!(diff > 1e-4, "unmasked attention should see the change");
     }
 
+    /// The per-row form [`attend_source`] replaced: one query row over the
+    /// transposed keys, each head's logits as a serial fold per position
+    /// lane, the context as one sweep over the value rows. The oracle the
+    /// rows form is held to, bit for bit.
+    fn attend_source_row(
+        q: &[f32],
+        kt: &[f32],
+        v: &[f32],
+        heads: usize,
+        mask: Option<&[f32]>,
+        scores: &mut [f32],
+        ctx: &mut [f32],
+    ) {
+        let d = q.len();
+        let m = kt.len() / d;
+        ctx.fill(0.0);
+        if m == 0 {
+            return;
+        }
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let scores = &mut scores[..heads * m];
+        let head_keys = q.chunks_exact(dh).zip(kt.chunks_exact(dh * m));
+        for (head_scores, (qh, kth)) in scores.chunks_exact_mut(m).zip(head_keys) {
+            head_scores.fill(0.0);
+            for (&qv, krow) in qh.iter().zip(kth.chunks_exact(m)) {
+                for (s, &kv) in head_scores.iter_mut().zip(krow) {
+                    *s = fmadd(qv, kv, *s);
+                }
+            }
+            for s in head_scores.iter_mut() {
+                *s *= scale;
+            }
+            if let Some(mask) = mask {
+                for (s, &mk) in head_scores.iter_mut().zip(mask) {
+                    *s += mk;
+                }
+            }
+            softmax_rows_in_place(head_scores, m);
+        }
+        for (p, vrow) in v.chunks_exact(d).enumerate() {
+            let heads_out = ctx.chunks_exact_mut(dh).zip(vrow.chunks_exact(dh));
+            for ((out, vh), head_scores) in heads_out.zip(scores.chunks_exact(m)) {
+                let w = head_scores[p];
+                for (o, &vv) in out.iter_mut().zip(vh) {
+                    *o = fmadd(w, vv, *o);
+                }
+            }
+        }
+    }
+
     /// Both fused kernels against the graph ops they replace, on the same
     /// projected q/k/v: bit for bit, for a batch of query rows over a
-    /// shared K/V (the cross-attention shape) — [`attend_fused`] over the
-    /// row-major keys, [`attend_source`] over their transpose, with a
-    /// scores scratch longer than it needs and full of stale values.
+    /// shared K/V (the cross-attention shape) — [`attend_fused`] per row
+    /// over the row-major keys, [`attend_source`] over all rows at once
+    /// and the keys' transpose, with scratch longer than it needs and full
+    /// of stale values.
     #[test]
     fn fused_attention_matches_the_graph_ops_bitwise() {
         for (d, heads, t) in [(8, 2, 1), (48, 4, 7), (48, 4, 20), (48, 4, 33), (16, 1, 5)] {
@@ -533,8 +594,7 @@ mod tests {
             transpose_into(k.data(), d, &mut kt);
             assert_eq!(kt.len(), t * d);
             assert_eq!(kt[(d - 1) * t], k.get(0, d - 1), "kt is d × t");
-            let mut scores = vec![0.0; t];
-            let mut source_scores = vec![7.5; heads * t + 3];
+            let mut scores = vec![0.0; heads * t];
             let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for r in 0..3 {
                 let mut ctx = vec![f32::NAN; d];
@@ -549,21 +609,96 @@ mod tests {
                     &mut ctx,
                 );
                 assert_eq!(bits(want.row(r)), bits(&ctx), "d {d} heads {heads} t {t}");
-                let mut ctx = vec![f32::NAN; d];
-                attend_source(
-                    q.row(r),
-                    &kt,
-                    v.data(),
-                    heads,
-                    None,
-                    &mut source_scores,
-                    &mut ctx,
+            }
+            let mut ctx = vec![f32::NAN; 3 * d];
+            let mut probs = vec![7.5; 3 * heads * t + 3];
+            let src = SourceKv {
+                kt: &kt,
+                v: v.data(),
+                m: t,
+            };
+            attend_source(q.data(), src, heads, None, &mut probs, &mut ctx);
+            assert_eq!(
+                bits(want.data()),
+                bits(&ctx),
+                "transposed keys, d {d} heads {heads} t {t}"
+            );
+        }
+    }
+
+    /// `n × m` additive mask blocking the positions after each row's own
+    /// (`c > r`): the causal mask, stretched to a rectangle.
+    fn causal_rect(n: usize, m: usize) -> Vec<f32> {
+        (0..n * m)
+            .map(|i| if i % m > i / m { -1e9 } else { 0.0 })
+            .collect()
+    }
+
+    /// The rows form against the per-row form it replaced, bit for bit —
+    /// context and every softmax weight — on every query count up to 8,
+    /// every source length up to 40 and 1, 2 and 4 heads, unmasked,
+    /// causally masked and under an additive mask of ordinary logit
+    /// magnitudes, with q/k/v projected through f32 weights and through
+    /// the same weights' int8 sidecar.
+    #[test]
+    fn rows_form_matches_the_per_row_form_bitwise() {
+        let d = 48;
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for heads in [1, 2, 4] {
+            let (f32_params, mha, mut rng) = setup(d, heads);
+            let mut int8_params = f32_params.clone();
+            int8_params.quantize();
+            let xq = init::uniform(8, d, -1.5, 1.5, &mut rng);
+            let xkv = init::uniform(40, d, -1.5, 1.5, &mut rng);
+            for params in [&f32_params, &int8_params] {
+                let project = |lin: &Linear, x: &Tensor| {
+                    let mut out = vec![0.0; x.len()];
+                    lin.apply(params, x.data(), x.rows(), &mut out);
+                    out
+                };
+                let (q, k, v) = (
+                    project(&mha.q, &xq),
+                    project(&mha.k, &xkv),
+                    project(&mha.v, &xkv),
                 );
-                assert_eq!(
-                    bits(want.row(r)),
-                    bits(&ctx),
-                    "transposed keys, d {d} heads {heads} t {t}"
-                );
+                for m in 1..=40 {
+                    let (k, v) = (&k[..m * d], &v[..m * d]);
+                    let mut kt = Vec::new();
+                    transpose_into(k, d, &mut kt);
+                    for n in 1..=8 {
+                        let q = &q[..n * d];
+                        let causal = causal_rect(n, m);
+                        // Additive terms of the logits' own size, so that the
+                        // order of scale and add shows in the bits.
+                        let bias: Vec<f32> = (0..n * m)
+                            .map(|i| ((i * 7919) % 61) as f32 * 0.037 - 1.1)
+                            .collect();
+                        for mask in [None, Some(&causal[..]), Some(&bias[..])] {
+                            let case = format!(
+                                "int8 {} heads {heads} n {n} m {m} masked {}",
+                                params.is_quantized(),
+                                mask.is_some()
+                            );
+                            let mut want = vec![f32::NAN; n * d];
+                            let mut want_probs = vec![f32::NAN; n * heads * m];
+                            let mut scores = vec![7.5; heads * m];
+                            for (i, (qi, ctx)) in
+                                q.chunks_exact(d).zip(want.chunks_exact_mut(d)).enumerate()
+                            {
+                                let mask = mask.map(|mk| &mk[i * m..(i + 1) * m]);
+                                attend_source_row(qi, &kt, v, heads, mask, &mut scores, ctx);
+                                want_probs[i * heads * m..][..heads * m].copy_from_slice(&scores);
+                            }
+                            let mut got = vec![f32::NAN; n * d];
+                            let mut probs = vec![7.5; n * heads * m + 5];
+                            let src = SourceKv { kt: &kt, v, m };
+                            attend_source(q, src, heads, mask, &mut probs, &mut got);
+                            assert_eq!(bits(&want), bits(&got), "context, {case}");
+                            let probs = &probs[..n * heads * m];
+                            assert_eq!(bits(&want_probs), bits(probs), "weights, {case}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -572,9 +707,14 @@ mod tests {
     /// leaves it.
     #[test]
     fn attending_an_empty_source_yields_a_zero_context() {
-        let mut ctx = vec![f32::NAN; 8];
-        attend_source(&[1.0; 8], &[], &[], 2, None, &mut [], &mut ctx);
-        assert_eq!(ctx, vec![0.0; 8]);
+        let mut ctx = vec![f32::NAN; 16];
+        let src = SourceKv {
+            kt: &[],
+            v: &[],
+            m: 0,
+        };
+        attend_source(&[1.0; 16], src, 2, None, &mut [], &mut ctx);
+        assert_eq!(ctx, vec![0.0; 16]);
     }
 
     /// Dequantizing int8 rows on the fly inside the folds equals
@@ -605,7 +745,7 @@ mod tests {
                 .flat_map(|(row, &s)| row.iter().map(move |&x| f32::from(x) * s))
                 .collect()
         };
-        let mut scores = vec![0.0; t];
+        let mut scores = vec![0.0; heads * t];
         let mut want = vec![0.0; d];
         attend_fused(
             q.row(0),

@@ -25,7 +25,7 @@
 use crate::incremental::DecodeState;
 use crate::params::{forward_eval, Fwd, Params, Tape};
 use crate::seq2seq::Seq2Seq;
-use qrec_tensor::tensor::softmax_in_place;
+use qrec_tensor::tensor::softmax_rows_in_place;
 use qrec_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -526,9 +526,8 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
         // a count plus a histogram sample.
         let t0 = qrec_obs::enabled().then(std::time::Instant::now);
         let mut probs = self.with_fwd(|model, fwd| model.step_logits(fwd, state, last_toks));
-        for r in 0..probs.rows() {
-            softmax_in_place(probs.row_mut(r));
-        }
+        let vocab = probs.cols();
+        softmax_rows_in_place(probs.data_mut(), vocab);
         if let Some(t0) = t0 {
             step_hist().record_duration(t0.elapsed());
             qrec_obs::trace::note_decode_step();

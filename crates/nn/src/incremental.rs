@@ -140,9 +140,9 @@ pub(crate) struct StepScratch {
     pub(crate) y: Vec<f32>,
     /// Feed-forward hidden activations, `B × d_ff`.
     pub(crate) h: Vec<f32>,
-    /// Attention distributions of one query row: one head's over the
-    /// decoded positions, or every head's over the source
-    /// (`max(positions, heads · source length)` values).
+    /// Attention distributions: every head's of one query row over its
+    /// decoded positions, or every row's and every head's over the source
+    /// (`max(heads · positions, B · heads · source length)` values).
     pub(crate) scores: Vec<f32>,
     /// An encoder layer's keys, transposed (`d_model × m`).
     pub(crate) kt: Vec<f32>,

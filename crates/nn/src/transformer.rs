@@ -1,7 +1,7 @@
 //! The Transformer seq2seq architecture (Vaswani et al.), sized for the
 //! paper's query-prediction task.
 
-use crate::attention::{attend_fused, attend_source, transpose_into, MultiHeadAttention};
+use crate::attention::{attend_fused, attend_source, transpose_into, MultiHeadAttention, SourceKv};
 use crate::incremental::{
     full_prefix_step, DecodeState, KvArena, StateKind, StepScratch, TransformerLayerState,
     TransformerState,
@@ -105,11 +105,10 @@ impl EncoderLayer {
 
     /// [`EncoderLayer::forward`] outside training, tape-free, over the
     /// `m` source rows of the residual stream `s.x` (`m × d_model`,
-    /// updated in place): every projection batched over the rows, each
-    /// row's query attended over the K/V rows of all `m` — the graph
-    /// path's unmasked `m × m` attention, one query row at a time over
-    /// keys transposed once for the `m` queries. Weights are read from
-    /// `params` in place; every intermediate lives in `s`.
+    /// updated in place): every projection batched over the rows, and
+    /// the graph path's unmasked `m × m` attention as per-head products
+    /// over all `m` query rows, the keys transposed once. Weights are
+    /// read from `params` in place; every intermediate lives in `s`.
     fn apply(&self, params: &Params, m: usize, s: &mut StepScratch) {
         let attn = &self.attn;
         let d = attn.d;
@@ -117,9 +116,12 @@ impl EncoderLayer {
         attn.k.apply(params, &s.x, m, &mut s.k);
         attn.v.apply(params, &s.x, m, &mut s.v);
         transpose_into(&s.k, d, &mut s.kt);
-        for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_source(q, &s.kt, &s.v, attn.heads, None, &mut s.scores, ctx);
-        }
+        let src = SourceKv {
+            kt: &s.kt,
+            v: &s.v,
+            m,
+        };
+        attend_source(&s.q, src, attn.heads, None, &mut s.scores, &mut s.ctx);
         attn.out.apply(params, &s.ctx, m, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln1.apply(params, &mut s.x);
@@ -210,7 +212,7 @@ impl DecoderLayer {
         let rows = s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d));
         for (i, (q, ctx)) in rows.enumerate() {
             let history = ls.self_kv.history(i);
-            attend_fused(q, history, attn.heads, &mut s.scores[..t], ctx);
+            attend_fused(q, history, attn.heads, &mut s.scores[..attn.heads * t], ctx);
         }
         attn.out.apply(params, &s.ctx, n, &mut s.y);
         add_assign(&mut s.x, &s.y);
@@ -218,10 +220,12 @@ impl DecoderLayer {
 
         let attn = &self.cross_attn;
         attn.q.apply(params, &s.x, n, &mut s.q);
-        let (kt, v) = (ls.cross_kt.data(), ls.cross_v.data());
-        for (q, ctx) in s.q.chunks_exact(d).zip(s.ctx.chunks_exact_mut(d)) {
-            attend_source(q, kt, v, attn.heads, None, &mut s.scores, ctx);
-        }
+        let src = SourceKv {
+            kt: ls.cross_kt.data(),
+            v: ls.cross_v.data(),
+            m: ls.cross_v.rows(),
+        };
+        attend_source(&s.q, src, attn.heads, None, &mut s.scores, &mut s.ctx);
         attn.out.apply(params, &s.ctx, n, &mut s.y);
         add_assign(&mut s.x, &s.y);
         self.ln2.apply(params, &mut s.x);
@@ -343,7 +347,7 @@ impl Seq2Seq for Transformer {
         let src = &src[..src.len().min(self.cfg.max_len)];
         let m = src.len();
         let mut s = StepScratch::default();
-        s.ensure(m, d, self.cfg.d_ff, self.cfg.heads * m);
+        s.ensure(m, d, self.cfg.d_ff, m * self.cfg.heads * m);
         self.src_embed.gather_into(params, src, &mut s.x);
         let pe_div = positional_divisors(d);
         let sqrt_d = (d as f32).sqrt();
@@ -420,8 +424,9 @@ impl Seq2Seq for Transformer {
         let mut logits = Tensor::zeros(n, self.cfg.vocab);
         if let StateKind::Transformer(ts) = &mut state.kind {
             let s = &mut ts.scratch;
-            let source_scores = self.cfg.heads * state.enc.rows();
-            s.ensure(n, d, self.cfg.d_ff, (pos + 1).max(source_scores));
+            let heads = self.cfg.heads;
+            let scores = (heads * (pos + 1)).max(n * heads * state.enc.rows());
+            s.ensure(n, d, self.cfg.d_ff, scores);
             self.tgt_embed.gather_into(params, last_toks, &mut s.x);
             positional_encoding_row_into(pos, &ts.pe_div, &mut s.pe);
             let sqrt_d = (d as f32).sqrt();

@@ -46,14 +46,15 @@
 //!
 //! [`select`] keeps small products (decode-time B×d tiles, tiny
 //! training tiles) on the [`KernelPath::Naive`] path: no packing, no
-//! pool — an unpacked register tile over `B` as it lies in memory (the
-//! plain [`naive`] loop when the output is narrower than one tile), so
+//! pool — an unpacked register tile over `B` as it lies in memory, so
 //! the only overhead is the call itself. The tile is generic over `B`'s
 //! element ([`Widen`]): int8 weights ([`crate::qi8`]) are read through
 //! the same code, widened to `f32` on load. The transposed forms of a
 //! backward pass run the same tile: [`gemm_tn`] reads its `k×n` operand
 //! where it lies, [`gemm_nt`] transposes `B` once into a per-thread
-//! scratch and is [`gemm`] from there. Mid-size products use the blocked
+//! scratch and is [`gemm`] from there. Attention's per-head products run
+//! it too, uncounted, over operands that are column ranges of wider
+//! buffers ([`tile_gemm`], [`Strided`]). Mid-size products use the blocked
 //! serial kernel; large products split
 //! into contiguous row ranges on the shared [`Pool`]. The split depends
 //! only on `(n, threads)` — never on timing — so repeated calls take
@@ -151,7 +152,7 @@ pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
     /// Small product: no packing and no pool, zero set-up cost — the
-    /// unpacked register tile, or the plain ikj loop under one tile width.
+    /// unpacked register tile.
     Naive,
     /// Mid-size product: packed blocked kernel on the calling thread.
     Blocked,
@@ -190,7 +191,16 @@ pub fn select(n: usize, k: usize, m: usize, threads: usize) -> KernelPath {
 /// property-tested against (bitwise, not epsilon).
 pub fn naive(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
-    naive_acc(a, b, n, k, m, &mut out);
+    for i in 0..n {
+        let arow = &a[i * k..(i + 1) * k];
+        let orow = &mut out[i * m..(i + 1) * m];
+        for (kk, &av) in arow.iter().enumerate() {
+            let brow = &b[kk * m..(kk + 1) * m];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o = fmadd(av, bv, *o);
+            }
+        }
+    }
     out
 }
 
@@ -228,30 +238,68 @@ impl Widen for i8 {
     }
 }
 
-/// [`naive`] accumulating into a zeroed `n·m` buffer.
-fn naive_acc<B: Widen>(a: &[f32], b: &[B], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    for i in 0..n {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * m..(i + 1) * m];
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * m..(kk + 1) * m];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmadd(av, bv.widen(), *o);
-            }
-        }
-    }
-}
-
 /// Rows per register tile of [`small_tiles`].
 const SR: usize = 6;
 /// Columns per register tile of [`small_tiles`].
 const SN: usize = 16;
 
+/// A matrix as it lies inside a larger buffer, row-major with row stride
+/// `ld`: element `(r, c)` at `data[r·ld + c]`. One head's column range of
+/// a `d`-wide matrix is `Strided { data: &x[h·d_h..], ld: d }`, with
+/// nothing copied.
+#[derive(Debug, Clone, Copy)]
+pub struct Strided<'a, T = f32> {
+    /// The buffer, from the matrix's first element on.
+    pub data: &'a [T],
+    /// Distance between the starts of consecutive rows.
+    pub ld: usize,
+}
+
+impl<'a, T> Strided<'a, T> {
+    /// A matrix of rows `ld` apart starting at `data[0]`.
+    pub fn new(data: &'a [T], ld: usize) -> Self {
+        Strided { data, ld }
+    }
+}
+
 /// The counted small-product dispatch arm of all three f32 product
-/// forms: [`small_tiles`] over an f32 `B`.
+/// forms: [`small_tiles`] over an f32 `B`, all three operands contiguous.
 fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     dispatch().naive.inc();
-    small_tiles::<TA, f32>(a, b, n, k, m, out);
+    let lda = if TA { n } else { k };
+    small_tiles::<TA, f32>(Strided::new(a, lda), Strided::new(b, m), n, k, m, out, m);
+}
+
+/// `A·B` on the small-product register tile, where `a` is `n×k`, `b` is
+/// `k×m` and the output `n×m` (overwritten) lies in `out` with row stride
+/// `ldc`: the per-head products of attention, whose operands are column
+/// ranges and interleaved rows of wider buffers. Every element is the
+/// fold of [`naive`]. Not a dispatched GEMM: the counters behind
+/// [`counters`] see the model's projections only.
+pub fn tile_gemm(
+    a: Strided<'_>,
+    b: Strided<'_>,
+    n: usize,
+    k: usize,
+    m: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    small_tiles::<false, f32>(a, b, n, k, m, out, ldc);
+}
+
+/// [`tile_gemm`] of `Aᵀ·B`: `a` holds the `k×n` operand, read where it
+/// lies. Every element is the fold of [`naive_tn`].
+pub fn tile_gemm_tn(
+    a: Strided<'_>,
+    b: Strided<'_>,
+    n: usize,
+    k: usize,
+    m: usize,
+    out: &mut [f32],
+    ldc: usize,
+) {
+    small_tiles::<true, f32>(a, b, n, k, m, out, ldc);
 }
 
 /// The small-product kernel, of f32 weights and — the whole of
@@ -263,74 +311,83 @@ fn small_acc<const TA: bool>(a: &[f32], b: &[f32], n: usize, k: usize, m: usize,
 /// reloads and restores its output row on every `kk`, which serialises
 /// each row on store-to-load forwarding; the tile removes that chain and
 /// reads each `B` segment once per tile instead of once per output row.
-/// `out` must be zeroed: the plain loop, which serves outputs narrower
-/// than one tile, accumulates into it (the tiles overwrite).
+/// The output's `n×m` window of `out` (row stride `ldc`) is overwritten.
 ///
 /// `TA` says how `A` lies in memory: `n×k` row-major when `false`
 /// (`A·B`, and `A·Bᵀ` once [`gemm_nt`] has transposed `B`), `k×n` when
 /// `true` (`Aᵀ·B`) — the tile then takes its `R` values of step `kk` from
-/// `a[kk·n + i0..][..R]`, contiguous, so that form needs no transpose.
+/// `a[kk·lda + i0..][..R]`, contiguous, so that form needs no transpose.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn small_tiles<const TA: bool, B: Widen>(
-    a: &[f32],
-    b: &[B],
+    a: Strided<'_>,
+    b: Strided<'_, B>,
     n: usize,
     k: usize,
     m: usize,
     out: &mut [f32],
+    ldc: usize,
 ) {
-    let b = &b[..k * m];
-    if m < SN {
-        // Narrower than one tile (per-head attention contexts, m = d/heads):
-        // padding every `B` segment costs more than the tile saves.
-        return if TA {
-            naive_tn_acc(a, b, n, k, m, out)
-        } else {
-            naive_acc(a, b, n, k, m, out)
-        };
-    }
-    let lda = if TA { n } else { k };
     let mut i0 = 0;
     while i0 < n {
         let rows = SR.min(n - i0);
-        let tile = tile_for::<TA, B>(rows);
+        let tile = if m < SN {
+            tile_for::<TA, true, B>(rows)
+        } else {
+            tile_for::<TA, false, B>(rows)
+        };
         for j0 in (0..m).step_by(SN) {
             // A right edge of fewer than `SN` columns is the tile that
             // *ends* at column `m`: the columns it shares with its left
             // neighbour get the same fold again, so the same bits, and no
-            // tile pads a segment or stores part of one.
-            tile(a, b, lda, m, i0, j0.min(m - SN), out);
+            // tile pads a segment or stores part of one. An output
+            // narrower than one tile is one tile of `m` live lanes.
+            let j0 = j0.min(m.saturating_sub(SN));
+            tile(a.data, a.ld, b.data, b.ld, k, m, i0, j0, out, ldc);
         }
         i0 += rows;
     }
 }
 
-/// A [`small_tile`] of one shape, as [`small_tiles`] calls it.
-type SmallTile<B> = fn(&[f32], &[B], usize, usize, usize, usize, &mut [f32]);
+/// A [`small_tile`] of one shape, as [`small_tiles`] calls it: the
+/// operands go unpacked, as slices and strides — a [`Strided`] passed by
+/// value through the pointer travels by reference, which cost the
+/// latency-bound one-row tiles ≈ 20 %.
+type SmallTile<B> = fn(&[f32], usize, &[B], usize, usize, usize, usize, usize, &mut [f32], usize);
 
 /// The [`small_tile`] instance for a tile of `rows ≤ SR` rows.
-fn tile_for<const TA: bool, B: Widen>(rows: usize) -> SmallTile<B> {
+fn tile_for<const TA: bool, const NARROW: bool, B: Widen>(rows: usize) -> SmallTile<B> {
     match rows {
-        1 => small_tile::<1, TA, B>,
-        2 => small_tile::<2, TA, B>,
-        3 => small_tile::<3, TA, B>,
-        4 => small_tile::<4, TA, B>,
-        5 => small_tile::<5, TA, B>,
-        _ => small_tile::<SR, TA, B>,
+        1 => small_tile::<1, TA, NARROW, B>,
+        2 => small_tile::<2, TA, NARROW, B>,
+        3 => small_tile::<3, TA, NARROW, B>,
+        4 => small_tile::<4, TA, NARROW, B>,
+        5 => small_tile::<5, TA, NARROW, B>,
+        _ => small_tile::<SR, TA, NARROW, B>,
     }
 }
 
 /// One `R`-row × `SN`-column tile of [`small_tiles`] at output `(i0,
-/// j0)`. `lda` is the row length of `a` as stored: `k`, or `n` when `TA`;
-/// the depth `k` is the number of `m`-wide rows `b` holds. Each `B`
-/// segment is widened once for the tile's `R` rows.
-fn small_tile<const R: usize, const TA: bool, B: Widen>(
+/// j0)`, over `k` steps, `A` and `B` with row strides `lda` and `ldb`.
+/// Each `B` segment is widened once for the tile's `R` rows.
+///
+/// `NARROW` is the tile of an output narrower than `SN` (`m < SN`, `j0`
+/// 0): its segment at step `kk` is the `SN` values from `B`'s row `kk`
+/// on — the live `m` and then whatever follows them in the buffer, the
+/// next row's first values, which only feed lanes that are never stored —
+/// and only the last rows, whose run would pass the buffer's end, are
+/// copied short and zero-padded.
+#[allow(clippy::too_many_arguments)]
+fn small_tile<const R: usize, const TA: bool, const NARROW: bool, B: Widen>(
     a: &[f32],
-    b: &[B],
     lda: usize,
+    b: &[B],
+    ldb: usize,
+    k: usize,
     m: usize,
     i0: usize,
     j0: usize,
     out: &mut [f32],
+    ldc: usize,
 ) {
     // `A` as it lies: `R` rows of the `n×k` operand, or — `TA` — one
     // `R`-long run in each row of the `k×n` one.
@@ -338,34 +395,75 @@ fn small_tile<const R: usize, const TA: bool, B: Widen>(
         if TA {
             &a[..0]
         } else {
-            &a[(i0 + r) * lda..(i0 + r + 1) * lda]
+            &a[(i0 + r) * lda..][..k]
         }
     });
+    let w = if NARROW { m } else { SN };
     let mut acc = [[0.0f32; SN]; R];
-    for (kk, brow) in b.chunks_exact(m).enumerate() {
-        let mut seg = [0.0f32; SN];
-        for (s, &bv) in seg.iter_mut().zip(&brow[j0..j0 + SN]) {
-            *s = bv.widen();
-        }
-        if TA {
-            let acol = &a[kk * lda + i0..kk * lda + i0 + R];
-            for (accr, &av) in acc.iter_mut().zip(acol) {
-                for j in 0..SN {
-                    accr[j] = fmadd(av, seg[j], accr[j]);
-                }
-            }
-        } else {
-            for (accr, arow) in acc.iter_mut().zip(&arows) {
-                let av = arow[kk];
-                for j in 0..SN {
-                    accr[j] = fmadd(av, seg[j], accr[j]);
-                }
-            }
-        }
+    // The rows of `B` that lie whole in its buffer, then the rest: all of
+    // a narrow tile's (its runs pass the row's end), and the last row of a
+    // column window of a wider matrix, which ends at its `m`-th value.
+    let whole = if NARROW {
+        0
+    } else if k * ldb <= b.len() {
+        k
+    } else {
+        k - 1
+    };
+    for (kk, brow) in b[..whole * ldb].chunks_exact(ldb.max(1)).enumerate() {
+        let seg = widen_segment(&brow[j0..j0 + SN]);
+        fold_step::<R, TA>(&mut acc, &seg, a, lda, &arows, i0, kk);
+    }
+    for kk in whole..k {
+        let at = kk * ldb + j0;
+        let seg = match b.get(at..at + SN) {
+            Some(run) => widen_segment(run),
+            None => widen_segment(&b[at..at + w]),
+        };
+        fold_step::<R, TA>(&mut acc, &seg, a, lda, &arows, i0, kk);
     }
     for (r, accr) in acc.iter().enumerate() {
-        let o = (i0 + r) * m + j0;
-        out[o..o + SN].copy_from_slice(accr);
+        let o = (i0 + r) * ldc + j0;
+        out[o..o + w].copy_from_slice(&accr[..w]);
+    }
+}
+
+/// Up to `SN` values of a `B` row as `f32`, zero past the run's end.
+#[inline(always)]
+fn widen_segment<B: Widen>(run: &[B]) -> [f32; SN] {
+    let mut seg = [0.0f32; SN];
+    for (s, &bv) in seg.iter_mut().zip(run) {
+        *s = bv.widen();
+    }
+    seg
+}
+
+/// Step `kk` of [`small_tile`]'s fold: every row's accumulators advance
+/// by its `A` value times the segment.
+#[inline(always)]
+fn fold_step<const R: usize, const TA: bool>(
+    acc: &mut [[f32; SN]; R],
+    seg: &[f32; SN],
+    a: &[f32],
+    lda: usize,
+    arows: &[&[f32]; R],
+    i0: usize,
+    kk: usize,
+) {
+    if TA {
+        let acol = &a[kk * lda + i0..][..R];
+        for (accr, &av) in acc.iter_mut().zip(acol) {
+            for j in 0..SN {
+                accr[j] = fmadd(av, seg[j], accr[j]);
+            }
+        }
+    } else {
+        for (accr, arow) in acc.iter_mut().zip(arows) {
+            let av = arow[kk];
+            for j in 0..SN {
+                accr[j] = fmadd(av, seg[j], accr[j]);
+            }
+        }
     }
 }
 
@@ -392,22 +490,17 @@ pub fn naive_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> 
 /// accumulation order (ascending `k` per element).
 pub fn naive_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
-    naive_tn_acc(a, b, n, k, m, &mut out);
-    out
-}
-
-/// [`naive_tn`] accumulating into a zeroed `n·m` buffer.
-fn naive_tn_acc<B: Widen>(a: &[f32], b: &[B], n: usize, k: usize, m: usize, out: &mut [f32]) {
     for kk in 0..k {
         let arow = &a[kk * n..(kk + 1) * n];
         let brow = &b[kk * m..(kk + 1) * m];
         for (i, &av) in arow.iter().enumerate() {
             let orow = &mut out[i * m..(i + 1) * m];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmadd(av, bv.widen(), *o);
+                *o = fmadd(av, bv, *o);
             }
         }
     }
+    out
 }
 
 thread_local! {
@@ -991,6 +1084,79 @@ mod tests {
                 let mut out = vec![0.0f32; n * m];
                 small_acc::<false>(&a, &b, n, k, m, &mut out);
                 assert_bitwise(&naive(&a, &b, n, k, m), &out);
+            }
+        }
+    }
+
+    /// The strided entries against the references over contiguous copies
+    /// of the same windows: `A` and `B` column ranges of wider buffers
+    /// (the narrow tile's over-read then runs into the next row's values,
+    /// and past the buffer's end on the last row), the output a window of
+    /// a wider buffer whose other elements must survive.
+    #[test]
+    fn strided_tiles_match_the_references_on_windows_of_wider_buffers() {
+        let window = |x: &[f32], rows: usize, cols: usize, ld: usize| -> Vec<f32> {
+            (0..rows)
+                .flat_map(|r| x[r * ld..r * ld + cols].to_vec())
+                .collect()
+        };
+        for n in 1..=2 * SR + 1 {
+            for k in [1, 12, 20] {
+                for m in [1, 5, 12, 15, 16, 17, 20, 33] {
+                    let (lda, ldb, ldc) = (k + 7, m + 3, m + 5);
+                    // Offsets put each window past the first columns of its buffer.
+                    let a = fill(3 + n.max(k) * lda, n + k);
+                    let b = fill(2 + k.max(n) * ldb, m);
+                    // `B`'s buffer ends at its last row's `m`-th value, as a
+                    // column window of a wider matrix does.
+                    let (a_win, b_win) = (&a[3..], &b[2..2 + (k - 1) * ldb + m]);
+                    let check = |got: &[f32], want: Vec<f32>, form: &str| {
+                        for (i, row) in got.chunks(ldc).enumerate() {
+                            for (j, &x) in row.iter().enumerate() {
+                                let expect = if i < n && j < m { want[i * m + j] } else { 7.5 };
+                                assert_eq!(
+                                    x.to_bits(),
+                                    expect.to_bits(),
+                                    "{form} n {n} k {k} m {m}: ({i}, {j})"
+                                );
+                            }
+                        }
+                    };
+                    let mut out = vec![7.5f32; n * ldc + 4];
+                    tile_gemm(
+                        Strided::new(a_win, lda),
+                        Strided::new(b_win, ldb),
+                        n,
+                        k,
+                        m,
+                        &mut out,
+                        ldc,
+                    );
+                    let want = naive(
+                        &window(a_win, n, k, lda),
+                        &window(b_win, k, m, ldb),
+                        n,
+                        k,
+                        m,
+                    );
+                    check(&out, want, "A.B");
+                    let mut out = vec![7.5f32; n * ldc + 4];
+                    tile_gemm_tn(
+                        Strided::new(a_win, lda),
+                        Strided::new(b_win, ldb),
+                        n,
+                        k,
+                        m,
+                        &mut out,
+                        ldc,
+                    );
+                    let at = window(a_win, k, n, lda);
+                    check(
+                        &out,
+                        naive_tn(&at, &window(b_win, k, m, ldb), n, k, m),
+                        "At.B",
+                    );
+                }
             }
         }
     }

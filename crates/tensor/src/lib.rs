@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod expf;
 pub mod graph;
 pub mod init;
 pub mod kernel;

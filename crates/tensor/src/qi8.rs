@@ -257,8 +257,11 @@ pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32]) {
     assert_eq!(out.len(), n * qb.m, "qgemm output must hold n·m values");
     let [serial, blocked] = dispatch();
     if n < 4 { serial } else { blocked }.inc();
-    out.fill(0.0);
-    kernel::small_tiles::<false, i8>(a, &qb.data, n, qb.k, qb.m, out);
+    let (a, b) = (
+        kernel::Strided::new(a, qb.k),
+        kernel::Strided::new(&qb.data[..], qb.m),
+    );
+    kernel::small_tiles::<false, i8>(a, b, n, qb.k, qb.m, out, qb.m);
     for o in out.iter_mut() {
         *o *= qb.scale;
     }

@@ -312,9 +312,7 @@ impl Tensor {
     /// Row-wise softmax, numerically stabilised.
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            softmax_in_place(out.row_mut(r));
-        }
+        softmax_rows_in_place(&mut out.data, self.cols);
         out
     }
 
@@ -422,21 +420,102 @@ impl Tensor {
     }
 }
 
-/// Numerically stabilised softmax of one row, in place — the one
-/// definition behind [`Tensor::softmax_rows`] and the decoder's tape-free
-/// attention, so both round identically.
-pub fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+/// Numerically stabilised softmax of every `m`-wide row of `data`, in
+/// place — the one definition behind [`Tensor::softmax_rows`], the
+/// cross-entropy loss, the decoder's vocabulary rows and every attention
+/// kernel, so all of them round identically.
+///
+/// Per row: `max`, then `x ← exp(x − max)`, then `sum` of the row in
+/// ascending order from `0.0`, then `x ← x / sum` when `sum > 0`. The max
+/// is taken over four lanes and combined (a max does not depend on the
+/// order it is taken in: NaN is skipped wherever it sits, and the sign of
+/// a zero maximum cannot change `x − max`); `exp` runs as vector lanes
+/// that return `f32::exp`'s bits (`crate::expf`); the sums of up to eight
+/// rows advance together, one element of each per step, so they are
+/// independent chains instead of one, while each row's own sum keeps its
+/// order. Every value is therefore the one a scalar loop per row computes.
+pub fn softmax_rows_in_place(data: &mut [f32], m: usize) {
+    if m == 0 {
+        return;
     }
-    if sum > 0.0 {
-        for x in row.iter_mut() {
-            *x /= sum;
+    assert_eq!(
+        data.len() % m,
+        0,
+        "softmax rows: {} values in rows of {m}",
+        data.len()
+    );
+    let mut groups = data.chunks_exact_mut(SOFTMAX_GROUP * m);
+    for group in &mut groups {
+        softmax_group::<SOFTMAX_GROUP>(group, m);
+    }
+    let rest = groups.into_remainder();
+    match rest.len() / m {
+        0 => {}
+        1 => softmax_group::<1>(rest, m),
+        2 => softmax_group::<2>(rest, m),
+        3 => softmax_group::<3>(rest, m),
+        4 => softmax_group::<4>(rest, m),
+        5 => softmax_group::<5>(rest, m),
+        6 => softmax_group::<6>(rest, m),
+        _ => softmax_group::<7>(rest, m),
+    }
+}
+
+/// Rows whose sums [`softmax_rows_in_place`] advances together.
+const SOFTMAX_GROUP: usize = 8;
+
+/// [`softmax_rows_in_place`] over exactly `G` rows of `m`.
+fn softmax_group<const G: usize>(group: &mut [f32], m: usize) {
+    for row in group.chunks_exact_mut(m) {
+        let (max, lowest) = row_range(row);
+        crate::expf::exp_shifted(row, max, lowest);
+    }
+    let mut sums = [0.0f32; G];
+    for j in 0..m {
+        for (r, sum) in sums.iter_mut().enumerate() {
+            *sum += group[r * m + j];
         }
     }
+    for (row, &sum) in group.chunks_exact_mut(m).zip(&sums) {
+        if sum > 0.0 {
+            for x in row {
+                *x /= sum;
+            }
+        }
+    }
+}
+
+/// The maximum of a row, NaN skipped (`−∞` for a row of NaN), and its
+/// minimum, NaN if the row holds one: four lanes, then combined. `x > a`
+/// is false for a NaN `x`, so each lane keeps its value — the
+/// NaN-skipping `f32::max` as one vector `max`.
+fn row_range(row: &[f32]) -> (f32, f32) {
+    let max = |a: f32, x: f32| if x > a { x } else { a };
+    let min = |a: f32, x: f32| if x < a { x } else { a };
+    let mut hi = [f32::NEG_INFINITY; 4];
+    let mut lo = [f32::INFINITY; 4];
+    let mut nan = [false; 4];
+    let mut lane = |l: usize, x: f32| {
+        hi[l] = max(hi[l], x);
+        lo[l] = min(lo[l], x);
+        nan[l] |= x.is_nan();
+    };
+    let mut chunks = row.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (l, &x) in chunk.iter().enumerate() {
+            lane(l, x);
+        }
+    }
+    for (l, &x) in chunks.remainder().iter().enumerate() {
+        lane(l, x);
+    }
+    let ([h0, h1, h2, h3], [l0, l1, l2, l3]) = (hi, lo);
+    let lowest = if nan.contains(&true) {
+        f32::NAN
+    } else {
+        min(min(l0, l2), min(l1, l3))
+    };
+    (max(max(h0, h2), max(h1, h3)), lowest)
 }
 
 /// The softmax Jacobian applied to one row: with `s` a row of softmax
@@ -542,6 +621,78 @@ mod tests {
         assert!(s.get(0, 2) > s.get(0, 1) && s.get(0, 1) > s.get(0, 0));
         // Extreme logits saturate without NaN.
         assert!(s.get(1, 2) > 0.99 && s.data().iter().all(|x| x.is_finite()));
+    }
+
+    /// The softmax loop [`softmax_rows_in_place`] replaced, one row at a time
+    /// with a libm `exp` per value: the oracle it is held to, bit for bit.
+    fn softmax_reference(row: &mut [f32]) {
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for x in row.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        if sum > 0.0 {
+            for x in row.iter_mut() {
+                *x /= sum;
+            }
+        }
+    }
+
+    /// The row kernel against the per-row scalar loop it replaced, bit for
+    /// bit, on every row count up to past one group and every width up to
+    /// 40, with rows of ordinary logits carrying masks of −1e9 and −∞,
+    /// all-equal rows, zeros of both signs, subnormals, NaN, |x| ≥ 88 and
+    /// rows masked through.
+    #[test]
+    fn softmax_rows_match_the_scalar_loop_bitwise() {
+        let specials = [
+            -1e9,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-45,
+            f32::NAN,
+            88.5,
+            -88.5,
+            -103.5,
+            120.0,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rows in 1..=9usize {
+            for m in 1..=40usize {
+                for case in 0..6usize {
+                    let mut data: Vec<f32> = (0..rows * m)
+                        .map(|i| ((i * 2_654_435_761) % 1000) as f32 * 0.013 - 6.5)
+                        .collect();
+                    for (i, x) in data.iter_mut().enumerate() {
+                        let (r, c) = (i / m, i % m);
+                        match case {
+                            // Causal-style masks: −1e9 or −∞ above the diagonal.
+                            0 if c > r => *x = -1e9,
+                            1 if c > r => *x = f32::NEG_INFINITY,
+                            // All-equal rows.
+                            2 => *x = 0.25,
+                            // One special value per row, a different one per row.
+                            3 if c == (r * 7) % m => *x = specials[(r + m) % specials.len()],
+                            4 => *x = specials[(i + r) % specials.len()],
+                            // Rows masked through: all −1e9, or all −∞.
+                            5 if r % 2 == 1 => {
+                                *x = if r % 4 == 1 { -1e9 } else { f32::NEG_INFINITY }
+                            }
+                            _ => {}
+                        }
+                    }
+                    let mut want = data.clone();
+                    for row in want.chunks_exact_mut(m) {
+                        softmax_reference(row);
+                    }
+                    softmax_rows_in_place(&mut data, m);
+                    assert_eq!(bits(&want), bits(&data), "rows {rows} m {m} case {case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,26 @@ for key, limit in ((("nt", 20, 48, 48), 2.0), (("tn", 48, 20, 48), 1.5)):
                  f"the nn product of the same shape (limit {limit}x)")
 PYEOF
 
+# The softmax row kernel (vector exp lanes, rows summed in lockstep) must
+# stay clearly ahead of the per-row scalar loop it replaced at the rows a
+# decode runs: a cross-attention's heads over a 20-token source (4x20) and
+# the beam-5 vocabulary rows (5x130), within 0.7x of the loop in the
+# baseline a full run writes and the repository commits. The loop's libm
+# exp per value was the half of attention the per-row form spent.
+python3 - <<'PYEOF'
+import json, sys
+
+rows = {(r["rows"], r["m"]): r
+        for r in json.load(open("BENCH_tensor.json")).get("softmax_rows", [])}
+for key in ((5, 130), (4, 20)):
+    row = rows.get(key)
+    if row is None:
+        sys.exit(f"BENCH_tensor.json: no softmax_rows row {key} (re-take it with bench_tensor)")
+    if row["kernel_over_scalar"] > 0.7:
+        sys.exit(f"BENCH_tensor.json: softmax kernel at {key[0]}x{key[1]} is "
+                 f"{row['kernel_over_scalar']:.2f}x the scalar loop (limit 0.7x)")
+PYEOF
+
 # A right edge must not cost more than the columns it holds: the beam-5
 # vocabulary projection (5x48x130, an edge of two columns) within 1.2x of
 # the same product rounded up to whole tiles (5x48x144), for f32 weights
@@ -145,6 +165,12 @@ for row in tensor["backward_shapes"]:
         sys.exit(f"{where}: form must be 'nt' or 'tn'")
     for case in ("product", "reference", "nn"):
         check_pct(row["percentiles"][case], f"{where} case {case}")
+for key, cases in (("softmax_rows", ("scalar", "kernel")), ("attention_rows", ("per_row", "rows"))):
+    if not tensor.get(key):
+        sys.exit(f"tensor report: no {key!r} rows")
+    for row in tensor[key]:
+        for case in cases:
+            check_pct(row["percentiles"][case], f"tensor {key} {row.get('rows', row.get('n'))}x{row['m']} case {case}")
 train = tensor.get("train") or {}
 if not train.get("epochs") or not all(
         e["seconds"] > 0 and e["tokens_per_sec"] > 0 for e in train["epochs"]):

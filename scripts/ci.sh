@@ -62,6 +62,22 @@ cargo test --offline -q --release -p qrec-tensor --test gemm_equivalence
 cargo test --offline -q --release -p qrec-nn --lib -- \
     trained_weights_equal_the_oracle_path fused_node reused_tape
 
+echo "==> exp, softmax and attention kernels against their oracles (release; native and baseline x86-64)"
+# The softmax's exp is a vector port of glibc's expf that must return
+# f32::exp's bits for every f32 (the exhaustive sweep runs only in an
+# optimised build); the softmax row kernel is held to the per-row scalar
+# loop, the rows-form source attention to the per-row form, and the
+# strided register tile behind both to the references — bit for bit. A
+# build for the baseline x86-64 target (no FMA instruction: mul_add calls
+# libm's fma, the kernel's fmadd is unfused) is a different program with
+# the same contracts, and runs them too, in its own target directory.
+attention_oracles() {
+    cargo test --offline -q --release -p qrec-tensor --lib -- expf:: softmax_rows_match strided_tiles
+    cargo test --offline -q --release -p qrec-nn --lib -- rows_form fused_attention fused_node
+}
+attention_oracles
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 attention_oracles
+
 echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)"
 # `cargo test --workspace` and clippy never compile bench_e2e, so an API
 # break in qrec-nn/qrec-tensor/qrec-serve would otherwise first surface in
