@@ -7,10 +7,9 @@
 //!
 //! Times the shapes the models actually emit — single-token decode
 //! vectors, full-sequence training tiles, and the 512³ scale shape —
-//! under four kernels: the seed's branchy naive loop (kept verbatim
-//! below as the fixed baseline), the canonical naive reference, the
-//! blocked serial kernel, and the pool-parallel kernel at 1 and 8
-//! threads. The model's narrow widths (`n×48×48`, `n×96×48`, `n×48×130`:
+//! under the seed's branchy naive loop (kept verbatim below as the fixed
+//! baseline), the canonical naive reference, the blocked kernel, and the
+//! shipped dispatching `kernel::gemm`. The model's narrow widths (`n×48×48`, `n×96×48`, `n×48×130`:
 //! one full panel and an edge, or an edge of two columns) get rows of
 //! their own, flagged `narrow_shape`; every row is also timed under the
 //! small-product tile (`small_tile_s`), and `scripts/bench.sh` fails when
@@ -47,7 +46,6 @@ use qrec_nn::attention::{attend_source, SourceKv};
 use qrec_nn::transformer::TransformerConfig;
 use qrec_nn::Strategy;
 use qrec_tensor::kernel;
-use qrec_tensor::pool::{configured_threads, Pool};
 use qrec_tensor::tensor::softmax_rows_in_place;
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
@@ -92,7 +90,7 @@ struct Shape {
     n: usize,
     k: usize,
     m: usize,
-    /// Decode-path shape: must stay serial, gated by the ≤10% rule.
+    /// Decode-path shape: must stay on the tile, gated by the ≤10% rule.
     decode: bool,
     /// Narrow-width shape: `scripts/bench.sh` holds the blocked kernel to
     /// 1.5× the small-product tile here.
@@ -228,15 +226,15 @@ struct ShapeRow {
     k: usize,
     m: usize,
     decode: bool,
-    path_8t: String,
+    path: String,
     seed: RepStats,
     naive: RepStats,
     blocked: RepStats,
     /// The small-product tile forced onto the shape.
     small: RepStats,
     narrow: bool,
-    gemm_1t: RepStats,
-    gemm_8t: RepStats,
+    /// The shipped `kernel::gemm`.
+    gemm: RepStats,
 }
 
 impl ShapeRow {
@@ -244,12 +242,8 @@ impl ShapeRow {
         self.seed.best_s
     }
 
-    fn gemm_1t_s(&self) -> f64 {
-        self.gemm_1t.best_s
-    }
-
-    fn gemm_8t_s(&self) -> f64 {
-        self.gemm_8t.best_s
+    fn gemm_s(&self) -> f64 {
+        self.gemm.best_s
     }
 
     fn to_json(&self) -> serde_json::Value {
@@ -258,31 +252,28 @@ impl ShapeRow {
             "naive": self.naive.to_json(),
             "blocked": self.blocked.to_json(),
             "small_tile": self.small.to_json(),
-            "gemm_1t": self.gemm_1t.to_json(),
-            "gemm_8t": self.gemm_8t.to_json(),
+            "gemm": self.gemm.to_json(),
         });
         json!({
             "label": self.label,
             "n": self.n, "k": self.k, "m": self.m,
             "flops": 2 * self.n * self.k * self.m,
             "decode_shape": self.decode,
-            "kernel_path_8t": self.path_8t,
+            "kernel_path": self.path,
             "seed_naive_s": self.seed.best_s,
             "naive_s": self.naive.best_s,
             "blocked_s": self.blocked.best_s,
             "small_tile_s": self.small.best_s,
             "narrow_shape": self.narrow,
             "percentiles": percentiles,
-            "gemm_1t_s": self.gemm_1t.best_s,
-            "gemm_8t_s": self.gemm_8t.best_s,
-            "speedup_1t_vs_seed": self.seed.best_s / self.gemm_1t.best_s,
-            "speedup_8t_vs_seed": self.seed.best_s / self.gemm_8t.best_s,
+            "gemm_s": self.gemm_s(),
+            "speedup_vs_seed": self.seed_s() / self.gemm_s(),
         })
     }
 }
 
 /// Time one shape under every kernel.
-fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
+fn bench_shape(s: &Shape, smoke: bool) -> ShapeRow {
     let a = fill(s.n * s.k, 1);
     let b = fill(s.k * s.m, 2);
     let flops = 2 * s.n * s.k * s.m;
@@ -300,8 +291,7 @@ fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
             &mut || drop(black_box(seed_naive(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::naive(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::blocked(&a, &b, n, k, m))),
-            &mut || drop(black_box(kernel::gemm_on(pool1, &a, &b, n, k, m))),
-            &mut || drop(black_box(kernel::gemm_on(pool8, &a, &b, n, k, m))),
+            &mut || drop(black_box(kernel::gemm(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::small(&a, &b, n, k, m))),
         ],
         budget,
@@ -313,14 +303,13 @@ fn bench_shape(s: &Shape, pool1: &Pool, pool8: &Pool, smoke: bool) -> ShapeRow {
         k,
         m,
         decode: s.decode,
-        path_8t: format!("{:?}", kernel::select(n, k, m, pool8.threads())),
+        path: format!("{:?}", kernel::select(n, k, m)),
         seed: times[0],
         naive: times[1],
         blocked: times[2],
-        small: times[5],
+        small: times[4],
         narrow: s.narrow,
-        gemm_1t: times[3],
-        gemm_8t: times[4],
+        gemm: times[3],
     }
 }
 
@@ -697,18 +686,15 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         }
     });
 
-    let pool1 = Pool::new(1);
-    let pool8 = Pool::new(8);
     eprintln!(
-        "bench_tensor: mode={}, default pool size would be {} (QREC_THREADS overrides)",
-        if smoke { "smoke" } else { "full" },
-        configured_threads()
+        "bench_tensor: mode={}",
+        if smoke { "smoke" } else { "full" }
     );
 
     let mut rows = Vec::new();
     for s in shapes(smoke) {
         eprintln!("  timing {} ...", s.label);
-        rows.push(bench_shape(&s, &pool1, &pool8, smoke));
+        rows.push(bench_shape(&s, smoke));
     }
 
     // Headline numbers the acceptance gate reads: the 512³ speedup and
@@ -716,12 +702,12 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
     let scale_speedup = rows
         .iter()
         .filter(|r| r.label.starts_with("scale"))
-        .map(|r| r.seed_s() / r.gemm_8t_s())
+        .map(|r| r.seed_s() / r.gemm_s())
         .fold(f64::NAN, f64::max);
     let decode_regression = rows
         .iter()
         .filter(|r| r.decode)
-        .map(|r| r.gemm_1t_s() / r.seed_s() - 1.0)
+        .map(|r| r.gemm_s() / r.seed_s() - 1.0)
         .fold(f64::NEG_INFINITY, f64::max);
 
     let backward: Vec<_> = backward_shapes(smoke)
@@ -747,13 +733,12 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
     let report = json!({
         "benchmark": "qrec-tensor GEMM kernel + end-to-end decode",
         "mode": if smoke { "smoke" } else { "full" },
-        "threads": { "configured_default": configured_threads(), "bench_pools": [1, 8] },
         "shapes": rows.iter().map(ShapeRow::to_json).collect::<Vec<_>>(),
         "backward_shapes": backward.iter().map(BackwardRow::to_json).collect::<Vec<_>>(),
         "softmax_rows": softmax.iter().map(SoftmaxRow::to_json).collect::<Vec<_>>(),
         "attention_rows": attention.iter().map(AttentionRow::to_json).collect::<Vec<_>>(),
         "train": train,
-        "scale_512_speedup_8t_vs_seed": if smoke { json!(null) } else { json!(scale_speedup) },
+        "scale_512_speedup_vs_seed": if smoke { json!(null) } else { json!(scale_speedup) },
         "decode_shape_max_regression": decode_regression,
         "decode_e2e": {
             "queries": decode_queries,
@@ -784,7 +769,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
 
     println!(
         "{:<36} {:>12} {:>12} {:>12} {:>9}",
-        "shape", "seed (s)", "gemm 1t (s)", "gemm 8t (s)", "speedup"
+        "shape", "seed (s)", "blocked (s)", "gemm (s)", "speedup"
     );
     for r in &rows {
         let label = if r.narrow {
@@ -796,9 +781,9 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             "{:<36} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x",
             label,
             r.seed_s(),
-            r.gemm_1t_s(),
-            r.gemm_8t_s(),
-            r.seed_s() / r.gemm_8t_s(),
+            r.blocked.best_s,
+            r.gemm_s(),
+            r.seed_s() / r.gemm_s(),
         );
     }
     println!(
@@ -846,7 +831,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
          {train_tokens_per_sec:.0} tokens/s"
     );
     if !smoke {
-        println!("512^3 speedup (8t vs seed): {scale_speedup:.2}x");
+        println!("512^3 speedup (gemm vs seed): {scale_speedup:.2}x");
     }
     println!(
         "decode-shape max regression vs seed: {:+.1}%",

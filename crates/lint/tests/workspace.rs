@@ -81,11 +81,11 @@ fn injected_unwrap_in_batcher_is_caught() {
     assert_eq!(findings[0].file, "crates/serve/src/batcher.rs");
 }
 
-/// The tensor crate — home of the GEMM kernel and the compute pool — is
-/// hot-path code: the walker must classify its modules as library files
-/// and R1 must fire on a panic seeded into either of them.
+/// The tensor crate — home of the GEMM kernel — is hot-path code: the
+/// walker must classify the kernel as a library file and R1 must fire on
+/// a panic seeded into it.
 #[test]
-fn tensor_kernel_and_pool_are_hot_path() {
+fn tensor_kernel_is_hot_path() {
     let root = workspace_root();
     let ws = qrec_lint::collect_workspace(&root).expect("walk workspace");
     assert!(
@@ -93,41 +93,39 @@ fn tensor_kernel_and_pool_are_hot_path() {
         "tensor must be a hot-path crate: {:?}",
         ws.config.hot_path_crates
     );
-    for module in ["kernel", "pool"] {
-        let rel = format!("crates/tensor/src/{module}.rs");
-        let file = ws
-            .files
-            .iter()
-            .find(|f| f.path == rel)
-            .unwrap_or_else(|| panic!("walker must see {rel}"));
-        assert_eq!(file.class, FileClass::Library, "{rel} is library code");
-        assert_eq!(file.crate_name, "tensor");
+    let rel = "crates/tensor/src/kernel.rs".to_string();
+    let file = ws
+        .files
+        .iter()
+        .find(|f| f.path == rel)
+        .unwrap_or_else(|| panic!("walker must see {rel}"));
+    assert_eq!(file.class, FileClass::Library, "{rel} is library code");
+    assert_eq!(file.crate_name, "tensor");
 
-        // Seed a panic into the real module text and prove R1 catches
-        // exactly that delta (the shipped text must already be clean).
-        let lint = |text: &str| {
-            analyze(
-                &[SourceFile {
-                    path: rel.clone(),
-                    crate_name: "tensor".into(),
-                    class: FileClass::Library,
-                    text: text.into(),
-                }],
-                &Config::default(),
-            )
-        };
-        assert!(
-            lint(&file.text).is_empty(),
-            "shipped {rel} must be clean for the injection to be the delta"
-        );
-        let seeded = format!(
-            "fn injected(x: Option<u32>) -> u32 {{ x.unwrap() }}\n{}",
-            file.text
-        );
-        let findings = lint(&seeded);
-        assert_eq!(findings.len(), 1, "exactly the injected line: {findings:?}");
-        assert_eq!(findings[0].rule, "no-panic-in-hot-path");
-    }
+    // Seed a panic into the real module text and prove R1 catches
+    // exactly that delta (the shipped text must already be clean).
+    let lint = |text: &str| {
+        analyze(
+            &[SourceFile {
+                path: rel.clone(),
+                crate_name: "tensor".into(),
+                class: FileClass::Library,
+                text: text.into(),
+            }],
+            &Config::default(),
+        )
+    };
+    assert!(
+        lint(&file.text).is_empty(),
+        "shipped {rel} must be clean for the injection to be the delta"
+    );
+    let seeded = format!(
+        "fn injected(x: Option<u32>) -> u32 {{ x.unwrap() }}\n{}",
+        file.text
+    );
+    let findings = lint(&seeded);
+    assert_eq!(findings.len(), 1, "exactly the injected line: {findings:?}");
+    assert_eq!(findings[0].rule, "no-panic-in-hot-path");
 }
 
 /// The incremental-decode state module is hot-path library code in

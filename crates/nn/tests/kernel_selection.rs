@@ -1,75 +1,37 @@
 //! Shape-driven GEMM kernel selection for the shapes the models emit.
 //!
 //! The paper's models funnel everything through `Tensor::matmul{,_nt,_tn}`;
-//! these tests pin which kernel path (naive / blocked / pool-parallel)
-//! the shapes they actually produce select, so a threshold change that
-//! would silently put decode vectors on the pool — or training tiles
-//! back on the naive loop — fails loudly here.
+//! these tests pin which kernel path (small-product tile / blocked) the
+//! shapes they actually produce select, so a threshold change that would
+//! silently put decode vectors on the packed kernel — or training tiles
+//! back on the tile — fails loudly here.
 
 use qrec_nn::transformer::TransformerConfig;
 use qrec_tensor::kernel::{select, KernelPath};
 
 /// Decode-step products are `1 × d` against `d × vocab` (the output
-/// projection) or `d × d` (attention projections). Whatever the thread
-/// count, they must stay on the naive serial path: the pool round-trip
-/// would dwarf the math.
+/// projection) or `d × d` (attention projections). They must stay on the
+/// small-product tile: packing `B` would dwarf the math.
 #[test]
-fn decode_step_shapes_stay_on_the_serial_fast_path() {
+fn decode_step_shapes_stay_on_the_tile() {
     let small = TransformerConfig::small(2000);
     let test = TransformerConfig::test(200);
     for cfg in [&small, &test] {
-        for threads in [1usize, 2, 8, 64] {
-            // 1×d · d×d attention/FF projections for one new token.
-            assert_eq!(
-                select(1, cfg.d_model, cfg.d_model, threads),
-                KernelPath::Naive
-            );
-            // 1×d · d×vocab output projection (the widest decode GEMM).
-            assert_eq!(
-                select(1, cfg.d_model, cfg.vocab, threads),
-                KernelPath::Naive
-            );
-            // d_ff expansion for a single position.
-            assert_eq!(select(1, cfg.d_model, cfg.d_ff, threads), KernelPath::Naive);
-        }
+        // 1×d · d×d attention/FF projections for one new token.
+        assert_eq!(select(1, cfg.d_model, cfg.d_model), KernelPath::Naive);
+        // 1×d · d×vocab output projection (the widest decode GEMM).
+        assert_eq!(select(1, cfg.d_model, cfg.vocab), KernelPath::Naive);
+        // d_ff expansion for a single position.
+        assert_eq!(select(1, cfg.d_model, cfg.d_ff), KernelPath::Naive);
     }
 }
 
 /// Training-step products over a full sequence (`L × d` activations) at
-/// the paper's scale: the per-layer projections stay serial, and only
-/// the sequence-wide vocabulary projection — the one genuinely large
-/// training GEMM — is allowed to fan out, and then only when the pool
-/// actually has workers.
+/// the paper's scale: the sequence-wide vocabulary projection — the
+/// largest training GEMM — runs the blocked kernel.
 #[test]
-fn training_step_shapes_split_only_at_the_vocab_projection() {
+fn sequence_wide_vocab_projection_is_blocked() {
     let cfg = TransformerConfig::small(2000);
     let seq = cfg.max_len; // worst case: the longest supported sequence
-    for threads in [1usize, 8] {
-        // L×d · d×d attention/FF projections: never parallel.
-        assert!(matches!(
-            select(seq, cfg.d_model, cfg.d_model, threads),
-            KernelPath::Naive | KernelPath::Blocked
-        ));
-    }
-    // The 160×48 · 48×2000 output projection leaves the naive loop…
-    assert_eq!(select(seq, cfg.d_model, cfg.vocab, 1), KernelPath::Blocked);
-    // …and fans out at 8 workers, capped so no chunk drops below the
-    // minimum row count (160 rows / 32-row floor = 5 chunks).
-    assert_eq!(
-        select(seq, cfg.d_model, cfg.vocab, 8),
-        KernelPath::Parallel { chunks: 5 }
-    );
-}
-
-/// Only genuinely large products (the benchmark's 512³ scale shape, or
-/// batched serving far beyond one sequence) fan out — and the chunk
-/// count is a pure function of shape and threads.
-#[test]
-fn large_products_fan_out_deterministically() {
-    assert_eq!(select(512, 512, 512, 8), KernelPath::Parallel { chunks: 8 });
-    assert_eq!(select(512, 512, 512, 2), KernelPath::Parallel { chunks: 2 });
-    // Single-threaded pools never fan out, whatever the size.
-    assert_eq!(select(512, 512, 512, 1), KernelPath::Blocked);
-    // Selection is deterministic: same inputs, same answer.
-    assert_eq!(select(512, 512, 512, 8), select(512, 512, 512, 8));
+    assert_eq!(select(seq, cfg.d_model, cfg.vocab), KernelPath::Blocked);
 }

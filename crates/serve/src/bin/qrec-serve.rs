@@ -153,15 +153,6 @@ fn main() -> ExitCode {
             server.model_epoch()
         );
     }
-    eprintln!(
-        "compute pool: {} thread(s){}",
-        qrec_tensor::pool::configured_threads(),
-        if std::env::var_os("QREC_THREADS").is_some() {
-            " (from QREC_THREADS)"
-        } else {
-            " (machine default; set QREC_THREADS to override)"
-        }
-    );
     eprintln!(r#"send {{"verb":"SHUTDOWN"}} to stop"#);
 
     server.wait_for_shutdown_request(None);

@@ -287,31 +287,27 @@ impl Default for Metrics {
     }
 }
 
-/// Snapshot of the tensor compute pool: how many workers `QREC_THREADS`
-/// (or the machine) configured, and how many GEMM dispatches took the
-/// serial versus the pool-parallel path since process start.
-///
-/// [`ComputeSnapshot::current`] never spawns the pool — it reports the
-/// configured size even when every request so far stayed serial.
+/// Snapshot of the GEMM dispatch counters since process start. Every
+/// product runs on the calling thread, so `pool_threads` is always 1 and
+/// `gemm_parallel` always 0: both stay on the wire because the end-to-end
+/// benchmark and older snapshots parse them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ComputeSnapshot {
-    /// Effective compute-pool size (`QREC_THREADS`, else the machine's
-    /// available parallelism).
+    /// Threads a product runs on: always 1.
     pub pool_threads: u64,
-    /// GEMM calls dispatched to a serial kernel (naive or blocked).
+    /// GEMM calls dispatched (tile or blocked kernel): every call.
     pub gemm_serial: u64,
-    /// GEMM calls fanned out across the compute pool.
+    /// Always 0: no product leaves the calling thread.
     pub gemm_parallel: u64,
 }
 
 impl ComputeSnapshot {
-    /// Read the current pool configuration and kernel dispatch counters.
+    /// Read the kernel dispatch counters.
     pub fn current() -> Self {
-        let counters = qrec_tensor::kernel::counters();
         ComputeSnapshot {
-            pool_threads: qrec_tensor::pool::configured_threads() as u64,
-            gemm_serial: counters.serial,
-            gemm_parallel: counters.parallel,
+            pool_threads: 1,
+            gemm_serial: qrec_tensor::kernel::counters().serial,
+            gemm_parallel: 0,
         }
     }
 }
@@ -532,14 +528,15 @@ mod tests {
     #[test]
     fn compute_snapshot_reports_pool_and_dispatch_counters() {
         let before = Metrics::new().snapshot().compute;
-        assert!(before.pool_threads >= 1);
+        assert_eq!(before.pool_threads, 1);
         // A small matmul stays on the serial path and bumps the counter.
         let a = qrec_tensor::Tensor::from_vec(1, 4, vec![1.0; 4]);
         let b = qrec_tensor::Tensor::from_vec(4, 2, vec![1.0; 8]);
         let _ = a.matmul(&b);
         let after = ComputeSnapshot::current();
         assert!(after.gemm_serial > before.gemm_serial);
-        assert_eq!(after.pool_threads, before.pool_threads);
+        assert_eq!(after.pool_threads, 1);
+        assert_eq!(after.gemm_parallel, 0);
     }
 
     #[test]

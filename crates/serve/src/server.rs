@@ -631,12 +631,6 @@ fn dump() -> Response {
     );
     let _ = writeln!(text, "# TYPE qrec_tensor_gemm_serial counter");
     let _ = writeln!(text, "qrec_tensor_gemm_serial {}", k.serial);
-    let _ = writeln!(
-        text,
-        "# HELP qrec_tensor_gemm_parallel GEMMs on the pool-parallel kernel"
-    );
-    let _ = writeln!(text, "# TYPE qrec_tensor_gemm_parallel counter");
-    let _ = writeln!(text, "qrec_tensor_gemm_parallel {}", k.parallel);
     let q = qrec_tensor::qi8::counters();
     let _ = writeln!(
         text,
@@ -650,16 +644,6 @@ fn dump() -> Response {
     );
     let _ = writeln!(text, "# TYPE qrec_tensor_gemm_qi8_blocked counter");
     let _ = writeln!(text, "qrec_tensor_gemm_qi8_blocked {}", q.blocked);
-    let _ = writeln!(
-        text,
-        "# HELP qrec_tensor_pool_threads configured compute-pool size"
-    );
-    let _ = writeln!(text, "# TYPE qrec_tensor_pool_threads gauge");
-    let _ = writeln!(
-        text,
-        "qrec_tensor_pool_threads {}",
-        qrec_tensor::pool::configured_threads()
-    );
     Response::dump(text)
 }
 

@@ -20,21 +20,18 @@
 //! one full panel and a 16-lane edge. An edge of at most NR/2 lanes is
 //! swept 2·MR rows at a time — the same register budget as the full
 //! tile, and enough independent accumulator chains to keep the FMA units
-//! busy. The serial path packs `B` into a per-thread buffer it reuses,
+//! busy. The kernel packs `B` into a per-thread buffer it reuses,
 //! so a blocked product allocates nothing but its output.
 //!
 //! ## Determinism
 //!
 //! Every path of every product form (`A·B`, `A·Bᵀ`, `Aᵀ·B`) — the naive
-//! references, the small-product tile, the blocked serial kernel, and
-//! the pool-parallel kernel at any thread or chunk count — computes each
-//! output element as the *same* fold: `acc = fmadd(a[i][kk], b[kk][j],
-//! acc)` over ascending `kk` with a single accumulator. KC slabs do not
-//! reorder `k`; row partitioning never splits a single element's
-//! reduction; spilling a partial accumulator to memory and reloading it
-//! does not change an `f32`. Parallel output is therefore **bitwise
-//! identical** to single-threaded output, and the blocked kernel is
-//! bitwise identical to [`naive`] — property-tested in
+//! references, the small-product tile and the blocked kernel — computes
+//! each output element as the *same* fold: `acc = fmadd(a[i][kk],
+//! b[kk][j], acc)` over ascending `kk` with a single accumulator. KC
+//! slabs do not reorder `k`; spilling a partial accumulator to memory and
+//! reloading it does not change an `f32`. The blocked kernel and the tile
+//! are therefore **bitwise identical** to [`naive`] — property-tested in
 //! `tests/gemm_equivalence.rs`.
 //!
 //! [`fmadd`] is compiled as fused `mul_add` only when the target has a
@@ -45,26 +42,22 @@
 //! ## Threshold policy
 //!
 //! [`select`] keeps small products (decode-time B×d tiles, tiny
-//! training tiles) on the [`KernelPath::Naive`] path: no packing, no
-//! pool — an unpacked register tile over `B` as it lies in memory, so
-//! the only overhead is the call itself. The tile is generic over `B`'s
-//! element ([`Widen`]): int8 weights ([`crate::qi8`]) are read through
-//! the same code, widened to `f32` on load. The transposed forms of a
+//! training tiles) on the [`KernelPath::Naive`] path: no packing — an
+//! unpacked register tile over `B` as it lies in memory, so the only
+//! overhead is the call itself. The tile is generic over `B`'s element
+//! ([`Widen`]): int8 weights ([`crate::qi8`]) are read through the same
+//! code, widened to `f32` on load. The transposed forms of a
 //! backward pass run the same tile: [`gemm_tn`] reads its `k×n` operand
 //! where it lies, [`gemm_nt`] transposes `B` once into a per-thread
 //! scratch and is [`gemm`] from there. Attention's per-head products run
 //! it too, uncounted, over operands that are column ranges of wider
-//! buffers ([`tile_gemm`], [`Strided`]). Mid-size products use the blocked
-//! serial kernel; large products split
-//! into contiguous row ranges on the shared [`Pool`]. The split depends
-//! only on `(n, threads)` — never on timing — so repeated calls take
-//! identical paths.
+//! buffers ([`tile_gemm`], [`Strided`]). Every larger product runs the
+//! blocked kernel. Every product runs on the calling thread: the
+//! recommender's products are beam rows or one training example against
+//! `d_model` 48, and none is large enough for a second thread to repay
+//! its hand-off.
 
-use crate::pool::Pool;
-use crossbeam::channel;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Rows per register tile.
 const MR: usize = 4;
@@ -78,24 +71,14 @@ const MC: usize = 128;
 /// Products with fewer than this many flops (`2·n·k·m`) stay on the
 /// naive kernel: packing B costs more than it saves.
 const NAIVE_MAX_FLOPS: usize = 1 << 17;
-/// Products with fewer than this many flops never go parallel: the
-/// clone + channel round-trip costs more than it saves.
-const PAR_MIN_FLOPS: usize = 1 << 24;
-/// A parallel chunk is never thinner than this many rows.
-const MIN_ROWS_PER_CHUNK: usize = 32;
-
-/// How long the gather loop waits for worker results before falling
-/// back to recomputing missing chunks inline.
-const GATHER_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Per-path dispatch counters in the process-wide observability
 /// registry, one per size class — the split that tuning the
-/// `NAIVE_MAX_FLOPS` / `PAR_MIN_FLOPS` thresholds needs. [`counters`]
-/// folds naive and blocked into `serial`.
+/// `NAIVE_MAX_FLOPS` threshold needs. [`counters`] folds both into
+/// `serial`.
 struct DispatchCounters {
     naive: Arc<qrec_obs::Counter>,
     blocked: Arc<qrec_obs::Counter>,
-    parallel: Arc<qrec_obs::Counter>,
 }
 
 fn dispatch() -> &'static DispatchCounters {
@@ -103,16 +86,16 @@ fn dispatch() -> &'static DispatchCounters {
     D.get_or_init(|| DispatchCounters {
         naive: qrec_obs::global().counter("tensor.gemm.naive"),
         blocked: qrec_obs::global().counter("tensor.gemm.blocked"),
-        parallel: qrec_obs::global().counter("tensor.gemm.parallel"),
     })
 }
 
 /// Process-wide GEMM dispatch counters, for serving metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Calls that ran on the calling thread (naive or blocked path).
+    /// Every call: each runs on the calling thread (naive or blocked path).
     pub serial: u64,
-    /// Calls that fanned out over the compute pool.
+    /// Always 0 — no product leaves the calling thread. Kept because the
+    /// end-to-end benchmark reads it.
     pub parallel: u64,
 }
 
@@ -121,7 +104,7 @@ pub fn counters() -> KernelCounters {
     let d = dispatch();
     KernelCounters {
         serial: d.naive.get() + d.blocked.get(),
-        parallel: d.parallel.get(),
+        parallel: 0,
     }
 }
 
@@ -151,33 +134,24 @@ pub fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 /// The execution path [`gemm`] takes for an `n×k · k×m` product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// Small product: no packing and no pool, zero set-up cost — the
-    /// unpacked register tile.
+    /// Small product: no packing, zero set-up cost — the unpacked
+    /// register tile.
     Naive,
-    /// Mid-size product: packed blocked kernel on the calling thread.
+    /// Every larger product: the packed blocked kernel.
     Blocked,
-    /// Large product: blocked kernel over `chunks` row ranges on the pool.
-    Parallel {
-        /// Number of contiguous row ranges the output is split into.
-        chunks: usize,
-    },
 }
 
-/// Pick the kernel path for an `n×k · k×m` product at `threads` workers.
+/// Pick the kernel path for an `n×k · k×m` product.
 ///
-/// Pure and deterministic: the same shape and thread count always select
-/// the same path, and every path produces bitwise-identical output, so
-/// selection is a pure performance decision.
-pub fn select(n: usize, k: usize, m: usize, threads: usize) -> KernelPath {
+/// Pure and deterministic: the same shape always selects the same path,
+/// and both paths produce bitwise-identical output, so selection is a
+/// pure performance decision.
+pub fn select(n: usize, k: usize, m: usize) -> KernelPath {
     let flops = 2usize.saturating_mul(n).saturating_mul(k).saturating_mul(m);
     if n < MR || flops < NAIVE_MAX_FLOPS {
         KernelPath::Naive
-    } else if threads < 2 || flops < PAR_MIN_FLOPS || n < 2 * MIN_ROWS_PER_CHUNK {
-        KernelPath::Blocked
     } else {
-        KernelPath::Parallel {
-            chunks: threads.min(n / MIN_ROWS_PER_CHUNK),
-        }
+        KernelPath::Blocked
     }
 }
 
@@ -543,9 +517,7 @@ fn with_transposed<T>(x: &[f32], rows: usize, cols: usize, f: impl FnOnce(&[f32]
 // Public entry points
 // ---------------------------------------------------------------------
 
-/// `n×k · k×m` product with automatic path selection on the global pool.
-///
-/// Small products never touch (or lazily spawn) the pool at all.
+/// `n×k · k×m` product with automatic path selection.
 pub fn gemm(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
     gemm_acc(a, b, n, k, m, &mut out);
@@ -564,10 +536,9 @@ pub fn gemm_into(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [
 
 /// Path selection shared by [`gemm`] and [`gemm_into`]; `out` is zeroed.
 fn gemm_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    if select(n, k, m, 1) == KernelPath::Naive {
-        small_acc::<false>(a, b, n, k, m, out);
-    } else {
-        gemm_on_acc(Pool::global(), a, b, n, k, m, out);
+    match select(n, k, m) {
+        KernelPath::Naive => small_acc::<false>(a, b, n, k, m, out),
+        KernelPath::Blocked => blocked_acc(a, b, n, k, m, out),
     }
 }
 
@@ -590,50 +561,18 @@ pub fn gemm_nt(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
 /// kernel. Every path computes the ascending-`k` fold of [`naive_tn`]
 /// per element.
 pub fn gemm_tn(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
-    if select(n, k, m, 1) == KernelPath::Naive {
-        let mut out = vec![0.0f32; n * m];
-        small_acc::<true>(a, b, n, k, m, &mut out);
-        return out;
-    }
-    with_transposed(&a[..k * n], k, n, |at| {
-        gemm_on(Pool::global(), at, b, n, k, m)
-    })
-}
-
-/// [`gemm`] with an explicit pool (tests and benchmarks pin thread
-/// counts through this).
-pub fn gemm_on(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
-    gemm_on_acc(pool, a, b, n, k, m, &mut out);
+    if select(n, k, m) == KernelPath::Naive {
+        small_acc::<true>(a, b, n, k, m, &mut out);
+    } else {
+        with_transposed(&a[..k * n], k, n, |at| {
+            blocked_acc(at, b, n, k, m, &mut out)
+        });
+    }
     out
 }
 
-/// [`gemm_on`] accumulating into a zeroed `n·m` buffer.
-fn gemm_on_acc(pool: &Pool, a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
-    match select(n, k, m, pool.threads()) {
-        KernelPath::Naive => small_acc::<false>(a, b, n, k, m, out),
-        KernelPath::Blocked => blocked_acc(a, b, n, k, m, out),
-        KernelPath::Parallel { chunks } => {
-            // Fan-out beyond the machine's physical parallelism only
-            // adds context switches and extra packed-panel re-walks (the
-            // pool may be configured larger than the hardware), so cap
-            // the executed chunk count there. Output bits are invariant
-            // under chunk count (see the determinism section), so this
-            // is purely an execution-schedule decision: on a one-core
-            // box the product degrades all the way to the blocked serial
-            // kernel with zero hand-off cost.
-            let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-            let chunks = chunks.min(hw);
-            if chunks < 2 {
-                blocked_acc(a, b, n, k, m, out);
-            } else {
-                parallel(pool, chunks, hw.saturating_sub(1), a, b, n, k, m, out);
-            }
-        }
-    }
-}
-
-/// The counted blocked-serial dispatch arm; `out` is zeroed.
+/// The counted blocked dispatch arm; `out` is zeroed.
 fn blocked_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f32]) {
     dispatch().blocked.inc();
     PACKED.with(|pb| {
@@ -643,8 +582,8 @@ fn blocked_acc(a: &[f32], b: &[f32], n: usize, k: usize, m: usize, out: &mut [f3
     });
 }
 
-/// Blocked serial kernel on any shape, bypassing the shape thresholds:
-/// pack `B` once, run every row on the caller.
+/// Blocked kernel on any shape, bypassing the shape threshold: pack `B`
+/// once, run every row.
 pub fn blocked(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
     blocked_acc(a, b, n, k, m, &mut out);
@@ -657,28 +596,6 @@ pub fn blocked(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
 pub fn small(a: &[f32], b: &[f32], n: usize, k: usize, m: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; n * m];
     small_acc::<false>(a, b, n, k, m, &mut out);
-    out
-}
-
-/// Run the blocked kernel split into exactly `chunks` row ranges on
-/// `pool`, bypassing the shape thresholds.
-///
-/// This is the forced-parallel entry the equivalence suite uses to pin
-/// chunk counts on arbitrary shapes; [`gemm`] dispatches to the same
-/// machinery only above the parallel threshold.
-pub fn gemm_chunked(
-    pool: &Pool,
-    chunks: usize,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-) -> Vec<f32> {
-    // No hardware cap here: equivalence tests force worker involvement
-    // so the claim/gather path is exercised whatever the host machine.
-    let mut out = vec![0.0f32; n * m];
-    parallel(pool, chunks, usize::MAX, a, b, n, k, m, &mut out);
     out
 }
 
@@ -723,14 +640,8 @@ impl PackedB {
     }
 }
 
-fn pack_b(b: &[f32], k: usize, m: usize) -> PackedB {
-    let mut pb = PackedB::default();
-    pb.pack(b, k, m);
-    pb
-}
-
 thread_local! {
-    /// The serial blocked path's packed `B`, reused by every call on the
+    /// The blocked path's packed `B`, reused by every call on the
     /// thread: a blocked product allocates nothing but its output, so a
     /// caller that runs many of them at a stable shape — a training step,
     /// an encoder pass over a long source — does not pay (or count) a
@@ -745,10 +656,11 @@ thread_local! {
 /// Compute output rows `r0..r1` into `out` (which holds exactly
 /// `(r1-r0)*m` elements, locally indexed from `r0`).
 ///
-/// KC slabs run in ascending-`k` order; row grouping (MC blocks, MR
-/// tiles) never mixes rows arithmetically, so the result for each row is
-/// independent of the `(r0, r1)` partition — the parallel path's
-/// bitwise-determinism hinges on exactly this.
+/// KC slabs run in ascending-`k` order, and row grouping (MC blocks, MR
+/// tiles) never mixes rows arithmetically, so each element is the fold of
+/// [`naive`]. The one caller passes the whole range `0..n`; the range
+/// stays a parameter because folding it away compiled the kernel ≈ 13 %
+/// slower at `48×48×48`.
 fn blocked_rows(
     a: &[f32],
     pb: &PackedB,
@@ -919,127 +831,6 @@ fn micro_tile<const R: usize, const L: usize>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Parallel driver
-// ---------------------------------------------------------------------
-
-/// Split `n` rows into `chunks` contiguous ranges: a pure function of
-/// `(n, chunks)`, never of timing, so the partition is reproducible.
-fn partition(n: usize, chunks: usize) -> Vec<(usize, usize)> {
-    let chunks = chunks.clamp(1, n.max(1));
-    let base = n / chunks;
-    let rem = n % chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut r0 = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < rem);
-        ranges.push((r0, r0 + len));
-        r0 += len;
-    }
-    ranges
-}
-
-/// Pack `B` once, fan row ranges out over the pool, and assemble the
-/// output in the zeroed `out`: caller-computed ranges are written
-/// directly into it, worker-computed ranges come back over a bounded
-/// channel and are copied into place.
-///
-/// Work is distributed help-first: the fixed ranges sit behind a shared
-/// claim counter, `threads − 1` pool workers loop claiming ranges, and
-/// the **caller claims ranges too** until the counter runs dry. On a
-/// saturated or single-core machine the caller ends up computing almost
-/// everything itself with no hand-off cost; on an idle multicore box the
-/// workers drain the counter concurrently. Which thread computes a range
-/// never changes its bits, so the output is identical either way.
-///
-/// If a worker result never arrives — spawn failure, a panicked job —
-/// the gather loop times out and the missing ranges are recomputed
-/// inline: slower, never wrong.
-#[allow(clippy::too_many_arguments)]
-fn parallel(
-    pool: &Pool,
-    chunks: usize,
-    helpers_cap: usize,
-    a: &[f32],
-    b: &[f32],
-    n: usize,
-    k: usize,
-    m: usize,
-    out: &mut [f32],
-) {
-    dispatch().parallel.inc();
-    let ranges = Arc::new(partition(n, chunks));
-    let pb = Arc::new(pack_b(b, k, m));
-    let shared_a: Arc<Vec<f32>> = Arc::new(a.to_vec());
-    let next = Arc::new(AtomicUsize::new(0));
-
-    let (tx, rx) = channel::bounded::<(usize, Vec<f32>)>(ranges.len().max(1));
-    let helpers = pool
-        .threads()
-        .saturating_sub(1)
-        .min(helpers_cap)
-        .min(ranges.len());
-    for _ in 0..helpers {
-        let a = Arc::clone(&shared_a);
-        let pb = Arc::clone(&pb);
-        let ranges = Arc::clone(&ranges);
-        let next = Arc::clone(&next);
-        let tx = tx.clone();
-        pool.submit(Box::new(move || loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(c0, c1)) = ranges.get(idx) else {
-                break;
-            };
-            let mut part = vec![0.0f32; (c1 - c0) * m];
-            blocked_rows(&a, &pb, k, m, c0, c1, &mut part);
-            if tx.send((idx, part)).is_err() {
-                break;
-            }
-        }));
-    }
-    drop(tx);
-
-    // The caller races the workers for ranges instead of idling, and
-    // writes its ranges straight into the output — no splice for them.
-    let mut done: Vec<bool> = ranges.iter().map(|_| false).collect();
-    let mut pending = ranges.len();
-    loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        let Some(&(c0, c1)) = ranges.get(idx) else {
-            break;
-        };
-        blocked_rows(&shared_a, &pb, k, m, c0, c1, &mut out[c0 * m..c1 * m]);
-        if let Some(flag) = done.get_mut(idx) {
-            *flag = true;
-            pending -= 1;
-        }
-    }
-
-    while pending > 0 {
-        match rx.recv_timeout(GATHER_TIMEOUT) {
-            Ok((idx, part)) => {
-                if let (Some(&(c0, c1)), Some(flag)) = (ranges.get(idx), done.get_mut(idx)) {
-                    if !*flag {
-                        out[c0 * m..c1 * m].copy_from_slice(&part);
-                        *flag = true;
-                        pending -= 1;
-                    }
-                }
-            }
-            Err(_) => break, // timeout or disconnect: fall through to inline recompute
-        }
-    }
-
-    // Anything still missing (a worker died): recompute inline.
-    if pending > 0 {
-        for (&(c0, c1), flag) in ranges.iter().zip(&done) {
-            if !flag {
-                blocked_rows(&shared_a, &pb, k, m, c0, c1, &mut out[c0 * m..c1 * m]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1162,26 +953,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_naive_bitwise_at_every_chunk_count() {
-        let (n, k, m) = (67, 130, 45);
-        let a = fill(n * k, 3);
-        let b = fill(k * m, 4);
-        let want = naive(&a, &b, n, k, m);
-        let pool = Pool::new(4);
-        for chunks in [1, 2, 3, 8, 67, 200] {
-            assert_bitwise(&want, &gemm_chunked(&pool, chunks, &a, &b, n, k, m));
-        }
-    }
-
-    #[test]
     fn degenerate_shapes_are_empty_or_zero() {
-        let pool = Pool::new(2);
-        assert!(gemm_chunked(&pool, 4, &[], &[], 0, 0, 0).is_empty());
-        assert!(gemm_chunked(&pool, 4, &[], &fill(5, 1), 0, 1, 5).is_empty());
-        assert!(gemm_chunked(&pool, 4, &fill(5, 1), &[], 5, 1, 0).is_empty());
+        assert!(blocked(&[], &[], 0, 0, 0).is_empty());
+        assert!(blocked(&[], &fill(5, 1), 0, 1, 5).is_empty());
+        assert!(blocked(&fill(5, 1), &[], 5, 1, 0).is_empty());
         // k == 0: the product is a zero matrix, not an empty one.
-        let out = gemm_chunked(&pool, 2, &[], &[], 3, 0, 4);
-        assert_eq!(out, vec![0.0; 12]);
+        assert_eq!(blocked(&[], &[], 3, 0, 4), vec![0.0; 12]);
     }
 
     #[test]
@@ -1199,38 +976,16 @@ mod tests {
     }
 
     #[test]
-    fn select_keeps_decode_vectors_serial() {
-        assert_eq!(select(1, 48, 4096, 8), KernelPath::Naive);
-        assert_eq!(select(1, 512, 512, 8), KernelPath::Naive);
-        assert_eq!(select(2, 16, 16, 8), KernelPath::Naive);
+    fn select_keeps_decode_vectors_on_the_tile() {
+        assert_eq!(select(1, 48, 4096), KernelPath::Naive);
+        assert_eq!(select(1, 512, 512), KernelPath::Naive);
+        assert_eq!(select(2, 16, 16), KernelPath::Naive);
     }
 
     #[test]
-    fn select_blocks_midsize_and_splits_large() {
-        assert_eq!(select(64, 64, 64, 1), KernelPath::Blocked);
-        assert_eq!(select(64, 64, 64, 8), KernelPath::Blocked); // < PAR_MIN_FLOPS
-        assert_eq!(select(512, 512, 512, 8), KernelPath::Parallel { chunks: 8 });
-        // Chunks are capped so no range is thinner than MIN_ROWS_PER_CHUNK.
-        assert_eq!(
-            select(96, 1024, 1024, 8),
-            KernelPath::Parallel { chunks: 3 }
-        );
-    }
-
-    #[test]
-    fn partition_covers_rows_exactly_once() {
-        for n in [0usize, 1, 5, 64, 67, 512] {
-            for chunks in [1usize, 2, 3, 8, 600] {
-                let ranges = partition(n, chunks);
-                let mut next = 0;
-                for &(r0, r1) in &ranges {
-                    assert_eq!(r0, next);
-                    assert!(r1 >= r0);
-                    next = r1;
-                }
-                assert_eq!(next, n);
-            }
-        }
+    fn select_blocks_everything_larger() {
+        assert_eq!(select(64, 64, 64), KernelPath::Blocked);
+        assert_eq!(select(512, 512, 512), KernelPath::Blocked);
     }
 
     #[test]
@@ -1263,8 +1018,8 @@ mod tests {
         let read = |name: &str| qrec_obs::global().snapshot().counter(name).unwrap_or(0);
         let naive0 = read("tensor.gemm.naive");
         let blocked0 = read("tensor.gemm.blocked");
-        // 4×4·4×4 is far below NAIVE_MAX_FLOPS; 64×64·64×64 is above it
-        // but below PAR_MIN_FLOPS, so it lands on the blocked path.
+        // 4×4·4×4 is far below NAIVE_MAX_FLOPS; 64×64·64×64 is above it,
+        // so it lands on the blocked path.
         let _ = gemm(&fill(16, 9), &fill(16, 10), 4, 4, 4);
         let a = fill(64 * 64, 11);
         let _ = gemm(&a, &a, 64, 64, 64);

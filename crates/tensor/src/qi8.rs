@@ -18,7 +18,7 @@
 //! is widened `i8 → f32` on load (exact), so an output element is the
 //! kernel's single-accumulator ascending-`k` `fmadd` fold of the f32
 //! activations over the integer-valued weights, times [`QPackedB::scale`]
-//! once. It is deterministic at any tiling or thread count for the reason
+//! once. It is deterministic at any tiling for the reason
 //! the f32 kernel is — one fold order per element, not associativity —
 //! and bit-equal to [`crate::kernel::naive`] over the widened weights
 //! (`tests/qi8_properties.rs`). Nothing is packed, quantized or allocated

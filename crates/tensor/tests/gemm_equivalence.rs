@@ -1,15 +1,14 @@
 //! Bitwise equivalence of every GEMM path against the naive reference.
 //!
 //! The kernel's determinism contract (DESIGN.md §10) is that the blocked
-//! serial kernel and the pool-parallel kernel at *any* thread and chunk
-//! count produce output bitwise identical to the canonical naive fold —
-//! not epsilon-close. These properties drive random shapes (including
+//! kernel, the small-product tile and the dispatching entry points produce
+//! output bitwise identical to the canonical naive fold — not
+//! epsilon-close. These properties drive random shapes (including
 //! 0-row/0-col, 1×1, tall-skinny, and non-multiple-of-block-size edges)
-//! through pools of 1, 2, and 8 threads and compare bit patterns.
+//! through `kernel::blocked` and `kernel::gemm` and compare bit patterns.
 
 use proptest::prelude::*;
 use qrec_tensor::kernel;
-use qrec_tensor::pool::Pool;
 use qrec_tensor::Tensor;
 
 /// Compare two result buffers bit-for-bit, reporting the first diverging
@@ -43,7 +42,6 @@ fn narrow_widths_and_short_last_tiles_stay_bitwise() {
             .map(|i| (((i + salt) * 2654435761) % 2000) as f32 * 1e-3 - 1.0)
             .collect()
     };
-    let pool = Pool::new(2);
     for m in [48usize, 96, 130] {
         for k in [48usize, 96, 300] {
             let b = fill(k * m, m + k);
@@ -61,8 +59,6 @@ fn narrow_widths_and_short_last_tiles_stay_bitwise() {
                     bits(&kernel::small(&a, &b, n, k, m)),
                     "small {ctx}"
                 );
-                let chunked = kernel::gemm_chunked(&pool, 3, &a, &b, n, k, m);
-                assert_eq!(bits(&want), bits(&chunked), "chunked {ctx}");
             }
         }
     }
@@ -120,6 +116,9 @@ fn nt_and_tn_run_the_reference_fold_on_every_small_shape() {
     }
 }
 
+/// An `n×k · k×m` product entry point of [`kernel`].
+type Product = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
+
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }
@@ -131,8 +130,8 @@ fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes (1..=80 per dim) through 1-, 2-, and 8-thread pools
-    /// at several chunk counts: all bitwise equal to the reference.
+    /// Random shapes (1..=80 per dim) through the blocked kernel and the
+    /// dispatching entry point: both bitwise equal to the reference.
     #[test]
     fn parallel_gemm_is_bitwise_deterministic(
         n in 1usize..=80,
@@ -148,13 +147,7 @@ proptest! {
             .collect();
         let want = kernel::naive(&a, &b, n, k, m);
         assert_bitwise(&want, &kernel::blocked(&a, &b, n, k, m))?;
-        for threads in [1usize, 2, 8] {
-            let pool = Pool::new(threads);
-            for chunks in [1usize, 2, 3, threads] {
-                let got = kernel::gemm_chunked(&pool, chunks, &a, &b, n, k, m);
-                assert_bitwise(&want, &got)?;
-            }
-        }
+        assert_bitwise(&want, &kernel::gemm(&a, &b, n, k, m))?;
     }
 
     /// Random *data* on fixed awkward shapes — edge tiles in both the
@@ -177,28 +170,27 @@ proptest! {
             let b = &data[data.len() - k * m..];
             let want = kernel::naive(a, b, n, k, m);
             assert_bitwise(&want, &kernel::blocked(a, b, n, k, m))?;
-            for threads in [1usize, 2, 8] {
-                let pool = Pool::new(threads);
-                let got = kernel::gemm_chunked(&pool, threads, a, b, n, k, m);
-                assert_bitwise(&want, &got)?;
-            }
+            assert_bitwise(&want, &kernel::gemm(a, b, n, k, m))?;
         }
     }
 
     /// Zero-extent shapes: 0 rows, 0 columns, and k == 0 (a zero matrix,
-    /// not an empty one) survive every path.
+    /// not an empty one) survive the blocked kernel and the dispatching
+    /// entry point.
     #[test]
-    fn zero_extent_shapes(dim in 0usize..6, threads in 1usize..=8) {
-        let pool = Pool::new(threads);
-        // n == 0
-        let b = vec![0.5f32; dim * 3];
-        prop_assert!(kernel::gemm_chunked(&pool, threads, &[], &b, 0, dim, 3).is_empty());
-        // m == 0
-        let a = vec![0.5f32; 3 * dim];
-        prop_assert!(kernel::gemm_chunked(&pool, threads, &a, &[], 3, dim, 0).is_empty());
-        // k == 0 → 3×dim zero matrix
-        let out = kernel::gemm_chunked(&pool, threads, &[], &[], 3, 0, dim);
-        prop_assert_eq!(out, vec![0.0f32; 3 * dim]);
+    fn zero_extent_shapes(dim in 0usize..6, rows in 1usize..=8) {
+        let products: [(&str, Product); 2] = [("blocked", kernel::blocked), ("gemm", kernel::gemm)];
+        for (name, product) in products {
+            // n == 0
+            let b = vec![0.5f32; dim * rows];
+            prop_assert!(product(&[], &b, 0, dim, rows).is_empty(), "{} n = 0", name);
+            // m == 0
+            let a = vec![0.5f32; rows * dim];
+            prop_assert!(product(&a, &[], rows, dim, 0).is_empty(), "{} m = 0", name);
+            // k == 0 → rows×dim zero matrix
+            let out = product(&[], &[], rows, 0, dim);
+            prop_assert_eq!(out, vec![0.0f32; rows * dim], "{} k = 0", name);
+        }
     }
 
     /// The nt/tn tensor entry points agree bitwise with their references

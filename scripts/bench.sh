@@ -7,7 +7,6 @@
 #                                 BENCH_quant.json, BENCH_serve.json and
 #                                 BENCH_obs.json at the repo root
 #   scripts/bench.sh --smoke      tiny shapes, writes target/BENCH_*_smoke.json
-#   QREC_THREADS=4 scripts/bench.sh   size the serving pool (bench pools stay 1 and 8)
 #
 # Everything builds offline against the vendored shims in shims/.
 set -euo pipefail

@@ -34,7 +34,7 @@ echo "==> store recovery smoke (SIGKILL mid-write, torn tails, restart)"
 cargo test --offline -q -p qrec-store --test crash_recovery
 cargo test --offline -q -p qrec-serve --test restart_recovery
 
-echo "==> int8 quant equivalence smoke (agreement gate + QREC_THREADS 1/2/8 reruns)"
+echo "==> int8 quant equivalence smoke (agreement gate, golden int8 decode)"
 cargo test --offline -q -p qrec-nn --test quant_equivalence
 
 echo "==> decode equivalence, int8 oracles and beam selection under the release profile"
