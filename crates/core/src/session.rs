@@ -58,17 +58,23 @@ impl SessionContext {
     /// Returns the parse error if the statement is not valid SQL in the
     /// `qrec` dialect (the session is left unchanged).
     pub fn push_sql(&mut self, sql: &str) -> Result<(), ParseError> {
-        self.push(QueryRecord::new(sql)?);
+        self.push_tokens(qrec_sql::prepare(sql)?.tokens);
         Ok(())
     }
 
-    /// Record an already-parsed query: its tokens enter the window, the
-    /// query that falls out of the window is dropped.
+    /// Record an already-parsed query: [`SessionContext::push_tokens`]
+    /// of its tokens.
     pub fn push(&mut self, record: QueryRecord) {
+        self.push_tokens(record.tokens);
+    }
+
+    /// Record the model tokens of the next query: they enter the
+    /// window, the query that falls out of the window is dropped.
+    pub fn push_tokens(&mut self, tokens: Vec<String>) {
         if self.recent.len() == self.window {
             self.recent.pop_front();
         }
-        self.recent.push_back(record.tokens);
+        self.recent.push_back(tokens);
         self.seen += 1;
     }
 

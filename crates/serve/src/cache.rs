@@ -10,13 +10,16 @@
 //! The window is already normalized by construction: `qrec-sql` parsing
 //! resolves aliases, case-folds keywords, and collapses literals, so the
 //! token sequence of a [`SessionContext`](qrec_core::SessionContext)
-//! window is canonical. The key joins those tokens with an
-//! out-of-vocabulary separator byte.
+//! window is canonical. The key writes each token behind its length
+//! in bytes (`3:FROM`): no token's text — a string literal may hold any
+//! character — can pass for a boundary, so distinct windows never
+//! share a key.
 
 use parking_lot::Mutex;
 use qrec_core::predict::PerKind;
 use qrec_obs::Counter;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide count of LRU evictions, registered lazily so the `DUMP`
@@ -31,7 +34,8 @@ fn evictions() -> &'static Arc<Counter> {
 pub struct CacheKey {
     /// Registry epoch of the model the entry was computed with.
     pub epoch: u64,
-    /// Normalized input window (parser tokens joined with `\x1f`).
+    /// Normalized input window: each parser token as its byte length,
+    /// `:`, and its text (`6:SELECT1:a`), an injective encoding.
     pub window: String,
 }
 
@@ -46,10 +50,9 @@ impl CacheKey {
     /// the key's one string is the only allocation.
     pub fn from_window<'a>(epoch: u64, tokens: impl IntoIterator<Item = &'a str>) -> Self {
         let mut window = String::new();
-        for (i, token) in tokens.into_iter().enumerate() {
-            if i > 0 {
-                window.push('\u{1f}');
-            }
+        for token in tokens {
+            // Writing to a `String` cannot fail.
+            let _ = write!(window, "{}:", token.len());
             window.push_str(token);
         }
         CacheKey { epoch, window }
@@ -219,7 +222,7 @@ mod tests {
             .collect();
         let borrowed = CacheKey::from_window(7, tokens.iter().map(String::as_str));
         assert_eq!(borrowed, CacheKey::new(7, &tokens));
-        assert_eq!(borrowed.window, tokens.join("\u{1f}"));
+        assert_eq!(borrowed.window, "6:select1:a5:<SEP>4:from1:t");
         assert_eq!(CacheKey::from_window(1, []).window, "");
     }
 
@@ -228,5 +231,25 @@ mod tests {
         let a = CacheKey::new(1, &["x".into(), "y".into()]);
         let b = CacheKey::new(1, &["xy".into()]);
         assert_ne!(a, b, "separator must prevent join collisions");
+    }
+
+    #[test]
+    fn a_separator_inside_a_literal_does_not_collide() {
+        // The literal holds what a separator-joined key put between
+        // tokens: joined with U+001F, these two windows read the same.
+        let quoted = "SELECT CASE WHEN a = 1 THEN 'x''\u{1f}ELSE\u{1f}''y' END FROM t";
+        let plain = "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t";
+        let quoted = qrec_sql::prepare(quoted).unwrap().tokens;
+        let plain = qrec_sql::prepare(plain).unwrap().tokens;
+        assert_ne!(quoted, plain);
+        assert_eq!(quoted.join("\u{1f}"), plain.join("\u{1f}"));
+        assert_ne!(CacheKey::new(1, &quoted), CacheKey::new(1, &plain));
+    }
+
+    #[test]
+    fn lengths_are_written_in_decimal() {
+        let long = "x".repeat(1234);
+        let key = CacheKey::from_window(0, ["", "ab", long.as_str()]);
+        assert_eq!(key.window, format!("0:2:ab1234:{long}"));
     }
 }

@@ -21,6 +21,7 @@
 use qrec_core::predict::PerKind;
 use qrec_obs::{FlightRecord, ProfReport};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 use crate::error::ServeError;
 use crate::metrics::MetricsSnapshot;
@@ -188,12 +189,69 @@ impl Response {
         }
     }
 
-    /// Serialise to one JSON line (no trailing newline). A `Response`
-    /// always serialises; the fallback is a hand-written error line
-    /// for that impossibility.
+    /// Serialise to one JSON line (no trailing newline): the bytes of
+    /// `serde_json::to_string(self)`. A recommendation — the reply to
+    /// nearly every request — is written straight from its fields;
+    /// every other shape goes through `serde_json`. A `Response` always
+    /// serialises; the fallback is a hand-written error line for that
+    /// impossibility.
     pub fn to_json_line(&self) -> String {
+        if let Some(line) = self.recommendation_line() {
+            return line;
+        }
         serde_json::to_string(self)
             .unwrap_or_else(|_| r#"{"ok":false,"code":"io_error","error":"serialize"}"#.to_string())
+    }
+
+    /// The JSON line of a [`Response::recommendation`], or `None` for any
+    /// other shape. `serde_json` prints every field in declaration order,
+    /// an absent one as `null`; so does this, without building the value
+    /// tree or copying a fragment.
+    fn recommendation_line(&self) -> Option<String> {
+        let Response {
+            ok: true,
+            code: None,
+            error: None,
+            fragments: Some(fragments),
+            epoch: Some(epoch),
+            cached: Some(cached),
+            stats: None,
+            trace: None,
+            dump: None,
+            history: None,
+            watch: None,
+            prof: None,
+        } = self
+        else {
+            return None;
+        };
+        let PerKind {
+            table,
+            column,
+            function,
+            literal,
+        } = fragments;
+        let mut out = String::with_capacity(192);
+        out.push_str(r#"{"ok":true,"code":null,"error":null,"fragments":{"table":"#);
+        write_json_array(&mut out, table.iter().map(String::as_str));
+        out.push_str(r#","column":"#);
+        write_json_array(&mut out, column.iter().map(String::as_str));
+        out.push_str(r#","function":"#);
+        write_json_array(&mut out, function.iter().map(String::as_str));
+        out.push_str(r#","literal":"#);
+        write_json_array(&mut out, literal.iter().map(String::as_str));
+        out.push_str(r#"},"epoch":"#);
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{epoch}");
+        out.push_str(if *cached {
+            r#","cached":true"#
+        } else {
+            r#","cached":false"#
+        });
+        out.push_str(
+            r#","stats":null,"trace":null,"dump":null,"history":null,"watch":null,"prof":null}"#,
+        );
+        Some(out)
     }
 
     /// Convert a wire response back into a typed result (client side).
@@ -206,6 +264,57 @@ impl Response {
             Err(ServeError::from_wire(&code, msg))
         }
     }
+}
+
+/// Append `items` as a JSON array of strings: the bytes `serde_json`
+/// prints for a `Vec<String>` of them.
+pub(crate) fn write_json_array<'a>(out: &mut String, items: impl IntoIterator<Item = &'a str>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_str(out, item);
+    }
+    out.push(']');
+}
+
+/// Append `s` as a JSON string with `serde_json`'s escapes: `"` and `\`
+/// backslashed, `\n \r \t \b \f` by name, any other control character
+/// below U+0020 as `\u00xx`, everything else — U+007F, U+2028 and all
+/// non-ASCII text included — as is. Runs between escapes are copied
+/// whole.
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` and `i + 1..` fall on
+        // char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match named {
+            Some(escape) => out.push_str(escape),
+            None => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Payload of a `STATS` response.
@@ -333,5 +442,22 @@ mod tests {
         assert_eq!(back.fragments.as_ref(), Some(&fragments));
         assert_eq!(back.epoch, Some(2));
         assert_eq!(back.cached, Some(true));
+    }
+
+    #[test]
+    fn only_a_recommendation_is_written_directly() {
+        let rec = Response::recommendation(PerKind::default(), 3, false);
+        assert!(rec.recommendation_line().is_some());
+        let carrying_more = Response {
+            stats: Some(StatsReply::default()),
+            ..rec.clone()
+        };
+        for other in [
+            Response::ok(),
+            carrying_more,
+            Response::err(&ServeError::Overloaded),
+        ] {
+            assert!(other.recommendation_line().is_none(), "{other:?}");
+        }
     }
 }

@@ -39,7 +39,6 @@ use parking_lot::RwLock;
 use qrec_core::SessionContext;
 use qrec_obs::{Histogram, Span};
 use qrec_store::Store;
-use qrec_workload::QueryRecord;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -47,11 +46,21 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
+use crate::protocol::write_json_array;
 
 /// Cap on persisted statements per session: enough to rebuild any
 /// realistic model window (the paper serves window 1–3) while bounding
 /// the per-session disk record.
 const MAX_PERSISTED_QUERIES: usize = 64;
+
+/// The durable record of a session's statements: a JSON array of
+/// strings, the bytes `serde_json::to_vec` makes of the `Vec<String>`
+/// ([`SessionStore::load_raws`] reads it back with `serde_json`).
+fn session_record<'a>(statements: impl IntoIterator<Item = &'a str>) -> Vec<u8> {
+    let mut out = String::new();
+    write_json_array(&mut out, statements);
+    out.into_bytes()
+}
 
 /// Sweep duration histogram, registered lazily: eviction scans hold
 /// every shard's write lock in turn, so their cost is worth watching.
@@ -70,9 +79,10 @@ struct Entry {
 }
 
 impl Entry {
-    /// Step three of a push: the in-memory apply.
-    fn apply(&mut self, record: QueryRecord) {
-        self.ctx.push(record);
+    /// Step three of a push: the in-memory apply of the statement's
+    /// model tokens.
+    fn apply(&mut self, tokens: Vec<String>) {
+        self.ctx.push_tokens(tokens);
         self.last_seen = Instant::now();
     }
 }
@@ -112,8 +122,8 @@ impl MemoryOnly<'_> {
         sql: &str,
         read: impl FnOnce(&SessionContext) -> T,
     ) -> Result<T, ServeError> {
-        let record = self.0.parse(sql)?;
-        Ok(self.0.apply_in_memory(id, record, read))
+        let tokens = self.0.parse(sql)?;
+        Ok(self.0.apply_in_memory(id, tokens, read))
     }
 }
 
@@ -214,8 +224,8 @@ impl SessionStore {
             // Statements were valid when persisted; skip (rather than
             // fail on) any the parser no longer accepts so one stale
             // record cannot brick a session.
-            if let Ok(record) = QueryRecord::new(&sql) {
-                ctx.push(record);
+            if let Ok(prepared) = qrec_sql::prepare(&sql) {
+                ctx.push_tokens(prepared.tokens);
                 kept.push(sql);
             }
         }
@@ -223,15 +233,17 @@ impl SessionStore {
         Ok(Some((ctx, kept)))
     }
 
-    /// Step one of a push: parse the statement (outside any lock, so a
-    /// slow or invalid statement never blocks other sessions) and show
-    /// its template to the telemetry sink.
-    fn parse(&self, sql: &str) -> Result<QueryRecord, ServeError> {
-        let record = QueryRecord::new(sql).map_err(|e| ServeError::Sql(e.to_string()))?;
+    /// Step one of a push: parse the statement into its model tokens
+    /// (outside any lock, so a slow or invalid statement never blocks
+    /// other sessions) and show its template id to the telemetry sink.
+    /// The serving parse ([`qrec_sql::prepare`]) derives those two and
+    /// nothing else of the statement.
+    fn parse(&self, sql: &str) -> Result<Vec<String>, ServeError> {
+        let prepared = qrec_sql::prepare(sql).map_err(|e| ServeError::Sql(e.to_string()))?;
         if let Some(sink) = self.template_sink.get() {
-            sink(record.template.id());
+            sink(prepared.template_id);
         }
-        Ok(record)
+        Ok(prepared.tokens)
     }
 
     /// Append a SQL statement to a session, creating the session on
@@ -247,10 +259,10 @@ impl SessionStore {
     ///
     /// Returns the session's windowed model-input tokens after the push.
     pub fn push_sql(&self, id: &str, sql: &str) -> Result<Vec<String>, ServeError> {
-        let record = self.parse(sql)?;
+        let tokens = self.parse(sql)?;
         match &self.durable {
-            Some(disk) => self.push_durable(disk, id, sql, record),
-            None => Ok(self.apply_in_memory(id, record, SessionContext::input_tokens)),
+            Some(disk) => self.push_durable(disk, id, sql, tokens),
+            None => Ok(self.apply_in_memory(id, tokens, SessionContext::input_tokens)),
         }
     }
 
@@ -266,11 +278,11 @@ impl SessionStore {
     fn apply_in_memory<T>(
         &self,
         id: &str,
-        record: QueryRecord,
+        tokens: Vec<String>,
         read: impl FnOnce(&SessionContext) -> T,
     ) -> T {
         let apply = |entry: &mut Entry| {
-            entry.apply(record);
+            entry.apply(tokens);
             read(&entry.ctx)
         };
         let mut shard = self.shard(id).write();
@@ -290,7 +302,7 @@ impl SessionStore {
         disk: &Store,
         id: &str,
         sql: &str,
-        record: QueryRecord,
+        tokens: Vec<String>,
     ) -> Result<Vec<String>, ServeError> {
         // Tiered miss: rebuild the context from disk before taking the
         // shard lock, so re-parsing history never blocks the shard.
@@ -318,18 +330,17 @@ impl SessionStore {
                 })
             }
         };
-        let mut raws = entry.raws.clone();
-        raws.push(sql.to_string());
-        if raws.len() > MAX_PERSISTED_QUERIES {
-            let excess = raws.len() - MAX_PERSISTED_QUERIES;
-            raws.drain(..excess);
-        }
-        let bytes = serde_json::to_vec(&raws)
-            .map_err(|e| ServeError::Store(format!("serialise session record: {e}")))?;
+        // The record is the last MAX_PERSISTED_QUERIES statements with
+        // this one: written straight from the entry's list, which
+        // changes only once the write is acknowledged.
+        let dropped = (entry.raws.len() + 1).saturating_sub(MAX_PERSISTED_QUERIES);
+        let kept = entry.raws.iter().skip(dropped).map(String::as_str);
+        let bytes = session_record(kept.chain([sql]));
         disk.put(&SessionStore::durable_key(id), &bytes)
             .map_err(|e| ServeError::Store(e.to_string()))?;
-        entry.raws = raws;
-        entry.apply(record);
+        entry.raws.drain(..dropped);
+        entry.raws.push(sql.to_string());
+        entry.apply(tokens);
         Ok(entry.ctx.input_tokens())
     }
 
@@ -621,5 +632,43 @@ mod tests {
         }
         assert_eq!(s.len(), 0, "sweeper should evict the idle session");
         h.stop();
+    }
+
+    #[test]
+    fn session_record_bytes_are_serde_jsons() {
+        let mut awkward: Vec<String> = (0u32..0x20)
+            .filter_map(char::from_u32)
+            .map(|c| format!("SELECT '{c}' FROM t"))
+            .collect();
+        awkward.extend(
+            [
+                "SELECT \"q\" FROM [b\\s]",
+                "SELECT '\u{7f}\u{2028}é∑🦀' FROM t",
+                "",
+            ]
+            .map(String::from),
+        );
+        for statements in [vec![], awkward.clone(), awkward[..1].to_vec()] {
+            let ours = session_record(statements.iter().map(String::as_str));
+            assert_eq!(ours, serde_json::to_vec(&statements).unwrap());
+            let back: Vec<String> = serde_json::from_slice(&ours).unwrap();
+            assert_eq!(back, statements);
+        }
+    }
+
+    #[test]
+    fn durable_record_keeps_the_last_statements_in_order() {
+        let (disk, dir) = durable_store("window");
+        let s = SessionStore::with_durable(4, 1, Duration::from_secs(600), Arc::clone(&disk));
+        let sqls: Vec<String> = (0..MAX_PERSISTED_QUERIES + 3)
+            .map(|i| format!("SELECT c{i} FROM t"))
+            .collect();
+        for sql in &sqls {
+            s.push_sql("dan", sql).unwrap();
+        }
+        let bytes = disk.get(b"session/dan").unwrap().expect("persisted");
+        let tail = sqls[3..].to_vec();
+        assert_eq!(bytes, serde_json::to_vec(&tail).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

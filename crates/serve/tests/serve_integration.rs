@@ -411,3 +411,21 @@ fn durable_hits_still_ride_to_a_worker() {
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two statements whose token windows differ only in where a string
+/// literal ends have different cache keys, even when the literal holds
+/// the U+001F a separator-joined key put between tokens: the second is
+/// decoded, not served the first one's ranking.
+#[test]
+fn a_literal_cannot_pose_as_a_token_boundary() {
+    let server = Server::start(train_tiny(6), "127.0.0.1:0", server_config()).expect("start");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let plain = "SELECT CASE WHEN a = 1 THEN 'x' ELSE 'y' END FROM t";
+    let posing = "SELECT CASE WHEN a = 1 THEN 'x''\u{1f}ELSE\u{1f}''y' END FROM t";
+    let first = c.recommend("plain", plain, 5).expect("plain");
+    assert_eq!(first.cached, Some(false));
+    let second = c.recommend("posing", posing, 5).expect("posing");
+    assert_eq!(second.cached, Some(false), "a different window misses");
+    let again = c.recommend("again", plain, 5).expect("plain again");
+    assert_eq!(again.cached, Some(true), "the same window still hits");
+}

@@ -19,6 +19,8 @@
 //!   (the paper's pre-processing, Section 5.4.1).
 //! * [`tokenize`] — the word-token sequences fed to the sequence models
 //!   (Definition 1), with numbers collapsed to `<NUM>`.
+//! * [`serving`] — [`prepare`], a statement's tokens and template id
+//!   from one parse: what a server pushing it into a session reads.
 //!
 //! ## Quick example
 //!
@@ -42,6 +44,7 @@ pub mod fragments;
 pub mod lexer;
 pub mod normalize;
 pub mod parser;
+pub mod serving;
 pub mod template;
 pub mod token;
 pub mod tokenize;
@@ -50,5 +53,6 @@ pub use ast::Query;
 pub use error::ParseError;
 pub use fragments::{extract as extract_fragments, FragmentKind, FragmentSet};
 pub use parser::{parse, parse_many};
-pub use template::{template, Template};
-pub use tokenize::{query_tokens, sql_tokens};
+pub use serving::{parse_resolved, prepare, Prepared};
+pub use template::{template, template_id, Template};
+pub use tokenize::{canonical_tokens, query_tokens, sql_tokens};

@@ -19,8 +19,13 @@ use std::collections::HashMap;
 /// scopes (correlated subqueries resolve through the outer query).
 pub fn resolve_aliases(query: &Query) -> Query {
     let mut q = query.clone();
-    rewrite_query(&mut q, &AliasScope::root());
+    resolve_aliases_in_place(&mut q);
     q
+}
+
+/// [`resolve_aliases`] on an owned query, without the copy.
+pub fn resolve_aliases_in_place(query: &mut Query) {
+    rewrite_query(query, &AliasScope::root());
 }
 
 /// Replace every numeric literal in the query with `0` rendered as the

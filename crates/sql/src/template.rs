@@ -10,7 +10,7 @@
 use crate::ast::*;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 
 /// Placeholder spelling for tables.
@@ -58,6 +58,31 @@ pub fn template(query: &Query) -> Template {
     template_query(&mut q);
     Template {
         statement: q.to_string(),
+    }
+}
+
+/// The id of `query`'s template — [`Template::id`] of
+/// [`template`]`(&query)` — without the copy of the AST or the
+/// statement string: the owned query is placeholder-ised in place and
+/// its print streamed into the hasher, the bytes and then the `0xff`
+/// terminator that hashing a `str` appends.
+pub fn template_id(mut query: Query) -> u64 {
+    template_query(&mut query);
+    let mut h = HashWriter(DefaultHasher::new());
+    // Writing to a hasher cannot fail, and the AST's `Display` returns
+    // only the errors its sink raises.
+    let _ = write!(h, "{query}");
+    h.0.write_u8(0xff);
+    h.0.finish()
+}
+
+/// A `fmt::Write` sink that feeds every byte to a hasher.
+struct HashWriter(DefaultHasher);
+
+impl fmt::Write for HashWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -317,6 +342,19 @@ mod tests {
         let c = template(&parse("SELECT x, y FROM y").unwrap());
         assert_eq!(a.id(), b.id());
         assert_ne!(a.id(), c.id());
+    }
+
+    #[test]
+    fn template_id_equals_the_statement_hash() {
+        for sql in [
+            "SELECT a FROM t",
+            "SELECT j.target, CAST(j.estimate AS VARCHAR) AS e FROM Jobs j WHERE j.q = 'FULL'",
+            "WITH hot AS (SELECT objid FROM SpecObj) SELECT x FROM hot ORDER BY x LIMIT 3",
+            "SELECT [my col], \"x y\" FROM [t.csv] WHERE z LIKE '%é''∑%'",
+        ] {
+            let q = parse(sql).unwrap();
+            assert_eq!(template_id(q.clone()), template(&q).id(), "{sql}");
+        }
     }
 
     #[test]

@@ -84,62 +84,74 @@ pub enum Keyword {
     With,
 }
 
+/// Length of the longest keyword, `INTERSECT`.
+const MAX_KEYWORD_LEN: usize = Keyword::Intersect.as_str().len();
+
 impl Keyword {
     /// Parse a keyword from an identifier-shaped word, case-insensitively.
     pub fn from_word(word: &str) -> Option<Keyword> {
-        // Keywords are short; uppercase into a stack buffer-sized String.
-        let upper = word.to_ascii_uppercase();
-        Some(match upper.as_str() {
-            "SELECT" => Keyword::Select,
-            "DISTINCT" => Keyword::Distinct,
-            "TOP" => Keyword::Top,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "GROUP" => Keyword::Group,
-            "BY" => Keyword::By,
-            "HAVING" => Keyword::Having,
-            "ORDER" => Keyword::Order,
-            "ASC" => Keyword::Asc,
-            "DESC" => Keyword::Desc,
-            "LIMIT" => Keyword::Limit,
-            "OFFSET" => Keyword::Offset,
-            "AS" => Keyword::As,
-            "ON" => Keyword::On,
-            "JOIN" => Keyword::Join,
-            "INNER" => Keyword::Inner,
-            "LEFT" => Keyword::Left,
-            "RIGHT" => Keyword::Right,
-            "FULL" => Keyword::Full,
-            "OUTER" => Keyword::Outer,
-            "CROSS" => Keyword::Cross,
-            "UNION" => Keyword::Union,
-            "ALL" => Keyword::All,
-            "EXCEPT" => Keyword::Except,
-            "INTERSECT" => Keyword::Intersect,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "IN" => Keyword::In,
-            "EXISTS" => Keyword::Exists,
-            "BETWEEN" => Keyword::Between,
-            "LIKE" => Keyword::Like,
-            "IS" => Keyword::Is,
-            "NULL" => Keyword::Null,
-            "CASE" => Keyword::Case,
-            "WHEN" => Keyword::When,
-            "THEN" => Keyword::Then,
-            "ELSE" => Keyword::Else,
-            "END" => Keyword::End,
-            "CAST" => Keyword::Cast,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            "WITH" => Keyword::With,
+        // Keywords are short: a longer word is an identifier, a shorter
+        // one is uppercased into a stack buffer, so matching allocates
+        // nothing.
+        let word = word.as_bytes();
+        if word.len() > MAX_KEYWORD_LEN {
+            return None;
+        }
+        let mut buf = [0u8; MAX_KEYWORD_LEN];
+        let upper = &mut buf[..word.len()];
+        upper.copy_from_slice(word);
+        upper.make_ascii_uppercase();
+        Some(match &*upper {
+            b"SELECT" => Keyword::Select,
+            b"DISTINCT" => Keyword::Distinct,
+            b"TOP" => Keyword::Top,
+            b"FROM" => Keyword::From,
+            b"WHERE" => Keyword::Where,
+            b"GROUP" => Keyword::Group,
+            b"BY" => Keyword::By,
+            b"HAVING" => Keyword::Having,
+            b"ORDER" => Keyword::Order,
+            b"ASC" => Keyword::Asc,
+            b"DESC" => Keyword::Desc,
+            b"LIMIT" => Keyword::Limit,
+            b"OFFSET" => Keyword::Offset,
+            b"AS" => Keyword::As,
+            b"ON" => Keyword::On,
+            b"JOIN" => Keyword::Join,
+            b"INNER" => Keyword::Inner,
+            b"LEFT" => Keyword::Left,
+            b"RIGHT" => Keyword::Right,
+            b"FULL" => Keyword::Full,
+            b"OUTER" => Keyword::Outer,
+            b"CROSS" => Keyword::Cross,
+            b"UNION" => Keyword::Union,
+            b"ALL" => Keyword::All,
+            b"EXCEPT" => Keyword::Except,
+            b"INTERSECT" => Keyword::Intersect,
+            b"AND" => Keyword::And,
+            b"OR" => Keyword::Or,
+            b"NOT" => Keyword::Not,
+            b"IN" => Keyword::In,
+            b"EXISTS" => Keyword::Exists,
+            b"BETWEEN" => Keyword::Between,
+            b"LIKE" => Keyword::Like,
+            b"IS" => Keyword::Is,
+            b"NULL" => Keyword::Null,
+            b"CASE" => Keyword::Case,
+            b"WHEN" => Keyword::When,
+            b"THEN" => Keyword::Then,
+            b"ELSE" => Keyword::Else,
+            b"END" => Keyword::End,
+            b"CAST" => Keyword::Cast,
+            b"TRUE" => Keyword::True,
+            b"FALSE" => Keyword::False,
+            b"WITH" => Keyword::With,
             _ => return None,
         })
     }
 
     /// Canonical upper-case spelling.
-    pub fn as_str(&self) -> &'static str {
+    pub const fn as_str(&self) -> &'static str {
         match self {
             Keyword::Select => "SELECT",
             Keyword::Distinct => "DISTINCT",
@@ -259,31 +271,41 @@ impl Token {
     }
 }
 
+impl Token {
+    /// The token's text without quotes: a keyword or operator in its
+    /// canonical spelling, an identifier's name, a number as written, a
+    /// string literal's value.
+    pub fn text(&self) -> &str {
+        match self {
+            Token::Keyword(k) => k.as_str(),
+            Token::Ident(s) | Token::QuotedIdent(s) | Token::Number(s) | Token::StringLit(s) => s,
+            Token::Eq => "=",
+            Token::Neq => "<>",
+            Token::Lt => "<",
+            Token::LtEq => "<=",
+            Token::Gt => ">",
+            Token::GtEq => ">=",
+            Token::Plus => "+",
+            Token::Minus => "-",
+            Token::Star => "*",
+            Token::Slash => "/",
+            Token::Percent => "%",
+            Token::Concat => "||",
+            Token::LParen => "(",
+            Token::RParen => ")",
+            Token::Comma => ",",
+            Token::Dot => ".",
+            Token::Semicolon => ";",
+        }
+    }
+}
+
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Token::Keyword(k) => write!(f, "{k}"),
-            Token::Ident(s) => f.write_str(s),
             Token::QuotedIdent(s) => write!(f, "\"{s}\""),
-            Token::Number(s) => f.write_str(s),
             Token::StringLit(s) => write!(f, "'{}'", s.replace('\'', "''")),
-            Token::Eq => f.write_str("="),
-            Token::Neq => f.write_str("<>"),
-            Token::Lt => f.write_str("<"),
-            Token::LtEq => f.write_str("<="),
-            Token::Gt => f.write_str(">"),
-            Token::GtEq => f.write_str(">="),
-            Token::Plus => f.write_str("+"),
-            Token::Minus => f.write_str("-"),
-            Token::Star => f.write_str("*"),
-            Token::Slash => f.write_str("/"),
-            Token::Percent => f.write_str("%"),
-            Token::Concat => f.write_str("||"),
-            Token::LParen => f.write_str("("),
-            Token::RParen => f.write_str(")"),
-            Token::Comma => f.write_str(","),
-            Token::Dot => f.write_str("."),
-            Token::Semicolon => f.write_str(";"),
+            other => f.write_str(other.text()),
         }
     }
 }
@@ -315,6 +337,89 @@ mod tests {
             assert_eq!(Keyword::from_word(kw.as_str()), Some(kw));
             assert_eq!(Keyword::from_word(&kw.as_str().to_lowercase()), Some(kw));
         }
+    }
+
+    #[test]
+    fn every_keyword_fits_the_match_buffer() {
+        let all = [
+            Keyword::Select,
+            Keyword::Distinct,
+            Keyword::Top,
+            Keyword::From,
+            Keyword::Where,
+            Keyword::Group,
+            Keyword::By,
+            Keyword::Having,
+            Keyword::Order,
+            Keyword::Asc,
+            Keyword::Desc,
+            Keyword::Limit,
+            Keyword::Offset,
+            Keyword::As,
+            Keyword::On,
+            Keyword::Join,
+            Keyword::Inner,
+            Keyword::Left,
+            Keyword::Right,
+            Keyword::Full,
+            Keyword::Outer,
+            Keyword::Cross,
+            Keyword::Union,
+            Keyword::All,
+            Keyword::Except,
+            Keyword::Intersect,
+            Keyword::And,
+            Keyword::Or,
+            Keyword::Not,
+            Keyword::In,
+            Keyword::Exists,
+            Keyword::Between,
+            Keyword::Like,
+            Keyword::Is,
+            Keyword::Null,
+            Keyword::Case,
+            Keyword::When,
+            Keyword::Then,
+            Keyword::Else,
+            Keyword::End,
+            Keyword::Cast,
+            Keyword::True,
+            Keyword::False,
+            Keyword::With,
+        ];
+        for kw in all {
+            let word = kw.as_str();
+            assert!(word.len() <= MAX_KEYWORD_LEN, "{word} outgrows the buffer");
+            assert_eq!(Keyword::from_word(word), Some(kw));
+            assert_eq!(Keyword::from_word(&word.to_lowercase()), Some(kw));
+            let mixed: String = word
+                .chars()
+                .enumerate()
+                .map(|(i, c)| {
+                    if i % 2 == 0 {
+                        c.to_ascii_lowercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            assert_eq!(Keyword::from_word(&mixed), Some(kw));
+            // One byte past the keyword is an identifier.
+            assert_eq!(Keyword::from_word(&format!("{word}S")), None);
+        }
+        assert_eq!(Keyword::from_word("INTERSECTION"), None);
+        assert_eq!(Keyword::from_word("a_very_long_identifier_name"), None);
+        assert_eq!(Keyword::from_word("sélect"), None);
+    }
+
+    #[test]
+    fn token_text_is_the_display_without_quotes() {
+        assert_eq!(Token::Keyword(Keyword::Select).text(), "SELECT");
+        assert_eq!(Token::Neq.text(), "<>");
+        assert_eq!(Token::Concat.to_string(), "||");
+        assert_eq!(Token::QuotedIdent("a b".into()).text(), "a b");
+        assert_eq!(Token::QuotedIdent("a b".into()).to_string(), "\"a b\"");
+        assert_eq!(Token::StringLit("o'b".into()).text(), "o'b");
     }
 
     #[test]

@@ -18,11 +18,16 @@ use crate::token::Token;
 /// Operates on the canonical printed form so structurally equal queries
 /// yield identical sequences regardless of input whitespace or quoting.
 pub fn query_tokens(query: &Query) -> Vec<String> {
+    canonical_tokens(&query.to_string())
+}
+
+/// Tokenise a query's canonical print (`query.to_string()`) into the
+/// model vocabulary — [`query_tokens`] for a caller that keeps the print.
+pub fn canonical_tokens(canonical: &str) -> Vec<String> {
     // Canonical print then lex: the printer is the single source of
     // canonical spelling, so we never have two token spellings for one AST.
-    let printed = query.to_string();
     // qrec-lint: allow(no-panic-in-hot-path) -- print-then-lex roundtrip is property-tested (parse ∘ print = id); a failure here is a printer bug
-    sql_tokens(&printed).expect("canonical print always lexes")
+    sql_tokens(canonical).expect("canonical print always lexes")
 }
 
 /// Tokenise raw SQL text into the model vocabulary.
@@ -32,20 +37,30 @@ pub fn query_tokens(query: &Query) -> Vec<String> {
 /// Returns [`ParseError`] if the text does not lex.
 pub fn sql_tokens(sql: &str) -> Result<Vec<String>, ParseError> {
     let tokens = lex(sql)?;
+    // A fresh, exact-size vector: collecting the lexer's would reuse its
+    // allocation, sized for its larger items and a guessed count, and a
+    // live session keeps this one for as long as the query is in its
+    // window.
     let mut out = Vec::with_capacity(tokens.len());
-    for t in tokens {
-        out.push(model_token(&t.token));
-    }
+    out.extend(tokens.into_iter().map(|t| model_token(t.token)));
     Ok(out)
 }
 
-/// The model spelling of one lexical token.
-fn model_token(t: &Token) -> String {
+/// The model spelling of one lexical token. Words and quoted
+/// identifiers move their text; keywords and operators copy a static
+/// spelling.
+fn model_token(t: Token) -> String {
     match t {
         Token::Number(_) => NUM_TOKEN.to_string(),
-        Token::StringLit(s) => format!("'{s}'"),
-        Token::QuotedIdent(s) => s.clone(),
-        other => other.to_string(),
+        Token::StringLit(s) => {
+            let mut quoted = String::with_capacity(s.len() + 2);
+            quoted.push('\'');
+            quoted.push_str(&s);
+            quoted.push('\'');
+            quoted
+        }
+        Token::Ident(s) | Token::QuotedIdent(s) => s,
+        other => other.text().to_string(),
     }
 }
 

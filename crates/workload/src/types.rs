@@ -1,7 +1,9 @@
 //! Core workload data types: queries, sessions, pairs, workloads
 //! (Definitions 1 and 3 of the paper).
 
-use qrec_sql::{extract_fragments, parse, query_tokens, template, FragmentSet, Template};
+use qrec_sql::{
+    canonical_tokens, extract_fragments, parse_resolved, template, FragmentSet, Template,
+};
 use serde::{Deserialize, Serialize};
 
 /// A single query occurrence in a workload, with every derived artefact
@@ -28,15 +30,19 @@ impl QueryRecord {
     /// Returns the parse error if the statement is not valid in the `qrec`
     /// dialect; workload loaders skip such records, mirroring the paper's
     /// pre-processing which drops unparseable statements.
+    ///
+    /// The tokens and template are made by the same pieces as
+    /// [`qrec_sql::prepare`], the serving parse, so its fields equal
+    /// this record's `tokens` and `template.id()`.
     pub fn new(sql: &str) -> Result<Self, qrec_sql::ParseError> {
-        let query = parse(sql)?;
         // Resolve aliases first (Section 5.4.1) so templates, fragments,
         // and token sequences all see real table names.
-        let resolved = qrec_sql::normalize::resolve_aliases(&query);
+        let resolved = parse_resolved(sql)?;
+        let canonical = resolved.to_string();
         Ok(QueryRecord {
             sql: sql.to_string(),
-            canonical: resolved.to_string(),
-            tokens: query_tokens(&resolved),
+            tokens: canonical_tokens(&canonical),
+            canonical,
             template: template(&resolved),
             fragments: extract_fragments(&resolved),
         })

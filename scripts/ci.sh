@@ -52,6 +52,17 @@ cargo test --offline -q --release -p qrec-nn --test quant_equivalence
 cargo test --offline -q --release -p qrec-tensor --test qi8_properties
 cargo test --offline -q --release -p qrec-nn --lib one_pass_selection
 
+echo "==> serving parse, cache key and reply bytes against their oracles (release)"
+# A warm RECOMMEND is parsed by qrec_sql::prepare, keyed by CacheKey and
+# answered by a reply written straight to bytes. Each has an oracle: the
+# parse is held to QueryRecord::new (tokens, template id, errors), the
+# key to injectivity over token windows, the reply and the durable
+# session record to serde_json's bytes. They run again in the build that
+# ships, as decode_equivalence does.
+cargo test --offline -q --release -p qrec-workload --test serving_parse
+cargo test --offline -q --release -p qrec-serve --test cache_key --test reply_bytes
+cargo test --offline -q --release -p qrec-serve --lib session_record_bytes
+
 echo "==> training-step contracts under the release profile"
 # The register tile behind gemm_nt / gemm_tn and the fused attention
 # node's folds are autovectorised code a debug build does not exercise:
