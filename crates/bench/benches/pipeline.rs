@@ -97,15 +97,15 @@ fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference");
     group.sample_size(20);
     group.bench_function("greedy", |b| {
-        b.iter(|| rec.decode_candidates(black_box(&q), Strategy::Greedy))
+        b.iter(|| rec.decode_candidates(black_box(&q.tokens), Strategy::Greedy))
     });
     group.bench_function("beam5", |b| {
-        b.iter(|| rec.decode_candidates(black_box(&q), Strategy::Beam { width: 5 }))
+        b.iter(|| rec.decode_candidates(black_box(&q.tokens), Strategy::Beam { width: 5 }))
     });
     group.bench_function("diverse-beam", |b| {
         b.iter(|| {
             rec.decode_candidates(
-                black_box(&q),
+                black_box(&q.tokens),
                 Strategy::DiverseBeam {
                     width: 4,
                     groups: 2,

@@ -60,7 +60,7 @@ fn main() {
         for (name, strategy) in &strategies {
             let mut metrics: PerKind<SetMetrics> = PerKind::default();
             for p in &test {
-                let ranked = rec.ranked_fragments(&p.current, *strategy);
+                let ranked = rec.ranked_fragments(&p.current.tokens, *strategy);
                 for kind in FragmentKind::ALL {
                     let pred: BTreeSet<String> = ranked.get(kind).iter().take(N).cloned().collect();
                     metrics

@@ -666,11 +666,11 @@ fn decode_latency(smoke: bool) -> (f64, usize, f64) {
 
     let queries: Vec<_> = split.test.iter().take(if smoke { 5 } else { 40 }).collect();
     for q in &queries {
-        let _ = rec.decode_candidates(&q.current, Strategy::Greedy); // warm-up
+        let _ = rec.decode_candidates(&q.current.tokens, Strategy::Greedy); // warm-up
     }
     let t0 = Instant::now();
     for q in &queries {
-        let _ = black_box(rec.decode_candidates(&q.current, Strategy::Greedy));
+        let _ = black_box(rec.decode_candidates(&q.current.tokens, Strategy::Greedy));
     }
     let mean = t0.elapsed().as_secs_f64() / queries.len().max(1) as f64;
     (mean, queries.len(), train_s)

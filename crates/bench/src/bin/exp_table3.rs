@@ -27,7 +27,7 @@ fn main() {
                 let sample: Vec<_> = data.split.test.iter().take(40).collect();
                 let t0 = Instant::now();
                 for p in &sample {
-                    let _ = rec.decode_candidates(&p.current, Strategy::Greedy);
+                    let _ = rec.decode_candidates(&p.current.tokens, Strategy::Greedy);
                 }
                 let infer = t0.elapsed().as_secs_f64() / sample.len().max(1) as f64;
 

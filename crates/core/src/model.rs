@@ -99,47 +99,36 @@ impl AnyModel {
             AnyModel::Gru(_) => Arch::Gru,
         }
     }
+
+    /// The wrapped architecture: every [`Seq2Seq`] call forwards here.
+    fn as_seq2seq(&self) -> &dyn Seq2Seq {
+        match self {
+            AnyModel::Transformer(m) => m,
+            AnyModel::ConvS2S(m) => m,
+            AnyModel::Gru(m) => m,
+        }
+    }
 }
 
 impl Seq2Seq for AnyModel {
     fn encode(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> NodeId {
-        match self {
-            AnyModel::Transformer(m) => m.encode(fwd, src),
-            AnyModel::ConvS2S(m) => m.encode(fwd, src),
-            AnyModel::Gru(m) => m.encode(fwd, src),
-        }
+        self.as_seq2seq().encode(fwd, src)
     }
 
     fn decode(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        match self {
-            AnyModel::Transformer(m) => m.decode(fwd, enc, tgt_in),
-            AnyModel::ConvS2S(m) => m.decode(fwd, enc, tgt_in),
-            AnyModel::Gru(m) => m.decode(fwd, enc, tgt_in),
-        }
+        self.as_seq2seq().decode(fwd, enc, tgt_in)
     }
 
     fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        match self {
-            AnyModel::Transformer(m) => m.decode_last_logits(fwd, enc, tgt_in),
-            AnyModel::ConvS2S(m) => m.decode_last_logits(fwd, enc, tgt_in),
-            AnyModel::Gru(m) => m.decode_last_logits(fwd, enc, tgt_in),
-        }
+        self.as_seq2seq().decode_last_logits(fwd, enc, tgt_in)
     }
 
     fn encoder_output(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> Arc<Tensor> {
-        match self {
-            AnyModel::Transformer(m) => m.encoder_output(fwd, src),
-            AnyModel::ConvS2S(m) => m.encoder_output(fwd, src),
-            AnyModel::Gru(m) => m.encoder_output(fwd, src),
-        }
+        self.as_seq2seq().encoder_output(fwd, src)
     }
 
     fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
-        match self {
-            AnyModel::Transformer(m) => m.begin_decode(fwd, enc, batch),
-            AnyModel::ConvS2S(m) => m.begin_decode(fwd, enc, batch),
-            AnyModel::Gru(m) => m.begin_decode(fwd, enc, batch),
-        }
+        self.as_seq2seq().begin_decode(fwd, enc, batch)
     }
 
     fn step_logits(
@@ -148,31 +137,19 @@ impl Seq2Seq for AnyModel {
         state: &mut DecodeState,
         last_toks: &[usize],
     ) -> Tensor {
-        match self {
-            AnyModel::Transformer(m) => m.step_logits(fwd, state, last_toks),
-            AnyModel::ConvS2S(m) => m.step_logits(fwd, state, last_toks),
-            AnyModel::Gru(m) => m.step_logits(fwd, state, last_toks),
-        }
+        self.as_seq2seq().step_logits(fwd, state, last_toks)
     }
 
     fn vocab(&self) -> usize {
-        match self {
-            AnyModel::Transformer(m) => m.vocab(),
-            AnyModel::ConvS2S(m) => m.vocab(),
-            AnyModel::Gru(m) => m.vocab(),
-        }
+        self.as_seq2seq().vocab()
     }
 
     fn d_model(&self) -> usize {
-        match self {
-            AnyModel::Transformer(m) => m.d_model(),
-            AnyModel::ConvS2S(m) => m.d_model(),
-            AnyModel::Gru(m) => m.d_model(),
-        }
+        self.as_seq2seq().d_model()
     }
 
     fn arch_name(&self) -> &'static str {
-        self.arch().label()
+        self.as_seq2seq().arch_name()
     }
 }
 

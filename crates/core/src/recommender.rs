@@ -6,7 +6,7 @@ use crate::data::{build_vocab, encode_pairs, SeqMode};
 use crate::lexicon::FragmentLexicon;
 use crate::model::{AnyModel, Arch, SizePreset};
 use crate::predict::{FragmentPredictor, PerKind};
-use qrec_nn::decode::{decode, decode_with_cache, EncCache, Hypothesis, Strategy};
+use qrec_nn::decode::{decode_with_cache, EncCache, Hypothesis, Strategy};
 use qrec_nn::params::Params;
 use qrec_nn::trainer::{try_train_seq2seq, TrainConfig, TrainError, TrainReport};
 use qrec_sql::{FragmentKind, FragmentSet};
@@ -198,101 +198,75 @@ impl Recommender {
         self.params.is_quantized()
     }
 
-    /// Mutable access to the parameter store (the zoo's int8-section
-    /// load path installs a rebuilt sidecar through this).
-    pub fn params_mut(&mut self) -> &mut Params {
-        &mut self.params
-    }
-
-    /// Decode candidate next-query token sequences.
+    /// Decode candidate next-query token sequences for raw word tokens
+    /// (one query's, or a session window's), drawing any sampling from
+    /// the recommender's own RNG.
     #[must_use]
-    pub fn decode_candidates(&mut self, q: &QueryRecord, strategy: Strategy) -> Vec<Hypothesis> {
-        let src = self.vocab.encode(&q.tokens);
-        self.decode_encoded(&src, strategy)
-    }
-
-    /// Decode candidates from raw word tokens (used by
-    /// [`crate::session::SessionContext`] for multi-query inputs).
-    #[must_use]
-    pub fn decode_candidates_for_tokens(
-        &mut self,
-        tokens: &[String],
-        strategy: Strategy,
-    ) -> Vec<Hypothesis> {
-        let src = self.vocab.encode(tokens);
-        self.decode_encoded(&src, strategy)
-    }
-
-    fn decode_encoded(&mut self, src: &[usize], strategy: Strategy) -> Vec<Hypothesis> {
-        // Route the internal RNG through the shared `&self` path so both
-        // entry points decode identically. The RNG is tiny (4 words), so
-        // the move out/in is free.
+    pub fn decode_candidates(&mut self, tokens: &[String], strategy: Strategy) -> Vec<Hypothesis> {
+        // The RNG is tiny (4 words), so the move out and back is free.
         let mut rng = self.rng.clone();
-        let hyps = self.decode_encoded_with(src, strategy, &mut rng);
+        let hyps = self.decode_candidates_for_tokens_cached(
+            tokens,
+            strategy,
+            &mut rng,
+            &mut EncCache::new(1),
+        );
         self.rng = rng;
         hyps
     }
 
-    // ----- shared (`&self`) prediction entry points --------------------
-    //
-    // The decode path only needs mutability for the sampling RNG. These
-    // variants take the RNG from the caller so a `Recommender` behind an
-    // `Arc` can serve many threads concurrently (each worker owns its own
-    // `StdRng`); see the `qrec-serve` crate.
-
-    /// Decode candidates without touching internal state; the caller
-    /// provides the RNG used by sampling-based strategies.
-    #[must_use]
-    pub fn decode_candidates_with(
-        &self,
-        q: &QueryRecord,
+    /// Rank fragments of each kind by aggregated probability over
+    /// [`Recommender::decode_candidates`]' hypotheses.
+    pub fn ranked_fragments(
+        &mut self,
+        tokens: &[String],
         strategy: Strategy,
-        rng: &mut StdRng,
-    ) -> Vec<Hypothesis> {
-        let src = self.vocab.encode(&q.tokens);
-        self.decode_encoded_with(&src, strategy, rng)
+    ) -> PerKind<Vec<String>> {
+        let hyps = self.decode_candidates(tokens, strategy);
+        self.rank_hypothesis_fragments(&hyps)
     }
 
-    /// Shared-state variant of [`Recommender::decode_candidates_for_tokens`].
+    // ----- shared (`&self`) entry points --------------------------------
+    //
+    // Decoding only needs mutability for the sampling RNG. These take the
+    // RNG, and an encoder-output cache, from the caller, so a
+    // `Recommender` behind an `Arc` serves many threads at once (each
+    // qrec-serve worker owns its `StdRng` and `EncCache`).
+
+    /// Decode candidates against a caller-owned RNG and [`EncCache`], so
+    /// a serving worker that interleaves sessions reuses encoder passes
+    /// across requests.
     #[must_use]
-    pub fn decode_candidates_for_tokens_with(
+    pub fn decode_candidates_for_tokens_cached(
         &self,
         tokens: &[String],
         strategy: Strategy,
         rng: &mut StdRng,
+        cache: &mut EncCache,
     ) -> Vec<Hypothesis> {
         let src = self.vocab.encode(tokens);
-        self.decode_encoded_with(&src, strategy, rng)
-    }
-
-    fn decode_encoded_with(
-        &self,
-        src: &[usize],
-        strategy: Strategy,
-        rng: &mut StdRng,
-    ) -> Vec<Hypothesis> {
-        decode(
+        decode_with_cache(
             &self.model,
             &self.params,
-            src,
+            &src,
             strategy,
             self.cfg.max_decode_len,
             rng,
+            cache,
         )
     }
 
-    /// Greedy-decode the predicted next query and return its token
-    /// spellings (diagnostics and examples).
-    pub fn predict_next_tokens(&mut self, q: &QueryRecord) -> Vec<String> {
-        let hyps = self.decode_candidates(q, Strategy::Greedy);
-        hyps.first()
-            .map(|h| {
-                h.ids
-                    .iter()
-                    .map(|&id| self.vocab.token(id).to_string())
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// [`Recommender::ranked_fragments`] against a caller-owned RNG and
+    /// [`EncCache`] (the qrec-serve worker path).
+    pub fn ranked_fragments_for_tokens_cached(
+        &self,
+        tokens: &[String],
+        strategy: Strategy,
+        rng: &mut StdRng,
+        cache: &mut EncCache,
+    ) -> PerKind<Vec<String>> {
+        let hyps = self.decode_candidates_for_tokens_cached(tokens, strategy, rng, cache);
+        self.rank_hypothesis_fragments(&hyps)
     }
 
     /// Aggregate fragment probabilities over the decoded search tree
@@ -325,109 +299,6 @@ impl Recommender {
         probs
     }
 
-    /// Rank fragments of each kind by aggregated probability.
-    pub fn ranked_fragments(
-        &mut self,
-        q: &QueryRecord,
-        strategy: Strategy,
-    ) -> PerKind<Vec<String>> {
-        let hyps = self.decode_candidates(q, strategy);
-        self.rank_hypothesis_fragments(&hyps)
-    }
-
-    /// Rank fragments from raw word tokens (multi-query session input).
-    pub fn ranked_fragments_for_tokens(
-        &mut self,
-        tokens: &[String],
-        strategy: Strategy,
-    ) -> PerKind<Vec<String>> {
-        let hyps = self.decode_candidates_for_tokens(tokens, strategy);
-        self.rank_hypothesis_fragments(&hyps)
-    }
-
-    /// Shared-state variant of [`Recommender::ranked_fragments`].
-    pub fn ranked_fragments_with(
-        &self,
-        q: &QueryRecord,
-        strategy: Strategy,
-        rng: &mut StdRng,
-    ) -> PerKind<Vec<String>> {
-        let hyps = self.decode_candidates_with(q, strategy, rng);
-        self.rank_hypothesis_fragments(&hyps)
-    }
-
-    /// [`Recommender::decode_candidates_for_tokens_with`] against a
-    /// caller-owned [`EncCache`], so a serving worker that interleaves
-    /// sessions reuses encoder passes across requests.
-    #[must_use]
-    pub fn decode_candidates_for_tokens_cached(
-        &self,
-        tokens: &[String],
-        strategy: Strategy,
-        rng: &mut StdRng,
-        cache: &mut EncCache,
-    ) -> Vec<Hypothesis> {
-        let src = self.vocab.encode(tokens);
-        decode_with_cache(
-            &self.model,
-            &self.params,
-            &src,
-            strategy,
-            self.cfg.max_decode_len,
-            rng,
-            cache,
-        )
-    }
-
-    /// [`Recommender::ranked_fragments_for_tokens_with`] against a
-    /// caller-owned [`EncCache`] (the qrec-serve worker path).
-    pub fn ranked_fragments_for_tokens_cached(
-        &self,
-        tokens: &[String],
-        strategy: Strategy,
-        rng: &mut StdRng,
-        cache: &mut EncCache,
-    ) -> PerKind<Vec<String>> {
-        let hyps = self.decode_candidates_for_tokens_cached(tokens, strategy, rng, cache);
-        self.rank_hypothesis_fragments(&hyps)
-    }
-
-    /// Shared-state variant of [`Recommender::ranked_fragments_for_tokens`].
-    pub fn ranked_fragments_for_tokens_with(
-        &self,
-        tokens: &[String],
-        strategy: Strategy,
-        rng: &mut StdRng,
-    ) -> PerKind<Vec<String>> {
-        let hyps = self.decode_candidates_for_tokens_with(tokens, strategy, rng);
-        self.rank_hypothesis_fragments(&hyps)
-    }
-
-    /// Shared-state variant of
-    /// [`FragmentPredictor::predict_set`](crate::predict::FragmentPredictor::predict_set).
-    pub fn predict_set_with(&self, q: &QueryRecord, rng: &mut StdRng) -> FragmentSet {
-        let hyps = self.decode_candidates_with(q, Strategy::Greedy, rng);
-        match hyps.first() {
-            Some(h) => {
-                let tokens: Vec<&str> = h.ids.iter().map(|&id| self.vocab.token(id)).collect();
-                self.lexicon.fragments_of_tokens(tokens.iter().copied())
-            }
-            None => FragmentSet::default(),
-        }
-    }
-
-    /// Shared-state variant of
-    /// [`FragmentPredictor::predict_n`](crate::predict::FragmentPredictor::predict_n).
-    pub fn predict_n_with(
-        &self,
-        q: &QueryRecord,
-        n: usize,
-        rng: &mut StdRng,
-    ) -> PerKind<Vec<String>> {
-        let ranked = self.ranked_fragments_with(q, Strategy::Beam { width: 5 }, rng);
-        ranked.map(|_, r| r.iter().take(n).cloned().collect())
-    }
-
     fn rank_hypothesis_fragments(&self, hyps: &[Hypothesis]) -> PerKind<Vec<String>> {
         let probs = self.fragment_probabilities(hyps);
         probs.map(|_, m| {
@@ -450,18 +321,20 @@ impl FragmentPredictor for Recommender {
     /// Fragment-set prediction: greedy-decode the next query and take the
     /// fragments of the generated statement (Section 4.2.2).
     fn predict_set(&mut self, q: &QueryRecord) -> FragmentSet {
-        let mut rng = self.rng.clone();
-        let set = self.predict_set_with(q, &mut rng);
-        self.rng = rng;
-        set
+        let hyps = self.decode_candidates(&q.tokens, Strategy::Greedy);
+        match hyps.first() {
+            Some(h) => {
+                let tokens = h.ids.iter().map(|&id| self.vocab.token(id));
+                self.lexicon.fragments_of_tokens(tokens)
+            }
+            None => FragmentSet::default(),
+        }
     }
 
     /// N-fragments prediction with the default beam-search strategy.
     fn predict_n(&mut self, q: &QueryRecord, n: usize) -> PerKind<Vec<String>> {
-        let mut rng = self.rng.clone();
-        let ranked = self.predict_n_with(q, n, &mut rng);
-        self.rng = rng;
-        ranked
+        let ranked = self.ranked_fragments(&q.tokens, Strategy::Beam { width: 5 });
+        ranked.map(|_, r| r.iter().take(n).cloned().collect())
     }
 }
 
@@ -486,6 +359,52 @@ mod tests {
         let first = report.epoch_losses[0].0;
         let last = report.epoch_losses.last().unwrap().0;
         assert!(last < first, "train loss should drop: {first} -> {last}");
+    }
+
+    /// Each internal-RNG call is the cached path on a clone of the
+    /// recommender's RNG with a fresh one-slot cache, and hands the
+    /// advanced RNG back: successive calls equal successive cached calls
+    /// driven by one RNG, for every strategy.
+    #[test]
+    fn internal_rng_calls_equal_the_cached_path_on_a_cloned_rng() {
+        let (mut r, _, split) = tiny_setup(SeqMode::Aware);
+        let tokens = &split.test.first().expect("test pairs").current.tokens;
+        let strategies = [
+            Strategy::Greedy,
+            Strategy::Beam { width: 5 },
+            Strategy::DiverseBeam {
+                width: 4,
+                groups: 2,
+                penalty: 1.0,
+            },
+            Strategy::Sampling {
+                samples: 6,
+                min_prob: 0.05,
+            },
+        ];
+        for strategy in strategies {
+            let mut rng = r.rng.clone();
+            for call in 0..2 {
+                let want = r.decode_candidates_for_tokens_cached(
+                    tokens,
+                    strategy,
+                    &mut rng,
+                    &mut EncCache::new(1),
+                );
+                let got = r.decode_candidates(tokens, strategy);
+                assert_eq!(got, want, "{strategy:?} decode call {call}");
+            }
+            for call in 0..2 {
+                let want = r.ranked_fragments_for_tokens_cached(
+                    tokens,
+                    strategy,
+                    &mut rng,
+                    &mut EncCache::new(1),
+                );
+                let got = r.ranked_fragments(tokens, strategy);
+                assert_eq!(got, want, "{strategy:?} ranking call {call}");
+            }
+        }
     }
 
     #[test]

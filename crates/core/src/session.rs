@@ -116,7 +116,7 @@ impl SessionContext {
             return None;
         }
         let tokens = self.input_tokens();
-        let ranked = rec.ranked_fragments_for_tokens(&tokens, strategy);
+        let ranked = rec.ranked_fragments(&tokens, strategy);
         Some(ranked.map(|_, r| r.iter().take(n).cloned().collect()))
     }
 }

@@ -6,7 +6,7 @@
 //! dot-product attention over the encoder output, exactly the shape of
 //! the original model (per-layer attention, residual scaling by √0.5).
 
-use crate::incremental::{full_prefix_step, shift_window, ConvState, DecodeState, StateKind};
+use crate::incremental::{shift_window, ConvState, DecodeState, StateKind};
 use crate::layers::{Dropout, Embedding, Linear};
 use crate::params::{Fwd, Params};
 use crate::seq2seq::Seq2Seq;
@@ -218,12 +218,16 @@ impl Seq2Seq for ConvS2S {
         state: &mut DecodeState,
         last_toks: &[usize],
     ) -> Tensor {
-        if !matches!(state.kind, StateKind::ConvS2S(_)) || last_toks.is_empty() {
-            return full_prefix_step(self, fwd, state, last_toks);
+        let pos = state.advance(last_toks);
+        if last_toks.is_empty() {
+            return state.remember_logits(Tensor::zeros(0, self.cfg.vocab));
         }
-        let pos = match state.advance(last_toks) {
-            Some(pos) => pos,
-            None => return state.frozen_logits(),
+        assert!(
+            matches!(state.kind, StateKind::ConvS2S(_)),
+            "convs2s cannot step a decode state begun by another architecture"
+        );
+        let Some(pos) = pos else {
+            return state.frozen_logits();
         };
         let batch = last_toks.len();
         let e = self.tgt_embed.forward(fwd, last_toks);

@@ -3,19 +3,25 @@
 //! diverse beam search / stochastic sampling for *N-fragments*
 //! prediction.
 //!
-//! All strategies run **incrementally**: the encoder output is computed
-//! once per source (and cached across calls in an [`EncCache`]), each
-//! architecture carries a [`DecodeState`] of per-layer caches (see
-//! [`crate::incremental`]), and every step runs **one batched
-//! `B × vocab` forward** across all live hypotheses instead of one
-//! full-prefix forward per hypothesis. For the transformer neither the
-//! encoder pass nor the step builds an autograd graph at all
-//! ([`Seq2Seq::encoder_output`], [`Seq2Seq::step_logits`]); ConvS2S and
-//! GRU record theirs on a graph the decoder rebuilds after each use. The
-//! batched logits are bitwise identical to the serial full-prefix path —
-//! [`decode_reference`] keeps that graph-based path alive as the
-//! equivalence-suite ground truth and the pre-optimisation benchmark
+//! There is one decode path, [`decode_with_cache`] ([`decode`] is it with
+//! a fresh one-slot cache), and every strategy runs on it
+//! **incrementally**: the encoder output is computed once per source (and
+//! cached across calls in an [`EncCache`]), each architecture carries a
+//! [`DecodeState`] of its own per-layer caches (see
+//! [`crate::incremental`]; no architecture decodes without one), and
+//! every step runs **one batched `B × vocab` forward** across all live
+//! hypotheses instead of one full-prefix forward per hypothesis. For the
+//! transformer neither the encoder pass nor the step builds an autograd
+//! graph at all ([`Seq2Seq::encoder_output`], [`Seq2Seq::step_logits`]);
+//! ConvS2S and GRU record theirs on a graph the decoder rebuilds after
+//! each use. The batched logits are bitwise identical to the serial
+//! full-prefix recompute, which lives in one place: [`decode_reference`],
+//! the equivalence-suite oracle and the pre-optimisation benchmark
 //! baseline.
+//!
+//! Decode activity (steps, encoder-cache hits and misses) is counted in
+//! the global obs registry as `nn.decode_steps`, `nn.enc_cache_hits` and
+//! `nn.enc_cache_misses`; [`counters`] reads them.
 //!
 //! All strategies return [`Hypothesis`] lists carrying per-token
 //! probabilities, from which the recommender aggregates fragment
@@ -30,7 +36,6 @@ use qrec_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Padding token id (never emitted).
@@ -40,9 +45,23 @@ pub const SOS: usize = 1;
 /// End-of-sequence id.
 pub const EOS: usize = 2;
 
-static DECODE_STEPS: AtomicU64 = AtomicU64::new(0);
-static ENC_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static ENC_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// The decode activity counters behind [`counters`], in the global obs
+/// registry (registered on first use), so the `DUMP` exposition renders
+/// them as `qrec_nn_*`.
+struct Activity {
+    steps: Arc<qrec_obs::Counter>,
+    enc_cache_hits: Arc<qrec_obs::Counter>,
+    enc_cache_misses: Arc<qrec_obs::Counter>,
+}
+
+fn activity() -> &'static Activity {
+    static A: std::sync::OnceLock<Activity> = std::sync::OnceLock::new();
+    A.get_or_init(|| Activity {
+        steps: qrec_obs::global().counter("nn.decode_steps"),
+        enc_cache_hits: qrec_obs::global().counter("nn.enc_cache_hits"),
+        enc_cache_misses: qrec_obs::global().counter("nn.enc_cache_misses"),
+    })
+}
 
 /// Per-step decode-forward duration histogram, registered lazily in the
 /// global obs registry. Timed only while the obs spine is enabled.
@@ -72,10 +91,11 @@ pub struct DecodeCounters {
 
 /// Read the current decode counters.
 pub fn counters() -> DecodeCounters {
+    let a = activity();
     DecodeCounters {
-        steps: DECODE_STEPS.load(Ordering::Relaxed),
-        enc_cache_hits: ENC_CACHE_HITS.load(Ordering::Relaxed),
-        enc_cache_misses: ENC_CACHE_MISSES.load(Ordering::Relaxed),
+        steps: a.steps.get(),
+        enc_cache_hits: a.enc_cache_hits.get(),
+        enc_cache_misses: a.enc_cache_misses.get(),
     }
 }
 
@@ -134,12 +154,12 @@ impl EncCache {
                 let entry = self.entries.remove(pos);
                 let enc = Arc::clone(&entry.1);
                 self.entries.push(entry);
-                ENC_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+                activity().enc_cache_hits.inc();
                 qrec_obs::trace::note_enc_cache(true);
                 Some(enc)
             }
             None => {
-                ENC_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+                activity().enc_cache_misses.inc();
                 qrec_obs::trace::note_enc_cache(false);
                 None
             }
@@ -520,7 +540,7 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     /// per-row next-token *probability* rows (softmax over the batched
     /// logits — row-independent, so identical to per-row softmax).
     fn step_probs(&mut self, state: &mut DecodeState, last_toks: &[usize]) -> Tensor {
-        DECODE_STEPS.fetch_add(1, Ordering::Relaxed);
+        activity().steps.inc();
         // Explicit gated timing instead of a span: per-step granularity
         // would flood the 32-stage trace cap, so steps are attributed as
         // a count plus a histogram sample.

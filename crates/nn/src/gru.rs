@@ -4,7 +4,7 @@
 //! include it both for completeness and for the architecture ablation
 //! benches.
 
-use crate::incremental::{full_prefix_step, repeat_row, DecodeState, GruState, StateKind};
+use crate::incremental::{repeat_row, DecodeState, GruState, StateKind};
 use crate::layers::{Dropout, Embedding, Linear};
 use crate::params::{Fwd, Params};
 use crate::seq2seq::Seq2Seq;
@@ -177,10 +177,15 @@ impl Seq2Seq for GruSeq2Seq {
         state: &mut DecodeState,
         last_toks: &[usize],
     ) -> Tensor {
-        if !matches!(state.kind, StateKind::Gru(_)) || last_toks.is_empty() {
-            return full_prefix_step(self, fwd, state, last_toks);
+        let pos = state.advance(last_toks);
+        if last_toks.is_empty() {
+            return state.remember_logits(Tensor::zeros(0, self.cfg.vocab));
         }
-        if state.advance(last_toks).is_none() {
+        assert!(
+            matches!(state.kind, StateKind::Gru(_)),
+            "gru cannot step a decode state begun by another architecture"
+        );
+        if pos.is_none() {
             return state.frozen_logits();
         }
         let emb = self.tgt_embed.forward(fwd, last_toks);

@@ -1,5 +1,6 @@
 //! Incremental decode state: per-architecture caches that turn the
-//! O(L²)-per-token full-prefix decode into O(L) steps.
+//! O(L²)-per-token full-prefix decode into O(L) steps. Every
+//! architecture owns one; there is no cache-free state.
 //!
 //! A [`DecodeState`] is created once per source sequence by
 //! [`crate::seq2seq::Seq2Seq::begin_decode`] and advanced one target
@@ -23,7 +24,7 @@
 //! * **GRU** — the hidden state, carried forward as a `B × d` matrix.
 //!
 //! Every cached value is bitwise identical to the value the full-prefix
-//! path recomputes, because the GEMM kernel folds each output element in
+//! recompute ([`crate::decode::decode_reference`]) produces, because the GEMM kernel folds each output element in
 //! a fixed ascending-`k` order regardless of batching (see
 //! `qrec_tensor::kernel`) and masked softmax columns contribute exact
 //! `0.0` terms. The `decode_equivalence` test suite enforces this.
@@ -35,8 +36,6 @@
 //! so a reorder allocates nothing once both buffers have their size.
 
 use crate::attention::KvPair;
-use crate::params::Fwd;
-use crate::seq2seq::Seq2Seq;
 use qrec_tensor::qi8;
 use qrec_tensor::Tensor;
 use std::sync::Arc;
@@ -73,15 +72,6 @@ pub struct DecodeState {
 /// Architecture-specific cache payload.
 #[derive(Debug, Clone)]
 pub(crate) enum StateKind {
-    /// No cache: every step re-decodes the consumed target tokens of
-    /// each hypothesis row, kept here, in full. The default for any
-    /// [`crate::seq2seq::Seq2Seq`] implementation that does not override
-    /// the incremental API — the architecture-backed states read their
-    /// caches and keep no tokens.
-    FullPrefix {
-        /// Consumed target tokens per hypothesis row.
-        prefixes: Vec<Vec<usize>>,
-    },
     /// Transformer per-layer K/V arenas and step scratch (boxed: an
     /// order of magnitude larger than the other variants).
     Transformer(Box<TransformerState>),
@@ -424,25 +414,7 @@ pub(crate) struct GruState {
 }
 
 impl DecodeState {
-    /// A full-prefix fallback state (no caching) — correct for any
-    /// architecture, used by the default trait methods.
-    pub(crate) fn full_prefix(enc: &Arc<Tensor>, batch: usize) -> Self {
-        DecodeState {
-            kind: StateKind::FullPrefix {
-                prefixes: vec![Vec::new(); batch],
-            },
-            enc: Arc::clone(enc),
-            batch,
-            steps: 0,
-            // The fallback re-decodes through `decode_last_logits`,
-            // which applies the architecture's own truncation — it
-            // never needs to freeze explicitly.
-            arch_max_len: usize::MAX,
-            last_logits: None,
-        }
-    }
-
-    /// An architecture-backed state.
+    /// A fresh state carrying an architecture's caches.
     pub(crate) fn with_kind(
         kind: StateKind,
         enc: &Arc<Tensor>,
@@ -469,8 +441,7 @@ impl DecodeState {
         self.steps
     }
 
-    /// Count this step's tokens (one per row; a full-prefix state also
-    /// records them) and return the 0-based position the new row
+    /// Count this step's tokens (one per row) and return the 0-based position the new row
     /// occupies, or `None` when the architecture's positional capacity
     /// has frozen the logits (the caller replays
     /// [`Self::frozen_logits`]).
@@ -482,11 +453,6 @@ impl DecodeState {
             last_toks.len(),
             self.batch
         );
-        if let StateKind::FullPrefix { prefixes } = &mut self.kind {
-            for (prefix, &tok) in prefixes.iter_mut().zip(last_toks) {
-                prefix.push(tok);
-            }
-        }
         let pos = self.steps;
         self.steps += 1;
         if pos >= self.arch_max_len {
@@ -526,7 +492,6 @@ impl DecodeState {
     /// and step scratch.
     pub fn resident_cache_bytes(&self) -> usize {
         match &self.kind {
-            StateKind::FullPrefix { .. } => 0,
             StateKind::Transformer(ts) => {
                 ts.layers.iter().map(|l| l.self_kv.resident_bytes()).sum()
             }
@@ -551,9 +516,6 @@ impl DecodeState {
             self.last_logits = Some(logits.gather_rows(parents));
         }
         match &mut self.kind {
-            StateKind::FullPrefix { prefixes } => {
-                *prefixes = parents.iter().map(|&p| prefixes[p].clone()).collect();
-            }
             StateKind::Transformer(ts) => {
                 for layer in &mut ts.layers {
                     layer.self_kv.gather(parents);
@@ -569,38 +531,6 @@ impl DecodeState {
             }
         }
     }
-}
-
-/// The cache-free step shared by the trait default and by architecture
-/// overrides handed a `FullPrefix` state (or no rows at all): re-decode
-/// every stored prefix in full through [`Seq2Seq::decode_last_logits`].
-/// Correct for any architecture, O(L²) per token. A state that carries
-/// another architecture's caches holds no prefixes to re-decode; handing
-/// one over is a caller bug.
-pub(crate) fn full_prefix_step<M: Seq2Seq + ?Sized>(
-    model: &M,
-    fwd: &mut Fwd<'_>,
-    state: &mut DecodeState,
-    last_toks: &[usize],
-) -> Tensor {
-    let _ = state.advance(last_toks);
-    let mut out = Tensor::zeros(0, model.vocab());
-    match &state.kind {
-        StateKind::FullPrefix { prefixes } => {
-            let enc = fwd.constant_shared(Arc::clone(&state.enc));
-            for prefix in prefixes {
-                let node = model.decode_last_logits(fwd, enc, prefix);
-                let row = fwd.graph.value(node).row(0).to_vec();
-                out.append_row(&row);
-            }
-        }
-        _ => assert!(
-            last_toks.is_empty(),
-            "{} cannot step a decode state begun by another architecture",
-            model.arch_name()
-        ),
-    }
-    state.remember_logits(out)
 }
 
 /// `count` stacked copies of a single row (the GRU's initial hidden
@@ -641,46 +571,35 @@ mod tests {
         DecodeState::with_kind(kind, &enc, batch, max_len)
     }
 
-    /// A full-prefix state of `batch` rows with a position cap.
-    fn full_prefix_state(batch: usize, max_len: usize) -> DecodeState {
-        let kind = StateKind::FullPrefix {
-            prefixes: vec![Vec::new(); batch],
-        };
-        state_with(kind, batch, max_len)
-    }
-
-    fn prefixes(s: &DecodeState) -> &[Vec<usize>] {
-        match &s.kind {
-            StateKind::FullPrefix { prefixes } => prefixes,
-            other => unreachable!("not a full-prefix state: {other:?}"),
-        }
+    /// A GRU state of `batch` one-column hidden rows with a position cap.
+    fn gru_state(batch: usize, max_len: usize) -> DecodeState {
+        let h = Tensor::from_vec(batch, 1, (0..batch).map(|i| i as f32).collect());
+        state_with(StateKind::Gru(GruState { h }), batch, max_len)
     }
 
     #[test]
     fn advance_tracks_positions_and_freezes_at_capacity() {
-        let mut s = full_prefix_state(2, 2);
+        let mut s = gru_state(2, 2);
         assert_eq!(s.advance(&[1, 1]), Some(0));
         assert_eq!(s.advance(&[4, 5]), Some(1));
         assert_eq!(s.advance(&[6, 7]), None, "position 2 is past max_len 2");
         assert_eq!(s.positions(), 3);
-        assert_eq!(prefixes(&s), [vec![1, 4, 6], vec![1, 5, 7]]);
     }
 
     #[test]
     #[should_panic(expected = "batch mismatch")]
     fn advance_rejects_wrong_batch() {
-        let mut s = full_prefix_state(2, 8);
+        let mut s = gru_state(2, 8);
         let _ = s.advance(&[1]);
     }
 
     #[test]
-    fn reorder_gathers_prefixes_and_logits() {
-        let mut s = full_prefix_state(3, 8);
+    fn reorder_gathers_logits() {
+        let mut s = gru_state(3, 8);
         let _ = s.advance(&[7, 8, 9]);
         s.last_logits = Some(Tensor::from_vec(3, 1, vec![0.7, 0.8, 0.9]));
         s.reorder(&[2, 0, 2, 1]);
         assert_eq!(s.batch(), 4);
-        assert_eq!(prefixes(&s), [vec![9], vec![7], vec![9], vec![8]]);
         let logits = s.last_logits.clone().map(Tensor::into_data);
         assert_eq!(logits, Some(vec![0.9, 0.7, 0.9, 0.8]));
     }
@@ -823,7 +742,7 @@ mod tests {
 
     #[test]
     fn logits_are_kept_only_at_the_positional_cap() {
-        let mut s = full_prefix_state(1, 2);
+        let mut s = gru_state(1, 2);
         let _ = s.advance(&[1]);
         let _ = s.remember_logits(Tensor::scalar(0.5));
         assert!(

@@ -3,8 +3,12 @@
 //! All three architectures (Transformer, ConvS2S, GRU) expose the same
 //! two-phase API: [`Seq2Seq::encode`] the source token ids, then
 //! [`Seq2Seq::decode`] a (teacher-forced or partial) target prefix into
-//! per-position next-token logits. Training, greedy decoding, and the
-//! beam-search family are all built on this interface.
+//! per-position next-token logits. Training is built on that pair.
+//!
+//! Decoding runs on [`Seq2Seq::begin_decode`] / [`Seq2Seq::step_logits`],
+//! which every architecture implements over its own caches; the full
+//! recompute of a prefix lives only in [`crate::decode::decode_reference`],
+//! the oracle they are held to.
 
 use crate::incremental::DecodeState;
 use crate::params::Fwd;
@@ -27,14 +31,10 @@ pub trait Seq2Seq {
     fn decode(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId;
 
     /// Logits for only the *last* position of the target prefix
-    /// (`1 × vocab`). Equivalent to slicing [`Seq2Seq::decode`]'s final
-    /// row, but architectures override it to skip projecting every other
-    /// position to the vocabulary — the hot path of beam search.
-    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        let logits = self.decode(fwd, enc, tgt_in);
-        let rows = fwd.graph.value(logits).rows();
-        fwd.graph.slice_rows(logits, rows - 1, rows)
-    }
+    /// (`1 × vocab`): [`Seq2Seq::decode`]'s final row, without projecting
+    /// every other position to the vocabulary. The reference decoder's
+    /// per-hypothesis step.
+    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId;
 
     /// The encoder output of `src` for inference (`len(src) × d_model`,
     /// shared): what the decoders run once per source and keep in their
@@ -53,36 +53,28 @@ pub trait Seq2Seq {
 
     /// Start an incremental decode against a frozen encoder output,
     /// with `batch` hypothesis rows (all starting from an empty prefix).
-    ///
-    /// The default keeps no cache: every [`Seq2Seq::step_logits`] call
-    /// re-decodes the stored prefixes in full, so any implementation is
-    /// correct out of the box. Architectures override this to build real
-    /// per-layer caches (Transformer K/V rows, ConvS2S windows, the GRU
-    /// hidden state) and, where profitable, to project step-invariant
-    /// quantities — e.g. cross-attention K/V of the source — exactly
-    /// once here instead of once per step.
-    fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
-        let _ = fwd;
-        DecodeState::full_prefix(enc, batch)
-    }
+    /// Each architecture builds its own caches here (Transformer K/V
+    /// rows, ConvS2S windows, the GRU hidden state) and projects
+    /// step-invariant quantities — e.g. cross-attention K/V of the
+    /// source — exactly once instead of once per step.
+    fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState;
 
     /// Feed one token per hypothesis row and return next-token logits of
     /// shape `batch × vocab`: row `i` is the distribution after row `i`'s
-    /// prefix grows by `last_toks[i]`.
+    /// prefix grows by `last_toks[i]`. A zero-row step advances the state
+    /// and returns `0 × vocab`; a state another architecture began is a
+    /// caller bug and panics.
     ///
     /// Must be bitwise identical to calling [`Seq2Seq::decode_last_logits`]
     /// per row on the full prefix — the decode equivalence suite enforces
-    /// this for every architecture. The default does exactly that
-    /// (correct, O(L²) per token); overrides advance their caches and
-    /// run one batched forward instead.
+    /// this for every architecture against
+    /// [`crate::decode::decode_reference`].
     fn step_logits(
         &self,
         fwd: &mut Fwd<'_>,
         state: &mut DecodeState,
         last_toks: &[usize],
-    ) -> Tensor {
-        crate::incremental::full_prefix_step(self, fwd, state, last_toks)
-    }
+    ) -> Tensor;
 
     /// Vocabulary size (logit width).
     fn vocab(&self) -> usize;

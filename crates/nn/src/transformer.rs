@@ -3,8 +3,7 @@
 
 use crate::attention::{attend_fused, attend_source, transpose_into, MultiHeadAttention, SourceKv};
 use crate::incremental::{
-    full_prefix_step, DecodeState, KvArena, StateKind, StepScratch, TransformerLayerState,
-    TransformerState,
+    DecodeState, KvArena, StateKind, StepScratch, TransformerLayerState, TransformerState,
 };
 use crate::layers::{
     causal_mask, positional_divisors, positional_encoding, positional_encoding_row_into, Dropout,
@@ -412,10 +411,15 @@ impl Seq2Seq for Transformer {
         state: &mut DecodeState,
         last_toks: &[usize],
     ) -> Tensor {
-        if !matches!(state.kind, StateKind::Transformer(_)) || last_toks.is_empty() {
-            return full_prefix_step(self, fwd, state, last_toks);
+        let pos = state.advance(last_toks);
+        if last_toks.is_empty() {
+            return state.remember_logits(Tensor::zeros(0, self.cfg.vocab));
         }
-        let Some(pos) = state.advance(last_toks) else {
+        assert!(
+            matches!(state.kind, StateKind::Transformer(_)),
+            "transformer cannot step a decode state begun by another architecture"
+        );
+        let Some(pos) = pos else {
             return state.frozen_logits();
         };
         let params = fwd.params;

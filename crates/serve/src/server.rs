@@ -608,43 +608,10 @@ fn prof(req: &Request) -> Response {
     Response::prof(qrec_obs::prof::report(n))
 }
 
-/// `DUMP`: Prometheus-style exposition of the global registry, with the
-/// nn/tensor process-wide static counters appended (they predate the
-/// registry and remain the source of truth for their subsystems).
+/// `DUMP`: Prometheus-style exposition of the global registry — every
+/// family once, the nn decode and tensor dispatch counters included.
 fn dump() -> Response {
-    use std::fmt::Write as _;
-    let mut text = qrec_obs::expo::render(qrec_obs::global());
-    let d = qrec_nn::decode::counters();
-    let k = qrec_tensor::kernel::counters();
-    let _ = writeln!(text, "# HELP qrec_nn_decode_steps incremental decode steps");
-    let _ = writeln!(text, "# TYPE qrec_nn_decode_steps counter");
-    let _ = writeln!(text, "qrec_nn_decode_steps {}", d.steps);
-    let _ = writeln!(text, "# HELP qrec_nn_enc_cache_hits encoder cache hits");
-    let _ = writeln!(text, "# TYPE qrec_nn_enc_cache_hits counter");
-    let _ = writeln!(text, "qrec_nn_enc_cache_hits {}", d.enc_cache_hits);
-    let _ = writeln!(text, "# HELP qrec_nn_enc_cache_misses encoder cache misses");
-    let _ = writeln!(text, "# TYPE qrec_nn_enc_cache_misses counter");
-    let _ = writeln!(text, "qrec_nn_enc_cache_misses {}", d.enc_cache_misses);
-    let _ = writeln!(
-        text,
-        "# HELP qrec_tensor_gemm_serial GEMMs on the serial kernel"
-    );
-    let _ = writeln!(text, "# TYPE qrec_tensor_gemm_serial counter");
-    let _ = writeln!(text, "qrec_tensor_gemm_serial {}", k.serial);
-    let q = qrec_tensor::qi8::counters();
-    let _ = writeln!(
-        text,
-        "# HELP qrec_tensor_gemm_qi8_serial int8 GEMMs on the serial kernel"
-    );
-    let _ = writeln!(text, "# TYPE qrec_tensor_gemm_qi8_serial counter");
-    let _ = writeln!(text, "qrec_tensor_gemm_qi8_serial {}", q.serial);
-    let _ = writeln!(
-        text,
-        "# HELP qrec_tensor_gemm_qi8_blocked int8 GEMMs on the blocked kernel"
-    );
-    let _ = writeln!(text, "# TYPE qrec_tensor_gemm_qi8_blocked counter");
-    let _ = writeln!(text, "qrec_tensor_gemm_qi8_blocked {}", q.blocked);
-    Response::dump(text)
+    Response::dump(qrec_obs::expo::render(qrec_obs::global()))
 }
 
 fn stats(shared: &Shared) -> Response {

@@ -268,7 +268,9 @@ fn quantized_zoo_round_trip_restores_sidecar() {
         .collect();
     let decode = |m: &Recommender| {
         let strategy = qrec_nn::Strategy::Beam { width: 4 };
-        m.decode_candidates_for_tokens_with(&tokens, strategy, &mut StdRng::seed_from_u64(0))
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut cache = qrec_nn::decode::EncCache::new(1);
+        m.decode_candidates_for_tokens_cached(&tokens, strategy, &mut rng, &mut cache)
             .into_iter()
             .map(|h| (h.ids, h.log_prob.to_bits()))
             .collect::<Vec<_>>()

@@ -141,6 +141,9 @@ fn flight_records_carry_full_stage_chains_end_to_end() {
     );
 
     // --- DUMP exposes the histograms the spans fed --------------------
+    // STATS first: it reads the nn and tensor counters, so every family
+    // a scrape can see is registered before the exposition is taken.
+    client.stats().expect("STATS");
     let dump = client.dump().expect("DUMP");
     for needle in [
         "# TYPE qrec_serve_stage_decode_us histogram",
@@ -150,6 +153,14 @@ fn flight_records_carry_full_stage_chains_end_to_end() {
     ] {
         assert!(dump.contains(needle), "DUMP missing {needle:?}:\n{dump}");
     }
+    // A scraper rejects an exposition that declares a family twice.
+    let mut seen = std::collections::HashSet::new();
+    let twice: Vec<&str> = dump
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .filter(|family| !seen.insert(*family))
+        .collect();
+    assert!(twice.is_empty(), "families declared twice: {twice:?}");
 
     server.shutdown();
 }

@@ -48,6 +48,11 @@ echo "==> decode equivalence, int8 oracles and beam selection under the release 
 # and agreement gate (quant_equivalence) and the one-pass beam selection
 # against its oracle are run again here.
 cargo test --offline -q --release -p qrec-nn --test decode_equivalence
+# The step contract each architecture owns (zero-row steps, foreign
+# states refused) and the recommender's internal-RNG calls against the
+# cached path on a cloned RNG.
+cargo test --offline -q --release -p qrec-nn --test step_contract
+cargo test --offline -q --release -p qrec-core --lib internal_rng_calls
 cargo test --offline -q --release -p qrec-nn --test quant_equivalence
 cargo test --offline -q --release -p qrec-tensor --test qi8_properties
 cargo test --offline -q --release -p qrec-nn --lib one_pass_selection
@@ -72,6 +77,9 @@ echo "==> training-step contracts under the release profile"
 cargo test --offline -q --release -p qrec-tensor --test gemm_equivalence
 cargo test --offline -q --release -p qrec-nn --lib -- \
     trained_weights_equal_the_oracle_path fused_node reused_tape
+# The benchmark model's trained weights, pinned as one hash (ignored in
+# debug builds: training it unoptimised takes minutes).
+cargo test --offline -q --release -p qrec-core --test trained_weights_hash
 
 echo "==> exp, softmax and attention kernels against their oracles (release; native and baseline x86-64)"
 # The softmax's exp is a vector port of glibc's expf that must return
