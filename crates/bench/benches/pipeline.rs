@@ -1,11 +1,13 @@
-//! Criterion micro-benchmarks for the hot paths of the pipeline:
+//! Micro-benchmarks for the hot paths of the pipeline:
 //! parsing/tokenisation, template extraction, a training step per
 //! architecture, greedy/beam inference, and baseline prediction.
 //!
-//! These back Table 3's timing columns with statistically sound
-//! measurements (`cargo bench -p qrec-bench`).
+//! These back Table 3's timing columns (`cargo bench -p qrec-bench`).
+//! Each group's functions are timed round-robin by
+//! [`qrec_bench::timing::time_stats`], so load drift hits them equally;
+//! every function prints its best and median rep.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qrec_bench::timing::time_stats;
 use qrec_core::prelude::*;
 use qrec_nn::params::forward_backward;
 use qrec_nn::seq2seq::Seq2Seq;
@@ -22,30 +24,51 @@ const SQL: &str = "SELECT TOP 10 s.ra, s.z, COUNT(p.objid) FROM SpecObj s \
                    WHERE s.z BETWEEN 0.3 AND 0.4 AND p.mode = 'PRIMARY' \
                    GROUP BY s.ra, s.z HAVING COUNT(p.objid) > 5 ORDER BY s.z DESC";
 
-fn bench_sql(c: &mut Criterion) {
-    c.bench_function("sql/parse", |b| {
-        b.iter(|| qrec_sql::parse(black_box(SQL)).unwrap())
-    });
-    let q = qrec_sql::parse(SQL).unwrap();
-    c.bench_function("sql/template", |b| {
-        b.iter(|| qrec_sql::template(black_box(&q)))
-    });
-    c.bench_function("sql/fragments", |b| {
-        b.iter(|| qrec_sql::extract_fragments(black_box(&q)))
-    });
-    c.bench_function("sql/tokens", |b| {
-        b.iter(|| qrec_sql::query_tokens(black_box(&q)))
-    });
-    c.bench_function("sql/record", |b| {
-        b.iter(|| qrec_workload::QueryRecord::new(black_box(SQL)).unwrap())
-    });
+/// Wall-clock budget per group, seconds.
+const BUDGET_S: f64 = 2.0;
+/// Rep cap per function.
+const MAX_REPS: usize = 10_000;
+
+/// Time one group of functions and print a line per function.
+fn run_group(group: &str, names: &[&str], fns: &mut [&mut dyn FnMut()]) {
+    let stats = time_stats(fns, BUDGET_S, MAX_REPS);
+    for (name, s) in names.iter().zip(stats) {
+        println!(
+            "{:<32} best {:>12.3} µs   p50 {:>12.3} µs   ({} reps)",
+            format!("{group}/{name}"),
+            s.best_s * 1e6,
+            s.p50_s * 1e6,
+            s.reps
+        );
+    }
 }
 
-fn bench_workload_gen(c: &mut Criterion) {
+fn bench_sql() {
+    let q = qrec_sql::parse(SQL).unwrap();
+    run_group(
+        "sql",
+        &["parse", "template", "fragments", "tokens", "record"],
+        &mut [
+            &mut || drop(black_box(qrec_sql::parse(black_box(SQL)).unwrap())),
+            &mut || drop(black_box(qrec_sql::template(black_box(&q)))),
+            &mut || drop(black_box(qrec_sql::extract_fragments(black_box(&q)))),
+            &mut || drop(black_box(qrec_sql::query_tokens(black_box(&q)))),
+            &mut || {
+                drop(black_box(
+                    qrec_workload::QueryRecord::new(black_box(SQL)).unwrap(),
+                ))
+            },
+        ],
+    );
+}
+
+fn bench_workload_gen() {
     let profile = WorkloadProfile::tiny();
-    c.bench_function("workload/generate-tiny", |b| {
-        b.iter(|| generate(black_box(&profile), 7))
-    });
+    run_group(
+        "workload",
+        &["generate-tiny"],
+        &mut [&mut || drop(black_box(generate(black_box(&profile), 7)))],
+    );
 }
 
 fn setup_training() -> (Vec<EncodedPair>, qrec_workload::Vocab) {
@@ -57,68 +80,73 @@ fn setup_training() -> (Vec<EncodedPair>, qrec_workload::Vocab) {
     (pairs, vocab)
 }
 
-fn bench_train_step(c: &mut Criterion) {
+/// One forward/backward pass per rep. Gradients accumulate into one
+/// parameter set per architecture; the weights never change, so every
+/// rep runs the same arithmetic.
+fn bench_train_step() {
     let (pairs, vocab) = setup_training();
-    let mut group = c.benchmark_group("train_step");
-    group.sample_size(20);
-    for arch in [Arch::Transformer, Arch::ConvS2S, Arch::Gru] {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut params = qrec_nn::Params::new();
-        let model = AnyModel::build(arch, SizePreset::Test, vocab.len(), &mut params, &mut rng);
-        let pair = pairs.first().expect("training pairs").clone();
-        group.bench_function(arch.label(), |b| {
-            b.iter_batched(
-                || params.clone(),
-                |mut p| {
-                    forward_backward(&mut p, &mut rng, |fwd| {
-                        let enc = model.encode(fwd, &pair.src);
-                        let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
-                        let tgt_out = &pair.tgt[1..];
-                        let logits = model.decode(fwd, enc, tgt_in);
-                        let rows = fwd.graph.value(logits).rows();
-                        fwd.graph.cross_entropy(logits, &tgt_out[..rows])
-                    })
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
+    let pair = pairs.first().expect("training pairs").clone();
+    let archs = [Arch::Transformer, Arch::ConvS2S, Arch::Gru];
+    let mut steps: Vec<Box<dyn FnMut()>> = archs
+        .into_iter()
+        .map(|arch| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut params = qrec_nn::Params::new();
+            let model = AnyModel::build(arch, SizePreset::Test, vocab.len(), &mut params, &mut rng);
+            let pair = pair.clone();
+            Box::new(move || {
+                black_box(forward_backward(&mut params, &mut rng, |fwd| {
+                    let enc = model.encode(fwd, &pair.src);
+                    let tgt_in = &pair.tgt[..pair.tgt.len() - 1];
+                    let tgt_out = &pair.tgt[1..];
+                    let logits = model.decode(fwd, enc, tgt_in);
+                    let rows = fwd.graph.value(logits).rows();
+                    fwd.graph.cross_entropy(logits, &tgt_out[..rows])
+                }));
+            }) as Box<dyn FnMut()>
+        })
+        .collect();
+    let mut fns: Vec<&mut dyn FnMut()> = steps.iter_mut().map(|step| &mut **step as _).collect();
+    run_group("train_step", &archs.map(|arch| arch.label()), &mut fns);
 }
 
-fn bench_inference(c: &mut Criterion) {
+fn bench_inference() {
     let (w, _) = generate(&WorkloadProfile::tiny(), 5);
     let mut rng = StdRng::seed_from_u64(1);
     let split = Split::paper(w.pairs(), &mut rng);
     let cfg = RecommenderConfig::test(Arch::Transformer, SeqMode::Aware);
-    let (mut rec, _) = Recommender::train(&split, &w, cfg);
+    let (rec, _) = Recommender::train(&split, &w, cfg);
     let q = split.test.first().expect("test pairs").current.clone();
-
-    let mut group = c.benchmark_group("inference");
-    group.sample_size(20);
-    group.bench_function("greedy", |b| {
-        b.iter(|| rec.decode_candidates(black_box(&q.tokens), Strategy::Greedy))
-    });
-    group.bench_function("beam5", |b| {
-        b.iter(|| rec.decode_candidates(black_box(&q.tokens), Strategy::Beam { width: 5 }))
-    });
-    group.bench_function("diverse-beam", |b| {
-        b.iter(|| {
-            rec.decode_candidates(
-                black_box(&q.tokens),
-                Strategy::DiverseBeam {
-                    width: 4,
-                    groups: 2,
-                    penalty: 1.0,
-                },
-            )
-        })
-    });
-    group.bench_function("predict_n5", |b| b.iter(|| rec.predict_n(black_box(&q), 5)));
-    group.finish();
+    // Each closure needs the recommender mutably; they run one at a time.
+    let rec = std::cell::RefCell::new(rec);
+    let decode = |strategy: Strategy| {
+        let rec = &rec;
+        let tokens = &q.tokens;
+        move || {
+            drop(black_box(
+                rec.borrow_mut()
+                    .decode_candidates(black_box(tokens), strategy),
+            ))
+        }
+    };
+    let diverse = Strategy::DiverseBeam {
+        width: 4,
+        groups: 2,
+        penalty: 1.0,
+    };
+    run_group(
+        "inference",
+        &["greedy", "beam5", "diverse-beam", "predict_n5"],
+        &mut [
+            &mut decode(Strategy::Greedy),
+            &mut decode(Strategy::Beam { width: 5 }),
+            &mut decode(diverse),
+            &mut || drop(black_box(rec.borrow_mut().predict_n(black_box(&q), 5))),
+        ],
+    );
 }
 
-fn bench_baselines(c: &mut Criterion) {
+fn bench_baselines() {
     let (w, _) = generate(&WorkloadProfile::tiny(), 5);
     let mut rng = StdRng::seed_from_u64(1);
     let split = Split::paper(w.pairs(), &mut rng);
@@ -126,26 +154,25 @@ fn bench_baselines(c: &mut Criterion) {
     let mut popular = PopularBaseline::fit(&split.train);
     let mut naive = NaiveQi::fit(&split.train);
     let mut querie = Querie::fit(&split.train, 10);
-
-    let mut group = c.benchmark_group("baselines");
-    group.bench_function("popular/predict_n", |b| {
-        b.iter(|| popular.predict_n(black_box(&q), 5))
-    });
-    group.bench_function("naive/predict_set", |b| {
-        b.iter(|| naive.predict_set(black_box(&q)))
-    });
-    group.bench_function("querie/predict_set", |b| {
-        b.iter(|| querie.predict_set(black_box(&q)))
-    });
-    group.finish();
+    run_group(
+        "baselines",
+        &[
+            "popular/predict_n",
+            "naive/predict_set",
+            "querie/predict_set",
+        ],
+        &mut [
+            &mut || drop(black_box(popular.predict_n(black_box(&q), 5))),
+            &mut || drop(black_box(naive.predict_set(black_box(&q)))),
+            &mut || drop(black_box(querie.predict_set(black_box(&q)))),
+        ],
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_sql,
-    bench_workload_gen,
-    bench_train_step,
-    bench_inference,
-    bench_baselines
-);
-criterion_main!(benches);
+fn main() {
+    bench_sql();
+    bench_workload_gen();
+    bench_train_step();
+    bench_inference();
+    bench_baselines();
+}

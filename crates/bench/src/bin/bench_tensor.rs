@@ -8,15 +8,13 @@
 //! Times the shapes the models actually emit — single-token decode
 //! vectors, full-sequence training tiles, and the 512³ scale shape —
 //! under the seed's branchy naive loop (kept verbatim below as the fixed
-//! baseline), the canonical naive reference, the blocked kernel, and the
-//! shipped dispatching `kernel::gemm`. The model's narrow widths (`n×48×48`, `n×96×48`, `n×48×130`:
-//! one full panel and an edge, or an edge of two columns) get rows of
-//! their own, flagged `narrow_shape`; every row is also timed under the
-//! small-product tile (`small_tile_s`), and `scripts/bench.sh` fails when
-//! the blocked kernel is more than 1.5× slower than that on a narrow row
-//! — the cliff its scalar edge loop used to be — and when the beam-5
-//! vocabulary projection (`5×48×130`, a right edge of two columns) takes
-//! more than 1.2× the same product rounded up to whole tiles (`5×48×144`).
+//! baseline), the canonical naive reference, and the shipped
+//! `kernel::gemm` — the register tile (`gemm_s`). The model's narrow
+//! widths (`n×48×48`, `n×96×48`, `n×48×130`: whole 16-column tiles, or
+//! an edge of two columns) get rows of their own, flagged `narrow_shape`,
+//! and `scripts/bench.sh` fails when the beam-5 vocabulary projection
+//! (`5×48×130`, a right edge of two columns) takes more than 1.2× the
+//! same product rounded up to whole tiles (`5×48×144`).
 //! The backward pass's two
 //! product forms, `A·Bᵀ` and `Aᵀ·B`, are timed at the shapes one training
 //! example emits (`backward_shapes`: a 20-row example against the bench
@@ -90,10 +88,9 @@ struct Shape {
     n: usize,
     k: usize,
     m: usize,
-    /// Decode-path shape: must stay on the tile, gated by the ≤10% rule.
+    /// Decode-path shape: reported in `decode_shape_max_regression`.
     decode: bool,
-    /// Narrow-width shape: `scripts/bench.sh` holds the blocked kernel to
-    /// 1.5× the small-product tile here.
+    /// A row of the model's narrow widths (`narrow_shape`).
     narrow: bool,
 }
 
@@ -226,12 +223,8 @@ struct ShapeRow {
     k: usize,
     m: usize,
     decode: bool,
-    path: String,
     seed: RepStats,
     naive: RepStats,
-    blocked: RepStats,
-    /// The small-product tile forced onto the shape.
-    small: RepStats,
     narrow: bool,
     /// The shipped `kernel::gemm`.
     gemm: RepStats,
@@ -250,8 +243,6 @@ impl ShapeRow {
         let percentiles = json!({
             "seed_naive": self.seed.to_json(),
             "naive": self.naive.to_json(),
-            "blocked": self.blocked.to_json(),
-            "small_tile": self.small.to_json(),
             "gemm": self.gemm.to_json(),
         });
         json!({
@@ -259,11 +250,8 @@ impl ShapeRow {
             "n": self.n, "k": self.k, "m": self.m,
             "flops": 2 * self.n * self.k * self.m,
             "decode_shape": self.decode,
-            "kernel_path": self.path,
             "seed_naive_s": self.seed.best_s,
             "naive_s": self.naive.best_s,
-            "blocked_s": self.blocked.best_s,
-            "small_tile_s": self.small.best_s,
             "narrow_shape": self.narrow,
             "percentiles": percentiles,
             "gemm_s": self.gemm_s(),
@@ -290,9 +278,7 @@ fn bench_shape(s: &Shape, smoke: bool) -> ShapeRow {
         &mut [
             &mut || drop(black_box(seed_naive(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::naive(&a, &b, n, k, m))),
-            &mut || drop(black_box(kernel::blocked(&a, &b, n, k, m))),
             &mut || drop(black_box(kernel::gemm(&a, &b, n, k, m))),
-            &mut || drop(black_box(kernel::small(&a, &b, n, k, m))),
         ],
         budget,
         reps,
@@ -303,13 +289,10 @@ fn bench_shape(s: &Shape, smoke: bool) -> ShapeRow {
         k,
         m,
         decode: s.decode,
-        path: format!("{:?}", kernel::select(n, k, m)),
         seed: times[0],
         naive: times[1],
-        blocked: times[2],
-        small: times[4],
         narrow: s.narrow,
-        gemm: times[3],
+        gemm: times[2],
     }
 }
 
@@ -353,7 +336,7 @@ fn backward_shapes(smoke: bool) -> Vec<BackwardShape> {
     shapes
 }
 
-/// Best-of-N and percentiles of one backward shape: the dispatching
+/// Best-of-N and percentiles of one backward shape: the shipped
 /// product, its naive reference, and `A·B` at the same `n×k×m`.
 struct BackwardRow {
     shape: BackwardShape,
@@ -698,7 +681,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
     }
 
     // Headline numbers the acceptance gate reads: the 512³ speedup and
-    // the worst decode-shape slowdown of the new dispatch vs the seed.
+    // the worst decode-shape slowdown of the shipped kernel vs the seed.
     let scale_speedup = rows
         .iter()
         .filter(|r| r.label.starts_with("scale"))
@@ -769,7 +752,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
 
     println!(
         "{:<36} {:>12} {:>12} {:>12} {:>9}",
-        "shape", "seed (s)", "blocked (s)", "gemm (s)", "speedup"
+        "shape", "seed (s)", "naive (s)", "gemm (s)", "speedup"
     );
     for r in &rows {
         let label = if r.narrow {
@@ -781,7 +764,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             "{:<36} {:>12.6} {:>12.6} {:>12.6} {:>8.2}x",
             label,
             r.seed_s(),
-            r.blocked.best_s,
+            r.naive.best_s,
             r.gemm_s(),
             r.seed_s() / r.gemm_s(),
         );

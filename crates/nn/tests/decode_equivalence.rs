@@ -223,10 +223,9 @@ fn transformer_serving_shape_matches_reference() {
 /// The transformer's tape-free encoder pass against the graph `encode`
 /// it replaces, bit for bit, at the serving shape with f32 weights and
 /// with the int8 sidecar. Source lengths: one row; the bench's short and
-/// mean windows; 28 and 29 rows, either side of the row count at which
-/// the `m×48·48×48` projections move from the small-product tile to the
-/// blocked kernel; 64; and three tokens past the positional table, which
-/// both passes truncate to `max_len` rows.
+/// mean windows; 28 and 29 rows (a last row tile of four and of five);
+/// 64; and three tokens past the positional table, which both passes
+/// truncate to `max_len` rows.
 #[test]
 fn transformer_tape_free_encoder_matches_the_graph_encoder() {
     let (mut params, model) = common::perturbed_small(SERVING_VOCAB, 2, 23);

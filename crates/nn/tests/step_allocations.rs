@@ -268,12 +268,9 @@ fn encoder_allocations(layers: usize, m: usize, quantized: bool) -> usize {
 /// A graph encoder pass allocates per layer (every weight it binds is
 /// copied, every op output is a fresh tensor) and per head; the
 /// tape-free pass allocates its scratch once, whatever the source length
-/// or the depth. Lengths sit on both sides of the switches from the
-/// small-product tile to the blocked kernel (15 rows for the `d_ff`
-/// products, 29 for the `d_model` ones): the blocked kernel packs `B`
-/// into a buffer its thread keeps, so after the first pass at the longest
-/// length has sized that buffer it allocates nothing either. An int8 pass
-/// allocates exactly what an f32 one does.
+/// or the depth. Lengths run from one row to past the positional table;
+/// the register tile reads `B` where it lies, so no length sizes a buffer.
+/// An int8 pass allocates exactly what an f32 one does.
 #[test]
 fn a_transformer_encoder_pass_allocates_only_its_scratch() {
     let per_precision = [false, true].map(|quantized| {

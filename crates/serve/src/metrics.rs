@@ -295,7 +295,7 @@ impl Default for Metrics {
 pub struct ComputeSnapshot {
     /// Threads a product runs on: always 1.
     pub pool_threads: u64,
-    /// GEMM calls dispatched (tile or blocked kernel): every call.
+    /// GEMM calls (all on the register tile): every call.
     pub gemm_serial: u64,
     /// Always 0: no product leaves the calling thread.
     pub gemm_parallel: u64,

@@ -10,7 +10,7 @@
 //!   Every op's gradient is validated against central finite differences
 //!   in the test suite.
 //! * [`init`] — Xavier / Kaiming / Gaussian weight initialisers.
-//! * [`kernel`] — the register-tile and cache-blocked GEMM behind
+//! * [`kernel`] — the register-tile GEMM behind
 //!   `Tensor::matmul{,_nt,_tn}`, every product on the calling thread and
 //!   bitwise equal to the naive fold (see DESIGN.md §10).
 //!

@@ -13,7 +13,7 @@
 //!
 //! ## The product
 //!
-//! [`qgemm_into`] is the f32 small-product register tile
+//! [`qgemm_into`] is the f32 kernel's register tile
 //! ([`crate::kernel`]) instantiated for an int8 `B`: each weight segment
 //! is widened `i8 → f32` on load (exact), so an output element is the
 //! kernel's single-accumulator ascending-`k` `fmadd` fold of the f32
@@ -42,7 +42,9 @@ use std::sync::Arc;
 const Q_MAX: f32 = 127.0;
 
 /// The call counters of the two size classes (serial, blocked), in the
-/// process-wide registry like the f32 kernel's `tensor.gemm.*` family.
+/// process-wide registry beside the f32 kernel's `tensor.gemm.naive`.
+/// Both classes run the one tile; the names stay because the end-to-end
+/// benchmark reads them.
 fn dispatch() -> &'static [Arc<qrec_obs::Counter>; 2] {
     static D: std::sync::OnceLock<[Arc<qrec_obs::Counter>; 2]> = std::sync::OnceLock::new();
     D.get_or_init(|| {
@@ -261,7 +263,7 @@ pub fn qgemm_into(a: &[f32], qb: &QPackedB, n: usize, out: &mut [f32]) {
         kernel::Strided::new(a, qb.k),
         kernel::Strided::new(&qb.data[..], qb.m),
     );
-    kernel::small_tiles::<false, i8>(a, b, n, qb.k, qb.m, out, qb.m);
+    kernel::tiles::<false, i8>(a, b, n, qb.k, qb.m, out, qb.m);
     for o in out.iter_mut() {
         *o *= qb.scale;
     }

@@ -211,8 +211,8 @@ impl Tensor {
 
     /// Matrix product `self · other` with shapes `(n,k) · (k,m) -> (n,m)`.
     ///
-    /// Dispatches to the register-tile or cache-blocked kernel in
-    /// [`crate::kernel`]; both are bitwise equal to the naive fold.
+    /// Runs the register tile in [`crate::kernel`], bitwise equal to the
+    /// naive fold.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,

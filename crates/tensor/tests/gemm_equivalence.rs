@@ -1,11 +1,11 @@
 //! Bitwise equivalence of every GEMM path against the naive reference.
 //!
-//! The kernel's determinism contract (DESIGN.md §10) is that the blocked
-//! kernel, the small-product tile and the dispatching entry points produce
-//! output bitwise identical to the canonical naive fold — not
-//! epsilon-close. These properties drive random shapes (including
-//! 0-row/0-col, 1×1, tall-skinny, and non-multiple-of-block-size edges)
-//! through `kernel::blocked` and `kernel::gemm` and compare bit patterns.
+//! The kernel's determinism contract (DESIGN.md §10) is that the register
+//! tile behind every entry point produces output bitwise identical to the
+//! canonical naive fold — not epsilon-close. These properties drive
+//! random shapes (including 0-row/0-col, 1×1, tall-skinny, and
+//! non-multiple-of-tile-size edges) through `kernel::gemm` and its
+//! transposed forms and compare bit patterns.
 
 use proptest::prelude::*;
 use qrec_tensor::kernel;
@@ -28,13 +28,12 @@ fn assert_bitwise(want: &[f32], got: &[f32]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The model's narrow widths — 48 (`d_model`: one full panel and a
-/// 16-lane edge), 96 (`d_ff`: full panels only) and 130 (the bench
-/// vocabulary: a 2-column edge) — at row counts that leave every
-/// possible remainder in the last register tile, 4 rows tall on a full
-/// panel and 8 on a narrow edge, and at depths on both sides of one KC
-/// slab: the blocked kernel's const-generic edge tiles and the
-/// small-product tile all fold exactly as the reference does.
+/// The model's narrow widths — 48 and 96 (`d_model` and `d_ff`: whole
+/// 16-column tiles) and 130 (the bench vocabulary: a 2-column edge) — at
+/// row counts that leave every possible remainder in the last 6-row tile,
+/// from one beam's rows to two full-length sequences, and at depths from
+/// `d_model` to 300: the register tile folds exactly as the reference
+/// does on every shape the served and trained products have.
 #[test]
 fn narrow_widths_and_short_last_tiles_stay_bitwise() {
     let fill = |len: usize, salt: usize| -> Vec<f32> {
@@ -47,17 +46,10 @@ fn narrow_widths_and_short_last_tiles_stay_bitwise() {
             let b = fill(k * m, m + k);
             for n in (1..=9).chain(160..=168) {
                 let a = fill(n * k, n);
-                let want = kernel::naive(&a, &b, n, k, m);
-                let ctx = format!("{n}x{k}x{m}");
                 assert_eq!(
-                    bits(&want),
-                    bits(&kernel::blocked(&a, &b, n, k, m)),
-                    "blocked {ctx}"
-                );
-                assert_eq!(
-                    bits(&want),
-                    bits(&kernel::small(&a, &b, n, k, m)),
-                    "small {ctx}"
+                    bits(&kernel::naive(&a, &b, n, k, m)),
+                    bits(&kernel::gemm(&a, &b, n, k, m)),
+                    "{n}x{k}x{m}"
                 );
             }
         }
@@ -65,11 +57,10 @@ fn narrow_widths_and_short_last_tiles_stay_bitwise() {
 }
 
 /// `A·Bᵀ` and `Aᵀ·B` against their references on every shape class the
-/// small path has: each row-tile height and then a second tile
-/// (`n ∈ 1..=13`), depths from one step to a full `d_model`, output widths
-/// under one tile (the reference fallback), exactly one, ragged edges and
-/// the vocabulary's two-column edge; the 48- and 130-wide ones with 13
-/// rows cross into the blocked kernel through the transpose scratch.
+/// tile has: each row-tile height and then a second tile (`n ∈ 1..=13`),
+/// depths from one step to a full `d_model`, output widths under one tile
+/// (the narrow tile), exactly one, ragged edges and the vocabulary's
+/// two-column edge.
 /// Inputs carry what a fold can get wrong without changing a sum's
 /// magnitude: both zeros, subnormals (products that underflow to a signed
 /// zero) and exact cancellations (`x·y − x·y` in adjacent steps).
@@ -116,9 +107,6 @@ fn nt_and_tn_run_the_reference_fold_on_every_small_shape() {
     }
 }
 
-/// An `n×k · k×m` product entry point of [`kernel`].
-type Product = fn(&[f32], &[f32], usize, usize, usize) -> Vec<f32>;
-
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }
@@ -130,8 +118,8 @@ fn matrix(len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random shapes (1..=80 per dim) through the blocked kernel and the
-    /// dispatching entry point: both bitwise equal to the reference.
+    /// Random shapes (1..=80 per dim) through the entry point: bitwise
+    /// equal to the reference.
     #[test]
     fn parallel_gemm_is_bitwise_deterministic(
         n in 1usize..=80,
@@ -146,7 +134,6 @@ proptest! {
             .map(|i| (((i * 7 + seed_a as usize) * 40503) % 2000) as f32 * 1e-3 - 1.0)
             .collect();
         let want = kernel::naive(&a, &b, n, k, m);
-        assert_bitwise(&want, &kernel::blocked(&a, &b, n, k, m))?;
         assert_bitwise(&want, &kernel::gemm(&a, &b, n, k, m))?;
     }
 
@@ -155,7 +142,7 @@ proptest! {
     #[test]
     fn awkward_shapes_stay_bitwise(data in matrix(33 * 64)) {
         // (n, k, m) chosen to hit: single row, single column, 1×1,
-        // tall-skinny, wide-flat, exact NR/MR multiples, off-by-one.
+        // tall-skinny, wide-flat, exact tile multiples, off-by-one.
         for &(n, k, m) in &[
             (1usize, 1usize, 1usize),
             (1, 64, 33),
@@ -168,33 +155,27 @@ proptest! {
         ] {
             let a = &data[..n * k];
             let b = &data[data.len() - k * m..];
-            let want = kernel::naive(a, b, n, k, m);
-            assert_bitwise(&want, &kernel::blocked(a, b, n, k, m))?;
-            assert_bitwise(&want, &kernel::gemm(a, b, n, k, m))?;
+            assert_bitwise(&kernel::naive(a, b, n, k, m), &kernel::gemm(a, b, n, k, m))?;
         }
     }
 
     /// Zero-extent shapes: 0 rows, 0 columns, and k == 0 (a zero matrix,
-    /// not an empty one) survive the blocked kernel and the dispatching
-    /// entry point.
+    /// not an empty one) survive the entry point.
     #[test]
     fn zero_extent_shapes(dim in 0usize..6, rows in 1usize..=8) {
-        let products: [(&str, Product); 2] = [("blocked", kernel::blocked), ("gemm", kernel::gemm)];
-        for (name, product) in products {
-            // n == 0
-            let b = vec![0.5f32; dim * rows];
-            prop_assert!(product(&[], &b, 0, dim, rows).is_empty(), "{} n = 0", name);
-            // m == 0
-            let a = vec![0.5f32; rows * dim];
-            prop_assert!(product(&a, &[], rows, dim, 0).is_empty(), "{} m = 0", name);
-            // k == 0 → rows×dim zero matrix
-            let out = product(&[], &[], rows, 0, dim);
-            prop_assert_eq!(out, vec![0.0f32; rows * dim], "{} k = 0", name);
-        }
+        // n == 0
+        let b = vec![0.5f32; dim * rows];
+        prop_assert!(kernel::gemm(&[], &b, 0, dim, rows).is_empty(), "n = 0");
+        // m == 0
+        let a = vec![0.5f32; rows * dim];
+        prop_assert!(kernel::gemm(&a, &[], rows, dim, 0).is_empty(), "m = 0");
+        // k == 0 → rows×dim zero matrix
+        let out = kernel::gemm(&[], &[], rows, 0, dim);
+        prop_assert_eq!(out, vec![0.0f32; rows * dim], "k = 0");
     }
 
     /// The nt/tn tensor entry points agree bitwise with their references
-    /// on shapes large enough to take the transpose-and-block path.
+    /// on shapes of several row and column tiles.
     #[test]
     fn nt_tn_paths_agree_with_references(
         n in 60usize..=90,
@@ -215,7 +196,7 @@ proptest! {
         )?;
     }
 
-    /// `Tensor::matmul` (whatever path it selects) matches the reference
+    /// `Tensor::matmul` matches the reference
     /// bitwise, so autograd and decoding see one arithmetic everywhere.
     #[test]
     fn tensor_matmul_matches_reference(

@@ -1,11 +1,11 @@
-//! No product starts a thread: every GEMM path runs on its caller.
+//! No product starts a thread: every GEMM runs on its caller.
 //!
 //! The process's thread count (`/proc/self/task`) must not move across
-//! one product of each path — the small-product tile (5×48×130), the
-//! blocked kernel at a serving shape (20×48×96, the encoder FFN) and at
-//! 512³, and the two backward-pass forms at 70×96×110. This file is its
-//! own test binary with a single test, so no other test's threads come
-//! and go while it counts.
+//! one product of each form — `A·B` at a decode shape (5×48×130), a
+//! serving shape (20×48×96, the encoder FFN) and 512³, and the two
+//! backward-pass forms at 70×96×110. This file is its own test binary
+//! with a single test, so no other test's threads come and go while it
+//! counts.
 
 #![cfg(target_os = "linux")]
 

@@ -22,30 +22,6 @@ cargo build --offline --release -q -p qrec-bench \
 ./target/release/bench_serve "$@"
 ./target/release/bench_obs "$@"
 
-# The blocked GEMM kernel's narrow shapes (one full panel and an edge:
-# the model's own widths) must stay within 1.5x of the small-product
-# tile, in the report this run wrote and in the committed baseline — the
-# right-edge panel once ran a scalar loop 7-14x slower, unnoticed. Rows
-# of under 48 rows are reported but not held to it: there the one-off
-# packing of B (0.2-0.5 us) is a visible share of a 1-4 us product, the
-# ratio measures the packing rather than the tile, and `kernel::select`
-# sends most of them to the small-product tile anyway.
-python3 - "$@" <<'PYEOF'
-import json, sys
-
-smoke = "--smoke" in sys.argv[1:]
-for path in (["target/BENCH_tensor_smoke.json"] if smoke else []) + ["BENCH_tensor.json"]:
-    rows = [r for r in json.load(open(path))["shapes"]
-            if r.get("narrow_shape") and r["n"] >= 48]
-    if not rows:
-        sys.exit(f"{path}: no narrow-shape rows (re-take it with bench_tensor)")
-    for r in rows:
-        ratio = r["blocked_s"] / r["small_tile_s"]
-        if ratio > 1.5:
-            sys.exit(f"{path}: {r['n']}x{r['k']}x{r['m']}: blocked kernel is "
-                     f"{ratio:.2f}x the small-product tile (limit 1.5x)")
-PYEOF
-
 # The backward pass's two product forms at the shape a training example
 # emits most (20 rows against d_model 48) must stay near the forward
 # product of the same shape, in the baseline a full run writes and the
@@ -93,7 +69,7 @@ PYEOF
 # A right edge must not cost more than the columns it holds: the beam-5
 # vocabulary projection (5x48x130, an edge of two columns) within 1.2x of
 # the same product rounded up to whole tiles (5x48x144), for f32 weights
-# (BENCH_tensor.json, small_tile_s) and int8 ones (BENCH_quant.json) —
+# (BENCH_tensor.json, gemm_s) and int8 ones (BENCH_quant.json) —
 # one tile serves both. It read 1.65x when the edge tile zero-padded a
 # segment and copied a variable length on every k step. And reading int8
 # weights through that tile must stay near the f32 product at the served
@@ -114,7 +90,7 @@ for name in ("5x48x48", "5x48x130", "5x48x144", "5x160x4000"):
 edge, whole = shapes.get((5, 48, 130)), shapes.get((5, 48, 144))
 if edge is None or whole is None:
     sys.exit("BENCH_tensor.json: no 5x48x130 / 5x48x144 pair (re-take it with bench_tensor)")
-pairs = [("BENCH_tensor.json small tile", edge["small_tile_s"], whole["small_tile_s"])] + [
+pairs = [("BENCH_tensor.json gemm", edge["gemm_s"], whole["gemm_s"])] + [
     (f"BENCH_quant.json {key}", rows["5x48x130"][key], rows["5x48x144"][key])
     for key in ("f32_gemm_ns", "qgemm_ns")]
 for what, e, w in pairs:

@@ -96,6 +96,10 @@ attention_oracles() {
 }
 attention_oracles
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 attention_oracles
+# The register tile runs every product, so its bitwise suite runs in the
+# baseline build too (the native release build ran it above).
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 \
+    cargo test --offline -q --release -p qrec-tensor --test gemm_equivalence
 
 echo "==> bench_e2e: unit tests + smoke (its own package, outside the workspace)"
 # `cargo test --workspace` and clippy never compile bench_e2e, so an API
