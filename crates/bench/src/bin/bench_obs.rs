@@ -79,7 +79,6 @@ fn server_config() -> ServerConfig {
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         cache_capacity: 1,
         ..ServerConfig::default()
     }

@@ -103,7 +103,6 @@ fn run_server_child(max_conns: usize) -> ExitCode {
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         cache_capacity: 256,
         ..ServerConfig::default()
     };

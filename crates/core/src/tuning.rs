@@ -6,8 +6,6 @@
 //! [`grid_search`] reproduces that protocol over a caller-supplied
 //! candidate grid.
 
-use crate::data::SeqMode;
-use crate::model::Arch;
 use crate::recommender::{Recommender, RecommenderConfig};
 use qrec_nn::trainer::TrainReport;
 use qrec_workload::{Split, Workload};
@@ -107,32 +105,11 @@ pub fn grid_search(
     GridSearchResult { trials, best }
 }
 
-/// Convenience: tune and then train the final model with the winning
-/// configuration (fresh training run, as the paper does).
-pub fn tune_and_train(
-    arch: Arch,
-    seq_mode: SeqMode,
-    base: RecommenderConfig,
-    grid: &[Candidate],
-    split: &Split,
-    workload: &Workload,
-) -> (Recommender, GridSearchResult) {
-    let mut base = base;
-    base.arch = arch;
-    base.seq_mode = seq_mode;
-    let result = grid_search(base, grid, split, workload);
-    let winner = result.best_candidate();
-    let mut cfg = base;
-    cfg.train.batch_size = winner.batch_size;
-    cfg.train.adam.lr = winner.lr;
-    cfg.train.epochs = winner.epochs;
-    let (rec, _) = Recommender::train(split, workload, cfg);
-    (rec, result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::SeqMode;
+    use crate::model::Arch;
     use qrec_workload::gen::{generate, WorkloadProfile};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

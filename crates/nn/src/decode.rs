@@ -78,7 +78,7 @@ fn encode_hist() -> &'static Arc<qrec_obs::Histogram> {
 
 /// Process-wide decode activity counters (monotonic, relaxed ordering),
 /// surfaced by qrec-serve's STATS verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecodeCounters {
     /// Batched decode-step forwards executed (one per step across all
     /// live hypotheses, not one per hypothesis).

@@ -31,9 +31,9 @@
 //!    disconnect; the server never buffers a client without bound.
 //! 3. decode queue full → typed `Overloaded` response.
 //!
-//! Idle connections cost one slab slot and one timer-wheel entry; the
-//! idle timeout reclaims them. Transient accept errors (EMFILE/ENFILE)
-//! park the listener's interest and re-enable it after a backoff — a
+//! Idle connections cost one slab slot; the idle timeout reclaims them,
+//! one slab pass at the earliest deadline. Transient accept errors
+//! (EMFILE/ENFILE) park the listener's interest and re-enable it after a backoff — a
 //! level-triggered listener with pending connections would otherwise
 //! spin the loop at 100% CPU.
 
@@ -54,7 +54,6 @@ use crate::framing::{FrameBuf, FrameError};
 use crate::metrics::Metrics;
 use crate::protocol::{Request, Response, DEFAULT_N};
 use crate::server::{Dispatch, Shared};
-use crate::timer::TimerWheel;
 
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
@@ -75,11 +74,6 @@ pub const LOOP_PARSE_MAX_BYTES: usize = 8 * 1024;
 
 /// How long a transient accept error parks the listener.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
-
-/// Timer-wheel granularity. Idle timeouts are second-scale; 100ms slots
-/// keep the worst-case overshoot invisible.
-const WHEEL_TICK: Duration = Duration::from_millis(100);
-const WHEEL_SLOTS: usize = 256;
 
 /// Per-connection limits, copied out of `ServerConfig`.
 #[derive(Debug, Clone)]
@@ -151,8 +145,8 @@ fn accept_error_action(e: &std::io::Error) -> AcceptAction {
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    /// Monotonic id guarding against slab-slot reuse: completions and
-    /// timers carry it and are dropped on mismatch.
+    /// Monotonic id guarding against slab-slot reuse: completions carry
+    /// it and are dropped on mismatch.
     gen: u64,
     frame: FrameBuf,
     /// Buffered outgoing bytes; `out_pos` marks how much is written.
@@ -207,7 +201,10 @@ pub(crate) struct EventLoop {
     freed_this_tick: Vec<usize>,
     open: usize,
     next_gen: u64,
-    wheel: TimerWheel,
+    /// The next idle check: no open connection can have been idle for
+    /// `idle_timeout` before it. `None` until a connection is admitted,
+    /// and after a check that finds none left open.
+    idle_check_at: Option<Instant>,
     completion_tx: Sender<Completion>,
     completions: Receiver<Completion>,
     shared: Arc<Shared>,
@@ -253,7 +250,7 @@ impl EventLoop {
             freed_this_tick: Vec::new(),
             open: 0,
             next_gen: 1,
-            wheel: TimerWheel::new(WHEEL_TICK, WHEEL_SLOTS, Instant::now()),
+            idle_check_at: None,
             completion_tx,
             completions,
             shared,
@@ -318,7 +315,7 @@ impl EventLoop {
         self.tick_completions();
 
         let now = Instant::now();
-        self.tick_timers(now);
+        self.tick_idle(now);
         self.tick_watch();
 
         let done = self.tick_shutdown(now);
@@ -333,15 +330,12 @@ impl EventLoop {
         !done
     }
 
-    /// How long the poller may sleep: bounded by the nearest timer, the
+    /// How long the poller may sleep: bounded by the idle check, the
     /// listener unpark, and a coarse heartbeat.
     fn poll_timeout(&self, now: Instant) -> Duration {
         let mut t = Duration::from_millis(500);
-        if let Some(w) = self.wheel.next_wakeup(now) {
-            t = t.min(w);
-        }
-        if let Some(u) = self.unpark_at {
-            t = t.min(u.saturating_duration_since(now));
+        for at in [self.idle_check_at, self.unpark_at].into_iter().flatten() {
+            t = t.min(at.saturating_duration_since(now));
         }
         if self.drain_deadline.is_some() {
             t = t.min(Duration::from_millis(10));
@@ -464,8 +458,8 @@ impl EventLoop {
         }
         self.open += 1;
         Metrics::bump(&self.shared.metrics.frontend.accepted);
-        self.wheel
-            .schedule(now + self.limits.idle_timeout, timer_key(slot, gen));
+        self.idle_check_at
+            .get_or_insert(now + self.limits.idle_timeout);
     }
 
     /// Drop a connection. The stream's fd closes with it, which
@@ -995,47 +989,35 @@ impl EventLoop {
         }
     }
 
-    /// Fire idle-timeout candidates. Expiry is lazily revalidated: a
-    /// connection that saw traffic since scheduling is rescheduled for
-    /// its remaining window instead of dropped.
-    fn tick_timers(&mut self, now: Instant) {
-        let mut fired = Vec::new();
-        self.wheel.advance(now, &mut fired);
-        for key in fired {
-            let (slot, gen_low) = split_timer_key(key);
-            enum TimerStep {
-                Drop,
-                Close,
-                Reschedule(Instant, u64),
-            }
-            let step = match self.conns.get(slot).and_then(|s| s.as_ref()) {
-                None => TimerStep::Drop,
-                Some(conn) if conn.gen as u32 != gen_low => TimerStep::Drop,
-                Some(conn) => {
-                    let idle_for = now.saturating_duration_since(conn.last_activity);
-                    if idle_for >= self.limits.idle_timeout && !conn.inflight {
-                        TimerStep::Close
-                    } else {
-                        let base = if conn.inflight {
-                            now
-                        } else {
-                            conn.last_activity
-                        };
-                        TimerStep::Reschedule(base + self.limits.idle_timeout, conn.gen)
-                    }
-                }
+    /// Close idle connections once the earliest idle deadline passes:
+    /// one pass over the slab closes every connection that is not in
+    /// flight and has been idle for the whole timeout, then moves the
+    /// check to the earliest remaining deadline. An in-flight request
+    /// counts as activity up to `now`.
+    fn tick_idle(&mut self, now: Instant) {
+        if self.idle_check_at.is_none_or(|at| now < at) {
+            return;
+        }
+        let timeout = self.limits.idle_timeout;
+        let mut next: Option<Instant> = None;
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_ref() else {
+                continue;
             };
-            match step {
-                TimerStep::Drop => {}
-                TimerStep::Close => {
-                    Metrics::bump(&self.shared.metrics.frontend.idle_disconnects);
-                    self.close(slot);
-                }
-                TimerStep::Reschedule(at, gen) => {
-                    self.wheel.schedule(at, timer_key(slot, gen));
-                }
+            let base = if conn.inflight {
+                now
+            } else {
+                conn.last_activity
+            };
+            if !conn.inflight && now.saturating_duration_since(base) >= timeout {
+                Metrics::bump(&self.shared.metrics.frontend.idle_disconnects);
+                self.close(slot);
+            } else {
+                let at = base + timeout;
+                next = Some(next.map_or(at, |n| n.min(at)));
             }
         }
+        self.idle_check_at = next;
     }
 
     /// Shutdown state machine: stop accepting, let in-flight requests
@@ -1075,15 +1057,6 @@ fn response_line(resp: &Response) -> Vec<u8> {
     line
 }
 
-/// Pack a slab slot and the low generation bits into a timer key.
-fn timer_key(slot: usize, gen: u64) -> u64 {
-    ((slot as u64) << 32) | u64::from(gen as u32)
-}
-
-fn split_timer_key(key: u64) -> (usize, u32) {
-    ((key >> 32) as usize, key as u32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1107,18 +1080,5 @@ mod tests {
         // Anything unrecognised backs off — never a hot retry loop.
         let weird = std::io::Error::other("unexpected");
         assert_eq!(accept_error_action(&weird), AcceptAction::Backoff);
-    }
-
-    #[test]
-    fn timer_keys_round_trip() {
-        for (slot, gen) in [
-            (0usize, 1u64),
-            (17, 0xdead_beef),
-            (usize::MAX >> 33, u64::MAX),
-        ] {
-            let (s, g) = split_timer_key(timer_key(slot, gen));
-            assert_eq!(s, slot);
-            assert_eq!(g, gen as u32);
-        }
     }
 }

@@ -62,7 +62,6 @@ pub mod registry;
 pub mod server;
 pub mod session_store;
 pub mod telemetry;
-mod timer;
 pub mod zoo;
 
 pub use batcher::{DecodeEngine, DecodeRequest, EngineConfig, Recommendation};
@@ -75,6 +74,6 @@ pub use metrics::{ComputeSnapshot, FrontendSnapshot, Metrics, MetricsSnapshot, W
 pub use protocol::{HistoryReply, Request, Response, StatsReply};
 pub use registry::ModelRegistry;
 pub use server::{QuantMode, Server, ServerConfig};
-pub use session_store::{MemoryOnly, SessionStore, SweeperHandle};
+pub use session_store::{MemoryOnly, SessionStore};
 pub use telemetry::{Telemetry, WindowFrame};
 pub use zoo::ModelZoo;

@@ -121,7 +121,7 @@ pub struct Metrics {
     pub batched_jobs: Arc<Counter>,
     /// Model hot-swaps performed.
     pub swaps: Arc<Counter>,
-    /// Sessions evicted by the TTL sweeper.
+    /// Sessions evicted by the TTL sweep.
     pub sessions_evicted: Arc<Counter>,
     /// End-to-end RECOMMEND latency, from arrival on the loop (a request
     /// answered there) or from enqueue (queue wait + decode).
@@ -271,7 +271,7 @@ impl Metrics {
             sessions_evicted: self.sessions_evicted.get(),
             latency: self.latency.snapshot(),
             compute: ComputeSnapshot::current(),
-            decode: DecodeSnapshot::current(),
+            decode: qrec_nn::decode::counters(),
             store: qrec_store::StoreStats::default(),
             quant: QuantSnapshot::current(),
             frontend: self.frontend.snapshot(),
@@ -308,34 +308,6 @@ impl ComputeSnapshot {
             pool_threads: 1,
             gemm_serial: qrec_tensor::kernel::counters().serial,
             gemm_parallel: 0,
-        }
-    }
-}
-
-/// Snapshot of the incremental decode engine: batched step forwards and
-/// encoder-output cache traffic since process start (see
-/// `qrec_nn::decode::counters`). A healthy interleaved workload shows
-/// `enc_cache_hits` climbing with repeat sources, and `steps` growing
-/// linearly — not quadratically — with emitted tokens.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DecodeSnapshot {
-    /// Batched decode-step forwards (one per step across all live
-    /// hypotheses).
-    pub steps: u64,
-    /// Encoder-output cache hits across all decode workers.
-    pub enc_cache_hits: u64,
-    /// Encoder-output cache misses (each paid a full encoder pass).
-    pub enc_cache_misses: u64,
-}
-
-impl DecodeSnapshot {
-    /// Read the current process-wide decode counters.
-    pub fn current() -> Self {
-        let c = qrec_nn::decode::counters();
-        DecodeSnapshot {
-            steps: c.steps,
-            enc_cache_hits: c.enc_cache_hits,
-            enc_cache_misses: c.enc_cache_misses,
         }
     }
 }
@@ -395,10 +367,13 @@ pub struct MetricsSnapshot {
     /// (absent in snapshots from older servers).
     #[serde(default)]
     pub compute: ComputeSnapshot,
-    /// Incremental-decode step and encoder-cache counters (absent in
-    /// snapshots from older servers).
+    /// Incremental-decode step and encoder-cache counters since process
+    /// start (absent in snapshots from older servers). A healthy
+    /// interleaved workload shows `enc_cache_hits` climbing with repeat
+    /// sources, and `steps` growing linearly — not quadratically — with
+    /// emitted tokens.
     #[serde(default)]
-    pub decode: DecodeSnapshot,
+    pub decode: qrec_nn::decode::DecodeCounters,
     /// Durable-store traffic: WAL appends and latency percentiles,
     /// flush/run/bloom counters, and the last recovery time. All-zero
     /// when the server runs without a data directory; absent in
@@ -587,15 +562,6 @@ mod tests {
         let _ = qrec_tensor::qi8::qgemm(&[1.0, 2.0, 3.0, 4.0], &qb, 1);
         let after = QuantSnapshot::current();
         assert!(after.qi8_serial > before.qi8_serial);
-    }
-
-    #[test]
-    fn decode_snapshot_tracks_enc_cache_traffic() {
-        let before = DecodeSnapshot::current();
-        let mut cache = qrec_nn::decode::EncCache::new(2);
-        assert!(cache.lookup(&[3, 1, 4]).is_none());
-        let after = DecodeSnapshot::current();
-        assert!(after.enc_cache_misses > before.enc_cache_misses);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::eventloop::{EventLoop, LoopLimits};
 use crate::metrics::Metrics;
 use crate::protocol::{Request, Response, StatsReply, DEFAULT_PROF_N, DEFAULT_TRACE_N};
 use crate::registry::ModelRegistry;
-use crate::session_store::{SessionStore, SweeperHandle};
+use crate::session_store::SessionStore;
 use crate::telemetry::Telemetry;
 use crate::zoo::ModelZoo;
 use qrec_store::{Store, TelemetryLog};
@@ -87,10 +87,11 @@ pub struct ServerConfig {
     pub session_window: usize,
     /// Lock shards in the session store.
     pub session_shards: usize,
-    /// Idle time after which a session is evicted.
+    /// Idle time after which a session is evicted. The housekeeping
+    /// thread sweeps every sixtieth of it (at least every millisecond),
+    /// so a session leaves within `session_ttl * 61 / 60` of its last
+    /// use.
     pub session_ttl: Duration,
-    /// How often the sweeper scans for idle sessions.
-    pub sweep_interval: Duration,
     /// Capacity of the recommendation LRU cache.
     pub cache_capacity: usize,
     /// Durable data directory. `Some(dir)` turns on persistence:
@@ -136,7 +137,6 @@ impl Default for ServerConfig {
             session_window: 1,
             session_shards: 8,
             session_ttl: Duration::from_secs(30 * 60),
-            sweep_interval: Duration::from_secs(30),
             cache_capacity: 1024,
             data_dir: None,
             store: qrec_store::StoreConfig::default(),
@@ -198,12 +198,9 @@ pub struct Server {
     /// The event-loop thread and its wakeup handle.
     loop_handle: Option<thread::JoinHandle<()>>,
     loop_waker: Arc<polling::Waker>,
-    sweeper: Option<SweeperHandle>,
-    engine: Option<Arc<DecodeEngine>>,
-    /// Telemetry ticker thread: seals windows and appends them to the
-    /// durable log off the request path.
-    ticker_stop: Arc<AtomicBool>,
-    ticker_handle: Option<thread::JoinHandle<()>>,
+    /// The housekeeping thread ([`housekeeping`]) and its stop flag.
+    housekeeping_stop: Arc<AtomicBool>,
+    housekeeping: Option<thread::JoinHandle<()>>,
     /// True when this server started the sampling profiler (and so owns
     /// stopping it).
     profiler_started: bool,
@@ -278,7 +275,6 @@ impl Server {
             Arc::clone(&cache),
             Arc::clone(&metrics),
         )?);
-        let sweeper = store.start_sweeper(cfg.sweep_interval)?;
 
         // Telemetry: windowed deltas + template sketch + drift, with an
         // optional durable frame log rebuilt before serving starts.
@@ -304,36 +300,16 @@ impl Server {
             store.set_template_sink(move |id| telemetry.note_template(id));
         }
         let profiler_started = cfg.profiler && qrec_obs::prof::start();
-        let ticker_stop = Arc::new(AtomicBool::new(false));
-        let ticker_handle = {
+        let housekeeping_stop = Arc::new(AtomicBool::new(false));
+        let housekeeping = {
+            let store = Arc::clone(&store);
             let telemetry = Arc::clone(&telemetry);
-            let ticker_stop = Arc::clone(&ticker_stop);
-            // Poll well inside the window width so seals land close to
-            // their deadline even for sub-second test configurations.
-            let poll =
-                (cfg.window_width / 4).clamp(Duration::from_millis(5), Duration::from_millis(250));
+            let stop = Arc::clone(&housekeeping_stop);
+            let sweep_every = (cfg.session_ttl / 60).max(Duration::from_millis(1));
             Some(
                 thread::Builder::new()
-                    .name("qrec-serve-telemetry".into())
-                    .spawn(move || {
-                        qrec_obs::prof::register_thread("telemetry");
-                        while !ticker_stop.load(Ordering::Acquire) {
-                            thread::sleep(poll);
-                            if let Some(frame) = telemetry.tick(Instant::now()) {
-                                if let Some(log) = tlog.as_mut() {
-                                    if let Ok(bytes) = serde_json::to_vec(&frame) {
-                                        // Telemetry persistence is best
-                                        // effort: a full disk must not
-                                        // take serving down.
-                                        let _ = log.append_frame(&bytes);
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(log) = tlog.as_mut() {
-                            let _ = log.sync();
-                        }
-                    })?,
+                    .name("qrec-serve-housekeeping".into())
+                    .spawn(move || housekeeping(&store, &telemetry, tlog, &stop, sweep_every))?,
             )
         };
 
@@ -342,7 +318,7 @@ impl Server {
             store,
             cache,
             metrics,
-            engine: Arc::clone(&engine),
+            engine,
             telemetry,
             durable,
             zoo,
@@ -372,10 +348,8 @@ impl Server {
             shared,
             loop_handle,
             loop_waker,
-            sweeper: Some(sweeper),
-            engine: Some(engine),
-            ticker_stop,
-            ticker_handle,
+            housekeeping_stop,
+            housekeeping,
             profiler_started,
         })
     }
@@ -496,27 +470,67 @@ impl Server {
         if let Some(h) = self.loop_handle.take() {
             let _ = h.join();
         }
-        if let Some(s) = self.sweeper.take() {
-            s.stop();
-        }
-        // Telemetry ticker: stop sealing, flush the durable log.
-        self.ticker_stop.store(true, Ordering::Release);
-        if let Some(h) = self.ticker_handle.take() {
+        // Housekeeping: stop sweeping and sealing, flush the durable log.
+        self.housekeeping_stop.store(true, Ordering::Release);
+        if let Some(h) = self.housekeeping.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
         if self.profiler_started {
             self.profiler_started = false;
             qrec_obs::prof::stop();
         }
-        // Last engine Arc: dropping it disconnects the queue and joins
-        // the decode workers.
-        self.engine.take();
+        // Disconnect the decode queue and join the workers. The loop has
+        // exited and dropped its handle on the shared state, so this one
+        // holds the engine alone.
+        if let Some(engine) =
+            Arc::get_mut(&mut self.shared).and_then(|shared| Arc::get_mut(&mut shared.engine))
+        {
+            engine.shutdown();
+        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// The server's one background thread beside the loop and the decode
+/// workers: it evicts idle sessions every `sweep_every`, seals each
+/// telemetry window at its deadline (appending the frame to the durable
+/// log, when there is one), and parks until the nearer of the two
+/// deadlines or until [`Server::shutdown`] unparks it.
+fn housekeeping(
+    store: &SessionStore,
+    telemetry: &Telemetry,
+    mut tlog: Option<TelemetryLog>,
+    housekeeping_stop: &AtomicBool,
+    sweep_every: Duration,
+) {
+    qrec_obs::prof::register_thread("housekeeping");
+    let mut next_sweep = Instant::now() + sweep_every;
+    while !housekeeping_stop.load(Ordering::Acquire) {
+        let now = Instant::now();
+        if now >= next_sweep {
+            store.sweep(now);
+            next_sweep = now + sweep_every;
+        }
+        if let Some(frame) = telemetry.tick(now) {
+            if let Some(log) = tlog.as_mut() {
+                if let Ok(bytes) = serde_json::to_vec(&frame) {
+                    // Telemetry persistence is best effort: a full disk
+                    // must not take serving down.
+                    let _ = log.append_frame(&bytes);
+                }
+            }
+        }
+        let wake = next_sweep.min(telemetry.next_due());
+        thread::park_timeout(wake.saturating_duration_since(Instant::now()));
+    }
+    if let Some(log) = tlog.as_mut() {
+        let _ = log.sync();
     }
 }
 
@@ -616,8 +630,8 @@ fn dump() -> Response {
 
 fn stats(shared: &Shared) -> Response {
     let mut snapshot = shared.metrics.snapshot();
-    // The store tracks its own eviction count (the sweeper has no
-    // metrics handle); fold it into the snapshot here.
+    // The store tracks its own eviction count (the housekeeping thread
+    // has no metrics handle); fold it into the snapshot here.
     snapshot.sessions_evicted = shared.store.evicted();
     // Same for the durable tier: its stats live on the Store handle.
     if let Some(durable) = &shared.durable {

@@ -5,9 +5,10 @@
 //! supplied session id. The map is split into `N` shards, each behind
 //! its own `parking_lot::RwLock`, so concurrent requests for different
 //! sessions rarely contend; a session id is routed to its shard by an
-//! FNV-1a hash. A background sweeper thread periodically evicts
-//! sessions idle longer than the configured TTL — abandoned sessions
-//! would otherwise accumulate without bound under real workloads.
+//! FNV-1a hash. [`SessionStore::sweep`] evicts sessions idle longer
+//! than the configured TTL — the server's housekeeping thread runs it
+//! periodically, since abandoned sessions would otherwise accumulate
+//! without bound under real workloads.
 //!
 //! A push is three steps — parse the statement, write it through to the
 //! durable tier, apply it to the in-memory context — and the two kinds
@@ -23,7 +24,7 @@
 //!   the [`qrec_store::Store`] *before* the in-memory context is updated,
 //!   so a request is acknowledged only once its session update is WAL'd.
 //!   That write may fsync, so [`SessionStore::push_sql`] belongs on a
-//!   decode worker. TTL eviction then becomes *tiering*: the sweeper
+//!   decode worker. TTL eviction then becomes *tiering*: a sweep
 //!   drops the memory copy but the disk record remains, and a later
 //!   request for the same id rehydrates the context by re-parsing the
 //!   persisted statements (parsing is deterministic, so the rebuilt
@@ -40,9 +41,8 @@ use qrec_core::SessionContext;
 use qrec_obs::{Histogram, Span};
 use qrec_store::Store;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
@@ -408,8 +408,8 @@ impl SessionStore {
     }
 
     /// Evict every session idle longer than the TTL, as of `now`.
-    /// Returns the number evicted. Called by the sweeper thread, public
-    /// for deterministic tests.
+    /// Returns the number evicted. Called by the server's housekeeping
+    /// thread, public for deterministic tests.
     ///
     /// With a durable tier this is *tiering*, not deletion: only the
     /// memory copy is dropped; the persisted record remains and the next
@@ -430,65 +430,6 @@ impl SessionStore {
     /// Total sessions evicted by [`SessionStore::sweep`] so far.
     pub fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Start a background thread sweeping every `interval`. The thread
-    /// wakes in short ticks so dropping the returned handle stops it
-    /// promptly rather than after a full interval.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS error when the sweeper thread cannot be
-    /// spawned.
-    pub fn start_sweeper(self: &Arc<Self>, interval: Duration) -> std::io::Result<SweeperHandle> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let store = Arc::clone(self);
-        let handle = thread::Builder::new()
-            .name("qrec-serve-sweeper".into())
-            .spawn({
-                let stop = Arc::clone(&stop);
-                move || {
-                    let tick = Duration::from_millis(25).min(interval);
-                    let mut last = Instant::now();
-                    while !stop.load(Ordering::Acquire) {
-                        thread::sleep(tick);
-                        if last.elapsed() >= interval {
-                            store.sweep(Instant::now());
-                            last = Instant::now();
-                        }
-                    }
-                }
-            })?;
-        Ok(SweeperHandle {
-            stop,
-            handle: Some(handle),
-        })
-    }
-}
-
-/// Owns the TTL sweeper thread; stops and joins it on drop.
-pub struct SweeperHandle {
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl SweeperHandle {
-    /// Signal the sweeper to stop and wait for it to exit.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for SweeperHandle {
-    fn drop(&mut self) {
-        self.stop_inner();
     }
 }
 
@@ -619,19 +560,6 @@ mod tests {
         assert_eq!(s.session_len("eve"), None, "unreadable record is absent");
         assert!(s.window_tokens("eve").is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweeper_thread_runs_and_stops() {
-        let s = Arc::new(store(0));
-        s.push_sql("x", "SELECT a FROM t").unwrap();
-        let h = s.start_sweeper(Duration::from_millis(5)).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !s.is_empty() && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(s.len(), 0, "sweeper should evict the idle session");
-        h.stop();
     }
 
     #[test]

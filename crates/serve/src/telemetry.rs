@@ -18,8 +18,8 @@
 //! touches any of this beyond the sketch's fixed-slot scan: windowing
 //! is delta-sampling at seal time, not per-event bookkeeping.
 //!
-//! Time is injected: the ticker thread calls [`Telemetry::tick`] with
-//! `Instant::now()`, while tests drive [`Telemetry::seal_at`] directly
+//! Time is injected: the server's housekeeping thread calls
+//! [`Telemetry::tick`] with `Instant::now()`, while tests drive [`Telemetry::seal_at`] directly
 //! with a fake clock — no sleeps needed to test drift detection.
 
 use crate::metrics::{Metrics, WindowSummary};
@@ -55,7 +55,7 @@ pub struct WindowFrame {
     pub drift: DriftScore,
 }
 
-/// Mutable tail state: drift detector, history ring, and the ticker
+/// Mutable tail state: drift detector, history ring, and the seal
 /// deadline — everything the seal path updates under one lock.
 struct Scored {
     drift: DriftDetector,
@@ -116,8 +116,8 @@ impl Telemetry {
     }
 
     /// Seal the current window if its deadline has passed, returning
-    /// the new frame. Called by the ticker thread; the deadline check
-    /// keeps it idempotent at any call frequency.
+    /// the new frame. Called by the housekeeping thread; the deadline
+    /// check keeps it idempotent at any call frequency.
     pub fn tick(&self, now: Instant) -> Option<WindowFrame> {
         {
             let mut scored = self.scored.lock();
@@ -127,6 +127,12 @@ impl Telemetry {
             scored.next_due = now + self.width;
         }
         Some(self.seal_at(unix_ms_now()))
+    }
+
+    /// When [`Telemetry::tick`] next seals: the housekeeping thread
+    /// sleeps until then.
+    pub fn next_due(&self) -> Instant {
+        self.scored.lock().next_due
     }
 
     /// Seal a window at the given wall-clock stamp unconditionally:

@@ -13,7 +13,7 @@ use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -37,7 +37,6 @@ fn quiet_config() -> ServerConfig {
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         cache_capacity: 64,
         ..ServerConfig::default()
     }
@@ -276,6 +275,68 @@ fn idle_connections_time_out() {
     let n = reader.read_line(&mut buf).expect("EOF, not an error");
     assert_eq!(n, 0, "idle connection must be closed by the server");
     assert!(server.metrics().snapshot().frontend.idle_disconnects >= 1);
+}
+
+/// A connection waiting on a decode is not idle: with no decode worker
+/// its cache miss stays queued, and the connection outlives the idle
+/// timeout several times over while a silent neighbour is closed.
+#[test]
+fn in_flight_connections_outlive_the_idle_timeout() {
+    let timeout = Duration::from_millis(200);
+    let cfg = ServerConfig {
+        engine: EngineConfig {
+            workers: 0,
+            queue_cap: 4,
+            ..EngineConfig::default()
+        },
+        idle_timeout: timeout,
+        drain_timeout: Duration::from_millis(50),
+        ..quiet_config()
+    };
+    let server = Server::start(train_tiny(18), "127.0.0.1:0", cfg).expect("start");
+    let addr = server.local_addr();
+    // Still open after a read times out; closed when it sees EOF.
+    let still_open = |s: &mut TcpStream| {
+        s.set_read_timeout(Some(Duration::from_millis(20)))
+            .expect("timeout");
+        match s.read(&mut [0u8; 256]) {
+            Ok(0) => false,
+            Ok(n) => panic!("no reply can arrive without a worker, got {n} bytes"),
+            Err(e) => {
+                assert!(
+                    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "{e}"
+                );
+                true
+            }
+        }
+    };
+
+    let mut waiting = TcpStream::connect(addr).expect("connect");
+    waiting
+        .write_all(b"{\"verb\":\"RECOMMEND\",\"session\":\"w\",\"sql\":\"SELECT a FROM t\"}\n")
+        .expect("recommend");
+    let start = Instant::now();
+    while start.elapsed() < timeout * 3 {
+        assert!(
+            still_open(&mut waiting),
+            "closed after {:?}",
+            start.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let front = server.metrics().snapshot().frontend;
+    assert_eq!(front.idle_disconnects, 0);
+    assert_eq!(front.conns_open, 1);
+
+    let mut silent = TcpStream::connect(addr).expect("connect");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let n = silent.read(&mut [0u8; 64]).expect("EOF, not an error");
+    assert_eq!(n, 0, "the silent connection is closed");
+    assert_eq!(server.metrics().snapshot().frontend.idle_disconnects, 1);
+    assert!(still_open(&mut waiting), "the waiting connection stays");
 }
 
 /// A client that never drains its responses is disconnected with the

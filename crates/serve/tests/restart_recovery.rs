@@ -40,7 +40,6 @@ fn train_tiny(seed: u64) -> Recommender {
 fn durable_config(dir: &Path) -> ServerConfig {
     ServerConfig {
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         data_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()
     }

@@ -9,7 +9,8 @@
 //! scenario checks over the wire that a rejected RECOMMEND is not
 //! counted as accepted; two more pin where a request is served — a
 //! cache hit on the event-loop thread (no decode worker involved, replies
-//! still in request order), anything durable or oversized on a worker.
+//! still in request order), anything durable or oversized on a worker;
+//! one more checks that the running server evicts idle sessions.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{
@@ -46,7 +47,6 @@ fn server_config() -> ServerConfig {
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         cache_capacity: 256,
         ..ServerConfig::default()
     }
@@ -428,4 +428,37 @@ fn a_literal_cannot_pose_as_a_token_boundary() {
     assert_eq!(second.cached, Some(false), "a different window misses");
     let again = c.recommend("again", plain, 5).expect("plain again");
     assert_eq!(again.cached, Some(true), "the same window still hits");
+}
+
+/// A session idle past its TTL leaves without being asked: the server's
+/// housekeeping thread sweeps every sixtieth of the TTL. Shutdown wakes
+/// and joins that thread at once rather than after its next deadline.
+#[test]
+fn idle_sessions_are_swept_by_the_running_server() {
+    let cfg = ServerConfig {
+        session_ttl: Duration::from_millis(120),
+        ..server_config()
+    };
+    let mut server = Server::start(train_tiny(7), "127.0.0.1:0", cfg).expect("start");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    c.recommend("brief", "SELECT a FROM t", 5)
+        .expect("recommend");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = c.stats().expect("stats");
+        if stats.sessions == 0 {
+            assert!(stats.metrics.sessions_evicted >= 1, "{stats:?}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "idle session never swept");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(c);
+    let t0 = Instant::now();
+    server.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        t0.elapsed()
+    );
 }

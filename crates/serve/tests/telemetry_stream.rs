@@ -43,7 +43,6 @@ fn windowed_config() -> ServerConfig {
             ..EngineConfig::default()
         },
         session_ttl: Duration::from_secs(600),
-        sweep_interval: Duration::from_secs(600),
         cache_capacity: 64,
         window_width: Duration::from_millis(100),
         window_buckets: 32,

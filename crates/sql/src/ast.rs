@@ -88,11 +88,6 @@ impl BinaryOp {
             BinaryOp::Or => "OR",
         }
     }
-
-    /// True for `AND` / `OR`.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinaryOp::And | BinaryOp::Or)
-    }
 }
 
 /// Unary operators.

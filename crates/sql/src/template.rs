@@ -86,16 +86,6 @@ impl fmt::Write for HashWriter {
     }
 }
 
-/// Extract the template and also return the placeholder-ised AST.
-pub fn template_ast(query: &Query) -> (Template, Query) {
-    let mut q = query.clone();
-    template_query(&mut q);
-    let t = Template {
-        statement: q.to_string(),
-    };
-    (t, q)
-}
-
 fn template_query(q: &mut Query) {
     for cte in &mut q.with {
         cte.name = TABLE_PLACEHOLDER.to_string();

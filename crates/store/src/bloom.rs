@@ -108,11 +108,6 @@ impl Bloom {
         }
         Ok(Bloom { bits, k })
     }
-
-    /// Size of the bit array in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bits.len()
-    }
 }
 
 #[cfg(test)]

@@ -11,13 +11,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
     uniform(rows, cols, -a, a, rng)
 }
 
-/// Kaiming/He uniform initialisation for ReLU fan-in: `U(-a, a)` with
-/// `a = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Tensor {
-    let a = (6.0 / rows as f32).sqrt();
-    uniform(rows, cols, -a, a, rng)
-}
-
 /// Uniform initialisation on `[lo, hi)`.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut impl Rng) -> Tensor {
     let data = (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect();

@@ -111,12 +111,17 @@ cargo run --offline --release --quiet --manifest-path bench_e2e/Cargo.toml -- --
 echo "==> qrec-serve suites (protocol, framing robustness, tracing, telemetry, recovery)"
 cargo test --offline -q -p qrec-serve
 
-echo "==> serve_integration under the lock-order sanitizer"
+echo "==> serve_integration, telemetry_stream and frontend_robustness under the lock-order sanitizer"
 # The loop thread takes a session-shard lock and the cache mutex (a cache
 # hit is answered there) while workers take the same two: name the suite
 # that drives both sides, so an ordering slip fails here by name and not
 # somewhere inside the workspace-wide sanitizer run above.
 QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test serve_integration
+# The housekeeping thread takes the session-shard write locks (sweep) and
+# the telemetry lock (seal) on one thread, while the loop reads both for
+# WATCH and the workers push sessions: name the suites that drive it.
+QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test telemetry_stream
+QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test frontend_robustness
 
 echo "==> bench --smoke"
 ./scripts/bench.sh --smoke >/dev/null
