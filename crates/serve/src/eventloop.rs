@@ -31,11 +31,11 @@
 //!    disconnect; the server never buffers a client without bound.
 //! 3. decode queue full → typed `Overloaded` response.
 //!
-//! Idle connections cost one slab slot; the idle timeout reclaims them,
-//! one slab pass at the earliest deadline. Transient accept errors
-//! (EMFILE/ENFILE) park the listener's interest and re-enable it after a backoff — a
-//! level-triggered listener with pending connections would otherwise
-//! spin the loop at 100% CPU.
+//! Idle connections cost one slab slot; the idle timeout reclaims them
+//! in slab passes at least `IDLE_CHECK_GAP` apart. Transient accept
+//! errors (EMFILE/ENFILE) park the listener's interest and re-enable it
+//! after a backoff — a level-triggered listener with pending
+//! connections would otherwise spin the loop at 100% CPU.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Events, Interest, Poller, Token, Waker};
@@ -74,6 +74,11 @@ pub const LOOP_PARSE_MAX_BYTES: usize = 8 * 1024;
 
 /// How long a transient accept error parks the listener.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+/// The shortest gap between two idle checks. Connections whose
+/// deadlines fall within it close in one slab pass, so a herd opened
+/// over a few seconds costs at most one pass per gap, not one per
+/// connection; a connection may outlive its timeout by up to this much.
+const IDLE_CHECK_GAP: Duration = Duration::from_millis(100);
 
 /// Per-connection limits, copied out of `ServerConfig`.
 #[derive(Debug, Clone)]
@@ -992,8 +997,9 @@ impl EventLoop {
     /// Close idle connections once the earliest idle deadline passes:
     /// one pass over the slab closes every connection that is not in
     /// flight and has been idle for the whole timeout, then moves the
-    /// check to the earliest remaining deadline. An in-flight request
-    /// counts as activity up to `now`.
+    /// check to the earliest remaining deadline, but no sooner than
+    /// `IDLE_CHECK_GAP` from now. An in-flight request counts as
+    /// activity up to `now`.
     fn tick_idle(&mut self, now: Instant) {
         if self.idle_check_at.is_none_or(|at| now < at) {
             return;
@@ -1017,7 +1023,7 @@ impl EventLoop {
                 next = Some(next.map_or(at, |n| n.min(at)));
             }
         }
-        self.idle_check_at = next;
+        self.idle_check_at = next.map(|at| at.max(now + IDLE_CHECK_GAP));
     }
 
     /// Shutdown state machine: stop accepting, let in-flight requests

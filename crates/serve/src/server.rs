@@ -299,20 +299,6 @@ impl Server {
             let telemetry = Arc::clone(&telemetry);
             store.set_template_sink(move |id| telemetry.note_template(id));
         }
-        let profiler_started = cfg.profiler && qrec_obs::prof::start();
-        let housekeeping_stop = Arc::new(AtomicBool::new(false));
-        let housekeeping = {
-            let store = Arc::clone(&store);
-            let telemetry = Arc::clone(&telemetry);
-            let stop = Arc::clone(&housekeeping_stop);
-            let sweep_every = (cfg.session_ttl / 60).max(Duration::from_millis(1));
-            Some(
-                thread::Builder::new()
-                    .name("qrec-serve-housekeeping".into())
-                    .spawn(move || housekeeping(&store, &telemetry, tlog, &stop, sweep_every))?,
-            )
-        };
-
         let shared = Arc::new(Shared {
             registry,
             store,
@@ -337,21 +323,35 @@ impl Server {
             drain_timeout: cfg.drain_timeout,
         };
         let (mut lp, loop_waker) = EventLoop::new(listener, Arc::clone(&shared), limits)?;
-        let loop_handle = Some(
+
+        // From here on a failed spawn drops `server`, whose shutdown
+        // stops and joins whatever thread already started.
+        let mut server = Server {
+            addr: local,
+            shared,
+            loop_handle: None,
+            loop_waker,
+            housekeeping_stop: Arc::new(AtomicBool::new(false)),
+            housekeeping: None,
+            profiler_started: cfg.profiler && qrec_obs::prof::start(),
+        };
+        server.housekeeping = {
+            let store = Arc::clone(&server.shared.store);
+            let telemetry = Arc::clone(&server.shared.telemetry);
+            let stop = Arc::clone(&server.housekeeping_stop);
+            let sweep_every = (cfg.session_ttl / 60).max(Duration::from_millis(1));
+            Some(
+                thread::Builder::new()
+                    .name("qrec-serve-housekeeping".into())
+                    .spawn(move || housekeeping(&store, &telemetry, tlog, &stop, sweep_every))?,
+            )
+        };
+        server.loop_handle = Some(
             thread::Builder::new()
                 .name("qrec-serve-loop".into())
                 .spawn(move || lp.run())?,
         );
-
-        Ok(Server {
-            addr: local,
-            shared,
-            loop_handle,
-            loop_waker,
-            housekeeping_stop,
-            housekeeping,
-            profiler_started,
-        })
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
