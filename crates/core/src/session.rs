@@ -22,6 +22,7 @@ use qrec_nn::Strategy;
 use qrec_sql::ParseError;
 use qrec_workload::QueryRecord;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Separator token placed between concatenated queries. Out-of-vocabulary
 /// by construction, so it encodes as `<UNK>` — a consistent boundary
@@ -29,11 +30,13 @@ use std::collections::VecDeque;
 pub const SEP_TOKEN: &str = "<SEP>";
 
 /// A live user session: the token sequences of the last `window`
-/// queries, oldest first, and a count of every query seen.
+/// queries, oldest first, and a count of every query seen. A sequence
+/// is shared, not owned: sessions that ran the same statement may hold
+/// one array between them.
 #[derive(Debug, Clone)]
 pub struct SessionContext {
     /// At most `window` token sequences.
-    recent: VecDeque<Vec<String>>,
+    recent: VecDeque<Arc<[String]>>,
     /// Queries recorded over the session's life, dropped ones included.
     seen: usize,
     window: usize,
@@ -70,11 +73,12 @@ impl SessionContext {
 
     /// Record the model tokens of the next query: they enter the
     /// window, the query that falls out of the window is dropped.
-    pub fn push_tokens(&mut self, tokens: Vec<String>) {
+    /// Pushing an `Arc` shares it; a `Vec` is moved into a new one.
+    pub fn push_tokens(&mut self, tokens: impl Into<Arc<[String]>>) {
         if self.recent.len() == self.window {
             self.recent.pop_front();
         }
-        self.recent.push_back(tokens);
+        self.recent.push_back(tokens.into());
         self.seen += 1;
     }
 

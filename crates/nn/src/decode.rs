@@ -63,13 +63,6 @@ fn activity() -> &'static Activity {
     })
 }
 
-/// Per-step decode-forward duration histogram, registered lazily in the
-/// global obs registry. Timed only while the obs spine is enabled.
-fn step_hist() -> &'static Arc<qrec_obs::Histogram> {
-    static H: std::sync::OnceLock<Arc<qrec_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| qrec_obs::global().histogram_log2("nn.decode.step_us"))
-}
-
 /// Encoder-pass duration histogram (paid only on an [`EncCache`] miss).
 fn encode_hist() -> &'static Arc<qrec_obs::Histogram> {
     static H: std::sync::OnceLock<Arc<qrec_obs::Histogram>> = std::sync::OnceLock::new();
@@ -540,18 +533,14 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     /// per-row next-token *probability* rows (softmax over the batched
     /// logits — row-independent, so identical to per-row softmax).
     fn step_probs(&mut self, state: &mut DecodeState, last_toks: &[usize]) -> Tensor {
+        // Counted, not timed: the decode stage's time over its step count
+        // is the step time, and two clock reads per step cost a decoded
+        // request about half of the spine's 3 % budget (`bench_obs`).
         activity().steps.inc();
-        // Explicit gated timing instead of a span: per-step granularity
-        // would flood the 32-stage trace cap, so steps are attributed as
-        // a count plus a histogram sample.
-        let t0 = qrec_obs::enabled().then(std::time::Instant::now);
+        qrec_obs::trace::note_decode_step();
         let mut probs = self.with_fwd(|model, fwd| model.step_logits(fwd, state, last_toks));
         let vocab = probs.cols();
         softmax_rows_in_place(probs.data_mut(), vocab);
-        if let Some(t0) = t0 {
-            step_hist().record_duration(t0.elapsed());
-            qrec_obs::trace::note_decode_step();
-        }
         probs
     }
 

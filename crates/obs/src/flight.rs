@@ -12,7 +12,7 @@
 //! size_of::<FinishedTrace>()`, each trace capped at
 //! [`crate::trace::MAX_STAGES`] inline stages.
 
-use crate::trace::{FinishedTrace, TraceContext};
+use crate::trace::{micros, FinishedTrace, TraceContext};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,32 +93,52 @@ impl FlightRecorder {
     }
 
     /// Finish `ctx` and store it. No-op when the spine is disabled.
-    /// Allocation-free: sealing and storing are plain field copies (the
-    /// box the context lived in is freed here, after the copy).
+    /// Allocation-free: the context is sealed straight into its ring slot
+    /// (its used stages only, not the whole stage storage), copied again
+    /// only if the reservoir takes it, and its box is kept for the next
+    /// trace this thread starts.
     pub fn record(&self, ctx: Box<TraceContext>, total: Duration) {
         if !crate::enabled() {
             return;
         }
-        self.store(ctx.finish(total));
+        if let Some(slot) = self.next_slot() {
+            ctx.seal_into(
+                slot.lock().get_or_insert_with(FinishedTrace::default),
+                total,
+            );
+        }
+        if self.may_be_slowest(micros(total)) {
+            self.offer_slowest(ctx.finish(total));
+        }
+        crate::trace::keep_spare(ctx);
     }
 
     /// Store an already-sealed trace (used by tests and by callers that
     /// finish the context themselves).
     pub fn store(&self, rec: FinishedTrace) {
-        let idx = (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
-        if let Some(slot) = self.slots.get(idx) {
+        if let Some(slot) = self.next_slot() {
             *slot.lock() = Some(rec);
         }
-        if self.slowest_cap == 0 {
-            return;
+        if self.may_be_slowest(rec.total_us) {
+            self.offer_slowest(rec);
         }
-        // Lock-free rejection: the floor is the slowest entry's cutoff
-        // once the reservoir is full (zero before that), so steady-state
-        // fast requests bail on one relaxed load.
+    }
+
+    /// Claim the ring slot for the next trace.
+    fn next_slot(&self) -> Option<&Mutex<Option<FinishedTrace>>> {
+        let idx = (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
+        self.slots.get(idx)
+    }
+
+    /// Lock-free rejection: the floor is the slowest entry's cutoff
+    /// once the reservoir is full (zero before that), so steady-state
+    /// fast requests bail on one relaxed load.
+    fn may_be_slowest(&self, total_us: u64) -> bool {
         let floor = self.slow_floor.load(Ordering::Relaxed);
-        if floor > 0 && rec.total_us <= floor {
-            return;
-        }
+        self.slowest_cap > 0 && (floor == 0 || total_us > floor)
+    }
+
+    fn offer_slowest(&self, rec: FinishedTrace) {
         let mut slow = self.slowest.lock();
         let full = slow.len() >= self.slowest_cap;
         if full
@@ -218,7 +238,7 @@ mod tests {
     fn record_is_gated_by_enabled() {
         crate::set_enabled(true);
         let fr = FlightRecorder::with_capacity(4, 2);
-        let ctx = TraceContext::start(3).expect("enabled");
+        let ctx = TraceContext::start(3, std::time::Instant::now()).expect("enabled");
         fr.record(ctx, Duration::from_micros(50));
         assert_eq!(fr.recent(10).len(), 1);
 
@@ -226,11 +246,39 @@ mod tests {
         // A context started while enabled, finished after disabling.
         let fr2 = FlightRecorder::with_capacity(4, 2);
         crate::set_enabled(true);
-        let ctx = TraceContext::start(4).expect("enabled");
+        let ctx = TraceContext::start(4, std::time::Instant::now()).expect("enabled");
         crate::set_enabled(false);
         fr2.record(ctx, Duration::from_micros(50));
         assert!(fr2.recent(10).is_empty());
         crate::set_enabled(true);
+    }
+
+    #[test]
+    fn a_slot_sealed_over_keeps_nothing_of_its_last_trace() {
+        use crate::trace::StageRec;
+        crate::set_enabled(true);
+        let fr = FlightRecorder::with_capacity(1, 0);
+        let stage = |name| StageRec {
+            name,
+            depth: 0,
+            start_us: 1,
+            dur_us: 2,
+        };
+        let mut long = TraceContext::start(1, std::time::Instant::now()).expect("enabled");
+        for name in ["session", "cache", "rank"] {
+            long.push_stage(stage(name));
+        }
+        long.cache_hit = true;
+        fr.record(long, Duration::from_micros(90));
+        let mut short = TraceContext::start(2, std::time::Instant::now()).expect("enabled");
+        short.push_stage(stage("decode"));
+        fr.record(short, Duration::from_micros(40));
+        let recent = fr.recent(2);
+        assert_eq!(recent.len(), 1);
+        let names: Vec<&str> = recent[0].stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["decode"]);
+        assert_eq!((recent[0].request_id, recent[0].total_us), (2, 40));
+        assert!(!recent[0].cache_hit);
     }
 
     #[test]

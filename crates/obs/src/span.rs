@@ -7,6 +7,12 @@
 //! record reconstructs the stage tree. When the spine is disabled
 //! ([`crate::enabled`] is false) entering a span is a branch and nothing
 //! else — no clock read, no TLS write.
+//!
+//! A clock read is the largest part of a span's cost, so stages that
+//! follow one another share their boundary: [`SpanGuard::then`] ends one
+//! stage and begins the next at the same instant, and [`SpanGuard::end`]
+//! hands the caller the instant it read, so a request's last stage and
+//! its latency sample are one read.
 
 use crate::metric::Histogram;
 use crate::trace;
@@ -30,6 +36,16 @@ impl Span {
         Span::begin(name, Some(hist))
     }
 
+    /// [`Span::enter_with`] for a stage that began at `start`, an
+    /// instant the caller has already read: no clock read on entry.
+    #[inline]
+    pub fn enter_at<'a>(name: &'static str, hist: &'a Histogram, start: Instant) -> SpanGuard<'a> {
+        if !crate::enabled() {
+            return SpanGuard::inert(name);
+        }
+        SpanGuard::open(name, Some(hist), start)
+    }
+
     /// Run `f` inside a span named `name`.
     #[inline]
     pub fn in_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
@@ -47,20 +63,9 @@ impl Span {
 
     fn begin<'a>(name: &'static str, hist: Option<&'a Histogram>) -> SpanGuard<'a> {
         if !crate::enabled() {
-            return SpanGuard {
-                name,
-                hist: None,
-                start: None,
-                depth: 0,
-            };
+            return SpanGuard::inert(name);
         }
-        let depth = trace::stack_push(name);
-        SpanGuard {
-            name,
-            hist,
-            start: Some(Instant::now()),
-            depth,
-        }
+        SpanGuard::open(name, hist, Instant::now())
     }
 }
 
@@ -73,15 +78,60 @@ pub struct SpanGuard<'a> {
     depth: u8,
 }
 
+impl<'a> SpanGuard<'a> {
+    fn inert(name: &'static str) -> SpanGuard<'a> {
+        SpanGuard {
+            name,
+            hist: None,
+            start: None,
+            depth: 0,
+        }
+    }
+
+    fn open(name: &'static str, hist: Option<&'a Histogram>, start: Instant) -> SpanGuard<'a> {
+        let depth = trace::stack_push(name);
+        SpanGuard {
+            name,
+            hist,
+            start: Some(start),
+            depth,
+        }
+    }
+
+    /// End this stage and begin `name` (recorded into `hist`) at the same
+    /// instant: one clock read for the boundary instead of two. A guard
+    /// entered while the spine was disabled hands on an inert one.
+    #[inline]
+    pub fn then<'b>(mut self, name: &'static str, hist: &'b Histogram) -> SpanGuard<'b> {
+        match self.close() {
+            Some(now) => SpanGuard::open(name, Some(hist), now),
+            None => SpanGuard::inert(name),
+        }
+    }
+
+    /// End this stage now and return the instant it ended, or `None`
+    /// for a guard entered while the spine was disabled.
+    #[inline]
+    pub fn end(mut self) -> Option<Instant> {
+        self.close()
+    }
+
+    /// Record the stage as ending now; afterwards the guard is inert.
+    fn close(&mut self) -> Option<Instant> {
+        let start = self.start.take()?;
+        let now = Instant::now();
+        let dur = now.saturating_duration_since(start);
+        if let Some(h) = self.hist {
+            h.record_duration(dur);
+        }
+        trace::stack_pop_record(self.name, self.depth, start, dur);
+        Some(now)
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let dur = start.elapsed();
-            if let Some(h) = self.hist {
-                h.record_duration(dur);
-            }
-            trace::stack_pop_record(self.name, self.depth, start, dur);
-        }
+        self.close();
     }
 }
 
@@ -94,7 +144,7 @@ mod tests {
     #[test]
     fn nested_spans_record_depths_into_the_active_trace() {
         crate::set_enabled(true);
-        trace::install(TraceContext::start(5).expect("enabled"));
+        trace::install(TraceContext::start(5, Instant::now()).expect("enabled"));
         {
             let _outer = Span::enter("request");
             Span::in_span("decode", || {
@@ -123,6 +173,30 @@ mod tests {
     }
 
     #[test]
+    fn chained_stages_share_their_boundaries() {
+        crate::set_enabled(true);
+        let h = Histogram::log2("chain_us");
+        let origin = Instant::now();
+        trace::install(TraceContext::start(6, origin).expect("enabled"));
+        let first = Span::enter_at("session", &h, origin);
+        std::thread::sleep(Duration::from_micros(200));
+        let second = first.then("cache", &h);
+        std::thread::sleep(Duration::from_micros(200));
+        let end = second.end().expect("enabled");
+        let t = trace::uninstall().expect("installed");
+        let names: Vec<(&str, u8)> = t.stages.iter().map(|s| (s.name, s.depth)).collect();
+        assert_eq!(names, [("session", 0), ("cache", 0)]);
+        assert_eq!(t.stages[0].start_us, 0, "entered at the origin");
+        // One instant ends the first stage and begins the second.
+        assert!(t.stages[0].dur_us >= 200);
+        assert!(t.stages[1].start_us >= t.stages[0].dur_us);
+        assert!(t.stages[1].start_us <= t.stages[0].dur_us + 1);
+        let span_us = end.duration_since(origin).as_micros() as u64;
+        assert!(t.stages[1].start_us + t.stages[1].dur_us <= span_us);
+        assert_eq!(h.snapshot().count, 2);
+    }
+
+    #[test]
     fn disabled_spans_are_inert() {
         crate::set_enabled(false);
         let h = Histogram::log2("off_us");
@@ -141,6 +215,8 @@ mod tests {
             enc_cache_misses: 0,
         }));
         Span::in_span_with("stage", &h, || {});
+        let chained = Span::enter_at("first", &h, Instant::now()).then("second", &h);
+        assert_eq!(chained.end(), None, "a disabled chain reads no clock");
         let t = trace::uninstall().expect("installed");
         crate::set_enabled(true);
         assert!(t.stages.is_empty(), "disabled span must not record stages");

@@ -11,7 +11,7 @@
 //! nn/serve unconditional.
 
 use crate::flight::{FlightRecord, StageSpan};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Deref;
 use std::time::{Duration, Instant};
 
@@ -64,6 +64,13 @@ impl StageList {
             recs: [StageList::EMPTY; MAX_STAGES],
             len: 0,
         }
+    }
+
+    /// Make this list a copy of `other`, copying its used slots only.
+    fn copy_from(&mut self, other: &StageList) {
+        let len = other.as_slice().len();
+        self.recs[..len].copy_from_slice(other.as_slice());
+        self.len = other.len;
     }
 
     /// Append a stage; silently dropped once [`MAX_STAGES`] is reached.
@@ -139,32 +146,67 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// Start a trace for `request_id`, or `None` when the spine is
-    /// disabled (callers thread the `Option` through untouched).
+    /// Start a trace for `request_id` whose stage offsets count from
+    /// `origin` (the instant the caller already read when the request
+    /// arrived), or `None` when the spine is disabled (callers thread the
+    /// `Option` through untouched).
     ///
     /// Boxed on purpose: the context is ~700 B of inline stage storage
     /// and crosses two thread-local installs and two channel hand-offs
-    /// per request, so it is allocated once at birth and moved as a
-    /// pointer everywhere after — the only allocation a request trace
-    /// ever makes.
-    pub fn start(request_id: u64) -> Option<Box<TraceContext>> {
+    /// per request, so it moves as a pointer everywhere. The box is the
+    /// one a trace recorded on this thread left behind
+    /// ([`crate::FlightRecorder::record`] keeps it) when there is one, so
+    /// a request started and recorded on one thread allocates nothing and
+    /// clears only the stage count, not the stage storage.
+    pub fn start(request_id: u64, origin: Instant) -> Option<Box<TraceContext>> {
         if !crate::enabled() {
             return None;
         }
-        Some(Box::new(TraceContext {
-            request_id,
-            origin: Instant::now(),
-            stages: StageList::new(),
-            queue_depth: 0,
-            batch_size: 0,
-            cache_hit: false,
-            epoch: 0,
-            strategy: "",
-            beam_width: 0,
-            decode_steps: 0,
-            enc_cache_hits: 0,
-            enc_cache_misses: 0,
-        }))
+        let Some(mut spare) = SPARE.with(Cell::take) else {
+            return Some(Box::new(TraceContext {
+                request_id,
+                origin,
+                stages: StageList::new(),
+                queue_depth: 0,
+                batch_size: 0,
+                cache_hit: false,
+                epoch: 0,
+                strategy: "",
+                beam_width: 0,
+                decode_steps: 0,
+                enc_cache_hits: 0,
+                enc_cache_misses: 0,
+            }));
+        };
+        // Field by field, so the stage storage is not copied; the
+        // pattern names every field, so a new one cannot be missed.
+        let TraceContext {
+            request_id: id,
+            origin: at,
+            stages,
+            queue_depth,
+            batch_size,
+            cache_hit,
+            epoch,
+            strategy,
+            beam_width,
+            decode_steps,
+            enc_cache_hits,
+            enc_cache_misses,
+        } = &mut *spare;
+        *id = request_id;
+        *at = origin;
+        stages.len = 0;
+        *queue_depth = 0;
+        *batch_size = 0;
+        *cache_hit = false;
+        *epoch = 0;
+        *strategy = "";
+        *beam_width = 0;
+        *decode_steps = 0;
+        *enc_cache_hits = 0;
+        *enc_cache_misses = 0;
+        Some(spare)
     }
 
     /// Append a completed stage (dropped silently past [`MAX_STAGES`]).
@@ -172,26 +214,52 @@ impl TraceContext {
         self.stages.push(rec);
     }
 
-    /// Seal the context into its stored form. A plain field move — no
+    /// Seal the context into its stored form. A plain field copy — no
     /// strings, no heap — so the record path stays allocation-free; the
     /// wire conversion happens only when a reader asks
     /// ([`FinishedTrace::to_record`]).
-    pub fn finish(self, total: Duration) -> FinishedTrace {
-        FinishedTrace {
-            request_id: self.request_id,
-            total_us: total.as_micros().min(u128::from(u64::MAX)) as u64,
-            queue_depth: self.queue_depth,
-            batch_size: self.batch_size,
-            cache_hit: self.cache_hit,
-            epoch: self.epoch,
-            strategy: self.strategy,
-            beam_width: self.beam_width,
-            decode_steps: self.decode_steps,
-            enc_cache_hits: self.enc_cache_hits,
-            enc_cache_misses: self.enc_cache_misses,
-            stages: self.stages,
-        }
+    pub fn finish(&self, total: Duration) -> FinishedTrace {
+        let mut rec = FinishedTrace::default();
+        self.seal_into(&mut rec, total);
+        rec
     }
+
+    /// [`TraceContext::finish`] into `rec`, overwriting it in place and
+    /// copying only the stages this trace recorded.
+    pub(crate) fn seal_into(&self, rec: &mut FinishedTrace, total: Duration) {
+        // The pattern names every field, so a new one cannot be missed.
+        let TraceContext {
+            request_id,
+            origin: _,
+            stages,
+            queue_depth,
+            batch_size,
+            cache_hit,
+            epoch,
+            strategy,
+            beam_width,
+            decode_steps,
+            enc_cache_hits,
+            enc_cache_misses,
+        } = self;
+        rec.request_id = *request_id;
+        rec.total_us = micros(total);
+        rec.queue_depth = *queue_depth;
+        rec.batch_size = *batch_size;
+        rec.cache_hit = *cache_hit;
+        rec.epoch = *epoch;
+        rec.strategy = strategy;
+        rec.beam_width = *beam_width;
+        rec.decode_steps = *decode_steps;
+        rec.enc_cache_hits = *enc_cache_hits;
+        rec.enc_cache_misses = *enc_cache_misses;
+        rec.stages.copy_from(stages);
+    }
+}
+
+/// Whole microseconds of `d`, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// A completed trace in its in-memory form: plain copyable data with the
@@ -264,6 +332,18 @@ struct Active {
 }
 
 thread_local! {
+    /// The box of the last trace recorded on this thread, for the next
+    /// [`TraceContext::start`] here to reuse.
+    static SPARE: Cell<Option<Box<TraceContext>>> = const { Cell::new(None) };
+}
+
+/// Keep a recorded trace's box for this thread's next
+/// [`TraceContext::start`]. Used by [`crate::FlightRecorder::record`].
+pub(crate) fn keep_spare(ctx: Box<TraceContext>) {
+    SPARE.with(|s| s.set(Some(ctx)));
+}
+
+thread_local! {
     // `const`-initialised: every access is a plain TLS offset load with
     // no lazy-init or destructor-registration check, which matters
     // because the note_* helpers run on every decoder step.
@@ -295,15 +375,11 @@ pub fn record_stage(name: &'static str, start: Instant, dur: Duration) {
         let mut a = a.borrow_mut();
         let depth = a.stack.len().min(u8::MAX as usize) as u8;
         if let Some(t) = a.trace.as_mut() {
-            let start_us = start
-                .saturating_duration_since(t.origin)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
             t.push_stage(StageRec {
                 name,
                 depth,
-                start_us,
-                dur_us: dur.as_micros().min(u128::from(u64::MAX)) as u64,
+                start_us: micros(start.saturating_duration_since(t.origin)),
+                dur_us: micros(dur),
             });
         }
     });
@@ -394,15 +470,11 @@ pub(crate) fn stack_pop_record(name: &'static str, depth: u8, start: Instant, du
             a.stack.pop();
         }
         if let Some(t) = a.trace.as_mut() {
-            let start_us = start
-                .saturating_duration_since(t.origin)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
             t.push_stage(StageRec {
                 name,
                 depth,
-                start_us,
-                dur_us: dur.as_micros().min(u128::from(u64::MAX)) as u64,
+                start_us: micros(start.saturating_duration_since(t.origin)),
+                dur_us: micros(dur),
             });
         }
     });
@@ -417,7 +489,7 @@ mod tests {
         crate::set_enabled(true);
         assert!(uninstall().is_none());
         note_decode_step(); // must not panic without a trace
-        let ctx = TraceContext::start(7).expect("enabled");
+        let ctx = TraceContext::start(7, Instant::now()).expect("enabled");
         install(ctx);
         note_queue_depth(3);
         note_batch(4, 2);
@@ -439,14 +511,14 @@ mod tests {
     #[test]
     fn start_returns_none_when_disabled() {
         crate::set_enabled(false);
-        assert!(TraceContext::start(1).is_none());
+        assert!(TraceContext::start(1, Instant::now()).is_none());
         crate::set_enabled(true);
     }
 
     #[test]
     fn finish_seals_and_to_record_converts_to_wire_format() {
         crate::set_enabled(true);
-        let mut ctx = TraceContext::start(11).expect("enabled");
+        let mut ctx = TraceContext::start(11, Instant::now()).expect("enabled");
         ctx.push_stage(StageRec {
             name: "session",
             depth: 0,
@@ -466,9 +538,51 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_box_starts_blank() {
+        crate::set_enabled(true);
+        let mut ctx = TraceContext::start(21, Instant::now()).expect("enabled");
+        ctx.push_stage(StageRec {
+            name: "decode",
+            depth: 1,
+            start_us: 3,
+            dur_us: 9,
+        });
+        ctx.queue_depth = 5;
+        ctx.batch_size = 2;
+        ctx.cache_hit = true;
+        ctx.epoch = 4;
+        ctx.strategy = "beam";
+        ctx.beam_width = 8;
+        ctx.decode_steps = 12;
+        ctx.enc_cache_hits = 1;
+        ctx.enc_cache_misses = 1;
+        let first = &*ctx as *const TraceContext;
+        crate::FlightRecorder::with_capacity(2, 1).record(ctx, Duration::from_micros(30));
+
+        let origin = Instant::now();
+        let again = TraceContext::start(22, origin).expect("enabled");
+        assert_eq!(&*again as *const TraceContext, first, "the box is reused");
+        let blank = TraceContext {
+            request_id: 22,
+            origin,
+            stages: StageList::new(),
+            queue_depth: 0,
+            batch_size: 0,
+            cache_hit: false,
+            epoch: 0,
+            strategy: "",
+            beam_width: 0,
+            decode_steps: 0,
+            enc_cache_hits: 0,
+            enc_cache_misses: 0,
+        };
+        assert_eq!(*again, blank);
+    }
+
+    #[test]
     fn stage_cap_drops_excess() {
         crate::set_enabled(true);
-        let mut ctx = TraceContext::start(1).expect("enabled");
+        let mut ctx = TraceContext::start(1, Instant::now()).expect("enabled");
         for i in 0..(MAX_STAGES + 10) {
             ctx.push_stage(StageRec {
                 name: "s",

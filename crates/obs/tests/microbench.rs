@@ -48,7 +48,7 @@ fn microbench() {
         trace::note_decode_step();
     });
     time_n("start+install+uninstall", n, || {
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
+        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), Instant::now()) {
             trace::install(ctx);
         }
         std::hint::black_box(trace::uninstall());
@@ -60,7 +60,7 @@ fn microbench() {
 
     time_n("full request path (5 spans+finish+flight)", n, || {
         let t0 = Instant::now();
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
+        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), Instant::now()) {
             trace::install(ctx);
         }
         Span::in_span_with("session", &hist, || std::hint::black_box(1u64));
@@ -90,7 +90,7 @@ fn microbench() {
     time_n("disabled request path", n, || {
         qrec_obs::set_enabled(false);
         let t0 = Instant::now();
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
+        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), Instant::now()) {
             trace::install(ctx);
         }
         Span::in_span_with("session", &hist, || std::hint::black_box(1u64));

@@ -22,12 +22,12 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use qrec_core::predict::PerKind;
 use qrec_nn::decode::EncCache;
 use qrec_nn::Strategy;
-use qrec_obs::{trace, Span, TraceContext};
+use qrec_obs::{trace, Span, SpanGuard, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::cache::{CacheKey, CachedRanking, RecCache};
 use crate::error::ServeError;
@@ -305,38 +305,46 @@ fn worker_loop(
     }
 }
 
-/// Cut the top `n` of every kind out of a ranking (the `"rank"` span)
-/// and close the request's latency sample, measured from `since`.
+/// Cut the top `n` of every kind out of a ranking inside `stage` (the
+/// `"rank"` span) and close the request's latency sample, measured from
+/// `since` to the instant the stage ended. Returns that latency too.
 fn rank_top_n(
     metrics: &Metrics,
     ranked: &CachedRanking,
     n: usize,
     since: Instant,
-) -> PerKind<Vec<String>> {
-    let fragments = Span::in_span_with("rank", &metrics.stage_rank, || {
-        ranked.map(|_, r| r.iter().take(n).cloned().collect())
-    });
-    metrics.latency.record(since.elapsed());
-    fragments
+    stage: SpanGuard<'_>,
+) -> (PerKind<Vec<String>>, Duration) {
+    let fragments = ranked.map(|_, r| r.iter().take(n).cloned().collect());
+    let latency = stage
+        .end()
+        .unwrap_or_else(Instant::now)
+        .saturating_duration_since(since);
+    metrics.latency.record(latency);
+    (fragments, latency)
 }
 
 /// The cache-hit answer to a resolved window, wherever it is computed —
-/// a decode worker or the event-loop thread: look the key up (the
-/// `"cache"` span) and, on a hit, count it and rank. `None` on a miss,
-/// with **no counter moved**: whoever goes on to decode the window
-/// ([`serve_window`]) counts it, so `cache_hits + cache_misses` moves
-/// exactly once per request however many threads probed.
+/// a decode worker or the event-loop thread: look the key up inside
+/// `stage` (the `"cache"` span, already begun) and, on a hit, count it
+/// and rank, the rank stage beginning where the cache stage ends. `None`
+/// on a miss, with **no counter moved**: whoever goes on to decode the
+/// window ([`serve_window`]) counts it, so `cache_hits + cache_misses`
+/// moves exactly once per request however many threads probed. A hit
+/// comes with its latency, for the caller's flight record.
 pub(crate) fn answer_cached(
     cache: &RecCache,
     metrics: &Metrics,
     key: &CacheKey,
     n: usize,
     since: Instant,
-) -> Option<PerKind<Vec<String>>> {
-    let hit = Span::in_span_with("cache", &metrics.stage_cache, || cache.get_shared(key))?;
+    stage: SpanGuard<'_>,
+) -> Option<(PerKind<Vec<String>>, Duration)> {
+    let hit = cache.get_shared(key)?;
+    let rank = stage.then("rank", &metrics.stage_rank);
     Metrics::bump(&metrics.cache_hits);
     trace::note_cache_hit(true);
-    Some(rank_top_n(metrics, &hit, n, since))
+    Some(rank_top_n(metrics, &hit, n, since, rank))
 }
 
 /// Serve a resolved window on a thread that can decode: the cached
@@ -351,13 +359,15 @@ fn serve_window(
     since: Instant,
     decode: impl FnOnce() -> CachedRanking,
 ) -> (PerKind<Vec<String>>, bool) {
-    if let Some(fragments) = answer_cached(cache, metrics, &key, n, since) {
+    let probe = Span::enter_with("cache", &metrics.stage_cache);
+    if let Some((fragments, _)) = answer_cached(cache, metrics, &key, n, since, probe) {
         return (fragments, true);
     }
     Metrics::bump(&metrics.cache_misses);
     let ranked = Arc::new(Span::in_span_with("decode", &metrics.stage_decode, decode));
     cache.put(key, Arc::clone(&ranked));
-    (rank_top_n(metrics, &ranked, n, since), false)
+    let rank = Span::enter_with("rank", &metrics.stage_rank);
+    (rank_top_n(metrics, &ranked, n, since, rank).0, false)
 }
 
 #[cfg(test)]

@@ -675,7 +675,7 @@ impl EventLoop {
         // here; otherwise it rides the DecodeRequest to the worker, which
         // records the remaining stages.
         let t0 = Instant::now();
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id()) {
+        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), t0) {
             trace::install(ctx);
         }
         trace::note_queue_depth(self.shared.engine.queued() as u64);
@@ -766,21 +766,26 @@ impl EventLoop {
             return LoopSide::Defer;
         };
         let epoch = shared.registry.epoch();
-        let session_stage = Span::enter_with("session", &shared.metrics.stage_session);
+        // The session stage begins at the request's arrival (`t0`, read
+        // already), so it also covers starting the trace: a clock read
+        // saved, where every read is a share of the spine's budget.
+        let session_stage = Span::enter_at("session", &shared.metrics.stage_session, t0);
         let pushed = sessions.push_sql(session, sql, |ctx| {
             // The push is applied; what follows under the shard lock —
             // so that a miss takes the tokens of this very window — is
             // the cache and rank stages.
-            drop(session_stage);
+            let cache_stage = session_stage.then("cache", &shared.metrics.stage_cache);
             let key = CacheKey::from_window(epoch, ctx.window_tokens());
-            answer_cached(&shared.cache, &shared.metrics, &key, n, t0)
+            answer_cached(&shared.cache, &shared.metrics, &key, n, t0, cache_stage)
                 .ok_or_else(|| ctx.input_tokens())
         });
         match pushed {
-            Ok(Ok(fragments)) => {
+            Ok(Ok((fragments, latency))) => {
                 trace::note_batch(0, epoch);
+                // The request's total is its latency sample: the loop
+                // has nothing left to do but encode the reply.
                 if let Some(ctx) = trace::uninstall() {
-                    flight::global().record(ctx, t0.elapsed());
+                    flight::global().record(ctx, latency);
                 }
                 LoopSide::Done(response_line(&Response::recommendation(
                     fragments, epoch, true,

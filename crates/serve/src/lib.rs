@@ -7,7 +7,9 @@
 //! small JSON-lines-over-TCP protocol:
 //!
 //! * [`session_store`] — sharded, RwLock-per-shard store of live
-//!   [`SessionContext`](qrec_core::SessionContext)s with TTL eviction.
+//!   [`SessionContext`](qrec_core::SessionContext)s with TTL eviction;
+//!   its pushes parse through a bounded table of repeated statements
+//!   (`statements`), so a statement seen before is not parsed again.
 //! * [`batcher`] — decode engine: a bounded queue feeds worker
 //!   threads, one job per hand-off; a full queue is typed backpressure
 //!   ([`ServeError::Overloaded`]).
@@ -61,6 +63,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 pub mod session_store;
+mod statements;
 pub mod telemetry;
 pub mod zoo;
 
@@ -75,5 +78,6 @@ pub use protocol::{HistoryReply, Request, Response, StatsReply};
 pub use registry::ModelRegistry;
 pub use server::{QuantMode, Server, ServerConfig};
 pub use session_store::{MemoryOnly, SessionStore};
+pub use statements::{StatementStats, STATEMENT_TABLE_BYTES};
 pub use telemetry::{Telemetry, WindowFrame};
 pub use zoo::ModelZoo;

@@ -12,7 +12,10 @@
 //!
 //! A push is three steps — parse the statement, write it through to the
 //! durable tier, apply it to the in-memory context — and the two kinds
-//! of store differ in the middle one only:
+//! of store differ in the middle one only. The parse goes through the
+//! store's statement table (`statements.rs`), so a statement the server
+//! has seen before is looked up, not parsed again, and the sessions that
+//! ran it share its token array:
 //!
 //! * **Memory only** ([`SessionStore::new`]): there is no second step,
 //!   so a push never blocks. [`SessionStore::memory_only`] hands out the
@@ -27,10 +30,10 @@
 //!   decode worker. TTL eviction then becomes *tiering*: a sweep
 //!   drops the memory copy but the disk record remains, and a later
 //!   request for the same id rehydrates the context by re-parsing the
-//!   persisted statements (parsing is deterministic, so the rebuilt
-//!   window matches the original). A `SIGKILL`ed server therefore comes
-//!   back with its sessions intact — the restart integration test pins
-//!   this end to end.
+//!   persisted statements through the same table (parsing is
+//!   deterministic, so the rebuilt window matches the original). A
+//!   `SIGKILL`ed server therefore comes back with its sessions intact —
+//!   the restart integration test pins this end to end.
 //!
 //! Either way a resident session costs its window, not its history: a
 //! [`SessionContext`] keeps the tokens of its last `window` queries and
@@ -47,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
 use crate::protocol::write_json_array;
+use crate::statements::{StatementStats, StatementTable};
 
 /// Cap on persisted statements per session: enough to rebuild any
 /// realistic model window (the paper serves window 1–3) while bounding
@@ -81,7 +85,7 @@ struct Entry {
 impl Entry {
     /// Step three of a push: the in-memory apply of the statement's
     /// model tokens.
-    fn apply(&mut self, tokens: Vec<String>) {
+    fn apply(&mut self, tokens: Arc<[String]>) {
         self.ctx.push_tokens(tokens);
         self.last_seen = Instant::now();
     }
@@ -95,6 +99,8 @@ pub struct SessionStore {
     evicted: AtomicU64,
     durable: Option<Arc<Store>>,
     rehydrated: AtomicU64,
+    /// Every parse goes through it: pushes and rehydration.
+    statements: StatementTable,
     /// Observer for the template id of every successfully parsed push
     /// (the telemetry sketch in serve); set once at server start.
     template_sink: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
@@ -129,7 +135,7 @@ impl MemoryOnly<'_> {
 
 /// FNV-1a, stable across runs (unlike `DefaultHasher`'s random keys),
 /// so shard routing is deterministic and testable.
-fn fnv1a(s: &str) -> u64 {
+pub(crate) fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= u64::from(*b);
@@ -165,6 +171,7 @@ impl SessionStore {
             evicted: AtomicU64::new(0),
             durable,
             rehydrated: AtomicU64::new(0),
+            statements: StatementTable::new(),
             template_sink: OnceLock::new(),
         }
     }
@@ -212,8 +219,10 @@ impl SessionStore {
     }
 
     /// Rebuild a session context from its persisted statements.
-    /// Statements are re-parsed; parsing is deterministic, so the
-    /// rebuilt window matches what the original process served.
+    /// Statements are re-parsed through the statement table (without
+    /// the template sink: they were shown to it when pushed); parsing is
+    /// deterministic, so the rebuilt window matches what the original
+    /// process served.
     fn rehydrate(&self, id: &str) -> Result<Option<(SessionContext, Vec<String>)>, ServeError> {
         let Some(raws) = self.load_raws(id)? else {
             return Ok(None);
@@ -224,8 +233,8 @@ impl SessionStore {
             // Statements were valid when persisted; skip (rather than
             // fail on) any the parser no longer accepts so one stale
             // record cannot brick a session.
-            if let Ok(prepared) = qrec_sql::prepare(&sql) {
-                ctx.push_tokens(prepared.tokens);
+            if let Ok(statement) = self.statements.prepare(&sql) {
+                ctx.push_tokens(statement.tokens);
                 kept.push(sql);
             }
         }
@@ -233,17 +242,26 @@ impl SessionStore {
         Ok(Some((ctx, kept)))
     }
 
-    /// Step one of a push: parse the statement into its model tokens
-    /// (outside any lock, so a slow or invalid statement never blocks
-    /// other sessions) and show its template id to the telemetry sink.
-    /// The serving parse ([`qrec_sql::prepare`]) derives those two and
-    /// nothing else of the statement.
-    fn parse(&self, sql: &str) -> Result<Vec<String>, ServeError> {
-        let prepared = qrec_sql::prepare(sql).map_err(|e| ServeError::Sql(e.to_string()))?;
+    /// Step one of a push: the statement's model tokens, from the
+    /// statement table or parsed (outside any session lock, so a slow or
+    /// invalid statement never blocks other sessions), and its template
+    /// id shown to the telemetry sink, hit or miss. The serving parse
+    /// ([`qrec_sql::prepare`]) derives those two and nothing else of the
+    /// statement.
+    fn parse(&self, sql: &str) -> Result<Arc<[String]>, ServeError> {
+        let statement = self
+            .statements
+            .prepare(sql)
+            .map_err(|e| ServeError::Sql(e.to_string()))?;
         if let Some(sink) = self.template_sink.get() {
-            sink(prepared.template_id);
+            sink(statement.template_id);
         }
-        Ok(prepared.tokens)
+        Ok(statement.tokens)
+    }
+
+    /// The size and counters of the statement table pushes parse through.
+    pub fn statement_stats(&self) -> StatementStats {
+        self.statements.stats()
     }
 
     /// Append a SQL statement to a session, creating the session on
@@ -278,7 +296,7 @@ impl SessionStore {
     fn apply_in_memory<T>(
         &self,
         id: &str,
-        tokens: Vec<String>,
+        tokens: Arc<[String]>,
         read: impl FnOnce(&SessionContext) -> T,
     ) -> T {
         let apply = |entry: &mut Entry| {
@@ -302,34 +320,34 @@ impl SessionStore {
         disk: &Store,
         id: &str,
         sql: &str,
-        tokens: Vec<String>,
+        tokens: Arc<[String]>,
     ) -> Result<Vec<String>, ServeError> {
         // Tiered miss: rebuild the context from disk before taking the
-        // shard lock, so re-parsing history never blocks the shard.
-        let mut resurrected = if self.resident(id) {
-            None
-        } else {
-            self.rehydrate(id)?
-        };
-        let mut shard = self.shard(id).write();
-        let entry = match shard.entry(id.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let (ctx, raws) = match resurrected.take() {
-                    Some(pair) => pair,
-                    // Evicted between the residency probe and the lock:
-                    // the disk copy is authoritative, fetch it now.
-                    None => self
-                        .rehydrate(id)?
-                        .unwrap_or_else(|| (SessionContext::new(self.window), Vec::new())),
-                };
-                v.insert(Entry {
-                    ctx,
-                    raws,
-                    last_seen: Instant::now(),
-                })
+        // shard lock, so reading and re-parsing history never blocks the
+        // shard (nor takes the statement table's lock under it).
+        let (mut shard, fetched) = loop {
+            let fetched = if self.resident(id) {
+                None
+            } else {
+                Some(self.rehydrate(id)?)
+            };
+            let shard = self.shard(id).write();
+            if fetched.is_some() || shard.contains_key(id) {
+                break (shard, fetched);
             }
+            // Evicted between the residency probe and the lock: the disk
+            // copy is authoritative, fetch it and try again.
         };
+        let entry = shard.entry(id.to_string()).or_insert_with(|| {
+            let (ctx, raws) = fetched
+                .flatten()
+                .unwrap_or_else(|| (SessionContext::new(self.window), Vec::new()));
+            Entry {
+                ctx,
+                raws,
+                last_seen: Instant::now(),
+            }
+        });
         // The record is the last MAX_PERSISTED_QUERIES statements with
         // this one: written straight from the entry's list, which
         // changes only once the write is acknowledged.

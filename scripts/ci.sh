@@ -63,8 +63,12 @@ echo "==> serving parse, cache key and reply bytes against their oracles (releas
 # parse is held to QueryRecord::new (tokens, template id, errors), the
 # key to injectivity over token windows, the reply and the durable
 # session record to serde_json's bytes. They run again in the build that
-# ships, as decode_equivalence does.
+# ships, as decode_equivalence does. A repeated statement is not parsed
+# at all but looked up in the session store's statement table: its
+# answers are held to prepare's, its bounds to 4 MiB and second-sighting
+# admission, and a push of a stored statement to zero allocations.
 cargo test --offline -q --release -p qrec-workload --test serving_parse
+cargo test --offline -q --release -p qrec-serve --test statement_table --test push_allocations
 cargo test --offline -q --release -p qrec-serve --test cache_key --test reply_bytes
 cargo test --offline -q --release -p qrec-serve --lib session_record_bytes
 
@@ -117,6 +121,9 @@ echo "==> serve_integration, telemetry_stream and frontend_robustness under the 
 # that drives both sides, so an ordering slip fails here by name and not
 # somewhere inside the workspace-wide sanitizer run above.
 QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test serve_integration
+# The statement table's lock is taken by the loop and the workers alike,
+# and never together with a session shard: name the suite that drives it.
+QREC_LOCK_ORDER_CHECK=1 cargo test --offline -q -p qrec-serve --test statement_table
 # The housekeeping thread takes the session-shard write locks (sweep) and
 # the telemetry lock (seal) on one thread, while the loop reads both for
 # WATCH and the workers push sessions: name the suites that drive it.
