@@ -7,9 +7,9 @@
 //! handful of relaxed atomic stores — nothing when no slot is
 //! registered or the profiler is off). A dedicated sampler thread wakes
 //! ~97 times a second (a prime rate, so it cannot phase-lock with the
-//! serve timer wheel's 10 ms ticks), reads every slot, and folds the
-//! observed stacks into a fixed-capacity flamegraph-style table that
-//! the serve `PROF` verb reports.
+//! serve housekeeping sweep or the telemetry window seals), reads every
+//! slot, and folds the observed stacks into a fixed-capacity
+//! flamegraph-style table that the serve `PROF` verb reports.
 //!
 //! ## Safety and accuracy notes
 //!
@@ -39,7 +39,8 @@ const MAX_DEPTH: usize = 16;
 const FOLD_CAP: usize = 256;
 
 /// Sampling rate. Prime on purpose: 97 Hz cannot alias against the
-/// 10 ms timer wheel or any whole-millisecond periodic work.
+/// serve housekeeping sweep, the telemetry window seals or any other
+/// whole-millisecond periodic work.
 pub const SAMPLE_HZ: u64 = 97;
 
 /// Whether the sampler is running (and slots should be maintained).

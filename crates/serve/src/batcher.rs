@@ -1,14 +1,17 @@
 //! Decode engine: a bounded queue in front of a pool of decode workers.
 //!
-//! Decode jobs flow through one bounded MPMC channel into a pool of
-//! worker threads. A worker takes one job per `recv`, reads the
+//! Decode jobs wait in one `JobQueue` — a FIFO and a closed flag under
+//! one mutex, plus one condvar idle workers sleep on — shared by the
+//! engine and its workers. A worker pops one job at a time, reads the
 //! registry once for it — one `(epoch, model)` snapshot, so the job is
-//! internally consistent across a concurrent hot-swap — and serves it;
-//! whichever worker is idle takes the next job.
+//! internally consistent across a concurrent hot-swap — and serves it
+//! with no lock held; whichever worker is idle takes the next job.
 //!
-//! Backpressure is typed: submission uses `try_send`, and a full queue
+//! Backpressure is typed: submission never waits, and a full queue
 //! surfaces as [`ServeError::Overloaded`] immediately instead of
 //! blocking the event loop — the client decides whether to retry.
+//! Shutdown closes the queue: submissions fail from then on, and the
+//! workers exit once they have served every job already accepted.
 //!
 //! Not every RECOMMEND gets this far. The event loop resolves the
 //! session window of a memory-only store itself and answers a cache hit
@@ -18,14 +21,14 @@
 //! needs a worker: a window to decode, or — with a durable session tier
 //! — any request, because its WAL write may block ([`PrepareFn`]).
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use qrec_core::predict::PerKind;
 use qrec_nn::decode::EncCache;
 use qrec_nn::Strategy;
 use qrec_obs::{trace, Span, SpanGuard, TraceContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{mpsc, Arc, Condvar, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -81,6 +84,65 @@ struct Job {
     enqueued: Instant,
 }
 
+/// The jobs a [`JobQueue`] holds, and whether it still accepts more.
+struct Backlog {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+/// The queue's lock. The rest of the crate standardizes on
+/// `parking_lot`, but the shim has no `Condvar` to wait on it with.
+// qrec-lint: allow(shim-surface-drift) -- parking_lot shim has no Condvar; std Mutex+Condvar is the only wait/notify pair available offline
+type BacklogMutex = std::sync::Mutex<Backlog>;
+
+/// The engine's bounded job queue, shared with its workers. The engine
+/// pushes and closes it; no lock is held while a job runs: a worker
+/// pops, unlocks, then serves.
+struct JobQueue {
+    backlog: BacklogMutex,
+    /// Signalled when a job arrives (one waiter) or the queue closes
+    /// (every waiter).
+    ready: Condvar,
+    cap: usize,
+}
+
+impl JobQueue {
+    fn new(cap: usize) -> Self {
+        JobQueue {
+            backlog: BacklogMutex::new(Backlog {
+                jobs: VecDeque::new(),
+                closed: false,
+            }),
+            ready: Condvar::new(),
+            cap,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Backlog> {
+        // Nothing panics under this lock, so a poisoned one still
+        // holds a consistent backlog.
+        self.backlog.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next job, waiting for one while the queue is open; `None`
+    /// once it is closed and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut backlog = self.lock();
+        loop {
+            if let Some(job) = backlog.jobs.pop_front() {
+                return Some(job);
+            }
+            if backlog.closed {
+                return None;
+            }
+            backlog = self
+                .ready
+                .wait(backlog)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -105,13 +167,10 @@ impl Default for EngineConfig {
 }
 
 /// The decode engine. Dropping it (or calling
-/// [`DecodeEngine::shutdown`]) disconnects the queue and joins the
-/// workers after they finish jobs already accepted.
+/// [`DecodeEngine::shutdown`]) closes the queue and joins the workers
+/// after they finish jobs already accepted.
 pub struct DecodeEngine {
-    tx: Option<Sender<Job>>,
-    /// Kept so the queue stays connected even with zero workers;
-    /// workers clone their receivers from this one.
-    rx: Receiver<Job>,
+    queue: Arc<JobQueue>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -128,10 +187,10 @@ impl DecodeEngine {
         cache: Arc<RecCache>,
         metrics: Arc<Metrics>,
     ) -> std::io::Result<Self> {
-        let (tx, rx) = bounded::<Job>(cfg.queue_cap.max(1));
+        let queue = Arc::new(JobQueue::new(cfg.queue_cap.max(1)));
         let workers = (0..cfg.workers)
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 let registry = Arc::clone(&registry);
                 let cache = Arc::clone(&cache);
                 let metrics = Arc::clone(&metrics);
@@ -146,7 +205,7 @@ impl DecodeEngine {
                         let mut rng = StdRng::seed_from_u64(0x5eed ^ (i as u64));
                         let mut enc_cache = EncCache::new(8);
                         worker_loop(
-                            &rx,
+                            &queue,
                             strategy,
                             &registry,
                             &cache,
@@ -157,11 +216,7 @@ impl DecodeEngine {
                     })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(DecodeEngine {
-            tx: Some(tx),
-            rx,
-            workers,
-        })
+        Ok(DecodeEngine { queue, workers })
     }
 
     /// Submit a job without blocking and without waiting: `reply` runs
@@ -182,23 +237,28 @@ impl DecodeEngine {
         prepare: Option<PrepareFn>,
         reply: ReplyFn,
     ) -> Result<(), ServeError> {
-        let tx = self.tx.as_ref().ok_or(ServeError::ShuttingDown)?;
         let job = Job {
             req,
             prepare,
             reply,
             enqueued: Instant::now(),
         };
-        match tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+        let mut backlog = self.queue.lock();
+        if backlog.closed {
+            return Err(ServeError::ShuttingDown);
         }
+        if backlog.jobs.len() >= self.queue.cap {
+            return Err(ServeError::Overloaded);
+        }
+        backlog.jobs.push_back(job);
+        drop(backlog);
+        self.queue.ready.notify_one();
+        Ok(())
     }
 
     /// Submit and wait for the result.
     pub fn recommend(&self, req: DecodeRequest) -> Result<Recommendation, ServeError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         // A dropped receiver (caller gone) is fine; ignore the error.
         let reply = Box::new(move |result| drop(tx.send(result)));
         self.submit_callback(req, None, reply)?;
@@ -207,14 +267,16 @@ impl DecodeEngine {
 
     /// Queue depth right now (approximate under concurrency).
     pub fn queued(&self) -> usize {
-        self.rx.len()
+        self.queue.lock().jobs.len()
     }
 
-    /// Disconnect the queue and join the workers. Jobs already accepted
+    /// Close the queue and join the workers. Jobs already accepted
     /// are served; new submissions fail with
     /// [`ServeError::ShuttingDown`].
     pub fn shutdown(&mut self) {
-        self.tx = None; // drop the sender: workers drain, then exit
+        // Wake every idle worker: each drains what is left, then exits.
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -246,7 +308,7 @@ fn beam_width(s: Strategy) -> u64 {
 }
 
 fn worker_loop(
-    rx: &Receiver<Job>,
+    queue: &JobQueue,
     strategy: Strategy,
     registry: &ModelRegistry,
     cache: &RecCache,
@@ -254,7 +316,7 @@ fn worker_loop(
     rng: &mut StdRng,
     enc_cache: &mut EncCache,
 ) {
-    while let Ok(mut job) = rx.recv() {
+    while let Some(mut job) = queue.pop() {
         // One job per hand-off: the two counters move together, and the
         // STATS/TRACE wire shape keeps both.
         Metrics::bump(&metrics.batches);
@@ -377,10 +439,8 @@ mod tests {
     /// An engine with no workers (and so no model): jobs queue but are
     /// never served.
     fn idle_engine(queue_cap: usize) -> DecodeEngine {
-        let (tx, rx) = bounded::<Job>(queue_cap);
         DecodeEngine {
-            tx: Some(tx),
-            rx,
+            queue: Arc::new(JobQueue::new(queue_cap)),
             workers: Vec::new(),
         }
     }

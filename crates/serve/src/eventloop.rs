@@ -13,14 +13,16 @@
 //! `LOOP_PARSE_MAX_BYTES` of it), pushes it, probes the cache on the
 //! session's window and ranks the reply on the spot
 //! (`EventLoop::try_on_loop`) — the most common request of a warm server
-//! never leaves this thread. Everything else goes to the decode worker
-//! pool via [`crate::batcher::DecodeEngine::submit_callback`]: a window
-//! the cache does not hold (the model runs there), any statement longer
-//! than the cap, and — when a data directory is configured — every
-//! request, with the session push deferred to the worker, because the
-//! WAL write that must precede the acknowledgement may fsync and a
-//! blocked loop stalls every connection. Completions come back through a
-//! channel plus a [`polling::Waker`] that interrupts the poll.
+//! never leaves this thread. Everything else goes into the decode
+//! engine's bounded job queue via
+//! [`crate::batcher::DecodeEngine::submit_callback`]: a window the cache
+//! does not hold (the model runs there), any statement longer than the
+//! cap, and — when a data directory is configured — every request, with
+//! the session push deferred to the worker, because the WAL write that
+//! must precede the acknowledgement may fsync and a blocked loop stalls
+//! every connection. Completions come back through a
+//! [`std::sync::mpsc`] channel, whose `Sender` each reply closure holds
+//! a clone of, plus a [`polling::Waker`] that interrupts the poll.
 //!
 //! The backpressure ladder, outside-in:
 //!
@@ -37,13 +39,13 @@
 //! after a backoff — a level-triggered listener with pending
 //! connections would otherwise spin the loop at 100% CPU.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Events, Interest, Poller, Token, Waker};
 use qrec_obs::{flight, trace, Span, TraceContext};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -241,7 +243,7 @@ impl EventLoop {
         let poller = Poller::new()?;
         poller.register(&listener, TOKEN_LISTENER, Interest::READABLE)?;
         let waker = Arc::new(Waker::new(&poller, TOKEN_WAKER)?);
-        let (completion_tx, completions) = unbounded();
+        let (completion_tx, completions) = mpsc::channel();
         // Windows sealed before the loop starts (restored history) are
         // the `HISTORY` verb's business; WATCH streams only what seals
         // from now on.

@@ -8,7 +8,7 @@
 //!
 //! Shutdown is graceful and race-free: the flag stops accepting, every
 //! request accepted before the flag flipped still gets its response,
-//! and only then is the decode engine disconnected.
+//! and only then is the decode engine's queue closed.
 
 use qrec_core::Recommender;
 use qrec_obs::flight;
@@ -60,6 +60,13 @@ impl QuantMode {
     }
 }
 
+/// Queries of context the model sees per session: 1, the paper's
+/// configuration (only the latest query).
+const SESSION_WINDOW: usize = 1;
+
+/// Lock shards in the session store.
+const SESSION_SHARDS: usize = 8;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -82,11 +89,6 @@ pub struct ServerConfig {
     pub drain_timeout: Duration,
     /// Decode engine settings.
     pub engine: EngineConfig,
-    /// Queries of context fed to the model per session (1 = paper's
-    /// configuration: only the latest query).
-    pub session_window: usize,
-    /// Lock shards in the session store.
-    pub session_shards: usize,
     /// Idle time after which a session is evicted. The housekeeping
     /// thread sweeps every sixtieth of it (at least every millisecond),
     /// so a session leaves within `session_ttl * 61 / 60` of its last
@@ -114,10 +116,6 @@ pub struct ServerConfig {
     pub window_width: Duration,
     /// Sealed telemetry windows retained in memory (the `HISTORY` ring).
     pub window_buckets: usize,
-    /// Byte cap on the durable telemetry log under `data_dir`
-    /// (`telemetry.log`); oldest frames are dropped past it. 0 means
-    /// the store default. Ignored without `data_dir`.
-    pub telemetry_log_bytes: u64,
     /// Start the sampling wall-clock profiler with the server (the
     /// `PROF` verb reports whatever has been collected; the profiler
     /// can also be toggled per-process via `qrec_obs::prof`).
@@ -134,8 +132,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(15 * 60),
             drain_timeout: Duration::from_secs(5),
             engine: EngineConfig::default(),
-            session_window: 1,
-            session_shards: 8,
             session_ttl: Duration::from_secs(30 * 60),
             cache_capacity: 1024,
             data_dir: None,
@@ -143,7 +139,6 @@ impl Default for ServerConfig {
             quant: QuantMode::F32,
             window_width: Duration::from_secs(10),
             window_buckets: 60,
-            telemetry_log_bytes: 0,
             profiler: false,
         }
     }
@@ -151,7 +146,8 @@ impl Default for ServerConfig {
 
 /// Mutex pairing with [`std::sync::Condvar`] for shutdown signalling.
 /// The rest of the crate standardizes on `parking_lot`, but the shim
-/// has no `Condvar`, so this one flag stays on std's primitives.
+/// has no `Condvar`, so two locks stay on std's primitives: this flag
+/// and the decode engine's job queue.
 // qrec-lint: allow(shim-surface-drift) -- parking_lot shim has no Condvar; std Mutex+Condvar is the only wait/notify pair available offline
 type ShutdownMutex = std::sync::Mutex<bool>;
 
@@ -260,12 +256,12 @@ impl Server {
         let registry = Arc::new(ModelRegistry::with_epoch(boot_model, boot_epoch));
         let store = Arc::new(match &durable {
             Some(d) => SessionStore::with_durable(
-                cfg.session_shards,
-                cfg.session_window,
+                SESSION_SHARDS,
+                SESSION_WINDOW,
                 cfg.session_ttl,
                 Arc::clone(d),
             ),
-            None => SessionStore::new(cfg.session_shards, cfg.session_window, cfg.session_ttl),
+            None => SessionStore::new(SESSION_SHARDS, SESSION_WINDOW, cfg.session_ttl),
         });
         let cache = Arc::new(RecCache::new(cfg.cache_capacity));
         let metrics = Arc::new(Metrics::new());
@@ -287,7 +283,7 @@ impl Server {
         if let Some(dir) = &cfg.data_dir {
             let (log, frames) = TelemetryLog::open(
                 &dir.join("telemetry.log"),
-                cfg.telemetry_log_bytes,
+                qrec_store::tlog::DEFAULT_MAX_BYTES,
                 qrec_store::FsyncPolicy::Never,
             )
             .map_err(store_err)?;

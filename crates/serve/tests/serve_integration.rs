@@ -7,15 +7,17 @@
 //! saturated queue, two workers serving two queued jobs concurrently,
 //! model hot-swap mid-serve, and graceful shutdown. A second, smaller
 //! scenario checks over the wire that a rejected RECOMMEND is not
-//! counted as accepted; two more pin where a request is served — a
+//! counted as accepted; another that the decode engine's shutdown
+//! serves every job it accepted exactly once; two more pin where a
+//! request is served — a
 //! cache hit on the event-loop thread (no decode worker involved, replies
 //! still in request order), anything durable or oversized on a worker;
 //! one more checks that the running server evicts idle sessions.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{
-    Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, MetricsSnapshot, RecCache,
-    Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
+    Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, MetricsSnapshot, ModelRegistry,
+    RecCache, Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
 };
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
@@ -271,6 +273,70 @@ fn rejected_recommend_is_counted_overloaded_not_accepted() {
     assert_eq!(m.recommends, 1, "only the queued request was accepted");
     assert_eq!(m.overloaded, 1);
     assert_eq!(m.errors, 0);
+}
+
+/// `shutdown` drains: every job the engine accepted is served exactly
+/// once before it returns, the ones still queued when it closed the
+/// queue included.
+#[test]
+fn shutdown_serves_every_accepted_job_once() {
+    const JOBS: usize = 8;
+    let mut engine = DecodeEngine::start(
+        EngineConfig {
+            workers: 2,
+            queue_cap: JOBS,
+            ..EngineConfig::default()
+        },
+        Arc::new(ModelRegistry::new(train_tiny(5))),
+        Arc::new(RecCache::new(2 * JOBS)),
+        Arc::new(Metrics::new()),
+    )
+    .expect("start");
+    // The first two jobs hold both workers in `prepare` for a moment, so
+    // the other six are still queued when `shutdown` closes the queue.
+    // `shutdown` closes and joins in one blocking call, so nothing
+    // outside it can order the close before the release; the hold makes
+    // that order all but certain, and the assertions hold in any order.
+    let (started_tx, started) = mpsc::channel();
+    let (done_tx, done) = mpsc::channel();
+    for i in 0..JOBS {
+        let started_tx = started_tx.clone();
+        let prepare = Box::new(move || {
+            if i < 2 {
+                let _ = started_tx.send(());
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            Ok(vec!["select".to_string(), format!("c{i}")])
+        });
+        let done_tx = done_tx.clone();
+        let reply = Box::new(move |result| drop(done_tx.send((i, result))));
+        let req = DecodeRequest {
+            tokens: Vec::new(),
+            n: 3,
+            trace: None,
+        };
+        engine
+            .submit_callback(req, Some(prepare), reply)
+            .expect("queue has room");
+    }
+    for _ in 0..2 {
+        started
+            .recv_timeout(Duration::from_secs(30))
+            .expect("both workers took a job");
+    }
+    assert_eq!(engine.queued(), JOBS - 2, "both workers are held");
+    engine.shutdown();
+
+    let mut served: Vec<usize> = done
+        .try_iter()
+        .map(|(i, result)| {
+            assert!(result.is_ok(), "job {i}: {result:?}");
+            i
+        })
+        .collect();
+    served.sort_unstable();
+    assert_eq!(served, (0..JOBS).collect::<Vec<_>>(), "one reply per job");
+    assert_eq!(engine.queued(), 0);
 }
 
 fn metrics(c: &mut Client) -> MetricsSnapshot {

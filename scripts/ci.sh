@@ -7,6 +7,36 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> every shim is a workspace dependency some crate uses"
+# Every directory under shims/ is a workspace member, so a shim nothing
+# depends on still builds, lints and tests green and would be carried
+# unnoticed. Each must be the path of a [workspace.dependencies] entry
+# that some manifest (root, crates/*, shims/*) takes with
+# `workspace = true`.
+python3 - <<'PY'
+import glob, os, sys, tomllib
+
+def load(path):
+    with open(path, "rb") as f:
+        return tomllib.load(f)
+
+deps = load("Cargo.toml")["workspace"]["dependencies"]
+by_dir = {os.path.normpath(spec["path"]): name
+          for name, spec in deps.items() if isinstance(spec, dict) and "path" in spec}
+used = set()
+for manifest in ["Cargo.toml"] + glob.glob("crates/*/Cargo.toml") + glob.glob("shims/*/Cargo.toml"):
+    doc = load(manifest)
+    for table in ("dependencies", "dev-dependencies", "build-dependencies"):
+        for name, spec in doc.get(table, {}).items():
+            if isinstance(spec, dict) and spec.get("workspace"):
+                used.add(name)
+dead = [d for d in sorted(glob.glob("shims/*/"))
+        if by_dir.get(os.path.normpath(d)) not in used]
+for d in dead:
+    print(f"{d}: not a [workspace.dependencies] path that any manifest uses")
+sys.exit(1 if dead else 0)
+PY
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
