@@ -193,7 +193,7 @@ const MICRO_OPS: usize = 10_000;
 /// Returns `(window_record, sketch_update)` rep stats; one rep is
 /// `MICRO_OPS` operations.
 fn microbench() -> (RepStats, RepStats) {
-    let windows = WindowSet::new(64);
+    let windows = WindowSet::new();
     let counter = std::sync::Arc::new(Counter::new("bench.obs.micro"));
     windows.track_counter(std::sync::Arc::clone(&counter));
     let mut unix_ms = 0u64;

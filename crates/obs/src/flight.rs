@@ -3,16 +3,18 @@
 //!
 //! The ring is a fixed array of slots addressed by a monotonically
 //! increasing cursor (`fetch_add % capacity`), so writers claim distinct
-//! slots without coordinating; each slot holds a [`FinishedTrace`] *by
-//! value* behind its own mutex, held only for the copy. Storing the
-//! plain-data form means recording a completed request performs zero
-//! heap allocation — the wire-format [`FlightRecord`] (strings, `Vec`s)
-//! is only built on the `TRACE`/`DUMP` read path. Memory is strictly
-//! bounded and fixed: `(RING_CAPACITY + SLOWEST_CAPACITY) ×
-//! size_of::<FinishedTrace>()`, each trace capped at
+//! slots without coordinating. A slot holds the finished request's own
+//! boxed [`TraceContext`] behind a mutex held only for the swap: the
+//! box goes in, and the one it displaces becomes the recording thread's
+//! spare for its next [`TraceContext::start`]. Recording never
+//! allocates, and once the ring is full neither does starting a trace
+//! on a thread that records them. The wire-format [`FlightRecord`] (strings, `Vec`s) is only built on the
+//! `TRACE`/`DUMP` read path. Memory is bounded: `(RING_CAPACITY +
+//! SLOWEST_CAPACITY) × size_of::<TraceContext>()` plus one spare box
+//! per recording thread, each trace capped at
 //! [`crate::trace::MAX_STAGES`] inline stages.
 
-use crate::trace::{micros, FinishedTrace, TraceContext};
+use crate::trace::{micros, TraceContext};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,11 +71,11 @@ pub struct FlightRecord {
 
 /// Bounded store of completed request traces.
 pub struct FlightRecorder {
-    slots: Vec<Mutex<Option<FinishedTrace>>>,
+    slots: Vec<Mutex<Option<Box<TraceContext>>>>,
     cursor: AtomicU64,
     slowest_cap: usize,
     /// Sorted descending by `total_us`.
-    slowest: Mutex<Vec<FinishedTrace>>,
+    slowest: Mutex<Vec<TraceContext>>,
     /// Admission floor for the reservoir: once it is full, records at or
     /// below this `total_us` are rejected with a relaxed load — fast
     /// requests never touch the `slowest` lock. Zero until full.
@@ -92,42 +94,26 @@ impl FlightRecorder {
         }
     }
 
-    /// Finish `ctx` and store it. No-op when the spine is disabled.
-    /// Allocation-free: the context is sealed straight into its ring slot
-    /// (its used stages only, not the whole stage storage), copied again
-    /// only if the reservoir takes it, and its box is kept for the next
-    /// trace this thread starts.
-    pub fn record(&self, ctx: Box<TraceContext>, total: Duration) {
+    /// Stamp `ctx` with its total duration and store it. No-op when the
+    /// spine is disabled. The box itself goes into the next ring slot
+    /// (the reservoir takes a copy only past its floor), and the box it
+    /// displaces is kept for the next trace this thread starts.
+    pub fn record(&self, mut ctx: Box<TraceContext>, total: Duration) {
         if !crate::enabled() {
             return;
         }
-        if let Some(slot) = self.next_slot() {
-            ctx.seal_into(
-                slot.lock().get_or_insert_with(FinishedTrace::default),
-                total,
-            );
+        ctx.total_us = micros(total);
+        if self.may_be_slowest(ctx.total_us) {
+            self.offer_slowest(*ctx);
         }
-        if self.may_be_slowest(micros(total)) {
-            self.offer_slowest(ctx.finish(total));
-        }
-        crate::trace::keep_spare(ctx);
-    }
-
-    /// Store an already-sealed trace (used by tests and by callers that
-    /// finish the context themselves).
-    pub fn store(&self, rec: FinishedTrace) {
-        if let Some(slot) = self.next_slot() {
-            *slot.lock() = Some(rec);
-        }
-        if self.may_be_slowest(rec.total_us) {
-            self.offer_slowest(rec);
-        }
-    }
-
-    /// Claim the ring slot for the next trace.
-    fn next_slot(&self) -> Option<&Mutex<Option<FinishedTrace>>> {
         let idx = (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.slots.len();
-        self.slots.get(idx)
+        let displaced = self
+            .slots
+            .get(idx)
+            .and_then(|slot| slot.lock().replace(ctx));
+        if let Some(spare) = displaced {
+            crate::trace::keep_spare(spare);
+        }
     }
 
     /// Lock-free rejection: the floor is the slowest entry's cutoff
@@ -138,7 +124,7 @@ impl FlightRecorder {
         self.slowest_cap > 0 && (floor == 0 || total_us > floor)
     }
 
-    fn offer_slowest(&self, rec: FinishedTrace) {
+    fn offer_slowest(&self, rec: TraceContext) {
         let mut slow = self.slowest.lock();
         let full = slow.len() >= self.slowest_cap;
         if full
@@ -169,7 +155,11 @@ impl FlightRecorder {
                 break;
             }
             let idx = (end - back) % self.slots.len();
-            if let Some(rec) = self.slots.get(idx).and_then(|s| *s.lock()) {
+            if let Some(rec) = self
+                .slots
+                .get(idx)
+                .and_then(|s| s.lock().as_deref().copied())
+            {
                 out.push(rec.to_record());
             }
         }
@@ -178,8 +168,8 @@ impl FlightRecorder {
 
     /// The slowest traces seen so far in wire format, slowest first.
     pub fn slowest(&self) -> Vec<FlightRecord> {
-        let slow: Vec<FinishedTrace> = self.slowest.lock().clone();
-        slow.iter().map(FinishedTrace::to_record).collect()
+        let slow: Vec<TraceContext> = self.slowest.lock().clone();
+        slow.iter().map(TraceContext::to_record).collect()
     }
 }
 
@@ -199,20 +189,19 @@ pub fn global() -> &'static FlightRecorder {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Instant;
 
-    fn rec(id: u64, total_us: u64) -> FinishedTrace {
-        FinishedTrace {
-            request_id: id,
-            total_us,
-            ..FinishedTrace::default()
-        }
+    fn record(fr: &FlightRecorder, id: u64, total_us: u64) {
+        let ctx = Box::new(TraceContext::blank(id, Instant::now()));
+        fr.record(ctx, Duration::from_micros(total_us));
     }
 
     #[test]
     fn ring_keeps_the_most_recent_records_newest_first() {
+        let _on = crate::tests::spine_on();
         let fr = FlightRecorder::with_capacity(4, 2);
         for id in 1..=6 {
-            fr.store(rec(id, id * 10));
+            record(&fr, id, id * 10);
         }
         let ids: Vec<u64> = fr.recent(10).iter().map(|r| r.request_id).collect();
         assert_eq!(ids, vec![6, 5, 4, 3]);
@@ -222,12 +211,13 @@ mod tests {
 
     #[test]
     fn slowest_reservoir_survives_ring_eviction() {
+        let _on = crate::tests::spine_on();
         let fr = FlightRecorder::with_capacity(2, 2);
-        fr.store(rec(1, 900));
+        record(&fr, 1, 900);
         for id in 2..=8 {
-            fr.store(rec(id, 10));
+            record(&fr, id, 10);
         }
-        fr.store(rec(9, 500));
+        record(&fr, 9, 500);
         let slow: Vec<u64> = fr.slowest().iter().map(|r| r.request_id).collect();
         assert_eq!(slow, vec![1, 9], "slowest first, kept past eviction");
         let recent: Vec<u64> = fr.recent(10).iter().map(|r| r.request_id).collect();
@@ -236,17 +226,16 @@ mod tests {
 
     #[test]
     fn record_is_gated_by_enabled() {
+        let _switch = crate::tests::spine_exclusive();
         crate::set_enabled(true);
         let fr = FlightRecorder::with_capacity(4, 2);
-        let ctx = TraceContext::start(3, std::time::Instant::now()).expect("enabled");
+        let ctx = TraceContext::start(3, Instant::now()).expect("enabled");
         fr.record(ctx, Duration::from_micros(50));
         assert_eq!(fr.recent(10).len(), 1);
 
-        crate::set_enabled(false);
         // A context started while enabled, finished after disabling.
         let fr2 = FlightRecorder::with_capacity(4, 2);
-        crate::set_enabled(true);
-        let ctx = TraceContext::start(4, std::time::Instant::now()).expect("enabled");
+        let ctx = TraceContext::start(4, Instant::now()).expect("enabled");
         crate::set_enabled(false);
         fr2.record(ctx, Duration::from_micros(50));
         assert!(fr2.recent(10).is_empty());
@@ -254,9 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_sealed_over_keeps_nothing_of_its_last_trace() {
+    fn a_slot_recorded_over_keeps_nothing_of_its_last_trace() {
         use crate::trace::StageRec;
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         let fr = FlightRecorder::with_capacity(1, 0);
         let stage = |name| StageRec {
             name,
@@ -264,13 +253,13 @@ mod tests {
             start_us: 1,
             dur_us: 2,
         };
-        let mut long = TraceContext::start(1, std::time::Instant::now()).expect("enabled");
+        let mut long = TraceContext::start(1, Instant::now()).expect("enabled");
         for name in ["session", "cache", "rank"] {
             long.push_stage(stage(name));
         }
         long.cache_hit = true;
         fr.record(long, Duration::from_micros(90));
-        let mut short = TraceContext::start(2, std::time::Instant::now()).expect("enabled");
+        let mut short = TraceContext::start(2, Instant::now()).expect("enabled");
         short.push_stage(stage("decode"));
         fr.record(short, Duration::from_micros(40));
         let recent = fr.recent(2);
@@ -282,14 +271,15 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_stores_never_lose_the_ring_invariants() {
+    fn concurrent_records_never_lose_the_ring_invariants() {
+        let _on = crate::tests::spine_on();
         let fr = Arc::new(FlightRecorder::with_capacity(8, 4));
         let writers: Vec<_> = (0..4)
             .map(|w| {
                 let fr = Arc::clone(&fr);
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        fr.store(rec(w * 1000 + i, i));
+                        record(&fr, w * 1000 + i, i);
                     }
                 })
             })

@@ -17,14 +17,15 @@
 //!   stack, so nested stages (request → batch wait → encode → per-step
 //!   decode → rank) aggregate into a stage-time breakdown.
 //! * [`trace`] / [`flight`] — per-request [`TraceContext`]s that travel
-//!   with a request across thread hand-offs and land in a lock-free
-//!   ring-buffer [`FlightRecorder`] (last N completed requests plus an
-//!   always-kept slowest-K reservoir).
+//!   with a request across thread hand-offs; the finished context itself
+//!   lands in a ring-buffer [`FlightRecorder`] (last N completed requests
+//!   plus an always-kept slowest-K reservoir).
 //! * [`expo`] — Prometheus-style text exposition of the registry, served
 //!   by qrec-serve's `DUMP` verb.
-//! * [`window`] — sliding-window delta rings over registered metrics:
-//!   sealed epoch buckets answer "how many in the last minute" without
-//!   touching the recording hot path.
+//! * [`window`] — per-window deltas over registered metrics: each seal
+//!   turns lifetime aggregates into one epoch bucket ("how many in the
+//!   last minute") without touching the recording hot path; the caller
+//!   keeps the sealed buckets.
 //! * [`sketch`] — fixed-capacity SpaceSaving heavy-hitter sketches, so
 //!   serve tracks the top query templates per window with bounded
 //!   memory.
@@ -59,7 +60,7 @@ pub use prof::ProfReport;
 pub use registry::{global, Registry, RegistrySnapshot};
 pub use sketch::{SketchEntry, TemplateSketch};
 pub use span::{Span, SpanGuard};
-pub use trace::{FinishedTrace, StageList, TraceContext};
+pub use trace::{StageList, TraceContext};
 pub use window::{WindowBucket, WindowSet};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -114,6 +115,25 @@ pub fn next_request_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// Serialises tests against the process-wide switch, which the test
+    /// harness's parallel threads share: a test that needs the spine on
+    /// holds it for reading, one that turns the spine off for writing.
+    static SWITCH: RwLock<()> = RwLock::new(());
+
+    /// Turn the spine on and keep it on until the guard drops.
+    pub(crate) fn spine_on() -> RwLockReadGuard<'static, ()> {
+        let held = SWITCH.read().unwrap_or_else(PoisonError::into_inner);
+        set_enabled(true);
+        held
+    }
+
+    /// Hold the switch alone, to turn the spine off; the holder turns it
+    /// back on before the guard drops.
+    pub(crate) fn spine_exclusive() -> RwLockWriteGuard<'static, ()> {
+        SWITCH.write().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn request_ids_are_unique_and_monotonic() {
@@ -124,6 +144,7 @@ mod tests {
 
     #[test]
     fn set_enabled_overrides_default() {
+        let _switch = spine_exclusive();
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

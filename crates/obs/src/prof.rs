@@ -419,7 +419,7 @@ mod tests {
     /// state, so splitting into several `#[test]`s would race.
     #[test]
     fn sampler_folds_registered_thread_stacks() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         reset();
         assert!(!running());
         assert!(start(), "first start spawns the sampler");

@@ -112,13 +112,6 @@ impl TemplateSketch {
         out
     }
 
-    /// The top `k` entries by count.
-    pub fn top(&self, k: usize) -> Vec<SketchEntry> {
-        let mut e = self.entries();
-        e.truncate(k);
-        e
-    }
-
     /// Snapshot the occupied slots and reset the sketch, so each sealed
     /// window gets its own template distribution. Returns the entries
     /// sorted as in [`TemplateSketch::entries`] plus the drained total.
@@ -220,20 +213,6 @@ mod tests {
         assert_eq!(s.total(), 0);
         s.observe(9);
         assert_eq!(s.entries().len(), 1);
-    }
-
-    #[test]
-    fn top_truncates_sorted_entries() {
-        let s = TemplateSketch::new(8);
-        for k in 1..=5u64 {
-            for _ in 0..k {
-                s.observe(k);
-            }
-        }
-        let top2 = s.top(2);
-        assert_eq!(top2.len(), 2);
-        assert_eq!(top2[0].key, 5);
-        assert_eq!(top2[1].key, 4);
     }
 
     #[test]

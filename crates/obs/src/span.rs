@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn nested_spans_record_depths_into_the_active_trace() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         trace::install(TraceContext::start(5, Instant::now()).expect("enabled"));
         {
             let _outer = Span::enter("request");
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn enter_with_records_into_the_histogram() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         let h = Histogram::log2("span_us");
         Span::in_span_with("stage", &h, || {
             std::thread::sleep(Duration::from_micros(100));
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn chained_stages_share_their_boundaries() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         let h = Histogram::log2("chain_us");
         let origin = Instant::now();
         trace::install(TraceContext::start(6, origin).expect("enabled"));
@@ -198,22 +198,10 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _switch = crate::tests::spine_exclusive();
         crate::set_enabled(false);
         let h = Histogram::log2("off_us");
-        trace::install(Box::new(TraceContext {
-            request_id: 1,
-            origin: Instant::now(),
-            stages: trace::StageList::new(),
-            queue_depth: 0,
-            batch_size: 0,
-            cache_hit: false,
-            epoch: 0,
-            strategy: "",
-            beam_width: 0,
-            decode_steps: 0,
-            enc_cache_hits: 0,
-            enc_cache_misses: 0,
-        }));
+        trace::install(Box::new(TraceContext::blank(1, Instant::now())));
         Span::in_span_with("stage", &h, || {});
         let chained = Span::enter_at("first", &h, Instant::now()).then("second", &h);
         assert_eq!(chained.end(), None, "a disabled chain reads no clock");

@@ -5,8 +5,11 @@
 //! and is installed into thread-local storage on whichever thread is
 //! currently working on the request. Spans entered while a context is
 //! installed append [`StageRec`]s with their nesting depth, so the
-//! finished record reconstructs the stage tree (request → batch wait →
-//! encode → per-step decode → rank). Annotation helpers (`note_*`) are
+//! finished context reconstructs the stage tree (request → batch wait →
+//! encode → per-step decode → rank). A finished context is what the
+//! flight recorder stores: the live record is the stored record, and the
+//! wire form is built from it only on the read path
+//! ([`TraceContext::to_record`]). Annotation helpers (`note_*`) are
 //! cheap no-ops when no context is installed, which keeps call sites in
 //! nn/serve unconditional.
 
@@ -66,13 +69,6 @@ impl StageList {
         }
     }
 
-    /// Make this list a copy of `other`, copying its used slots only.
-    fn copy_from(&mut self, other: &StageList) {
-        let len = other.as_slice().len();
-        self.recs[..len].copy_from_slice(other.as_slice());
-        self.len = other.len;
-    }
-
     /// Append a stage; silently dropped once [`MAX_STAGES`] is reached.
     pub fn push(&mut self, rec: StageRec) {
         if let Some(slot) = self.recs.get_mut(self.len as usize) {
@@ -112,12 +108,13 @@ impl PartialEq for StageList {
     }
 }
 
-/// Everything recorded about one in-flight request.
+/// Everything recorded about one request.
 ///
-/// Fields are filled in as the request moves through the pipeline; the
-/// context is sealed into a [`FinishedTrace`] at [`TraceContext::finish`]
-/// — a plain field move, so the whole request path stays allocation-free.
-#[derive(Debug, Clone, PartialEq)]
+/// Fields are filled in as the request moves through the pipeline;
+/// [`crate::FlightRecorder::record`] sets [`TraceContext::total_us`] and
+/// stores the box itself, so the whole request path stays
+/// allocation-free.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceContext {
     /// Process-unique id from [`crate::next_request_id`].
     pub request_id: u64,
@@ -143,40 +140,49 @@ pub struct TraceContext {
     pub enc_cache_hits: u64,
     /// Encoder-cache misses attributed to this request.
     pub enc_cache_misses: u64,
+    /// End-to-end request duration, microseconds; set when recorded.
+    pub total_us: u64,
 }
 
 impl TraceContext {
+    /// A blank context for `request_id` counting from `origin`.
+    pub(crate) fn blank(request_id: u64, origin: Instant) -> TraceContext {
+        TraceContext {
+            request_id,
+            origin,
+            stages: StageList::new(),
+            queue_depth: 0,
+            batch_size: 0,
+            cache_hit: false,
+            epoch: 0,
+            strategy: "",
+            beam_width: 0,
+            decode_steps: 0,
+            enc_cache_hits: 0,
+            enc_cache_misses: 0,
+            total_us: 0,
+        }
+    }
+
     /// Start a trace for `request_id` whose stage offsets count from
     /// `origin` (the instant the caller already read when the request
     /// arrived), or `None` when the spine is disabled (callers thread the
     /// `Option` through untouched).
     ///
-    /// Boxed on purpose: the context is ~700 B of inline stage storage
-    /// and crosses two thread-local installs and two channel hand-offs
-    /// per request, so it moves as a pointer everywhere. The box is the
-    /// one a trace recorded on this thread left behind
-    /// ([`crate::FlightRecorder::record`] keeps it) when there is one, so
-    /// a request started and recorded on one thread allocates nothing and
-    /// clears only the stage count, not the stage storage.
+    /// Boxed on purpose: the context is ~760 B, mostly inline stage
+    /// storage, and crosses two thread-local installs and two channel
+    /// hand-offs per request, so it moves as a pointer everywhere. The
+    /// box is the one a trace recorded on this thread displaced from the
+    /// flight recorder's ring ([`crate::FlightRecorder::record`] keeps
+    /// it) when there is one, so once the ring is full a request started
+    /// and recorded on one thread allocates nothing and clears only the
+    /// stage count, not the stage storage.
     pub fn start(request_id: u64, origin: Instant) -> Option<Box<TraceContext>> {
         if !crate::enabled() {
             return None;
         }
         let Some(mut spare) = SPARE.with(Cell::take) else {
-            return Some(Box::new(TraceContext {
-                request_id,
-                origin,
-                stages: StageList::new(),
-                queue_depth: 0,
-                batch_size: 0,
-                cache_hit: false,
-                epoch: 0,
-                strategy: "",
-                beam_width: 0,
-                decode_steps: 0,
-                enc_cache_hits: 0,
-                enc_cache_misses: 0,
-            }));
+            return Some(Box::new(TraceContext::blank(request_id, origin)));
         };
         // Field by field, so the stage storage is not copied; the
         // pattern names every field, so a new one cannot be missed.
@@ -193,6 +199,7 @@ impl TraceContext {
             decode_steps,
             enc_cache_hits,
             enc_cache_misses,
+            total_us,
         } = &mut *spare;
         *id = request_id;
         *at = origin;
@@ -206,6 +213,7 @@ impl TraceContext {
         *decode_steps = 0;
         *enc_cache_hits = 0;
         *enc_cache_misses = 0;
+        *total_us = 0;
         Some(spare)
     }
 
@@ -214,88 +222,6 @@ impl TraceContext {
         self.stages.push(rec);
     }
 
-    /// Seal the context into its stored form. A plain field copy — no
-    /// strings, no heap — so the record path stays allocation-free; the
-    /// wire conversion happens only when a reader asks
-    /// ([`FinishedTrace::to_record`]).
-    pub fn finish(&self, total: Duration) -> FinishedTrace {
-        let mut rec = FinishedTrace::default();
-        self.seal_into(&mut rec, total);
-        rec
-    }
-
-    /// [`TraceContext::finish`] into `rec`, overwriting it in place and
-    /// copying only the stages this trace recorded.
-    pub(crate) fn seal_into(&self, rec: &mut FinishedTrace, total: Duration) {
-        // The pattern names every field, so a new one cannot be missed.
-        let TraceContext {
-            request_id,
-            origin: _,
-            stages,
-            queue_depth,
-            batch_size,
-            cache_hit,
-            epoch,
-            strategy,
-            beam_width,
-            decode_steps,
-            enc_cache_hits,
-            enc_cache_misses,
-        } = self;
-        rec.request_id = *request_id;
-        rec.total_us = micros(total);
-        rec.queue_depth = *queue_depth;
-        rec.batch_size = *batch_size;
-        rec.cache_hit = *cache_hit;
-        rec.epoch = *epoch;
-        rec.strategy = strategy;
-        rec.beam_width = *beam_width;
-        rec.decode_steps = *decode_steps;
-        rec.enc_cache_hits = *enc_cache_hits;
-        rec.enc_cache_misses = *enc_cache_misses;
-        rec.stages.copy_from(stages);
-    }
-}
-
-/// Whole microseconds of `d`, saturating.
-pub(crate) fn micros(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-/// A completed trace in its in-memory form: plain copyable data with the
-/// stage list inline. The flight recorder stores these by value, so
-/// recording a finished request performs zero heap allocation; the
-/// wire-format [`FlightRecord`] (strings, `Vec`s) is only built when a
-/// `TRACE`/`DUMP` reader calls [`FinishedTrace::to_record`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FinishedTrace {
-    /// Process-unique request id.
-    pub request_id: u64,
-    /// End-to-end request duration, microseconds.
-    pub total_us: u64,
-    /// Batcher queue depth observed at enqueue time.
-    pub queue_depth: u64,
-    /// Size of the decode batch the request rode in.
-    pub batch_size: u64,
-    /// Whether the recommendation cache answered the request.
-    pub cache_hit: bool,
-    /// Model epoch that served the request.
-    pub epoch: u64,
-    /// Decode strategy name (`"greedy"`, `"beam"`, `"sample"`, or empty).
-    pub strategy: &'static str,
-    /// Beam width when beam search, else 0.
-    pub beam_width: u64,
-    /// Decoder steps executed.
-    pub decode_steps: u64,
-    /// Encoder-cache hits attributed to the request.
-    pub enc_cache_hits: u64,
-    /// Encoder-cache misses attributed to the request.
-    pub enc_cache_misses: u64,
-    /// Per-stage breakdown, in completion order.
-    pub stages: StageList,
-}
-
-impl FinishedTrace {
     /// Build the wire-format record. This is where trace data finally
     /// allocates, and it runs on the `TRACE`/`DUMP` read path — never on
     /// the per-request record path.
@@ -326,18 +252,24 @@ impl FinishedTrace {
     }
 }
 
+/// Whole microseconds of `d`, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 struct Active {
     trace: Option<Box<TraceContext>>,
     stack: Vec<&'static str>,
 }
 
 thread_local! {
-    /// The box of the last trace recorded on this thread, for the next
-    /// [`TraceContext::start`] here to reuse.
+    /// The box the last trace recorded on this thread displaced from the
+    /// flight recorder's ring, for the next [`TraceContext::start`] here
+    /// to reuse.
     static SPARE: Cell<Option<Box<TraceContext>>> = const { Cell::new(None) };
 }
 
-/// Keep a recorded trace's box for this thread's next
+/// Keep a displaced trace's box for this thread's next
 /// [`TraceContext::start`]. Used by [`crate::FlightRecorder::record`].
 pub(crate) fn keep_spare(ctx: Box<TraceContext>) {
     SPARE.with(|s| s.set(Some(ctx)));
@@ -381,15 +313,6 @@ pub fn record_stage(name: &'static str, start: Instant, dur: Duration) {
                 start_us: micros(start.saturating_duration_since(t.origin)),
                 dur_us: micros(dur),
             });
-        }
-    });
-}
-
-/// Note the batcher queue depth observed for the active request.
-pub fn note_queue_depth(n: u64) {
-    ACTIVE.with(|a| {
-        if let Some(t) = a.borrow_mut().trace.as_mut() {
-            t.queue_depth = n;
         }
     });
 }
@@ -486,12 +409,11 @@ mod tests {
 
     #[test]
     fn annotations_require_an_installed_trace() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         assert!(uninstall().is_none());
         note_decode_step(); // must not panic without a trace
         let ctx = TraceContext::start(7, Instant::now()).expect("enabled");
         install(ctx);
-        note_queue_depth(3);
         note_batch(4, 2);
         note_cache_hit(true);
         note_strategy("beam", 8);
@@ -500,7 +422,6 @@ mod tests {
         note_enc_cache(false);
         let t = uninstall().expect("installed");
         assert_eq!(t.request_id, 7);
-        assert_eq!(t.queue_depth, 3);
         assert_eq!((t.batch_size, t.epoch), (4, 2));
         assert!(t.cache_hit);
         assert_eq!((t.strategy, t.beam_width), ("beam", 8));
@@ -510,14 +431,15 @@ mod tests {
 
     #[test]
     fn start_returns_none_when_disabled() {
+        let _switch = crate::tests::spine_exclusive();
         crate::set_enabled(false);
         assert!(TraceContext::start(1, Instant::now()).is_none());
         crate::set_enabled(true);
     }
 
     #[test]
-    fn finish_seals_and_to_record_converts_to_wire_format() {
-        crate::set_enabled(true);
+    fn to_record_converts_to_wire_format() {
+        let _on = crate::tests::spine_on();
         let mut ctx = TraceContext::start(11, Instant::now()).expect("enabled");
         ctx.push_stage(StageRec {
             name: "session",
@@ -525,11 +447,8 @@ mod tests {
             start_us: 1,
             dur_us: 5,
         });
-        let sealed = ctx.finish(Duration::from_micros(42));
-        assert_eq!(sealed.request_id, 11);
-        assert_eq!(sealed.total_us, 42);
-        assert_eq!(sealed.stages.len(), 1);
-        let rec = sealed.to_record();
+        ctx.total_us = 42;
+        let rec = ctx.to_record();
         assert_eq!(rec.request_id, 11);
         assert_eq!(rec.total_us, 42);
         assert_eq!(rec.stages.len(), 1);
@@ -539,49 +458,49 @@ mod tests {
 
     #[test]
     fn a_reused_box_starts_blank() {
-        crate::set_enabled(true);
-        let mut ctx = TraceContext::start(21, Instant::now()).expect("enabled");
-        ctx.push_stage(StageRec {
-            name: "decode",
-            depth: 1,
-            start_us: 3,
-            dur_us: 9,
-        });
-        ctx.queue_depth = 5;
-        ctx.batch_size = 2;
-        ctx.cache_hit = true;
-        ctx.epoch = 4;
-        ctx.strategy = "beam";
-        ctx.beam_width = 8;
-        ctx.decode_steps = 12;
-        ctx.enc_cache_hits = 1;
-        ctx.enc_cache_misses = 1;
-        let first = &*ctx as *const TraceContext;
-        crate::FlightRecorder::with_capacity(2, 1).record(ctx, Duration::from_micros(30));
+        let _on = crate::tests::spine_on();
+        // A box is reused once the ring displaces it: fill the ring, then
+        // record one more over its oldest slot.
+        let ring = crate::FlightRecorder::default();
+        let mut first = None;
+        for id in 0..=crate::flight::RING_CAPACITY as u64 {
+            let mut ctx = TraceContext::start(id, Instant::now()).expect("enabled");
+            ctx.push_stage(StageRec {
+                name: "decode",
+                depth: 1,
+                start_us: 3,
+                dur_us: 9,
+            });
+            ctx.queue_depth = 5;
+            ctx.batch_size = 2;
+            ctx.cache_hit = true;
+            ctx.epoch = 4;
+            ctx.strategy = "beam";
+            ctx.beam_width = 8;
+            ctx.decode_steps = 12;
+            ctx.enc_cache_hits = 1;
+            ctx.enc_cache_misses = 1;
+            first.get_or_insert(&*ctx as *const TraceContext);
+            ring.record(ctx, Duration::from_micros(30 + id));
+        }
 
+        // Hold a box of the same size first: had the displaced box been
+        // freed, the allocator would hand its address to this one, not
+        // to the next start.
+        let _decoy = Box::new(TraceContext::blank(0, Instant::now()));
         let origin = Instant::now();
-        let again = TraceContext::start(22, origin).expect("enabled");
-        assert_eq!(&*again as *const TraceContext, first, "the box is reused");
-        let blank = TraceContext {
-            request_id: 22,
-            origin,
-            stages: StageList::new(),
-            queue_depth: 0,
-            batch_size: 0,
-            cache_hit: false,
-            epoch: 0,
-            strategy: "",
-            beam_width: 0,
-            decode_steps: 0,
-            enc_cache_hits: 0,
-            enc_cache_misses: 0,
-        };
-        assert_eq!(*again, blank);
+        let again = TraceContext::start(999, origin).expect("enabled");
+        assert_eq!(
+            Some(&*again as *const TraceContext),
+            first,
+            "the box is reused"
+        );
+        assert_eq!(*again, TraceContext::blank(999, origin));
     }
 
     #[test]
     fn stage_cap_drops_excess() {
-        crate::set_enabled(true);
+        let _on = crate::tests::spine_on();
         let mut ctx = TraceContext::start(1, Instant::now()).expect("enabled");
         for i in 0..(MAX_STAGES + 10) {
             ctx.push_stage(StageRec {

@@ -1,5 +1,5 @@
-//! Sliding-window aggregation: a fixed ring of sealed epoch buckets
-//! over any registered counter or histogram.
+//! Sliding-window aggregation: sealed epoch deltas over any registered
+//! counter or histogram.
 //!
 //! The lifetime aggregates of [`crate::metric`] answer "how many, ever";
 //! workload analytics needs "how many, in the last minute". This module
@@ -13,17 +13,16 @@
 //! seal path, which runs once per window tick on a cold thread, may
 //! allocate freely.
 //!
-//! Sealed windows land in a fixed ring (e.g. 60 buckets × 10 s ≈ ten
-//! minutes of history); older buckets fall off the front. Readers get
-//! per-window [`WindowBucket`] snapshots and per-metric delta/rate
-//! series. The clock is the caller's: [`WindowSet::seal`] takes the
+//! A [`WindowSet`] keeps only the baselines and the next sequence
+//! number; each sealed [`WindowBucket`] is handed to the caller, which
+//! keeps the history (serve's telemetry ring, e.g. 60 buckets × 10 s ≈
+//! ten minutes). The clock is the caller's: [`WindowSet::seal`] takes the
 //! wall-clock timestamp to stamp the bucket with, so tests drive the
 //! windows with a fake clock and zero sleeps.
 
 use crate::metric::{Counter, Histogram};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A tracked counter: the shared handle plus the cumulative value at the
@@ -42,42 +41,34 @@ struct TrackedHistogram {
     last_sum: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     counters: Vec<TrackedCounter>,
     histograms: Vec<TrackedHistogram>,
-    ring: VecDeque<WindowBucket>,
     seq: u64,
 }
 
-/// A fixed ring of sealed windows over a set of tracked metrics.
+/// Per-window deltas over a set of tracked metrics.
 ///
-/// Thread-safe: registration, sealing, and reading all go through one
-/// mutex. None of them is on a metric recording path — recording keeps
-/// writing the underlying [`Counter`]/[`Histogram`] directly.
+/// Thread-safe: registration and sealing go through one mutex. Neither
+/// is on a metric recording path — recording keeps writing the
+/// underlying [`Counter`]/[`Histogram`] directly.
 pub struct WindowSet {
-    capacity: usize,
     inner: Mutex<Inner>,
 }
 
-impl WindowSet {
-    /// A window ring keeping the most recent `capacity` sealed buckets
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> WindowSet {
-        let capacity = capacity.max(1);
-        WindowSet {
-            capacity,
-            inner: Mutex::new(Inner {
-                counters: Vec::new(),
-                histograms: Vec::new(),
-                ring: VecDeque::with_capacity(capacity),
-                seq: 0,
-            }),
-        }
+impl Default for WindowSet {
+    fn default() -> WindowSet {
+        WindowSet::new()
     }
+}
 
-    /// Ring capacity in buckets.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+impl WindowSet {
+    /// A window set tracking nothing yet, whose first seal is `seq` 0.
+    pub fn new() -> WindowSet {
+        WindowSet {
+            inner: Mutex::new(Inner::default()),
+        }
     }
 
     /// Track `counter`: every future seal reports its per-window delta.
@@ -103,12 +94,10 @@ impl WindowSet {
         });
     }
 
-    /// Seal the current window: read every tracked metric, emit the
-    /// delta since the previous seal as a new [`WindowBucket`] stamped
-    /// `unix_ms`, and drop the oldest bucket once the ring is full.
-    ///
-    /// Returns a clone of the sealed bucket so callers (the serve
-    /// telemetry tick) can stream/persist it without re-locking.
+    /// Seal the current window: read every tracked metric and return
+    /// the delta since the previous seal as a new [`WindowBucket`]
+    /// stamped `unix_ms`, for the caller (the serve telemetry tick) to
+    /// keep, stream and persist.
     pub fn seal(&self, unix_ms: u64) -> WindowBucket {
         let mut inner = self.inner.lock();
         let seq = inner.seq;
@@ -142,70 +131,20 @@ impl WindowSet {
                 }
             })
             .collect();
-        let bucket = WindowBucket {
+        WindowBucket {
             seq,
             unix_ms,
             counters,
             histograms,
-        };
-        if inner.ring.len() == self.capacity {
-            inner.ring.pop_front();
         }
-        inner.ring.push_back(bucket.clone());
-        bucket
     }
 
-    /// All sealed buckets, oldest first.
-    pub fn buckets(&self) -> Vec<WindowBucket> {
-        self.inner.lock().ring.iter().cloned().collect()
-    }
-
-    /// Per-window deltas for the counter (or histogram count) named
-    /// `name`, oldest first. Empty when the metric is not tracked.
-    pub fn delta_series(&self, name: &str) -> Vec<u64> {
-        self.inner
-            .lock()
-            .ring
-            .iter()
-            .filter_map(|b| b.delta(name))
-            .collect()
-    }
-
-    /// Per-window rates (delta / window length in seconds) for `name`,
-    /// oldest first. The first bucket has no predecessor timestamp, so
-    /// the series is one shorter than [`WindowSet::delta_series`];
-    /// non-advancing timestamps yield a rate of 0.
-    pub fn rate_series(&self, name: &str) -> Vec<f64> {
-        let inner = self.inner.lock();
-        inner
-            .ring
-            .iter()
-            .zip(inner.ring.iter().skip(1))
-            .filter_map(|(prev, cur)| {
-                let dt_ms = cur.unix_ms.saturating_sub(prev.unix_ms);
-                let delta = cur.delta(name)?;
-                Some(if dt_ms == 0 {
-                    0.0
-                } else {
-                    delta as f64 / (dt_ms as f64 / 1000.0)
-                })
-            })
-            .collect()
-    }
-
-    /// Restore sealed buckets (e.g. replayed from the durable telemetry
-    /// log) into the ring, oldest first, before new seals are taken.
-    /// Ring capacity still applies; the internal sequence continues
-    /// after the highest restored `seq`.
-    pub fn restore(&self, buckets: Vec<WindowBucket>) {
+    /// Continue the sequence after `seq`, the newest window sealed
+    /// before a restart (replayed from the durable telemetry log), so
+    /// the next seal is `seq + 1`.
+    pub fn resume_after(&self, seq: u64) {
         let mut inner = self.inner.lock();
-        for b in buckets {
-            inner.seq = inner.seq.max(b.seq + 1);
-            if inner.ring.len() == self.capacity {
-                inner.ring.pop_front();
-            }
-            inner.ring.push_back(b);
-        }
+        inner.seq = inner.seq.max(seq + 1);
     }
 }
 
@@ -232,7 +171,7 @@ pub struct HistogramDelta {
 /// One sealed window: deltas of every tracked metric over one epoch.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WindowBucket {
-    /// Monotonic window sequence number (survives ring eviction).
+    /// Monotonic window sequence number (continues across restarts).
     pub seq: u64,
     /// Wall-clock seal time, milliseconds since the Unix epoch (caller
     /// supplied, so tests can use a fake clock).
@@ -268,7 +207,7 @@ mod tests {
     fn seals_emit_deltas_not_cumulative_values() {
         let c = Arc::new(Counter::new("reqs"));
         c.add(5);
-        let w = WindowSet::new(4);
+        let w = WindowSet::new();
         w.track_counter(Arc::clone(&c));
         c.add(3);
         let b1 = w.seal(1_000);
@@ -277,13 +216,13 @@ mod tests {
         // The pre-tracking 5 never shows up; each window sees its own.
         assert_eq!(b1.delta("reqs"), Some(3));
         assert_eq!(b2.delta("reqs"), Some(10));
-        assert_eq!(w.delta_series("reqs"), vec![3, 10]);
+        assert_eq!((b1.seq, b2.seq), (0, 1));
     }
 
     #[test]
     fn histogram_windows_carry_count_and_sum() {
         let h = Arc::new(Histogram::log2("lat_us"));
-        let w = WindowSet::new(4);
+        let w = WindowSet::new();
         w.track_histogram(Arc::clone(&h));
         h.record(100);
         h.record(200);
@@ -296,73 +235,23 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_and_drops_oldest() {
+    fn resume_after_continues_the_sequence() {
         let c = Arc::new(Counter::new("x"));
-        let w = WindowSet::new(3);
+        let w = WindowSet::new();
         w.track_counter(Arc::clone(&c));
-        for i in 0..5 {
-            c.add(i + 1);
-            w.seal(i * 1_000);
-        }
-        let buckets = w.buckets();
-        assert_eq!(buckets.len(), 3);
-        // Oldest two (deltas 1, 2) evicted; seq keeps counting.
-        assert_eq!(w.delta_series("x"), vec![3, 4, 5]);
-        assert_eq!(buckets[0].seq, 2);
-        assert_eq!(buckets[2].seq, 4);
-    }
-
-    #[test]
-    fn rate_series_uses_caller_timestamps() {
-        let c = Arc::new(Counter::new("r"));
-        let w = WindowSet::new(8);
-        w.track_counter(Arc::clone(&c));
-        w.seal(0);
-        c.add(50);
-        w.seal(10_000); // 50 increments over 10 s → 5/s
-        c.add(30);
-        w.seal(12_000); // 30 over 2 s → 15/s
-        let rates = w.rate_series("r");
-        assert_eq!(rates.len(), 2);
-        assert!((rates[0] - 5.0).abs() < 1e-9, "{rates:?}");
-        assert!((rates[1] - 15.0).abs() < 1e-9, "{rates:?}");
-    }
-
-    #[test]
-    fn restore_reloads_history_and_continues_sequence() {
-        let c = Arc::new(Counter::new("x"));
-        let w = WindowSet::new(4);
-        w.track_counter(Arc::clone(&c));
-        let old = vec![
-            WindowBucket {
-                seq: 7,
-                unix_ms: 1_000,
-                counters: vec![MetricDelta {
-                    name: "x".into(),
-                    delta: 9,
-                }],
-                histograms: Vec::new(),
-            },
-            WindowBucket {
-                seq: 8,
-                unix_ms: 2_000,
-                counters: Vec::new(),
-                histograms: Vec::new(),
-            },
-        ];
-        w.restore(old);
+        w.resume_after(8);
         c.inc();
         let sealed = w.seal(3_000);
-        assert_eq!(sealed.seq, 9, "sequence continues after restored max");
-        assert_eq!(w.buckets().len(), 3);
-        assert_eq!(w.buckets()[0].delta("x"), Some(9));
+        assert_eq!(sealed.seq, 9, "sequence continues after the replayed max");
+        assert_eq!(sealed.delta("x"), Some(1));
+        assert_eq!(w.seal(4_000).seq, 10);
     }
 
     #[test]
     fn bucket_round_trips_through_serde() {
         let c = Arc::new(Counter::new("a"));
         let h = Arc::new(Histogram::log2("b"));
-        let w = WindowSet::new(2);
+        let w = WindowSet::new();
         w.track_counter(Arc::clone(&c));
         w.track_histogram(Arc::clone(&h));
         c.add(2);

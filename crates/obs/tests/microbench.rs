@@ -58,13 +58,13 @@ fn microbench() {
         Span::in_span_with("stage", &hist, || std::hint::black_box(1u64));
     });
 
-    time_n("full request path (5 spans+finish+flight)", n, || {
+    time_n("full request path (5 spans+flight)", n, || {
         let t0 = Instant::now();
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), Instant::now()) {
+        if let Some(mut ctx) = TraceContext::start(qrec_obs::next_request_id(), Instant::now()) {
+            ctx.queue_depth = 3;
             trace::install(ctx);
         }
         Span::in_span_with("session", &hist, || std::hint::black_box(1u64));
-        trace::note_queue_depth(3);
         let ctx = trace::uninstall();
         // simulate worker-side hand-off
         if let Some(ctx) = ctx {

@@ -677,10 +677,10 @@ impl EventLoop {
         // here; otherwise it rides the DecodeRequest to the worker, which
         // records the remaining stages.
         let t0 = Instant::now();
-        if let Some(ctx) = TraceContext::start(qrec_obs::next_request_id(), t0) {
+        if let Some(mut ctx) = TraceContext::start(qrec_obs::next_request_id(), t0) {
+            ctx.queue_depth = self.shared.engine.queued() as u64;
             trace::install(ctx);
         }
-        trace::note_queue_depth(self.shared.engine.queued() as u64);
 
         let (tokens, prepare): (Vec<String>, Option<PrepareFn>) =
             match self.try_on_loop(&session, &sql, n, t0) {

@@ -5,8 +5,7 @@
 //! process-wide registry, so the same storage feeds the `STATS` JSON
 //! snapshot, the `DUMP` exposition, and per-stage latency breakdowns.
 //! Recording stays a relaxed fetch-add with no allocation on the hot
-//! path, and the [`MetricsSnapshot`] wire shape is unchanged — snapshots
-//! from older servers still parse.
+//! path.
 
 use qrec_obs::{Counter, Gauge, Histogram};
 use serde::{Deserialize, Serialize};
@@ -363,38 +362,24 @@ pub struct MetricsSnapshot {
     pub sessions_evicted: u64,
     /// See [`Metrics::latency`].
     pub latency: HistogramSnapshot,
-    /// Compute-pool configuration and GEMM kernel dispatch counters
-    /// (absent in snapshots from older servers).
-    #[serde(default)]
+    /// Compute-pool configuration and GEMM kernel dispatch counters.
     pub compute: ComputeSnapshot,
     /// Incremental-decode step and encoder-cache counters since process
-    /// start (absent in snapshots from older servers). A healthy
-    /// interleaved workload shows `enc_cache_hits` climbing with repeat
-    /// sources, and `steps` growing linearly — not quadratically — with
-    /// emitted tokens.
-    #[serde(default)]
+    /// start. A healthy interleaved workload shows `enc_cache_hits`
+    /// climbing with repeat sources, and `steps` growing linearly — not
+    /// quadratically — with emitted tokens.
     pub decode: qrec_nn::decode::DecodeCounters,
     /// Durable-store traffic: WAL appends and latency percentiles,
     /// flush/run/bloom counters, and the last recovery time. All-zero
-    /// when the server runs without a data directory; absent in
-    /// snapshots from older servers (the serde default fills it in).
-    #[serde(default)]
+    /// when the server runs without a data directory.
     pub store: qrec_store::StoreStats,
-    /// Int8 quantized-GEMM dispatch counters (absent in snapshots from
-    /// servers that predate weight quantization).
-    #[serde(default)]
+    /// Int8 quantized-GEMM dispatch counters.
     pub quant: QuantSnapshot,
-    /// TCP front-end counters and gauges (absent in snapshots from
-    /// servers that predate the event-loop front end).
-    #[serde(default)]
+    /// TCP front-end counters and gauges.
     pub frontend: FrontendSnapshot,
-    /// Sliding-window telemetry summary (absent in snapshots from
-    /// servers that predate windowed metrics).
-    #[serde(default)]
+    /// Sliding-window telemetry summary.
     pub window: WindowSummary,
-    /// Workload-drift scores for the most recently sealed window
-    /// (absent in snapshots from servers that predate drift detection).
-    #[serde(default)]
+    /// Workload-drift scores for the most recently sealed window.
     pub drift: qrec_obs::DriftScore,
 }
 
@@ -512,30 +497,6 @@ mod tests {
         assert!(after.gemm_serial > before.gemm_serial);
         assert_eq!(after.pool_threads, 1);
         assert_eq!(after.gemm_parallel, 0);
-    }
-
-    #[test]
-    fn snapshot_without_a_later_section_deserialises_with_default() {
-        // Each of these sections arrived after the first STATS shape
-        // shipped; a snapshot from a server that predates one must stay
-        // parseable, the serde default filling it in.
-        let full = MetricsSnapshot::default();
-        let v = full.to_value();
-        for field in [
-            "compute", "decode", "store", "quant", "frontend", "window", "drift",
-        ] {
-            let obj = v.as_object().unwrap();
-            assert!(obj.get(field).is_some(), "{field} is a snapshot section");
-            let stripped = serde::Value::Object(
-                obj.iter()
-                    .filter(|(k, _)| k.as_str() != field)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            );
-            let back = MetricsSnapshot::from_value(&stripped)
-                .unwrap_or_else(|e| panic!("snapshot without `{field}`: {e}"));
-            assert_eq!(back, full, "`{field}` must default");
-        }
     }
 
     #[test]

@@ -92,25 +92,15 @@ pub struct Response {
     pub cached: Option<bool>,
     /// Serving statistics (`STATS`).
     pub stats: Option<StatsReply>,
-    /// Flight-recorder traces (`TRACE`); absent in responses from older
-    /// servers.
-    #[serde(default)]
+    /// Flight-recorder traces (`TRACE`).
     pub trace: Option<TraceReply>,
-    /// Prometheus-style exposition text (`DUMP`); absent in responses
-    /// from older servers.
-    #[serde(default)]
+    /// Prometheus-style exposition text (`DUMP`).
     pub dump: Option<String>,
-    /// Sealed telemetry windows (`HISTORY`); absent in responses from
-    /// older servers.
-    #[serde(default)]
+    /// Sealed telemetry windows (`HISTORY`).
     pub history: Option<HistoryReply>,
-    /// One streamed telemetry window (`WATCH` stream lines); absent in
-    /// responses from older servers.
-    #[serde(default)]
+    /// One streamed telemetry window (`WATCH` stream lines).
     pub watch: Option<WindowFrame>,
-    /// Folded profiler report (`PROF`); absent in responses from older
-    /// servers.
-    #[serde(default)]
+    /// Folded profiler report (`PROF`).
     pub prof: Option<ProfReport>,
 }
 
@@ -328,9 +318,7 @@ pub struct StatsReply {
     pub cache_entries: u64,
     /// Current model epoch.
     pub model_epoch: u64,
-    /// True when the serving model carries an int8 quantization sidecar
-    /// (absent in replies from older servers — defaults to false).
-    #[serde(default)]
+    /// True when the serving model carries an int8 quantization sidecar.
     pub model_quantized: bool,
 }
 
@@ -382,17 +370,16 @@ mod tests {
 
     #[test]
     fn responses_without_trace_fields_still_parse() {
-        // Responses from servers that predate TRACE/DUMP omit both
-        // fields; the serde defaults keep the client compatible.
+        // A reply omits the payloads of other verbs; an absent `Option`
+        // field parses as `None`.
         let back: Response = serde_json::from_str(r#"{"ok":true}"#).unwrap();
         assert!(back.ok && back.trace.is_none() && back.dump.is_none());
     }
 
     #[test]
     fn responses_without_telemetry_fields_still_parse() {
-        // Responses from servers that predate HISTORY/WATCH/PROF omit
-        // all three fields; the serde defaults keep the client
-        // compatible.
+        // A reply omits the payloads of other verbs; an absent `Option`
+        // field parses as `None`.
         let back: Response = serde_json::from_str(r#"{"ok":true}"#).unwrap();
         assert!(back.history.is_none() && back.watch.is_none() && back.prof.is_none());
     }

@@ -80,7 +80,7 @@ impl Telemetry {
     pub fn new(metrics: &Metrics, width: Duration, buckets: usize) -> Telemetry {
         let width = width.max(Duration::from_millis(1));
         let capacity = buckets.max(1);
-        let windows = WindowSet::new(capacity);
+        let windows = WindowSet::new();
         for counter in [
             &metrics.requests,
             &metrics.recommends,
@@ -201,11 +201,10 @@ impl Telemetry {
             .iter()
             .filter_map(|bytes| serde_json::from_slice(bytes).ok())
             .collect();
-        if frames.is_empty() {
+        let Some(newest) = frames.iter().map(|f| f.window.seq).max() else {
             return 0;
-        }
-        self.windows
-            .restore(frames.iter().map(|f| f.window.clone()).collect());
+        };
+        self.windows.resume_after(newest);
         let mut scored = self.scored.lock();
         let restored = frames.len();
         for frame in frames {
