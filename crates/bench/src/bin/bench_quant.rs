@@ -203,14 +203,7 @@ fn model_resident_bytes(params: &Params) -> usize {
     let all_f32 = params.scalar_count() * 4;
     match params.quant() {
         None => all_f32,
-        Some(sidecar) => {
-            let quantized_scalars: usize = sidecar
-                .export()
-                .iter()
-                .map(|(_, rows, cols, _, _)| rows * cols)
-                .sum();
-            all_f32 - quantized_scalars * 4 + sidecar.packed_bytes()
-        }
+        Some(sidecar) => all_f32 - sidecar.quantized_scalars() * 4 + sidecar.packed_bytes(),
     }
 }
 

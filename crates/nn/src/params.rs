@@ -36,8 +36,7 @@ pub struct ParamId(pub(crate) usize);
 /// ([`crate::quant::QuantParams`], built by [`Params::quantize`]):
 /// inference-time layers consult it to run their projections through the
 /// int8 GEMM. The sidecar is runtime-only — it serialises as `null` and
-/// is rebuilt (from f32 weights or from the zoo's explicit int8
-/// sections) rather than round-tripped.
+/// is rebuilt from the f32 weights, never persisted.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Params {
     data: Vec<Arc<Tensor>>,
@@ -181,12 +180,6 @@ impl Params {
     /// True when an int8 sidecar is active.
     pub fn is_quantized(&self) -> bool {
         self.quant.is_some()
-    }
-
-    /// Install an externally built sidecar (the zoo's int8-section load
-    /// path). The sidecar must have been built for this store's id space.
-    pub fn set_quant(&mut self, quant: crate::quant::QuantParams) {
-        self.quant = Some(quant);
     }
 
     /// Global L2 norm of all gradients (for clipping).

@@ -19,13 +19,10 @@
 //! stay f32 — they are tiny and normalisation accuracy matters more
 //! than their footprint.
 //!
-//! The sidecar is **runtime-only** with respect to serde: `Params`
+//! The sidecar is **never persisted**: it is a deterministic function
+//! of the f32 weights, so whoever installs a model quantizes it. `Params`
 //! derives `Serialize`, so `QuantParams` implements the traits, but it
 //! serialises as `null` and deserialises to an empty sidecar.
-//! Persistence of quantized weights is explicit — the model zoo writes
-//! the raw int8 matrices and scales into its blob
-//! ([`QuantParams::export`]) and rebuilds the packed panels on load
-//! ([`QuantParams::import`]).
 
 use crate::params::ParamId;
 use qrec_tensor::qi8::{self, QPackedB};
@@ -45,13 +42,6 @@ impl QWeight {
     pub fn from_tensor(t: &Tensor) -> QWeight {
         QWeight {
             packed: Arc::new(QPackedB::from_f32(t.data(), t.rows(), t.cols())),
-        }
-    }
-
-    /// Rebuild from a persisted row-major int8 matrix and its scale.
-    pub fn from_quantized(q: &[i8], rows: usize, cols: usize, scale: f32) -> QWeight {
-        QWeight {
-            packed: Arc::new(QPackedB::from_quantized(q, rows, cols, scale)),
         }
     }
 }
@@ -93,18 +83,6 @@ impl QEmbed {
         }
     }
 
-    /// Rebuild from a persisted row-major int8 table and its per-row
-    /// scales (`scales.len() == rows`).
-    pub fn from_quantized(q: &[i8], rows: usize, cols: usize, scales: &[f32]) -> QEmbed {
-        debug_assert_eq!(scales.len(), rows);
-        QEmbed {
-            rows,
-            cols,
-            scales: Arc::new(scales.to_vec()),
-            data: Arc::new(q.to_vec()),
-        }
-    }
-
     /// Table rows (vocabulary size).
     pub fn rows(&self) -> usize {
         self.rows
@@ -113,11 +91,6 @@ impl QEmbed {
     /// Embedding dimension.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// The per-row dequantization scales.
-    pub fn scales(&self) -> &[f32] {
-        &self.scales
     }
 
     /// Dequantize the rows named by `ids` into `out`, a row-major
@@ -133,11 +106,6 @@ impl QEmbed {
         }
     }
 
-    /// The raw int8 table, row-major.
-    pub fn values(&self) -> &[i8] {
-        &self.data
-    }
-
     /// Resident bytes of the int8 table (values plus per-row scales).
     pub fn resident_bytes(&self) -> usize {
         self.data.len() + self.scales.len() * 4
@@ -150,11 +118,6 @@ enum QEntry {
     Weight(QWeight),
     Embed(QEmbed),
 }
-
-/// One exported quantized entry: `(param index, rows, cols, scales,
-/// row-major int8 values)` — the shape [`QuantParams::export`] emits
-/// and [`QuantParams::import`] consumes.
-pub type QExportEntry = (usize, usize, usize, Vec<f32>, Vec<i8>);
 
 /// Per-parameter quantization sidecar, aligned with the id space of the
 /// `Params` store it was built from.
@@ -207,6 +170,18 @@ impl QuantParams {
         self.entries.iter().flatten().count()
     }
 
+    /// Number of f32 values the int8 entries stand in for.
+    pub fn quantized_scalars(&self) -> usize {
+        self.entries
+            .iter()
+            .flatten()
+            .map(|e| match e {
+                QEntry::Weight(w) => w.packed.k() * w.packed.m(),
+                QEntry::Embed(t) => t.rows() * t.cols(),
+            })
+            .sum()
+    }
+
     /// Resident bytes of all int8 representations (packed panels,
     /// per-panel scales, and embedding tables).
     pub fn packed_bytes(&self) -> usize {
@@ -219,70 +194,12 @@ impl QuantParams {
             })
             .sum()
     }
-
-    /// Export every quantized entry as `(param index, rows, cols,
-    /// scales, row-major int8 values)` — the persistence surface the
-    /// model zoo writes into its blob sections. GEMM weights carry one
-    /// per-tensor scale; embedding tables carry one scale per row.
-    pub fn export(&self) -> Vec<QExportEntry> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                e.as_ref().map(|e| match e {
-                    QEntry::Weight(w) => (
-                        i,
-                        w.packed.k(),
-                        w.packed.m(),
-                        vec![w.packed.scale()],
-                        w.packed.unpack(),
-                    ),
-                    QEntry::Embed(t) => (
-                        i,
-                        t.rows(),
-                        t.cols(),
-                        t.scales().to_vec(),
-                        t.values().to_vec(),
-                    ),
-                })
-            })
-            .collect()
-    }
-
-    /// Rebuild a sidecar for `params` from exported entries (the
-    /// inverse of [`QuantParams::export`]). The entry kind is recovered
-    /// from the parameter's name — the same convention
-    /// [`QuantParams::build`] applies. Entries whose index is out of
-    /// range or whose scale count does not match their kind are ignored
-    /// rather than panicking — the zoo validates the header separately.
-    pub fn import(params: &crate::params::Params, entries: Vec<QExportEntry>) -> QuantParams {
-        let names: Vec<&str> = params.named_tensors().map(|(n, _)| n).collect();
-        let mut sidecar = QuantParams {
-            entries: vec![None; names.len()],
-        };
-        for (i, rows, cols, scales, q) in entries {
-            let Some(name) = names.get(i) else { continue };
-            let entry = if name.ends_with(".emb") {
-                if scales.len() != rows {
-                    continue;
-                }
-                QEntry::Embed(QEmbed::from_quantized(&q, rows, cols, &scales))
-            } else {
-                let Some(&scale) = scales.first() else {
-                    continue;
-                };
-                QEntry::Weight(QWeight::from_quantized(&q, rows, cols, scale))
-            };
-            sidecar.entries[i] = Some(entry);
-        }
-        sidecar
-    }
 }
 
-// The sidecar is rebuilt from f32 weights (or from the zoo's explicit
-// int8 sections), never round-tripped through serde: serialise as null,
-// deserialise to empty. `Params` is not serde-persisted anywhere in the
-// workspace — this exists only to keep its derive compiling.
+// The sidecar is rebuilt from f32 weights, never round-tripped through
+// serde: serialise as null, deserialise to empty. `Params` is not
+// serde-persisted anywhere in the workspace — this exists only to keep
+// its derive compiling.
 impl Serialize for QuantParams {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
@@ -341,38 +258,13 @@ mod tests {
         let full = p.value(ParamId(2));
         // Max quantization error of one value is its row's scale/2.
         for (j, v) in got[..3].iter().enumerate() {
-            let tol = table.scales()[1] * 0.5 + 1e-7;
+            let tol = table.scales[1] * 0.5 + 1e-7;
             assert!((v - full.get(1, j)).abs() <= tol, "row 1 col {j}");
         }
         for (j, v) in got[3..6].iter().enumerate() {
-            let tol = table.scales()[0] * 0.5 + 1e-7;
+            let tol = table.scales[0] * 0.5 + 1e-7;
             assert!((v - full.get(0, j)).abs() <= tol, "row 0 col {j}");
         }
-    }
-
-    #[test]
-    fn export_import_round_trips() {
-        let p = store();
-        let q = QuantParams::build(p.named_tensors());
-        let exported = q.export();
-        assert_eq!(exported.len(), 2);
-        let (idx, rows, cols, scales, bytes) = exported[0].clone();
-        assert_eq!((idx, rows, cols), (0, 3, 4));
-        assert_eq!(scales.len(), 1, "GEMM weight has a per-tensor scale");
-        assert!(scales[0] > 0.0);
-        assert_eq!(bytes.len(), 12);
-        assert_eq!(exported[1].3.len(), 2, "embedding has per-row scales");
-        let rebuilt = QuantParams::import(&p, exported);
-        assert_eq!(rebuilt.quantized_count(), 2);
-        let a = q.weight(ParamId(0)).unwrap();
-        let b = rebuilt.weight(ParamId(0)).unwrap();
-        assert_eq!(a.packed.unpack(), b.packed.unpack());
-        assert_eq!(a.packed.scale(), b.packed.scale());
-        let ea = q.embed(ParamId(2)).unwrap();
-        let eb = rebuilt.embed(ParamId(2)).unwrap();
-        assert_eq!(ea.values(), eb.values());
-        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ea.scales()), bits(eb.scales()));
     }
 
     #[test]

@@ -102,6 +102,10 @@ pub(crate) struct Completion {
     /// Serialised response line (newline included), built on the worker
     /// so the loop only copies bytes.
     payload: Vec<u8>,
+    /// The request's trace and its total, measured on the worker. The
+    /// loop records it, so the box the flight ring displaces becomes the
+    /// loop's spare for its next [`TraceContext::start`].
+    trace: Option<(Box<TraceContext>, Duration)>,
 }
 
 /// What the loop's own attempt at a RECOMMEND came to
@@ -703,22 +707,25 @@ impl EventLoop {
         let completion_tx = self.completion_tx.clone();
         let waker = Arc::clone(&self.waker);
         let reply = Box::new(move |result: Result<Recommendation, ServeError>| {
-            let response = match result {
-                Ok(rec) => {
-                    if let Some(ctx) = rec.trace {
-                        flight::global().record(ctx, t0.elapsed());
-                    }
-                    Response::recommendation(rec.fragments, rec.epoch, rec.cached)
-                }
+            let (response, trace) = match result {
+                Ok(rec) => (
+                    Response::recommendation(rec.fragments, rec.epoch, rec.cached),
+                    rec.trace.map(|ctx| (ctx, t0.elapsed())),
+                ),
                 Err(e) => {
                     Metrics::bump(&metrics.errors);
-                    Response::err(&e)
+                    (Response::err(&e), None)
                 }
             };
             let payload = response_line(&response);
             // A send after loop teardown just drops the completion; the
             // connection is gone with the loop anyway.
-            let _ = completion_tx.send(Completion { slot, gen, payload });
+            let _ = completion_tx.send(Completion {
+                slot,
+                gen,
+                payload,
+                trace,
+            });
             let _ = waker.wake();
         });
 
@@ -802,10 +809,16 @@ impl EventLoop {
         }
     }
 
-    /// Deliver worker results: match generation, enqueue the payload,
-    /// and let the connection's queued frames proceed.
+    /// Deliver worker results: record the trace, match generation,
+    /// enqueue the payload, and let the connection's queued frames
+    /// proceed.
     fn tick_completions(&mut self) {
         while let Ok(c) = self.completions.try_recv() {
+            // Recorded before the reply is queued, so a `TRACE` the client
+            // sends after reading it sees the record.
+            if let Some((ctx, total)) = c.trace {
+                flight::global().record(ctx, total);
+            }
             {
                 let Some(conn) = self.conns.get_mut(c.slot).and_then(|s| s.as_mut()) else {
                     continue; // connection closed mid-request

@@ -120,7 +120,7 @@ pub struct Metrics {
     pub batched_jobs: Arc<Counter>,
     /// Model hot-swaps performed.
     pub swaps: Arc<Counter>,
-    /// Sessions evicted by the TTL sweep.
+    /// Sessions evicted by the housekeeping thread's TTL sweep.
     pub sessions_evicted: Arc<Counter>,
     /// End-to-end RECOMMEND latency, from arrival on the loop (a request
     /// answered there) or from enqueue (queue wait + decode).
@@ -272,7 +272,6 @@ impl Metrics {
             compute: ComputeSnapshot::current(),
             decode: qrec_nn::decode::counters(),
             store: qrec_store::StoreStats::default(),
-            quant: QuantSnapshot::current(),
             frontend: self.frontend.snapshot(),
             window: WindowSummary::default(),
             drift: qrec_obs::DriftScore::default(),
@@ -287,13 +286,10 @@ impl Default for Metrics {
 }
 
 /// Snapshot of the GEMM dispatch counters since process start. Every
-/// product runs on the calling thread, so `pool_threads` is always 1 and
-/// `gemm_parallel` always 0: both stay on the wire because the end-to-end
-/// benchmark and older snapshots parse them.
+/// product runs on the calling thread, so `gemm_parallel` is always 0:
+/// it stays on the wire because the end-to-end benchmark reads it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ComputeSnapshot {
-    /// Threads a product runs on: always 1.
-    pub pool_threads: u64,
     /// GEMM calls (all on the register tile): every call.
     pub gemm_serial: u64,
     /// Always 0: no product leaves the calling thread.
@@ -304,35 +300,8 @@ impl ComputeSnapshot {
     /// Read the kernel dispatch counters.
     pub fn current() -> Self {
         ComputeSnapshot {
-            pool_threads: 1,
             gemm_serial: qrec_tensor::kernel::counters().serial,
             gemm_parallel: 0,
-        }
-    }
-}
-
-/// Snapshot of the int8-weight GEMM call counters: how many projection
-/// products over int8 weights ran with fewer than four activation rows
-/// (`serial`: greedy decode vectors) versus four or more (`blocked`:
-/// beam tiles, encoder passes) since process start (see
-/// `qrec_tensor::qi8::counters` — one kernel serves both; the names are
-/// size classes). Both zero when the serving model carries no int8
-/// sidecar — the f32 path never touches them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct QuantSnapshot {
-    /// Int8-weight products of fewer than four activation rows.
-    pub qi8_serial: u64,
-    /// Int8-weight products of four or more activation rows.
-    pub qi8_blocked: u64,
-}
-
-impl QuantSnapshot {
-    /// Read the current process-wide quantized dispatch counters.
-    pub fn current() -> Self {
-        let c = qrec_tensor::qi8::counters();
-        QuantSnapshot {
-            qi8_serial: c.serial,
-            qi8_blocked: c.blocked,
         }
     }
 }
@@ -362,7 +331,7 @@ pub struct MetricsSnapshot {
     pub sessions_evicted: u64,
     /// See [`Metrics::latency`].
     pub latency: HistogramSnapshot,
-    /// Compute-pool configuration and GEMM kernel dispatch counters.
+    /// GEMM kernel dispatch counters.
     pub compute: ComputeSnapshot,
     /// Incremental-decode step and encoder-cache counters since process
     /// start. A healthy interleaved workload shows `enc_cache_hits`
@@ -373,8 +342,6 @@ pub struct MetricsSnapshot {
     /// flush/run/bloom counters, and the last recovery time. All-zero
     /// when the server runs without a data directory.
     pub store: qrec_store::StoreStats,
-    /// Int8 quantized-GEMM dispatch counters.
-    pub quant: QuantSnapshot,
     /// TCP front-end counters and gauges.
     pub frontend: FrontendSnapshot,
     /// Sliding-window telemetry summary.
@@ -488,14 +455,12 @@ mod tests {
     #[test]
     fn compute_snapshot_reports_pool_and_dispatch_counters() {
         let before = Metrics::new().snapshot().compute;
-        assert_eq!(before.pool_threads, 1);
         // A small matmul stays on the serial path and bumps the counter.
         let a = qrec_tensor::Tensor::from_vec(1, 4, vec![1.0; 4]);
         let b = qrec_tensor::Tensor::from_vec(4, 2, vec![1.0; 8]);
         let _ = a.matmul(&b);
         let after = ComputeSnapshot::current();
         assert!(after.gemm_serial > before.gemm_serial);
-        assert_eq!(after.pool_threads, 1);
         assert_eq!(after.gemm_parallel, 0);
     }
 
@@ -513,16 +478,6 @@ mod tests {
         assert_eq!(s.rejected_cap, 1);
         assert_eq!(s.outbox_high_water, 4096);
         assert_eq!(s.idle_disconnects, 0);
-    }
-
-    #[test]
-    fn quant_snapshot_tracks_qi8_dispatch() {
-        let before = QuantSnapshot::current();
-        // A 1-row product over int8 weights counts in the serial class.
-        let qb = qrec_tensor::qi8::QPackedB::from_f32(&[0.5f32; 8], 4, 2);
-        let _ = qrec_tensor::qi8::qgemm(&[1.0, 2.0, 3.0, 4.0], &qb, 1);
-        let after = QuantSnapshot::current();
-        assert!(after.qi8_serial > before.qi8_serial);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and only then is the decode engine's queue closed.
 
 use qrec_core::Recommender;
-use qrec_obs::flight;
+use qrec_obs::{flight, Counter};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -107,9 +107,9 @@ pub struct ServerConfig {
     /// Ignored without `data_dir`.
     pub store: qrec_store::StoreConfig,
     /// Numeric mode for decoding. [`QuantMode::Int8`] quantizes the
-    /// boot model and every hot-swapped model at install time; the
-    /// sidecar also persists to the zoo, so a restart serves int8
-    /// without re-calibrating.
+    /// boot model and every hot-swapped model at install time. The zoo
+    /// persists f32 weights only; a restart quantizes the recovered
+    /// model again, to the same int8 bytes.
     pub quant: QuantMode,
     /// Width of one telemetry window (DESIGN.md §17). Clamped to at
     /// least one millisecond.
@@ -226,11 +226,6 @@ impl Server {
         let mut zoo: Option<ModelZoo> = None;
         let mut boot_model = model;
         let mut boot_epoch = 1u64;
-        // The config's quant mode is authoritative over whatever state
-        // the caller's or the zoo's model arrives in: Int8 installs the
-        // sidecar (idempotent if a v2 blob already carried one), F32
-        // strips it so the bitwise reference path serves.
-        apply_quant_mode(&mut boot_model, cfg.quant);
         if let Some(dir) = &cfg.data_dir {
             let sessions = Store::open(&dir.join("sessions"), cfg.store).map_err(store_err)?;
             durable = Some(Arc::new(sessions));
@@ -241,17 +236,20 @@ impl Server {
                     // served; it outranks the caller's boot model.
                     boot_model = recovered;
                     boot_epoch = epoch;
-                    apply_quant_mode(&mut boot_model, cfg.quant);
                 }
                 None => {
                     // First boot with persistence: seed the zoo so a
-                    // crash before the first swap still recovers (with
-                    // its int8 sections when quantization is on).
+                    // crash before the first swap still recovers.
                     z.save(boot_epoch, &boot_model).map_err(store_err)?;
                 }
             }
             zoo = Some(z);
         }
+        // The config's quant mode is authoritative over whatever state
+        // the model that will serve arrives in: Int8 builds the sidecar
+        // from its f32 weights, F32 strips it so the bitwise reference
+        // path serves.
+        apply_quant_mode(&mut boot_model, cfg.quant);
 
         let registry = Arc::new(ModelRegistry::with_epoch(boot_model, boot_epoch));
         let store = Arc::new(match &durable {
@@ -334,12 +332,15 @@ impl Server {
         server.housekeeping = {
             let store = Arc::clone(&server.shared.store);
             let telemetry = Arc::clone(&server.shared.telemetry);
+            let evicted = Arc::clone(&server.shared.metrics.sessions_evicted);
             let stop = Arc::clone(&server.housekeeping_stop);
             let sweep_every = (cfg.session_ttl / 60).max(Duration::from_millis(1));
             Some(
                 thread::Builder::new()
                     .name("qrec-serve-housekeeping".into())
-                    .spawn(move || housekeeping(&store, &telemetry, tlog, &stop, sweep_every))?,
+                    .spawn(move || {
+                        housekeeping(&store, &evicted, &telemetry, tlog, &stop, sweep_every)
+                    })?,
             )
         };
         server.loop_handle = Some(
@@ -494,12 +495,14 @@ impl Drop for Server {
 }
 
 /// The server's one background thread beside the loop and the decode
-/// workers: it evicts idle sessions every `sweep_every`, seals each
+/// workers: it evicts idle sessions every `sweep_every` (counting them
+/// in `evicted`, the one eviction count STATS and DUMP read), seals each
 /// telemetry window at its deadline (appending the frame to the durable
 /// log, when there is one), and parks until the nearer of the two
 /// deadlines or until [`Server::shutdown`] unparks it.
 fn housekeeping(
     store: &SessionStore,
+    evicted: &Counter,
     telemetry: &Telemetry,
     mut tlog: Option<TelemetryLog>,
     housekeeping_stop: &AtomicBool,
@@ -510,7 +513,7 @@ fn housekeeping(
     while !housekeeping_stop.load(Ordering::Acquire) {
         let now = Instant::now();
         if now >= next_sweep {
-            store.sweep(now);
+            evicted.add(store.sweep(now) as u64);
             next_sweep = now + sweep_every;
         }
         if let Some(frame) = telemetry.tick(now) {
@@ -626,10 +629,7 @@ fn dump() -> Response {
 
 fn stats(shared: &Shared) -> Response {
     let mut snapshot = shared.metrics.snapshot();
-    // The store tracks its own eviction count (the housekeeping thread
-    // has no metrics handle); fold it into the snapshot here.
-    snapshot.sessions_evicted = shared.store.evicted();
-    // Same for the durable tier: its stats live on the Store handle.
+    // The durable tier's stats live on the Store handle.
     if let Some(durable) = &shared.durable {
         snapshot.store = durable.stats();
     }

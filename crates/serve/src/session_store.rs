@@ -96,7 +96,6 @@ pub struct SessionStore {
     shards: Box<[RwLock<HashMap<String, Entry>>]>,
     window: usize,
     ttl: Duration,
-    evicted: AtomicU64,
     durable: Option<Arc<Store>>,
     rehydrated: AtomicU64,
     /// Every parse goes through it: pushes and rehydration.
@@ -168,7 +167,6 @@ impl SessionStore {
             shards,
             window,
             ttl,
-            evicted: AtomicU64::new(0),
             durable,
             rehydrated: AtomicU64::new(0),
             statements: StatementTable::new(),
@@ -441,13 +439,7 @@ impl SessionStore {
             g.retain(|_, e| now.duration_since(e.last_seen) <= self.ttl);
             evicted += before - g.len();
         }
-        self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
         evicted
-    }
-
-    /// Total sessions evicted by [`SessionStore::sweep`] so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
     }
 }
 
@@ -494,7 +486,6 @@ mod tests {
         assert_eq!(evicted, 1);
         assert!(s.session_len("old").is_none());
         assert!(s.session_len("fresh").is_some());
-        assert_eq!(s.evicted(), 1);
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! CRC, so a flipped bit in any weight blob is a typed
 //! [`StoreError::Corrupt`], never silently different recommendations.
 //!
-//! Format v2 adds optional **int8 sections**: when the saved model
-//! carries a quantization sidecar (DESIGN.md §15), the header's `quant`
-//! list names one extra section per quantized weight holding its raw
-//! int8 values, with the per-tensor scale in the header. The f32
-//! sections are always written — the bitwise round-trip guarantee is
-//! unconditional — and loading rebuilds the sidecar from the int8
-//! sections instead of re-calibrating. v1 blobs (no `quant` field)
+//! Only f32 weights are persisted. An int8 sidecar is derived state:
+//! [`qrec_nn::Params::quantize`] rebuilds it deterministically from the
+//! f32 weights, so the server quantizes the loaded model at install
+//! time and a restart serves the same int8 bytes. Format v2 writers of
+//! the past also appended one int8 section per quantized weight,
+//! described by the header's `quant` list; such blobs still load (the
+//! int8 sections are counted, CRC-checked by the blob layer, and
+//! skipped), and this writer keeps the version at 2 with the list empty
+//! so an older binary reads what it writes. v1 blobs (no `quant` field)
 //! still load; a blob from a *future* format version is refused with a
 //! typed [`StoreError::Corrupt`], never a panic or a misparse.
 //!
@@ -34,8 +36,8 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Zoo format version (the blob container has its own version too).
-/// v1: f32 sections only. v2: optional int8 sections after the f32
-/// sections, described by the header's `quant` list.
+/// v1: f32 sections only. v2: a `quant` list that may name int8
+/// sections after the f32 ones; written empty, skipped on load.
 pub const ZOO_VERSION: u32 = 2;
 
 /// Name of the pointer file naming the live model.
@@ -50,18 +52,6 @@ struct TensorMeta {
     cols: usize,
 }
 
-/// One quantized parameter: section `tensors.len() + i` of the blob
-/// holds the raw int8 values (row-major) of parameter `param`. GEMM
-/// weights carry one per-tensor scale; embedding tables carry one scale
-/// per row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct QuantMeta {
-    param: usize,
-    rows: usize,
-    cols: usize,
-    scales: Vec<f32>,
-}
-
 /// The blob's JSON header.
 #[derive(Debug, Serialize, Deserialize)]
 struct ZooHeader {
@@ -72,9 +62,10 @@ struct ZooHeader {
     vocab: Vocab,
     lexicon: FragmentLexicon,
     tensors: Vec<TensorMeta>,
-    /// Int8 sections (v2+); empty/absent in v1 blobs.
+    /// One entry per int8 section a past v2 writer appended; only the
+    /// count is read. Written empty, absent in v1.
     #[serde(default)]
-    quant: Vec<QuantMeta>,
+    quant: Vec<serde::Value>,
 }
 
 /// The `CURRENT` pointer contents.
@@ -109,7 +100,8 @@ impl ModelZoo {
     }
 
     /// Persist `model` as the live model for `epoch`: blob first, then
-    /// the `CURRENT` pointer, each atomically.
+    /// the `CURRENT` pointer, each atomically. Only the f32 weights are
+    /// written, also for a quantized model.
     ///
     /// # Errors
     ///
@@ -131,20 +123,6 @@ impl ModelZoo {
             }
             sections.push(bytes);
         }
-        // Int8 sections ride after the f32 sections when the model
-        // carries a sidecar; the f32 sections stay authoritative.
-        let mut quant = Vec::new();
-        if let Some(sidecar) = params.quant() {
-            for (param, rows, cols, scales, values) in sidecar.export() {
-                quant.push(QuantMeta {
-                    param,
-                    rows,
-                    cols,
-                    scales,
-                });
-                sections.push(values.iter().map(|&v| v as u8).collect());
-            }
-        }
         let header = ZooHeader {
             format_version: ZOO_VERSION,
             epoch,
@@ -153,7 +131,7 @@ impl ModelZoo {
             vocab: model.vocab().clone(),
             lexicon: model.lexicon().clone(),
             tensors,
-            quant,
+            quant: Vec::new(),
         };
         let header_json = serde_json::to_string(&header)
             .map_err(|e| StoreError::Io(format!("zoo header serialise: {e}")))?;
@@ -169,7 +147,8 @@ impl ModelZoo {
     }
 
     /// Load the model the `CURRENT` pointer names, fully validating the
-    /// blob. `Ok(None)` when the zoo has never saved a model.
+    /// blob. `Ok(None)` when the zoo has never saved a model. The model
+    /// comes back unquantized.
     ///
     /// # Errors
     ///
@@ -192,7 +171,7 @@ impl ModelZoo {
         let b = blob::read_blob(&blob_path)?;
         let header: ZooHeader = serde_json::from_str(&b.header)
             .map_err(|e| StoreError::corrupt(&blob_path, 0, format!("header parse: {e}")))?;
-        // v1 (f32-only) and v2 (int8 sections) both load; version 0 and
+        // v1 (f32 only) and v2 (maybe int8 sections) both load; version 0 and
         // anything from a future writer are refused with a typed error
         // rather than misparsing sections.
         if header.format_version == 0 || header.format_version > ZOO_VERSION {
@@ -256,54 +235,12 @@ impl ModelZoo {
                 Tensor::from_vec(meta.rows, meta.cols, data),
             ));
         }
-        let mut params = Params::from_named_tensors(named);
-
-        // Rebuild the int8 sidecar from the persisted sections: the
-        // packed panels come straight from the saved values, so a
-        // quantized model round-trips without re-calibrating.
-        if !header.quant.is_empty() {
-            let mut entries = Vec::with_capacity(header.quant.len());
-            for (i, meta) in header.quant.iter().enumerate() {
-                let section = &b.sections[header.tensors.len() + i];
-                let want = meta.rows.checked_mul(meta.cols);
-                if want != Some(section.len()) {
-                    return Err(StoreError::corrupt(
-                        &blob_path,
-                        0,
-                        format!(
-                            "int8 weight for param {} declares {}x{} but its section holds {} bytes",
-                            meta.param,
-                            meta.rows,
-                            meta.cols,
-                            section.len()
-                        ),
-                    ));
-                }
-                if meta.scales.is_empty() || meta.scales.iter().any(|s| !s.is_finite() || *s < 0.0)
-                {
-                    return Err(StoreError::corrupt(
-                        &blob_path,
-                        0,
-                        format!("int8 weight for param {} has bad scales", meta.param),
-                    ));
-                }
-                let values: Vec<i8> = section.iter().map(|&v| v as i8).collect();
-                entries.push((
-                    meta.param,
-                    meta.rows,
-                    meta.cols,
-                    meta.scales.clone(),
-                    values,
-                ));
-            }
-            let sidecar = qrec_nn::QuantParams::import(&params, entries);
-            params.set_quant(sidecar);
-        }
-
+        // Any int8 sections past the f32 ones are skipped: the server
+        // quantizes the f32 weights it installs.
         let rec = Recommender::from_parts(
             header.cfg,
             header.model,
-            params,
+            Params::from_named_tensors(named),
             header.vocab,
             header.lexicon,
         );

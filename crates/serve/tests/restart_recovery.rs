@@ -234,12 +234,28 @@ fn rewrite_header(blob_path: &Path, f: impl FnOnce(&mut serde::Map)) {
     qrec_store::blob::write_blob(blob_path, &doctored, &refs).expect("rewrite blob");
 }
 
-/// A quantized model's int8 sidecar persists to the zoo (v2 sections)
-/// and is rebuilt on load without re-calibrating: the exported packed
-/// weights match entry for entry, the f32 weights stay bitwise, and the
-/// restored model decodes what the saved one does, bit for bit.
+/// Beam-decode one fixed statement: the ids and log-probability bits of
+/// every candidate.
+fn decode_bits(m: &Recommender) -> Vec<(Vec<usize>, u32)> {
+    let tokens: Vec<String> = "select * from t0 where c0 = 1"
+        .split(' ')
+        .map(String::from)
+        .collect();
+    let strategy = qrec_nn::Strategy::Beam { width: 4 };
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut cache = qrec_nn::decode::EncCache::new(1);
+    m.decode_candidates_for_tokens_cached(&tokens, strategy, &mut rng, &mut cache)
+        .into_iter()
+        .map(|h| (h.ids, h.log_prob.to_bits()))
+        .collect()
+}
+
+/// The zoo persists f32 weights only, also for a quantized model: the
+/// blob holds one section per tensor, the model loads unquantized with
+/// bitwise weights, and quantized again it decodes what the saved model
+/// decoded, bit for bit — the int8 sidecar is a function of the weights.
 #[test]
-fn quantized_zoo_round_trip_restores_sidecar() {
+fn quantized_zoo_round_trip_requantizes_bit_for_bit() {
     let dir = std::env::temp_dir().join(format!("qrec-zoo-quant-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let zoo = ModelZoo::open(&dir).expect("open zoo");
@@ -247,34 +263,177 @@ fn quantized_zoo_round_trip_restores_sidecar() {
     model.quantize();
     zoo.save(3, &model).expect("save quantized");
 
-    let (epoch, restored) = zoo.load_current().expect("load").expect("model present");
+    let blob = qrec_store::blob::read_blob(&dir.join(ModelZoo::blob_name(3))).expect("read blob");
+    assert_eq!(
+        blob.sections.len(),
+        model.params().len(),
+        "one f32 section per tensor, no int8 sections"
+    );
+    let (epoch, mut restored) = zoo.load_current().expect("load").expect("model present");
     assert_eq!(epoch, 3);
-    assert!(restored.is_quantized(), "sidecar must survive the zoo");
+    assert!(!restored.is_quantized(), "the zoo hands back f32 weights");
     assert_weights_bitwise_equal(&restored, &model);
-    let want = model.params().quant().expect("sidecar").export();
-    let got = restored.params().quant().expect("sidecar").export();
-    assert_eq!(want.len(), got.len(), "quantized weight count");
-    for ((wi, wr, wc, ws, wq), (gi, gr, gc, gs, gq)) in want.iter().zip(&got) {
-        assert_eq!(wi, gi, "param index");
-        assert_eq!((wr, wc), (gr, gc), "param {wi}: shape");
-        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ws), bits(gs), "param {wi}: scale bits");
-        assert_eq!(wq, gq, "param {wi}: int8 values");
+    restored.quantize();
+    assert_eq!(
+        decode_bits(&restored),
+        decode_bits(&model),
+        "int8 decode after reload"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One int8 section's header entry as older writers put it in the
+/// `quant` list: GEMM weights carry one scale, embedding tables one per
+/// row.
+#[derive(serde::Serialize)]
+struct LegacyQuantMeta {
+    param: usize,
+    rows: usize,
+    cols: usize,
+    scales: Vec<f32>,
+}
+
+/// Append int8 sections to a saved blob the way older writers did: one
+/// per `*.w` weight (per-tensor scale) and `*.emb` table (per-row
+/// scales), row-major, listed in the header's `quant` field.
+fn append_legacy_int8_sections(blob_path: &Path, model: &Recommender) {
+    use qrec_tensor::qi8;
+    let mut metas = Vec::new();
+    let mut extra: Vec<Vec<u8>> = Vec::new();
+    for (param, (name, t)) in model.params().named_tensors().enumerate() {
+        let (rows, cols) = (t.rows(), t.cols());
+        let (scales, values): (Vec<f32>, Vec<i8>) = if name.ends_with(".w") {
+            let scale = qi8::calibrate(t.data());
+            (vec![scale], qi8::quantize(t.data(), scale))
+        } else if name.ends_with(".emb") {
+            let mut scales = Vec::new();
+            let mut values = Vec::new();
+            for row in t.data().chunks_exact(cols) {
+                let scale = qi8::calibrate(row);
+                scales.push(scale);
+                values.extend(qi8::quantize(row, scale));
+            }
+            (scales, values)
+        } else {
+            continue;
+        };
+        metas.push(LegacyQuantMeta {
+            param,
+            rows,
+            cols,
+            scales,
+        });
+        extra.push(values.iter().map(|&v| v as u8).collect());
     }
-    let tokens: Vec<String> = "select * from t0 where c0 = 1"
-        .split(' ')
-        .map(String::from)
+    assert!(!metas.is_empty(), "the model has quantizable weights");
+    rewrite_header(blob_path, |map| {
+        let list = metas.iter().map(serde::Serialize::to_value).collect();
+        map.insert("quant", serde::Value::Array(list));
+    });
+    let b = qrec_store::blob::read_blob(blob_path).expect("read blob");
+    let refs: Vec<&[u8]> = b.sections.iter().chain(&extra).map(Vec::as_slice).collect();
+    qrec_store::blob::write_blob(blob_path, &b.header, &refs).expect("append int8 sections");
+}
+
+/// A blob an older writer saved with int8 sections after the f32 ones
+/// still loads — f32 weights bitwise, unquantized — and the section
+/// count is still checked: the same blob missing one section is a typed
+/// corruption error.
+#[test]
+fn legacy_blob_with_int8_sections_loads_f32_only() {
+    let dir = std::env::temp_dir().join(format!("qrec-zoo-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let zoo = ModelZoo::open(&dir).expect("open zoo");
+    let model = train_tiny(8);
+    zoo.save(2, &model).expect("save");
+    let blob_path = dir.join(ModelZoo::blob_name(2));
+    append_legacy_int8_sections(&blob_path, &model);
+    let sections = qrec_store::blob::read_blob(&blob_path)
+        .expect("read blob")
+        .sections;
+    assert!(
+        sections.len() > model.params().len(),
+        "int8 sections appended"
+    );
+
+    let (epoch, restored) = zoo
+        .load_current()
+        .expect("legacy blob loads")
+        .expect("present");
+    assert_eq!(epoch, 2);
+    assert!(!restored.is_quantized(), "int8 sections are skipped");
+    assert_weights_bitwise_equal(&restored, &model);
+
+    let b = qrec_store::blob::read_blob(&blob_path).expect("read blob");
+    let refs: Vec<&[u8]> = b.sections[..b.sections.len() - 1]
+        .iter()
+        .map(Vec::as_slice)
         .collect();
-    let decode = |m: &Recommender| {
-        let strategy = qrec_nn::Strategy::Beam { width: 4 };
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut cache = qrec_nn::decode::EncCache::new(1);
-        m.decode_candidates_for_tokens_cached(&tokens, strategy, &mut rng, &mut cache)
-            .into_iter()
-            .map(|h| (h.ids, h.log_prob.to_bits()))
-            .collect::<Vec<_>>()
+    qrec_store::blob::write_blob(&blob_path, &b.header, &refs).expect("drop one section");
+    let err = match zoo.load_current() {
+        Err(e) => e,
+        Ok(_) => panic!("a missing section must be refused"),
     };
-    assert_eq!(decode(&restored), decode(&model), "int8 decode after load");
+    assert!(err.is_corrupt(), "wrong error class: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One RECOMMEND over a fresh connection; the reply line's raw bytes.
+fn reply_bytes(addr: std::net::SocketAddr, session: &str, sql: &str) -> String {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    writeln!(
+        stream,
+        r#"{{"verb":"RECOMMEND","session":"{session}","sql":"{sql}","n":5}}"#
+    )
+    .expect("send");
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).expect("reply");
+    line
+}
+
+/// An int8 server restarted on its data directory with a different boot
+/// model serves the zoo's model, quantized again at start: the same
+/// windows get byte-identical replies, and `STATS` reports int8.
+#[test]
+fn int8_restart_serves_byte_identical_replies() {
+    let dir = std::env::temp_dir().join(format!("qrec-serve-int8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = || ServerConfig {
+        quant: qrec_serve::QuantMode::Int8,
+        ..durable_config(&dir)
+    };
+    let sqls = [
+        "SELECT a FROM t",
+        "SELECT b FROM t WHERE a > 1",
+        "SELECT a, b FROM t ORDER BY a",
+    ];
+    // Each window is one statement of a fresh session, so the second
+    // server sees the same windows under new ids (sessions persist too).
+    let replies = |server: &Server, run: &str| -> Vec<String> {
+        sqls.iter()
+            .enumerate()
+            .map(|(i, sql)| reply_bytes(server.local_addr(), &format!("{run}-{i}"), sql))
+            .collect()
+    };
+
+    let mut first = Server::start(train_tiny(31), "127.0.0.1:0", cfg()).expect("first boot");
+    let before = replies(&first, "first");
+    first.shutdown();
+    drop(first);
+
+    let mut second = Server::start(train_tiny(32), "127.0.0.1:0", cfg()).expect("restart");
+    assert_weights_bitwise_equal(&second.registry().current().1, &train_tiny(31));
+    let after = replies(&second, "second");
+    for (b, a) in before.iter().zip(&after) {
+        assert!(b.contains("\"fragments\""), "a recommendation: {b}");
+        assert_eq!(a, b, "reply bytes after the restart");
+    }
+    let stats = Client::connect(second.local_addr())
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    assert!(stats.model_quantized, "the restarted server serves int8");
+    second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

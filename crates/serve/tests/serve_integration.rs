@@ -12,12 +12,13 @@
 //! request is served — a
 //! cache hit on the event-loop thread (no decode worker involved, replies
 //! still in request order), anything durable or oversized on a worker;
-//! one more checks that the running server evicts idle sessions.
+//! one more checks that the running server evicts idle sessions, and
+//! one pins the `STATS` fields the end-to-end benchmark reads.
 
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{
     Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, MetricsSnapshot, ModelRegistry,
-    RecCache, Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
+    QuantMode, RecCache, Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
 };
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
@@ -527,4 +528,61 @@ fn idle_sessions_are_swept_by_the_running_server() {
         "shutdown took {:?}",
         t0.elapsed()
     );
+}
+
+/// The `STATS` fields the end-to-end benchmark (`bench_e2e`, a package
+/// of its own that clippy and the workspace tests never compile) reads,
+/// and nothing else: this test is their owner in the workspace. An
+/// int8 server with a data directory, so the store and quant fields
+/// carry values, takes one decoded request and one cache hit.
+#[test]
+fn stats_carries_the_surface_the_end_to_end_benchmark_reads() {
+    let dir = std::env::temp_dir().join(format!("qrec-serve-surface-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        data_dir: Some(dir.clone()),
+        quant: QuantMode::Int8,
+        ..server_config()
+    };
+    let mut server = Server::start(train_tiny(5), "127.0.0.1:0", cfg).expect("start");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let before = c.stats().expect("stats");
+    let sql = "SELECT a FROM t WHERE b < 2";
+    let miss = c.recommend("surface-a", sql, 5).expect("decoded");
+    assert_eq!(miss.cached, Some(false));
+    let hit = c.recommend("surface-b", sql, 5).expect("cached");
+    assert_eq!(hit.cached, Some(true));
+    let after = c.stats().expect("stats");
+
+    let (m0, m1) = (&before.metrics, &after.metrics);
+    assert_eq!(m1.cache_misses - m0.cache_misses, 1);
+    assert_eq!(m1.cache_hits - m0.cache_hits, 1);
+    // With a data directory both requests ride to a worker, one job per
+    // hand-off.
+    assert_eq!(m1.batches - m0.batches, 2);
+    assert_eq!(m1.batched_jobs - m0.batched_jobs, 2);
+    assert_eq!((m1.errors, m1.overloaded), (0, 0));
+    // Process-wide counters: other tests in this binary may move them too.
+    assert!(m1.decode.steps > m0.decode.steps);
+    assert!(m1.decode.enc_cache_hits >= m0.decode.enc_cache_hits);
+    assert!(m1.decode.enc_cache_misses > m0.decode.enc_cache_misses);
+    // Int8 projections run the int8 product, which DUMP counts apart.
+    assert!(m1.compute.gemm_serial >= m0.compute.gemm_serial);
+    assert_eq!(m1.compute.gemm_parallel, 0, "no product leaves its thread");
+    // The durable tier: one WAL append per request.
+    assert_eq!(m1.store.wal_appends - m0.store.wal_appends, 2);
+    assert!(m1.store.wal_bytes > m0.store.wal_bytes);
+    assert!(m1.store.flushes >= m0.store.flushes);
+    assert!(m1.store.bloom_negatives >= m0.store.bloom_negatives);
+    assert!(m1.store.run_block_reads >= m0.store.run_block_reads);
+    assert!(
+        m1.store.live_runs <= m1.store.flushes,
+        "a run per flush at most"
+    );
+    assert_eq!(m1.store.recovery_us, m0.store.recovery_us);
+    assert_eq!(after.model_epoch, 1);
+    assert!(after.model_quantized, "Int8 serves a quantized model");
+    drop(c);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

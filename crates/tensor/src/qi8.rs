@@ -6,8 +6,8 @@
 //! value `A` maps through `scale = A / 127` as `q = round(x / scale)`
 //! clamped to `[-127, 127]` (saturating, never wrapping; `-128` is
 //! unused so negation stays closed). Weights are quantized **once** at
-//! model-load time and stay resident **row-major** `k×m`, which is also
-//! the persisted form. Activations stay `f32`: what int8 buys at the
+//! model-load time and stay resident **row-major** `k×m`; they are never
+//! persisted. Activations stay `f32`: what int8 buys at the
 //! served widths is 3.9× smaller weights and K/V rows, and that needs
 //! only the stored side to be int8.
 //!
@@ -17,7 +17,7 @@
 //! ([`crate::kernel`]) instantiated for an int8 `B`: each weight segment
 //! is widened `i8 → f32` on load (exact), so an output element is the
 //! kernel's single-accumulator ascending-`k` `fmadd` fold of the f32
-//! activations over the integer-valued weights, times [`QPackedB::scale`]
+//! activations over the integer-valued weights, times the weight's scale
 //! once. It is deterministic at any tiling for the reason
 //! the f32 kernel is — one fold order per element, not associativity —
 //! and bit-equal to [`crate::kernel::naive`] over the widened weights
@@ -172,8 +172,7 @@ pub fn dequantize(q: &[i8], scale: f32) -> Vec<f32> {
 // Quantized weights
 // ---------------------------------------------------------------------
 
-/// A weight matrix quantized per-tensor, resident **row-major** `k×m` —
-/// the persisted form, so loading copies and [`QPackedB::unpack`] clones.
+/// A weight matrix quantized per-tensor, resident **row-major** `k×m`.
 /// Row `kk` is the contiguous int8 run `data[kk·m .. (kk+1)·m]`, of which
 /// the register tile reads a 16-column segment as one load.
 ///
@@ -210,26 +209,14 @@ impl QPackedB {
         self.m
     }
 
-    /// The per-tensor scale the values were quantized under.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
     /// Bytes resident for the packed weight: exactly `k·m` (the f32
     /// original holds `4·k·m`).
     pub fn packed_bytes(&self) -> usize {
         self.data.len()
     }
 
-    /// The quantized values as a row-major `k×m` int8 matrix (the form
-    /// the persistence layer stores).
-    pub fn unpack(&self) -> Vec<i8> {
-        self.data.clone()
-    }
-
-    /// Adopt a row-major `k×m` int8 matrix quantized under `scale`
-    /// (the inverse of [`QPackedB::unpack`], used when loading a
-    /// persisted int8 section).
+    /// Adopt a row-major `k×m` int8 matrix quantized under `scale` (the
+    /// int8 properties build oracle weights with it).
     pub fn from_quantized(q: &[i8], k: usize, m: usize, scale: f32) -> QPackedB {
         assert_eq!(q.len(), k * m, "weight must hold k·m values");
         let data = q.to_vec();
@@ -328,7 +315,7 @@ mod tests {
         }
     }
 
-    /// A persisted weight may hold `-128` (the quantizers never emit
+    /// An adopted weight may hold `-128` (the quantizers never emit
     /// it): it widens like any other value.
     #[test]
     fn extreme_persisted_weights_widen_exactly() {
@@ -380,14 +367,13 @@ mod tests {
         for &(k, m) in &[(7, 9), (32, 32), (300, 65), (17, 257), (1, 1)] {
             let b = fill(k * m, 5);
             let qb = QPackedB::from_f32(&b, k, m);
-            let flat = qb.unpack();
-            let scale = qb.scale();
+            let scale = qb.scale;
             let direct: Vec<i8> = b.iter().map(|&x| quantize_one(x, scale)).collect();
-            assert_eq!(flat, direct, "{k}x{m}");
+            assert_eq!(qb.data, direct, "{k}x{m}");
             // And back: adopting the flat form reproduces the weight.
-            let qb2 = QPackedB::from_quantized(&flat, k, m, scale);
+            let qb2 = QPackedB::from_quantized(&direct, k, m, scale);
             assert_eq!(qb.data, qb2.data, "{k}x{m}");
-            assert_eq!(qb.scale(), qb2.scale());
+            assert_eq!(qb.scale, qb2.scale);
         }
     }
 

@@ -85,6 +85,10 @@ cargo test --offline -q --release -p qrec-nn --test step_contract
 cargo test --offline -q --release -p qrec-core --lib internal_rng_calls
 cargo test --offline -q --release -p qrec-nn --test quant_equivalence
 cargo test --offline -q --release -p qrec-tensor --test qi8_properties
+# The zoo persists f32 weights only and a restart quantizes them again:
+# the re-quantized model must decode bit for bit what the saved one did
+# in the shipped build too.
+cargo test --offline -q --release -p qrec-serve --test restart_recovery
 cargo test --offline -q --release -p qrec-nn --lib one_pass_selection
 
 echo "==> serving parse, cache key and reply bytes against their oracles (release)"
