@@ -19,7 +19,7 @@
 //! A to crate B only exists when A (transitively) depends on B — the
 //! store crate cannot call into serve no matter how the names collide.
 //! Second, method names dominated by std receivers (`insert`, `len`,
-//! `store`, … — see [`AMBIENT_METHODS`]) never form unqualified edges:
+//! `store`, … — see `AMBIENT_METHODS`) never form unqualified edges:
 //! a `HashMap::insert` call site says nothing about which workspace
 //! `insert` runs, and every such site would otherwise fabricate an
 //! edge. Both filters trade a sliver of recall for most of the false

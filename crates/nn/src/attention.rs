@@ -2,7 +2,7 @@
 //! forward and the full-prefix decode run ([`MultiHeadAttention::forward`]
 //! — the projections as graph ops, the attention itself as one node with
 //! a hand-written backward), and the two fused tape-free kernels — over a
-//! hypothesis's growing history ([`attend_fused`]) and over a fixed set
+//! hypothesis's growing history (`attend_fused`) and over a fixed set
 //! of source rows whose keys are stored transposed ([`attend_source`]),
 //! which is also the forward of the tape node.
 
@@ -355,7 +355,7 @@ pub(crate) fn transpose_into(x: &[f32], cols: usize, out: &mut Vec<f32>) {
 /// The `m` full-precision source rows a batch of queries attends: rows
 /// that stay fixed while many queries attend them — the cross-attention
 /// K/V of a decode, an encoder layer's K/V, a training example's — with
-/// the keys stored **transposed** (`kt`: `d × m`, [`transpose_into`]),
+/// the keys stored **transposed** (`kt`: `d × m`, `transpose_into`),
 /// so head `h`'s keys are the contiguous `d_h × m` block of rows
 /// `h·d_h..`, and the values row-major (`v`: `m × d`).
 #[derive(Debug, Clone, Copy)]
@@ -381,7 +381,7 @@ pub struct SourceKv<'a> {
 /// return row `i`'s `heads` runs of `m` softmax weights, which the tape
 /// node keeps for its backward.
 ///
-/// Bit for bit what [`attend_fused`] and the graph ops compute per row:
+/// Bit for bit what `attend_fused` and the graph ops compute per row:
 /// each logit and each context element is the single-accumulator
 /// ascending [`fmadd`] fold from `0.0` that every GEMM path computes (the
 /// tile's, [`tile_gemm`]), over the head's columns for a logit and over

@@ -11,12 +11,12 @@
 //!
 //! * **Transformer** — per layer, one contiguous arena of the
 //!   self-attention K/V rows of every hypothesis and every position
-//!   decoded so far ([`KvArena`], one row appended per hypothesis per
+//!   decoded so far (`KvArena`, one row appended per hypothesis per
 //!   step), the cross-attention K/V of the source projected *once* in
 //!   `begin_decode` instead of once per step (the keys stored
 //!   transposed, the layout [`crate::attention::attend_source`] reads),
 //!   and the scratch buffers every step writes its intermediates into
-//!   ([`StepScratch`]) — the transformer step builds no autograd graph
+//!   (`StepScratch`) — the transformer step builds no autograd graph
 //!   and allocates nothing but the logits it returns.
 //! * **ConvS2S** — per decoder layer, the rolling window of the last
 //!   `kernel - 1` block-input rows per hypothesis (what the causal

@@ -144,7 +144,7 @@ impl Embedding {
     ///
     /// Training passes bind the table as a graph leaf (its gradient is a
     /// scatter into the looked-up rows). Every other pass gathers only
-    /// the requested rows into a constant ([`Embedding::gather_into`]),
+    /// the requested rows into a constant (`Embedding::gather_into`),
     /// which is also what reads an int8 table when the store has one.
     pub fn forward(&self, fwd: &mut Fwd<'_>, ids: &[usize]) -> NodeId {
         if fwd.training {

@@ -14,12 +14,13 @@
 //! workers exit once they have served every job already accepted.
 //!
 //! Not every RECOMMEND gets this far. The event loop resolves the
-//! session window of a memory-only store itself and answers a cache hit
-//! on its own thread through `answer_cached` — the same lookup → count
-//! → rank sequence a worker runs, so both feed one set of counters,
-//! stage histograms and flight records. What reaches the queue is what
-//! needs a worker: a window to decode, or — with a durable session tier
-//! — any request, because its WAL write may block ([`PrepareFn`]).
+//! session window itself whenever the push takes no wait, and answers a
+//! cache hit on its own thread through `answer_cached` — the same
+//! lookup → count → rank sequence a worker runs, so both feed one set
+//! of counters, stage histograms and flight records. What reaches the
+//! queue is what needs a worker: a window to decode, or a session push
+//! that would wait — for an fsync, a flush, a run read or a lock
+//! ([`PrepareFn`]).
 
 use qrec_core::predict::PerKind;
 use qrec_nn::decode::EncCache;
@@ -65,10 +66,10 @@ pub struct Recommendation {
 }
 
 /// Session-preparation step run on the worker just before decoding:
-/// returns the model input tokens (typically from a durable
-/// [`SessionStore::push_sql`](crate::session_store::SessionStore::push_sql),
-/// which may block on a WAL fsync — exactly why it runs here and not on
-/// the event-loop thread).
+/// returns the model input tokens (typically from
+/// [`SessionStore::push_pending`](crate::session_store::SessionStore::push_pending),
+/// a push that may wait for a WAL fsync or a memtable flush — exactly
+/// why it runs here and not on the event-loop thread).
 pub type PrepareFn = Box<dyn FnOnce() -> Result<Vec<String>, ServeError> + Send>;
 
 /// Completion callback for [`DecodeEngine::submit_callback`]: invoked

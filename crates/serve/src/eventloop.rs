@@ -8,19 +8,25 @@
 //!
 //! The loop executes what it can finish in microseconds without ever
 //! blocking, and nothing else. Control verbs answer inline. A RECOMMEND
-//! is answered inline when it hits the recommendation cache: with a
-//! memory-only session store the loop parses the statement (at most
-//! `LOOP_PARSE_MAX_BYTES` of it), pushes it, probes the cache on the
-//! session's window and ranks the reply on the spot
-//! (`EventLoop::try_on_loop`) — the most common request of a warm server
-//! never leaves this thread. Everything else goes into the decode
-//! engine's bounded job queue via
+//! is answered inline when it hits the recommendation cache: the loop
+//! parses the statement (at most `LOOP_PARSE_MAX_BYTES` of it), pushes
+//! it through [`SessionStore::try_push`](crate::SessionStore::try_push),
+//! probes the cache on the session's window and ranks the reply on the
+//! spot (`EventLoop::try_on_loop`) — the most common request of a warm
+//! server never leaves this thread, whichever kind of session store it
+//! runs. With a data directory the push is a WAL append that must
+//! precede the acknowledgement, and the loop takes it only when it
+//! cannot wait: the loop never fsyncs, flushes a memtable, reads a run
+//! or waits for a lock a worker can hold through one of those (the
+//! store's writer lock, a durable session's shard lock). So under `FsyncPolicy::Never` a push rides to a
+//! worker only when the session must be rehydrated, the memtable is due
+//! a flush or a lock is busy; under `EveryN(n)` every `n`-th append does
+//! too (it syncs); and under `Always`, the default, every request does.
+//! Everything else goes into the decode engine's bounded job queue via
 //! [`crate::batcher::DecodeEngine::submit_callback`]: a window the cache
 //! does not hold (the model runs there), any statement longer than the
-//! cap, and — when a data directory is configured — every request, with
-//! the session push deferred to the worker, because the WAL write that
-//! must precede the acknowledgement may fsync and a blocked loop stalls
-//! every connection. Completions come back through a
+//! cap, and a push that would wait — the worker finishes it from the
+//! tokens the loop already parsed. Completions come back through a
 //! [`std::sync::mpsc`] channel, whose `Sender` each reply closure holds
 //! a clone of, plus a [`polling::Waker`] that interrupts the poll.
 //!
@@ -56,6 +62,7 @@ use crate::framing::{FrameBuf, FrameError};
 use crate::metrics::Metrics;
 use crate::protocol::{Request, Response, DEFAULT_N};
 use crate::server::{Dispatch, Shared};
+use crate::session_store::PendingPush;
 
 const TOKEN_LISTENER: Token = Token(0);
 const TOKEN_WAKER: Token = Token(1);
@@ -117,9 +124,10 @@ enum LoopSide {
     /// The window is resolved and the cache has no ranking for it: a
     /// worker decodes these tokens.
     Decode(Vec<String>),
-    /// Not the loop's to touch — a durable session tier, or a statement
-    /// over [`LOOP_PARSE_MAX_BYTES`]: a worker runs the push too.
-    Defer,
+    /// The push would wait, or the statement is over
+    /// [`LOOP_PARSE_MAX_BYTES`]: a worker runs the push too, from the
+    /// loop's parse when there was one.
+    Defer(Option<PendingPush>),
 }
 
 /// What to do after a failed `accept(2)`.
@@ -696,9 +704,12 @@ impl EventLoop {
                     return;
                 }
                 LoopSide::Decode(tokens) => (tokens, None),
-                LoopSide::Defer => {
+                LoopSide::Defer(pending) => {
                     let store = Arc::clone(&self.shared.store);
-                    let prepare = Box::new(move || store.push_sql(&session, &sql));
+                    let prepare = Box::new(move || match pending {
+                        Some(pending) => store.push_pending(&session, &sql, pending),
+                        None => store.push_sql(&session, &sql),
+                    });
                     (Vec::new(), Some(prepare))
                 }
             };
@@ -754,32 +765,29 @@ impl EventLoop {
 
     /// The part of a RECOMMEND the loop does itself, with the trace
     /// started by [`EventLoop::start_recommend`] installed: push the
-    /// statement into a memory-only session store (the `"session"`
-    /// stage), key the recommendation cache on the borrowed window, and
-    /// on a hit rank the reply right here — no job, no boxed closures, no
-    /// channel, no waker write, no second poll iteration. The flight
-    /// record of such a request has `cache_hit` set, batch size 0, and no
-    /// `batch_wait` or `decode` stage.
+    /// statement into the session store (the `"session"` stage), key the
+    /// recommendation cache on the borrowed window, and on a hit rank the
+    /// reply right here — no job, no boxed closures, no channel, no waker
+    /// write, no second poll iteration. The flight record of such a
+    /// request has `cache_hit` set, batch size 0, and no `batch_wait` or
+    /// `decode` stage.
     ///
     /// Everything reachable from here must be non-blocking: the push is
-    /// [`MemoryOnly`](crate::session_store::MemoryOnly)'s, which cannot
-    /// reach the durable store, and statement length is capped by
+    /// [`SessionStore::try_push`](crate::SessionStore::try_push)'s, which
+    /// hands back a push that would fsync, flush, read a run or wait for
+    /// a lock instead of making it, and statement length is capped by
     /// [`LOOP_PARSE_MAX_BYTES`].
     fn try_on_loop(&self, session: &str, sql: &str, n: usize, t0: Instant) -> LoopSide {
         let shared = &self.shared;
-        let Some(sessions) = shared
-            .store
-            .memory_only()
-            .filter(|_| sql.len() <= LOOP_PARSE_MAX_BYTES)
-        else {
-            return LoopSide::Defer;
-        };
+        if sql.len() > LOOP_PARSE_MAX_BYTES {
+            return LoopSide::Defer(None);
+        }
         let epoch = shared.registry.epoch();
         // The session stage begins at the request's arrival (`t0`, read
         // already), so it also covers starting the trace: a clock read
         // saved, where every read is a share of the spine's budget.
         let session_stage = Span::enter_at("session", &shared.metrics.stage_session, t0);
-        let pushed = sessions.push_sql(session, sql, |ctx| {
+        let pushed = shared.store.try_push(session, sql, |ctx| {
             // The push is applied; what follows under the shard lock —
             // so that a miss takes the tokens of this very window — is
             // the cache and rank stages.
@@ -789,7 +797,7 @@ impl EventLoop {
                 .ok_or_else(|| ctx.input_tokens())
         });
         match pushed {
-            Ok(Ok((fragments, latency))) => {
+            Ok(Ok(Ok((fragments, latency)))) => {
                 trace::note_batch(0, epoch);
                 // The request's total is its latency sample: the loop
                 // has nothing left to do but encode the reply.
@@ -800,7 +808,8 @@ impl EventLoop {
                     fragments, epoch, true,
                 )))
             }
-            Ok(Err(tokens)) => LoopSide::Decode(tokens),
+            Ok(Ok(Err(tokens))) => LoopSide::Decode(tokens),
+            Ok(Err(pending)) => LoopSide::Defer(Some(pending)),
             Err(e) => {
                 trace::uninstall();
                 Metrics::bump(&shared.metrics.errors);

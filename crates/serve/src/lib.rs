@@ -77,7 +77,7 @@ pub use metrics::{ComputeSnapshot, FrontendSnapshot, Metrics, MetricsSnapshot, W
 pub use protocol::{HistoryReply, Request, Response, StatsReply};
 pub use registry::ModelRegistry;
 pub use server::{QuantMode, Server, ServerConfig};
-pub use session_store::{MemoryOnly, SessionStore};
+pub use session_store::{PendingPush, SessionStore};
 pub use statements::{StatementStats, STATEMENT_TABLE_BYTES};
 pub use telemetry::{Telemetry, WindowFrame};
 pub use zoo::ModelZoo;

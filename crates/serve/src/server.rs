@@ -1,9 +1,9 @@
 //! Server lifecycle, configuration, and request dispatch.
 //!
 //! One thread multiplexes every connection over readiness polling (see
-//! [`crate::eventloop`]); it speaks the JSON-lines protocol of
+//! `eventloop`); it speaks the JSON-lines protocol of
 //! [`crate::protocol`], answers control verbs inline through
-//! [`dispatch_parsed`], answers a RECOMMEND that hits the cache itself,
+//! `dispatch_parsed`, answers a RECOMMEND that hits the cache itself,
 //! and hands the rest to the decode engine.
 //!
 //! Shutdown is graceful and race-free: the flag stops accepting, every

@@ -18,22 +18,27 @@
 //! ran it share its token array:
 //!
 //! * **Memory only** ([`SessionStore::new`]): there is no second step,
-//!   so a push never blocks. [`SessionStore::memory_only`] hands out the
-//!   [`MemoryOnly`] entry point, from which the durable tier is
-//!   unreachable; the serve event loop pushes through it on its own
-//!   thread and reads the window it needs under the shard lock.
+//!   so a push never blocks.
 //! * **Durable** ([`SessionStore::with_durable`]): every push is
 //!   **write-through** — the session's raw SQL history is persisted to
 //!   the [`qrec_store::Store`] *before* the in-memory context is updated,
 //!   so a request is acknowledged only once its session update is WAL'd.
-//!   That write may fsync, so [`SessionStore::push_sql`] belongs on a
-//!   decode worker. TTL eviction then becomes *tiering*: a sweep
-//!   drops the memory copy but the disk record remains, and a later
-//!   request for the same id rehydrates the context by re-parsing the
-//!   persisted statements through the same table (parsing is
-//!   deterministic, so the rebuilt window matches the original). A
-//!   `SIGKILL`ed server therefore comes back with its sessions intact —
-//!   the restart integration test pins this end to end.
+//!   TTL eviction then becomes *tiering*: a sweep drops the memory copy
+//!   but the disk record remains, and a later request for the same id
+//!   rehydrates the context by re-parsing the persisted statements
+//!   through the same table (parsing is deterministic, so the rebuilt
+//!   window matches the original). A `SIGKILL`ed server therefore comes
+//!   back with its sessions intact — the restart integration test pins
+//!   this end to end.
+//!
+//! Two entry points push. [`SessionStore::push_sql`] may wait — for an
+//! fsync, a memtable flush, a run read when it rehydrates, a lock — and
+//! belongs on a decode worker. [`SessionStore::try_push`] is the event
+//! loop's, for either kind of store: it pushes when that takes no wait
+//! (always, without a durable tier; with one, when the session is
+//! resident or provably new and [`Store::try_put`] takes the write),
+//! and otherwise hands the parsed statement back as a [`PendingPush`]
+//! for [`SessionStore::push_pending`] to finish on a worker.
 //!
 //! Either way a resident session costs its window, not its history: a
 //! [`SessionContext`] keeps the tokens of its last `window` queries and
@@ -42,7 +47,7 @@
 use parking_lot::RwLock;
 use qrec_core::SessionContext;
 use qrec_obs::{Histogram, Span};
-use qrec_store::Store;
+use qrec_store::{FsyncPolicy, Store};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -60,8 +65,12 @@ const MAX_PERSISTED_QUERIES: usize = 64;
 /// The durable record of a session's statements: a JSON array of
 /// strings, the bytes `serde_json::to_vec` makes of the `Vec<String>`
 /// ([`SessionStore::load_raws`] reads it back with `serde_json`).
-fn session_record<'a>(statements: impl IntoIterator<Item = &'a str>) -> Vec<u8> {
-    let mut out = String::new();
+fn session_record<'a>(statements: impl Iterator<Item = &'a str> + Clone) -> Vec<u8> {
+    // Sized for the record without escapes: brackets, and per statement
+    // its text, quotes and comma. One allocation unless a statement
+    // needs escaping.
+    let unescaped = 2 + statements.clone().map(|s| s.len() + 3).sum::<usize>();
+    let mut out = String::with_capacity(unescaped);
     write_json_array(&mut out, statements);
     out.into_bytes()
 }
@@ -83,11 +92,38 @@ struct Entry {
 }
 
 impl Entry {
+    /// A session with no statements yet.
+    fn empty(window: usize) -> Entry {
+        Entry {
+            ctx: SessionContext::new(window),
+            raws: Vec::new(),
+            last_seen: Instant::now(),
+        }
+    }
+
     /// Step three of a push: the in-memory apply of the statement's
     /// model tokens.
     fn apply(&mut self, tokens: Arc<[String]>) {
         self.ctx.push_tokens(tokens);
         self.last_seen = Instant::now();
+    }
+
+    /// Step two's record: the last [`MAX_PERSISTED_QUERIES`] statements
+    /// with `sql`, written straight from the entry's list, which changes
+    /// only once the write is acknowledged ([`Entry::acked`]) — and how
+    /// many of the list's statements it leaves out.
+    fn record_with(&self, sql: &str) -> (usize, Vec<u8>) {
+        let dropped = (self.raws.len() + 1).saturating_sub(MAX_PERSISTED_QUERIES);
+        let kept = self.raws.iter().skip(dropped).map(String::as_str);
+        (dropped, session_record(kept.chain([sql])))
+    }
+
+    /// The push once its record (from [`Entry::record_with`]) is
+    /// acknowledged: the list follows the record, then step three.
+    fn acked(&mut self, dropped: usize, sql: &str, tokens: Arc<[String]>) {
+        self.raws.drain(..dropped);
+        self.raws.push(sql.to_string());
+        self.apply(tokens);
     }
 }
 
@@ -105,32 +141,13 @@ pub struct SessionStore {
     template_sink: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
-/// A [`SessionStore`] with no durable tier ([`SessionStore::memory_only`]):
-/// the entry point whose pushes never leave memory. Nothing reachable
-/// from here calls [`Store::put`], so a thread that must not block on the
-/// disk — the event loop — can push through it by construction
-/// (qrec-lint R10), not by remembering to check.
-pub struct MemoryOnly<'a>(&'a SessionStore);
-
-impl MemoryOnly<'_> {
-    /// Parse `sql`, append it to session `id` (created on first use) and
-    /// hand the updated context to `read` under the shard lock — `read`
-    /// sees the window this push produced and no later one.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Sql`] when the statement does not parse; nothing is
-    /// applied and `read` is not called.
-    pub fn push_sql<T>(
-        &self,
-        id: &str,
-        sql: &str,
-        read: impl FnOnce(&SessionContext) -> T,
-    ) -> Result<T, ServeError> {
-        let tokens = self.0.parse(sql)?;
-        Ok(self.0.apply_in_memory(id, tokens, read))
-    }
-}
+/// A push [`SessionStore::try_push`] parsed but could not finish without
+/// waiting: the statement's model tokens. [`SessionStore::push_pending`]
+/// finishes it where waiting is allowed, so the statement is parsed —
+/// and shown to the template sink and counted by the statement table —
+/// once.
+#[derive(Debug)]
+pub struct PendingPush(Arc<[String]>);
 
 /// FNV-1a, stable across runs (unlike `DefaultHasher`'s random keys),
 /// so shard routing is deterministic and testable.
@@ -270,23 +287,91 @@ impl SessionStore {
     /// disk, and the updated statement list is persisted (and WAL-
     /// acknowledged) *before* the in-memory context changes — a
     /// [`ServeError::Store`] means nothing was applied. The write may
-    /// block on an fsync, so this entry point belongs on a decode worker,
-    /// never on the event loop.
+    /// wait for an fsync or a memtable flush, so this entry point
+    /// belongs on a decode worker; the event loop pushes through
+    /// [`SessionStore::try_push`].
     ///
     /// Returns the session's windowed model-input tokens after the push.
     pub fn push_sql(&self, id: &str, sql: &str) -> Result<Vec<String>, ServeError> {
-        let tokens = self.parse(sql)?;
+        self.push_pending(id, sql, PendingPush(self.parse(sql)?))
+    }
+
+    /// Finish a push [`SessionStore::try_push`] left pending, as
+    /// [`SessionStore::push_sql`] would — without parsing `sql` again.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Store`] when the durable write (or a rehydration)
+    /// fails; nothing is applied.
+    pub fn push_pending(
+        &self,
+        id: &str,
+        sql: &str,
+        pending: PendingPush,
+    ) -> Result<Vec<String>, ServeError> {
         match &self.durable {
-            Some(disk) => self.push_durable(disk, id, sql, tokens),
-            None => Ok(self.apply_in_memory(id, tokens, SessionContext::input_tokens)),
+            Some(disk) => self.push_durable(disk, id, sql, pending.0),
+            None => Ok(self.apply_in_memory(id, pending.0, SessionContext::input_tokens)),
         }
     }
 
-    /// This store as the event loop may use it: `Some` only without a
-    /// durable tier. With one, an acknowledged push must be WAL'd first,
-    /// which is [`SessionStore::push_sql`]'s job on a worker.
-    pub fn memory_only(&self) -> Option<MemoryOnly<'_>> {
-        self.durable.is_none().then_some(MemoryOnly(self))
+    /// The event loop's push: parse `sql`, append it to session `id`
+    /// (created on first use) if that takes no wait, and hand the
+    /// updated context to `read` under the shard lock — `read` sees the
+    /// window this push produced and no later one.
+    ///
+    /// Without a durable tier the push always happens. With one it
+    /// happens when the shard lock is free, the session is resident or
+    /// [`Store::proves_absent`] shows it new (created empty), and
+    /// [`Store::try_put`] takes the record: no fsync, no flush, no run
+    /// read, no lock waited for. Otherwise nothing is applied, `read` is
+    /// not called, and the parsed statement comes back as
+    /// `Ok(Err(pending))` for [`SessionStore::push_pending`]. Under
+    /// [`qrec_store::FsyncPolicy::Always`] every push comes back.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Sql`] when the statement does not parse;
+    /// [`ServeError::Store`] when the WAL write fails. Nothing is applied
+    /// and `read` is not called.
+    pub fn try_push<T>(
+        &self,
+        id: &str,
+        sql: &str,
+        read: impl FnOnce(&SessionContext) -> T,
+    ) -> Result<Result<T, PendingPush>, ServeError> {
+        let tokens = self.parse(sql)?;
+        let Some(disk) = &self.durable else {
+            return Ok(Ok(self.apply_in_memory(id, tokens, read)));
+        };
+        // Every append syncs: no record is worth building here.
+        if disk.config().fsync == FsyncPolicy::Always {
+            return Ok(Err(PendingPush(tokens)));
+        }
+        let Some(mut shard) = self.shard(id).try_write() else {
+            return Ok(Err(PendingPush(tokens)));
+        };
+        let key = SessionStore::durable_key(id);
+        let mut fresh = None;
+        let entry = match shard.get_mut(id) {
+            Some(entry) => entry,
+            None if disk.proves_absent(&key) => fresh.insert(Entry::empty(self.window)),
+            // On disk, or maybe: rehydrating reads a run.
+            None => return Ok(Err(PendingPush(tokens))),
+        };
+        let (dropped, bytes) = entry.record_with(sql);
+        if !disk
+            .try_put(&key, &bytes)
+            .map_err(|e| ServeError::Store(e.to_string()))?
+        {
+            return Ok(Err(PendingPush(tokens)));
+        }
+        entry.acked(dropped, sql, tokens);
+        let out = read(&entry.ctx);
+        if let Some(entry) = fresh {
+            shard.insert(id.to_string(), entry);
+        }
+        Ok(Ok(out))
     }
 
     /// The in-memory apply of a store without a durable tier. The id is
@@ -304,11 +389,11 @@ impl SessionStore {
         let mut shard = self.shard(id).write();
         match shard.get_mut(id) {
             Some(entry) => apply(entry),
-            None => apply(shard.entry(id.to_string()).or_insert_with(|| Entry {
-                ctx: SessionContext::new(self.window),
-                raws: Vec::new(),
-                last_seen: Instant::now(),
-            })),
+            None => apply(
+                shard
+                    .entry(id.to_string())
+                    .or_insert_with(|| Entry::empty(self.window)),
+            ),
         }
     }
 
@@ -336,27 +421,20 @@ impl SessionStore {
             // Evicted between the residency probe and the lock: the disk
             // copy is authoritative, fetch it and try again.
         };
-        let entry = shard.entry(id.to_string()).or_insert_with(|| {
-            let (ctx, raws) = fetched
-                .flatten()
-                .unwrap_or_else(|| (SessionContext::new(self.window), Vec::new()));
-            Entry {
-                ctx,
-                raws,
-                last_seen: Instant::now(),
-            }
-        });
-        // The record is the last MAX_PERSISTED_QUERIES statements with
-        // this one: written straight from the entry's list, which
-        // changes only once the write is acknowledged.
-        let dropped = (entry.raws.len() + 1).saturating_sub(MAX_PERSISTED_QUERIES);
-        let kept = entry.raws.iter().skip(dropped).map(String::as_str);
-        let bytes = session_record(kept.chain([sql]));
+        let entry = shard
+            .entry(id.to_string())
+            .or_insert_with(|| match fetched.flatten() {
+                Some((ctx, raws)) => Entry {
+                    ctx,
+                    raws,
+                    last_seen: Instant::now(),
+                },
+                None => Entry::empty(self.window),
+            });
+        let (dropped, bytes) = entry.record_with(sql);
         disk.put(&SessionStore::durable_key(id), &bytes)
             .map_err(|e| ServeError::Store(e.to_string()))?;
-        entry.raws.drain(..dropped);
-        entry.raws.push(sql.to_string());
-        entry.apply(tokens);
+        entry.acked(dropped, sql, tokens);
         Ok(entry.ctx.input_tokens())
     }
 

@@ -205,6 +205,110 @@ fn sigkill_restart_recovers_sessions_and_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+const NEVER_DIR_ENV: &str = "QREC_SERVE_NEVER_DIR";
+
+/// `durable_config` under `FsyncPolicy::Never`: the policy whose pushes
+/// the event loop acknowledges itself.
+fn never_config(dir: &Path) -> ServerConfig {
+    ServerConfig {
+        store: qrec_store::StoreConfig {
+            fsync: qrec_store::FsyncPolicy::Never,
+            ..qrec_store::StoreConfig::default()
+        },
+        ..durable_config(dir)
+    }
+}
+
+/// The doomed `FsyncPolicy::Never` server: boot, announce, serve until
+/// the parent SIGKILLs it.
+#[test]
+#[ignore = "child half of sigkill_after_loop_acknowledged_pushes_loses_none"]
+fn never_server_child() {
+    let Some(dir) = std::env::var_os(NEVER_DIR_ENV) else {
+        return; // invoked directly (e.g. --ignored sweep): nothing to do
+    };
+    let server = Server::start(train_tiny(11), "127.0.0.1:0", never_config(Path::new(&dir)))
+        .expect("child server start");
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    writeln!(out, "READY {}", server.local_addr()).expect("announce");
+    out.flush().expect("flush announce");
+    drop(out);
+    loop {
+        std::thread::sleep(Duration::from_secs(60));
+    }
+}
+
+/// Under `FsyncPolicy::Never` the event loop WALs and acknowledges a
+/// push itself. A process kill loses none of those writes — the bytes
+/// are with the OS — so a restart over the directory serves every
+/// acknowledged statement.
+#[test]
+fn sigkill_after_loop_acknowledged_pushes_loses_none() {
+    let dir = std::env::temp_dir().join(format!("qrec-serve-never-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut child = Command::new(&exe)
+        .args(["never_server_child", "--exact", "--ignored", "--nocapture"])
+        .env(NEVER_DIR_ENV, &dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn server child");
+    let mut reader = BufReader::new(child.stdout.take().expect("child stdout"));
+    let addr = loop {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read child stdout");
+        assert!(n > 0, "child exited before READY");
+        if let Some(pos) = line.find("READY ") {
+            break line[pos + "READY ".len()..].trim().to_string();
+        }
+    };
+
+    let sqls = [
+        "SELECT a FROM t",
+        "SELECT b FROM t WHERE a > 1",
+        "SELECT a, b FROM t ORDER BY a",
+    ];
+    let mut c = Client::connect(addr.as_str()).expect("connect to child");
+    // Three laps over four sessions: after the first lap every window is
+    // cached, so the push is the whole request.
+    for _ in 0..3 {
+        for (i, sql) in sqls.iter().enumerate() {
+            for session in ["alice", "bob", "carol", "dave"] {
+                c.recommend(&format!("{session}-{i}"), sql, 5)
+                    .expect("recommend");
+            }
+        }
+    }
+    let m = c.stats().expect("stats").metrics;
+    assert_eq!(m.store.wal_appends, 36, "every request WAL'd");
+    assert_eq!(
+        m.batches, m.cache_misses,
+        "no push rode to a worker: every hand-off is a decode"
+    );
+    assert!(m.cache_hits >= 30, "{} hits", m.cache_hits);
+    drop(c);
+
+    child.kill().expect("kill child");
+    let _ = child.wait();
+
+    let mut server = Server::start(train_tiny(99), "127.0.0.1:0", never_config(&dir))
+        .expect("restart over recovered dir");
+    for i in 0..sqls.len() {
+        for session in ["alice", "bob", "carol", "dave"] {
+            assert_eq!(
+                server.sessions().session_len(&format!("{session}-{i}")),
+                Some(3),
+                "{session}-{i}: every acknowledged push survives the SIGKILL"
+            );
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A zoo save/load round trip preserves the weights bitwise and the
 /// epoch exactly — the in-process half of the recovery guarantee.
 #[test]

@@ -20,6 +20,7 @@ use qrec_serve::{
     Client, DecodeEngine, DecodeRequest, EngineConfig, Metrics, MetricsSnapshot, ModelRegistry,
     QuantMode, RecCache, Response, ServeError, Server, ServerConfig, LOOP_PARSE_MAX_BYTES,
 };
+use qrec_store::{FsyncPolicy, StoreConfig};
 use qrec_workload::gen::{generate, WorkloadProfile};
 use qrec_workload::Split;
 use rand::rngs::StdRng;
@@ -477,6 +478,151 @@ fn durable_hits_still_ride_to_a_worker() {
     assert_eq!(after.recommends, before.recommends + 1);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server over a fresh data directory whose store runs `fsync` and
+/// `memtable_bytes`; the directory goes with the returned guard.
+fn durable_server(name: &str, fsync: FsyncPolicy, memtable_bytes: usize) -> (Server, TempDir) {
+    let dir =
+        TempDir(std::env::temp_dir().join(format!("qrec-serve-{name}-{}", std::process::id())));
+    let _ = std::fs::remove_dir_all(&dir.0);
+    let cfg = ServerConfig {
+        data_dir: Some(dir.0.clone()),
+        store: StoreConfig {
+            fsync,
+            memtable_bytes,
+            ..StoreConfig::default()
+        },
+        ..server_config()
+    };
+    let server = Server::start(train_tiny(5), "127.0.0.1:0", cfg).expect("start");
+    (server, dir)
+}
+
+/// A directory removed when dropped.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Under `FsyncPolicy::Never` a WAL append never waits, so a resident
+/// session's cache hit is answered on the loop, its push WAL'd there.
+#[test]
+fn durable_hits_under_never_are_answered_on_the_loop() {
+    let (server, _dir) = durable_server("loop-never", FsyncPolicy::Never, 1 << 20);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let before = metrics(&mut c);
+    let first = c.recommend("u", "SELECT a FROM t", 5).expect("first");
+    let decoded = metrics(&mut c);
+    assert_eq!(first.cached, Some(false));
+    assert_eq!(decoded.batches, before.batches + 1, "the miss decodes");
+    assert_eq!(decoded.store.wal_appends, before.store.wal_appends + 1);
+    let repeat = c.recommend("u", "SELECT a FROM t", 5).expect("repeat");
+    let after = metrics(&mut c);
+    assert_eq!(repeat.cached, Some(true));
+    assert_eq!(repeat.fragments, first.fragments);
+    assert_eq!(after.batches, decoded.batches, "answered on the loop");
+    assert_eq!(after.store.wal_appends, decoded.store.wal_appends + 1);
+    assert_eq!(after.cache_hits, decoded.cache_hits + 1);
+    assert_eq!(after.recommends, decoded.recommends + 1);
+    assert_eq!(server.sessions().session_len("u"), Some(2));
+}
+
+/// Under `EveryN(3)` every third append syncs: those pushes, and only
+/// those, ride to a worker.
+#[test]
+fn under_every_n_exactly_the_syncing_appends_ride_to_a_worker() {
+    let (server, _dir) = durable_server("loop-every-n", FsyncPolicy::EveryN(3), 1 << 20);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    // Append 1 (the loop's) and its decode; append 2 on the loop.
+    for _ in 0..2 {
+        c.recommend("u", "SELECT a FROM t", 5).expect("warm");
+    }
+    let before = metrics(&mut c);
+    assert_eq!(before.store.wal_appends, 2);
+    for _ in 0..9 {
+        let hit = c.recommend("u", "SELECT a FROM t", 5).expect("repeat");
+        assert_eq!(hit.cached, Some(true));
+    }
+    let after = metrics(&mut c);
+    assert_eq!(after.store.wal_appends, 11);
+    assert_eq!(after.cache_hits, before.cache_hits + 9);
+    // Appends 3, 6 and 9 sync.
+    assert_eq!(after.batches, before.batches + 3, "the syncing appends");
+    assert_eq!(server.sessions().session_len("u"), Some(11));
+}
+
+/// A push that would bring the memtable to its budget is the flushing
+/// put's, and that waits: it rides to a worker. Every other push stays
+/// on the loop, and every reply is the one the window's decode gave.
+#[test]
+fn flushing_pushes_ride_to_a_worker_and_every_reply_is_correct() {
+    let (server, _dir) = durable_server("loop-flush", FsyncPolicy::Never, 1024);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let sqls = ["SELECT a FROM t", "SELECT b FROM t WHERE a > 1"];
+    let mut first: Vec<Option<Response>> = vec![None, None];
+    let before = metrics(&mut c);
+    let rounds: u64 = 40;
+    for i in 0..rounds {
+        for (j, sql) in sqls.iter().enumerate() {
+            let session = format!("s{}", (i as usize + j) % 6);
+            let reply = c.recommend(&session, sql, 5).expect("recommend");
+            let want = first[j].get_or_insert_with(|| reply.clone());
+            assert_eq!(reply.fragments, want.fragments, "round {i}, {sql}");
+            assert_eq!(reply.epoch, want.epoch);
+        }
+    }
+    let after = metrics(&mut c);
+    let flushes = after.store.flushes - before.store.flushes;
+    let misses = after.cache_misses - before.cache_misses;
+    assert!(flushes >= 3, "a 1 KiB memtable flushed {flushes} times");
+    assert_eq!(misses, 2);
+    assert_eq!(
+        after.store.wal_appends - before.store.wal_appends,
+        2 * rounds
+    );
+    assert_eq!(
+        after.batches - before.batches,
+        misses + flushes,
+        "a worker for each decode and each flush, and nothing else"
+    );
+    let pushes: usize = (0..6)
+        .map(|s| server.sessions().session_len(&format!("s{s}")).unwrap())
+        .sum();
+    assert_eq!(pushes as u64, 2 * rounds, "every push was applied");
+}
+
+/// A push the loop parsed and then left to a worker (every push, under
+/// the default `FsyncPolicy::Always`) is parsed once: the statement
+/// table and the telemetry sketch count it once.
+#[test]
+fn a_deferred_push_is_parsed_once() {
+    let (server, _dir) = durable_server("loop-parse-once", FsyncPolicy::Always, 1 << 20);
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    c.recommend("warm", "SELECT a FROM t", 5).expect("warm");
+    let before = metrics(&mut c);
+    let table = server.sessions().statement_stats();
+    server.telemetry().seal_at(1);
+    let sql = "SELECT b FROM t WHERE a > 1 ORDER BY b";
+    for i in 0..3 {
+        c.recommend(&format!("p{i}"), sql, 5).expect("recommend");
+    }
+    let sketch = server.telemetry().seal_at(2);
+    let after = metrics(&mut c);
+    let now = server.sessions().statement_stats();
+    assert_eq!(after.batches, before.batches + 3, "every push deferred");
+    assert_eq!(after.store.wal_appends, before.store.wal_appends + 3);
+    assert_eq!(sketch.template_total, 3, "one template sighting each");
+    // First sighting parses, second parses and admits, third hits.
+    assert_eq!(now.misses, table.misses + 2);
+    assert_eq!(now.admitted, table.admitted + 1);
+    assert_eq!(now.hits, table.hits + 1);
+    for i in 0..3 {
+        assert_eq!(server.sessions().session_len(&format!("p{i}")), Some(1));
+    }
 }
 
 /// Two statements whose token windows differ only in where a string

@@ -14,6 +14,12 @@ use std::collections::BTreeMap;
 /// Per-entry bookkeeping overhead charged to [`Memtable::approx_bytes`].
 const ENTRY_OVERHEAD: usize = 32;
 
+/// The bytes one entry is charged: key, value (none for a tombstone)
+/// and the per-entry overhead.
+fn charge(key: &[u8], value: Option<&[u8]>) -> usize {
+    key.len() + value.map_or(0, <[u8]>::len) + ENTRY_OVERHEAD
+}
+
 /// Sorted in-memory buffer of pending mutations.
 #[derive(Debug, Default)]
 pub struct Memtable {
@@ -38,12 +44,31 @@ impl Memtable {
     }
 
     fn apply(&mut self, key: &[u8], value: Option<Vec<u8>>) {
-        let added = key.len() + value.as_ref().map_or(0, Vec::len) + ENTRY_OVERHEAD;
-        if let Some(old) = self.entries.insert(key.to_vec(), value) {
-            let removed = key.len() + old.as_ref().map_or(0, Vec::len) + ENTRY_OVERHEAD;
-            self.approx_bytes = self.approx_bytes.saturating_sub(removed);
+        let added = charge(key, value.as_deref());
+        // An overwrite keeps the stored key: no copy of it is made.
+        match self.entries.get_mut(key) {
+            Some(slot) => {
+                let old = std::mem::replace(slot, value);
+                self.approx_bytes = self
+                    .approx_bytes
+                    .saturating_sub(charge(key, old.as_deref()));
+            }
+            None => {
+                self.entries.insert(key.to_vec(), value);
+            }
         }
         self.approx_bytes += added;
+    }
+
+    /// What [`Memtable::approx_bytes`] would read after
+    /// `put(key, value)`, computed as the put would: the replaced
+    /// value's charge comes off, the new one goes on.
+    pub(crate) fn approx_bytes_after_put(&self, key: &[u8], value: &[u8]) -> usize {
+        let replaced = self
+            .entries
+            .get(key)
+            .map_or(0, |old| charge(key, old.as_deref()));
+        self.approx_bytes.saturating_sub(replaced) + charge(key, Some(value))
     }
 
     /// Look up a key. `None` — the memtable knows nothing (fall through
@@ -110,6 +135,25 @@ mod tests {
             keys,
             vec![b"alpha".as_slice(), b"bravo", b"charlie", b"delta"]
         );
+    }
+
+    #[test]
+    fn bytes_after_put_is_what_the_put_leaves() {
+        let mut mt = Memtable::new();
+        mt.put(b"gone", b"x");
+        mt.delete(b"gone");
+        let cases: [(&[u8], &[u8]); 5] = [
+            (b"new", b"12345"),
+            (b"new", b"1"),
+            (b"new", b"123456789"),
+            (b"gone", b"back"),
+            (b"", b""),
+        ];
+        for (key, value) in cases {
+            let predicted = mt.approx_bytes_after_put(key, value);
+            mt.put(key, value);
+            assert_eq!(mt.approx_bytes(), predicted, "{key:?} = {value:?}");
+        }
     }
 
     #[test]

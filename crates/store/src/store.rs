@@ -7,7 +7,11 @@
 //! manifest is committed (atomic rename), the run list is swapped, and
 //! the WAL is reset — in that order, so a crash between any two steps
 //! loses nothing (the WAL still holds the memtable's mutations until
-//! the manifest referencing their run is durable).
+//! the manifest referencing their run is durable). [`Store::try_put`]
+//! is the same write for a caller that must not wait: it takes the
+//! writer lock only if it is free, the append only if the policy would
+//! not fsync it, and the put only if it would not flush; otherwise it
+//! applies nothing and says so.
 //!
 //! Read path: memtable first (a tombstone stops the search), then runs
 //! newest-to-oldest, each consulted only if its bloom filter cannot
@@ -41,6 +45,10 @@ const OP_DELETE: u8 = 0x02;
 pub struct StoreConfig {
     /// When WAL appends reach stable storage. The default, `Always`,
     /// is what makes "acknowledged ⇒ durable" hold under power loss.
+    /// It is also the policy under which [`Store::try_put`] takes
+    /// nothing: every append waits for its fsync, so a server keeps
+    /// every durable request on a decode worker. Under `EveryN(n)` the
+    /// `n`-th append waits; under `Never` none does.
     pub fsync: FsyncPolicy,
     /// Flush the memtable to a run once it holds this many bytes.
     pub memtable_bytes: usize,
@@ -267,17 +275,92 @@ impl Store {
         self.mutate(OP_DELETE, key, &[])
     }
 
+    /// Write `key = value` if that can be done without waiting, else
+    /// apply nothing and return `Ok(false)`. It waits for nothing: not
+    /// for the writer lock (taken with `try_lock`), not for an fsync
+    /// (the WAL record goes through `Wal::try_append`, so under
+    /// [`FsyncPolicy::Always`] every call returns `Ok(false)`, and under
+    /// [`FsyncPolicy::EveryN`] the `n`-th does), and not for a flush (a
+    /// put that would bring the memtable to
+    /// [`StoreConfig::memtable_bytes`] is left to [`Store::put`]). An
+    /// `Ok(true)` put is acknowledged as [`Store::put`]'s is: its record
+    /// is in the WAL per the policy, and it counts the same.
+    ///
+    /// # Errors
+    ///
+    /// Propagates WAL write failures; on error nothing is applied.
+    pub fn try_put(&self, key: &[u8], value: &[u8]) -> Result<bool, StoreError> {
+        let started = Instant::now();
+        let Some(mut inner) = self.inner.try_lock() else {
+            return Ok(false);
+        };
+        if inner.memtable.approx_bytes_after_put(key, value) >= self.cfg.memtable_bytes {
+            return Ok(false);
+        }
+        let payload = encode_op(OP_PUT, key, value);
+        let before = inner.wal.len();
+        if inner.wal.try_append(&payload)?.is_none() {
+            return Ok(false);
+        }
+        self.logged(&mut inner, OP_PUT, key, value, before, started);
+        Ok(true)
+    }
+
+    /// True when `key` is provably absent without reading a run: the
+    /// memtable holds no live value for it and every live run's bloom
+    /// filter rules it out. False means "maybe present" — or that the
+    /// writer lock or the run list was busy, since neither is waited
+    /// for — and a [`Store::get`] has to decide.
+    pub fn proves_absent(&self, key: &[u8]) -> bool {
+        {
+            let Some(inner) = self.inner.try_lock() else {
+                return false;
+            };
+            if let Some(Some(_)) = inner.memtable.get(key) {
+                return false;
+            }
+        }
+        let Some(runs) = self.runs.try_read() else {
+            return false;
+        };
+        if !runs.iter().all(|run| run.definitely_absent(key)) {
+            return false;
+        }
+        // The negatives a `get` of the key would have counted.
+        self.metrics.bloom_negatives.add(runs.len() as u64);
+        true
+    }
+
     fn mutate(&self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let payload = encode_op(op, key, value);
         let started = Instant::now();
         let mut inner = self.inner.lock();
         let before = inner.wal.len();
-        let after = inner.wal.append(&payload)?;
+        inner.wal.append(&payload)?;
+        self.logged(&mut inner, op, key, value, before, started);
+        if inner.memtable.approx_bytes() >= self.cfg.memtable_bytes {
+            self.flush_locked(&mut inner)?;
+        }
+        Ok(())
+    }
+
+    /// The rest of a mutation whose record is in the WAL (which was
+    /// `before` bytes long without it): count it, and apply it to the
+    /// memtable.
+    fn logged(
+        &self,
+        inner: &mut Inner,
+        op: u8,
+        key: &[u8],
+        value: &[u8],
+        before: u64,
+        started: Instant,
+    ) {
         self.metrics
             .wal_append_us
             .record_duration(started.elapsed());
         self.metrics.wal_appends.inc();
-        self.metrics.wal_bytes.add(after - before);
+        self.metrics.wal_bytes.add(inner.wal.len() - before);
         if op == OP_PUT {
             inner.memtable.put(key, value);
         } else {
@@ -286,10 +369,6 @@ impl Store {
         self.metrics
             .memtable_entries
             .set(inner.memtable.len() as u64);
-        if inner.memtable.approx_bytes() >= self.cfg.memtable_bytes {
-            self.flush_locked(&mut inner)?;
-        }
-        Ok(())
     }
 
     /// Read `key`: memtable, then runs newest-first (bloom-pruned).
@@ -533,5 +612,161 @@ mod tests {
         assert_eq!(s.live_runs, 1);
         assert!(s.run_hits >= 1);
         assert!(s.bloom_negatives + s.run_block_reads >= 1);
+    }
+
+    /// A memtable's entries, tombstones as `None`.
+    type Entries = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// What a refused `try_put` must leave as it found: the WAL's
+    /// length, the memtable's entries and bytes, and the counters.
+    fn footprint(store: &Store) -> (u64, Entries, usize, StoreStats) {
+        let inner = store.inner.lock();
+        let entries = inner
+            .memtable
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .collect();
+        let bytes = inner.memtable.approx_bytes();
+        let len = inner.wal.len();
+        drop(inner);
+        (len, entries, bytes, store.stats())
+    }
+
+    fn cfg_with(fsync: FsyncPolicy) -> StoreConfig {
+        StoreConfig {
+            fsync,
+            ..tiny_cfg()
+        }
+    }
+
+    #[test]
+    fn try_put_waits_for_no_lock() {
+        let dir = temp_dir("try-locked");
+        let store = Store::open(&dir, tiny_cfg()).unwrap();
+        store.put(b"a", b"1").unwrap();
+        let before = footprint(&store);
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let refused = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _inner = store.inner.lock();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let refused = store.try_put(b"a", b"2");
+            release.wait();
+            refused
+        });
+        assert!(!refused.unwrap(), "the lock is held");
+        assert_eq!(footprint(&store), before);
+        assert!(store.try_put(b"a", b"2").unwrap(), "the lock is free");
+    }
+
+    #[test]
+    fn try_put_takes_no_append_the_policy_syncs() {
+        let dir = temp_dir("try-always");
+        let store = Store::open(&dir, cfg_with(FsyncPolicy::Always)).unwrap();
+        let before = footprint(&store);
+        assert!(
+            !store.try_put(b"k", b"v").unwrap(),
+            "Always syncs every append"
+        );
+        assert_eq!(footprint(&store), before);
+
+        let dir = temp_dir("try-every-n");
+        let store = Store::open(&dir, cfg_with(FsyncPolicy::EveryN(3))).unwrap();
+        assert!(store.try_put(b"k1", b"v").unwrap());
+        assert!(store.try_put(b"k2", b"v").unwrap());
+        let before = footprint(&store);
+        assert!(!store.try_put(b"k3", b"v").unwrap(), "the 3rd append syncs");
+        assert_eq!(footprint(&store), before);
+        // The waiting put takes it and syncs; the count starts over.
+        store.put(b"k3", b"v").unwrap();
+        assert!(store.try_put(b"k4", b"v").unwrap());
+        assert!(store.try_put(b"k5", b"v").unwrap());
+        assert!(!store.try_put(b"k6", b"v").unwrap());
+        assert_eq!(store.stats().wal_appends, 5);
+    }
+
+    #[test]
+    fn try_put_leaves_the_flushing_put_to_put() {
+        let dir = temp_dir("try-flush");
+        let store = Store::open(&dir, tiny_cfg()).unwrap();
+        let value = [7u8; 100];
+        let mut i = 0;
+        while store
+            .try_put(format!("k{i:03}").as_bytes(), &value)
+            .unwrap()
+        {
+            i += 1;
+        }
+        let key = format!("k{i:03}");
+        let before = footprint(&store);
+        assert!(
+            before.2 < tiny_cfg().memtable_bytes
+                && before.2 + key.len() + value.len() + 32 >= tiny_cfg().memtable_bytes,
+            "refused exactly at the budget: {} bytes",
+            before.2
+        );
+        assert!(!store.try_put(key.as_bytes(), &value).unwrap());
+        assert_eq!(footprint(&store), before);
+        assert_eq!(store.stats().flushes, 0);
+        store.put(key.as_bytes(), &value).unwrap();
+        assert_eq!(store.stats().flushes, 1, "the put flushed");
+    }
+
+    #[test]
+    fn an_applied_try_put_is_recovered() {
+        let dir = temp_dir("try-recover");
+        {
+            let store = Store::open(&dir, tiny_cfg()).unwrap();
+            assert!(store.try_put(b"alpha", b"one").unwrap());
+            assert!(store.try_put(b"alpha", b"two").unwrap());
+            assert!(store.try_put(b"beta", b"three").unwrap());
+            let s = store.stats();
+            assert_eq!(s.wal_appends, 3);
+            assert_eq!(s.memtable_entries, 2);
+        }
+        let store = Store::open(&dir, tiny_cfg()).unwrap();
+        assert_eq!(store.stats().recovered_records, 3);
+        assert_eq!(store.get(b"alpha").unwrap(), Some(b"two".to_vec()));
+        assert_eq!(store.get(b"beta").unwrap(), Some(b"three".to_vec()));
+    }
+
+    #[test]
+    fn absent_only_when_no_bloom_filter_admits_the_key() {
+        let dir = temp_dir("probe");
+        let store = Store::open(&dir, tiny_cfg()).unwrap();
+        for round in 0..3 {
+            for i in 0..40 {
+                store.put(format!("r{round}-{i}").as_bytes(), b"v").unwrap();
+            }
+            store.flush().unwrap();
+        }
+        store.put(b"live", b"v").unwrap();
+        store.put(b"r0-0", b"again").unwrap();
+        store.delete(b"r1-0").unwrap();
+        let runs = store.runs.read().clone();
+        assert_eq!(runs.len(), 3);
+        let admitted = |key: &[u8]| runs.iter().any(|run| !run.definitely_absent(key));
+
+        // Keys the store holds are never absent: in the memtable, in a
+        // run, or both.
+        for key in ["live", "r0-0", "r0-1", "r2-39"] {
+            assert!(!store.proves_absent(key.as_bytes()), "{key}");
+        }
+        // A tombstone over a run that admits the key is still a "maybe".
+        assert!(admitted(b"r1-0") && !store.proves_absent(b"r1-0"));
+        // Absent keys: proven exactly when every bloom filter rules them
+        // out, and some are not (false positives).
+        let mut maybes = 0;
+        for i in 0..2000 {
+            let key = format!("absent-{i}");
+            let proven = store.proves_absent(key.as_bytes());
+            assert_eq!(proven, !admitted(key.as_bytes()), "{key}");
+            maybes += usize::from(!proven);
+        }
+        assert!(maybes > 0, "no false positive among 2000 probes");
+        assert!(maybes < 200, "{maybes} maybes: the filters rule out little");
     }
 }

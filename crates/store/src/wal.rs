@@ -11,6 +11,8 @@
 //! single `write_all`, then applies the [`FsyncPolicy`]; the caller's
 //! acknowledgement therefore implies the record is at least in the OS
 //! page cache, and — under [`FsyncPolicy::Always`] — on stable storage.
+//! `Wal::try_append` is the same write without the wait: it takes
+//! only the appends the policy would not fsync and refuses the rest.
 //!
 //! Recovery ([`replay`]) walks frames from the start and stops at the
 //! first defective one. A defect is *always* treated as the tail of the
@@ -84,13 +86,53 @@ impl Wal {
     }
 
     /// Append one record; returns the file length after the record,
-    /// i.e. the offset the *next* record will start at.
+    /// i.e. the offset the *next* record will start at. The record is
+    /// written, then the [`FsyncPolicy`] is applied.
     ///
     /// # Errors
     ///
     /// Rejects payloads over [`MAX_RECORD_BYTES`] as corrupt-by-
     /// construction; propagates write and fsync failures.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
+        let len = self.write_record(payload)?;
+        if self.sync_due(self.unsynced) {
+            // qrec-lint: allow(blocking) -- this is the WAL's policy-gated group-commit point: Always syncs every append, EveryN(n) every n-th; a caller that must not wait takes `try_append`, which never reaches here
+            self.file.sync_data()?;
+            self.unsynced = 0;
+        }
+        Ok(len)
+    }
+
+    /// Append one record only if the policy would not fsync it — under
+    /// [`FsyncPolicy::Never`], or below the `n`-th append of
+    /// [`FsyncPolicy::EveryN`]. Returns the file length after the
+    /// record, or `None` with nothing written when this append is one
+    /// the policy syncs (every one under [`FsyncPolicy::Always`]): the
+    /// caller that cannot wait leaves it to [`Wal::append`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::append`], but never an fsync failure.
+    pub(crate) fn try_append(&mut self, payload: &[u8]) -> Result<Option<u64>, StoreError> {
+        if self.sync_due(self.unsynced.saturating_add(1)) {
+            return Ok(None);
+        }
+        self.write_record(payload).map(Some)
+    }
+
+    /// Does the policy fsync once `unsynced` appends are unsynced?
+    fn sync_due(&self, unsynced: u32) -> bool {
+        match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => unsynced >= n.max(1),
+            FsyncPolicy::Never => false,
+        }
+    }
+
+    /// Frame `payload` and write it with one `write_all`: the record as
+    /// the OS holds it, not yet on stable storage (counted in
+    /// `unsynced`).
+    fn write_record(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         if payload.len() as u64 > u64::from(MAX_RECORD_BYTES) {
             return Err(StoreError::corrupt(
                 &self.path,
@@ -106,19 +148,7 @@ impl Wal {
         self.buf.extend_from_slice(payload);
         self.file.write_all(&self.buf)?;
         self.len += self.buf.len() as u64;
-        match self.policy {
-            // qrec-lint: allow(blocking) -- this is the WAL's policy-gated group-commit point: serving deploys run EveryN/Never so the request path only pays an fsync when durability is explicitly configured
-            FsyncPolicy::Always => self.file.sync_data()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    // qrec-lint: allow(blocking) -- group commit: one fsync amortised over N appends by configuration, the bounded-loss durability contract
-                    self.file.sync_data()?;
-                    self.unsynced = 0;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
+        self.unsynced = self.unsynced.saturating_add(1);
         Ok(self.len)
     }
 

@@ -40,6 +40,11 @@ PY
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace (deny warnings)"
+# Public docs must build without a warning: a link to a private item or
+# an ambiguous one renders as dead text in the published docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> qrec-lint (with baseline staleness gate)"
 cargo run --offline -q -p qrec-lint -- --check-baseline
 

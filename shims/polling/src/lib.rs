@@ -16,7 +16,7 @@
 //! Everything is level-triggered: a socket with unread input (or free
 //! outgoing buffer space under write interest) keeps reporting ready,
 //! so partial reads and short writes need no edge-triggered re-arm
-//! protocol. All `unsafe` is confined to the FFI calls in [`sys`]; the
+//! protocol. All `unsafe` is confined to the FFI calls in `sys`; the
 //! public surface is safe.
 
 #![warn(missing_docs)]

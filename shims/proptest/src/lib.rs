@@ -271,7 +271,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact `usize` or a `Range`.
+    /// Length specification for [`vec()`]: an exact `usize` or a `Range`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
