@@ -68,8 +68,8 @@ pub struct Recommendation {
 /// Session-preparation step run on the worker just before decoding:
 /// returns the model input tokens (typically from
 /// [`SessionStore::push_pending`](crate::session_store::SessionStore::push_pending),
-/// a push that may wait for a WAL fsync or a memtable flush — exactly
-/// why it runs here and not on the event-loop thread).
+/// a push that may wait for a WAL fsync, a memtable flush or a run
+/// read — exactly why it runs here and not on the event-loop thread).
 pub type PrepareFn = Box<dyn FnOnce() -> Result<Vec<String>, ServeError> + Send>;
 
 /// Completion callback for [`DecodeEngine::submit_callback`]: invoked

@@ -18,17 +18,22 @@
 //! precede the acknowledgement, and the loop takes it only when it
 //! cannot wait: the loop never fsyncs, flushes a memtable, reads a run
 //! or waits for a lock a worker can hold through one of those (the
-//! store's writer lock, a durable session's shard lock). So under `FsyncPolicy::Never` a push rides to a
-//! worker only when the session must be rehydrated, the memtable is due
-//! a flush or a lock is busy; under `EveryN(n)` every `n`-th append does
-//! too (it syncs); and under `Always`, the default, every request does.
+//! store's writer lock, a durable session's shard lock). So under
+//! `FsyncPolicy::Never` a push rides to a worker only when the session
+//! is not resident (new, or evicted and due a rehydration), the
+//! memtable is due a flush or a lock is busy; under `EveryN(n)` every
+//! `n`-th append does too (it syncs); and under `Always`, the default,
+//! every request does, unparsed. The loop holds a
+//! [`qrec_store::forbid_waiting`] guard for its whole run, so in a debug
+//! build a store call that may wait panics on it.
 //! Everything else goes into the decode engine's bounded job queue via
 //! [`crate::batcher::DecodeEngine::submit_callback`]: a window the cache
 //! does not hold (the model runs there), any statement longer than the
 //! cap, and a push that would wait — the worker finishes it from the
-//! tokens the loop already parsed. Completions come back through a
-//! [`std::sync::mpsc`] channel, whose `Sender` each reply closure holds
-//! a clone of, plus a [`polling::Waker`] that interrupts the poll.
+//! tokens the loop parsed, or parses it when the loop did not.
+//! Completions come back through a [`std::sync::mpsc`] channel, whose
+//! `Sender` each reply closure holds a clone of, plus a
+//! [`polling::Waker`] that interrupts the poll.
 //!
 //! The backpressure ladder, outside-in:
 //!
@@ -127,7 +132,7 @@ enum LoopSide {
     /// The push would wait, or the statement is over
     /// [`LOOP_PARSE_MAX_BYTES`]: a worker runs the push too, from the
     /// loop's parse when there was one.
-    Defer(Option<PendingPush>),
+    Defer(PendingPush),
 }
 
 /// What to do after a failed `accept(2)`.
@@ -286,6 +291,8 @@ impl EventLoop {
     /// Run until shutdown completes its drain.
     pub(crate) fn run(&mut self) {
         qrec_obs::prof::register_thread("event-loop");
+        // A store call that may wait panics here in debug builds.
+        let _no_wait = qrec_store::forbid_waiting();
         let mut events = Events::new();
         loop {
             if !self.tick_event_loop(&mut events) {
@@ -706,10 +713,7 @@ impl EventLoop {
                 LoopSide::Decode(tokens) => (tokens, None),
                 LoopSide::Defer(pending) => {
                     let store = Arc::clone(&self.shared.store);
-                    let prepare = Box::new(move || match pending {
-                        Some(pending) => store.push_pending(&session, &sql, pending),
-                        None => store.push_sql(&session, &sql),
-                    });
+                    let prepare = Box::new(move || store.push_pending(&session, &sql, pending));
                     (Vec::new(), Some(prepare))
                 }
             };
@@ -780,7 +784,7 @@ impl EventLoop {
     fn try_on_loop(&self, session: &str, sql: &str, n: usize, t0: Instant) -> LoopSide {
         let shared = &self.shared;
         if sql.len() > LOOP_PARSE_MAX_BYTES {
-            return LoopSide::Defer(None);
+            return LoopSide::Defer(PendingPush::default());
         }
         let epoch = shared.registry.epoch();
         // The session stage begins at the request's arrival (`t0`, read
@@ -809,7 +813,7 @@ impl EventLoop {
                 )))
             }
             Ok(Ok(Err(tokens))) => LoopSide::Decode(tokens),
-            Ok(Err(pending)) => LoopSide::Defer(Some(pending)),
+            Ok(Err(pending)) => LoopSide::Defer(pending),
             Err(e) => {
                 trace::uninstall();
                 Metrics::bump(&shared.metrics.errors);

@@ -36,9 +36,9 @@
 //! belongs on a decode worker. [`SessionStore::try_push`] is the event
 //! loop's, for either kind of store: it pushes when that takes no wait
 //! (always, without a durable tier; with one, when the session is
-//! resident or provably new and [`Store::try_put`] takes the write),
-//! and otherwise hands the parsed statement back as a [`PendingPush`]
-//! for [`SessionStore::push_pending`] to finish on a worker.
+//! resident and [`Store::try_put`] takes the write), and otherwise
+//! hands the push back as a [`PendingPush`] for
+//! [`SessionStore::push_pending`] to finish on a worker.
 //!
 //! Either way a resident session costs its window, not its history: a
 //! [`SessionContext`] keeps the tokens of its last `window` queries and
@@ -47,7 +47,7 @@
 use parking_lot::RwLock;
 use qrec_core::SessionContext;
 use qrec_obs::{Histogram, Span};
-use qrec_store::{FsyncPolicy, Store};
+use qrec_store::Store;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -141,13 +141,14 @@ pub struct SessionStore {
     template_sink: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
-/// A push [`SessionStore::try_push`] parsed but could not finish without
-/// waiting: the statement's model tokens. [`SessionStore::push_pending`]
-/// finishes it where waiting is allowed, so the statement is parsed —
+/// A push [`SessionStore::try_push`] could not finish without waiting,
+/// with the statement's model tokens when it parsed them.
+/// [`SessionStore::push_pending`] finishes it where waiting is allowed
+/// and parses only when the loop did not, so the statement is parsed —
 /// and shown to the template sink and counted by the statement table —
-/// once.
-#[derive(Debug)]
-pub struct PendingPush(Arc<[String]>);
+/// once. The default carries no parse.
+#[derive(Debug, Default)]
+pub struct PendingPush(Option<Arc<[String]>>);
 
 /// FNV-1a, stable across runs (unlike `DefaultHasher`'s random keys),
 /// so shard routing is deterministic and testable.
@@ -293,41 +294,48 @@ impl SessionStore {
     ///
     /// Returns the session's windowed model-input tokens after the push.
     pub fn push_sql(&self, id: &str, sql: &str) -> Result<Vec<String>, ServeError> {
-        self.push_pending(id, sql, PendingPush(self.parse(sql)?))
+        self.push_pending(id, sql, PendingPush::default())
     }
 
     /// Finish a push [`SessionStore::try_push`] left pending, as
-    /// [`SessionStore::push_sql`] would — without parsing `sql` again.
+    /// [`SessionStore::push_sql`] would — without parsing `sql` again
+    /// when the pending push carries its tokens.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Store`] when the durable write (or a rehydration)
-    /// fails; nothing is applied.
+    /// [`ServeError::Sql`] when the statement, parsed here, does not
+    /// parse; [`ServeError::Store`] when the durable write (or a
+    /// rehydration) fails. Nothing is applied.
     pub fn push_pending(
         &self,
         id: &str,
         sql: &str,
         pending: PendingPush,
     ) -> Result<Vec<String>, ServeError> {
+        let tokens = match pending.0 {
+            Some(tokens) => tokens,
+            None => self.parse(sql)?,
+        };
         match &self.durable {
-            Some(disk) => self.push_durable(disk, id, sql, pending.0),
-            None => Ok(self.apply_in_memory(id, pending.0, SessionContext::input_tokens)),
+            Some(disk) => self.push_durable(disk, id, sql, tokens),
+            None => Ok(self.apply_in_memory(id, tokens, SessionContext::input_tokens)),
         }
     }
 
     /// The event loop's push: parse `sql`, append it to session `id`
-    /// (created on first use) if that takes no wait, and hand the
-    /// updated context to `read` under the shard lock — `read` sees the
-    /// window this push produced and no later one.
+    /// if that takes no wait, and hand the updated context to `read`
+    /// under the shard lock — `read` sees the window this push produced
+    /// and no later one.
     ///
-    /// Without a durable tier the push always happens. With one it
-    /// happens when the shard lock is free, the session is resident or
-    /// [`Store::proves_absent`] shows it new (created empty), and
-    /// [`Store::try_put`] takes the record: no fsync, no flush, no run
-    /// read, no lock waited for. Otherwise nothing is applied, `read` is
-    /// not called, and the parsed statement comes back as
-    /// `Ok(Err(pending))` for [`SessionStore::push_pending`]. Under
-    /// [`qrec_store::FsyncPolicy::Always`] every push comes back.
+    /// Without a durable tier the push always happens, creating the
+    /// session on first use. With one it happens when the session is
+    /// resident, its shard lock is free and [`Store::try_put`] takes the
+    /// record: no fsync, no flush, no run read, no lock waited for.
+    /// Otherwise nothing is applied, `read` is not called, and the push
+    /// comes back as `Ok(Err(pending))` for
+    /// [`SessionStore::push_pending`] — with the parsed statement, or,
+    /// when [`Store::try_put_can_apply`] is false (every append syncs),
+    /// unparsed: then every push comes back, and the worker parses.
     ///
     /// # Errors
     ///
@@ -340,38 +348,34 @@ impl SessionStore {
         sql: &str,
         read: impl FnOnce(&SessionContext) -> T,
     ) -> Result<Result<T, PendingPush>, ServeError> {
+        if self
+            .durable
+            .as_ref()
+            .is_some_and(|disk| !disk.try_put_can_apply())
+        {
+            return Ok(Err(PendingPush::default()));
+        }
         let tokens = self.parse(sql)?;
         let Some(disk) = &self.durable else {
             return Ok(Ok(self.apply_in_memory(id, tokens, read)));
         };
-        // Every append syncs: no record is worth building here.
-        if disk.config().fsync == FsyncPolicy::Always {
-            return Ok(Err(PendingPush(tokens)));
-        }
         let Some(mut shard) = self.shard(id).try_write() else {
-            return Ok(Err(PendingPush(tokens)));
+            return Ok(Err(PendingPush(Some(tokens))));
         };
-        let key = SessionStore::durable_key(id);
-        let mut fresh = None;
-        let entry = match shard.get_mut(id) {
-            Some(entry) => entry,
-            None if disk.proves_absent(&key) => fresh.insert(Entry::empty(self.window)),
-            // On disk, or maybe: rehydrating reads a run.
-            None => return Ok(Err(PendingPush(tokens))),
+        // Not resident: creating the session waits for the store's
+        // answer on its record, and rehydrating reads a run.
+        let Some(entry) = shard.get_mut(id) else {
+            return Ok(Err(PendingPush(Some(tokens))));
         };
         let (dropped, bytes) = entry.record_with(sql);
         if !disk
-            .try_put(&key, &bytes)
+            .try_put(&SessionStore::durable_key(id), &bytes)
             .map_err(|e| ServeError::Store(e.to_string()))?
         {
-            return Ok(Err(PendingPush(tokens)));
+            return Ok(Err(PendingPush(Some(tokens))));
         }
         entry.acked(dropped, sql, tokens);
-        let out = read(&entry.ctx);
-        if let Some(entry) = fresh {
-            shard.insert(id.to_string(), entry);
-        }
-        Ok(Ok(out))
+        Ok(Ok(read(&entry.ctx)))
     }
 
     /// The in-memory apply of a store without a durable tier. The id is
@@ -684,6 +688,71 @@ mod tests {
         let bytes = disk.get(b"session/dan").unwrap().expect("persisted");
         let tail = sqls[3..].to_vec();
         assert_eq!(bytes, serde_json::to_vec(&tail).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The loop's push under a `forbid_waiting` guard, as on the event
+    /// loop: a session that is not resident comes back parsed, and the
+    /// worker does not parse it again; once resident, its pushes are
+    /// taken with no waiting store call. The worker's entry point waits,
+    /// and a debug build catches it on such a thread.
+    #[test]
+    fn the_loops_push_makes_no_waiting_store_call() {
+        let (disk, dir) = durable_store("no-wait");
+        let s = SessionStore::with_durable(4, 1, Duration::from_secs(600), Arc::clone(&disk));
+        let sql = "SELECT a FROM t";
+        let pending = {
+            let _loop = qrec_store::forbid_waiting();
+            s.try_push("eve", sql, |_| ())
+                .unwrap()
+                .expect_err("eve is new")
+        };
+        assert!(pending.0.is_some(), "parsed on the loop");
+        let parsed = s.statement_stats();
+        s.push_pending("eve", sql, pending).unwrap();
+        assert_eq!(s.statement_stats(), parsed, "not parsed again");
+        {
+            let _loop = qrec_store::forbid_waiting();
+            let pushed = s.try_push("eve", sql, |ctx| ctx.len()).unwrap();
+            assert_eq!(pushed.expect("eve is resident"), 2);
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.push_sql("eve", sql).unwrap();
+            }));
+            assert_eq!(waited.is_err(), cfg!(debug_assertions));
+        }
+        let appends = if cfg!(debug_assertions) { 2 } else { 3 };
+        assert_eq!(disk.stats().wal_appends, appends);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Under `FsyncPolicy::Always` every append syncs, so the loop's push
+    /// comes back before the parse: the worker parses it, once.
+    #[test]
+    fn under_always_the_worker_parses() {
+        let dir =
+            std::env::temp_dir().join(format!("qrec-serve-sessions-{}-always", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk =
+            Arc::new(qrec_store::Store::open(&dir, qrec_store::StoreConfig::default()).unwrap());
+        let s = SessionStore::with_durable(4, 1, Duration::from_secs(600), disk);
+        let seen = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&seen);
+        s.set_template_sink(move |_| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        });
+        for round in 1..=2 {
+            let pending = {
+                let _loop = qrec_store::forbid_waiting();
+                s.try_push("fay", "SELECT a FROM t", |_| ()).unwrap()
+            }
+            .expect_err("every append syncs");
+            assert!(pending.0.is_none(), "nothing parsed on the loop");
+            assert_eq!(seen.load(Ordering::Relaxed), round - 1);
+            s.push_pending("fay", "SELECT a FROM t", pending).unwrap();
+            assert_eq!(seen.load(Ordering::Relaxed), round);
+        }
+        assert_eq!(s.statement_stats().misses, 2);
+        assert_eq!(s.session_len("fay"), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -96,12 +96,14 @@ fn pushed_now(store: &SessionStore, id: &str, sql: &str) -> Result<usize, ServeE
     Ok(pushed.unwrap_or_else(|_| panic!("the push was left to a worker")))
 }
 
-/// Push `SQL` `warm` times, then count the allocations of one more push
-/// and check that it was applied and parsed by nobody.
+/// Push `SQL` `warm` times (as a worker does: the first creates the
+/// session, which a durable store's loop leaves to a worker), then count
+/// the allocations of one more push, the loop's, and check that it was
+/// applied and parsed by nobody.
 fn warm_push_allocations(store: &SessionStore, warm: usize) -> usize {
     store.set_template_sink(|id| SEEN.with(|seen| seen.set(id)));
     for _ in 0..warm {
-        pushed_now(store, "alice", SQL).unwrap();
+        store.push_sql("alice", SQL).unwrap();
     }
     assert_eq!(store.statement_stats().entries, 1);
     SEEN.with(|seen| seen.set(0));

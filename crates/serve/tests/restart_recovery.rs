@@ -272,8 +272,9 @@ fn sigkill_after_loop_acknowledged_pushes_loses_none() {
         "SELECT a, b FROM t ORDER BY a",
     ];
     let mut c = Client::connect(addr.as_str()).expect("connect to child");
-    // Three laps over four sessions: after the first lap every window is
-    // cached, so the push is the whole request.
+    // Three laps over twelve sessions: each session's first push rides
+    // to a worker (it creates the session), and after the first lap
+    // every window is cached, so the push is the whole request.
     for _ in 0..3 {
         for (i, sql) in sqls.iter().enumerate() {
             for session in ["alice", "bob", "carol", "dave"] {
@@ -285,8 +286,8 @@ fn sigkill_after_loop_acknowledged_pushes_loses_none() {
     let m = c.stats().expect("stats").metrics;
     assert_eq!(m.store.wal_appends, 36, "every request WAL'd");
     assert_eq!(
-        m.batches, m.cache_misses,
-        "no push rode to a worker: every hand-off is a decode"
+        m.batches, 12,
+        "a worker for each session's first push, and the loop after it"
     );
     assert!(m.cache_hits >= 30, "{} hits", m.cache_hits);
     drop(c);

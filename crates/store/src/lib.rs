@@ -54,7 +54,7 @@ pub use error::StoreError;
 pub use manifest::{Manifest, RunMeta};
 pub use memtable::Memtable;
 pub use run::Run;
-pub use store::{Store, StoreConfig, StoreStats};
+pub use store::{forbid_waiting, NoWait, Store, StoreConfig, StoreStats};
 pub use tlog::TelemetryLog;
 pub use wal::{FsyncPolicy, TailDefect, TailReason, Wal, WalReplay};
 

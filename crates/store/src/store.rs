@@ -11,7 +11,9 @@
 //! is the same write for a caller that must not wait: it takes the
 //! writer lock only if it is free, the append only if the policy would
 //! not fsync it, and the put only if it would not flush; otherwise it
-//! applies nothing and says so.
+//! applies nothing and says so. A thread that must never wait — a
+//! server's event loop — holds a [`forbid_waiting`] guard, and in debug
+//! builds every call that may wait panics on it.
 //!
 //! Read path: memtable first (a tombstone stops the search), then runs
 //! newest-to-oldest, each consulted only if its bloom filter cannot
@@ -29,6 +31,8 @@ use crate::run::Run;
 use crate::wal::{self, FsyncPolicy, Wal};
 use parking_lot::{Mutex, RwLock};
 use qrec_obs::{Counter, Gauge, Histogram};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,8 +49,9 @@ const OP_DELETE: u8 = 0x02;
 pub struct StoreConfig {
     /// When WAL appends reach stable storage. The default, `Always`,
     /// is what makes "acknowledged ⇒ durable" hold under power loss.
-    /// It is also the policy under which [`Store::try_put`] takes
-    /// nothing: every append waits for its fsync, so a server keeps
+    /// It is also a policy under which [`Store::try_put`] takes
+    /// nothing ([`Store::try_put_can_apply`] is false, as under
+    /// `EveryN(1)`): every append waits for its fsync, so a server keeps
     /// every durable request on a decode worker. Under `EveryN(n)` the
     /// `n`-th append waits; under `Never` none does.
     pub fsync: FsyncPolicy,
@@ -67,6 +72,52 @@ impl Default for StoreConfig {
             bloom_bits_per_key: 10,
         }
     }
+}
+
+thread_local! {
+    /// Set while a [`NoWait`] guard lives on this thread.
+    static NO_WAIT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the thread that made it as one that must never wait on a
+/// [`Store`], until dropped: see [`forbid_waiting`].
+#[derive(Debug)]
+#[must_use = "the thread may wait again once the guard is dropped"]
+pub struct NoWait {
+    outer: bool,
+    /// The mark is the thread's: the guard stays on it.
+    _thread: PhantomData<*const ()>,
+}
+
+/// Forbid the calling thread to wait on any [`Store`] while the
+/// returned guard lives. In debug builds a call that may wait — for the
+/// writer lock, an fsync, a flush or a run read: [`Store::put`],
+/// [`Store::delete`], [`Store::get`], [`Store::flush`], [`Store::sync`]
+/// — panics on such a thread; [`Store::try_put`],
+/// [`Store::try_put_can_apply`] and [`Store::stats`] never wait and stay
+/// allowed. A server's event loop holds one for its whole run, so a
+/// path from the loop to a waiting store call fails the first test that
+/// takes it.
+pub fn forbid_waiting() -> NoWait {
+    NoWait {
+        outer: NO_WAIT.with(|on| on.replace(true)),
+        _thread: PhantomData,
+    }
+}
+
+impl Drop for NoWait {
+    fn drop(&mut self) {
+        NO_WAIT.with(|on| on.set(self.outer));
+    }
+}
+
+/// Entry of a store call that may wait: a debug-build panic on a thread
+/// under [`forbid_waiting`].
+fn may_wait(call: &str) {
+    debug_assert!(
+        !NO_WAIT.with(Cell::get),
+        "Store::{call} may wait, on a thread under forbid_waiting"
+    );
 }
 
 /// The store's instruments, registered in the process-wide
@@ -284,7 +335,8 @@ impl Store {
     /// put that would bring the memtable to
     /// [`StoreConfig::memtable_bytes`] is left to [`Store::put`]). An
     /// `Ok(true)` put is acknowledged as [`Store::put`]'s is: its record
-    /// is in the WAL per the policy, and it counts the same.
+    /// is in the WAL per the policy, and it counts the same. When
+    /// [`Store::try_put_can_apply`] is false, every call is `Ok(false)`.
     ///
     /// # Errors
     ///
@@ -306,32 +358,17 @@ impl Store {
         Ok(true)
     }
 
-    /// True when `key` is provably absent without reading a run: the
-    /// memtable holds no live value for it and every live run's bloom
-    /// filter rules it out. False means "maybe present" — or that the
-    /// writer lock or the run list was busy, since neither is waited
-    /// for — and a [`Store::get`] has to decide.
-    pub fn proves_absent(&self, key: &[u8]) -> bool {
-        {
-            let Some(inner) = self.inner.try_lock() else {
-                return false;
-            };
-            if let Some(Some(_)) = inner.memtable.get(key) {
-                return false;
-            }
-        }
-        let Some(runs) = self.runs.try_read() else {
-            return false;
-        };
-        if !runs.iter().all(|run| run.definitely_absent(key)) {
-            return false;
-        }
-        // The negatives a `get` of the key would have counted.
-        self.metrics.bloom_negatives.add(runs.len() as u64);
-        true
+    /// False when [`Store::try_put`] can never apply: the policy
+    /// fsyncs every append ([`FsyncPolicy::Always`], or `EveryN(1)`).
+    /// A caller that must not wait need not build a put then. True says
+    /// only that some appends are taken without a sync; `try_put`
+    /// decides each.
+    pub fn try_put_can_apply(&self) -> bool {
+        !self.cfg.fsync.syncs_at(1)
     }
 
     fn mutate(&self, op: u8, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        may_wait(if op == OP_PUT { "put" } else { "delete" });
         let payload = encode_op(op, key, value);
         let started = Instant::now();
         let mut inner = self.inner.lock();
@@ -378,6 +415,7 @@ impl Store {
     /// [`StoreError::Corrupt`] if a consulted run block fails its
     /// checksum; [`StoreError::Io`] on read failure.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        may_wait("get");
         {
             let inner = self.inner.lock();
             match inner.memtable.get(key) {
@@ -412,6 +450,7 @@ impl Store {
     ///
     /// Propagates run-build, manifest-commit, and WAL-reset failures.
     pub fn flush(&self) -> Result<(), StoreError> {
+        may_wait("flush");
         let mut inner = self.inner.lock();
         if inner.memtable.is_empty() {
             return Ok(());
@@ -470,6 +509,7 @@ impl Store {
     ///
     /// Propagates the fsync failure.
     pub fn sync(&self) -> Result<(), StoreError> {
+        may_wait("sync");
         self.inner.lock().wal.sync()
     }
 
@@ -734,39 +774,54 @@ mod tests {
     }
 
     #[test]
-    fn absent_only_when_no_bloom_filter_admits_the_key() {
-        let dir = temp_dir("probe");
-        let store = Store::open(&dir, tiny_cfg()).unwrap();
-        for round in 0..3 {
-            for i in 0..40 {
-                store.put(format!("r{round}-{i}").as_bytes(), b"v").unwrap();
-            }
-            store.flush().unwrap();
+    fn try_put_can_apply_follows_the_policy() {
+        for (fsync, can) in [
+            (FsyncPolicy::Always, false),
+            (FsyncPolicy::EveryN(0), false),
+            (FsyncPolicy::EveryN(1), false),
+            (FsyncPolicy::EveryN(2), true),
+            (FsyncPolicy::Never, true),
+        ] {
+            let dir = temp_dir("try-can-apply");
+            let store = Store::open(&dir, cfg_with(fsync)).unwrap();
+            assert_eq!(store.try_put_can_apply(), can, "{fsync:?}");
+            assert_eq!(store.try_put(b"k", b"v").unwrap(), can, "{fsync:?}");
         }
-        store.put(b"live", b"v").unwrap();
-        store.put(b"r0-0", b"again").unwrap();
-        store.delete(b"r1-0").unwrap();
-        let runs = store.runs.read().clone();
-        assert_eq!(runs.len(), 3);
-        let admitted = |key: &[u8]| runs.iter().any(|run| !run.definitely_absent(key));
+    }
 
-        // Keys the store holds are never absent: in the memtable, in a
-        // run, or both.
-        for key in ["live", "r0-0", "r0-1", "r2-39"] {
-            assert!(!store.proves_absent(key.as_bytes()), "{key}");
+    #[test]
+    fn waiting_calls_panic_under_forbid_waiting_in_debug_builds() {
+        let dir = temp_dir("no-wait");
+        let store = Store::open(&dir, tiny_cfg()).unwrap();
+        store.put(b"k", b"v").unwrap();
+        let panics =
+            |call: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).is_err();
+        let waiting: [(&str, &dyn Fn()); 5] = [
+            ("put", &|| store.put(b"k", b"w").unwrap()),
+            ("delete", &|| store.delete(b"k").unwrap()),
+            ("get", &|| drop(store.get(b"k").unwrap())),
+            ("flush", &|| store.flush().unwrap()),
+            ("sync", &|| store.sync().unwrap()),
+        ];
+        {
+            let _outer = forbid_waiting();
+            {
+                let _nested = forbid_waiting();
+            }
+            for (name, call) in &waiting {
+                assert_eq!(panics(call), cfg!(debug_assertions), "{name}");
+            }
+            assert!(store.try_put(b"k", b"x").unwrap());
+            assert!(store.try_put_can_apply());
+            let _ = store.stats();
         }
-        // A tombstone over a run that admits the key is still a "maybe".
-        assert!(admitted(b"r1-0") && !store.proves_absent(b"r1-0"));
-        // Absent keys: proven exactly when every bloom filter rules them
-        // out, and some are not (false positives).
-        let mut maybes = 0;
-        for i in 0..2000 {
-            let key = format!("absent-{i}");
-            let proven = store.proves_absent(key.as_bytes());
-            assert_eq!(proven, !admitted(key.as_bytes()), "{key}");
-            maybes += usize::from(!proven);
+        // The guard is gone: every call may wait again.
+        for (name, call) in &waiting {
+            assert!(!panics(call), "{name}");
         }
-        assert!(maybes > 0, "no false positive among 2000 probes");
-        assert!(maybes < 200, "{maybes} maybes: the filters rule out little");
+        // The first put, the try_put and the last put and delete; in a
+        // release build the guarded put and delete too.
+        let appends = if cfg!(debug_assertions) { 4 } else { 6 };
+        assert_eq!(store.stats().wal_appends, appends);
     }
 }

@@ -53,6 +53,20 @@ pub enum FsyncPolicy {
     Never,
 }
 
+impl FsyncPolicy {
+    /// Does the policy fsync an append after which `unsynced` appends
+    /// are unsynced? The one place a sync is decided: [`Wal::append`]
+    /// syncs when this holds, `Wal::try_append` and
+    /// `Store::try_put_can_apply` refuse when it would.
+    pub(crate) fn syncs_at(self, unsynced: u32) -> bool {
+        match self {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::EveryN(n) => unsynced >= n.max(1),
+            FsyncPolicy::Never => false,
+        }
+    }
+}
+
 /// An open write-ahead log (the single writer).
 #[derive(Debug)]
 pub struct Wal {
@@ -95,7 +109,7 @@ impl Wal {
     /// construction; propagates write and fsync failures.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         let len = self.write_record(payload)?;
-        if self.sync_due(self.unsynced) {
+        if self.policy.syncs_at(self.unsynced) {
             // qrec-lint: allow(blocking) -- this is the WAL's policy-gated group-commit point: Always syncs every append, EveryN(n) every n-th; a caller that must not wait takes `try_append`, which never reaches here
             self.file.sync_data()?;
             self.unsynced = 0;
@@ -114,19 +128,10 @@ impl Wal {
     ///
     /// As [`Wal::append`], but never an fsync failure.
     pub(crate) fn try_append(&mut self, payload: &[u8]) -> Result<Option<u64>, StoreError> {
-        if self.sync_due(self.unsynced.saturating_add(1)) {
+        if self.policy.syncs_at(self.unsynced.saturating_add(1)) {
             return Ok(None);
         }
         self.write_record(payload).map(Some)
-    }
-
-    /// Does the policy fsync once `unsynced` appends are unsynced?
-    fn sync_due(&self, unsynced: u32) -> bool {
-        match self.policy {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        }
     }
 
     /// Frame `payload` and write it with one `write_all`: the record as
