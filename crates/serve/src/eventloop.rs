@@ -783,7 +783,10 @@ impl EventLoop {
     /// [`LOOP_PARSE_MAX_BYTES`].
     fn try_on_loop(&self, session: &str, sql: &str, n: usize, t0: Instant) -> LoopSide {
         let shared = &self.shared;
-        if sql.len() > LOOP_PARSE_MAX_BYTES {
+        // Every push waits (a durable tier whose every append syncs), or
+        // the statement is too long to parse in passing: the worker
+        // runs the push, and the loop records no stage of it.
+        if sql.len() > LOOP_PARSE_MAX_BYTES || !shared.store.can_push_without_waiting() {
             return LoopSide::Defer(PendingPush::default());
         }
         let epoch = shared.registry.epoch();

@@ -322,6 +322,16 @@ impl SessionStore {
         }
     }
 
+    /// False when no push can be taken without waiting, so
+    /// [`SessionStore::try_push`] hands every one back unparsed: a
+    /// durable tier whose every append syncs
+    /// ([`Store::try_put_can_apply`] is false).
+    pub fn can_push_without_waiting(&self) -> bool {
+        self.durable
+            .as_ref()
+            .is_none_or(|disk| disk.try_put_can_apply())
+    }
+
     /// The event loop's push: parse `sql`, append it to session `id`
     /// if that takes no wait, and hand the updated context to `read`
     /// under the shard lock — `read` sees the window this push produced
@@ -334,7 +344,7 @@ impl SessionStore {
     /// Otherwise nothing is applied, `read` is not called, and the push
     /// comes back as `Ok(Err(pending))` for
     /// [`SessionStore::push_pending`] — with the parsed statement, or,
-    /// when [`Store::try_put_can_apply`] is false (every append syncs),
+    /// when [`SessionStore::can_push_without_waiting`] is false,
     /// unparsed: then every push comes back, and the worker parses.
     ///
     /// # Errors
@@ -348,11 +358,7 @@ impl SessionStore {
         sql: &str,
         read: impl FnOnce(&SessionContext) -> T,
     ) -> Result<Result<T, PendingPush>, ServeError> {
-        if self
-            .durable
-            .as_ref()
-            .is_some_and(|disk| !disk.try_put_can_apply())
-        {
+        if !self.can_push_without_waiting() {
             return Ok(Err(PendingPush::default()));
         }
         let tokens = self.parse(sql)?;
