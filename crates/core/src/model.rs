@@ -119,10 +119,6 @@ impl Seq2Seq for AnyModel {
         self.as_seq2seq().decode(fwd, enc, tgt_in)
     }
 
-    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        self.as_seq2seq().decode_last_logits(fwd, enc, tgt_in)
-    }
-
     fn encoder_output(&self, fwd: &mut Fwd<'_>, src: &[usize]) -> Arc<Tensor> {
         self.as_seq2seq().encoder_output(fwd, src)
     }

@@ -15,9 +15,10 @@
 //! graph at all ([`Seq2Seq::encoder_output`], [`Seq2Seq::step_logits`]);
 //! ConvS2S and GRU record theirs on a graph the decoder rebuilds after
 //! each use. The batched logits are bitwise identical to the serial
-//! full-prefix recompute, which lives in one place: [`decode_reference`],
-//! the equivalence-suite oracle and the pre-optimisation benchmark
-//! baseline.
+//! full-prefix recompute — the last row of [`Seq2Seq::decode`] over each
+//! hypothesis's prefix — which lives only in the decode equivalence
+//! suite (`crates/nn/tests/decode_equivalence.rs`), as the oracle this
+//! path is held to.
 //!
 //! Decode activity (steps, encoder-cache hits and misses) is counted in
 //! the global obs registry as `nn.decode_steps`, `nn.enc_cache_hits` and
@@ -29,7 +30,7 @@
 //! describes.
 
 use crate::incremental::DecodeState;
-use crate::params::{forward_eval, Fwd, Params, Tape};
+use crate::params::{Fwd, Params, Tape};
 use crate::seq2seq::Seq2Seq;
 use qrec_tensor::tensor::softmax_rows_in_place;
 use qrec_tensor::Tensor;
@@ -207,9 +208,11 @@ fn insert_bounded<T>(list: &mut Vec<T>, cap: usize, item: T, outranks: impl Fn(&
 
 /// Beam-slot selection ([`BeamSelector::select`]) and the buffers it
 /// reuses from one step to the next, so that a step's selection
-/// allocates nothing once they have grown. Both decoders route their beam
-/// steps through it, so incremental and reference selections stay
-/// identical.
+/// allocates nothing once they have grown. The selection routine it
+/// replaced (index list, `select_nth_unstable_by`, sorts) is its oracle,
+/// in `crates/nn/tests/select_oracle/mod.rs`: the unit tests below hold
+/// the two bitwise equal, and the decode equivalence suite's full-prefix
+/// decoder selects with it.
 #[derive(Debug, Default)]
 struct BeamSelector {
     /// The current row's shortlist, (probability desc, token asc).
@@ -445,40 +448,7 @@ pub fn decode_with_cache<M: Seq2Seq + ?Sized>(
     rank(hyps)
 }
 
-/// The serial full-prefix decode path this module had before the
-/// incremental rewrite: every step re-runs the decoder over the entire
-/// prefix, once per live hypothesis. Kept verbatim as the ground truth
-/// the equivalence suite compares [`decode`] against bitwise, and as
-/// the baseline `bench_decode` measures the speedup from.
-#[must_use]
-pub fn decode_reference<M: Seq2Seq + ?Sized>(
-    model: &M,
-    params: &Params,
-    src: &[usize],
-    strategy: Strategy,
-    max_len: usize,
-    rng: &mut StdRng,
-) -> Vec<Hypothesis> {
-    let mut dec = ReferenceDecoder {
-        model,
-        params,
-        rng,
-        enc_cache: None,
-    };
-    let hyps = match strategy {
-        Strategy::Greedy => vec![dec.greedy(src, max_len)],
-        Strategy::Beam { width } => dec.beam(src, max_len, width, 1, 0.0),
-        Strategy::DiverseBeam {
-            width,
-            groups,
-            penalty,
-        } => dec.beam(src, max_len, width, groups.max(1), penalty),
-        Strategy::Sampling { samples, min_prob } => dec.sample(src, max_len, samples, min_prob),
-    };
-    rank(hyps)
-}
-
-/// Shared ranking: sort by descending log-probability, deduplicate on
+/// Ranking: sort by descending log-probability, deduplicate on
 /// token ids.
 fn rank(mut hyps: Vec<Hypothesis>) -> Vec<Hypothesis> {
     hyps.sort_by(|a, b| {
@@ -575,8 +545,7 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     /// out group by group, so every step is a single batched forward;
     /// after pruning, [`DecodeState::reorder`] gathers the survivors'
     /// cache rows (a parent spawning several children duplicates its
-    /// rows). Slot selection goes through [`BeamSelector::select`], the
-    /// same routine the reference path uses, so selections are identical.
+    /// rows). Slot selection goes through [`BeamSelector::select`].
     ///
     /// Everything an iteration writes besides the logits — the selector's
     /// lists, the survivors ([`LiveHyp`]), their token tree, the parent
@@ -752,206 +721,6 @@ impl<'m, M: Seq2Seq + ?Sized> Decoder<'m, M> {
     }
 }
 
-/// The pre-incremental decoder: one graph per step per hypothesis,
-/// recomputing the full prefix each time (O(L²) per emitted token), with
-/// the original single-slot encoder cache. See [`decode_reference`].
-struct ReferenceDecoder<'m, M: Seq2Seq + ?Sized> {
-    model: &'m M,
-    params: &'m Params,
-    rng: &'m mut StdRng,
-    enc_cache: Option<(Vec<usize>, Arc<Tensor>)>,
-}
-
-impl<'m, M: Seq2Seq + ?Sized> ReferenceDecoder<'m, M> {
-    fn encoder_output(&mut self, src: &[usize]) -> Arc<Tensor> {
-        if let Some((cached_src, enc)) = &self.enc_cache {
-            if cached_src == src {
-                return Arc::clone(enc); // refcount bump, no data copy
-            }
-        }
-        let model = self.model;
-        let out = forward_eval(self.params, self.rng, |fwd| {
-            let enc = model.encode(fwd, src);
-            fwd.graph.value_shared(enc)
-        });
-        self.enc_cache = Some((src.to_vec(), Arc::clone(&out)));
-        out
-    }
-
-    /// Next-token probability distribution after `prefix` (which starts
-    /// with `<SOS>`).
-    fn next_probs(&mut self, src: &[usize], prefix: &[usize]) -> Vec<f32> {
-        let enc_val = self.encoder_output(src);
-        let model = self.model;
-        forward_eval(self.params, self.rng, |fwd| {
-            let enc = fwd.constant_shared(enc_val);
-            let logits = model.decode_last_logits(fwd, enc, prefix);
-            fwd.graph.value(logits).softmax_rows().into_data()
-        })
-    }
-
-    fn greedy(&mut self, src: &[usize], max_len: usize) -> Hypothesis {
-        let mut prefix = vec![SOS];
-        let mut hyp = Hypothesis::empty();
-        for _ in 0..max_len {
-            let mut probs = self.next_probs(src, &prefix);
-            suppress_specials(&mut probs);
-            let (tok, p) = argmax(&probs);
-            hyp.log_prob += p.max(1e-12).ln();
-            if tok == EOS {
-                hyp.finished = true;
-                break;
-            }
-            hyp.ids.push(tok);
-            hyp.token_probs.push(p);
-            prefix.push(tok);
-        }
-        hyp
-    }
-
-    /// Beam search; with `groups > 1` runs diverse beam search.
-    fn beam(
-        &mut self,
-        src: &[usize],
-        max_len: usize,
-        width: usize,
-        groups: usize,
-        penalty: f32,
-    ) -> Vec<Hypothesis> {
-        let width = width.max(1);
-        let groups = groups.min(width);
-        let group_width = width.div_ceil(groups);
-
-        #[derive(Clone)]
-        struct Live {
-            prefix: Vec<usize>, // starts with SOS
-            hyp: Hypothesis,
-        }
-        let root = Live {
-            prefix: vec![SOS],
-            hyp: Hypothesis::empty(),
-        };
-        // One beam per group.
-        let mut beams: Vec<Vec<Live>> = vec![vec![root]; groups];
-        let mut done: Vec<Hypothesis> = Vec::new();
-        let mut selector = BeamSelector::default();
-
-        for _step in 0..max_len {
-            // Hamming diversity bookkeeping: token → times chosen this
-            // step by earlier groups (and earlier slots of this group).
-            let mut chosen = ChosenCounts::new();
-            for beam in beams.iter_mut() {
-                if beam.is_empty() {
-                    continue;
-                }
-                let mut probs_cache: Vec<Vec<f32>> = Vec::with_capacity(beam.len());
-                for live in beam.iter() {
-                    let mut probs = self.next_probs(src, &live.prefix);
-                    suppress_specials(&mut probs);
-                    probs_cache.push(probs);
-                }
-                let rows = probs_cache
-                    .iter()
-                    .zip(beam.iter())
-                    .map(|(probs, live)| (probs.as_slice(), live.hyp.log_prob));
-                let winners = selector.select(rows, group_width, penalty, &chosen);
-                // Standard beam step: the top `group_width` candidates each
-                // take one slot; an EOS candidate retires its hypothesis.
-                let mut next: Vec<Live> = Vec::with_capacity(group_width);
-                for &(_score, li, tok) in winners {
-                    let live = &beam[li];
-                    let p = probs_cache[li][tok];
-                    let mut hyp = live.hyp.clone();
-                    hyp.log_prob += p.max(1e-12).ln();
-                    if tok == EOS {
-                        hyp.finished = true;
-                        done.push(hyp);
-                        continue;
-                    }
-                    hyp.ids.push(tok);
-                    hyp.token_probs.push(p);
-                    let mut prefix = live.prefix.clone();
-                    prefix.push(tok);
-                    note_chosen(&mut chosen, tok);
-                    next.push(Live { prefix, hyp });
-                }
-                *beam = next;
-            }
-            if beams.iter().all(|b| b.is_empty()) || done.len() >= width * 2 {
-                break;
-            }
-        }
-        // Unfinished survivors still count as candidates.
-        for beam in beams {
-            for live in beam {
-                done.push(live.hyp);
-            }
-        }
-        done
-    }
-
-    fn sample(
-        &mut self,
-        src: &[usize],
-        max_len: usize,
-        samples: usize,
-        min_prob: f32,
-    ) -> Vec<Hypothesis> {
-        let mut out = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let mut prefix = vec![SOS];
-            let mut hyp = Hypothesis::empty();
-            for _ in 0..max_len {
-                let mut probs = self.next_probs(src, &prefix);
-                suppress_specials(&mut probs);
-                // The paper zeroes low-score tokens before sampling.
-                let mut total = 0.0f32;
-                for p in probs.iter_mut() {
-                    if *p < min_prob {
-                        *p = 0.0;
-                    }
-                    total += *p;
-                }
-                if total <= 0.0 {
-                    // Degenerate distribution: fall back to argmax.
-                    probs = self.next_probs(src, &prefix);
-                    suppress_specials(&mut probs);
-                    let (tok, p) = argmax(&probs);
-                    hyp.log_prob += p.max(1e-12).ln();
-                    if tok == EOS {
-                        hyp.finished = true;
-                        break;
-                    }
-                    hyp.ids.push(tok);
-                    hyp.token_probs.push(p);
-                    prefix.push(tok);
-                    continue;
-                }
-                let mut u = self.rng.gen_range(0.0..total);
-                let mut tok = probs.len() - 1;
-                for (i, &p) in probs.iter().enumerate() {
-                    if u < p {
-                        tok = i;
-                        break;
-                    }
-                    u -= p;
-                }
-                let p = probs[tok] / total;
-                hyp.log_prob += p.max(1e-12).ln();
-                if tok == EOS {
-                    hyp.finished = true;
-                    break;
-                }
-                hyp.ids.push(tok);
-                hyp.token_probs.push(p);
-                prefix.push(tok);
-            }
-            out.push(hyp);
-        }
-        out
-    }
-}
-
 fn argmax(probs: &[f32]) -> (usize, f32) {
     let mut best = 0;
     let mut best_p = f32::NEG_INFINITY;
@@ -965,7 +734,12 @@ fn argmax(probs: &[f32]) -> (usize, f32) {
 }
 
 #[cfg(test)]
+#[path = "../tests/select_oracle/mod.rs"]
+mod select_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::select_oracle::select_beam_slots_oracle;
     use super::*;
     use crate::adam::{Adam, AdamConfig};
     use crate::params::forward_backward;
@@ -973,59 +747,6 @@ mod tests {
     use proptest::prelude::{any, prop_oneof, proptest, Just, ProptestConfig};
     use rand::SeedableRng;
     use std::collections::HashMap;
-
-    /// The selection routine [`BeamSelector::select`] replaced, kept
-    /// verbatim as its oracle: an index list of the positive tokens,
-    /// `select_nth_unstable_by` down to the shortlist, a sort of the
-    /// scored shortlist, and a stable sort of the rows' slots by score.
-    fn select_beam_slots_oracle(
-        rows: &[(&[f32], f32)],
-        group_width: usize,
-        penalty: f32,
-        chosen_counts: &HashMap<usize, usize>,
-    ) -> Vec<(f32, usize, usize)> {
-        let shortlist = group_width
-            + if penalty > 0.0 {
-                chosen_counts.len()
-            } else {
-                0
-            };
-        let mut merged: Vec<(f32, usize, usize)> = Vec::with_capacity(rows.len() * group_width);
-        let mut idx: Vec<usize> = Vec::new();
-        let mut scored: Vec<(f32, usize)> = Vec::new();
-        for (li, &(probs, base)) in rows.iter().enumerate() {
-            idx.clear();
-            idx.extend((0..probs.len()).filter(|&t| probs[t] > 0.0));
-            if idx.len() > shortlist {
-                idx.select_nth_unstable_by(shortlist - 1, |&a, &b| {
-                    probs[b]
-                        .partial_cmp(&probs[a])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(&b))
-                });
-                idx.truncate(shortlist);
-            }
-            scored.clear();
-            scored.extend(idx.iter().map(|&tok| {
-                let mut score = base + probs[tok].max(1e-12).ln();
-                if penalty > 0.0 {
-                    let count = chosen_counts.get(&tok).copied().unwrap_or(0);
-                    score -= penalty * count as f32;
-                }
-                (score, tok)
-            }));
-            scored.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            scored.truncate(group_width);
-            merged.extend(scored.iter().map(|&(s, tok)| (s, li, tok)));
-        }
-        merged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        merged.truncate(group_width);
-        merged
-    }
 
     /// Both selections of one case, winners compared bit for bit.
     fn assert_selection_matches_oracle(

@@ -155,13 +155,6 @@ impl Seq2Seq for GruSeq2Seq {
         self.out_proj.forward(fwd, states)
     }
 
-    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        let states = self.decode_states(fwd, enc, tgt_in);
-        let rows = fwd.graph.value(states).rows();
-        let last = fwd.graph.slice_rows(states, rows - 1, rows);
-        self.out_proj.forward(fwd, last)
-    }
-
     fn begin_decode(&self, fwd: &mut Fwd<'_>, enc: &Arc<Tensor>, batch: usize) -> DecodeState {
         let _ = fwd;
         // Initial hidden: the final encoder state, one copy per

@@ -24,10 +24,11 @@
 //! * **GRU** — the hidden state, carried forward as a `B × d` matrix.
 //!
 //! Every cached value is bitwise identical to the value the full-prefix
-//! recompute ([`crate::decode::decode_reference`]) produces, because the GEMM kernel folds each output element in
-//! a fixed ascending-`k` order regardless of batching (see
-//! `qrec_tensor::kernel`) and masked softmax columns contribute exact
-//! `0.0` terms. The `decode_equivalence` test suite enforces this.
+//! recompute ([`crate::seq2seq::Seq2Seq::decode`] over the whole prefix)
+//! produces, because the GEMM kernel folds each output element in a fixed
+//! ascending-`k` order regardless of batching (see `qrec_tensor::kernel`)
+//! and masked softmax columns contribute exact `0.0` terms. The
+//! `decode_equivalence` test suite enforces this.
 //!
 //! After beam pruning, [`DecodeState::reorder`] gathers the state rows
 //! of the surviving hypotheses (indices may repeat when one parent

@@ -165,11 +165,6 @@ impl QuantParams {
         }
     }
 
-    /// Number of quantized entries (weights and embeddings).
-    pub fn quantized_count(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
     /// Number of f32 values the int8 entries stand in for.
     pub fn quantized_scalars(&self) -> usize {
         self.entries
@@ -233,7 +228,8 @@ mod tests {
     fn build_quantizes_weights_and_embeddings() {
         let p = store();
         let q = QuantParams::build(p.named_tensors());
-        assert_eq!(q.quantized_count(), 2);
+        // lin.w (3 × 4) and emb.emb (2 × 3); the bias stays f32.
+        assert_eq!(q.quantized_scalars(), 12 + 6);
         assert!(q.weight(ParamId(0)).is_some(), "lin.w quantized as GEMM");
         assert!(q.weight(ParamId(1)).is_none(), "bias stays f32");
         assert!(
@@ -273,6 +269,6 @@ mod tests {
         let q = QuantParams::build(p.named_tensors());
         assert_eq!(q.to_value(), serde::Value::Null);
         let back = QuantParams::from_value(&q.to_value()).unwrap();
-        assert_eq!(back.quantized_count(), 0);
+        assert_eq!(back.quantized_scalars(), 0);
     }
 }

@@ -6,9 +6,10 @@
 //! per-position next-token logits. Training is built on that pair.
 //!
 //! Decoding runs on [`Seq2Seq::begin_decode`] / [`Seq2Seq::step_logits`],
-//! which every architecture implements over its own caches; the full
-//! recompute of a prefix lives only in [`crate::decode::decode_reference`],
-//! the oracle they are held to.
+//! which every architecture implements over its own caches. The full
+//! recompute of a prefix — the last row of [`Seq2Seq::decode`] — is the
+//! oracle they are held to; it runs only in the decode equivalence suite
+//! (`crates/nn/tests/decode_equivalence.rs`).
 
 use crate::incremental::DecodeState;
 use crate::params::Fwd;
@@ -29,12 +30,6 @@ pub trait Seq2Seq {
     /// `tgt_in[..=i]` and the encoder output. The test suites verify
     /// this for every architecture.
     fn decode(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId;
-
-    /// Logits for only the *last* position of the target prefix
-    /// (`1 × vocab`): [`Seq2Seq::decode`]'s final row, without projecting
-    /// every other position to the vocabulary. The reference decoder's
-    /// per-hypothesis step.
-    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId;
 
     /// The encoder output of `src` for inference (`len(src) × d_model`,
     /// shared): what the decoders run once per source and keep in their
@@ -65,10 +60,10 @@ pub trait Seq2Seq {
     /// and returns `0 × vocab`; a state another architecture began is a
     /// caller bug and panics.
     ///
-    /// Must be bitwise identical to calling [`Seq2Seq::decode_last_logits`]
-    /// per row on the full prefix — the decode equivalence suite enforces
-    /// this for every architecture against
-    /// [`crate::decode::decode_reference`].
+    /// Must be bitwise identical, row by row, to the last row of
+    /// [`Seq2Seq::decode`] over that row's full prefix — the decode
+    /// equivalence suite enforces this for every architecture, step by
+    /// step and through whole decodes.
     fn step_logits(
         &self,
         fwd: &mut Fwd<'_>,

@@ -326,13 +326,6 @@ impl Seq2Seq for Transformer {
         self.out_proj.forward(fwd, states)
     }
 
-    fn decode_last_logits(&self, fwd: &mut Fwd<'_>, enc: NodeId, tgt_in: &[usize]) -> NodeId {
-        let states = self.decode_states(fwd, enc, tgt_in);
-        let rows = fwd.graph.value(states).rows();
-        let last = fwd.graph.slice_rows(states, rows - 1, rows);
-        self.out_proj.forward(fwd, last)
-    }
-
     /// The tape-free encoder pass: the `m = min(len(src), max_len)`
     /// source rows go through embedding, positions and every encoder
     /// layer on one `StepScratch` sized for `m` rows — no autograd

@@ -9,22 +9,33 @@
 //! state reorders against fresh per-prefix decodes, and walk steps past
 //! the architecture's positional capacity (the logit-freeze path).
 //!
+//! The full-prefix reference decoder ([`decode_reference`]) lives here and
+//! nowhere in the shipped crates. It reaches the model through the public
+//! API only — each next-token distribution is the softmax of the last row
+//! of [`Seq2Seq::decode`] over the prefix — and selects beam slots with
+//! the selection routine the shipped `BeamSelector` replaced
+//! (`select_oracle`), so it shares no search code with the decoder it
+//! checks.
+//!
 //! The transformer's tape-free step is additionally driven at the
 //! serving shape (`TransformerConfig::small`: d 48, 4 heads, 2 layers)
 //! with biases and LayerNorm γ/β moved off their initial values, which
 //! the freshly initialised test-config models above leave at 0/1/0.
 
 mod common;
+mod select_oracle;
 
-use qrec_nn::decode::{decode, decode_reference, Hypothesis, Strategy, SOS};
-use qrec_nn::params::{forward_eval, Params};
+use qrec_nn::decode::{decode, Hypothesis, Strategy, EOS, PAD, SOS};
+use qrec_nn::params::{forward_eval, Fwd, Params};
 use qrec_nn::{
     ConvS2S, ConvS2SConfig, DecodeState, GruConfig, GruSeq2Seq, Seq2Seq, Transformer,
     TransformerConfig,
 };
-use qrec_tensor::Tensor;
+use qrec_tensor::{NodeId, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use select_oracle::select_beam_slots_oracle;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const ARCHS: [&str; 3] = ["transformer", "convs2s", "gru"];
@@ -54,6 +65,268 @@ fn build(arch: &str) -> (Params, Box<dyn Seq2Seq>) {
         )),
     };
     (params, model)
+}
+
+/// The last row of [`Seq2Seq::decode`] over `prefix` (`1 × vocab`): the
+/// next-token logits after the whole prefix, recomputed from scratch.
+fn last_row_logits<M: Seq2Seq + ?Sized>(
+    model: &M,
+    fwd: &mut Fwd<'_>,
+    enc: NodeId,
+    prefix: &[usize],
+) -> Tensor {
+    let logits = model.decode(fwd, enc, prefix);
+    let all = fwd.graph.value(logits);
+    Tensor::from_vec(1, all.cols(), all.row(all.rows() - 1).to_vec())
+}
+
+/// The serial full-prefix decode path `qrec_nn::decode` had before the
+/// incremental rewrite: every step re-runs the decoder over the entire
+/// prefix, once per live hypothesis. The ground truth [`decode`] is
+/// compared against bit for bit.
+fn decode_reference<M: Seq2Seq + ?Sized>(
+    model: &M,
+    params: &Params,
+    src: &[usize],
+    strategy: Strategy,
+    max_len: usize,
+    rng: &mut StdRng,
+) -> Vec<Hypothesis> {
+    // The encoder draws nothing from `rng` outside training, so encoding
+    // up front leaves the sampling stream where the decode expects it.
+    let enc = forward_eval(params, rng, |fwd| {
+        let enc = model.encode(fwd, src);
+        fwd.graph.value_shared(enc)
+    });
+    let mut dec = ReferenceDecoder {
+        model,
+        params,
+        rng,
+        enc,
+    };
+    let mut hyps = match strategy {
+        Strategy::Greedy => vec![dec.greedy(max_len)],
+        Strategy::Beam { width } => dec.beam(max_len, width, 1, 0.0),
+        Strategy::DiverseBeam {
+            width,
+            groups,
+            penalty,
+        } => dec.beam(max_len, width, groups.max(1), penalty),
+        Strategy::Sampling { samples, min_prob } => dec.sample(max_len, samples, min_prob),
+    };
+    // Sort by descending log-probability, deduplicate on token ids.
+    hyps.sort_by(|a, b| {
+        b.log_prob
+            .partial_cmp(&a.log_prob)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    hyps.dedup_by(|a, b| a.ids == b.ids);
+    hyps
+}
+
+fn empty_hypothesis() -> Hypothesis {
+    Hypothesis {
+        ids: Vec::new(),
+        token_probs: Vec::new(),
+        log_prob: 0.0,
+        finished: false,
+    }
+}
+
+/// Zero out tokens a decoder must never emit (`<PAD>`, `<SOS>`).
+fn suppress_specials(probs: &mut [f32]) {
+    probs[PAD] = 0.0;
+    probs[SOS] = 0.0;
+}
+
+fn argmax(probs: &[f32]) -> (usize, f32) {
+    let mut best = 0;
+    let mut best_p = f32::NEG_INFINITY;
+    for (i, &p) in probs.iter().enumerate() {
+        if p > best_p {
+            best_p = p;
+            best = i;
+        }
+    }
+    (best, best_p)
+}
+
+/// One graph per step per hypothesis, recomputing the full prefix each
+/// time (O(L²) per emitted token), against the source's encoder output.
+struct ReferenceDecoder<'m, M: Seq2Seq + ?Sized> {
+    model: &'m M,
+    params: &'m Params,
+    rng: &'m mut StdRng,
+    enc: Arc<Tensor>,
+}
+
+impl<M: Seq2Seq + ?Sized> ReferenceDecoder<'_, M> {
+    /// Next-token probability distribution after `prefix` (which starts
+    /// with `<SOS>`).
+    fn next_probs(&mut self, prefix: &[usize]) -> Vec<f32> {
+        let model = self.model;
+        let enc = Arc::clone(&self.enc);
+        forward_eval(self.params, self.rng, |fwd| {
+            let enc = fwd.constant_shared(enc);
+            last_row_logits(model, fwd, enc, prefix)
+                .softmax_rows()
+                .into_data()
+        })
+    }
+
+    fn greedy(&mut self, max_len: usize) -> Hypothesis {
+        let mut prefix = vec![SOS];
+        let mut hyp = empty_hypothesis();
+        for _ in 0..max_len {
+            let mut probs = self.next_probs(&prefix);
+            suppress_specials(&mut probs);
+            let (tok, p) = argmax(&probs);
+            hyp.log_prob += p.max(1e-12).ln();
+            if tok == EOS {
+                hyp.finished = true;
+                break;
+            }
+            hyp.ids.push(tok);
+            hyp.token_probs.push(p);
+            prefix.push(tok);
+        }
+        hyp
+    }
+
+    /// Beam search; with `groups > 1` runs diverse beam search.
+    fn beam(
+        &mut self,
+        max_len: usize,
+        width: usize,
+        groups: usize,
+        penalty: f32,
+    ) -> Vec<Hypothesis> {
+        let width = width.max(1);
+        let groups = groups.min(width);
+        let group_width = width.div_ceil(groups);
+
+        #[derive(Clone)]
+        struct Live {
+            prefix: Vec<usize>, // starts with SOS
+            hyp: Hypothesis,
+        }
+        let root = Live {
+            prefix: vec![SOS],
+            hyp: empty_hypothesis(),
+        };
+        // One beam per group.
+        let mut beams: Vec<Vec<Live>> = vec![vec![root]; groups];
+        let mut done: Vec<Hypothesis> = Vec::new();
+
+        for _step in 0..max_len {
+            // Hamming diversity bookkeeping: token → times chosen this
+            // step by earlier groups (and earlier slots of this group).
+            let mut chosen: HashMap<usize, usize> = HashMap::new();
+            for beam in beams.iter_mut() {
+                if beam.is_empty() {
+                    continue;
+                }
+                let mut probs_cache: Vec<Vec<f32>> = Vec::with_capacity(beam.len());
+                for live in beam.iter() {
+                    let mut probs = self.next_probs(&live.prefix);
+                    suppress_specials(&mut probs);
+                    probs_cache.push(probs);
+                }
+                let rows: Vec<(&[f32], f32)> = probs_cache
+                    .iter()
+                    .zip(beam.iter())
+                    .map(|(probs, live)| (probs.as_slice(), live.hyp.log_prob))
+                    .collect();
+                let winners = select_beam_slots_oracle(&rows, group_width, penalty, &chosen);
+                // Standard beam step: the top `group_width` candidates each
+                // take one slot; an EOS candidate retires its hypothesis.
+                let mut next: Vec<Live> = Vec::with_capacity(group_width);
+                for (_score, li, tok) in winners {
+                    let live = &beam[li];
+                    let p = probs_cache[li][tok];
+                    let mut hyp = live.hyp.clone();
+                    hyp.log_prob += p.max(1e-12).ln();
+                    if tok == EOS {
+                        hyp.finished = true;
+                        done.push(hyp);
+                        continue;
+                    }
+                    hyp.ids.push(tok);
+                    hyp.token_probs.push(p);
+                    let mut prefix = live.prefix.clone();
+                    prefix.push(tok);
+                    *chosen.entry(tok).or_insert(0) += 1;
+                    next.push(Live { prefix, hyp });
+                }
+                *beam = next;
+            }
+            if beams.iter().all(|b| b.is_empty()) || done.len() >= width * 2 {
+                break;
+            }
+        }
+        // Unfinished survivors still count as candidates.
+        for beam in beams {
+            for live in beam {
+                done.push(live.hyp);
+            }
+        }
+        done
+    }
+
+    fn sample(&mut self, max_len: usize, samples: usize, min_prob: f32) -> Vec<Hypothesis> {
+        let mut out = Vec::with_capacity(samples);
+        for _ in 0..samples {
+            let mut prefix = vec![SOS];
+            let mut hyp = empty_hypothesis();
+            for _ in 0..max_len {
+                let mut probs = self.next_probs(&prefix);
+                suppress_specials(&mut probs);
+                // The paper zeroes low-score tokens before sampling.
+                let mut total = 0.0f32;
+                for p in probs.iter_mut() {
+                    if *p < min_prob {
+                        *p = 0.0;
+                    }
+                    total += *p;
+                }
+                if total <= 0.0 {
+                    // Degenerate distribution: fall back to argmax.
+                    probs = self.next_probs(&prefix);
+                    suppress_specials(&mut probs);
+                    let (tok, p) = argmax(&probs);
+                    hyp.log_prob += p.max(1e-12).ln();
+                    if tok == EOS {
+                        hyp.finished = true;
+                        break;
+                    }
+                    hyp.ids.push(tok);
+                    hyp.token_probs.push(p);
+                    prefix.push(tok);
+                    continue;
+                }
+                let mut u = self.rng.gen_range(0.0..total);
+                let mut tok = probs.len() - 1;
+                for (i, &p) in probs.iter().enumerate() {
+                    if u < p {
+                        tok = i;
+                        break;
+                    }
+                    u -= p;
+                }
+                let p = probs[tok] / total;
+                hyp.log_prob += p.max(1e-12).ln();
+                if tok == EOS {
+                    hyp.finished = true;
+                    break;
+                }
+                hyp.ids.push(tok);
+                hyp.token_probs.push(p);
+                prefix.push(tok);
+            }
+            out.push(hyp);
+        }
+        out
+    }
 }
 
 fn assert_hyps_bitwise(want: &[Hypothesis], got: &[Hypothesis], ctx: &str) {
@@ -293,8 +566,7 @@ fn transformer_serving_shape_steps_follow_reorders_regrow_and_clone() {
         for (r, prefix) in prefixes.iter().enumerate() {
             let want = forward_eval(&params, &mut rng, |fwd| {
                 let enc_node = fwd.constant_shared(Arc::clone(&enc));
-                let logits = model.decode_last_logits(fwd, enc_node, prefix);
-                fwd.graph.value(logits).clone()
+                last_row_logits(&model, fwd, enc_node, prefix)
             });
             let got_row = Tensor::from_vec(1, SERVING_VOCAB, got.row(r).to_vec());
             assert_rows_bitwise(&want, &got_row, &format!("{ctx} step {t} row {r}"));
@@ -358,8 +630,7 @@ fn steps_past_positional_capacity_freeze_identically() {
             });
             let want = forward_eval(&params, &mut rng, |fwd| {
                 let enc_node = fwd.constant_shared(Arc::clone(&enc));
-                let logits = model.decode_last_logits(fwd, enc_node, &prefix);
-                fwd.graph.value(logits).clone()
+                last_row_logits(model, fwd, enc_node, &prefix)
             });
             assert_rows_bitwise(&want, &got, &format!("{arch} step {t}"));
             prefix.push(3 + (t % 5));

@@ -320,8 +320,8 @@ fn worker_loop(
     while let Some(mut job) = queue.pop() {
         // One job per hand-off: the two counters move together, and the
         // STATS/TRACE wire shape keeps both.
-        Metrics::bump(&metrics.batches);
-        Metrics::bump(&metrics.batched_jobs);
+        metrics.batches.inc();
+        metrics.batched_jobs.inc();
 
         // One registry read per job: it is served by one model at one
         // epoch. Tagging the encoder cache with the epoch drops stale
@@ -405,7 +405,7 @@ pub(crate) fn answer_cached(
 ) -> Option<(PerKind<Vec<String>>, Duration)> {
     let hit = cache.get_shared(key)?;
     let rank = stage.then("rank", &metrics.stage_rank);
-    Metrics::bump(&metrics.cache_hits);
+    metrics.cache_hits.inc();
     trace::note_cache_hit(true);
     Some(rank_top_n(metrics, &hit, n, since, rank))
 }
@@ -426,7 +426,7 @@ fn serve_window(
     if let Some((fragments, _)) = answer_cached(cache, metrics, &key, n, since, probe) {
         return (fragments, true);
     }
-    Metrics::bump(&metrics.cache_misses);
+    metrics.cache_misses.inc();
     let ranked = Arc::new(Span::in_span_with("decode", &metrics.stage_decode, decode));
     cache.put(key, Arc::clone(&ranked));
     let rank = Span::enter_with("rank", &metrics.stage_rank);

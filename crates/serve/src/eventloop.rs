@@ -64,7 +64,6 @@ use crate::batcher::{answer_cached, DecodeRequest, PrepareFn, Recommendation};
 use crate::cache::CacheKey;
 use crate::error::ServeError;
 use crate::framing::{FrameBuf, FrameError};
-use crate::metrics::Metrics;
 use crate::protocol::{Request, Response, DEFAULT_N};
 use crate::server::{Dispatch, Shared};
 use crate::session_store::PendingPush;
@@ -314,7 +313,7 @@ impl EventLoop {
         match self.poller.wait(events, Some(timeout)) {
             Ok(n) => {
                 if n > 0 {
-                    Metrics::bump(&self.shared.metrics.frontend.poll_wakeups);
+                    self.shared.metrics.frontend.poll_wakeups.inc();
                 }
             }
             Err(_) => return true, // transient poll failure: next tick
@@ -403,7 +402,7 @@ impl EventLoop {
                 Err(e) => match accept_error_action(&e) {
                     AcceptAction::Retry => continue,
                     AcceptAction::Backoff => {
-                        Metrics::bump(&self.shared.metrics.frontend.accept_backoffs);
+                        self.shared.metrics.frontend.accept_backoffs.inc();
                         if let Some(listener) = &self.listener {
                             let _ =
                                 self.poller
@@ -421,7 +420,7 @@ impl EventLoop {
     /// write is non-blocking; a full socket buffer just loses the
     /// courtesy message, never stalls the loop.
     fn reject_over_cap(&mut self, stream: TcpStream) {
-        Metrics::bump(&self.shared.metrics.frontend.rejected_cap);
+        self.shared.metrics.frontend.rejected_cap.inc();
         let _ = stream.set_nonblocking(true);
         let mut payload = Response::err(&ServeError::Overloaded)
             .to_json_line()
@@ -483,7 +482,7 @@ impl EventLoop {
             return;
         }
         self.open += 1;
-        Metrics::bump(&self.shared.metrics.frontend.accepted);
+        self.shared.metrics.frontend.accepted.inc();
         self.idle_check_at
             .get_or_insert(now + self.limits.idle_timeout);
     }
@@ -591,8 +590,8 @@ impl EventLoop {
                 FrameStep::Oversized(cap) => {
                     // The stream offset is unrecoverable after an
                     // oversized line: typed rejection, then close.
-                    Metrics::bump(&self.shared.metrics.requests);
-                    Metrics::bump(&self.shared.metrics.errors);
+                    self.shared.metrics.requests.inc();
+                    self.shared.metrics.errors.inc();
                     let resp = Response::err(&ServeError::BadRequest(format!(
                         "request line exceeds the {cap}-byte limit"
                     )));
@@ -609,8 +608,8 @@ impl EventLoop {
         let line = match std::str::from_utf8(&frame) {
             Ok(l) => l.trim(),
             Err(_) => {
-                Metrics::bump(&self.shared.metrics.requests);
-                Metrics::bump(&self.shared.metrics.errors);
+                self.shared.metrics.requests.inc();
+                self.shared.metrics.errors.inc();
                 let resp =
                     Response::err(&ServeError::BadRequest("request line is not UTF-8".into()));
                 self.enqueue_response(slot, &resp, false);
@@ -679,7 +678,7 @@ impl EventLoop {
             return;
         }
         let (Some(session), Some(sql)) = (req.session, req.sql) else {
-            Metrics::bump(&self.shared.metrics.errors);
+            self.shared.metrics.errors.inc();
             let resp = Response::err(&ServeError::BadRequest(
                 "RECOMMEND needs `session` and `sql`".into(),
             ));
@@ -704,7 +703,7 @@ impl EventLoop {
         let (tokens, prepare): (Vec<String>, Option<PrepareFn>) =
             match self.try_on_loop(&session, &sql, n, t0) {
                 LoopSide::Done(line) => {
-                    Metrics::bump(&self.shared.metrics.recommends);
+                    self.shared.metrics.recommends.inc();
                     // `inflight` stays false: `tick_frames` goes straight
                     // on to the connection's next pipelined frame.
                     self.enqueue_bytes(slot, &line, false);
@@ -728,7 +727,7 @@ impl EventLoop {
                     rec.trace.map(|ctx| (ctx, t0.elapsed())),
                 ),
                 Err(e) => {
-                    Metrics::bump(&metrics.errors);
+                    metrics.errors.inc();
                     (Response::err(&e), None)
                 }
             };
@@ -751,15 +750,15 @@ impl EventLoop {
         };
         match self.shared.engine.submit_callback(dreq, prepare, reply) {
             Ok(()) => {
-                Metrics::bump(&self.shared.metrics.recommends);
+                self.shared.metrics.recommends.inc();
                 if let Some(conn) = self.conns.get_mut(slot).and_then(|s| s.as_mut()) {
                     conn.inflight = true;
                 }
             }
             Err(e) => {
                 match e {
-                    ServeError::Overloaded => Metrics::bump(&self.shared.metrics.overloaded),
-                    _ => Metrics::bump(&self.shared.metrics.errors),
+                    ServeError::Overloaded => self.shared.metrics.overloaded.inc(),
+                    _ => self.shared.metrics.errors.inc(),
                 }
                 let resp = Response::err(&e);
                 self.enqueue_response(slot, &resp, false);
@@ -819,7 +818,7 @@ impl EventLoop {
             Ok(Err(pending)) => LoopSide::Defer(pending),
             Err(e) => {
                 trace::uninstall();
-                Metrics::bump(&shared.metrics.errors);
+                shared.metrics.errors.inc();
                 LoopSide::Done(response_line(&Response::err(&e)))
             }
         }
@@ -924,7 +923,7 @@ impl EventLoop {
             if conn.outbox_len() + payload.len() > hard {
                 // Ladder rung 2: the client is not draining. One typed
                 // error instead of the backlog, then disconnect.
-                Metrics::bump(&self.shared.metrics.frontend.slow_disconnects);
+                self.shared.metrics.frontend.slow_disconnects.inc();
                 // Bytes up to `out_pos` are already on the wire and may
                 // end mid-line; terminate the partial line so the typed
                 // error stays parseable as its own JSONL line.
@@ -1052,7 +1051,7 @@ impl EventLoop {
                 conn.last_activity
             };
             if !conn.inflight && now.saturating_duration_since(base) >= timeout {
-                Metrics::bump(&self.shared.metrics.frontend.idle_disconnects);
+                self.shared.metrics.frontend.idle_disconnects.inc();
                 self.close(slot);
             } else {
                 let at = base + timeout;

@@ -100,11 +100,6 @@ impl FrameBuf {
             }
         }
     }
-
-    /// Bytes buffered but not yet returned as frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.start
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,6 @@ mod tests {
         fb.feed(b"{\"verb\":\"PING\"}\n");
         assert_eq!(pop_str(&mut fb).as_deref(), Some("{\"verb\":\"PING\"}"));
         assert_eq!(pop_str(&mut fb), None);
-        assert_eq!(fb.pending_bytes(), 0);
     }
 
     /// The tentpole robustness case: a frame split at *every* byte

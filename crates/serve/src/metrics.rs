@@ -250,11 +250,6 @@ impl Metrics {
         }
     }
 
-    /// Increment a counter by one (relaxed).
-    pub fn bump(counter: &Counter) {
-        counter.inc();
-    }
-
     /// Copy every counter into a serialisable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -431,9 +426,9 @@ mod tests {
     #[test]
     fn snapshot_copies_counters() {
         let m = Metrics::new();
-        Metrics::bump(&m.requests);
-        Metrics::bump(&m.requests);
-        Metrics::bump(&m.cache_hits);
+        m.requests.inc();
+        m.requests.inc();
+        m.cache_hits.inc();
         let s = m.snapshot();
         assert_eq!(s.requests, 2);
         assert_eq!(s.cache_hits, 1);
@@ -444,7 +439,7 @@ mod tests {
     fn separate_metrics_instances_stay_isolated() {
         let a = Metrics::new();
         let b = Metrics::new();
-        Metrics::bump(&a.requests);
+        a.requests.inc();
         assert_eq!(a.snapshot().requests, 1);
         assert_eq!(b.snapshot().requests, 0);
         // ... while the shared registry aggregates both instances.

@@ -392,7 +392,7 @@ impl Server {
         match self.try_swap_model(model) {
             Ok(epoch) => epoch,
             Err(_) => {
-                Metrics::bump(&self.shared.metrics.errors);
+                self.shared.metrics.errors.inc();
                 self.shared.registry.epoch()
             }
         }
@@ -410,7 +410,7 @@ impl Server {
     pub fn try_swap_model(&self, mut model: Recommender) -> Result<u64, ServeError> {
         apply_quant_mode(&mut model, self.shared.quant);
         let epoch = self.shared.registry.swap(model);
-        Metrics::bump(&self.shared.metrics.swaps);
+        self.shared.metrics.swaps.inc();
         if let Some(zoo) = &self.shared.zoo {
             // Persist whatever is current *now*: if another swap raced
             // in between, saving the newer model is still correct.
@@ -562,11 +562,11 @@ pub(crate) enum Dispatch {
 /// Parse and route one request line. Every verb but RECOMMEND is fully
 /// handled here.
 pub(crate) fn dispatch_parsed(line: &str, shared: &Shared) -> Dispatch {
-    Metrics::bump(&shared.metrics.requests);
+    shared.metrics.requests.inc();
     let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
-            Metrics::bump(&shared.metrics.errors);
+            shared.metrics.errors.inc();
             return Dispatch::Done(
                 Box::new(Response::err(&ServeError::BadRequest(format!(
                     "invalid JSON: {e}"
@@ -589,7 +589,7 @@ pub(crate) fn dispatch_parsed(line: &str, shared: &Shared) -> Dispatch {
             Dispatch::Done(Box::new(Response::ok()), true)
         }
         other => {
-            Metrics::bump(&shared.metrics.errors);
+            shared.metrics.errors.inc();
             Dispatch::Done(
                 Box::new(Response::err(&ServeError::BadRequest(format!(
                     "unknown verb {other:?}"

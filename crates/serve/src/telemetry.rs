@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn seal_captures_deltas_and_templates() {
         let (metrics, t) = engine();
-        Metrics::bump(&metrics.requests);
-        Metrics::bump(&metrics.requests);
+        metrics.requests.inc();
+        metrics.requests.inc();
         t.note_template(7);
         t.note_template(7);
         t.note_template(9);
@@ -344,7 +344,7 @@ mod tests {
         assert_eq!(empty.sealed, 0);
         assert_eq!(empty.width_ms, 10_000);
         assert_eq!(empty.capacity, 4);
-        Metrics::bump(&metrics.requests);
+        metrics.requests.inc();
         let frame = t.seal_at(5_000);
         let s = t.summary();
         assert_eq!(s.sealed, 1);

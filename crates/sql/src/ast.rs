@@ -277,19 +277,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The alias if set, else the table name for [`TableRef::Named`].
-    pub fn binding_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Named { name, alias } => {
-                alias.as_deref().or_else(|| name.last().map(|s| s.as_str()))
-            }
-            TableRef::Derived { alias, .. } => alias.as_deref(),
-            TableRef::Join { .. } => None,
-        }
-    }
-}
-
 /// An `ORDER BY` item.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OrderByItem {
@@ -379,30 +366,6 @@ pub struct Query {
     pub limit: Option<Expr>,
     /// `OFFSET n`.
     pub offset: Option<Expr>,
-}
-
-impl Query {
-    /// Wrap a [`Select`] into a bare query.
-    pub fn from_select(select: Select) -> Self {
-        Query {
-            with: Vec::new(),
-            body: SetExpr::Select(Box::new(select)),
-            order_by: Vec::new(),
-            limit: None,
-            offset: None,
-        }
-    }
-
-    /// The outermost `SELECT` block of the left-most branch of the body.
-    pub fn leftmost_select(&self) -> &Select {
-        let mut body = &self.body;
-        loop {
-            match body {
-                SetExpr::Select(s) => return s,
-                SetExpr::SetOp { left, .. } => body = left,
-            }
-        }
-    }
 }
 
 /// Visitor-style traversal helpers used by fragment and template extraction.
@@ -501,20 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn binding_name_prefers_alias() {
-        let t = TableRef::Named {
-            name: vec!["dbo".into(), "Jobs".into()],
-            alias: Some("j".into()),
-        };
-        assert_eq!(t.binding_name(), Some("j"));
-        let t = TableRef::Named {
-            name: vec!["Jobs".into()],
-            alias: None,
-        };
-        assert_eq!(t.binding_name(), Some("Jobs"));
-    }
-
-    #[test]
     fn walk_visits_all_nodes() {
         // (a + 1) AND b LIKE 'x%'
         let e = Expr::Binary {
@@ -537,15 +486,21 @@ mod tests {
 
     #[test]
     fn subqueries_collects_all_kinds() {
-        let sub = Query::from_select(Select {
-            distinct: false,
-            top: None,
-            projection: vec![SelectItem::Wildcard],
-            from: vec![],
-            selection: None,
-            group_by: vec![],
-            having: None,
-        });
+        let sub = Query {
+            with: vec![],
+            body: SetExpr::Select(Box::new(Select {
+                distinct: false,
+                top: None,
+                projection: vec![SelectItem::Wildcard],
+                from: vec![],
+                selection: None,
+                group_by: vec![],
+                having: None,
+            })),
+            order_by: vec![],
+            limit: None,
+            offset: None,
+        };
         let e = Expr::Binary {
             left: Box::new(Expr::InSubquery {
                 expr: Box::new(Expr::Column(ColumnRef::bare("x"))),
@@ -559,36 +514,5 @@ mod tests {
             }),
         };
         assert_eq!(e.subqueries().len(), 2);
-    }
-
-    #[test]
-    fn leftmost_select_descends_set_ops() {
-        let mk = |d| {
-            SetExpr::Select(Box::new(Select {
-                distinct: d,
-                top: None,
-                projection: vec![SelectItem::Wildcard],
-                from: vec![],
-                selection: None,
-                group_by: vec![],
-                having: None,
-            }))
-        };
-        let q = Query {
-            with: vec![],
-            body: SetExpr::SetOp {
-                left: Box::new(SetExpr::SetOp {
-                    left: Box::new(mk(true)),
-                    op: SetOp::Union,
-                    right: Box::new(mk(false)),
-                }),
-                op: SetOp::Except,
-                right: Box::new(mk(false)),
-            },
-            order_by: vec![],
-            limit: None,
-            offset: None,
-        };
-        assert!(q.leftmost_select().distinct);
     }
 }

@@ -257,11 +257,6 @@ pub enum Token {
 }
 
 impl Token {
-    /// True if this token is the given keyword.
-    pub fn is_keyword(&self, kw: Keyword) -> bool {
-        matches!(self, Token::Keyword(k) if *k == kw)
-    }
-
     /// Identifier text, if this token is a (possibly quoted) identifier.
     pub fn ident(&self) -> Option<&str> {
         match self {
@@ -440,13 +435,5 @@ mod tests {
         assert_eq!(Token::Ident("t".into()).ident(), Some("t"));
         assert_eq!(Token::QuotedIdent("t x".into()).ident(), Some("t x"));
         assert_eq!(Token::Star.ident(), None);
-    }
-
-    #[test]
-    fn is_keyword_matches_exact_variant() {
-        let t = Token::Keyword(Keyword::Select);
-        assert!(t.is_keyword(Keyword::Select));
-        assert!(!t.is_keyword(Keyword::From));
-        assert!(!Token::Ident("select2".into()).is_keyword(Keyword::Select));
     }
 }

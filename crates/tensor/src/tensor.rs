@@ -192,14 +192,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += c * other` (axpy).
-    pub fn add_scaled_assign(&mut self, other: &Tensor, c: f32) {
-        self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += c * b;
-        }
-    }
-
     /// In-place zero fill (reuse allocation).
     pub fn fill(&mut self, v: f32) {
         self.data.iter_mut().for_each(|x| *x = v);
@@ -318,20 +310,6 @@ impl Tensor {
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// The index of the maximum element of a row.
-    pub fn argmax_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in row.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Vertically stack rows of `self` and `other` (same column count).
@@ -572,9 +550,6 @@ mod tests {
         assert_eq!(b.sub(&a).data(), &[9., 18., 27.]);
         assert_eq!(a.mul(&b).data(), &[10., 40., 90.]);
         assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
-        let mut c = a.clone();
-        c.add_scaled_assign(&b, 0.1);
-        assert_eq!(c.data(), &[2., 4., 6.]);
     }
 
     #[test]
@@ -701,12 +676,6 @@ mod tests {
         assert_eq!(a.mean(), 2.5);
         assert_eq!(a.sum_rows().data(), &[4., 6.]);
         assert_eq!(a.sq_norm(), 30.0);
-    }
-
-    #[test]
-    fn argmax_row_picks_first_max() {
-        let a = t(1, 4, &[0., 5., 5., 1.]);
-        assert_eq!(a.argmax_row(0), 1);
     }
 
     #[test]

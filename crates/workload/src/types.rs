@@ -116,11 +116,6 @@ impl Workload {
         }
     }
 
-    /// Total number of queries across sessions.
-    pub fn query_count(&self) -> usize {
-        self.sessions.iter().map(|s| s.queries.len()).sum()
-    }
-
     /// Total number of consecutive pairs across sessions.
     pub fn pair_count(&self) -> usize {
         self.sessions.iter().map(|s| s.pair_count()).sum()
@@ -223,7 +218,6 @@ mod tests {
             dataset: 3,
             queries: vec![rec("SELECT c FROM u")],
         });
-        assert_eq!(w.query_count(), 3);
         assert_eq!(w.pair_count(), 1);
         assert_eq!(w.pairs().len(), 1);
         assert_eq!(w.dataset_count(), 2);
