@@ -17,6 +17,7 @@
 //! Results go to `BENCH_decode.json` at the repo root (or
 //! `target/BENCH_decode_smoke.json` under `--smoke`).
 
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_nn::decode::{decode, Strategy, SOS};
 use qrec_nn::params::Params;
@@ -25,7 +26,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// An untrained model with near-uniform output distributions: decodes
@@ -185,16 +185,8 @@ fn bench_scenario(s: &Scenario, params: &Params, model: &Transformer, smoke: boo
     }
 }
 
-fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = out.unwrap_or_else(|| {
-        if smoke {
-            root.join("target/BENCH_decode_smoke.json")
-        } else {
-            root.join("BENCH_decode.json")
-        }
-    });
-
+fn run(args: &BenchArgs) -> Result<(), String> {
+    let smoke = args.smoke;
     eprintln!(
         "bench_decode: mode={}",
         if smoke { "smoke" } else { "full" }
@@ -227,25 +219,8 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "rows": rows.iter().map(Row::to_json).collect::<Vec<_>>(),
         "greedy_per_token_growth_incremental": growth,
     });
-
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(&out, bytes).map_err(|e| format!("write {}: {e}", out.display()))?;
-
-    // Re-read and parse: the file on disk must be well-formed JSON with
-    // at least one scenario row.
-    let text = std::fs::read_to_string(&out).map_err(|e| format!("read back: {e}"))?;
-    let parsed: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("round-trip parse: {e}"))?;
-    let row_count = parsed
-        .as_object()
-        .and_then(|o| o.get("rows"))
-        .and_then(|s| s.as_array())
-        .map_or(0, <[serde_json::Value]>::len);
-    if row_count == 0 {
-        return Err("no scenario rows in the written report".into());
+    if rows.is_empty() {
+        return Err("no scenario rows in the report".into());
     }
 
     println!(
@@ -269,39 +244,9 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             greedy.last().map_or(0, |r| r.tokens)
         );
     }
-    println!("[results written to {}]", out.display());
-    Ok(())
+    args.write(&report)
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("missing value for --out");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_decode [--smoke] [--out PATH]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match run(smoke, out) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench_decode failed: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("decode", run)
 }

@@ -2,7 +2,7 @@
 //! live serving path (DESIGN.md §12).
 //!
 //! ```text
-//! bench_obs [--smoke] [--out PATH] [--threshold FRAC] [--rounds N] [--requests N]
+//! bench_obs [--smoke] [--out PATH]
 //! ```
 //!
 //! Boots the real TCP server on a tiny trained model and drives two
@@ -28,10 +28,9 @@
 //! half is scheduler spikes, not signal), giving one on/off ratio per
 //! round; per scenario the **median** ratio across rounds discards
 //! outlier rounds entirely. The geometric mean of the per-scenario
-//! median ratios must not exceed `1 + threshold` (default 3%, override
-//! with `--threshold` or `QREC_OBS_OVERHEAD_MAX`). Results go to
-//! `BENCH_obs.json` (or `target/BENCH_obs_smoke.json` with `--smoke`);
-//! a breach exits non-zero so CI fails.
+//! median ratios must not exceed `1 + threshold`, a constant: 3%.
+//! Results go to `BENCH_obs.json` (or `target/BENCH_obs_smoke.json`
+//! with `--smoke`); a breach exits non-zero so CI fails.
 //!
 //! The report also carries a `micro` section timing the two telemetry
 //! hot-path operations in isolation — recording into a window-tracked
@@ -40,11 +39,12 @@
 //! up as an absolute ns/op number, not just as a shift in the
 //! end-to-end ratio.
 //!
-//! `--smoke` shrinks rounds/requests for CI schema checks and, unless
-//! `--threshold`/`QREC_OBS_OVERHEAD_MAX` is given, relaxes the budget
-//! to 15%: with so few samples the ratio is noise-dominated, and the
-//! tight 3% gate is enforced by `scripts/ci.sh` at full settings.
+//! `--smoke` shrinks rounds and requests for CI schema checks and
+//! relaxes the budget to 15%: with so few samples the ratio is
+//! noise-dominated, and the tight 3% gate is enforced by `scripts/ci.sh`
+//! at full settings.
 
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_obs::{Counter, TemplateSketch, WindowSet};
@@ -54,7 +54,6 @@ use qrec_workload::Split;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -88,7 +87,7 @@ struct Scenario {
     label: &'static str,
     session: &'static str,
     sqls: &'static [&'static str],
-    /// Multiplier on `--requests` for this scenario: fast requests need
+    /// Multiplier on the base request count for this scenario: fast requests need
     /// many more reps before a timed block rises above scheduler noise.
     weight: usize,
 }
@@ -245,31 +244,17 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-struct Args {
-    out: Option<PathBuf>,
-    threshold: Option<f64>,
-    rounds: usize,
-    requests: usize,
-    smoke: bool,
-}
+/// Overhead budget, rounds (the first is warm-up) and base requests per
+/// round of a full run. Rounds are cheap (~0.2 s each; model training
+/// dominates the wall time), and the median across rounds is what kills
+/// outliers, so a full run takes plenty of them.
+const FULL: (f64, usize, usize) = (0.03, 10, 50);
+/// The same under `--smoke`: too few samples for a 3% ratio, so the
+/// budget only catches a gross regression.
+const SMOKE: (f64, usize, usize) = (0.15, 5, 20);
 
-fn run(args: &Args) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = args.out.clone().unwrap_or_else(|| {
-        if args.smoke {
-            root.join("target/BENCH_obs_smoke.json")
-        } else {
-            root.join("BENCH_obs.json")
-        }
-    });
-    let threshold = args
-        .threshold
-        .or_else(|| {
-            std::env::var("QREC_OBS_OVERHEAD_MAX")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(if args.smoke { 0.15 } else { 0.03 });
+fn run(args: &BenchArgs) -> Result<(), String> {
+    let (threshold, rounds, requests) = if args.smoke { SMOKE } else { FULL };
 
     eprintln!("bench_obs: timing telemetry micro-ops ...");
     let (window_micro, sketch_micro) = microbench();
@@ -281,12 +266,11 @@ fn run(args: &Args) -> Result<(), String> {
 
     // Per-round on/off ratios (and last round's means, for the report),
     // per scenario. Round 0 is warm-up and is not kept.
-    let rounds = args.rounds.max(2);
     let mut round_ratios: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     let mut last_means = [[0.0f64; 2]; 2];
     for round in 0..rounds {
         for (si, s) in SCENARIOS.iter().enumerate() {
-            let (on, off) = run_round(&mut client, s, args.requests * s.weight, round)?;
+            let (on, off) = run_round(&mut client, s, requests * s.weight, round)?;
             if round > 0 {
                 round_ratios[si].push(on / off);
                 last_means[si] = [on, off];
@@ -303,12 +287,12 @@ fn run(args: &Args) -> Result<(), String> {
     let report = json!({
         "benchmark": "qrec-obs serving overhead (recording on vs off)",
         "rounds": rounds,
-        "requests_base": args.requests,
+        "requests_base": requests,
         "sub_blocks": SUB_BLOCKS,
         "threshold": threshold,
         "scenarios": SCENARIOS.iter().enumerate().map(|(si, s)| json!({
             "label": s.label,
-            "requests_per_mode_per_round": args.requests * s.weight,
+            "requests_per_mode_per_round": requests * s.weight,
             "last_round_fast_half_mean_on_s": last_means[si][0],
             "last_round_fast_half_mean_off_s": last_means[si][1],
             "round_ratios": round_ratios[si],
@@ -322,12 +306,6 @@ fn run(args: &Args) -> Result<(), String> {
             "sketch_update": micro_entry(&sketch_micro),
         }),
     });
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(&out, bytes).map_err(|e| format!("write {}: {e}", out.display()))?;
-
     for (si, s) in SCENARIOS.iter().enumerate() {
         println!(
             "{:<14} last on {:.6}s  off {:.6}s  median ratio {:.4}  (rounds: {})",
@@ -359,7 +337,7 @@ fn run(args: &Args) -> Result<(), String> {
         overhead * 100.0,
         threshold * 100.0
     );
-    println!("[results written to {}]", out.display());
+    args.write(&report)?;
 
     drop(client);
     server.shutdown();
@@ -375,61 +353,5 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = Args {
-        out: None,
-        threshold: None,
-        // Rounds are cheap (~0.2 s each; model training dominates the
-        // wall time), and the median across rounds is what kills
-        // outliers — so default to plenty of them.
-        rounds: 10,
-        requests: 50,
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        let parsed = match flag.as_str() {
-            "--smoke" => {
-                args.smoke = true;
-                args.rounds = 5;
-                args.requests = 20;
-                Ok(())
-            }
-            "--out" => value("--out").map(|p| args.out = Some(PathBuf::from(p))),
-            "--threshold" => value("--threshold").and_then(|v| {
-                v.parse()
-                    .map(|t| args.threshold = Some(t))
-                    .map_err(|e| format!("--threshold: {e}"))
-            }),
-            "--rounds" => value("--rounds").and_then(|v| {
-                v.parse()
-                    .map(|r| args.rounds = r)
-                    .map_err(|e| format!("--rounds: {e}"))
-            }),
-            "--requests" => value("--requests").and_then(|v| {
-                v.parse()
-                    .map(|r| args.requests = r)
-                    .map_err(|e| format!("--requests: {e}"))
-            }),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_obs [--smoke] [--out PATH] [--threshold FRAC] \
-                     [--rounds N] [--requests N]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown flag {other:?}")),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("bench_obs: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench_obs failed: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("obs", run)
 }

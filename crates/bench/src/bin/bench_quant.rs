@@ -40,6 +40,7 @@
 //! slower. (One scenario's ratio alone moves 0.83–1.23× between runs on
 //! a shared 2-vCPU box; the effect looked for would move all of them.)
 
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_nn::decode::{decode, Strategy, SOS};
 use qrec_nn::params::{forward_eval, Params};
@@ -50,7 +51,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const SRC: [usize; 7] = [SOS, 4, 9, 5, 7, 3, 2];
@@ -412,16 +412,8 @@ fn bench_scenario(
     }
 }
 
-fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = out.unwrap_or_else(|| {
-        if smoke {
-            root.join("target/BENCH_quant_smoke.json")
-        } else {
-            root.join("BENCH_quant.json")
-        }
-    });
-
+fn run(args: &BenchArgs) -> Result<(), String> {
+    let smoke = args.smoke;
     eprintln!("bench_quant: mode={}", if smoke { "smoke" } else { "full" });
     let (fp, model) = bench_model(smoke);
 
@@ -474,25 +466,8 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         "min_topk_agreement": min_agreement,
         "f32_after_over_before_geomean": after_over_before,
     });
-
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(&out, bytes).map_err(|e| format!("write {}: {e}", out.display()))?;
-
-    // Re-read and parse: the file on disk must be well-formed JSON with
-    // at least one scenario row.
-    let text = std::fs::read_to_string(&out).map_err(|e| format!("read back: {e}"))?;
-    let parsed: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("round-trip parse: {e}"))?;
-    let row_count = parsed
-        .as_object()
-        .and_then(|o| o.get("rows"))
-        .and_then(|s| s.as_array())
-        .map_or(0, <[serde_json::Value]>::len);
-    if row_count == 0 {
-        return Err("no scenario rows in the written report".into());
+    if rows.is_empty() {
+        return Err("no scenario rows in the report".into());
     }
 
     println!(
@@ -531,7 +506,7 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
     }
     println!("min top-5 agreement: {min_agreement:.4}");
     println!("f32 after/before int8 (geomean): {after_over_before:.2}x");
-    println!("[results written to {}]", out.display());
+    args.write(&report)?;
     // Smoke decodes last microseconds; their best-of ratio is noise.
     if !smoke && after_over_before > F32_AFTER_INT8_MAX {
         return Err(format!(
@@ -543,34 +518,5 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("missing value for --out");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_quant [--smoke] [--out PATH]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match run(smoke, out) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench_quant failed: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("quant", run)
 }

@@ -36,6 +36,7 @@
 //! small counts and writes `target/BENCH_serve_smoke.json`.
 
 use polling::{Events, Interest, Poller, Token};
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_serve::{EngineConfig, FrameBuf, Server, ServerConfig};
 use qrec_workload::gen::{generate, WorkloadProfile};
@@ -45,7 +46,6 @@ use rand::SeedableRng;
 use serde_json::json;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
@@ -653,21 +653,7 @@ fn bench_slow_client() -> Result<serde_json::Value, String> {
 
 // ------------------------------------------------------------------ main
 
-struct Args {
-    smoke: bool,
-    out: Option<PathBuf>,
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = args.out.clone().unwrap_or_else(|| {
-        if args.smoke {
-            root.join("target/BENCH_serve_smoke.json")
-        } else {
-            root.join("BENCH_serve.json")
-        }
-    });
-
+fn run(args: &BenchArgs) -> Result<(), String> {
     let (closed_conns, duration_ms): (&[usize], u64) = if args.smoke {
         (&[4], 1_000)
     } else {
@@ -726,13 +712,7 @@ fn run(args: &Args) -> Result<(), String> {
         "idle": idle,
         "slow_client": slow,
     });
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| format!("write {}: {e}", out.display()))?;
-    eprintln!("bench_serve: wrote {}", out.display());
-    Ok(())
+    args.write(&report)
 }
 
 fn main() -> ExitCode {
@@ -761,15 +741,5 @@ fn main() -> ExitCode {
             .unwrap_or(0);
         return run_client_child(&addr, conns, duration_ms, warmup_ms, &mode, interval_us);
     }
-    let args = Args {
-        smoke: argv.iter().any(|a| a == "--smoke"),
-        out: get("--out").map(PathBuf::from),
-    };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("bench_serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("serve", run)
 }

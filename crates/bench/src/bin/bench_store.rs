@@ -2,7 +2,7 @@
 //! (README "Durability", DESIGN.md §13).
 //!
 //! ```text
-//! bench_store [--smoke] [--out PATH] [--appends N]
+//! bench_store [--smoke] [--out PATH]
 //! ```
 //!
 //! Two questions, answered with wall-clock numbers:
@@ -21,9 +21,9 @@
 //! Full runs write `BENCH_store.json` at the repo root; `--smoke` uses
 //! small counts and writes `target/BENCH_store_smoke.json`.
 
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_store::{FsyncPolicy, Store, StoreConfig};
 use serde_json::json;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -154,22 +154,8 @@ fn bench_recovery(scratch: &std::path::Path, n: u64) -> Result<RecoveryRow, Stri
     })
 }
 
-struct Args {
-    smoke: bool,
-    out: Option<PathBuf>,
-    appends: Option<u64>,
-}
-
-fn run(args: &Args) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = args.out.clone().unwrap_or_else(|| {
-        if args.smoke {
-            root.join("target/BENCH_store_smoke.json")
-        } else {
-            root.join("BENCH_store.json")
-        }
-    });
-    let appends = args.appends.unwrap_or(if args.smoke { 300 } else { 2000 });
+fn run(args: &BenchArgs) -> Result<(), String> {
+    let appends = if args.smoke { 300 } else { 2000 };
     let recovery_counts: &[u64] = if args.smoke {
         &[200, 1000]
     } else {
@@ -232,51 +218,9 @@ fn run(args: &Args) -> Result<(), String> {
             "instrumented_recovery_us": r.instrumented_recovery_us,
         })).collect::<Vec<_>>(),
     });
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(&out, bytes).map_err(|e| format!("write {}: {e}", out.display()))?;
-    println!("[results written to {}]", out.display());
-    Ok(())
+    args.write(&report)
 }
 
 fn main() -> ExitCode {
-    let mut args = Args {
-        smoke: false,
-        out: None,
-        appends: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        let parsed = match flag.as_str() {
-            "--smoke" => {
-                args.smoke = true;
-                Ok(())
-            }
-            "--out" => value("--out").map(|p| args.out = Some(PathBuf::from(p))),
-            "--appends" => value("--appends").and_then(|v| {
-                v.parse()
-                    .map(|n| args.appends = Some(n))
-                    .map_err(|e| format!("--appends: {e}"))
-            }),
-            "--help" | "-h" => {
-                eprintln!("usage: bench_store [--smoke] [--out PATH] [--appends N]");
-                return ExitCode::SUCCESS;
-            }
-            other => Err(format!("unknown flag {other:?}")),
-        };
-        if let Err(msg) = parsed {
-            eprintln!("bench_store: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench_store failed: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("store", run)
 }

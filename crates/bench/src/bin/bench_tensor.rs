@@ -38,6 +38,7 @@
 // One `json!` object per shape row, wider than the macro's default depth.
 #![recursion_limit = "256"]
 
+use qrec_bench::cli::{bench_main, BenchArgs};
 use qrec_bench::timing::{time_stats, RepStats};
 use qrec_core::{Arch, Recommender, RecommenderConfig, SeqMode};
 use qrec_nn::attention::{attend_source, SourceKv};
@@ -51,7 +52,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::json;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -659,16 +659,8 @@ fn decode_latency(smoke: bool) -> (f64, usize, f64) {
     (mean, queries.len(), train_s)
 }
 
-fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = out.unwrap_or_else(|| {
-        if smoke {
-            root.join("target/BENCH_tensor_smoke.json")
-        } else {
-            root.join("BENCH_tensor.json")
-        }
-    });
-
+fn run(args: &BenchArgs) -> Result<(), String> {
+    let smoke = args.smoke;
     eprintln!(
         "bench_tensor: mode={}",
         if smoke { "smoke" } else { "full" }
@@ -729,25 +721,8 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
             "mean_decode_s": decode_mean_s,
         },
     });
-
-    if let Some(dir) = out.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    }
-    let bytes = serde_json::to_vec_pretty(&report).map_err(|e| format!("serialise: {e}"))?;
-    std::fs::write(&out, bytes).map_err(|e| format!("write {}: {e}", out.display()))?;
-
-    // Re-read and parse: the file on disk must be well-formed JSON with
-    // at least one shape row.
-    let text = std::fs::read_to_string(&out).map_err(|e| format!("read back: {e}"))?;
-    let parsed: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("round-trip parse: {e}"))?;
-    let shape_count = parsed
-        .as_object()
-        .and_then(|o| o.get("shapes"))
-        .and_then(|s| s.as_array())
-        .map_or(0, <[serde_json::Value]>::len);
-    if shape_count == 0 {
-        return Err("no shape rows in the written report".into());
+    if rows.is_empty() {
+        return Err("no shape rows in the report".into());
     }
 
     println!(
@@ -821,39 +796,9 @@ fn run(smoke: bool, out: Option<PathBuf>) -> Result<(), String> {
         decode_regression * 100.0
     );
     println!("end-to-end decode: {decode_mean_s:.4} s/query over {decode_queries} queries");
-    println!("[results written to {}]", out.display());
-    Ok(())
+    args.write(&report)
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    let mut out = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("missing value for --out");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_tensor [--smoke] [--out PATH]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match run(smoke, out) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("bench_tensor failed: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    bench_main("tensor", run)
 }

@@ -1,71 +1,73 @@
-//! Run every experiment in sequence: the full reproduction of the
-//! paper's evaluation section. Each sub-experiment also runs standalone
-//! (`cargo run --release -p qrec-bench --bin exp_table5` etc.); trained
-//! models are shared through `target/qrec-cache/`.
-//!
-//! `run_all` launches the experiment binaries that sit beside it, and
-//! `cargo run --bin run_all` builds only `run_all`, so build them all
-//! first:
+//! Reproduce the paper's evaluation section in one process: every
+//! experiment, or the named ones, over datasets generated once.
 //!
 //! ```text
-//! cargo build --release -p qrec-bench --bins
-//! cargo run --release -p qrec-bench --bin run_all
+//! cargo run --release -p qrec-bench --bin run_all [-- exp_table5 …]
 //! ```
+//!
+//! The names are those of `qrec_bench::experiments::EXPERIMENTS`
+//! (`exp_table2` … `ablation_tuning`); the experiments run in that
+//! table's order whatever order the names are given in. An unknown name
+//! exits 2, listing the valid ones, before anything runs. Trained models
+//! are shared through `target/qrec-cache/`, so a later run, or a run of
+//! one experiment, retrains nothing. An experiment that panics is
+//! reported and the rest still run; the exit status is then 1. Each
+//! experiment's wall time is printed to stderr after it.
 
-use std::process::Command;
+use qrec_bench::experiments::EXPERIMENTS;
+use qrec_bench::{Datasets, Reporter, StdioReporter};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::process::ExitCode;
+use std::time::Instant;
 
-const EXPERIMENTS: [&str; 13] = [
-    "exp_table2",
-    "exp_fig9",
-    "exp_fig10",
-    "exp_fig11",
-    "exp_table3",
-    "exp_table5",
-    "exp_table6",
-    "exp_fig12",
-    "exp_fig13",
-    "ablation_decode",
-    "ablation_arch",
-    "ablation_context",
-    "ablation_tuning",
-];
-
-fn main() {
-    let self_path = std::env::current_exe().expect("own path");
-    let bin_dir = self_path.parent().expect("bin dir");
-    let missing: Vec<&str> = EXPERIMENTS
-        .into_iter()
-        .filter(|exp| {
-            !bin_dir
-                .join(format!("{exp}{}", std::env::consts::EXE_SUFFIX))
-                .is_file()
-        })
+fn main() -> ExitCode {
+    let r = StdioReporter;
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let known = |name: &str| EXPERIMENTS.iter().any(|(exp, _)| *exp == name);
+    let unknown: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|name| !known(name))
         .collect();
-    if !missing.is_empty() {
-        eprintln!(
-            "missing experiment binaries in {}: {}\n\
-             build them first: cargo build --release -p qrec-bench --bins",
-            bin_dir.display(),
-            missing.join(", ")
-        );
-        std::process::exit(2);
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|(exp, _)| *exp).collect();
+        r.note(&format!(
+            "unknown experiment {}; valid names: {}",
+            unknown.join(", "),
+            valid.join(" ")
+        ));
+        return ExitCode::from(2);
     }
+
+    let t0 = Instant::now();
+    let datasets = Datasets::generate();
+    r.note(&format!(
+        "datasets generated in {:.2} s",
+        t0.elapsed().as_secs_f64()
+    ));
+    let mut ran = 0;
     let mut failures = Vec::new();
-    for exp in EXPERIMENTS {
-        println!("\n{0}\n###  {exp}\n{0}", "#".repeat(72));
-        let status = Command::new(bin_dir.join(exp))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {exp}: {e}"));
-        if !status.success() {
-            eprintln!("!! {exp} failed with {status}");
+    for (exp, run) in EXPERIMENTS {
+        if !names.is_empty() && !names.iter().any(|name| name == exp) {
+            continue;
+        }
+        r.out(&format!("\n{0}\n###  {exp}\n{0}", "#".repeat(72)));
+        let t0 = Instant::now();
+        let ok = catch_unwind(AssertUnwindSafe(|| run(&r, &datasets))).is_ok();
+        let secs = t0.elapsed().as_secs_f64();
+        r.note(&format!("{exp}: {secs:.2} s"));
+        ran += 1;
+        if !ok {
+            r.note(&format!("!! {exp} panicked"));
             failures.push(exp);
         }
     }
-    println!("\n{}", "#".repeat(72));
+    r.out(&format!("\n{}", "#".repeat(72)));
     if failures.is_empty() {
-        println!("all {} experiments completed", EXPERIMENTS.len());
+        r.out(&format!("all {ran} experiments completed"));
+        ExitCode::SUCCESS
     } else {
-        println!("failed experiments: {failures:?}");
-        std::process::exit(1);
+        r.out(&format!("failed experiments: {failures:?}"));
+        ExitCode::FAILURE
     }
 }

@@ -6,14 +6,13 @@
 //! GRU is competitive on short queries but trails on long ones where
 //! relating distant tokens matters.
 
-use qrec_bench::{dataset, f3, print_table, rec_config, trained_recommender, write_results};
+use crate::{f3, print_table, rec_config, trained_recommender, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut results = Vec::new();
-    for data in [dataset("sdss"), dataset("sqlshare")] {
+    for data in datasets.both() {
         let test = &data.split.test;
         let mut rows = Vec::new();
         for arch in [Arch::Transformer, Arch::ConvS2S, Arch::Gru] {
@@ -21,10 +20,10 @@ fn main() {
             // trained here with the same per-dataset budget.
             let (mut rec, report) = if arch == Arch::Gru {
                 let cfg = rec_config(&data.name, arch, SeqMode::Aware);
-                eprintln!("  training seq-aware gru on {} …", data.name);
+                r.note(&format!("  training seq-aware gru on {} …", data.name));
                 Recommender::train(&data.split, &data.workload, cfg)
             } else {
-                trained_recommender(r, &data, arch, SeqMode::Aware)
+                trained_recommender(r, data, arch, SeqMode::Aware)
             };
             let metrics = eval_fragment_set(&mut rec, test);
             rows.push(vec![

@@ -12,7 +12,9 @@
 //! marginally (or hurts, with longer inputs and fixed capacity),
 //! supporting the single-preceding-query design.
 
-use qrec_bench::{clf_config, dataset, f3, print_table, trained_classifier, write_results};
+use crate::{
+    clf_config, f3, print_table, trained_classifier, write_results, Datasets, ExpData, Reporter,
+};
 use qrec_core::data::TemplateClasses;
 use qrec_core::prelude::*;
 use qrec_nn::classifier::{classify, ClassifierHead};
@@ -33,11 +35,7 @@ struct TwoQueryData {
     test: Vec<(Vec<usize>, qrec_sql::Template)>,
 }
 
-fn two_query_context(
-    data: &qrec_bench::ExpData,
-    vocab: &Vocab,
-    classes: &TemplateClasses,
-) -> TwoQueryData {
+fn two_query_context(data: &ExpData, vocab: &Vocab, classes: &TemplateClasses) -> TwoQueryData {
     // Rebuild triples from sessions, then split by the same pair
     // membership as the standard split (train pairs stay train).
     let mut member = std::collections::HashMap::new();
@@ -91,10 +89,9 @@ fn two_query_context(
     out
 }
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut results = Vec::new();
-    for data in [dataset("sdss"), dataset("sqlshare")] {
+    for data in datasets.both() {
         let test: Vec<OwnedPair> = data.split.test.clone();
         let mut rows = Vec::new();
 
@@ -104,7 +101,7 @@ fn main() {
         rows.push(vec!["none (popular)".into(), f3(none_acc)]);
 
         // Q_i: the standard fine-tuned transformer classifier.
-        let (mut clf, _) = trained_classifier(r, &data, Arch::Transformer, SeqMode::Aware, true);
+        let (mut clf, _) = trained_classifier(r, data, Arch::Transformer, SeqMode::Aware, true);
         let qi_acc = eval_templates(&mut clf, &test, 1).accuracy();
         rows.push(vec!["Q_i (paper)".into(), f3(qi_acc)]);
 
@@ -112,12 +109,12 @@ fn main() {
         let cfg = clf_config(&data.name);
         let vocab = qrec_core::data::build_vocab(&data.split.train, 2);
         let classes = TemplateClasses::from_pairs(&data.split.train, cfg.min_support);
-        let two = two_query_context(&data, &vocab, &classes);
-        eprintln!(
+        let two = two_query_context(data, &vocab, &classes);
+        r.note(&format!(
             "  training two-query-context classifier on {} ({} triples) …",
             data.name,
             two.train.len()
-        );
+        ));
         let mut rng = StdRng::seed_from_u64(cfg.train.seed);
         let mut params = Params::new();
         let model = AnyModel::build(

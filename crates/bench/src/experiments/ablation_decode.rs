@@ -8,7 +8,7 @@
 //! precision for coverage; sampling sits between, depending on the
 //! probability floor.
 
-use qrec_bench::{dataset, f3, print_table, trained_recommender, write_results};
+use crate::{f3, print_table, trained_recommender, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use qrec_nn::Strategy;
 use qrec_sql::FragmentKind;
@@ -18,8 +18,7 @@ use std::collections::BTreeSet;
 const MAX_EVAL_PAIRS: usize = 120;
 const N: usize = 5;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let strategies: Vec<(&str, Strategy)> = vec![
         ("greedy", Strategy::Greedy),
         ("beam-5", Strategy::Beam { width: 5 }),
@@ -41,7 +40,7 @@ fn main() {
     ];
 
     let mut results = Vec::new();
-    for data in [dataset("sdss"), dataset("sqlshare")] {
+    for data in datasets.both() {
         let test: Vec<_> = data
             .split
             .test
@@ -49,12 +48,12 @@ fn main() {
             .take(MAX_EVAL_PAIRS)
             .cloned()
             .collect();
-        let (mut rec, _) = trained_recommender(r, &data, Arch::Transformer, SeqMode::Aware);
-        println!(
+        let (mut rec, _) = trained_recommender(r, data, Arch::Transformer, SeqMode::Aware);
+        r.out(&format!(
             "\n### decoding ablation ({}): seq-aware transformer, N={N}, {} pairs",
             data.name,
             test.len()
-        );
+        ));
 
         let mut rows = Vec::new();
         for (name, strategy) in &strategies {

@@ -3,23 +3,22 @@
 //! enough to retrain per candidate): batch size × learning rate,
 //! selected by best validation loss with early stopping.
 
-use qrec_bench::{dataset, print_table, write_results};
+use crate::{print_table, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use qrec_core::tuning::{grid_search, paper_grid};
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
-    let data = dataset("sqlshare");
-    let mut base = qrec_bench::rec_config("sqlshare", Arch::Transformer, SeqMode::Aware);
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
+    let data = &datasets.sqlshare;
+    let mut base = crate::rec_config("sqlshare", Arch::Transformer, SeqMode::Aware);
     base.train.patience = 2;
     let grid = paper_grid(8);
-    eprintln!(
+    r.note(&format!(
         "grid-searching {} candidates on {} ({} train pairs) …",
         grid.len(),
         data.name,
         data.split.train.len()
-    );
+    ));
     let result = grid_search(base, &grid, &data.split, &data.workload);
 
     let rows: Vec<Vec<String>> = result
@@ -45,13 +44,13 @@ fn main() {
         &["candidate", "best val loss", "epochs run"],
         &rows,
     );
-    println!(
+    r.out(&format!(
         "\nwinner: batch={} lr={:.0e} (val loss {:.3}) — the paper likewise found the best \
          settings dataset-dependent.",
         result.best_candidate().batch_size,
         result.best_candidate().lr,
         result.best_val_loss()
-    );
+    ));
     write_results(
         r,
         "ablation_tuning",

@@ -7,11 +7,9 @@
 //! over 50% keep it, and increases in the six syntactic properties sit
 //! in the 8–16% band of the paper (direction preserved at our scale).
 
-use qrec_bench::{dataset, session_pair_figure, write_results};
+use crate::{session_pair_figure, write_results, Datasets, Reporter};
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
-    let data = dataset("sdss");
-    let results = session_pair_figure(r, &data, "Figure 10");
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
+    let results = session_pair_figure(r, &datasets.sdss, "Figure 10");
     write_results(r, "fig10", &results);
 }

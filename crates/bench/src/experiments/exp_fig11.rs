@@ -6,11 +6,9 @@
 //! pairs change template (clearly above SDSS), with smaller per-property
 //! increase rates than SDSS.
 
-use qrec_bench::{dataset, session_pair_figure, write_results};
+use crate::{session_pair_figure, write_results, Datasets, Reporter};
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
-    let data = dataset("sqlshare");
-    let results = session_pair_figure(r, &data, "Figure 11");
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
+    let results = session_pair_figure(r, &datasets.sqlshare, "Figure 11");
     write_results(r, "fig11", &results);
 }

@@ -7,7 +7,7 @@
 //! better on SDSS than on SQLShare (shared schema vs per-user datasets);
 //! the Transformer generally beats ConvS2S.
 
-use qrec_bench::{both_datasets, f3, print_table, trained_recommender, write_results};
+use crate::{f3, print_table, trained_recommender, write_results, Datasets, Reporter};
 use qrec_core::eval::eval_n_fragments_curve;
 use qrec_core::prelude::*;
 use qrec_sql::FragmentKind;
@@ -18,11 +18,10 @@ use serde_json::json;
 /// before the full test split (the cap is printed, nothing is silent).
 const MAX_EVAL_PAIRS: usize = 150;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let ns = [1usize, 2, 3, 4, 5];
     let mut results = Vec::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         let test: Vec<_> = data
             .split
             .test
@@ -30,12 +29,12 @@ fn main() {
             .take(MAX_EVAL_PAIRS)
             .cloned()
             .collect();
-        println!(
+        r.out(&format!(
             "\n### Figure 12 ({}): scoring {} of {} test pairs",
             data.name,
             test.len(),
             data.split.test.len()
-        );
+        ));
 
         let mut methods: Vec<(String, Box<dyn FragmentPredictor>)> = vec![
             (
@@ -46,7 +45,7 @@ fn main() {
         ];
         for seq_mode in [SeqMode::Less, SeqMode::Aware] {
             for arch in [Arch::ConvS2S, Arch::Transformer] {
-                let (rec, _) = trained_recommender(r, &data, arch, seq_mode);
+                let (rec, _) = trained_recommender(r, data, arch, seq_mode);
                 methods.push((rec.name(), Box::new(rec)));
             }
         }

@@ -9,15 +9,14 @@
 //! when the user asks for more than one recommendation); the rank-aware
 //! MRR separates the tuned Transformer further from ConvS2S.
 
-use qrec_bench::{both_datasets, f3, print_table, trained_classifier, write_results};
+use crate::{f3, print_table, trained_classifier, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let ns = [1usize, 2, 3, 4, 5];
     let mut results = Vec::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         let test = &data.split.test;
 
         let mut methods: Vec<(String, Box<dyn TemplatePredictor>)> = vec![
@@ -33,7 +32,7 @@ fn main() {
         ];
         for seq_mode in [SeqMode::Less, SeqMode::Aware] {
             for arch in [Arch::ConvS2S, Arch::Transformer] {
-                let (clf, _) = trained_classifier(r, &data, arch, seq_mode, true);
+                let (clf, _) = trained_classifier(r, data, arch, seq_mode, true);
                 methods.push((clf.name(), Box::new(clf)));
             }
         }

@@ -5,14 +5,13 @@
 //! and the min-support-3 template classes. We print the rank/frequency
 //! series (log-bucketed) and an ASCII rendering of the tail.
 
-use qrec_bench::{both_datasets, print_table, write_results};
+use crate::{print_table, write_results, Datasets, Reporter};
 use qrec_workload::stats::{template_classes, template_frequencies};
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut results = serde_json::Map::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         let freqs = template_frequencies(&data.workload);
         let counts: Vec<usize> = freqs.iter().map(|(_, c)| *c).collect();
         let total: usize = counts.iter().sum();
@@ -43,31 +42,31 @@ fn main() {
         );
 
         // ASCII long-tail sketch.
-        println!("\n  frequency (log bars):");
+        r.out("\n  frequency (log bars):");
         let max = counts[0] as f64;
-        let mut r = 1usize;
-        while r <= counts.len() {
-            let f = counts[r - 1] as f64;
+        let mut rank = 1usize;
+        while rank <= counts.len() {
+            let f = counts[rank - 1] as f64;
             let bar = ((f.ln_1p() / max.ln_1p()) * 48.0).round() as usize;
-            println!(
+            r.out(&format!(
                 "  rank {:>5} | {:<48} {}",
-                r,
+                rank,
                 "#".repeat(bar),
-                counts[r - 1]
-            );
-            r *= 4;
+                counts[rank - 1]
+            ));
+            rank *= 4;
         }
 
         let head_share = counts.iter().take(10).sum::<usize>() as f64 / total as f64;
         let singleton_share =
             counts.iter().filter(|&&c| c == 1).count() as f64 / counts.len() as f64;
-        println!(
+        r.out(&format!(
             "\n  top-10 templates cover {:.1}% of queries; {:.1}% of templates occur once; \
              {} classes survive min-support 3 (paper: 830 SDSS / 552 SQLShare)",
             100.0 * head_share,
             100.0 * singleton_share,
             classes3
-        );
+        ));
 
         results.insert(
             data.name.clone(),

@@ -6,7 +6,7 @@
 //! SDSS has 1 dataset and 56 tables vs SQLShare's 64 datasets and many
 //! more tables; fragment-diversity orderings per Section 5.3.1.
 
-use qrec_bench::{both_datasets, print_table, write_results};
+use crate::{print_table, write_results, Datasets, Reporter};
 use qrec_workload::stats::workload_stats;
 use serde_json::json;
 
@@ -25,14 +25,9 @@ const PAPER: [(&str, u64, u64); 11] = [
     ("Templates", 2_975, 3_485),
 ];
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
-    let datasets = both_datasets();
-    let stats: Vec<_> = datasets
-        .iter()
-        .map(|d| (d.name.clone(), workload_stats(&d.workload)))
-        .collect();
-    let (sdss, sqlshare) = (&stats[0].1, &stats[1].1);
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
+    let sdss = &workload_stats(&datasets.sdss.workload);
+    let sqlshare = &workload_stats(&datasets.sqlshare.workload);
 
     let ours = [
         ("Total pairs", sdss.total_pairs, sqlshare.total_pairs),
@@ -79,7 +74,7 @@ fn main() {
         &rows,
     );
 
-    println!("\nshape checks:");
+    r.out("\nshape checks:");
     let checks = [
         (
             "SDSS has many times more pairs than SQLShare",
@@ -110,7 +105,11 @@ fn main() {
     ];
     let mut ok = true;
     for (label, passed) in checks {
-        println!("  [{}] {}", if passed { "ok" } else { "MISS" }, label);
+        r.out(&format!(
+            "  [{}] {}",
+            if passed { "ok" } else { "MISS" },
+            label
+        ));
         ok &= passed;
     }
 

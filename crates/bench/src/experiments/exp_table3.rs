@@ -7,20 +7,19 @@
 //! the paper trains full-size models on a GPU for hours, we train
 //! scaled-down models on one CPU core for seconds.
 
-use qrec_bench::{both_datasets, print_table, trained_recommender, write_results};
+use crate::{print_table, trained_recommender, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use qrec_nn::Strategy;
 use serde_json::json;
 use std::time::Instant;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut rows = Vec::new();
     let mut results = Vec::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         for seq_mode in [SeqMode::Less, SeqMode::Aware] {
             for arch in [Arch::ConvS2S, Arch::Transformer] {
-                let (mut rec, report) = trained_recommender(r, &data, arch, seq_mode);
+                let (mut rec, report) = trained_recommender(r, data, arch, seq_mode);
 
                 // Inference time: mean greedy decode latency per query on
                 // (a sample of) the test split.
@@ -66,10 +65,10 @@ fn main() {
         &rows,
     );
 
-    println!(
+    r.out(
         "\npaper-shape checks: ConvS2S trains faster per run than the Transformer at matched \
          width; the Transformer carries the larger parameter budget here (as in the paper's \
-         SDSS column, 72.7M tfm vs 8.0M convs2s)."
+         SDSS column, 72.7M tfm vs 8.0M convs2s).",
     );
     write_results(r, "table3", &json!(results));
 }

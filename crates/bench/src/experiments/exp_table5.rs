@@ -9,14 +9,13 @@
 //! `naive Q_i` is a strong anchor everywhere; the Transformer generally
 //! edges out ConvS2S.
 
-use qrec_bench::{both_datasets, f3, print_table, trained_recommender, write_results};
+use crate::{f3, print_table, trained_recommender, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut results = Vec::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         let test = &data.split.test;
         let mut rows = Vec::new();
 
@@ -35,7 +34,7 @@ fn main() {
         // Deep models.
         for seq_mode in [SeqMode::Less, SeqMode::Aware] {
             for arch in [Arch::ConvS2S, Arch::Transformer] {
-                let (rec, _) = trained_recommender(r, &data, arch, seq_mode);
+                let (rec, _) = trained_recommender(r, data, arch, seq_mode);
                 methods.push((rec.name(), Box::new(rec)));
             }
         }

@@ -7,14 +7,13 @@
 //! the best model overall; `naive Q_i`'s accuracy equals the
 //! template-same rate of the test pairs (the anchor).
 
-use qrec_bench::{both_datasets, f3, print_table, trained_classifier, write_results};
+use crate::{f3, print_table, trained_classifier, write_results, Datasets, Reporter};
 use qrec_core::prelude::*;
 use serde_json::json;
 
-fn main() {
-    let r = &qrec_bench::StdioReporter;
+pub fn run(r: &dyn Reporter, datasets: &Datasets) {
     let mut results = Vec::new();
-    for data in both_datasets() {
+    for data in datasets.both() {
         let test = &data.split.test;
         let mut rows = Vec::new();
 
@@ -31,13 +30,13 @@ fn main() {
         ];
         // Untuned classifiers (one per architecture; encoder from scratch).
         for arch in [Arch::ConvS2S, Arch::Transformer] {
-            let (clf, _) = trained_classifier(r, &data, arch, SeqMode::Aware, false);
+            let (clf, _) = trained_classifier(r, data, arch, SeqMode::Aware, false);
             methods.push((clf.name(), Box::new(clf)));
         }
         // Fine-tuned classifiers on top of each trained seq2seq encoder.
         for seq_mode in [SeqMode::Less, SeqMode::Aware] {
             for arch in [Arch::ConvS2S, Arch::Transformer] {
-                let (clf, _) = trained_classifier(r, &data, arch, seq_mode, true);
+                let (clf, _) = trained_classifier(r, data, arch, seq_mode, true);
                 methods.push((clf.name(), Box::new(clf)));
             }
         }
@@ -69,10 +68,10 @@ fn main() {
             &["method", "accuracy"],
             &rows,
         );
-        println!(
+        r.out(&format!(
             "  (test template-same rate = {:.3}; naive-Qi must equal it)",
             same_rate
-        );
+        ));
     }
     write_results(r, "table6", &json!(results));
 }

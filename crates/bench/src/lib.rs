@@ -1,8 +1,13 @@
 //! # qrec-bench — experiment drivers and benchmarks
 //!
-//! One binary per table / figure of the paper (see DESIGN.md §4):
+//! One experiment per table / figure of the paper (see DESIGN.md §4),
+//! all run by one binary:
 //!
-//! | binary       | reproduces |
+//! ```text
+//! cargo run --release -p qrec-bench --bin run_all [-- exp_table5 …]
+//! ```
+//!
+//! | experiment   | reproduces |
 //! |--------------|------------|
 //! | `exp_table2` | Table 2 — workload statistics |
 //! | `exp_table3` | Table 3 — model statistics (train/infer time, #params) |
@@ -13,17 +18,21 @@
 //! | `exp_fig11`  | Figure 11 — SQLShare session/pair-level analysis |
 //! | `exp_fig12`  | Figure 12 — N-fragments prediction, N ∈ 1..5 |
 //! | `exp_fig13`  | Figure 13 — N-templates accuracy and MRR, N ∈ 1..5 |
-//! | `ablation_*` | design-choice ablations (decoding, architecture, context) |
-//! | `run_all`    | everything above in sequence |
+//! | `ablation_*` | design-choice ablations (decoding, architecture, context, tuning) |
 //!
-//! Trained models are cached under `target/qrec-cache/` so binaries can
-//! be re-run (or run individually) without retraining; delete the cache
-//! directory to force retraining. Each binary prints its table and also
+//! `run_all` with no names runs all of them in sequence. Trained models
+//! are cached under `target/qrec-cache/` so experiments can be re-run
+//! (or run individually) without retraining; delete the cache directory
+//! to force retraining. Each experiment prints its table and also
 //! writes a JSON result file next to the cache for EXPERIMENTS.md.
+//!
+//! The six `bench_*` binaries share one command line ([`cli`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
+pub mod experiments;
 pub mod timing;
 
 use qrec_core::prelude::*;
@@ -46,7 +55,7 @@ pub const SPLIT_SEED: u64 = 5678;
 // ---------------------------------------------------------------------
 
 /// Where experiment output goes. Library code never prints directly —
-/// the experiment binaries pass [`StdioReporter`] and tests pass
+/// the binaries pass [`StdioReporter`] and tests pass
 /// [`SilentReporter`], so running the suite stays quiet and the one
 /// sanctioned stdout sink is this trait's stdio implementation.
 pub trait Reporter {
@@ -57,8 +66,7 @@ pub trait Reporter {
     fn note(&self, line: &str);
 }
 
-/// Reporter for the experiment binaries: results to stdout, notes to
-/// stderr.
+/// Reporter for the binaries: results to stdout, notes to stderr.
 pub struct StdioReporter;
 
 impl Reporter for StdioReporter {
@@ -111,9 +119,28 @@ pub fn dataset(name: &str) -> ExpData {
     }
 }
 
-/// Both datasets, in the paper's order.
-pub fn both_datasets() -> Vec<ExpData> {
-    vec![dataset("sdss"), dataset("sqlshare")]
+/// Both benchmark datasets, generated once and shared by every
+/// experiment.
+pub struct Datasets {
+    /// The SDSS-like workload.
+    pub sdss: ExpData,
+    /// The SQLShare-like workload.
+    pub sqlshare: ExpData,
+}
+
+impl Datasets {
+    /// Generate both datasets deterministically.
+    pub fn generate() -> Self {
+        Datasets {
+            sdss: dataset("sdss"),
+            sqlshare: dataset("sqlshare"),
+        }
+    }
+
+    /// Both, in the paper's order.
+    pub fn both(&self) -> [&ExpData; 2] {
+        [&self.sdss, &self.sqlshare]
+    }
 }
 
 /// Cache-format version: bump when the generator or configs change so

@@ -179,7 +179,19 @@ for name in tensor decode store quant serve obs; do
     done
 done
 
-echo "==> obs overhead gate (bench_obs, budget ${QREC_OBS_OVERHEAD_MAX:-0.03})"
+echo "==> paper reproduction harness (run_all, the four experiments that train nothing)"
+# One process runs the named experiments over datasets generated once;
+# each must write a well-formed results file (stale ones removed first).
+cargo build --offline --release -q -p qrec-bench --bin run_all
+results=target/qrec-cache/results
+for name in table2 fig9 fig10 fig11; do rm -f "$results/$name.json"; done
+target/release/run_all exp_table2 exp_fig9 exp_fig10 exp_fig11 >/dev/null
+for name in table2 fig9 fig10 fig11; do
+    python3 -m json.tool "$results/$name.json" >/dev/null \
+        || { echo "$results/$name.json is missing or not well-formed JSON"; exit 1; }
+done
+
+echo "==> obs overhead gate (bench_obs, budget 0.03)"
 cargo build --offline --release -q -p qrec-bench --bin bench_obs
 # Exits non-zero when the geomean on/off overhead exceeds the budget.
 ./target/release/bench_obs --out target/BENCH_obs_smoke.json
