@@ -8,11 +8,12 @@
 //! The names are those of `qrec_bench::experiments::EXPERIMENTS`
 //! (`exp_table2` … `ablation_tuning`); the experiments run in that
 //! table's order whatever order the names are given in. An unknown name
-//! exits 2, listing the valid ones, before anything runs. Trained models
-//! are shared through `target/qrec-cache/`, so a later run, or a run of
-//! one experiment, retrains nothing. An experiment that panics is
-//! reported and the rest still run; the exit status is then 1. Each
-//! experiment's wall time is printed to stderr after it.
+//! exits 2, listing the valid ones, before anything runs. The seq2seq
+//! models and template classifiers are cached under `target/qrec-cache/`
+//! and shared by every experiment and every later run; only the
+//! ablations that train variants of their own retrain. An experiment
+//! that panics is reported and the rest still run; the exit status is
+//! then 1. Each experiment's wall time is printed to stderr after it.
 
 use qrec_bench::experiments::EXPERIMENTS;
 use qrec_bench::{Datasets, Reporter, StdioReporter};

@@ -22,8 +22,9 @@
 //!
 //! `run_all` with no names runs all of them in sequence. Trained models
 //! are cached under `target/qrec-cache/` so experiments can be re-run
-//! (or run individually) without retraining; delete the cache directory
-//! to force retraining. Each experiment prints its table and also
+//! (or run individually) without retraining them (the ablations still
+//! train their own variants); delete the cache directory to force
+//! retraining. Each experiment prints its table and also
 //! writes a JSON result file next to the cache for EXPERIMENTS.md.
 //!
 //! The six `bench_*` binaries share one command line ([`cli`]).
